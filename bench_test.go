@@ -8,6 +8,7 @@ package hsqp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -360,7 +361,7 @@ func BenchmarkDAGvsSerial(b *testing.B) {
 			var overlap float64
 			var concurrent int
 			for i := 0; i < b.N; i++ {
-				_, stats, err := c.Run(q)
+				_, stats, err := c.RunContext(context.Background(), q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -396,7 +397,7 @@ func BenchmarkSingleQuery(b *testing.B) {
 	q := queries.MustBuild(5, queries.Params{SF: 0.05})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Run(q); err != nil {
+		if _, _, err := c.RunContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -405,7 +406,7 @@ func BenchmarkSingleQuery(b *testing.B) {
 // BenchmarkThroughput is the multi-query headline: 8 concurrent TPC-H Q12
 // streams on the shared 3-server engine versus the same queries run
 // serially. Reported metrics are queries/sec in both modes and the
-// concurrent/serial speedup (CI tracks these in BENCH_5.json).
+// concurrent/serial speedup.
 func BenchmarkThroughput(b *testing.B) {
 	bench.Warmup()
 	var buf bytes.Buffer
@@ -456,7 +457,7 @@ func BenchmarkFusedHotPath(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := c.Run(q); err != nil {
+					if _, _, err := c.RunContext(context.Background(), q); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -468,9 +469,8 @@ func BenchmarkFusedHotPath(b *testing.B) {
 // BenchmarkServing measures the serving tier's three latency paths over a
 // loopback socket — cold (plan build + per-server prepare + execute),
 // plan-cache hit (execute on a cached plan) and result-cache hit (encoded
-// bytes, no execution) — plus the weighted-fair fairness phase. CI tracks
-// the reported metrics in BENCH_7.json; the acceptance bar is
-// planhit-speedup > 1 (a plan-cache hit is measurably cheaper than cold
+// bytes, no execution) — plus the weighted-fair fairness phase. The
+// acceptance bar is planhit-speedup > 1 (a plan-cache hit is measurably cheaper than cold
 // compile+run) and resulthit-speedup well above it.
 func BenchmarkServing(b *testing.B) {
 	bench.Warmup()
@@ -498,9 +498,9 @@ func BenchmarkServing(b *testing.B) {
 // BenchmarkObsOverhead measures the cost of the always-on observability
 // instrumentation (metric updates on the morsel/exchange hot paths plus
 // trace assembly) by running the same distributed Q12 with instrumentation
-// enabled and disabled, interleaved to cancel thermal/GC drift. CI tracks
-// obs-overhead-ratio in BENCH_8.json; the acceptance bar is ≤ 1.02
-// (instrumented within 2% of the -noobs ablation).
+// enabled and disabled, interleaved to cancel thermal/GC drift. The
+// acceptance bar for obs-overhead-ratio is ≤ 1.02 (instrumented within 2%
+// of the -noobs ablation).
 func BenchmarkObsOverhead(b *testing.B) {
 	bench.Warmup()
 	c, err := cluster.New(cluster.Config{
@@ -521,7 +521,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	run := func(enabled bool) time.Duration {
 		obs.SetEnabled(enabled)
 		start := time.Now()
-		if _, _, err := c.Run(q); err != nil {
+		if _, _, err := c.RunContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 		return time.Since(start)

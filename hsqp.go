@@ -104,15 +104,12 @@ type Session = cluster.Session
 // SessionConfig tunes a Session's admission control.
 type SessionConfig = cluster.SessionConfig
 
-// QueryOutcome is one query's result within a RunConcurrent batch.
-type QueryOutcome = cluster.QueryOutcome
-
-// ErrOverloaded is returned by Session.Run when the admission queue is
-// full.
+// ErrOverloaded is returned by Session.RunContext when the admission queue
+// is full.
 var ErrOverloaded = cluster.ErrOverloaded
 
-// ErrSessionClosed is returned by Session.Run after Close, and by queries
-// still queued when Close drains the session.
+// ErrSessionClosed is returned by Session.RunContext after Close, and by
+// queries still queued when Close drains the session.
 var ErrSessionClosed = cluster.ErrSessionClosed
 
 // Prepared is a prepared statement on a cluster: compiled and validated on
@@ -210,8 +207,8 @@ func DialServer(addr, tenant string) (*Client, error) { return serve.Dial(addr, 
 
 // QueryTrace is a per-query distributed trace: queue/compile spans on the
 // coordinator track plus every server's pipeline and exchange spans.
-// QueryStats.Trace and QueryOutcome.Trace carry one per run; render it
-// with its WriteChromeJSON (chrome://tracing / Perfetto format).
+// QueryStats.Trace carries one per run; render it with its
+// WriteChromeJSON (chrome://tracing / Perfetto format).
 type QueryTrace = obs.Trace
 
 // TraceSpan is one interval in a QueryTrace.

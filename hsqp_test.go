@@ -2,6 +2,7 @@ package hsqp
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -21,7 +22,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	defer c.Close()
 	c.LoadTPCH(GenerateTPCH(0.005, 42), false)
 
-	res, stats, err := c.Run(TPCHQuery(6, 0.005))
+	res, stats, err := c.RunContext(context.Background(), TPCHQuery(6, 0.005))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -73,11 +74,11 @@ func TestFusionPushdownConformance(t *testing.T) {
 		qn := qn
 		t.Run(fmt.Sprintf("q%02d", qn), func(t *testing.T) {
 			q := queries.MustBuild(qn, queries.Params{SF: 0.01})
-			got, stats, err := fused.Run(q)
+			got, stats, err := fused.RunContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("fused q%d: %v", qn, err)
 			}
-			want, _, err := ablated.Run(queries.MustBuild(qn, queries.Params{SF: 0.01}))
+			want, _, err := ablated.RunContext(context.Background(), queries.MustBuild(qn, queries.Params{SF: 0.01}))
 			if err != nil {
 				t.Fatalf("ablated q%d: %v", qn, err)
 			}
@@ -125,7 +126,7 @@ func TestPushdownWireReduction(t *testing.T) {
 		defer c.Close()
 		c.LoadTable("skew_build", build, storage.PlacementChunked, 0)
 		c.LoadTable("skew_probe", probe, storage.PlacementChunked, 0)
-		res, stats, err := c.Run(skewQuery(plan.PartitionBoth))
+		res, stats, err := c.RunContext(context.Background(), skewQuery(plan.PartitionBoth))
 		if err != nil {
 			t.Fatal(err)
 		}

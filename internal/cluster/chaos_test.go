@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -15,7 +16,10 @@ import (
 	"hsqp/internal/tpch"
 )
 
-const chaosSF = 0.01
+const (
+	chaosSF               = 0.01
+	chaosHeartbeatTimeout = 250 * time.Millisecond
+)
 
 var (
 	chaosDBOnce sync.Once
@@ -32,19 +36,19 @@ func getChaosDB() *tpch.Database {
 // newChaosCluster builds a 3-server cluster with replica factor 2 (every
 // partition survives one server loss) and a fast failure detector, wired
 // to the given phase hook.
-func newChaosCluster(t *testing.T, hook func(sim.QueryPhase)) *Cluster {
+func newChaosCluster(t *testing.T, scheduling bool, hook func(sim.QueryPhase)) *Cluster {
 	t.Helper()
 	c, err := New(Config{
 		Servers:           3,
 		WorkersPerServer:  4,
 		Transport:         RDMA,
-		Scheduling:        true,
+		Scheduling:        scheduling,
 		TimeScale:         0.005, // chaos tests: network nearly free
 		MorselSize:        4096,
 		MessageSize:       64 * 1024,
 		ReplicaFactor:     2,
 		HeartbeatInterval: 5 * time.Millisecond,
-		HeartbeatTimeout:  250 * time.Millisecond,
+		HeartbeatTimeout:  chaosHeartbeatTimeout,
 		PhaseHook:         hook,
 	})
 	if err != nil {
@@ -83,17 +87,48 @@ func refRows(t *testing.T, q int) string {
 	return renderRows(rows)
 }
 
+// chaosCase is one row of the single-fault table.
+type chaosCase struct {
+	kind sim.FaultKind
+	// eager turns the round-robin schedule off: no barriers flow, so a
+	// silent server is noticed only because the detector probes it.
+	eager bool
+	// idle injects the fault between queries instead of mid-query; the
+	// next query must absorb it all the same.
+	idle bool
+}
+
 // runChaosQ12 executes Q12 against a cluster that loses one server
-// mid-query and asserts the failover was transparent: one restart, a
-// 2-server surviving membership, and a result byte-identical to the
-// reference interpreter's.
-func runChaosQ12(t *testing.T, kind sim.FaultKind) {
+// (mid-query unless tc.idle) and asserts the failover was transparent: one
+// restart, a 2-server surviving membership, and a result byte-identical to
+// the reference interpreter's.
+func runChaosQ12(t *testing.T, tc chaosCase) {
 	db := getChaosDB()
+	kind := tc.kind
 	var inj *sim.FaultInjector
-	c := newChaosCluster(t, func(p sim.QueryPhase) { inj.OnPhase(p) })
+	c := newChaosCluster(t, !tc.eager, func(p sim.QueryPhase) {
+		if !tc.idle {
+			inj.OnPhase(p)
+		}
+	})
 	// Kill server 2 — a non-coordinator — once execution is underway.
 	inj = sim.NewFaultInjector(c, sim.FaultPlan{Kind: kind, Server: 2, Phase: sim.PhaseExecuting})
 	c.LoadTPCH(db, false)
+	if tc.eager {
+		// Nothing flows on an idle unscheduled mesh: only the echoes of the
+		// detector's own probes keep three healthy servers from looking dead.
+		probes, suspicions := mDetectorProbes.Value(), mDetectorSuspicions.Value()
+		time.Sleep(3 * chaosHeartbeatTimeout)
+		if mDetectorProbes.Value() == probes {
+			t.Fatal("idle eager mesh was never probed")
+		}
+		if mDetectorSuspicions.Value() != suspicions {
+			t.Fatal("detector suspected a healthy idle server")
+		}
+	}
+	if tc.idle {
+		inj.OnPhase(sim.PhaseExecuting)
+	}
 
 	q12 := queries.MustBuild(12, queries.Params{SF: chaosSF})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -143,9 +178,98 @@ func batchRowsChaos(b *storage.Batch) [][]any {
 	return out
 }
 
-func TestChaosKillMidQuery(t *testing.T)      { runChaosQ12(t, sim.FaultKill) }
-func TestChaosHangMidQuery(t *testing.T)      { runChaosQ12(t, sim.FaultHang) }
-func TestChaosPartitionMidQuery(t *testing.T) { runChaosQ12(t, sim.FaultPartition) }
+func TestChaosKillMidQuery(t *testing.T)      { runChaosQ12(t, chaosCase{kind: sim.FaultKill}) }
+func TestChaosHangMidQuery(t *testing.T)      { runChaosQ12(t, chaosCase{kind: sim.FaultHang}) }
+func TestChaosPartitionMidQuery(t *testing.T) { runChaosQ12(t, chaosCase{kind: sim.FaultPartition}) }
+
+// TestChaosEager and TestChaosIdle run the same table off the detector's
+// free ride: without a schedule there are no barriers to hear, and between
+// queries there is no attempt whose own error could reveal the loss.
+func TestChaosEager(t *testing.T) {
+	for _, kind := range []sim.FaultKind{sim.FaultHang, sim.FaultPartition} {
+		t.Run(kind.String(), func(t *testing.T) { runChaosQ12(t, chaosCase{kind: kind, eager: true}) })
+	}
+}
+
+func TestChaosIdle(t *testing.T) {
+	for _, kind := range []sim.FaultKind{sim.FaultKill, sim.FaultHang, sim.FaultPartition} {
+		t.Run(kind.String(), func(t *testing.T) { runChaosQ12(t, chaosCase{kind: kind, idle: true}) })
+	}
+}
+
+// TestChaosHangUnderConcurrentLoad hangs server 2 while a session keeps
+// four mixed Q1/Q5/Q12 streams in flight. One detector serves all of them:
+// every query either returns the reference bytes or a typed server-lost
+// error, and the streams' failovers add up to exactly one eviction.
+func TestChaosHangUnderConcurrentLoad(t *testing.T) {
+	var inj *sim.FaultInjector
+	c := newChaosCluster(t, true, func(p sim.QueryPhase) { inj.OnPhase(p) })
+	inj = sim.NewFaultInjector(c, sim.FaultPlan{Kind: sim.FaultHang, Server: 2, Phase: sim.PhaseExecuting})
+	c.LoadTPCH(getChaosDB(), false)
+	want := map[int]string{}
+	for _, q := range []int{1, 5, 12} {
+		want[q] = refRows(t, q)
+	}
+	changes := mMembershipChanges.Value()
+
+	s := c.NewSession(SessionConfig{MaxConcurrent: 4})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	var wg sync.WaitGroup
+	for stream := 0; stream < 4; stream++ {
+		wg.Add(1)
+		go func(stream int) {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				q := []int{1, 5, 12}[(stream+i)%3]
+				got, _, err := s.RunContext(ctx, queries.MustBuild(q, queries.Params{SF: chaosSF}))
+				if err != nil {
+					if !errors.Is(err, ErrServerLost) {
+						t.Errorf("stream %d q%d: %v, want a result or ErrServerLost", stream, q, err)
+					}
+					continue
+				}
+				if gotS := renderRows(batchRowsChaos(got)); gotS != want[q] {
+					t.Errorf("stream %d q%d differs from reference\ngot:\n%s\nwant:\n%s", stream, q, gotS, want[q])
+				}
+			}
+		}(stream)
+	}
+	wg.Wait()
+	s.Close()
+	if !inj.Fired() {
+		t.Fatal("fault injector never fired")
+	}
+	if got := mMembershipChanges.Value() - changes; got != 1 {
+		t.Fatalf("%d membership changes, want exactly 1", got)
+	}
+	if c.Servers() != 2 {
+		t.Fatalf("surviving membership has %d servers, want 2", c.Servers())
+	}
+}
+
+// TestDetectorOffQueryPath pins "one detector per cluster, fed by the
+// traffic the schedule already sends": on a scheduled cluster the barriers
+// prove every peer alive each round, so fault-free queries cost (almost) no
+// probes — fewer than one per query, where a watchdog per attempt sent at
+// least two.
+func TestDetectorOffQueryPath(t *testing.T) {
+	c := newChaosCluster(t, true, nil)
+	c.LoadTPCH(getChaosDB(), false)
+	q12 := queries.MustBuild(12, queries.Params{SF: chaosSF})
+	const n = 50
+	probes := mDetectorProbes.Value()
+	for i := 0; i < n; i++ {
+		if _, stats, err := c.RunContext(context.Background(), q12); err != nil || stats.Restarts != 0 {
+			t.Fatalf("fault-free run %d: restarts %d, err %v", i, stats.Restarts, err)
+		}
+	}
+	got := mDetectorProbes.Value() - probes
+	t.Logf("%d probes over %d fault-free queries", got, n)
+	if got >= n {
+		t.Fatalf("want fewer probes than queries")
+	}
+}
 
 // TestChaosUnrecoverableWithoutReplicas pins the replica gate: with
 // replica factor 1 a killed server's partitions exist nowhere else, so the

@@ -104,18 +104,16 @@ type Config struct {
 	// restart queries on the survivors. Zero means 1 (no redundancy:
 	// an unplanned server loss makes such tables unrecoverable).
 	ReplicaFactor int
-	// HeartbeatInterval is how often a query's coordinator probes the
-	// participants for liveness while the query runs. Zero means 10ms.
+	// HeartbeatInterval is how often the cluster's failure detector samples
+	// what the coordinator has heard from each server. Zero means 10ms.
 	HeartbeatInterval time.Duration
-	// HeartbeatTimeout is how long the coordinator waits for a probe echo
-	// before suspecting the peer. It must comfortably exceed the worst
-	// head-of-line wait behind full-size messages on the simulated link or
-	// a loaded cluster evicts healthy servers. Zero means 1s.
+	// HeartbeatTimeout is the silence the detector tolerates: a server that
+	// sent no frame of any kind for one timeout is probed, and one still
+	// silent a second timeout later is declared lost. It must comfortably
+	// exceed the worst head-of-line wait behind full-size messages on the
+	// simulated link or a loaded cluster evicts healthy servers. Zero
+	// means 1s.
 	HeartbeatTimeout time.Duration
-	// DisableFailureDetection turns the per-query heartbeat watchdog off
-	// (crash faults are still detected through the failing server's own
-	// run error; hangs and partitions then go unnoticed).
-	DisableFailureDetection bool
 	// PhaseHook, when set, is invoked synchronously at query lifecycle
 	// boundaries (after compile, at execution launch) on every attempt —
 	// the injection point for sim.FaultInjector.
@@ -140,11 +138,8 @@ type Node struct {
 	tcpEP     *tcp.Endpoint
 	rdmaEP    *rdma.Endpoint
 
-	// alive turns false when the server is killed or evicted; hung marks a
-	// frozen (SIGSTOPped) process. Both are observed by the per-query
-	// failure detector.
+	// alive turns false when the server is killed or evicted.
 	alive    atomic.Bool
-	hung     atomic.Bool
 	killOnce sync.Once
 
 	mu     sync.Mutex
@@ -193,6 +188,9 @@ type Cluster struct {
 	// lock, so they must not touch memMu themselves).
 	fabPtr   atomic.Pointer[fabric.Fabric]
 	nodesPtr atomic.Pointer[[]*Node]
+	// det is the current mesh's failure detector (nil for a single server,
+	// which has no peer to lose). It lives exactly as long as its mesh.
+	det atomic.Pointer[detector]
 
 	nextQueryID atomic.Int32
 	closed      atomic.Bool
@@ -333,13 +331,20 @@ func (c *Cluster) wireMesh(nodes []*Node) error {
 	return nil
 }
 
-// startMesh starts the current fabric, transports and multiplexers.
+// startMesh starts the current fabric, transports and multiplexers, and
+// the mesh's failure detector.
 func (c *Cluster) startMesh() {
 	c.fab.Start()
 	for _, n := range c.Nodes {
 		n.transport.Start()
 		n.Mux.Start()
 	}
+	var d *detector
+	if len(c.Nodes) > 1 {
+		d = c.newDetector(c.Nodes)
+		go d.run()
+	}
+	c.det.Store(d)
 }
 
 // Config returns the cluster configuration. Servers reflects the current
@@ -365,6 +370,7 @@ func (c *Cluster) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
 	}
+	c.det.Swap(nil).stop()
 	for _, n := range *c.nodesPtr.Load() {
 		n.Engine.Close()
 		n.Mux.Close()
@@ -467,8 +473,8 @@ type QueryStats struct {
 	// Compile + Exec. It excludes any admission queueing (QueueWait).
 	Duration time.Duration
 	// QueueWait is how long the query waited for an execution slot before
-	// compilation started. Zero for direct Cluster.Run calls; populated by
-	// Session (and the serving tier's weighted-fair admission).
+	// compilation started. Zero for direct Cluster.RunContext calls;
+	// populated by Session (and the serving tier's weighted-fair admission).
 	QueueWait time.Duration
 	// Compile is the plan-compilation time summed over the per-server
 	// compile loop (the cost a plan cache amortizes away).

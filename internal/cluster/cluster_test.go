@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -75,7 +76,7 @@ func runGroupByQuery(t *testing.T, c *Cluster) map[int64]int64 {
 	root := plan.Scan("orders", schema).
 		GroupBy([]string{"o_cust"},
 			op.AggSpec{Kind: op.Sum, Name: "rev", Arg: op.Col(2), ArgType: storage.TDecimal})
-	res, _, err := c.Run(plan.NewQuery("sum-by-cust", root))
+	res, _, err := c.RunContext(context.Background(), plan.NewQuery("sum-by-cust", root))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -135,7 +136,7 @@ func TestDistributedJoin(t *testing.T) {
 					GroupBy([]string{"c_key"},
 						op.AggSpec{Kind: op.Sum, Name: "rev", Arg: op.Col(2), ArgType: storage.TDecimal},
 						op.AggSpec{Kind: op.Count, Name: "cnt"})
-				res, _, err := c.Run(plan.NewQuery("join-group", root))
+				res, _, err := c.RunContext(context.Background(), plan.NewQuery("join-group", root))
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
@@ -168,7 +169,7 @@ func TestPartitionedPlacementLocalJoin(t *testing.T) {
 			plan.JoinSpec{Type: op.Inner}).
 		GroupBy([]string{"c_key"},
 			op.AggSpec{Kind: op.Count, Name: "cnt"})
-	res, stats, err := c.Run(plan.NewQuery("colocated", root))
+	res, stats, err := c.RunContext(context.Background(), plan.NewQuery("colocated", root))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -192,7 +193,7 @@ func TestTopKDistributed(t *testing.T) {
 
 	root := plan.Scan("orders", orders.Schema).
 		OrderBy([]op.SortKey{{Col: 2, Desc: true}, {Col: 0}}, 10)
-	res, _, err := c.Run(plan.NewQuery("topk", root))
+	res, _, err := c.RunContext(context.Background(), plan.NewQuery("topk", root))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"hsqp/internal/op"
@@ -58,19 +60,31 @@ func TestConcurrentQueriesMatchSerial(t *testing.T) {
 	qs := concurrentConformanceQueries(sf)
 	want := make([][]string, len(qs))
 	for i, q := range qs {
-		res, _, err := c.Run(q)
+		res, _, err := c.RunContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("serial %s: %v", q.Name, err)
 		}
 		want[i] = rowSet(res)
 	}
 
-	outcomes := c.RunConcurrent(concurrentConformanceQueries(sf), 4)
-	for i, out := range outcomes {
-		if out.Err != nil {
-			t.Fatalf("concurrent %s: %v", qs[i].Name, out.Err)
+	s := c.NewSession(SessionConfig{MaxConcurrent: 4, MaxQueued: len(qs)})
+	defer s.Close()
+	results := make([]*storage.Batch, len(qs))
+	errs := make([]error, len(qs))
+	var wg sync.WaitGroup
+	for i, q := range concurrentConformanceQueries(sf) {
+		wg.Add(1)
+		go func(i int, q *plan.Query) {
+			defer wg.Done()
+			results[i], _, errs[i] = s.RunContext(context.Background(), q)
+		}(i, q)
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("concurrent %s: %v", qs[i].Name, errs[i])
 		}
-		got := rowSet(out.Result)
+		got := rowSet(res)
 		if len(got) != len(want[i]) {
 			t.Fatalf("query %d (%s): %d rows concurrent vs %d serial", i, qs[i].Name, len(got), len(want[i]))
 		}
@@ -101,12 +115,12 @@ func TestSessionAdmissionControl(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.tickets <- struct{}{}
 	}
-	if _, _, err := s.Run(groupByQueryPlan()); !errors.Is(err, ErrOverloaded) {
+	if _, _, err := s.RunContext(context.Background(), groupByQueryPlan()); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overloaded session returned %v, want ErrOverloaded", err)
 	}
 	// One caller leaves the queue: the next query must be admitted and run.
 	<-s.tickets
-	if _, _, err := s.Run(groupByQueryPlan()); err != nil {
+	if _, _, err := s.RunContext(context.Background(), groupByQueryPlan()); err != nil {
 		t.Fatalf("run after capacity freed: %v", err)
 	}
 	for i := 0; i < 2; i++ {
@@ -114,7 +128,7 @@ func TestSessionAdmissionControl(t *testing.T) {
 	}
 
 	s.Close()
-	if _, _, err := s.Run(groupByQueryPlan()); !errors.Is(err, ErrSessionClosed) {
+	if _, _, err := s.RunContext(context.Background(), groupByQueryPlan()); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("closed session returned %v, want ErrSessionClosed", err)
 	}
 }
@@ -126,9 +140,9 @@ func TestPerQueryCancellation(t *testing.T) {
 	c := newTestCluster(t, 2, RDMA, true)
 	c.LoadTable("orders", orders, storage.PlacementChunked, 0)
 
-	cancelled := make(chan struct{})
-	close(cancelled)
-	_, _, err := c.RunWithCancel(groupByQueryPlan(), cancelled)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err := c.RunContext(cancelled, groupByQueryPlan())
 	if err == nil || !strings.Contains(err.Error(), "cancel") {
 		t.Fatalf("pre-cancelled query returned %v, want cancellation error", err)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -79,12 +80,12 @@ func TestDAGMatchesSerialTPCH(t *testing.T) {
 		qn := qn
 		t.Run(fmt.Sprintf("q%02d", qn), func(t *testing.T) {
 			q := queries.MustBuild(qn, queries.Params{SF: sf})
-			gotDAG, stats, err := dag.Run(q)
+			gotDAG, stats, err := dag.RunContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("dag run: %v", err)
 			}
 			qs := queries.MustBuild(qn, queries.Params{SF: sf})
-			gotSerial, serialStats, err := serial.Run(qs)
+			gotSerial, serialStats, err := serial.RunContext(context.Background(), qs)
 			if err != nil {
 				t.Fatalf("serial run: %v", err)
 			}
@@ -153,7 +154,7 @@ func TestSerialModeHasNoOverlap(t *testing.T) {
 	root := plan.Scan("orders", orders.Schema).
 		GroupBy([]string{"o_cust"},
 			op.AggSpec{Kind: op.Sum, Name: "rev", Arg: op.Col(2), ArgType: storage.TDecimal})
-	_, stats, err := s.Run(plan.NewQuery("serial-overlap-check", root))
+	_, stats, err := s.RunContext(context.Background(), plan.NewQuery("serial-overlap-check", root))
 	if err != nil {
 		t.Fatal(err)
 	}

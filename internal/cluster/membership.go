@@ -110,18 +110,19 @@ func (c *Cluster) evictFailed(node *Node) error {
 	next := make([]*Node, 0, len(c.Nodes)-1)
 	next = append(next, c.Nodes[:idx]...)
 	next = append(next, c.Nodes[idx+1:]...)
-	//lint:allow lockblock memMu is the membership lock: the failed attempt released its read side before calling evictFailed, and the watchdog already fenced the dead node, so the rebuild's mux closes complete without waiting on memMu
+	//lint:allow lockblock memMu is the membership lock: the failed attempt released its read side before calling evictFailed, and the detector already fenced the dead node, so the rebuild's mux closes complete without waiting on memMu
 	return c.rebuildLocked(next, node)
 }
 
-// rebuildLocked replaces the mesh: it stops the old fabric and every old
-// multiplexer/endpoint, wires a fresh fully-connected mesh over the new
-// node list (dense ids 0..n-1), re-partitions every cataloged table from
-// its retained source, and only then bumps the epoch. A departing node's
-// engine is shut down too. Caller holds memMu for write; with the write
+// rebuildLocked replaces the mesh: it stops the old detector, the old
+// fabric and every old multiplexer/endpoint, wires a fresh fully-connected
+// mesh over the new node list (dense ids 0..n-1), re-partitions every
+// cataloged table from its retained source, and only then bumps the epoch.
+// A departing node's engine is shut down too. Caller holds memMu for write; with the write
 // lock held no query attempt is in flight, so the teardown closes quiet
 // components.
 func (c *Cluster) rebuildLocked(next []*Node, departing *Node) error {
+	c.det.Swap(nil).stop()
 	for _, n := range c.Nodes {
 		n.Mux.Close()
 		n.transport.Close()
@@ -181,23 +182,22 @@ func (c *Cluster) KillServer(id int) error {
 // HangServer freezes server id like SIGSTOP: it stops sending, never
 // answers liveness probes, but its simulated NIC keeps consuming inbound
 // traffic (the kernel ACKs for a stopped process). Detected by the
-// heartbeat watchdog — which runs on each query's coordinator, so hanging
-// a query's own coordinator stalls that query until its context cancels
-// it (a frozen process cannot detect its own freeze; in a full system the
-// client or a peer detector would time out instead).
+// cluster's failure detector — which listens and probes from server 0, the
+// coordinator, so hanging server 0 stalls queries until their contexts
+// cancel them (a frozen process cannot detect its own freeze; in a full
+// system the client or a peer detector would time out instead).
 func (c *Cluster) HangServer(id int) error {
 	node, err := c.nodeByID(id)
 	if err != nil {
 		return err
 	}
-	node.hung.Store(true)
 	node.Mux.Freeze(true)
 	return nil
 }
 
 // PartitionServer cuts server id off at the switch: all fabric traffic to
 // and from it — data and inline probes alike — is dropped while the
-// process keeps running. Detected by the heartbeat watchdog.
+// process keeps running. Detected by the cluster's failure detector.
 func (c *Cluster) PartitionServer(id int) error {
 	node, err := c.nodeByID(id)
 	if err != nil {

@@ -14,7 +14,7 @@ var (
 	mQueries = obs.Default().Counter("hsqp_cluster_queries_total",
 		"Distributed query runs completed successfully.")
 	mQueryErrors = obs.Default().Counter("hsqp_cluster_query_errors_total",
-		"Distributed query runs that failed or were cancelled.")
+		"Queries that surfaced a failure or cancellation to the caller (transparently restarted attempts count as restarts).")
 	mEpoch = obs.Default().Gauge("hsqp_cluster_epoch",
 		"Data epoch: bumped on every table (re)load; caches key on it.")
 	mCompileSeconds = obs.Default().Histogram("hsqp_cluster_compile_seconds",
@@ -35,6 +35,10 @@ var (
 		"Servers in the current membership.")
 	mFailoverSeconds = obs.Default().Histogram("hsqp_cluster_failover_seconds",
 		"Time from first detected server loss to the restarted query's success.", nil)
+	mDetectorProbes = obs.Default().Counter("hsqp_cluster_detector_probes_total",
+		"Explicit liveness probes the failure detector sent to silent servers.")
+	mDetectorSuspicions = obs.Default().Counter("hsqp_cluster_detector_suspicions_total",
+		"Servers the failure detector declared lost and fenced.")
 )
 
 // buildTrace assembles the per-query distributed trace from data the run

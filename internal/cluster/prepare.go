@@ -68,19 +68,3 @@ func (p *Prepared) Stale() bool { return p.epoch != p.c.Epoch() }
 func (p *Prepared) RunContext(ctx context.Context, opts ...RunOption) (*storage.Batch, QueryStats, error) {
 	return p.c.RunContext(ctx, p.q, opts...)
 }
-
-// Run executes the prepared query.
-//
-// Deprecated: use RunContext.
-func (p *Prepared) Run() (*storage.Batch, QueryStats, error) {
-	return p.c.RunContext(context.Background(), p.q)
-}
-
-// RunWithCancel is Run with a per-query cancellation channel.
-//
-// Deprecated: use RunContext; ctx cancellation replaces the channel.
-func (p *Prepared) RunWithCancel(cancel <-chan struct{}) (*storage.Batch, QueryStats, error) {
-	ctx, stop := contextForChannel(cancel)
-	defer stop()
-	return p.c.RunContext(ctx, p.q)
-}

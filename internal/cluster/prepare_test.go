@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"hsqp/internal/storage"
@@ -15,7 +16,7 @@ func TestPreparedStatement(t *testing.T) {
 	c.LoadTable("orders", orders, storage.PlacementChunked, 0)
 
 	q := groupByQueryPlan()
-	direct, _, err := c.Run(q)
+	direct, _, err := c.RunContext(context.Background(), q)
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
@@ -32,7 +33,7 @@ func TestPreparedStatement(t *testing.T) {
 		t.Fatalf("prepared at epoch %d, cluster at %d", p.Epoch(), c.Epoch())
 	}
 	for i := 0; i < 3; i++ {
-		res, _, err := p.Run()
+		res, _, err := p.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("prepared run %d: %v", i, err)
 		}

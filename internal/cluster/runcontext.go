@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,15 +25,6 @@ var ErrServerLost = errors.New("cluster: server lost")
 // DefaultMaxRestarts bounds how many times RunContext transparently
 // restarts a query after server losses before giving up.
 const DefaultMaxRestarts = 2
-
-// DefaultHeartbeatInterval/Timeout tune the per-query liveness watchdog.
-// The timeout is deliberately generous: probes share the simulated links
-// with full-size exchange messages, so a probe can wait out a deep
-// head-of-line backlog on a loaded cluster without the peer being dead.
-const (
-	DefaultHeartbeatInterval = 10 * time.Millisecond
-	DefaultHeartbeatTimeout  = time.Second
-)
 
 // RunOptions is the resolved form of a RunOption list. Callers normally
 // use the With* options; the serving tier resolves them explicitly to read
@@ -93,7 +85,14 @@ func ResolveRunOptions(opts ...RunOption) RunOptions {
 //
 // Queries submitted concurrently share the worker pools, multiplexers and
 // network schedule; the engine interleaves their morsels fairly.
-func (c *Cluster) RunContext(ctx context.Context, q *plan.Query, opts ...RunOption) (*storage.Batch, QueryStats, error) {
+func (c *Cluster) RunContext(ctx context.Context, q *plan.Query, opts ...RunOption) (_ *storage.Batch, _ QueryStats, err error) {
+	// Only the failure the caller sees is a query error; an attempt that is
+	// transparently restarted is counted in mRestarts instead.
+	defer func() {
+		if err != nil {
+			mQueryErrors.Inc()
+		}
+	}()
 	o := ResolveRunOptions(opts...)
 	restarts := 0
 	var failoverStart time.Time
@@ -138,39 +137,25 @@ func (c *Cluster) RunContext(ctx context.Context, q *plan.Query, opts ...RunOpti
 	}
 }
 
-// attempt captures one execution attempt's membership snapshot and what
-// the failure detector concluded about it.
+// attempt is one execution attempt's membership snapshot and the detector
+// that watched it.
 type attempt struct {
 	nodes []*Node
-
-	mu       sync.Mutex
-	suspects []*Node // watchdog-detected: unreachable or frozen
-	majority bool    // watchdog lost a majority: the coordinator is suspect
+	det   *detector
 }
 
-// lost returns the participants this attempt lost — watchdog suspects
-// plus every node whose alive flag dropped (crashes are visible without a
-// probe timeout) — and whether the coordinator itself is the isolated
-// side.
+// lost returns the participants this attempt lost — the detector's
+// suspects plus every node whose alive flag dropped (crashes are visible
+// without a probe timeout) — and whether the coordinator itself is the
+// isolated side.
 func (a *attempt) lost() ([]*Node, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := append([]*Node(nil), a.suspects...)
+	out, isolated := a.det.verdict()
 	for _, n := range a.nodes {
-		if !n.alive.Load() {
-			dup := false
-			for _, s := range out {
-				if s == n {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, n)
-			}
+		if !n.alive.Load() && !slices.Contains(out, n) {
+			out = append(out, n)
 		}
 	}
-	return out, a.majority
+	return out, isolated
 }
 
 // runAttempt executes the query once against the current membership. It
@@ -180,7 +165,7 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
 	nodes := append([]*Node(nil), c.Nodes...)
-	att := &attempt{nodes: nodes}
+	att := &attempt{nodes: nodes, det: c.det.Load()}
 
 	var before []mux.Stats
 	for _, n := range nodes {
@@ -199,21 +184,10 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch
 	var cancelOnce sync.Once
 	abort := func() { cancelOnce.Do(func() { close(cancel) }) }
 	// Thread ctx through the scheduler's cancel channel.
-	if done := ctx.Done(); done != nil {
-		watcherDone := make(chan struct{})
-		defer close(watcherDone)
-		go func() {
-			select {
-			case <-done:
-				abort()
-			case <-watcherDone:
-			}
-		}()
-	}
+	defer context.AfterFunc(ctx, abort)()
 	compileStart := time.Now()
 	compiled, err := c.compileAll(nodes, q, qid, cancel)
 	if err != nil {
-		mQueryErrors.Inc()
 		return nil, QueryStats{}, att, err
 	}
 	compileDur := time.Since(compileStart)
@@ -228,19 +202,9 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch
 		hook(sim.PhaseCompiled)
 	}
 
-	// The watchdog probes the participants while the attempt runs: a crash
-	// is caught by the failing server's own run error, but a hung or
-	// partitioned server produces no error — only silence — so the
-	// coordinator's probes are what turn that silence into an abort.
-	watchStop := make(chan struct{})
-	var watchWG sync.WaitGroup
-	if len(nodes) > 1 && !c.cfg.DisableFailureDetection {
-		watchWG.Add(1)
-		go func() {
-			defer watchWG.Done()
-			c.watch(att, abort, watchStop)
-		}()
-	}
+	// A hung or partitioned server produces no error, only silence; the
+	// mesh's detector turns that into an abort of every subscribed attempt.
+	defer att.det.subscribe(qid, abort)()
 
 	// One DAG scheduler per server node. A failing server cancels the
 	// others so a bad operator aborts the query instead of deadlocking the
@@ -273,11 +237,8 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch
 	if hook := c.cfg.PhaseHook; hook != nil {
 		hook(sim.PhaseExecuting)
 	}
-	//lint:allow lockblock attempts hold only the read side of memMu (membership changes queue behind them by design), and the watchdog unwedges this wait by fencing dead peers (kill + PeerDown) without ever taking memMu
+	//lint:allow lockblock attempts hold only the read side of memMu (membership changes queue behind them by design), and the detector unwedges this wait by fencing dead peers (kill + PeerDown) without ever taking memMu
 	wg.Wait()
-	close(watchStop)
-	//lint:allow lockblock the watchdog goroutine never takes memMu; closing watchStop guarantees it exits
-	watchWG.Wait()
 	dur := time.Since(start)
 	var firstErr error
 	for id, err := range errs {
@@ -293,7 +254,6 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch
 		}
 	}
 	if firstErr != nil {
-		mQueryErrors.Inc()
 		return nil, QueryStats{}, att, firstErr
 	}
 
@@ -321,124 +281,4 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch
 	}
 	result := compiled[0].Result.Flatten(compiled[0].Schema)
 	return result, stats, att, nil
-}
-
-// watch is the per-attempt liveness watchdog: from the attempt's
-// coordinator it probes every other participant each heartbeat interval
-// (two consecutive missed echoes make a suspect — one miss can be a probe
-// lost behind a full send queue at fabric teardown) and aborts the attempt
-// when any participant is dead, frozen or unreachable.
-func (c *Cluster) watch(att *attempt, abort func(), stop <-chan struct{}) {
-	interval := c.cfg.HeartbeatInterval
-	if interval <= 0 {
-		interval = DefaultHeartbeatInterval
-	}
-	timeout := c.cfg.HeartbeatTimeout
-	if timeout <= 0 {
-		timeout = DefaultHeartbeatTimeout
-	}
-	coord := att.nodes[0]
-	misses := make([]int, len(att.nodes))
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-		}
-		var down []*Node
-		for i, node := range att.nodes {
-			if !node.alive.Load() {
-				down = append(down, node)
-				continue
-			}
-			if i == 0 {
-				continue // the coordinator does not probe itself
-			}
-			if coord.Mux.Ping(i, timeout) {
-				misses[i] = 0
-				continue
-			}
-			select {
-			case <-stop:
-				// The attempt finished while we waited on a probe; a late
-				// echo is not a failure.
-				return
-			default:
-			}
-			misses[i]++
-			if misses[i] >= 2 {
-				down = append(down, node)
-			}
-		}
-		if len(down) == 0 {
-			continue
-		}
-		att.mu.Lock()
-		att.suspects = down
-		att.majority = len(down) > len(att.nodes)/2
-		att.mu.Unlock()
-		// Fence every suspect (STONITH): a hung or partitioned server may
-		// still hold send queues full of traffic and workers blocked on
-		// them; killing it unblocks everything it owns. Then tell every
-		// survivor's multiplexer the peer is gone, so schedule barriers
-		// with it complete instead of parking the survivors' network loops.
-		for _, node := range down {
-			node.kill()
-		}
-		for _, node := range att.nodes {
-			if !node.alive.Load() {
-				continue
-			}
-			for j, d := range att.nodes {
-				if !d.alive.Load() {
-					node.Mux.PeerDown(j)
-				}
-			}
-		}
-		abort()
-		return
-	}
-}
-
-// --- deprecated entry points (thin wrappers over RunContext) ---
-
-// Run executes a query across the cluster.
-//
-// Deprecated: use RunContext.
-func (c *Cluster) Run(q *plan.Query) (*storage.Batch, QueryStats, error) {
-	return c.RunContext(context.Background(), q)
-}
-
-// RunWithCancel is Run with a caller-supplied cancellation channel:
-// closing userCancel aborts this query (and only this query) cluster-wide.
-//
-// Deprecated: use RunContext; ctx cancellation replaces the channel.
-func (c *Cluster) RunWithCancel(q *plan.Query, userCancel <-chan struct{}) (*storage.Batch, QueryStats, error) {
-	ctx, stop := contextForChannel(userCancel)
-	defer stop()
-	return c.RunContext(ctx, q)
-}
-
-// contextForChannel adapts a legacy cancellation channel to a Context for
-// the deprecated wrappers. The returned stop func releases the adapter
-// goroutine; always call it.
-func contextForChannel(cancel <-chan struct{}) (context.Context, func()) {
-	if cancel == nil {
-		return context.Background(), func() {}
-	}
-	ctx, cancelCtx := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-cancel:
-			cancelCtx()
-		case <-done:
-		}
-	}()
-	return ctx, func() {
-		close(done)
-		cancelCtx()
-	}
 }

@@ -14,14 +14,14 @@ import (
 	"hsqp/internal/storage"
 )
 
-// ErrOverloaded is returned by Session.Run when both the execution slots
-// and the bounded admission queue are full: the caller should back off and
-// retry instead of piling more work onto a saturated cluster.
+// ErrOverloaded is returned by Session.RunContext when both the execution
+// slots and the bounded admission queue are full: the caller should back
+// off and retry instead of piling more work onto a saturated cluster.
 var ErrOverloaded = errors.New("cluster: session overloaded: admission queue full")
 
-// ErrSessionClosed is returned by Session.Run after Close, and by queries
-// still queued when Close is called: a draining session fails its queue
-// fast instead of starting new work.
+// ErrSessionClosed is returned by Session.RunContext after Close, and by
+// queries still queued when Close is called: a draining session fails its
+// queue fast instead of starting new work.
 var ErrSessionClosed = errors.New("cluster: session closed")
 
 // Admission orders queued queries for execution slots, replacing the
@@ -45,8 +45,8 @@ type SessionConfig struct {
 	// negative means no queue (immediate rejection when slots are busy).
 	MaxQueued int
 	// Admission, when set, replaces the FIFO slot handout: every query
-	// passes through Admission.Acquire (with its RunTenant tenant label,
-	// "" for plain Run) instead of the built-in slot channel. MaxConcurrent
+	// passes through Admission.Acquire (with its WithTenant label, ""
+	// without one) instead of the built-in slot channel. MaxConcurrent
 	// and MaxQueued are ignored; the controller owns both bounds.
 	Admission Admission
 }
@@ -178,32 +178,6 @@ func (s *Session) RunContext(ctx context.Context, q *plan.Query, opts ...RunOpti
 	return res, stats, err
 }
 
-// Run executes one query through the session's admission control.
-//
-// Deprecated: use RunContext.
-func (s *Session) Run(q *plan.Query) (*storage.Batch, QueryStats, error) {
-	return s.RunContext(context.Background(), q)
-}
-
-// RunWithCancel is Run with a per-query cancellation channel: closing it
-// aborts this query only (whether still queued or already executing).
-//
-// Deprecated: use RunContext; ctx cancellation replaces the channel.
-func (s *Session) RunWithCancel(q *plan.Query, cancel <-chan struct{}) (*storage.Batch, QueryStats, error) {
-	ctx, stop := contextForChannel(cancel)
-	defer stop()
-	return s.RunContext(ctx, q)
-}
-
-// RunTenant is RunWithCancel with a tenant label.
-//
-// Deprecated: use RunContext with WithTenant.
-func (s *Session) RunTenant(tenant string, q *plan.Query, cancel <-chan struct{}) (*storage.Batch, QueryStats, error) {
-	ctx, stop := contextForChannel(cancel)
-	defer stop()
-	return s.RunContext(ctx, q, WithTenant(tenant))
-}
-
 // acquire waits for an execution slot: through the Admission controller
 // when configured, otherwise on the built-in slot channel. A close of the
 // session fails queued waiters fast; a query cancel while queued surfaces
@@ -276,9 +250,9 @@ func (s *Session) acquire(tenant string, cancel <-chan struct{}) (func(), error)
 
 // Close marks the session closed and drains it: queries already holding an
 // execution slot run to completion, queries still waiting in the admission
-// queue fail fast with ErrSessionClosed, and new Run calls are rejected.
-// Close returns once every outstanding call has finished. The underlying
-// cluster stays open.
+// queue fail fast with ErrSessionClosed, and new RunContext calls are
+// rejected. Close returns once every outstanding call has finished. The
+// underlying cluster stays open.
 func (s *Session) Close() {
 	s.mu.Lock()
 	if !s.closed {
@@ -287,56 +261,4 @@ func (s *Session) Close() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-}
-
-// QueryOutcome is one query's result within a concurrent batch.
-type QueryOutcome struct {
-	Result *storage.Batch
-	Stats  QueryStats
-	Err    error
-	// QueueWait, Compile and Execute split the query's latency into its
-	// serving-path phases: admission-queue wait, per-server plan
-	// compilation, and distributed execution. (End-to-end latency as seen
-	// by the caller is the sum of the three.)
-	QueueWait time.Duration
-	Compile   time.Duration
-	Execute   time.Duration
-	// Trace is the query's merged distributed trace (also available as
-	// Stats.Trace); nil when observability is disabled.
-	Trace *obs.Trace
-}
-
-// RunConcurrent executes the queries concurrently over the cluster —
-// at most maxConcurrent at a time (0 = DefaultMaxConcurrent) — and
-// returns the outcomes in input order. The admission queue is sized to
-// hold the whole batch, so no query is rejected; overload just queues.
-//
-// Deprecated: create a Session and issue RunContext calls; this helper
-// remains as a convenience over exactly that.
-func (c *Cluster) RunConcurrent(qs []*plan.Query, maxConcurrent int) []QueryOutcome {
-	if maxConcurrent <= 0 {
-		maxConcurrent = DefaultMaxConcurrent
-	}
-	s := c.NewSession(SessionConfig{MaxConcurrent: maxConcurrent, MaxQueued: len(qs)})
-	defer s.Close()
-	out := make([]QueryOutcome, len(qs))
-	var wg sync.WaitGroup
-	for i, q := range qs {
-		wg.Add(1)
-		go func(i int, q *plan.Query) {
-			defer wg.Done()
-			res, stats, err := s.RunContext(context.Background(), q)
-			out[i] = QueryOutcome{
-				Result:    res,
-				Stats:     stats,
-				Err:       err,
-				QueueWait: stats.QueueWait,
-				Compile:   stats.Compile,
-				Execute:   stats.Exec,
-				Trace:     stats.Trace,
-			}
-		}(i, q)
-	}
-	wg.Wait()
-	return out
 }

@@ -49,7 +49,7 @@ func TestSessionCloseDrain(t *testing.T) {
 
 	// Warm up once so any lazily-started engine goroutines are excluded
 	// from the leak baseline.
-	if _, _, err := c.Run(groupByQueryPlan()); err != nil {
+	if _, _, err := c.RunContext(context.Background(), groupByQueryPlan()); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
 	baseline := runtime.NumGoroutine()
@@ -62,7 +62,7 @@ func TestSessionCloseDrain(t *testing.T) {
 		err   error
 	}
 	run := func(ch chan outcome) {
-		_, stats, err := s.RunTenant("t", groupByQueryPlan(), nil)
+		_, stats, err := s.RunContext(context.Background(), groupByQueryPlan(), WithTenant("t"))
 		ch <- outcome{stats, err}
 	}
 
@@ -113,7 +113,7 @@ func TestSessionCloseDrain(t *testing.T) {
 		t.Fatal("Close did not return after drain")
 	}
 
-	if _, _, err := s.Run(groupByQueryPlan()); !errors.Is(err, ErrSessionClosed) {
+	if _, _, err := s.RunContext(context.Background(), groupByQueryPlan()); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Run after Close returned %v, want ErrSessionClosed", err)
 	}
 	if s.Queued() != 0 || s.Running() != 0 {
@@ -139,7 +139,7 @@ func TestSessionCloseFailsFIFOQueue(t *testing.T) {
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, _, err := s.Run(groupByQueryPlan())
+			_, _, err := s.RunContext(context.Background(), groupByQueryPlan())
 			errs <- err
 		}()
 	}

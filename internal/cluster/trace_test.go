@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func TestQueryTraceCoverage(t *testing.T) {
 	s := c.NewSession(SessionConfig{MaxConcurrent: 2})
 	defer s.Close()
 	q := queries.MustBuild(12, queries.Params{SF: sf})
-	_, stats, err := s.Run(q)
+	_, stats, err := s.RunContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestTraceDisabled(t *testing.T) {
 
 	obs.SetEnabled(false)
 	defer obs.SetEnabled(true)
-	_, stats, err := c.Run(queries.MustBuild(12, queries.Params{SF: sf}))
+	_, stats, err := c.RunContext(context.Background(), queries.MustBuild(12, queries.Params{SF: sf}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package competitors
 
 import (
+	"context"
 	"testing"
 
 	"hsqp/internal/cluster"
@@ -93,7 +94,7 @@ func TestStylesStillCorrect(t *testing.T) {
 		}
 		c.LoadTPCH(db, s.Partitioned())
 		q := sumQuantityQuery()
-		res, _, err := c.Run(q)
+		res, _, err := c.RunContext(context.Background(), q)
 		if err != nil {
 			c.Close()
 			t.Fatalf("%v: %v", s, err)

@@ -84,12 +84,11 @@ const closedQueryMemory = 1024
 // Inline tags are shared between the scheduler's synchronization barriers
 // and the failure detector's probes. The two high bits discriminate:
 // barriers use plain sequence numbers (the barrier counter would need 2^30
-// phases to collide, far beyond any run), probes set probeReqBit on the
-// request and probeAckBit on the echo.
+// phases to collide, far beyond any run), a probe request is probeReqBit
+// and its echo probeAckBit.
 const (
 	probeReqBit uint32 = 1 << 31
 	probeAckBit uint32 = 1 << 30
-	probeSeqMax uint32 = probeAckBit - 1
 )
 
 // Mux is one server's communication multiplexer.
@@ -108,15 +107,18 @@ type Mux struct {
 
 	recvRotate atomic.Uint64 // rotates posted receive buffers over sockets
 
-	inlineMu    sync.Mutex
-	inlineCond  *sync.Cond
-	inlineSeen  map[uint64]struct{} // key: src<<32 | tag
-	probeEchoes map[int]uint64      // echoes received per source (bounded by cluster size)
-	deadPeers   map[int]struct{}    // failed servers: barriers with them are no-ops
+	inlineMu   sync.Mutex
+	inlineCond *sync.Cond
+	inlineSeen map[uint64]struct{} // key: src<<32 | tag
+	deadPeers  map[int]struct{}    // failed servers: barriers with them are no-ops
 
-	probeSeq  atomic.Uint32
-	probeMute atomic.Bool // a frozen process answers no probes
-	frozen    atomic.Bool // network goroutine parks (models SIGSTOP)
+	// heard[src] counts every frame received from server src — data,
+	// barriers and probe echoes alike. Any frame proves its sender was
+	// alive when it left, so the failure detector reads these instead of
+	// soliciting echoes from a peer the schedule already makes talk.
+	heard []atomic.Uint64
+
+	frozen atomic.Bool // SIGSTOP model: the network goroutine parks, probes go unanswered
 
 	bytesSent   atomic.Uint64
 	msgsSent    atomic.Uint64
@@ -153,17 +155,17 @@ func New(cfg Config) (*Mux, error) {
 		return nil, err
 	}
 	m := &Mux{
-		cfg:         cfg,
-		schedule:    sc,
-		sendQ:       make([]chan *memory.Message, cfg.Servers),
-		exchanges:   make(map[ExchangeKey]*ExchangeRecv),
-		pending:     make(map[ExchangeKey][]*memory.Message),
-		closed:      make(map[int32]struct{}),
-		inlineSeen:  make(map[uint64]struct{}),
-		probeEchoes: make(map[int]uint64),
-		deadPeers:   make(map[int]struct{}),
-		wakeCh:      make(chan struct{}, 1),
-		stopCh:      make(chan struct{}),
+		cfg:        cfg,
+		schedule:   sc,
+		sendQ:      make([]chan *memory.Message, cfg.Servers),
+		exchanges:  make(map[ExchangeKey]*ExchangeRecv),
+		pending:    make(map[ExchangeKey][]*memory.Message),
+		closed:     make(map[int32]struct{}),
+		inlineSeen: make(map[uint64]struct{}),
+		deadPeers:  make(map[int]struct{}),
+		heard:      make([]atomic.Uint64, cfg.Servers),
+		wakeCh:     make(chan struct{}, 1),
+		stopCh:     make(chan struct{}),
 	}
 	m.inlineCond = sync.NewCond(&m.inlineMu)
 	for i := range m.sendQ {
@@ -185,27 +187,26 @@ func (m *Mux) RecvAlloc() *memory.Message {
 
 // OnRecv is the transport's data-delivery callback.
 func (m *Mux) OnRecv(msg *memory.Message) {
+	m.hear(msg.Sender)
 	m.route(msg, false)
 }
 
 // OnInline is the transport's inline-delivery callback: scheduler sync
 // barriers plus the failure detector's probe request/echo traffic.
 func (m *Mux) OnInline(src int, tag uint32) {
+	m.hear(src)
 	switch {
 	case tag&probeReqBit != 0:
-		// Liveness probe: echo it back unless this server is "frozen" or
+		// Liveness probe: echo it back unless this server is frozen or
 		// already shut down (a dead or stopped process answers nothing).
 		// The reply runs on the transport's delivery goroutine; it is a
 		// single inline send, the same cost class as a barrier.
-		if m.probeMute.Load() || m.stopped.Load() {
+		if m.frozen.Load() || m.stopped.Load() {
 			return
 		}
-		m.transport.SendInline(src, (tag&^probeReqBit)|probeAckBit)
+		m.transport.SendInline(src, probeAckBit)
 	case tag&probeAckBit != 0:
-		m.inlineMu.Lock()
-		m.probeEchoes[src]++
-		m.inlineCond.Broadcast()
-		m.inlineMu.Unlock()
+		// An echo's whole job was to be heard.
 	default:
 		key := uint64(src)<<32 | uint64(tag)
 		m.inlineMu.Lock()
@@ -215,42 +216,51 @@ func (m *Mux) OnInline(src int, tag uint32) {
 	}
 }
 
-// Ping sends a liveness probe to server dst and waits up to timeout for
-// an echo. It reports false when no echo arrived in time — the
-// destination is dead, frozen, or unreachable — or when this multiplexer
-// is shutting down. Probes bypass the network loop entirely (they go
-// straight to the transport), so a stalled send schedule cannot mask a
-// live peer, and a frozen local loop cannot stop the local server from
-// probing others. Concurrent Pings to the same destination (one watchdog
-// per in-flight query) each succeed on any echo received after their own
-// request: an echo proves the peer was alive after every request that
-// preceded it, so matching exact sequence numbers would only manufacture
-// false misses when echoes interleave.
-func (m *Mux) Ping(dst int, timeout time.Duration) bool {
-	seq := m.probeSeq.Add(1) & probeSeqMax
-	m.inlineMu.Lock()
-	before := m.probeEchoes[dst]
-	m.inlineMu.Unlock()
-	m.transport.SendInline(dst, seq|probeReqBit)
-	//lint:allow obsgate this timestamp is the probe's liveness deadline, not instrumentation
-	deadline := time.Now().Add(timeout)
-	m.inlineMu.Lock()
-	defer m.inlineMu.Unlock()
-	for {
-		if m.probeEchoes[dst] > before {
-			return true
-		}
-		//lint:allow obsgate deadline comparison for the probe timeout, not instrumentation
-		if m.stopped.Load() || !time.Now().Before(deadline) {
-			return false
-		}
-		// Poll: the echo arrives on a transport goroutine that broadcasts
-		// inlineCond, but a dropped probe wakes nobody, so bound each wait.
-		m.inlineMu.Unlock()
-		//lint:allow lockblock inlineMu is explicitly dropped on the line above and retaken after; only the deferred unlock is still pending
-		time.Sleep(200 * time.Microsecond)
-		m.inlineMu.Lock()
+// hear counts one frame from src. The id arrives off the wire (a message
+// header or an inline work request), so it is range-checked.
+func (m *Mux) hear(src int) {
+	if src >= 0 && src < len(m.heard) {
+		m.heard[src].Add(1)
 	}
+}
+
+// Heard returns how many frames of any kind have arrived from server src.
+// The count only grows; a reader that sees it advance between two samples
+// knows src was alive in between.
+func (m *Mux) Heard(src int) uint64 { return m.heard[src].Load() }
+
+// Probe asks server dst for a sign of life without waiting for it: the
+// echo, like every other frame from dst, shows up in Heard(dst). Probes
+// bypass the network loop entirely (they go straight to the transport), so
+// a stalled send schedule cannot mask a live peer, and a frozen local loop
+// cannot stop the local server from probing others. A scheduled peer talks
+// every round anyway; probe only one that has gone silent.
+func (m *Mux) Probe(dst int) { m.transport.SendInline(dst, probeReqBit) }
+
+// Ping probes server dst and waits up to timeout for Heard(dst) to advance.
+// It reports false when nothing arrived in time — the destination is dead,
+// frozen, or unreachable — or when this multiplexer is shutting down. Any
+// frame from dst counts, not only the echo: each proves dst was alive
+// after the call began, which is all a liveness check asks.
+func (m *Mux) Ping(dst int, timeout time.Duration) bool {
+	before := m.Heard(dst)
+	m.Probe(dst)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	// Frames arrive on transport goroutines that signal nobody (the
+	// counter is a bare atomic so the receive path stays lock-free): poll.
+	poll := time.NewTicker(200 * time.Microsecond)
+	defer poll.Stop()
+	for m.Heard(dst) == before {
+		select {
+		case <-m.stopCh:
+			return false
+		case <-deadline.C:
+			return m.Heard(dst) != before
+		case <-poll.C:
+		}
+	}
+	return true
 }
 
 // PeerDown records that server src has failed. The round-robin schedule
@@ -275,7 +285,6 @@ func (m *Mux) PeerDown(src int) {
 // — exactly what peers of a frozen process observe. Freeze(false) resumes.
 func (m *Mux) Freeze(on bool) {
 	m.frozen.Store(on)
-	m.probeMute.Store(on)
 	if !on {
 		select {
 		case m.wakeCh <- struct{}{}:

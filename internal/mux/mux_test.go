@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"hsqp/internal/fabric"
 	"hsqp/internal/memory"
@@ -355,5 +356,47 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if s.SyncBarriers == 0 {
 		t.Fatal("scheduled mux performed no barriers")
+	}
+}
+
+// TestHeardCountsEveryFrame pins the failure detector's input: data frames,
+// barriers and probe echoes all advance Heard for their source, a frozen
+// peer falls silent, and Ping is "probe, then wait for Heard to advance".
+func TestHeardCountsEveryFrame(t *testing.T) {
+	muxes, stop := testCluster(t, 2, false)
+	defer stop()
+	if h := muxes[0].Heard(1); h != 0 {
+		t.Fatalf("idle eager mesh: Heard(1) = %d before any frame, want 0", h)
+	}
+	if !muxes[0].Ping(1, 5*time.Second) {
+		t.Fatal("Ping to a live peer timed out")
+	}
+	echoed := muxes[0].Heard(1)
+	if echoed == 0 {
+		t.Fatal("a probe echo did not advance Heard")
+	}
+
+	recv := muxes[0].OpenExchange(0, 1, 1)
+	msg := memory.NewPool(numa.TwoSocket(), numa.AllocLocal, 4096, nil).Get(0)
+	msg.ExchangeID, msg.Sender, msg.Last = 1, 1, true
+	muxes[1].Send(0, msg)
+	recv.Recv(0).Release()
+	if muxes[0].Heard(1) <= echoed {
+		t.Fatal("a data frame did not advance Heard")
+	}
+
+	muxes[1].Freeze(true)
+	if muxes[0].Ping(1, 50*time.Millisecond) {
+		t.Fatal("Ping to a frozen peer on an eager mesh succeeded")
+	}
+
+	sched, stopSched := testCluster(t, 2, true)
+	defer stopSched()
+	before := sched[0].Heard(1)
+	for deadline := time.Now().Add(5 * time.Second); sched[0].Heard(1) == before; {
+		if time.Now().After(deadline) {
+			t.Fatal("scheduled mesh: no barrier advanced Heard without a probe")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

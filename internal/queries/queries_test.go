@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -150,7 +151,7 @@ func runConformance(t *testing.T, servers int, partitioned, classic bool) {
 		q := q
 		t.Run(fmt.Sprintf("q%02d", q), func(t *testing.T) {
 			plan := MustBuild(q, Params{SF: testSF})
-			got, _, err := c.Run(plan)
+			got, _, err := c.RunContext(context.Background(), plan)
 			if err != nil {
 				t.Fatalf("q%d: %v", q, err)
 			}

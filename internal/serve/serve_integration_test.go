@@ -7,6 +7,7 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"strings"
 	"sync"
@@ -87,7 +88,7 @@ func TestServedResultsMatchDirect(t *testing.T) {
 
 	for _, qn := range []int{1, 5, 12} {
 		stmt := map[int]string{1: "q1", 5: "q5", 12: "q12"}[qn]
-		direct, _, err := c.Run(queries.MustBuild(qn, queries.Params{SF: testSF}))
+		direct, _, err := c.RunContext(context.Background(), queries.MustBuild(qn, queries.Params{SF: testSF}))
 		if err != nil {
 			t.Fatalf("direct %s: %v", stmt, err)
 		}
