@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fmt fuzz-seed
+.PHONY: all build test race lint fmt fuzz-seed loc
 
 all: build test lint
 
@@ -27,3 +27,9 @@ fmt:
 # mirroring the CI race matrix.
 fuzz-seed:
 	$(GO) test -race ./internal/ser -run '^FuzzCodecRoundTrip$$'
+
+# Non-test Go lines outside benchmark/ and the linter's testdata: the
+# number CHANGES.md reports before and after a simplification.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
+		! -path './internal/lint/testdata/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l

@@ -17,6 +17,7 @@ import (
 	"hsqp/internal/bench"
 	"hsqp/internal/cluster"
 	"hsqp/internal/obs"
+	"hsqp/internal/plan"
 	"hsqp/internal/queries"
 	"hsqp/internal/ser"
 	"hsqp/internal/storage"
@@ -44,7 +45,7 @@ func BenchmarkFigure2HybridVsClassic(b *testing.B) {
 		var buf bytes.Buffer
 		pts, err := bench.Figure2{
 			Workload:  bench.Workload{SF: 0.05},
-			Servers:   3,
+			Setup:     bench.Setup{Servers: 3},
 			CoreSteps: []int{1, 2, 4},
 		}.Run(&buf)
 		if err != nil {
@@ -63,8 +64,8 @@ func BenchmarkFigure3ScaleOut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
 		pts, err := bench.Figure3{
-			Workload:   bench.Workload{SF: 0.1},
-			MaxServers: 4,
+			Workload: bench.Workload{SF: 0.1},
+			Setup:    bench.Setup{Servers: 4},
 		}.Run(&buf)
 		if err != nil {
 			b.Fatal(err)
@@ -332,36 +333,44 @@ func BenchmarkAblationGroupJoin(b *testing.B) {
 	}
 }
 
+// benchCluster builds the 3×4 RDMA/scheduled deployment (or its
+// single-server variant) the engine benchmarks share and loads TPC-H
+// SF 0.05 on it.
+func benchCluster(b *testing.B, servers int) *cluster.Cluster {
+	b.Helper()
+	bench.Warmup()
+	c, err := cluster.New(cluster.Config{
+		Servers:          servers,
+		WorkersPerServer: 4,
+		Transport:        cluster.RDMA,
+		Scheduling:       true,
+		TimeScale:        cluster.DefaultTimeScale,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(c.Close)
+	c.LoadTPCH(bench.DB(0.05, 42), false)
+	return c
+}
+
 // BenchmarkDAGvsSerial measures the compute/communication overlap win of
 // the pipeline-DAG scheduler against the old ordered-pipeline-list
-// execution on one distributed TPC-H join query (Q12). The dag case
-// reports the measured overlap ratio and peak pipeline concurrency.
+// execution on one distributed TPC-H join query (Q12), both on the same
+// loaded cluster. The dag case reports the measured overlap ratio and peak
+// pipeline concurrency.
 func BenchmarkDAGvsSerial(b *testing.B) {
-	bench.Warmup()
+	c := benchCluster(b, 3)
+	q := queries.MustBuild(12, queries.Params{SF: 0.05})
 	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"serial", true}, {"dag", false}} {
+		name string
+		opts plan.Options
+	}{{"serial", plan.Options{Serial: true}}, {"dag", plan.Options{}}} {
 		b.Run(mode.name, func(b *testing.B) {
-			c, err := cluster.New(cluster.Config{
-				Servers:          3,
-				WorkersPerServer: 4,
-				Transport:        cluster.RDMA,
-				Scheduling:       true,
-				Serial:           mode.serial,
-				TimeScale:        cluster.DefaultTimeScale,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			c.LoadTPCH(bench.DB(0.05, 42), false)
-			q := queries.MustBuild(12, queries.Params{SF: 0.05})
-			b.ResetTimer()
 			var overlap float64
 			var concurrent int
 			for i := 0; i < b.N; i++ {
-				_, stats, err := c.RunContext(context.Background(), q)
+				_, stats, err := c.RunContext(context.Background(), q, cluster.WithPlan(mode.opts))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -381,19 +390,7 @@ func BenchmarkDAGvsSerial(b *testing.B) {
 // BenchmarkSingleQuery measures one distributed TPC-H query end to end:
 // the building block of every engine experiment.
 func BenchmarkSingleQuery(b *testing.B) {
-	bench.Warmup()
-	c, err := cluster.New(cluster.Config{
-		Servers:          3,
-		WorkersPerServer: 4,
-		Transport:        cluster.RDMA,
-		Scheduling:       true,
-		TimeScale:        cluster.DefaultTimeScale,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	c.LoadTPCH(bench.DB(0.05, 42), false)
+	c := benchCluster(b, 3)
 	q := queries.MustBuild(5, queries.Params{SF: 0.05})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -432,32 +429,17 @@ func BenchmarkThroughput(b *testing.B) {
 // Q12: selective filters feeding a join). Single server takes the network
 // out of the measurement; allocs/op shows the scratch-pooling win.
 func BenchmarkFusedHotPath(b *testing.B) {
-	bench.Warmup()
+	c := benchCluster(b, 1)
 	for _, qn := range []int{1, 12} {
+		q := queries.MustBuild(qn, queries.Params{SF: 0.05})
 		for _, mode := range []struct {
-			name   string
-			nofuse bool
-		}{{"fused", false}, {"nofuse", true}} {
+			name string
+			opts plan.Options
+		}{{"fused", plan.Options{}}, {"nofuse", plan.Options{NoFuse: true, NoPushdown: true}}} {
 			b.Run(fmt.Sprintf("q%02d/%s", qn, mode.name), func(b *testing.B) {
-				c, err := cluster.New(cluster.Config{
-					Servers:          1,
-					WorkersPerServer: 4,
-					Transport:        cluster.RDMA,
-					Scheduling:       true,
-					TimeScale:        cluster.DefaultTimeScale,
-					NoFuse:           mode.nofuse,
-					NoPushdown:       mode.nofuse,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer c.Close()
-				c.LoadTPCH(bench.DB(0.05, 42), false)
-				q := queries.MustBuild(qn, queries.Params{SF: 0.05})
 				b.ReportAllocs()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := c.RunContext(context.Background(), q); err != nil {
+					if _, _, err := c.RunContext(context.Background(), q, cluster.WithPlan(mode.opts)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -502,19 +484,7 @@ func BenchmarkServing(b *testing.B) {
 // acceptance bar for obs-overhead-ratio is ≤ 1.02 (instrumented within 2%
 // of the -noobs ablation).
 func BenchmarkObsOverhead(b *testing.B) {
-	bench.Warmup()
-	c, err := cluster.New(cluster.Config{
-		Servers:          3,
-		WorkersPerServer: 4,
-		Transport:        cluster.RDMA,
-		Scheduling:       true,
-		TimeScale:        cluster.DefaultTimeScale,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	c.LoadTPCH(bench.DB(0.05, 42), false)
+	c := benchCluster(b, 3)
 	q := queries.MustBuild(12, queries.Params{SF: 0.05})
 	defer obs.SetEnabled(true)
 

@@ -138,10 +138,7 @@ func cmdRun(args []string) error {
 		WorkersPerServer: *workers,
 		Transport:        tk,
 		Scheduling:       *sched,
-		Classic:          *classic,
 		TimeScale:        *timescale,
-		NoFuse:           *nofuse,
-		NoPushdown:       *nopushdown,
 	})
 	if err != nil {
 		return err
@@ -158,7 +155,11 @@ func cmdRun(args []string) error {
 	// phase (queue → compile → pipelines), exactly like the serving path.
 	sess := c.NewSession(cluster.SessionConfig{})
 	defer sess.Close()
-	res, stats, err := sess.RunContext(context.Background(), qp)
+	res, stats, err := sess.RunContext(context.Background(), qp, cluster.WithPlan(plan.Options{
+		Classic:    *classic,
+		NoFuse:     *nofuse,
+		NoPushdown: *nopushdown,
+	}))
 	if err != nil {
 		return err
 	}
@@ -405,6 +406,7 @@ func cmdExperiment(args []string) error {
 	if *full {
 		wl.Queries = queries.All()
 	}
+	setup := bench.Setup{Servers: *servers}
 	w := os.Stdout
 	run := func(name string, fn func() error) error {
 		fmt.Fprintf(w, "\n")
@@ -420,7 +422,7 @@ func cmdExperiment(args []string) error {
 			if *full {
 				steps = []int{1, 2, 4, 8}
 			}
-			_, err := bench.Figure2{Workload: wl, Servers: *servers, CoreSteps: steps}.Run(w)
+			_, err := bench.Figure2{Workload: wl, Setup: setup, CoreSteps: steps}.Run(w)
 			return err
 		},
 		"fig3": func() error {
@@ -428,13 +430,13 @@ func cmdExperiment(args []string) error {
 			if *full {
 				maxS = 6
 			}
-			_, err := bench.Figure3{Workload: wl, MaxServers: maxS}.Run(w)
+			_, err := bench.Figure3{Workload: wl, Setup: bench.Setup{Servers: maxS}}.Run(w)
 			return err
 		},
 		"fig4": func() error { bench.Figure4(w); return nil },
 		"fig5": func() error { _, err := bench.Figure5{}.Run(w); return err },
 		"fig9": func() error {
-			_, err := bench.Figure9{Workload: wl, Servers: *servers}.Run(w)
+			_, err := bench.Figure9{Workload: wl, Setup: setup}.Run(w)
 			return err
 		},
 		"fig10b": func() error { _, err := bench.Figure10b{}.Run(w); return err },
@@ -448,28 +450,28 @@ func cmdExperiment(args []string) error {
 			return err
 		},
 		"fig12a": func() error {
-			_, err := bench.Figure12a{Workload: wl, Servers: *servers, IncludeInterpreted: *full}.Run(w)
+			_, err := bench.Figure12a{Workload: wl, Setup: setup, IncludeInterpreted: *full}.Run(w)
 			return err
 		},
 		"fig12b": func() error {
-			_, err := bench.Figure12b{Workload: wl, Servers: *servers}.Run(w)
+			_, err := bench.Figure12b{Workload: wl, Setup: setup}.Run(w)
 			return err
 		},
 		"table2": func() error {
-			_, err := bench.Table2{Workload: wl, Servers: *servers, IncludeInterpreted: *full}.Run(w)
+			_, err := bench.Table2{Workload: wl, Setup: setup, IncludeInterpreted: *full}.Run(w)
 			return err
 		},
 		"sched": func() error {
-			_, err := bench.SchedulingImpact{Workload: wl, Servers: *servers}.Run(w)
+			_, err := bench.SchedulingImpact{Workload: wl, Setup: setup}.Run(w)
 			return err
 		},
 		"sf": func() error {
-			_, err := bench.ScaleFactorScaling{Workload: wl, Servers: *servers}.Run(w)
+			_, err := bench.ScaleFactorScaling{Workload: wl, Setup: setup}.Run(w)
 			return err
 		},
 		"skew": func() error { bench.Skew{}.Run(w); return nil },
 		"skewjoin": func() error {
-			_, err := bench.SkewedJoin{Servers: *servers, Transport: cluster.TCPGbE}.Run(w)
+			_, err := bench.SkewedJoin{Setup: setup, Transport: cluster.TCPGbE}.Run(w)
 			return err
 		},
 		"throughput": func() error {
@@ -500,7 +502,7 @@ func cmdExperiment(args []string) error {
 		},
 		"skewsweep": func() error {
 			run := bench.SkewSweep{SkewedJoin: bench.SkewedJoin{
-				Servers: *servers, Transport: cluster.TCPGbE, Rows: 200_000}}
+				Setup: setup, Transport: cluster.TCPGbE, Rows: 200_000}}
 			if *full {
 				run.Rows = 600_000
 			}

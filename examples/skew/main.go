@@ -31,8 +31,7 @@ func main() {
 	fmt.Println("(Zipf-distributed join key; adaptive = heavy-hitter sketch + selective broadcast)")
 	fmt.Println()
 	exp := bench.SkewedJoin{
-		Servers:   3,
-		Workers:   4,
+		Setup:     bench.Setup{Servers: 3, Workers: 4},
 		Rows:      600_000,
 		Keys:      20_000,
 		Zipf:      1.1,
@@ -45,8 +44,7 @@ func main() {
 	fmt.Println()
 	fmt.Println("skew sweep: the same join across Zipf exponents (z=0 is uniform):")
 	sweep := bench.SkewSweep{SkewedJoin: bench.SkewedJoin{
-		Servers:   3,
-		Workers:   4,
+		Setup:     bench.Setup{Servers: 3, Workers: 4},
 		Rows:      200_000,
 		Keys:      20_000,
 		Transport: cluster.TCPGbE,

@@ -53,7 +53,9 @@ import (
 	"hsqp/internal/tpch"
 )
 
-// ClusterConfig configures a simulated cluster (see cluster.Config).
+// ClusterConfig describes a simulated deployment — servers, topology,
+// transport, failure handling (see cluster.Config). What varies per query
+// is a PlanOptions passed with WithPlan.
 type ClusterConfig = cluster.Config
 
 // Cluster is a running simulated deployment.
@@ -112,15 +114,32 @@ var ErrOverloaded = cluster.ErrOverloaded
 // queries still queued when Close drains the session.
 var ErrSessionClosed = cluster.ErrSessionClosed
 
-// Prepared is a prepared statement on a cluster: compiled and validated on
-// every server once, then executed repeatedly (cluster.Prepare).
+// Prepared is a prepared statement on a cluster: built and validated on
+// every server once (under the run options given to Prepare, which it
+// remembers), then executed repeatedly. Each execution still compiles its
+// pipelines; the handle saves statement construction, error discovery and
+// codec construction (cluster.Prepare).
 type Prepared = cluster.Prepared
 
 // --- unified run API, elasticity and fault tolerance ---
 
 // RunOption customizes one RunContext call (tenant label, restart bound,
-// result-cache bypass).
+// result-cache bypass, plan options).
 type RunOption = cluster.RunOption
+
+// PlanOptions are a query's compile-time switches — classic vs hybrid
+// exchange, serial vs DAG pipelines, pre-aggregation, operator fusion,
+// column pushdown, skew tuning, competitor-style extra operators. The zero
+// value is the paper's engine.
+type PlanOptions = plan.Options
+
+// WithPlan compiles one query under the given plan options. Options belong
+// to the query, not the cluster: every side of an A/B runs on the same
+// loaded cluster,
+//
+//	c.RunContext(ctx, q)                                             // hybrid
+//	c.RunContext(ctx, q, hsqp.WithPlan(hsqp.PlanOptions{Classic: true}))
+func WithPlan(o PlanOptions) RunOption { return cluster.WithPlan(o) }
 
 // WithTenant labels the query with a tenant for weighted-fair admission.
 func WithTenant(tenant string) RunOption { return cluster.WithTenant(tenant) }
@@ -278,7 +297,7 @@ func ExperimentFigure2(w io.Writer, wl Workload) error {
 
 // ExperimentFigure3 runs the scale-out comparison of the three engines.
 func ExperimentFigure3(w io.Writer, wl Workload, maxServers int) error {
-	_, err := bench.Figure3{Workload: wl, MaxServers: maxServers}.Run(w)
+	_, err := bench.Figure3{Workload: wl, Setup: bench.Setup{Servers: maxServers}}.Run(w)
 	return err
 }
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"io"
+	"strconv"
 	"time"
 
 	"hsqp/internal/cluster"
@@ -18,10 +19,8 @@ import (
 // (the paper's plan) or ship raw rows and aggregate once after the
 // exchange.
 type PreAggAblation struct {
-	SF        float64
-	Servers   int
-	Workers   int
-	TimeScale float64
+	SF float64
+	Setup
 }
 
 // PreAggResult reports both variants.
@@ -32,39 +31,15 @@ type PreAggResult struct {
 
 // Run executes the ablation on the aggregation-heavy queries.
 func (f PreAggAblation) Run(w io.Writer) (PreAggResult, error) {
-	if f.SF == 0 {
-		f.SF = 0.05
-	}
-	if f.Servers == 0 {
-		f.Servers = 3
-	}
-	if f.Workers == 0 {
-		f.Workers = 4
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
+	// Workload defaults SF to 0.05.
 	wl := Workload{SF: f.SF, Queries: []int{1, 13, 15, 20}}
-	var out PreAggResult
-	for _, disable := range []bool{false, true} {
-		res, err := RunTPCH(cluster.Config{
-			Servers:          f.Servers,
-			WorkersPerServer: f.Workers,
-			Transport:        cluster.RDMA,
-			Scheduling:       true,
-			DisablePreAgg:    disable,
-			TimeScale:        f.TimeScale,
-		}, wl)
-		if err != nil {
-			return out, err
-		}
-		if disable {
-			out.Without = res.Total
-			out.BytesWithout = res.Stats.BytesSent
-		} else {
-			out.With = res.Total
-			out.BytesWith = res.Stats.BytesSent
-		}
+	res, err := RunVariants(f.config(cluster.RDMA, true), wl, plan.Options{}, plan.Options{DisablePreAgg: true})
+	if err != nil {
+		return PreAggResult{}, err
+	}
+	out := PreAggResult{
+		With: res[0].Total, BytesWith: res[0].Stats.BytesSent,
+		Without: res[1].Total, BytesWithout: res[1].Stats.BytesSent,
 	}
 	tab := &Table{
 		Title:  "Ablation: pre-aggregation before group-by exchanges (Figure 6(c))",
@@ -79,10 +54,8 @@ func (f PreAggAblation) Run(w io.Writer) (PreAggResult, error) {
 // GroupJoinAblation compares HyPer's Γ⨝ groupjoin (used by Q18's plan)
 // against the classical aggregate-then-join rewrite of the same query.
 type GroupJoinAblation struct {
-	SF        float64
-	Servers   int
-	Workers   int
-	TimeScale float64
+	SF float64
+	Setup
 }
 
 // q18AggThenJoin is TPC-H Q18 without the groupjoin: aggregate lineitem by
@@ -118,28 +91,12 @@ func (f GroupJoinAblation) Run(w io.Writer) (groupjoin, aggjoin time.Duration, e
 	if f.SF == 0 {
 		f.SF = 0.05
 	}
-	if f.Servers == 0 {
-		f.Servers = 3
-	}
-	if f.Workers == 0 {
-		f.Workers = 4
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
 	Warmup()
-	c, err := cluster.New(cluster.Config{
-		Servers:          f.Servers,
-		WorkersPerServer: f.Workers,
-		Transport:        cluster.RDMA,
-		Scheduling:       true,
-		TimeScale:        f.TimeScale,
-	})
+	c, err := load(f.config(cluster.RDMA, true), Workload{SF: f.SF})
 	if err != nil {
 		return 0, 0, err
 	}
 	defer c.Close()
-	c.LoadTPCH(DB(f.SF, 42), false)
 
 	run := func(q *plan.Query) (time.Duration, int, error) {
 		var best time.Duration
@@ -168,22 +125,8 @@ func (f GroupJoinAblation) Run(w io.Writer) (groupjoin, aggjoin time.Duration, e
 		Title:  "Ablation: Q18 via groupjoin (Γ⨝) vs aggregate-then-join",
 		Header: []string{"plan", "time", "rows"},
 	}
-	tab.Add("groupjoin", Dur(gjTime), itoa(gjRows))
-	tab.Add("agg-then-join", Dur(ajTime), itoa(ajRows))
+	tab.Add("groupjoin", Dur(gjTime), strconv.Itoa(gjRows))
+	tab.Add("agg-then-join", Dur(ajTime), strconv.Itoa(ajRows))
 	tab.Fprint(w)
 	return gjTime, ajTime, nil
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

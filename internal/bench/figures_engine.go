@@ -8,17 +8,18 @@ import (
 	"hsqp/internal/cluster"
 	"hsqp/internal/fabric"
 	"hsqp/internal/numa"
+	"hsqp/internal/plan"
 )
 
 // Figure2 sweeps the number of cores per server for hybrid parallelism vs
 // the classic exchange-operator model: hybrid keeps scaling, classic
 // plateaus because its n×t fixed parallel units fragment the work, shrink
-// message batching and cannot steal from stragglers.
+// message batching and cannot steal from stragglers. Each step builds one
+// cluster and runs both models on it; CoreSteps replaces Setup.Workers.
 type Figure2 struct {
-	Workload  Workload
-	Servers   int
+	Workload Workload
+	Setup
 	CoreSteps []int
-	TimeScale float64
 }
 
 // Figure2Point is one measured configuration.
@@ -29,46 +30,23 @@ type Figure2Point struct {
 
 // Run executes the sweep.
 func (f Figure2) Run(w io.Writer) ([]Figure2Point, error) {
-	if f.Servers == 0 {
-		f.Servers = 3
-	}
 	if len(f.CoreSteps) == 0 {
 		f.CoreSteps = []int{1, 2, 4}
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
 	}
 	var out []Figure2Point
 	tab := &Table{
 		Title:  "Figure 2: hybrid vs classic exchange, scaling with cores per server",
 		Header: []string{"cores/server", "hybrid", "classic", "hybrid speedup", "classic speedup"},
 	}
-	var base Figure2Point
-	for i, cores := range f.CoreSteps {
-		p := Figure2Point{Cores: cores}
-		for _, classic := range []bool{false, true} {
-			cfg := cluster.Config{
-				Servers:          f.Servers,
-				WorkersPerServer: cores,
-				Transport:        cluster.RDMA,
-				Scheduling:       true,
-				Classic:          classic,
-				TimeScale:        f.TimeScale,
-			}
-			res, err := RunTPCH(cfg, f.Workload)
-			if err != nil {
-				return nil, err
-			}
-			if classic {
-				p.Classic = res.Total
-			} else {
-				p.Hybrid = res.Total
-			}
+	for _, cores := range f.CoreSteps {
+		f.Workers = cores
+		res, err := RunVariants(f.config(cluster.RDMA, true), f.Workload, plan.Options{}, plan.Options{Classic: true})
+		if err != nil {
+			return nil, err
 		}
-		if i == 0 {
-			base = p
-		}
+		p := Figure2Point{Cores: cores, Hybrid: res[0].Total, Classic: res[1].Total}
 		out = append(out, p)
+		base := out[0]
 		tab.Add(fmt.Sprintf("%d", cores), Dur(p.Hybrid), Dur(p.Classic),
 			F2(base.Hybrid.Seconds()/p.Hybrid.Seconds()),
 			F2(base.Classic.Seconds()/p.Classic.Seconds()))
@@ -80,12 +58,11 @@ func (f Figure2) Run(w io.Writer) ([]Figure2Point, error) {
 // Figure3 scales the cluster from 1 to N servers at a fixed data set size
 // for the three engines: RDMA+scheduling, TCP over InfiniBand, TCP over
 // GbE. The paper: RDMA reaches 3.5× at 6 servers, IPoIB-TCP hovers near
-// 1×, GbE drops to ~1/6×.
+// 1×, GbE drops to ~1/6×. Setup.Servers is the largest cluster of the
+// sweep (default 4); Workers defaults to 3.
 type Figure3 struct {
-	Workload   Workload
-	MaxServers int
-	Workers    int
-	TimeScale  float64
+	Workload Workload
+	Setup
 }
 
 // Figure3Point is one (servers, engine) measurement.
@@ -107,23 +84,11 @@ var figure3Engines = []struct {
 
 // Run executes the sweep; the single-server baseline is shared.
 func (f Figure3) Run(w io.Writer) ([]Figure3Point, error) {
-	if f.MaxServers == 0 {
-		f.MaxServers = 4
-	}
-	if f.Workers == 0 {
-		f.Workers = 3
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
+	f.Setup = f.or(Setup{Servers: 4, Workers: 3})
+	maxServers := f.Servers
 	// Single-server baseline: no network involved, one engine suffices.
-	baseCfg := cluster.Config{
-		Servers:          1,
-		WorkersPerServer: f.Workers,
-		Transport:        cluster.RDMA,
-		TimeScale:        f.TimeScale,
-	}
-	base, err := RunTPCH(baseCfg, f.Workload)
+	f.Servers = 1
+	base, err := RunTPCH(f.config(cluster.RDMA, false), f.Workload)
 	if err != nil {
 		return nil, err
 	}
@@ -135,17 +100,11 @@ func (f Figure3) Run(w io.Writer) ([]Figure3Point, error) {
 	out := []Figure3Point{{Servers: 1, Speedup: map[string]float64{
 		"RDMA+sched": 1, "TCP/IPoIB": 1, "TCP/GbE": 1,
 	}}}
-	for servers := 2; servers <= f.MaxServers; servers++ {
+	for servers := 2; servers <= maxServers; servers++ {
 		p := Figure3Point{Servers: servers, Speedup: map[string]float64{}}
+		f.Servers = servers
 		for _, e := range figure3Engines {
-			cfg := cluster.Config{
-				Servers:          servers,
-				WorkersPerServer: f.Workers,
-				Transport:        e.Transport,
-				Scheduling:       e.Sched,
-				TimeScale:        f.TimeScale,
-			}
-			res, err := RunTPCH(cfg, f.Workload)
+			res, err := RunTPCH(f.config(e.Transport, e.Sched), f.Workload)
 			if err != nil {
 				return nil, err
 			}
@@ -161,12 +120,14 @@ func (f Figure3) Run(w io.Writer) ([]Figure3Point, error) {
 
 // Figure9 compares message-buffer allocation policies on the 4-socket
 // server (NUMA-aware vs interleaved vs one-socket); the paper measures
-// −17% and −52% of queries/hour respectively.
+// −17% and −52% of queries/hour respectively. Workers defaults to 8
+// (spread over the 4 sockets) and TimeScale to 2: Figure 9 measures an
+// *intra-server* memory effect — the paper's 4-socket box is QPI-bound, not
+// network-bound — and a small time scale keeps the simulated network out
+// of the critical path so the buffer-placement penalty is visible.
 type Figure9 struct {
-	Workload  Workload
-	Servers   int
-	Workers   int
-	TimeScale float64
+	Workload Workload
+	Setup
 }
 
 // Figure9Point is one allocation policy's throughput.
@@ -180,19 +141,7 @@ type Figure9Point struct {
 
 // Run executes the comparison.
 func (f Figure9) Run(w io.Writer) ([]Figure9Point, error) {
-	if f.Servers == 0 {
-		f.Servers = 3
-	}
-	if f.Workers == 0 {
-		f.Workers = 8 // spread over the 4 sockets
-	}
-	if f.TimeScale == 0 {
-		// Figure 9 measures an *intra-server* memory effect: the paper's
-		// 4-socket box is QPI-bound, not network-bound. A small time scale
-		// keeps the simulated network out of the critical path so the
-		// buffer-placement penalty is visible, as in the paper.
-		f.TimeScale = 2
-	}
+	f.Setup = f.or(Setup{Workers: 8, TimeScale: 2})
 	var out []Figure9Point
 	tab := &Table{
 		Title:  "Figure 9: NUMA-aware message allocation, 4-socket server",
@@ -204,20 +153,13 @@ func (f Figure9) Run(w io.Writer) ([]Figure9Point, error) {
 		wl.Repeat = 5 // the policy deltas are tens of percent; damp noise
 	}
 	for _, policy := range []numa.AllocPolicy{numa.AllocLocal, numa.AllocInterleaved, numa.AllocSingleSocket} {
-		cfg := cluster.Config{
-			Servers:          f.Servers,
-			WorkersPerServer: f.Workers,
-			Topology:         numa.FourSocket(),
-			Transport:        cluster.RDMA,
-			Scheduling:       true,
-			AllocPolicy:      policy,
-			TimeScale:        f.TimeScale,
-		}
-		c, err := cluster.New(cfg)
+		cfg := f.config(cluster.RDMA, true)
+		cfg.Topology = numa.FourSocket()
+		cfg.AllocPolicy = policy
+		c, err := load(cfg, wl)
 		if err != nil {
 			return nil, err
 		}
-		c.LoadTPCH(DB(wl.SF, 42), wl.Partitioned)
 		res, err := RunOnCluster(c, wl)
 		if err != nil {
 			c.Close()
@@ -247,12 +189,11 @@ func (f Figure9) Run(w io.Writer) ([]Figure9Point, error) {
 }
 
 // Figure11 measures per-query scalability for every TPC-H query across
-// server counts and the three engines.
+// server counts and the three engines. ServerList replaces Setup.Servers.
 type Figure11 struct {
-	Workload   Workload
+	Workload Workload
+	Setup
 	ServerList []int
-	Workers    int
-	TimeScale  float64
 }
 
 // Figure11Cell is one (query, servers, engine) speedup.
@@ -269,17 +210,10 @@ func (f Figure11) Run(w io.Writer) ([]Figure11Cell, error) {
 	if len(f.ServerList) == 0 {
 		f.ServerList = []int{1, 2, 4}
 	}
-	if f.Workers == 0 {
-		f.Workers = 4
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
 	wl := f.Workload.withDefaults()
 	// Baselines per query at one server.
-	base, err := RunTPCH(cluster.Config{
-		Servers: 1, WorkersPerServer: f.Workers, Transport: cluster.RDMA, TimeScale: f.TimeScale,
-	}, wl)
+	f.Servers = 1
+	base, err := RunTPCH(f.config(cluster.RDMA, false), wl)
 	if err != nil {
 		return nil, err
 	}
@@ -299,13 +233,9 @@ func (f Figure11) Run(w io.Writer) ([]Figure11Cell, error) {
 				if servers == 1 {
 					sp = 1
 				} else {
-					res, err := RunTPCH(cluster.Config{
-						Servers:          servers,
-						WorkersPerServer: f.Workers,
-						Transport:        e.Transport,
-						Scheduling:       e.Sched,
-						TimeScale:        f.TimeScale,
-					}, Workload{SF: wl.SF, Seed: wl.Seed, Queries: []int{q}, Partitioned: wl.Partitioned})
+					f.Servers = servers
+					res, err := RunTPCH(f.config(e.Transport, e.Sched),
+						Workload{SF: wl.SF, Seed: wl.Seed, Queries: []int{q}, Partitioned: wl.Partitioned})
 					if err != nil {
 						return nil, err
 					}
@@ -323,11 +253,10 @@ func (f Figure11) Run(w io.Writer) ([]Figure11Cell, error) {
 
 // SchedulingImpact measures §4.2.2: network scheduling on/off per
 // transport (paper: +230% on GbE, ~0% on IPoIB-TCP, +12.2% on RDMA).
+// Servers defaults to 4.
 type SchedulingImpact struct {
-	Workload  Workload
-	Servers   int
-	Workers   int
-	TimeScale float64
+	Workload Workload
+	Setup
 }
 
 // SchedulingImpactPoint is one transport's improvement.
@@ -338,15 +267,7 @@ type SchedulingImpactPoint struct {
 
 // Run executes the comparison.
 func (f SchedulingImpact) Run(w io.Writer) ([]SchedulingImpactPoint, error) {
-	if f.Servers == 0 {
-		f.Servers = 4
-	}
-	if f.Workers == 0 {
-		f.Workers = 4
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
+	f.Setup = f.or(Setup{Servers: 4})
 	var out []SchedulingImpactPoint
 	tab := &Table{
 		Title:  "§4.2.2: impact of network scheduling per transport",
@@ -362,13 +283,7 @@ func (f SchedulingImpact) Run(w io.Writer) ([]SchedulingImpactPoint, error) {
 	} {
 		times := map[bool]time.Duration{}
 		for _, sched := range []bool{false, true} {
-			res, err := RunTPCH(cluster.Config{
-				Servers:          f.Servers,
-				WorkersPerServer: f.Workers,
-				Transport:        e.kind,
-				Scheduling:       sched,
-				TimeScale:        f.TimeScale,
-			}, f.Workload)
+			res, err := RunTPCH(f.config(e.kind, sched), f.Workload)
 			if err != nil {
 				return nil, err
 			}
@@ -385,31 +300,14 @@ func (f SchedulingImpact) Run(w io.Writer) ([]SchedulingImpactPoint, error) {
 // ScaleFactorScaling reruns the workload at SF and 3×SF (§4.3.3: HyPer
 // 3.1×, Vectorwise 2.2×, MemSQL 3.4× from SF 100 → 300).
 type ScaleFactorScaling struct {
-	Workload  Workload
-	Servers   int
-	Workers   int
-	TimeScale float64
+	Workload Workload
+	Setup
 }
 
 // Run executes the comparison and returns time(3×SF)/time(SF).
 func (f ScaleFactorScaling) Run(w io.Writer) (float64, error) {
-	if f.Servers == 0 {
-		f.Servers = 3
-	}
-	if f.Workers == 0 {
-		f.Workers = 4
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
 	wl := f.Workload.withDefaults()
-	cfg := cluster.Config{
-		Servers:          f.Servers,
-		WorkersPerServer: f.Workers,
-		Transport:        cluster.RDMA,
-		Scheduling:       true,
-		TimeScale:        f.TimeScale,
-	}
+	cfg := f.config(cluster.RDMA, true)
 	small, err := RunTPCH(cfg, wl)
 	if err != nil {
 		return 0, err

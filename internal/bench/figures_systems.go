@@ -6,20 +6,31 @@ import (
 	"sort"
 	"time"
 
-	"hsqp/internal/cluster"
 	"hsqp/internal/competitors"
 	"hsqp/internal/fabric"
 	"hsqp/internal/tpch"
 )
 
+// runStyle runs the workload as one modeled system on this deployment: the
+// style's transport and plan options, at the given link rate (zero = the
+// transport's native rate).
+func (s Setup) runStyle(style competitors.Style, rate fabric.Rate, w Workload) (RunResult, error) {
+	s = s.withDefaults()
+	cfg, po := competitors.ClusterConfig(style, s.Servers, s.Workers, s.TimeScale)
+	cfg.Rate = rate
+	res, err := RunVariants(cfg, w, po)
+	if err != nil {
+		return RunResult{}, err
+	}
+	return res[0], nil
+}
+
 // Figure12a compares the modeled distributed SQL systems by
 // queries-per-hour on the same workload (paper: Spark 77, Impala 123,
 // MemSQL 544, Vectorwise 3856, HyPer chunked 16090 / partitioned 20739).
 type Figure12a struct {
-	Workload  Workload
-	Servers   int
-	Workers   int
-	TimeScale float64
+	Workload Workload
+	Setup
 	// IncludeInterpreted also runs the very slow Spark/Impala styles
 	// (expensive; off for quick runs).
 	IncludeInterpreted bool
@@ -33,15 +44,6 @@ type Figure12aPoint struct {
 
 // Run executes the comparison.
 func (f Figure12a) Run(w io.Writer) ([]Figure12aPoint, error) {
-	if f.Servers == 0 {
-		f.Servers = 3
-	}
-	if f.Workers == 0 {
-		f.Workers = 4
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
 	styles := []competitors.Style{competitors.MemSQLStyle, competitors.VectorwiseStyle}
 	if f.IncludeInterpreted {
 		styles = append([]competitors.Style{competitors.SparkSQLStyle, competitors.ImpalaStyle}, styles...)
@@ -51,10 +53,10 @@ func (f Figure12a) Run(w io.Writer) ([]Figure12aPoint, error) {
 		Title:  "Figure 12(a): queries per hour by system style",
 		Header: []string{"system", "placement", "queries/hour"},
 	}
-	run := func(name string, cfg cluster.Config, partitioned bool) error {
+	run := func(name string, style competitors.Style, partitioned bool) error {
 		wl := f.Workload
 		wl.Partitioned = partitioned
-		res, err := RunTPCH(cfg, wl)
+		res, err := f.runStyle(style, 0, wl)
 		if err != nil {
 			return err
 		}
@@ -67,16 +69,14 @@ func (f Figure12a) Run(w io.Writer) ([]Figure12aPoint, error) {
 		return nil
 	}
 	for _, s := range styles {
-		cfg := competitors.ClusterConfig(s, f.Servers, f.Workers, f.TimeScale)
-		if err := run(s.String(), cfg, s.Partitioned()); err != nil {
+		if err := run(s.String(), s, s.Partitioned()); err != nil {
 			return nil, err
 		}
 	}
-	hyper := competitors.ClusterConfig(competitors.HyPerStyle, f.Servers, f.Workers, f.TimeScale)
-	if err := run("HyPer (chunked)", hyper, false); err != nil {
+	if err := run("HyPer (chunked)", competitors.HyPerStyle, false); err != nil {
 		return nil, err
 	}
-	if err := run("HyPer (partitioned)", hyper, true); err != nil {
+	if err := run("HyPer (partitioned)", competitors.HyPerStyle, true); err != nil {
 		return nil, err
 	}
 	tab.Fprint(w)
@@ -87,10 +87,8 @@ func (f Figure12a) Run(w io.Writer) ([]Figure12aPoint, error) {
 // reports each system's speedup over its own GbE run. Paper: HyPer-RDMA
 // scales ~12×, TCP engines plateau around 4×, MemSQL ~1.2×.
 type Figure12b struct {
-	Workload  Workload
-	Servers   int
-	Workers   int
-	TimeScale float64
+	Workload Workload
+	Setup
 }
 
 // Figure12bPoint is one (system, rate) speedup over GbE.
@@ -102,15 +100,6 @@ type Figure12bPoint struct {
 
 // Run executes the sweep.
 func (f Figure12b) Run(w io.Writer) ([]Figure12bPoint, error) {
-	if f.Servers == 0 {
-		f.Servers = 3
-	}
-	if f.Workers == 0 {
-		f.Workers = 4
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
 	rates := []fabric.Rate{fabric.GbE, fabric.IB4xSDR, fabric.IB4xDDR, fabric.IB4xQDR}
 	systems := []struct {
 		name        string
@@ -131,11 +120,9 @@ func (f Figure12b) Run(w io.Writer) ([]Figure12bPoint, error) {
 		base := time.Duration(0)
 		row := []string{sys.name}
 		for _, rate := range rates {
-			cfg := competitors.ClusterConfig(sys.style, f.Servers, f.Workers, f.TimeScale)
-			cfg.Rate = rate
 			wl := f.Workload
 			wl.Partitioned = sys.partitioned
-			res, err := RunTPCH(cfg, wl)
+			res, err := f.runStyle(sys.style, rate, wl)
 			if err != nil {
 				return nil, err
 			}
@@ -155,10 +142,8 @@ func (f Figure12b) Run(w io.Writer) ([]Figure12bPoint, error) {
 // Table2 produces the detailed per-query comparison: runtimes per system,
 // messages sent and data shuffled, geometric mean and queries/hour.
 type Table2 struct {
-	Workload  Workload
-	Servers   int
-	Workers   int
-	TimeScale float64
+	Workload Workload
+	Setup
 	// IncludeInterpreted adds the slow Spark-/Impala-style engines.
 	IncludeInterpreted bool
 }
@@ -176,15 +161,6 @@ type Table2Column struct {
 
 // Run executes the comparison.
 func (f Table2) Run(w io.Writer) ([]Table2Column, error) {
-	if f.Servers == 0 {
-		f.Servers = 3
-	}
-	if f.Workers == 0 {
-		f.Workers = 4
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
 	type sys struct {
 		name        string
 		style       competitors.Style
@@ -204,10 +180,9 @@ func (f Table2) Run(w io.Writer) ([]Table2Column, error) {
 	}
 	var cols []Table2Column
 	for _, s := range systems {
-		cfg := competitors.ClusterConfig(s.style, f.Servers, f.Workers, f.TimeScale)
 		wl := f.Workload
 		wl.Partitioned = s.partitioned
-		res, err := RunTPCH(cfg, wl)
+		res, err := f.runStyle(s.style, 0, wl)
 		if err != nil {
 			return nil, err
 		}

@@ -78,7 +78,7 @@ func (s Serving) Run(w io.Writer) (ServingResult, error) {
 	s = s.defaults()
 	var res ServingResult
 
-	c, err := cluster.New(cluster.Config{
+	c, err := load(cluster.Config{
 		Servers:          s.Servers,
 		WorkersPerServer: 4,
 		Transport:        cluster.RDMA,
@@ -86,12 +86,11 @@ func (s Serving) Run(w io.Writer) (ServingResult, error) {
 		TimeScale:        0.005,
 		MorselSize:       4096,
 		MessageSize:      64 * 1024,
-	})
+	}, Workload{SF: s.SF})
 	if err != nil {
 		return res, err
 	}
 	defer c.Close()
-	c.LoadTPCH(DB(s.SF, 42), false)
 
 	srv := serve.New(serve.Config{
 		Cluster: c,

@@ -34,26 +34,25 @@ import (
 //     the first morsels, their build rows are selectively broadcast, and
 //     their probe tuples stay on the origin server.
 type SkewedJoin struct {
-	Servers   int
-	Workers   int
-	Rows      int     // probe rows
-	Keys      int     // distinct join keys
-	Zipf      float64 // skew parameter (paper analyzes z = 0.84)
-	TimeScale float64
-	Runs      int // best-of runs per engine (default 2)
+	Setup
+	Rows int     // probe rows
+	Keys int     // distinct join keys
+	Zipf float64 // skew parameter (paper analyzes z = 0.84)
+	Runs int     // best-of runs per engine (default 2)
 	// Transport selects the simulated interconnect (zero value: RDMA).
 	// Skew handling is about the straggler's network link, so the figure is
 	// most telling on a bandwidth-limited transport (TCPGbE): on the
 	// simulated Infiniband fabric this workload is compute-bound and the
 	// static and adaptive engines converge.
 	Transport cluster.TransportKind
-	// Skew tunes the adaptive engine. All-zero selects a grid tuned for
-	// this workload: sample two early morsels' worth of keys and treat the
-	// whole detectable Zipf head as hot (the build side is tiny, so
-	// broadcasting a generous hot set costs almost nothing while every hot
-	// probe tuple kept off the wire relieves the straggler link).
-	Skew exchange.SkewConfig
 }
+
+// skewTuning tunes the adaptive engine for this workload: sample two early
+// morsels' worth of keys and treat the whole detectable Zipf head as hot
+// (the build side is tiny, so broadcasting a generous hot set costs almost
+// nothing while every hot probe tuple kept off the wire relieves the
+// straggler link).
+var skewTuning = exchange.SkewConfig{SampleBudget: 4096, HotFraction: 0.002, MaxHot: 128}
 
 // SkewedJoinPoint is one engine's runtime at one skew level.
 type SkewedJoinPoint struct {
@@ -64,7 +63,8 @@ type SkewedJoinPoint struct {
 }
 
 // skewEngine is one cell of the comparison grid: label, classic exchange
-// model, join strategy.
+// model, join strategy. "static" comes first: it is the baseline of the
+// speedup column.
 type skewEngine struct {
 	name     string
 	classic  bool
@@ -127,36 +127,20 @@ func skewProbeSchema() *storage.Schema {
 	)
 }
 
-// RunEngine executes one engine of the comparison and returns the query
-// result with the best-of-Runs stats (used by the conformance test to
-// check all three engines produce identical rows).
-func (f SkewedJoin) RunEngine(name string, build, probe *storage.Batch) (*storage.Batch, cluster.QueryStats, error) {
-	var eng *skewEngine
-	for i := range skewEngines {
-		if skewEngines[i].name == name {
-			eng = &skewEngines[i]
-			break
-		}
-	}
-	if eng == nil {
-		return nil, cluster.QueryStats{}, fmt.Errorf("bench: unknown skew engine %q", name)
-	}
-	c, err := cluster.New(cluster.Config{
-		Servers:          f.Servers,
-		WorkersPerServer: f.Workers,
-		Transport:        f.Transport,
-		Scheduling:       true,
-		Classic:          eng.classic,
-		Skew:             f.Skew,
-		TimeScale:        f.TimeScale,
-		// The synthetic query drops s_pad at the probe, so column pruning
-		// would (correctly) strip it below the exchange and dissolve the
-		// very network bottleneck this figure isolates. Keep the modeled
-		// payload on the wire.
-		NoPushdown: true,
-	})
+// skewRun is one engine's result with its best-of-Runs stats.
+type skewRun struct {
+	res   *storage.Batch
+	stats cluster.QueryStats
+}
+
+// runEngines loads the relations on one cluster and executes every engine
+// of the comparison on it, in skewEngines order: the engines differ only in
+// plan options and join strategy, so they share placements and warmed
+// pools (the conformance test also checks they produce identical rows).
+func (f SkewedJoin) runEngines(build, probe *storage.Batch) ([]skewRun, error) {
+	c, err := cluster.New(f.config(f.Transport, true))
 	if err != nil {
-		return nil, cluster.QueryStats{}, err
+		return nil, err
 	}
 	defer c.Close()
 	c.LoadTable("skew_build", build, storage.PlacementChunked, 0)
@@ -165,27 +149,32 @@ func (f SkewedJoin) RunEngine(name string, build, probe *storage.Batch) (*storag
 	if runs <= 0 {
 		runs = 2
 	}
-	var bestRes *storage.Batch
-	var bestStats cluster.QueryStats
-	for r := 0; r < runs; r++ {
-		res, stats, err := c.RunContext(context.Background(), skewQuery(eng.strategy))
-		if err != nil {
-			return nil, cluster.QueryStats{}, err
-		}
-		if r == 0 || stats.Duration < bestStats.Duration {
-			bestRes, bestStats = res, stats
+	out := make([]skewRun, len(skewEngines))
+	for i, eng := range skewEngines {
+		opt := cluster.WithPlan(plan.Options{
+			Classic: eng.classic,
+			Skew:    skewTuning,
+			// The synthetic query drops s_pad at the probe, so column pruning
+			// would (correctly) strip it below the exchange and dissolve the
+			// very network bottleneck this figure isolates. Keep the modeled
+			// payload on the wire.
+			NoPushdown: true,
+		})
+		for r := 0; r < runs; r++ {
+			res, stats, err := c.RunContext(context.Background(), skewQuery(eng.strategy), opt)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", eng.name, err)
+			}
+			if r == 0 || stats.Duration < out[i].stats.Duration {
+				out[i] = skewRun{res, stats}
+			}
 		}
 	}
-	return bestRes, bestStats, nil
+	return out, nil
 }
 
 func (f *SkewedJoin) defaults() {
-	if f.Servers == 0 {
-		f.Servers = 3
-	}
-	if f.Workers == 0 {
-		f.Workers = 4
-	}
+	f.Setup = f.withDefaults()
 	if f.Rows == 0 {
 		f.Rows = 600_000
 	}
@@ -200,12 +189,6 @@ func (f *SkewedJoin) defaults() {
 		// create a straggler.
 		f.Zipf = 1.1
 	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
-	}
-	if f.Skew == (exchange.SkewConfig{}) {
-		f.Skew = exchange.SkewConfig{SampleBudget: 4096, HotFraction: 0.002, MaxHot: 128}
-	}
 }
 
 // Run executes the three-engine comparison at one skew level.
@@ -219,15 +202,13 @@ func (f SkewedJoin) Run(w io.Writer) ([]SkewedJoinPoint, error) {
 			f.Zipf, f.Rows),
 		Header: []string{"engine", "time", "shuffled", "speedup vs static"},
 	}
-	var staticTime time.Duration
-	for _, eng := range skewEngines {
-		_, stats, err := f.RunEngine(eng.name, build, probe)
-		if err != nil {
-			return nil, err
-		}
-		if eng.name == "static" {
-			staticTime = stats.Duration
-		}
+	runs, err := f.runEngines(build, probe)
+	if err != nil {
+		return nil, err
+	}
+	staticTime := runs[0].stats.Duration
+	for i, eng := range skewEngines {
+		stats := runs[i].stats
 		out = append(out, SkewedJoinPoint{Engine: eng.name, Zipf: f.Zipf, Time: stats.Duration, Bytes: stats.WireBytes()})
 		tab.Add(eng.name, Dur(stats.Duration), MB(stats.WireBytes()),
 			F2(staticTime.Seconds()/stats.Duration.Seconds())+"x")
@@ -264,13 +245,12 @@ func (f SkewSweep) Run(w io.Writer) ([]SkewedJoinPoint, error) {
 		build, probe := buildSkewTables(f.Rows, f.Keys, z)
 		times := map[string]time.Duration{}
 		bytes := map[string]uint64{}
-		for _, eng := range skewEngines {
-			run := f.SkewedJoin
-			run.Zipf = z
-			_, stats, err := run.RunEngine(eng.name, build, probe)
-			if err != nil {
-				return nil, err
-			}
+		runs, err := f.runEngines(build, probe)
+		if err != nil {
+			return nil, err
+		}
+		for i, eng := range skewEngines {
+			stats := runs[i].stats
 			times[eng.name] = stats.Duration
 			bytes[eng.name] = stats.WireBytes()
 			out = append(out, SkewedJoinPoint{Engine: eng.name, Zipf: z, Time: stats.Duration, Bytes: stats.WireBytes()})

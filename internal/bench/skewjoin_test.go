@@ -39,12 +39,13 @@ func TestSkewAdaptiveConformance(t *testing.T) {
 
 	run := func() (times map[string]time.Duration, err error) {
 		times = map[string]time.Duration{}
+		runs, err := f.runEngines(build, probe)
+		if err != nil {
+			return nil, err
+		}
 		var want []byte
-		for _, eng := range skewEngines {
-			res, stats, err := f.RunEngine(eng.name, build, probe)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", eng.name, err)
-			}
+		for i, eng := range skewEngines {
+			res, stats := runs[i].res, runs[i].stats
 			if res.Rows() == 0 {
 				return nil, fmt.Errorf("%s: empty result", eng.name)
 			}

@@ -135,7 +135,7 @@ func (f Throughput) Run(w io.Writer) (ThroughputResult, error) {
 	f.defaults()
 	Warmup()
 
-	c, err := cluster.New(cluster.Config{
+	c, err := load(cluster.Config{
 		Servers:          f.Servers,
 		WorkersPerServer: f.Workers,
 		Transport:        f.Transport,
@@ -143,12 +143,11 @@ func (f Throughput) Run(w io.Writer) (ThroughputResult, error) {
 		Scheduling:       f.Scheduling == nil || *f.Scheduling,
 		TimeScale:        f.TimeScale,
 		MessageSize:      f.MessageSize,
-	})
+	}, Workload{SF: f.SF})
 	if err != nil {
 		return ThroughputResult{}, err
 	}
 	defer c.Close()
-	c.LoadTPCH(DB(f.SF, 42), false)
 
 	total := f.Streams * f.Rounds
 	qn := func(i int) int { return f.Queries[i%len(f.Queries)] }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hsqp/internal/cluster"
+	"hsqp/internal/plan"
 	"hsqp/internal/queries"
 	"hsqp/internal/tpch"
 )
@@ -43,6 +44,45 @@ func (w Workload) withDefaults() Workload {
 		w.Repeat = 2
 	}
 	return w
+}
+
+// Setup is the deployment of a TPC-H experiment. Zero fields select
+// 3 servers × 4 workers at cluster.DefaultTimeScale unless the experiment
+// documents its own default.
+type Setup struct {
+	Servers   int
+	Workers   int // per server
+	TimeScale float64
+}
+
+// or fills s's zero fields from d.
+func (s Setup) or(d Setup) Setup {
+	if s.Servers == 0 {
+		s.Servers = d.Servers
+	}
+	if s.Workers == 0 {
+		s.Workers = d.Workers
+	}
+	if s.TimeScale == 0 {
+		s.TimeScale = d.TimeScale
+	}
+	return s
+}
+
+func (s Setup) withDefaults() Setup {
+	return s.or(Setup{Servers: 3, Workers: 4, TimeScale: cluster.DefaultTimeScale})
+}
+
+// config returns the deployment on one transport.
+func (s Setup) config(transport cluster.TransportKind, sched bool) cluster.Config {
+	s = s.withDefaults()
+	return cluster.Config{
+		Servers:          s.Servers,
+		WorkersPerServer: s.Workers,
+		Transport:        transport,
+		Scheduling:       sched,
+		TimeScale:        s.TimeScale,
+	}
 }
 
 // dbCache shares generated databases across experiments in one process.
@@ -104,39 +144,60 @@ var warmupOnce sync.Once
 // for external benchmark drivers.
 func Warmup() {
 	warmupOnce.Do(func() {
-		c, err := cluster.New(cluster.Config{
-			Servers:          2,
-			WorkersPerServer: 4,
-			Transport:        cluster.RDMA,
-			Scheduling:       true,
-			TimeScale:        1,
-		})
+		wl := Workload{SF: 0.02, Queries: []int{1, 5, 18}, Repeat: 1}
+		c, err := load(Setup{Servers: 2, TimeScale: 1}.config(cluster.RDMA, true), wl)
 		if err != nil {
 			return
 		}
 		defer c.Close()
-		c.LoadTPCH(DB(0.02, 42), false)
-		_, _ = RunOnCluster(c, Workload{SF: 0.02, Queries: []int{1, 5, 18}, Repeat: 1})
+		_, _ = RunOnCluster(c, wl)
 	})
+}
+
+// load builds a cluster from cfg and loads the workload's database.
+func load(cfg cluster.Config, w Workload) (*cluster.Cluster, error) {
+	w = w.withDefaults()
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.LoadTPCH(DB(w.SF, w.Seed), w.Partitioned)
+	return c, nil
 }
 
 // RunTPCH executes the workload's queries on a fresh cluster built from
 // cfg and tears the cluster down again.
 func RunTPCH(cfg cluster.Config, w Workload) (RunResult, error) {
-	Warmup()
-	w = w.withDefaults()
-	c, err := cluster.New(cfg)
+	res, err := RunVariants(cfg, w, plan.Options{})
 	if err != nil {
 		return RunResult{}, err
 	}
+	return res[0], nil
+}
+
+// RunVariants is RunTPCH for an A/B: one cluster is built and loaded, and
+// the workload runs on it once per plan variant, so every side sees the
+// same placements and warmed pools.
+func RunVariants(cfg cluster.Config, w Workload, variants ...plan.Options) ([]RunResult, error) {
+	Warmup()
+	c, err := load(cfg, w)
+	if err != nil {
+		return nil, err
+	}
 	defer c.Close()
-	c.LoadTPCH(DB(w.SF, w.Seed), w.Partitioned)
-	return RunOnCluster(c, w)
+	out := make([]RunResult, len(variants))
+	for i, po := range variants {
+		if out[i], err = RunOnCluster(c, w, cluster.WithPlan(po)); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // RunOnCluster executes the workload's queries on an existing, loaded
-// cluster.
-func RunOnCluster(c *cluster.Cluster, w Workload) (RunResult, error) {
+// cluster under the given run options (cluster.WithPlan for an A/B on the
+// same cluster).
+func RunOnCluster(c *cluster.Cluster, w Workload, opts ...cluster.RunOption) (RunResult, error) {
 	w = w.withDefaults()
 	res := RunResult{Times: make(map[int]time.Duration, len(w.Queries))}
 	for _, q := range w.Queries {
@@ -146,7 +207,7 @@ func RunOnCluster(c *cluster.Cluster, w Workload) (RunResult, error) {
 		}
 		var best cluster.QueryStats
 		for r := 0; r < w.Repeat; r++ {
-			_, stats, err := c.RunContext(context.Background(), qp)
+			_, stats, err := c.RunContext(context.Background(), qp, opts...)
 			if err != nil {
 				return res, fmt.Errorf("bench: q%d: %w", q, err)
 			}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"hsqp/internal/engine"
-	"hsqp/internal/exchange"
 	"hsqp/internal/fabric"
 	"hsqp/internal/memory"
 	"hsqp/internal/mux"
@@ -58,7 +57,9 @@ func (t TransportKind) String() string {
 // memory region with the HCA (§2.2.2); amortized away by pool reuse.
 const RegistrationCost = 40 * time.Microsecond
 
-// Config configures a cluster.
+// Config describes a deployment: servers, their hardware, the network
+// between them and its failure handling. What varies per query — exchange
+// model, fusion, pushdown, … — is a plan.Options passed with WithPlan.
 type Config struct {
 	Servers          int
 	Topology         *numa.Topology // per server; TwoSocket() if nil
@@ -74,29 +75,8 @@ type Config struct {
 	Scheduling bool
 	// AllocPolicy is the message-buffer allocation policy (Figure 9).
 	AllocPolicy numa.AllocPolicy
-	// Classic compiles plans in the classic exchange-operator model.
-	Classic bool
-	// Skew tunes adaptive skew handling for plan.SkewAdaptive joins (zero
-	// values select the exchange package defaults).
-	Skew exchange.SkewConfig
-	// Serial executes each server's pipelines strictly in compile order
-	// (the pre-DAG execution model) instead of scheduling the pipeline DAG
-	// on the worker pool — kept as an ablation/reference path.
-	Serial bool
-	// DisablePreAgg turns off pre-aggregation (ablation).
-	DisablePreAgg bool
-	// NoFuse disables operator fusion: filters, maps and projections run
-	// as separate batch-at-a-time operators (ablation for the fused path).
-	NoFuse bool
-	// NoPushdown disables column pruning below exchange sends (ablation
-	// for the wire-byte reduction).
-	NoPushdown  bool
 	MorselSize  int
 	MessageSize int
-	// AfterScan/AfterExchange insert extra operators into every compiled
-	// plan (competitor engine styles; see internal/competitors).
-	AfterScan     func(schema *storage.Schema) []engine.Op
-	AfterExchange func(schema *storage.Schema) []engine.Op
 	// ReplicaFactor is the default per-table replica factor recorded by
 	// LoadTable (LoadTableReplicas overrides it per table). With r ≥ 2 each
 	// partition of a chunked or hash-partitioned table exists on r servers,
@@ -135,8 +115,6 @@ type Node struct {
 	Engine *engine.Engine
 
 	transport mux.Transport
-	tcpEP     *tcp.Endpoint
-	rdmaEP    *rdma.Endpoint
 
 	// alive turns false when the server is killed or evicted.
 	alive    atomic.Bool
@@ -145,9 +123,6 @@ type Node struct {
 	mu     sync.Mutex
 	tables map[string]plan.TableInfo
 }
-
-// Alive reports whether the server has not been killed or evicted.
-func (n *Node) Alive() bool { return n.alive.Load() }
 
 // kill tears the node's runtime components down in leak-free order: the
 // multiplexer first (its stop channel unblocks senders and receivers),
@@ -234,14 +209,23 @@ func New(cfg Config) (*Cluster, error) {
 
 	c := &Cluster{cfg: cfg, catalog: map[string]*tableSpec{}}
 	nodes := make([]*Node, 0, cfg.Servers)
+	// The shells' worker pools are already running: a failed build must
+	// stop them, nobody else holds a reference.
+	closeShells := func() {
+		for _, n := range nodes {
+			n.Engine.Close()
+		}
+	}
 	for id := 0; id < cfg.Servers; id++ {
 		node, err := c.newNodeShell(id)
 		if err != nil {
+			closeShells()
 			return nil, err
 		}
 		nodes = append(nodes, node)
 	}
 	if err := c.wireMesh(nodes); err != nil {
+		closeShells()
 		return nil, err
 	}
 	c.startMesh()
@@ -299,23 +283,16 @@ func (c *Cluster) wireMesh(nodes []*Node) error {
 			return err
 		}
 		var tr mux.Transport
-		node.tcpEP, node.rdmaEP = nil, nil
 		switch c.cfg.Transport {
 		case RDMA:
-			ep := rdma.NewEndpoint(fab, id, m.RecvAlloc, m.OnRecv, m.OnInline)
-			node.rdmaEP = ep
-			tr = ep
+			tr = rdma.NewEndpoint(fab, id, m.RecvAlloc, m.OnRecv, m.OnInline)
 		case TCPoIB:
-			ep := tcp.NewEndpoint(fab, id,
+			tr = tcp.NewEndpoint(fab, id,
 				tcp.Config{Mode: tcp.ModeConnected, NICLocal: true, TunedInterrupts: true},
 				m.RecvAlloc, m.OnRecv, m.OnInline)
-			node.tcpEP = ep
-			tr = ep
 		case TCPGbE:
-			ep := tcp.NewEndpoint(fab, id, tcp.Config{Mode: tcp.ModeEthernet, Offload: true, NICLocal: true},
+			tr = tcp.NewEndpoint(fab, id, tcp.Config{Mode: tcp.ModeEthernet, Offload: true, NICLocal: true},
 				m.RecvAlloc, m.OnRecv, m.OnInline)
-			node.tcpEP = ep
-			tr = ep
 		default:
 			return fmt.Errorf("cluster: unknown transport %v", c.cfg.Transport)
 		}
@@ -552,13 +529,14 @@ func (s *QueryStats) PeakConcurrentPipelines() int {
 }
 
 // compileAll lowers the query on every listed server with the shared query
-// id and the identical exchange-id sequence. On error the exchange state
-// already opened by earlier servers is released.
-func (c *Cluster) compileAll(nodes []*Node, q *plan.Query, qid int32, cancel <-chan struct{}) ([]*plan.Compiled, error) {
+// id, the identical exchange-id sequence and the query's plan options. On
+// error the exchange state already opened by earlier servers is released.
+func (c *Cluster) compileAll(nodes []*Node, q *plan.Query, qid int32, po plan.Options, cancel <-chan struct{}) ([]*plan.Compiled, error) {
 	compiled := make([]*plan.Compiled, len(nodes))
 	for id, node := range nodes {
 		var next int32
 		env := &plan.Env{
+			Options:          po,
 			QueryID:          qid,
 			ServerID:         id,
 			Servers:          len(nodes),
@@ -568,15 +546,8 @@ func (c *Cluster) compileAll(nodes []*Node, q *plan.Query, qid int32, cancel <-c
 			Pool:             node.Pool,
 			Topo:             node.Topo,
 			Scale:            c.cfg.TimeScale,
-			Classic:          c.cfg.Classic,
-			Skew:             c.cfg.Skew,
 			Cancel:           cancel,
-			DisablePreAgg:    c.cfg.DisablePreAgg,
-			NoFuse:           c.cfg.NoFuse,
-			NoPushdown:       c.cfg.NoPushdown,
 			MorselSize:       c.cfg.MorselSize,
-			AfterScan:        c.cfg.AfterScan,
-			AfterExchange:    c.cfg.AfterExchange,
 			Lookup:           node.lookup,
 			NextExID: func() int32 {
 				next++
@@ -617,40 +588,4 @@ func (n *Node) lookup(name string) (plan.TableInfo, error) {
 		return plan.TableInfo{}, fmt.Errorf("cluster: server %d has no table %q", n.ID, name)
 	}
 	return ti, nil
-}
-
-// TCPStats aggregates TCP endpoint statistics over all nodes (zero for
-// RDMA clusters).
-func (c *Cluster) TCPStats() tcp.Stats {
-	var out tcp.Stats
-	for _, n := range c.Nodes {
-		if n.tcpEP == nil {
-			continue
-		}
-		s := n.tcpEP.Stats()
-		out.BytesSent += s.BytesSent
-		out.BytesReceived += s.BytesReceived
-		out.MsgsSent += s.MsgsSent
-		out.MsgsReceived += s.MsgsReceived
-		out.Segments += s.Segments
-		out.CPUSeconds += s.CPUSeconds
-	}
-	return out
-}
-
-// RDMAStats aggregates RDMA endpoint statistics over all nodes.
-func (c *Cluster) RDMAStats() rdma.Stats {
-	var out rdma.Stats
-	for _, n := range c.Nodes {
-		if n.rdmaEP == nil {
-			continue
-		}
-		s := n.rdmaEP.Stats()
-		out.BytesSent += s.BytesSent
-		out.BytesReceived += s.BytesReceived
-		out.MsgsSent += s.MsgsSent
-		out.MsgsReceived += s.MsgsReceived
-		out.CPUSeconds += s.CPUSeconds
-	}
-	return out
 }

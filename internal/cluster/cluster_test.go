@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"hsqp/internal/fabric"
+	"hsqp/internal/leakcheck"
 	"hsqp/internal/op"
 	"hsqp/internal/plan"
 	"hsqp/internal/storage"
@@ -66,17 +68,9 @@ func expectedGroupSums(orders *storage.Batch) map[int64]int64 {
 	return out
 }
 
-func runGroupByQuery(t *testing.T, c *Cluster) map[int64]int64 {
+func runGroupByQuery(t *testing.T, c *Cluster, opts ...RunOption) map[int64]int64 {
 	t.Helper()
-	schema := storage.NewSchema(
-		storage.Field{Name: "o_key", Type: storage.TInt64},
-		storage.Field{Name: "o_cust", Type: storage.TInt64},
-		storage.Field{Name: "o_price", Type: storage.TDecimal},
-	)
-	root := plan.Scan("orders", schema).
-		GroupBy([]string{"o_cust"},
-			op.AggSpec{Kind: op.Sum, Name: "rev", Arg: op.Col(2), ArgType: storage.TDecimal})
-	res, _, err := c.RunContext(context.Background(), plan.NewQuery("sum-by-cust", root))
+	res, _, err := c.RunContext(context.Background(), groupByQueryPlan(), opts...)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -97,13 +91,16 @@ func TestDistributedGroupBy(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					c := newTestCluster(t, servers, transport, sched)
 					c.LoadTable("orders", orders, storage.PlacementChunked, 0)
-					got := runGroupByQuery(t, c)
-					if len(got) != len(want) {
-						t.Fatalf("got %d groups, want %d", len(got), len(want))
-					}
-					for k, v := range want {
-						if got[k] != v {
-							t.Errorf("group %d: got %d want %d", k, got[k], v)
+					// Hybrid and classic exchange on the same loaded cluster.
+					for _, classic := range []bool{false, true} {
+						got := runGroupByQuery(t, c, WithPlan(plan.Options{Classic: classic}))
+						if len(got) != len(want) {
+							t.Fatalf("classic=%v: got %d groups, want %d", classic, len(got), len(want))
+						}
+						for k, v := range want {
+							if got[k] != v {
+								t.Errorf("classic=%v group %d: got %d want %d", classic, k, got[k], v)
+							}
 						}
 					}
 				})
@@ -211,30 +208,14 @@ func TestTopKDistributed(t *testing.T) {
 	}
 }
 
-func TestClassicModeGroupBy(t *testing.T) {
-	orders := testOrders(800)
-	want := expectedGroupSums(orders)
-	c, err := New(Config{
-		Servers:          3,
-		WorkersPerServer: 4,
-		Transport:        RDMA,
-		Classic:          true,
-		TimeScale:        0.01,
-		MorselSize:       64,
-		MessageSize:      8 * 1024,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
+// TestNewFailureStopsWorkerPools: a cluster that fails to wire its mesh
+// (here: an unknown transport, rejected after every node's engine already
+// started) must not leave the worker pools running.
+func TestNewFailureStopsWorkerPools(t *testing.T) {
+	if _, err := New(Config{Servers: 3, WorkersPerServer: 4, Transport: TransportKind(99)}); err == nil {
+		t.Fatal("New accepted an unknown transport")
 	}
-	defer c.Close()
-	c.LoadTable("orders", orders, storage.PlacementChunked, 0)
-	got := runGroupByQuery(t, c)
-	if len(got) != len(want) {
-		t.Fatalf("got %d groups, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("group %d: got %d want %d", k, got[k], v)
-		}
+	if err := leakcheck.Check(2 * time.Second); err != nil {
+		t.Fatalf("failed New leaked: %v", err)
 	}
 }

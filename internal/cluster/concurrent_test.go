@@ -54,7 +54,7 @@ func concurrentConformanceQueries(sf float64) []*plan.Query {
 func TestConcurrentQueriesMatchSerial(t *testing.T) {
 	const sf = 0.05
 	db := tpch.Generate(sf, 42)
-	c := newTPCHCluster(t, false)
+	c := newTPCHCluster(t)
 	c.LoadTPCH(db, false)
 
 	qs := concurrentConformanceQueries(sf)

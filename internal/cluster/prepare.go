@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 
 	"hsqp/internal/plan"
 	"hsqp/internal/storage"
@@ -24,21 +25,25 @@ type Prepared struct {
 	q      *plan.Query
 	schema *storage.Schema
 	epoch  uint64
+	// opts are the run options Prepare validated with; every execution
+	// applies them first.
+	opts []RunOption
 }
 
 // Prepare validates the query by compiling it on every server (the same
-// compile path Run uses), releases the validation run's exchange state,
-// and returns a reusable handle. The handle records the cluster epoch it
+// compile path RunContext uses, under the plan options in opts), releases
+// the validation run's exchange state, and returns a reusable handle that
+// remembers opts. The handle records the cluster epoch it
 // was prepared against; see Stale. Compilation and the epoch read happen
 // under one membership read lock, so the recorded epoch always matches
 // the placements the plan was validated against — a concurrent table load
 // either completes before the compile or after the epoch was read, never
 // in between.
-func (c *Cluster) Prepare(q *plan.Query) (*Prepared, error) {
+func (c *Cluster) Prepare(q *plan.Query, opts ...RunOption) (*Prepared, error) {
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
 	qid := c.nextQueryID.Add(1)
-	compiled, err := c.compileAll(c.Nodes, q, qid, nil)
+	compiled, err := c.compileAll(c.Nodes, q, qid, ResolveRunOptions(opts...).Plan, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +52,7 @@ func (c *Cluster) Prepare(q *plan.Query) (*Prepared, error) {
 	for _, n := range c.Nodes {
 		n.Mux.CloseQuery(qid)
 	}
-	return &Prepared{c: c, q: q, schema: compiled[0].Schema, epoch: c.Epoch()}, nil
+	return &Prepared{c: c, q: q, schema: compiled[0].Schema, epoch: c.Epoch(), opts: opts}, nil
 }
 
 // Query returns the underlying plan.
@@ -63,8 +68,10 @@ func (p *Prepared) Epoch() uint64 { return p.epoch }
 // plan cache should drop stale entries and re-prepare.
 func (p *Prepared) Stale() bool { return p.epoch != p.c.Epoch() }
 
-// RunContext executes the prepared query (Cluster.RunContext without
-// re-validation).
+// RunContext executes the prepared query under the options it was prepared
+// with, followed by opts. Every run still compiles the plan on every
+// server (exchange state is per query id); what Prepare saved is building
+// the statement, discovering its errors, and constructing its codecs.
 func (p *Prepared) RunContext(ctx context.Context, opts ...RunOption) (*storage.Batch, QueryStats, error) {
-	return p.c.RunContext(ctx, p.q, opts...)
+	return p.c.RunContext(ctx, p.q, slices.Concat(p.opts, opts)...)
 }

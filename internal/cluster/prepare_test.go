@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"strings"
 	"testing"
 
+	"hsqp/internal/plan"
 	"hsqp/internal/storage"
 )
 
@@ -83,5 +85,38 @@ func TestPrepareUnknownTable(t *testing.T) {
 		if ex != 0 || pend != 0 {
 			t.Fatalf("server %d holds %d exchanges, %d pending after failed prepare; want 0/0", n.ID, ex, pend)
 		}
+	}
+}
+
+// TestPreparedRemembersOptions: the options a statement was prepared with
+// apply to every execution of the handle, and options given at run time
+// come after them.
+func TestPreparedRemembersOptions(t *testing.T) {
+	c := newTestCluster(t, 3, RDMA, true)
+	c.LoadTable("orders", testOrders(500), storage.PlacementChunked, 0)
+	p, err := c.Prepare(groupByQueryPlan(), WithPlan(plan.Options{Classic: true}))
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	sinks := func(stats QueryStats) string {
+		var names []string
+		for _, ps := range stats.PipelineStats[1] {
+			names = append(names, ps.SinkName)
+		}
+		return strings.Join(names, ",")
+	}
+	_, stats, err := p.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sinks(stats); !strings.Contains(got, "send(classic-partition)") {
+		t.Fatalf("handle prepared with Classic ran sinks %s", got)
+	}
+	_, stats, err = p.RunContext(context.Background(), WithPlan(plan.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sinks(stats); strings.Contains(got, "classic") {
+		t.Fatalf("run-time WithPlan did not override the prepared options: sinks %s", got)
 	}
 }

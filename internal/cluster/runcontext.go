@@ -40,6 +40,10 @@ type RunOptions struct {
 	// answering from its result cache. The cluster itself has no result
 	// cache; serve consumes this option.
 	BypassResultCache bool
+	// Plan holds the query's compile-time switches (classic exchange,
+	// serial pipelines, no fusion, …); the zero value is the paper's
+	// engine. It is handed to the compiler untouched.
+	Plan plan.Options
 }
 
 // RunOption customizes one RunContext call.
@@ -64,6 +68,12 @@ func WithMaxRestarts(n int) RunOption {
 // a cached result for the statement.
 func WithBypassResultCache() RunOption {
 	return func(o *RunOptions) { o.BypassResultCache = true }
+}
+
+// WithPlan compiles this query under the given plan options. It is the
+// only way to set them: one loaded cluster serves every variant of an A/B.
+func WithPlan(po plan.Options) RunOption {
+	return func(o *RunOptions) { o.Plan = po }
 }
 
 // ResolveRunOptions applies opts over the defaults.
@@ -97,7 +107,7 @@ func (c *Cluster) RunContext(ctx context.Context, q *plan.Query, opts ...RunOpti
 	restarts := 0
 	var failoverStart time.Time
 	for {
-		res, stats, att, err := c.runAttempt(ctx, q)
+		res, stats, att, err := c.runAttempt(ctx, q, o.Plan)
 		if err == nil {
 			stats.Restarts = restarts
 			if restarts > 0 {
@@ -161,7 +171,7 @@ func (a *attempt) lost() ([]*Node, bool) {
 // runAttempt executes the query once against the current membership. It
 // holds the membership read lock for the whole attempt, so the node set,
 // table placements and epoch are stable underneath it.
-func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch, QueryStats, *attempt, error) {
+func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query, po plan.Options) (*storage.Batch, QueryStats, *attempt, error) {
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
 	nodes := append([]*Node(nil), c.Nodes...)
@@ -186,7 +196,7 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch
 	// Thread ctx through the scheduler's cancel channel.
 	defer context.AfterFunc(ctx, abort)()
 	compileStart := time.Now()
-	compiled, err := c.compileAll(nodes, q, qid, cancel)
+	compiled, err := c.compileAll(nodes, q, qid, po, cancel)
 	if err != nil {
 		return nil, QueryStats{}, att, err
 	}
@@ -219,11 +229,7 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query) (*storage.Batch
 		wg.Add(1)
 		go func(id int, node *Node) {
 			defer wg.Done()
-			g := compiled[id].Graph()
-			if c.cfg.Serial {
-				g = engine.ChainGraph(g.Pipelines)
-			}
-			st, err := node.Engine.RunGraph(g, engine.RunOptions{
+			st, err := node.Engine.RunGraph(compiled[id].Graph(), engine.RunOptions{
 				Coordinator: id == 0,
 				Cancel:      cancel,
 			})

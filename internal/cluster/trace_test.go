@@ -19,7 +19,7 @@ import (
 func TestQueryTraceCoverage(t *testing.T) {
 	const sf = 0.02
 	db := tpch.Generate(sf, 42)
-	c := newTPCHCluster(t, false)
+	c := newTPCHCluster(t)
 	c.LoadTPCH(db, false)
 
 	s := c.NewSession(SessionConfig{MaxConcurrent: 2})
@@ -102,7 +102,7 @@ func TestQueryTraceCoverage(t *testing.T) {
 func TestTraceDisabled(t *testing.T) {
 	const sf = 0.01
 	db := tpch.Generate(sf, 42)
-	c := newTPCHCluster(t, false)
+	c := newTPCHCluster(t)
 	c.LoadTPCH(db, false)
 
 	obs.SetEnabled(false)

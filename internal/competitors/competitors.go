@@ -32,6 +32,7 @@ import (
 
 	"hsqp/internal/cluster"
 	"hsqp/internal/engine"
+	"hsqp/internal/plan"
 	"hsqp/internal/ser"
 	"hsqp/internal/storage"
 )
@@ -79,36 +80,33 @@ func (s Style) Partitioned() bool {
 	return s == MemSQLStyle || s == VectorwiseStyle
 }
 
-// ClusterConfig returns the cluster configuration of a style.
-func ClusterConfig(s Style, servers int, workers int, timeScale float64) cluster.Config {
+// ClusterConfig returns a style as the deployment it runs on plus the plan
+// options its queries compile under (pass them with cluster.WithPlan).
+func ClusterConfig(s Style, servers int, workers int, timeScale float64) (cluster.Config, plan.Options) {
 	cfg := cluster.Config{
 		Servers:          servers,
 		WorkersPerServer: workers,
+		Transport:        cluster.TCPoIB,
 		TimeScale:        timeScale,
 	}
+	var po plan.Options
 	switch s {
 	case HyPerStyle:
 		cfg.Transport = cluster.RDMA
 		cfg.Scheduling = true
-	case HyPerTCPStyle:
-		cfg.Transport = cluster.TCPoIB
 	case VectorwiseStyle:
-		cfg.Transport = cluster.TCPoIB
-		cfg.Classic = true
+		po.Classic = true
 	case MemSQLStyle:
-		cfg.Transport = cluster.TCPoIB
-		cfg.AfterScan = rowEngineOps(2)
-		cfg.AfterExchange = rowEngineOps(2)
+		po.AfterScan = rowEngineOps(2)
+		po.AfterExchange = rowEngineOps(2)
 	case ImpalaStyle:
-		cfg.Transport = cluster.TCPoIB
-		cfg.AfterScan = scanDeserializeOps(4)
-		cfg.AfterExchange = rowEngineOps(4)
+		po.AfterScan = scanDeserializeOps(4)
+		po.AfterExchange = rowEngineOps(4)
 	case SparkSQLStyle:
-		cfg.Transport = cluster.TCPoIB
-		cfg.AfterScan = rowEngineOps(10)
-		cfg.AfterExchange = rowEngineOps(10)
+		po.AfterScan = rowEngineOps(10)
+		po.AfterExchange = rowEngineOps(10)
 	}
-	return cfg
+	return cfg, po
 }
 
 // rowEngineOps returns an operator factory that pulls every tuple through

@@ -53,7 +53,7 @@ func TestScanDeserializerPreservesData(t *testing.T) {
 
 func TestStyleConfigs(t *testing.T) {
 	for _, s := range append(Styles(), HyPerTCPStyle) {
-		cfg := ClusterConfig(s, 2, 2, 0.001)
+		cfg, po := ClusterConfig(s, 2, 2, 0.001)
 		if cfg.Servers != 2 {
 			t.Fatalf("%v: servers", s)
 		}
@@ -63,10 +63,10 @@ func TestStyleConfigs(t *testing.T) {
 		if s != HyPerStyle && cfg.Transport == cluster.RDMA {
 			t.Fatalf("%v must not use RDMA", s)
 		}
-		if s == VectorwiseStyle && !cfg.Classic {
+		if s == VectorwiseStyle && !po.Classic {
 			t.Fatal("Vectorwise style must use classic exchange operators")
 		}
-		if (s == SparkSQLStyle || s == ImpalaStyle || s == MemSQLStyle) && cfg.AfterScan == nil {
+		if (s == SparkSQLStyle || s == ImpalaStyle || s == MemSQLStyle) && po.AfterScan == nil {
 			t.Fatalf("%v must add scan overhead", s)
 		}
 	}
@@ -87,14 +87,14 @@ func TestStylesStillCorrect(t *testing.T) {
 		want += ref.Cols[qty].I64[i]
 	}
 	for _, s := range []Style{SparkSQLStyle, ImpalaStyle, HyPerStyle} {
-		cfg := ClusterConfig(s, 2, 2, 0.001)
+		cfg, po := ClusterConfig(s, 2, 2, 0.001)
 		c, err := cluster.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.LoadTPCH(db, s.Partitioned())
 		q := sumQuantityQuery()
-		res, _, err := c.RunContext(context.Background(), q)
+		res, _, err := c.RunContext(context.Background(), q, cluster.WithPlan(po))
 		if err != nil {
 			c.Close()
 			t.Fatalf("%v: %v", s, err)

@@ -105,17 +105,9 @@ func newScheduler(g *Graph, isCoordinator bool, notify func(all bool)) *schedule
 	s.remaining = len(s.nodes)
 
 	s.mu.Lock()
-	// Skipped pipelines complete immediately (without finalizing their
-	// sink) so their dependents unblock.
 	for i := range s.nodes {
-		if s.nodes[i].skipped {
-			s.completeLocked(i, nil)
-		}
-	}
-	for i := range s.nodes {
-		n := &s.nodes[i]
-		if n.state == psBlocked && n.deps == 0 {
-			n.state = psRunnable
+		if n := &s.nodes[i]; n.state == psBlocked && n.deps == 0 {
+			s.readyLocked(i)
 		}
 	}
 	if s.remaining == 0 && !s.finished {
@@ -360,6 +352,19 @@ func safeFinalize(p *Pipeline, w *Worker) (err error) {
 	return p.Sink.Finalize()
 }
 
+// readyLocked is called when pipeline i's last dependency completed: it
+// becomes runnable, or — skipped on this server — completes on the spot
+// (without finalizing its sink). A skipped pipeline must not complete any
+// earlier: its dependents transitively wait for its dependencies, which is
+// what keeps a ChainGraph in order across a coordinator-only pipeline.
+func (s *scheduler) readyLocked(i int) {
+	if s.nodes[i].skipped {
+		s.completeLocked(i, nil)
+		return
+	}
+	s.nodes[i].state = psRunnable
+}
+
 // completeLocked marks pipeline i done and unlocks its dependents.
 func (s *scheduler) completeLocked(i int, err error) {
 	n := &s.nodes[i]
@@ -373,7 +378,7 @@ func (s *scheduler) completeLocked(i int, err error) {
 		dn := &s.nodes[d]
 		dn.deps--
 		if dn.state == psBlocked && dn.deps == 0 && !s.aborted {
-			dn.state = psRunnable
+			s.readyLocked(d)
 		}
 	}
 	if s.remaining == 0 || (s.aborted && s.inFlight == 0) {

@@ -78,6 +78,34 @@ func TestDAGDependencyOrdering(t *testing.T) {
 	}
 }
 
+// TestSkippedPipelineKeepsChainOrder: on a non-coordinator a
+// coordinator-only pipeline is skipped, but what depends on it still waits
+// for what it depended on — a ChainGraph stays in order across the gap.
+func TestSkippedPipelineKeepsChainOrder(t *testing.T) {
+	e := newTestEngine(t, 6)
+	for round := 0; round < 20; round++ {
+		var gate atomic.Bool
+		first := &Pipeline{
+			Name:   "first",
+			Source: &countSource{left: 50, b: smallBatch()},
+			Sink:   &gateSink{gate: &gate},
+		}
+		merge := &Pipeline{Name: "merge", Source: &countSource{}, Sink: &countSink{}, CoordinatorOnly: true}
+		lastSrc := &guardedSource{inner: &countSource{left: 5, b: smallBatch()}, gate: &gate}
+		last := &Pipeline{Name: "last", Source: lastSrc, Sink: &countSink{}}
+		stats, err := e.RunGraph(ChainGraph([]*Pipeline{first, merge, last}), RunOptions{Coordinator: false})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats[1].Skipped {
+			t.Fatal("coordinator-only pipeline ran on a non-coordinator")
+		}
+		if lastSrc.violated.Load() {
+			t.Fatal("pipeline after the skipped one started before the pipeline before it finalized")
+		}
+	}
+}
+
 // socketSource hands out morsels only to (or preferentially reports local
 // work for) one socket, to steer the scheduler's first-pass choice.
 type socketSource struct {

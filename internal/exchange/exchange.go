@@ -131,7 +131,6 @@ type Send struct {
 
 	lastNode   atomic.Int32 // node of the most recent consuming worker
 	tuplesSent atomic.Uint64
-	hotTuples  atomic.Uint64 // tuples routed via the hot-key path
 	bytesSent  atomic.Uint64 // wire bytes (header + payload) handed to the mux
 }
 
@@ -171,13 +170,6 @@ func NewSend(cfg SendConfig) *Send {
 	}
 	return s
 }
-
-// TuplesSent reports how many tuples passed through the operator.
-func (s *Send) TuplesSent() uint64 { return s.tuplesSent.Load() }
-
-// HotTuples reports how many tuples took the hot-key route (stayed local
-// on the probe side, selective-broadcast on the build side).
-func (s *Send) HotTuples() uint64 { return s.hotTuples.Load() }
 
 // BytesSent reports the exact wire bytes (headers + payload, including
 // loopback partitions to this server and Last markers) this exchange put
@@ -242,7 +234,6 @@ func (s *Send) flushHeld(st *workerSendState, node numa.Node) {
 // destination stream, dispatching messages as they fill up.
 func (s *Send) routeBatch(st *workerSendState, node numa.Node, b *storage.Batch) {
 	n := b.Rows()
-	var hot uint64 // tallied locally; one shared atomic add per batch
 	for i := 0; i < n; i++ {
 		unit := 0
 		switch s.cfg.Mode {
@@ -258,7 +249,6 @@ func (s *Send) routeBatch(st *workerSendState, node numa.Node, b *storage.Batch)
 				// origin server is correct and spreads the heavy key over
 				// all servers instead of one owner.
 				unit = s.cfg.Mux.ServerID()
-				hot++
 			} else {
 				unit = storage.PartitionOf(h, s.cfg.Servers)
 			}
@@ -266,7 +256,6 @@ func (s *Send) routeBatch(st *workerSendState, node numa.Node, b *storage.Batch)
 			h := storage.HashRow(b, s.cfg.Keys, i)
 			if s.cfg.Skew.Hot(h) {
 				unit = s.units - 1 // selective-broadcast stream
-				hot++
 			} else {
 				unit = storage.PartitionOf(h, s.cfg.Servers)
 			}
@@ -292,9 +281,6 @@ func (s *Send) routeBatch(st *workerSendState, node numa.Node, b *storage.Batch)
 		if s.cfg.Topo != nil {
 			s.cfg.Topo.Charge(node, msg.Node, len(msg.Content)-before, s.cfg.Scale)
 		}
-	}
-	if hot > 0 {
-		s.hotTuples.Add(hot)
 	}
 }
 
@@ -461,8 +447,6 @@ type Source struct {
 	// Classic makes workers consume only their fixed partition.
 	Classic bool
 
-	tuplesRecv atomic.Uint64
-
 	failMu  sync.Mutex
 	failure error
 }
@@ -560,12 +544,8 @@ func (src *Source) decode(w *engine.Worker, msg *memory.Message) *storage.Batch 
 		return nil
 	}
 	msg.Release()
-	src.tuplesRecv.Add(uint64(b.Rows()))
 	if b.Rows() == 0 {
 		return nil
 	}
 	return b
 }
-
-// TuplesReceived reports how many tuples were deserialized.
-func (src *Source) TuplesReceived() uint64 { return src.tuplesRecv.Load() }

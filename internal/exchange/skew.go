@@ -281,9 +281,6 @@ func (c *SkewCoord) drainAborted() {
 // Ready reports whether the cluster-wide hot set has been published.
 func (c *SkewCoord) Ready() bool { return c.readyFlag.Load() }
 
-// ReadyCh is closed when the hot set is published.
-func (c *SkewCoord) ReadyCh() <-chan struct{} { return c.ready }
-
 // WaitReady blocks until the hot set is published or the query is
 // cancelled.
 func (c *SkewCoord) WaitReady() error {

@@ -100,30 +100,22 @@ type Config struct {
 	Ports int
 	// Rate is the per-link data rate in simulated bytes/second.
 	Rate Rate
-	// Latency is the simulated one-way latency. Zero means LatencyOf(Rate).
-	Latency time.Duration
 	// TimeScale converts simulated seconds to wall-clock seconds
 	// (wall = sim × TimeScale). Zero means 1.0.
 	TimeScale float64
-	// Credits is the number of ingress buffer slots per port. Zero means 4.
-	Credits int
-	// EgressQueue is the per-sender FIFO depth. Zero means 64.
-	EgressQueue int
 }
+
+const (
+	// credits is the number of ingress buffer slots per port.
+	credits = 4
+	// egressQueue is the per-sender FIFO depth.
+	egressQueue = 64
+)
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.Latency == 0 {
-		out.Latency = LatencyOf(out.Rate)
-	}
 	if out.TimeScale == 0 {
 		out.TimeScale = 1.0
-	}
-	if out.Credits == 0 {
-		out.Credits = 4
-	}
-	if out.EgressQueue == 0 {
-		out.EgressQueue = 64
 	}
 	return out
 }
@@ -174,8 +166,8 @@ func New(cfg Config) (*Fabric, error) {
 		stopCh:      make(chan struct{}),
 	}
 	for i := 0; i < c.Ports; i++ {
-		f.egress[i] = make(chan *Message, c.EgressQueue)
-		f.ingress[i] = make(chan *Message, c.Credits)
+		f.egress[i] = make(chan *Message, egressQueue)
+		f.ingress[i] = make(chan *Message, credits)
 		f.epace[i] = newPacer(float64(c.Rate), c.TimeScale)
 		f.ipace[i] = newPacer(float64(c.Rate), c.TimeScale)
 	}
@@ -237,21 +229,6 @@ func (f *Fabric) Send(m *Message) {
 	}
 }
 
-// TrySend is a non-blocking Send. It reports whether the message was
-// queued.
-func (f *Fabric) TrySend(m *Message) bool {
-	if m.Src == m.Dst {
-		f.deliver(m)
-		return true
-	}
-	select {
-	case f.egress[m.Src] <- m:
-		return true
-	default:
-		return false
-	}
-}
-
 // SetPartitioned cuts port off from (or reconnects it to) the switch.
 // While partitioned, every non-loopback message to or from the port —
 // inline barriers and probes included — is silently dropped at the switch,
@@ -275,12 +252,6 @@ func (f *Fabric) BytesDelivered() uint64 { return f.bytesDelivered.Load() }
 
 // MessagesDelivered returns the number of messages delivered so far.
 func (f *Fabric) MessagesDelivered() uint64 { return f.msgsDelivered.Load() }
-
-// ResetCounters zeroes the delivery counters.
-func (f *Fabric) ResetCounters() {
-	f.bytesDelivered.Store(0)
-	f.msgsDelivered.Store(0)
-}
 
 // egressPump serializes a host's outgoing messages onto its uplink, then
 // forwards to the target ingress port. The forward blocks when the target
@@ -314,7 +285,7 @@ func (f *Fabric) egressPump(port int) {
 // delivers them to the sink.
 func (f *Fabric) ingressPump(port int) {
 	defer f.wg.Done()
-	lat := time.Duration(float64(f.cfg.Latency) * f.cfg.TimeScale)
+	lat := time.Duration(float64(LatencyOf(f.cfg.Rate)) * f.cfg.TimeScale)
 	for {
 		select {
 		case m := <-f.ingress[port]:

@@ -28,10 +28,3 @@ func (v *Violation) Error() string { return v.Msg }
 func Failf(format string, args ...any) {
 	panic(&Violation{Msg: fmt.Sprintf(format, args...)})
 }
-
-// AsViolation extracts the *Violation from a recovered panic value, if
-// it is one.
-func AsViolation(r any) (*Violation, bool) {
-	v, ok := r.(*Violation)
-	return v, ok
-}

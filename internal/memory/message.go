@@ -87,9 +87,6 @@ func (m *Message) Release() {
 	}
 }
 
-// RefCount returns the current retain count (for tests).
-func (m *Message) RefCount() int32 { return m.retain.Load() }
-
 // Reset clears the wire part for reuse.
 func (m *Message) Reset() {
 	m.QueryID = 0

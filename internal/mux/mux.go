@@ -51,12 +51,15 @@ type Config struct {
 	Topology   *numa.Topology
 	Pool       *memory.Pool
 	Scheduling bool // round-robin network scheduling on/off
-	// SendQueue is the per-destination queue depth. Zero means 32.
-	SendQueue int
-	// IdleSleep throttles the schedule loop when a whole round moved no
-	// data. Zero means 200µs.
-	IdleSleep time.Duration
 }
+
+const (
+	// sendQueue is the per-destination queue depth.
+	sendQueue = 32
+	// idleSleep throttles the schedule loop when a whole round moved no
+	// data.
+	idleSleep = 200 * time.Microsecond
+)
 
 // Stats reports multiplexer activity.
 type Stats struct {
@@ -144,12 +147,6 @@ func New(cfg Config) (*Mux, error) {
 	if cfg.Pool == nil || cfg.Topology == nil {
 		return nil, fmt.Errorf("mux: pool and topology are required")
 	}
-	if cfg.SendQueue == 0 {
-		cfg.SendQueue = 32
-	}
-	if cfg.IdleSleep == 0 {
-		cfg.IdleSleep = 200 * time.Microsecond
-	}
 	sc, err := sched.New(cfg.Servers)
 	if err != nil {
 		return nil, err
@@ -169,7 +166,7 @@ func New(cfg Config) (*Mux, error) {
 	}
 	m.inlineCond = sync.NewCond(&m.inlineMu)
 	for i := range m.sendQ {
-		m.sendQ[i] = make(chan *memory.Message, cfg.SendQueue)
+		m.sendQ[i] = make(chan *memory.Message, sendQueue)
 	}
 	return m, nil
 }
@@ -511,7 +508,7 @@ func (m *Mux) eagerLoop() {
 			case <-m.stopCh:
 				return
 			case <-m.wakeCh:
-			case <-time.After(m.cfg.IdleSleep):
+			case <-time.After(idleSleep):
 			}
 		} else {
 			select {
@@ -567,7 +564,7 @@ func (m *Mux) scheduledLoop() {
 			case <-m.stopCh:
 				return
 			case <-m.wakeCh:
-			case <-time.After(m.cfg.IdleSleep):
+			case <-time.After(idleSleep):
 			}
 		}
 	}

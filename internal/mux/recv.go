@@ -234,13 +234,6 @@ func (ex *ExchangeRecv) Drained() bool {
 	return ex.remaining == 0 && ex.queued == 0
 }
 
-// ReceivedCount returns the number of messages delivered so far.
-func (ex *ExchangeRecv) ReceivedCount() uint64 {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	return ex.received
-}
-
 // StolenCount returns the number of messages consumed from a remote
 // socket's queue.
 func (ex *ExchangeRecv) StolenCount() uint64 {

@@ -163,24 +163,10 @@ func I64EQ(c int, v int64) Pred {
 	return func(b *storage.Batch, i int) bool { return b.Cols[c].I64[i] == v }
 }
 
-// ColEQ holds when two int64-backed columns are equal.
-func ColEQ(a, b int) Pred {
-	return func(batch *storage.Batch, i int) bool {
-		return batch.Cols[a].I64[i] == batch.Cols[b].I64[i]
-	}
-}
-
 // ColLT holds when col a < col b (int64-backed).
 func ColLT(a, b int) Pred {
 	return func(batch *storage.Batch, i int) bool {
 		return batch.Cols[a].I64[i] < batch.Cols[b].I64[i]
-	}
-}
-
-// ColNE holds when col a ≠ col b (int64-backed).
-func ColNE(a, b int) Pred {
-	return func(batch *storage.Batch, i int) bool {
-		return batch.Cols[a].I64[i] != batch.Cols[b].I64[i]
 	}
 }
 

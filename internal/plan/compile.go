@@ -24,8 +24,42 @@ type TableInfo struct {
 	Replicated bool
 }
 
+// Options are the compile-time switches of one query: what the paper's
+// evaluation varies over a fixed deployment (hybrid vs classic exchange in
+// Figure 2, pre-aggregation in Figure 6(c), competitor engine styles in
+// §4.3). The zero value is the paper's engine. They are set per query
+// (cluster.WithPlan) and declared nowhere else.
+type Options struct {
+	// Classic compiles exchanges in the classic exchange-operator model
+	// (n×t fixed parallel units, Figure 2 baseline).
+	Classic bool
+	// Skew tunes adaptive skew handling for SkewAdaptive joins (zero
+	// values select the exchange package defaults).
+	Skew exchange.SkewConfig
+	// Serial executes each server's pipelines strictly in compile order
+	// (the pre-DAG execution model) instead of scheduling the pipeline DAG
+	// on the worker pool — kept as a reference path.
+	Serial bool
+	// DisablePreAgg turns off pre-aggregation before group-by exchanges.
+	DisablePreAgg bool
+	// NoFuse compiles filters/maps/projections as separate batch-at-a-time
+	// operators instead of fusing adjacent runs into op.FusedStage.
+	NoFuse bool
+	// NoPushdown disables join-input column pruning below exchange sends
+	// (the wire-byte reduction).
+	NoPushdown bool
+	// AfterScan, if set, returns extra operators inserted after every base
+	// relation scan (competitor engine styles model scan-time
+	// deserialization and row-at-a-time interpretation here).
+	AfterScan func(schema *storage.Schema) []engine.Op
+	// AfterExchange, if set, returns extra operators inserted after every
+	// receive-side exchange.
+	AfterExchange func(schema *storage.Schema) []engine.Op
+}
+
 // Env is the per-server compilation environment.
 type Env struct {
+	Options
 	// QueryID is the cluster-wide id of the query being compiled; it is
 	// stamped into every exchange the plan opens so the multiplexer can
 	// route concurrent queries' messages on (QueryID, ExchangeID).
@@ -38,25 +72,9 @@ type Env struct {
 	Pool             *memory.Pool
 	Topo             *numa.Topology
 	Scale            float64
-	// Classic compiles exchanges in the classic exchange-operator model
-	// (n×t fixed parallel units, Figure 2 baseline).
-	Classic bool
-	// Skew tunes adaptive skew handling for SkewAdaptive joins (zero
-	// values select the exchange package defaults).
-	Skew exchange.SkewConfig
 	// Cancel, when closed, aborts in-flight skew decisions so a failing
 	// query cannot deadlock a send finalize waiting for remote sketches.
 	Cancel <-chan struct{}
-	// DisablePreAgg turns off pre-aggregation before group-by exchanges
-	// (ablation).
-	DisablePreAgg bool
-	// NoFuse compiles filters/maps/projections as separate batch-at-a-time
-	// operators instead of fusing adjacent runs into op.FusedStage
-	// (ablation for the single-pass hot path).
-	NoFuse bool
-	// NoPushdown disables join-input column pruning below exchange sends
-	// (ablation for the wire-byte reduction).
-	NoPushdown bool
 	// Lookup resolves a table name.
 	Lookup func(name string) (TableInfo, error)
 	// NextExID allocates globally consistent exchange ids; every server
@@ -64,13 +82,6 @@ type Env struct {
 	NextExID func() int32
 	// MorselSize for splitting materialized intermediates.
 	MorselSize int
-	// AfterScan, if set, returns extra operators inserted after every base
-	// relation scan (competitor engine styles model scan-time
-	// deserialization and row-at-a-time interpretation here).
-	AfterScan func(schema *storage.Schema) []engine.Op
-	// AfterExchange, if set, returns extra operators inserted after every
-	// receive-side exchange.
-	AfterExchange func(schema *storage.Schema) []engine.Op
 }
 
 // stream is a partially compiled dataflow: a source plus pending operators.
@@ -109,10 +120,16 @@ type Compiled struct {
 	// Result collects the final rows (only populated on the coordinator).
 	Result *op.Collector
 	Schema *storage.Schema
+	// serial is Options.Serial: Graph chains the pipelines in compile order.
+	serial bool
 }
 
-// Graph returns the executable pipeline DAG.
+// Graph returns the executable pipeline DAG — or, under Options.Serial,
+// the chain that runs the same pipelines one after another.
 func (c *Compiled) Graph() *engine.Graph {
+	if c.serial {
+		return engine.ChainGraph(c.Pipelines)
+	}
 	return &engine.Graph{Pipelines: c.Pipelines, Deps: c.Deps}
 }
 
@@ -150,7 +167,7 @@ func Compile(q *Query, env *Env) (*Compiled, error) {
 			CoordinatorOnly: true,
 		}, gathered.deps)
 	}
-	return &Compiled{Pipelines: c.pipe, Deps: c.deps, Result: res, Schema: q.Root.Schema()}, nil
+	return &Compiled{Pipelines: c.pipe, Deps: c.deps, Result: res, Schema: q.Root.Schema(), serial: env.Serial}, nil
 }
 
 // add appends a pipeline with its dependency edges and returns its index.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hsqp/internal/cluster"
+	"hsqp/internal/plan"
 	"hsqp/internal/ref"
 	"hsqp/internal/storage"
 	"hsqp/internal/tpch"
@@ -125,13 +126,12 @@ func headRef(rows []ref.Row) string {
 	return formatRow(rows[0])
 }
 
-func newCluster(t testing.TB, servers int, classic bool) *cluster.Cluster {
+func newCluster(t testing.TB, servers int) *cluster.Cluster {
 	c, err := cluster.New(cluster.Config{
 		Servers:          servers,
 		WorkersPerServer: 4,
 		Transport:        cluster.RDMA,
 		Scheduling:       true,
-		Classic:          classic,
 		TimeScale:        0.005, // conformance tests: network nearly free
 		MorselSize:       4096,
 		MessageSize:      64 * 1024,
@@ -143,28 +143,119 @@ func newCluster(t testing.TB, servers int, classic bool) *cluster.Cluster {
 	return c
 }
 
-func runConformance(t *testing.T, servers int, partitioned, classic bool) {
-	db := getDB()
-	c := newCluster(t, servers, classic)
-	c.LoadTPCH(db, partitioned)
-	for _, q := range All() {
-		q := q
-		t.Run(fmt.Sprintf("q%02d", q), func(t *testing.T) {
-			plan := MustBuild(q, Params{SF: testSF})
-			got, _, err := c.RunContext(context.Background(), plan)
-			if err != nil {
-				t.Fatalf("q%d: %v", q, err)
+var refResults sync.Map // query number -> *ref.Result
+
+// refResult returns (and caches) the reference engine's answer to q: the
+// matrix asks for each one once per ablation.
+func refResult(t *testing.T, q int) *ref.Result {
+	t.Helper()
+	if r, ok := refResults.Load(q); ok {
+		return r.(*ref.Result)
+	}
+	want, err := ref.Run(q, getDB(), testSF)
+	if err != nil {
+		t.Fatalf("ref q%d: %v", q, err)
+	}
+	refResults.Store(q, want)
+	return want
+}
+
+// ablation is one row of the conformance matrix.
+type ablation struct {
+	name string
+	opts plan.Options
+}
+
+// ablations are every way a query's plan.Options can differ from the
+// paper's engine (the first row).
+var ablations = []ablation{
+	{"default", plan.Options{}},
+	{"classic", plan.Options{Classic: true}},
+	{"serial", plan.Options{Serial: true}},
+	{"no-preagg", plan.Options{DisablePreAgg: true}},
+	{"nofuse", plan.Options{NoFuse: true}},
+	{"nopushdown", plan.Options{NoPushdown: true}},
+	{"nofuse+nopushdown", plan.Options{NoFuse: true, NoPushdown: true}},
+}
+
+// runConformance is the conformance floor: every given ablation × every
+// query returns the rows of internal/ref, on one loaded cluster — the
+// ablations are per-query options, so they share placements, pools and
+// mesh. The explain-analyze output of every run must profile its operators.
+func runConformance(t *testing.T, servers int, partitioned bool, rows []ablation) {
+	c := newCluster(t, servers)
+	c.LoadTPCH(getDB(), partitioned)
+	for _, a := range rows {
+		a := a
+		t.Run(a.name, func(t *testing.T) {
+			for _, q := range All() {
+				q := q
+				t.Run(fmt.Sprintf("q%02d", q), func(t *testing.T) {
+					qp := MustBuild(q, Params{SF: testSF})
+					got, stats, err := c.RunContext(context.Background(), qp, cluster.WithPlan(a.opts))
+					if err != nil {
+						t.Fatalf("q%d: %v", q, err)
+					}
+					compareResults(t, q, got, refResult(t, q))
+					ea := plan.ExplainAnalyze(qp, stats.PipelineStats)
+					if !strings.Contains(ea, "rows in=") || !strings.Contains(ea, "time=") {
+						t.Fatalf("q%d: explain analyze lacks per-operator rows/time:\n%s", q, ea)
+					}
+					if a.opts.Serial && stats.MaxOverlap() != 0 {
+						t.Fatalf("q%d: serial run reports overlap %v, want 0", q, stats.MaxOverlap())
+					}
+				})
 			}
-			want, err := ref.Run(q, db, testSF)
-			if err != nil {
-				t.Fatalf("ref q%d: %v", q, err)
-			}
-			compareResults(t, q, got, want)
 		})
 	}
 }
 
-func TestTPCHSingleServer(t *testing.T)           { runConformance(t, 1, false, false) }
-func TestTPCHDistributedChunked(t *testing.T)     { runConformance(t, 3, false, false) }
-func TestTPCHDistributedPartitioned(t *testing.T) { runConformance(t, 3, true, false) }
-func TestTPCHClassicExchange(t *testing.T)        { runConformance(t, 3, false, true) }
+func TestTPCHSingleServer(t *testing.T)           { runConformance(t, 1, false, ablations[:1]) }
+func TestTPCHDistributedChunked(t *testing.T)     { runConformance(t, 3, false, ablations) }
+func TestTPCHDistributedPartitioned(t *testing.T) { runConformance(t, 3, true, ablations) }
+
+// TestMixedOptionsConcurrently is what per-query options newly allow: a
+// classic and a hybrid compilation of the same statements run at the same
+// time on one cluster. Both must return the reference rows and leave no
+// routing state behind on any multiplexer.
+func TestMixedOptionsConcurrently(t *testing.T) {
+	c := newCluster(t, 3)
+	c.LoadTPCH(getDB(), false)
+	stmts := []int{3, 5, 12, 18}
+	for _, q := range stmts {
+		refResult(t, q) // fill the cache on the test goroutine
+	}
+	variants := []plan.Options{{}, {Classic: true}}
+	got := make([][]*storage.Batch, len(variants))
+	errs := make([]error, len(variants))
+	var wg sync.WaitGroup
+	for v, po := range variants {
+		got[v] = make([]*storage.Batch, len(stmts))
+		wg.Add(1)
+		go func(v int, po plan.Options) {
+			defer wg.Done()
+			for i, q := range stmts {
+				res, _, err := c.RunContext(context.Background(), MustBuild(q, Params{SF: testSF}), cluster.WithPlan(po))
+				if err != nil {
+					errs[v] = fmt.Errorf("q%d: %w", q, err)
+					return
+				}
+				got[v][i] = res
+			}
+		}(v, po)
+	}
+	wg.Wait()
+	for v := range variants {
+		if errs[v] != nil {
+			t.Fatalf("variant %d: %v", v, errs[v])
+		}
+		for i, q := range stmts {
+			compareResults(t, q, got[v][i], refResult(t, q))
+		}
+	}
+	for _, n := range c.Nodes {
+		if ex, pend := n.Mux.TableSizes(); ex != 0 || pend != 0 {
+			t.Fatalf("server %d holds %d exchanges, %d pending entries after mixed runs; want 0/0", n.ID, ex, pend)
+		}
+	}
+}

@@ -1,3 +1,6 @@
+// Package sim is the chaos harness: a FaultInjector arms one fault (kill,
+// hang or network partition of a server) and fires it when a query reaches
+// a chosen lifecycle phase.
 package sim
 
 import (

@@ -116,15 +116,13 @@ type Config struct {
 	// interrupt handler (§2.1.2), removing the soft-IRQ share from the
 	// receive path at the price of occupying a second core.
 	TunedInterrupts bool
-	// SocketBuffer is the receive socket buffer size in bytes (backlog
-	// before backpressure). Zero means 4 MB.
-	SocketBuffer int
 }
 
+// socketBuffer is the receive socket buffer size in bytes (backlog before
+// backpressure).
+const socketBuffer = 4 << 20
+
 func (c Config) withDefaults() Config {
-	if c.SocketBuffer == 0 {
-		c.SocketBuffer = 4 << 20
-	}
 	if c.Mode == ModeConnected {
 		c.Offload = false // not supported in connected mode (RFC 4755)
 	}
@@ -199,7 +197,7 @@ func NewEndpoint(fab *fabric.Fabric, port int, cfg Config,
 		onRecv:    onRecv,
 		onInline:  onInline,
 		scale:     fab.Config().TimeScale,
-		recvQ:     make(chan *fabric.Message, max(1, c.SocketBuffer/(64*1024))),
+		recvQ:     make(chan *fabric.Message, socketBuffer/(64*1024)),
 		stopCh:    make(chan struct{}),
 	}
 	fab.RegisterSink(port, ep.sink)
