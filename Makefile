@@ -23,10 +23,11 @@ lint:
 fmt:
 	gofmt -l -w .
 
-# Replay the wire-format fuzz seed corpus under the race detector,
-# mirroring the CI race matrix.
+# Replay the wire-format and serving-protocol fuzz seed corpora under the
+# race detector, mirroring the CI race matrix.
 fuzz-seed:
 	$(GO) test -race ./internal/ser -run '^FuzzCodecRoundTrip$$'
+	$(GO) test -race ./internal/serve -run '^FuzzServeFrames$$'
 
 # Non-test Go lines outside benchmark/ and the linter's testdata: the
 # number CHANGES.md reports before and after a simplification.

@@ -300,8 +300,6 @@ func cmdClient(args []string) error {
 				path = "shared"
 			case st.ResultHit:
 				path = "result-cache hit"
-			case st.PlanHit:
-				path = "plan-cache hit"
 			}
 			pathTally[path]++
 			requests++

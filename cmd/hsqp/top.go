@@ -102,12 +102,10 @@ func render(w io.Writer, cur, prev *obs.SampleSet, dt time.Duration) {
 		fmt.Fprintf(w, "workers %.0f\n", workers)
 	}
 
-	planHits, planMisses := cur.Sum("hsqp_serve_plancache_hits_total"), cur.Sum("hsqp_serve_plancache_misses_total")
 	resHits := cur.Sum("hsqp_serve_resultcache_hits_total")
 	resShared := cur.Sum("hsqp_serve_resultcache_shared_total")
 	resMisses := cur.Sum("hsqp_serve_resultcache_misses_total")
-	fmt.Fprintf(w, "plan cache %s   result cache %s (%.0f shared)\n",
-		hitRate(planHits, planMisses), hitRate(resHits+resShared, resMisses), resShared)
+	fmt.Fprintf(w, "result cache %s (%.0f shared)\n", hitRate(resHits+resShared, resMisses), resShared)
 
 	tenants := cur.LabelValues("hsqp_serve_qos_served_total", "tenant")
 	sort.Strings(tenants)

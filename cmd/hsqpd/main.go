@@ -1,7 +1,7 @@
 // Command hsqpd is the serving daemon: it boots a simulated cluster, loads
 // TPC-H, and serves queries over TCP using the hsqp wire protocol — with a
-// compiled-plan cache, a single-flight result cache and per-tenant
-// weighted-fair admission.
+// single-flight result cache and per-tenant weighted-fair admission. Every
+// request that executes builds and compiles its statement.
 //
 // Usage:
 //
@@ -109,7 +109,6 @@ func run(args []string) error {
 	tenants := fs.String("tenants", "", "tenant weights, e.g. heavy:4,light:1 (others get weight 1)")
 	slots := fs.Int("slots", cluster.DefaultMaxConcurrent, "concurrent execution slots")
 	maxQueued := fs.Int("maxqueued", serve.DefaultMaxQueued, "admission queue bound per tenant")
-	planEntries := fs.Int("plancache", serve.DefaultPlanCacheEntries, "plan cache entries")
 	resultMB := fs.Int64("resultcache", serve.DefaultResultCacheBytes>>20, "result cache budget in MiB (0 disables)")
 	metricsAddr := fs.String("metrics-addr", "", "HTTP listen address for /metrics and /debug/pprof/ (empty disables)")
 	slowQuery := fs.Duration("slowquery", 0, "log requests slower than this threshold (0 disables)")
@@ -164,7 +163,6 @@ func run(args []string) error {
 		Tenants:            weights,
 		Slots:              *slots,
 		MaxQueuedPerTenant: *maxQueued,
-		PlanCacheEntries:   *planEntries,
 		ResultCacheBytes:   *resultMB << 20,
 		DisableResultCache: *resultMB == 0,
 		SlowQueryThreshold: *slowQuery,
@@ -216,8 +214,7 @@ func run(args []string) error {
 		}
 		tab.Fprint(os.Stdout)
 	}
-	pc, rc := srv.PlanCacheStats(), srv.ResultCacheStats()
-	fmt.Printf("hsqpd: plan cache %d/%d hit, result cache %d hit / %d shared / %d miss; bye\n",
-		pc.Hits, pc.Hits+pc.Misses, rc.Hits, rc.Shared, rc.Misses)
+	rc := srv.ResultCacheStats()
+	fmt.Printf("hsqpd: result cache %d hit / %d shared / %d miss; bye\n", rc.Hits, rc.Shared, rc.Misses)
 	return nil
 }

@@ -1,7 +1,7 @@
 // Serving over the network: stand up the hsqpd serving tier on a loopback
-// socket in-process, then walk one statement through its three latency
-// paths — cold (plan build + per-server compile + execution), plan-cache
-// hit (execution on a cached prepared plan) and result-cache hit (encoded
+// socket in-process, then walk one statement through its two latency paths
+// — executed (statement build + per-server compile + execution, the same
+// on the first request and on every repeat) and result-cache hit (encoded
 // bytes, no execution at all) — plus a prepared-statement round trip and
 // the per-tenant QoS snapshot.
 package main
@@ -31,8 +31,8 @@ func main() {
 	fmt.Printf("loading TPC-H SF %g over 3 servers…\n", sf)
 	c.LoadTPCH(hsqp.GenerateTPCH(sf, 42), false)
 
-	// The serving tier wraps the cluster: wire protocol, compiled-plan
-	// cache, single-flight result cache and weighted-fair admission.
+	// The serving tier wraps the cluster: wire protocol, single-flight
+	// result cache and weighted-fair admission.
 	srv := hsqp.NewServer(hsqp.ServeConfig{
 		Cluster: c,
 		SF:      sf,
@@ -60,24 +60,20 @@ func main() {
 			log.Fatal(err)
 		}
 		path := "executed"
-		switch {
-		case st.ResultHit:
+		if st.ResultHit {
 			path = "result-cache hit"
-		case st.PlanHit:
-			path = "plan-cache hit"
 		}
 		fmt.Printf("  %-22s %3d rows in %8s  (%s)\n", label, res.Rows(),
 			time.Since(t0).Round(time.Microsecond), path)
 	}
 
-	bypass := hsqp.ExecOpts{BypassResultCache: true}
-	fmt.Println("\nq12 three ways:")
-	run("cold", bypass)                   // builds + prepares + executes
-	run("warm plan", bypass)              // cached plan, full execution
-	cl.Exec("q12")                        // prime the result cache
-	run("cached result", hsqp.ExecOpts{}) // encoded bytes only
+	fmt.Println("\nq12 two ways:")
+	run("first request", hsqp.ExecOpts{})                   // builds + compiles + executes, fills the result cache
+	run("repeat", hsqp.ExecOpts{})                          // encoded bytes only
+	run("bypassed", hsqp.ExecOpts{BypassResultCache: true}) // executes again: nothing compiled is kept
 
-	// Prepared statements skip statement parsing and pin the plan handle.
+	// Prepare validates the statement on every server and returns its
+	// result schema; executing through the handle compiles like any Exec.
 	stmt, err := cl.Prepare("q5")
 	if err != nil {
 		log.Fatal(err)
@@ -97,7 +93,6 @@ func main() {
 		fmt.Printf("  %-10s weight %d  served %3d  queue p99 %s\n",
 			ts.Tenant, ts.Weight, ts.Served, ts.QueueP99.Round(time.Microsecond))
 	}
-	pc, rc := srv.PlanCacheStats(), srv.ResultCacheStats()
-	fmt.Printf("plan cache: %d hit / %d miss   result cache: %d hit / %d miss (%d B)\n",
-		pc.Hits, pc.Misses, rc.Hits, rc.Misses, rc.Bytes)
+	rc := srv.ResultCacheStats()
+	fmt.Printf("result cache: %d hit / %d miss (%d B)\n", rc.Hits, rc.Misses, rc.Bytes)
 }

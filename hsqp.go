@@ -114,17 +114,17 @@ var ErrOverloaded = cluster.ErrOverloaded
 // queries still queued when Close drains the session.
 var ErrSessionClosed = cluster.ErrSessionClosed
 
-// Prepared is a prepared statement on a cluster: built and validated on
-// every server once (under the run options given to Prepare, which it
-// remembers), then executed repeatedly. Each execution still compiles its
-// pipelines; the handle saves statement construction, error discovery and
-// codec construction (cluster.Prepare).
+// Prepared is a query validated on every server (under the run options
+// given to Prepare, which it remembers) together with its result schema.
+// It holds no compiled state: each execution compiles its pipelines like
+// any other run, so the handle buys early error discovery and the schema,
+// not speed (cluster.Prepare).
 type Prepared = cluster.Prepared
 
 // --- unified run API, elasticity and fault tolerance ---
 
 // RunOption customizes one RunContext call (tenant label, restart bound,
-// result-cache bypass, plan options).
+// plan options).
 type RunOption = cluster.RunOption
 
 // PlanOptions are a query's compile-time switches — classic vs hybrid
@@ -147,10 +147,6 @@ func WithTenant(tenant string) RunOption { return cluster.WithTenant(tenant) }
 // WithMaxRestarts bounds transparent restarts after server losses for one
 // query (default cluster.DefaultMaxRestarts).
 func WithMaxRestarts(n int) RunOption { return cluster.WithMaxRestarts(n) }
-
-// WithBypassResultCache forces execution even when the serving tier holds
-// a cached result for the statement.
-func WithBypassResultCache() RunOption { return cluster.WithBypassResultCache() }
 
 // ErrServerLost marks a query failure caused by losing a server; when the
 // loss is recoverable RunContext retries transparently and the error is
@@ -194,8 +190,8 @@ func NewFaultInjector(target sim.Target, plan FaultPlan) *FaultInjector {
 // --- serving tier (cmd/hsqpd): network protocol, caches, QoS ---
 
 // ServeConfig configures the network serving tier over a cluster: wire
-// protocol endpoint, compiled-plan cache, single-flight result cache and
-// per-tenant weighted-fair admission (see serve.Config).
+// protocol endpoint, single-flight result cache and per-tenant
+// weighted-fair admission (see serve.Config).
 type ServeConfig = serve.Config
 
 // Server is the serving tier's front door (serve.Server).
@@ -204,8 +200,8 @@ type Server = serve.Server
 // Client is one tenant connection to a Server (serve.Client).
 type Client = serve.Client
 
-// ExecStats reports one served request: rows, cache path (plan hit /
-// result hit / shared), and the queue/compile/execute latency split.
+// ExecStats reports one served request: rows, cache path (result hit /
+// shared), and the queue/compile/execute latency split.
 type ExecStats = serve.ExecStats
 
 // ExecOpts tunes one served request (e.g. BypassResultCache).
@@ -333,9 +329,9 @@ func ExperimentThroughput(w io.Writer, streams int) error {
 	return err
 }
 
-// ExperimentServing measures the serving tier's latency paths over a
-// loopback socket — cold statement, plan-cache hit, result-cache hit —
-// plus per-tenant latency under weighted-fair admission.
+// ExperimentServing measures the serving tier's two latency paths over a
+// loopback socket — executed and result-cache hit — plus per-tenant
+// latency under weighted-fair admission.
 func ExperimentServing(w io.Writer) error {
 	_, err := bench.Serving{}.Run(w)
 	return err

@@ -15,11 +15,10 @@ import (
 )
 
 // Serving measures the serving tier end to end over a loopback socket:
-// cold statements (plan build + per-server validation compile + execution),
-// plan-cache hits (execution only, result cache bypassed) and result-cache
-// hits (no execution at all), then a mixed-tenant phase that exercises the
-// weighted-fair admission under contention and reports per-tenant latency
-// percentiles.
+// executed requests (statement build + per-server compile + execution,
+// result cache bypassed) and result-cache hits (no execution at all), then
+// a mixed-tenant phase that exercises the weighted-fair admission under
+// contention and reports per-tenant latency percentiles.
 type Serving struct {
 	Servers int     // cluster size (default 3)
 	SF      float64 // scale factor (default 0.01)
@@ -34,15 +33,13 @@ type Serving struct {
 
 // ServingResult is the measured serving-path latency profile.
 type ServingResult struct {
-	ColdP50      time.Duration // build + prepare + execute
-	PlanHitP50   time.Duration // execute only (result cache bypassed)
+	ExecutedP50  time.Duration // build + compile + execute (result cache bypassed)
 	ResultHitP50 time.Duration // cached bytes, no execution
 
-	// Speedups are paired per query (cold sample vs that query's warm
-	// median), then averaged — pooling across queries of different cost
-	// would compare apples to oranges.
-	PlanSpeedup   float64 // cold / plan-hit
-	ResultSpeedup float64 // cold / result-hit
+	// ResultSpeedup is executed / result-hit, paired per query (that
+	// query's two medians) and then averaged — pooling across queries of
+	// different cost would compare apples to oranges.
+	ResultSpeedup float64
 
 	Tenants []serve.TenantStats // fairness-phase snapshot (heavy w=4, light w=1)
 }
@@ -117,11 +114,8 @@ func (s Serving) Run(w io.Writer) (ServingResult, error) {
 	bypass := serve.ExecOpts{BypassResultCache: true}
 
 	// Warm the engine before timing anything: the first-ever execution of
-	// a query pays worker-pool spin-up, codec-cache fills and cold data
-	// structures that have nothing to do with plan preparation. Direct
-	// cluster runs leave the server's plan cache untouched, so the cold
-	// phase below still pays build + prepare — and only that — on top of a
-	// warm execution path.
+	// a query pays worker-pool spin-up and cold data structures that have
+	// nothing to do with serving.
 	for _, q := range s.Queries {
 		qp, err := queries.Build(q, queries.Params{SF: s.SF})
 		if err != nil {
@@ -132,84 +126,61 @@ func (s Serving) Run(w io.Writer) (ServingResult, error) {
 		}
 	}
 
-	// Phase 1 — cold: each statement's first request pays plan build, the
-	// per-server validation compile and execution. A statement is cold only
-	// once per epoch, so cold samples come from distinct queries.
-	var cold, planHit, resultHit []time.Duration
-	coldByQ := map[int]time.Duration{}
-	for _, q := range s.Queries {
-		_, st, err := cl.ExecWithOpts(stmt(q), bypass)
-		if err != nil {
-			return res, fmt.Errorf("cold q%d: %w", q, err)
+	// sample times Iters rounds over the statements and checks that every
+	// request took the expected path.
+	sample := func(opts serve.ExecOpts, wantHit bool) ([]time.Duration, map[int][]time.Duration, error) {
+		var all []time.Duration
+		byQ := map[int][]time.Duration{}
+		for i := 0; i < s.Iters; i++ {
+			for _, q := range s.Queries {
+				_, st, err := cl.ExecWithOpts(stmt(q), opts)
+				if err != nil {
+					return nil, nil, fmt.Errorf("q%d: %w", q, err)
+				}
+				if st.ResultHit != wantHit {
+					return nil, nil, fmt.Errorf("q%d: result-cache hit %v, want %v", q, st.ResultHit, wantHit)
+				}
+				all = append(all, st.Wall)
+				byQ[q] = append(byQ[q], st.Wall)
+			}
 		}
-		if st.PlanHit {
-			return res, fmt.Errorf("cold q%d unexpectedly hit the plan cache", q)
-		}
-		cold = append(cold, st.Wall)
-		coldByQ[q] = st.Wall
+		return all, byQ, nil
 	}
 
-	// Phase 2 — plan-cache hits: same statements again, result cache still
-	// bypassed, so the full execution runs on a cached plan.
-	planHitByQ := map[int][]time.Duration{}
-	for i := 0; i < s.Iters; i++ {
-		for _, q := range s.Queries {
-			_, st, err := cl.ExecWithOpts(stmt(q), bypass)
-			if err != nil {
-				return res, fmt.Errorf("planhit q%d: %w", q, err)
-			}
-			if !st.PlanHit {
-				return res, fmt.Errorf("warm q%d missed the plan cache", q)
-			}
-			planHit = append(planHit, st.Wall)
-			planHitByQ[q] = append(planHitByQ[q], st.Wall)
-		}
+	// Phase 1 — executed: the result cache is bypassed, so every request
+	// builds its statement, compiles it on every server and executes.
+	executed, executedByQ, err := sample(bypass, false)
+	if err != nil {
+		return res, fmt.Errorf("executed phase: %w", err)
 	}
 
-	// Phase 3 — result-cache hits: one priming execution per statement
+	// Phase 2 — result-cache hits: one priming execution per statement
 	// fills the cache, then every repeat is served from encoded bytes.
 	for _, q := range s.Queries {
 		if _, _, err := cl.Exec(stmt(q)); err != nil {
 			return res, fmt.Errorf("prime q%d: %w", q, err)
 		}
 	}
-	resultHitByQ := map[int][]time.Duration{}
-	for i := 0; i < s.Iters; i++ {
-		for _, q := range s.Queries {
-			_, st, err := cl.Exec(stmt(q))
-			if err != nil {
-				return res, fmt.Errorf("resulthit q%d: %w", q, err)
-			}
-			if !st.ResultHit {
-				return res, fmt.Errorf("repeat q%d missed the result cache", q)
-			}
-			resultHit = append(resultHit, st.Wall)
-			resultHitByQ[q] = append(resultHitByQ[q], st.Wall)
-		}
+	resultHit, resultHitByQ, err := sample(serve.ExecOpts{}, true)
+	if err != nil {
+		return res, fmt.Errorf("result-hit phase: %w", err)
 	}
 
-	res.ColdP50 = percentile(cold, 0.50)
-	res.PlanHitP50 = percentile(planHit, 0.50)
+	res.ExecutedP50 = percentile(executed, 0.50)
 	res.ResultHitP50 = percentile(resultHit, 0.50)
-	pairedSpeedup := func(warm map[int][]time.Duration) float64 {
-		var sum float64
-		var n int
-		for _, q := range s.Queries {
-			w := percentile(warm[q], 0.50)
-			if w > 0 {
-				sum += float64(coldByQ[q]) / float64(w)
-				n++
-			}
+	var sum float64
+	var paired int
+	for _, q := range s.Queries {
+		if hit := percentile(resultHitByQ[q], 0.50); hit > 0 {
+			sum += float64(percentile(executedByQ[q], 0.50)) / float64(hit)
+			paired++
 		}
-		if n == 0 {
-			return 0
-		}
-		return sum / float64(n)
 	}
-	res.PlanSpeedup = pairedSpeedup(planHitByQ)
-	res.ResultSpeedup = pairedSpeedup(resultHitByQ)
+	if paired > 0 {
+		res.ResultSpeedup = sum / float64(paired)
+	}
 
-	// Phase 4 — fairness: heavy (weight 4) and light (weight 1) tenants
+	// Phase 3 — fairness: heavy (weight 4) and light (weight 1) tenants
 	// saturate the slots with cache-bypassed executions; the QoS snapshot
 	// then carries per-tenant queue/total p50/p99.
 	var wg sync.WaitGroup
@@ -251,12 +222,10 @@ func (s Serving) Run(w io.Writer) (ServingResult, error) {
 			Title:  fmt.Sprintf("Serving paths (SF %g, %d servers, %d slots, loopback TCP)", s.SF, s.Servers, s.Slots),
 			Header: []string{"path", "samples", "p50"},
 		}
-		tab.Add("cold (build+prepare+exec)", fmt.Sprintf("%d", len(cold)), Dur(res.ColdP50))
-		tab.Add("plan-cache hit (exec only)", fmt.Sprintf("%d", len(planHit)), Dur(res.PlanHitP50))
+		tab.Add("executed (build+compile+exec)", fmt.Sprintf("%d", len(executed)), Dur(res.ExecutedP50))
 		tab.Add("result-cache hit (no exec)", fmt.Sprintf("%d", len(resultHit)), Dur(res.ResultHitP50))
 		tab.Fprint(w)
-		fmt.Fprintf(w, "plan-cache speedup: %.2fx   result-cache speedup: %.2fx\n",
-			res.PlanSpeedup, res.ResultSpeedup)
+		fmt.Fprintf(w, "result-cache speedup: %.2fx\n", res.ResultSpeedup)
 
 		ft := &Table{
 			Title:  "Weighted-fair admission (heavy w=4 vs light w=1, saturated)",

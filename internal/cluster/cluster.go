@@ -454,7 +454,7 @@ type QueryStats struct {
 	// populated by Session (and the serving tier's weighted-fair admission).
 	QueueWait time.Duration
 	// Compile is the plan-compilation time summed over the per-server
-	// compile loop (the cost a plan cache amortizes away).
+	// compile loop; every run pays it (exchange state is per query id).
 	Compile time.Duration
 	// Exec is the wall time of the distributed pipeline-DAG execution.
 	// Compile, Exec and Duration cover the successful attempt; aborted

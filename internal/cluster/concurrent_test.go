@@ -106,7 +106,7 @@ func TestSessionAdmissionControl(t *testing.T) {
 	c.LoadTable("orders", orders, storage.PlacementChunked, 0)
 
 	s := c.NewSession(SessionConfig{MaxConcurrent: 2, MaxQueued: 1})
-	if got := s.Config(); got.MaxConcurrent != 2 || got.MaxQueued != 1 {
+	if got := s.cfg; got.MaxConcurrent != 2 || got.MaxQueued != 1 {
 		t.Fatalf("config defaults drifted: %+v", got)
 	}
 

@@ -10,19 +10,11 @@ import (
 )
 
 // TestPreparedStatement: a prepared query runs repeatedly with results
-// identical to ad-hoc execution, and reloading a table bumps the cluster
-// epoch so the handle reports itself stale.
+// identical to ad-hoc execution, leaks no routing state, and — holding no
+// compiled state — follows a table reload like any other run.
 func TestPreparedStatement(t *testing.T) {
-	orders := testOrders(500)
 	c := newTestCluster(t, 3, RDMA, true)
-	c.LoadTable("orders", orders, storage.PlacementChunked, 0)
-
-	q := groupByQueryPlan()
-	direct, _, err := c.RunContext(context.Background(), q)
-	if err != nil {
-		t.Fatalf("direct run: %v", err)
-	}
-	want := rowSet(direct)
+	c.LoadTable("orders", testOrders(500), storage.PlacementChunked, 0)
 
 	p, err := c.Prepare(groupByQueryPlan())
 	if err != nil {
@@ -31,26 +23,28 @@ func TestPreparedStatement(t *testing.T) {
 	if p.Schema() == nil {
 		t.Fatal("prepared statement has no schema")
 	}
-	if p.Epoch() != c.Epoch() {
-		t.Fatalf("prepared at epoch %d, cluster at %d", p.Epoch(), c.Epoch())
-	}
-	for i := 0; i < 3; i++ {
+	matchesDirect := func(label string) {
+		t.Helper()
+		direct, _, err := c.RunContext(context.Background(), groupByQueryPlan())
+		if err != nil {
+			t.Fatalf("%s: direct run: %v", label, err)
+		}
 		res, _, err := p.RunContext(context.Background())
 		if err != nil {
-			t.Fatalf("prepared run %d: %v", i, err)
+			t.Fatalf("%s: prepared run: %v", label, err)
 		}
-		got := rowSet(res)
+		got, want := rowSet(res), rowSet(direct)
 		if len(got) != len(want) {
-			t.Fatalf("prepared run %d: %d rows, want %d", i, len(got), len(want))
+			t.Fatalf("%s: prepared run has %d rows, direct %d", label, len(got), len(want))
 		}
 		for r := range got {
 			if got[r] != want[r] {
-				t.Fatalf("prepared run %d row %d: %q != %q", i, r, got[r], want[r])
+				t.Fatalf("%s: row %d: %q != %q", label, r, got[r], want[r])
 			}
 		}
-		if p.Stale() {
-			t.Fatalf("prepared statement stale after run %d without reload", i)
-		}
+	}
+	for i := 0; i < 3; i++ {
+		matchesDirect("loaded")
 	}
 
 	// A prepare must not leak per-query routing state (it compiles then
@@ -62,15 +56,9 @@ func TestPreparedStatement(t *testing.T) {
 		}
 	}
 
-	// Reloading data invalidates: epoch moves, handle turns stale.
-	before := c.Epoch()
+	// The handle compiles on every run, so it sees reloaded data.
 	c.LoadTable("orders", testOrders(600), storage.PlacementChunked, 0)
-	if c.Epoch() == before {
-		t.Fatal("LoadTable did not bump the cluster epoch")
-	}
-	if !p.Stale() {
-		t.Fatal("prepared statement not stale after table reload")
-	}
+	matchesDirect("reloaded")
 }
 
 // TestPrepareUnknownTable: prepare surfaces compile errors up front without

@@ -26,9 +26,8 @@ var ErrServerLost = errors.New("cluster: server lost")
 // restarts a query after server losses before giving up.
 const DefaultMaxRestarts = 2
 
-// RunOptions is the resolved form of a RunOption list. Callers normally
-// use the With* options; the serving tier resolves them explicitly to read
-// BypassResultCache.
+// RunOptions is the resolved form of a RunOption list; callers set it
+// through the With* options.
 type RunOptions struct {
 	// Tenant labels the query for admission control. Sessions with an
 	// Admission controller queue per tenant; the bare cluster ignores it.
@@ -36,10 +35,6 @@ type RunOptions struct {
 	// MaxRestarts bounds transparent restarts after server losses.
 	// Negative means 0 (fail on the first loss).
 	MaxRestarts int
-	// BypassResultCache asks the serving tier to execute instead of
-	// answering from its result cache. The cluster itself has no result
-	// cache; serve consumes this option.
-	BypassResultCache bool
 	// Plan holds the query's compile-time switches (classic exchange,
 	// serial pipelines, no fusion, …); the zero value is the paper's
 	// engine. It is handed to the compiler untouched.
@@ -64,20 +59,14 @@ func WithMaxRestarts(n int) RunOption {
 	}
 }
 
-// WithBypassResultCache forces execution even when the serving tier holds
-// a cached result for the statement.
-func WithBypassResultCache() RunOption {
-	return func(o *RunOptions) { o.BypassResultCache = true }
-}
-
 // WithPlan compiles this query under the given plan options. It is the
 // only way to set them: one loaded cluster serves every variant of an A/B.
 func WithPlan(po plan.Options) RunOption {
 	return func(o *RunOptions) { o.Plan = po }
 }
 
-// ResolveRunOptions applies opts over the defaults.
-func ResolveRunOptions(opts ...RunOption) RunOptions {
+// resolveRunOptions applies opts over the defaults.
+func resolveRunOptions(opts ...RunOption) RunOptions {
 	o := RunOptions{MaxRestarts: DefaultMaxRestarts}
 	for _, opt := range opts {
 		opt(&o)
@@ -103,7 +92,7 @@ func (c *Cluster) RunContext(ctx context.Context, q *plan.Query, opts ...RunOpti
 			mQueryErrors.Inc()
 		}
 	}()
-	o := ResolveRunOptions(opts...)
+	o := resolveRunOptions(opts...)
 	restarts := 0
 	var failoverStart time.Time
 	for {

@@ -110,9 +110,6 @@ func (c *Cluster) NewSession(cfg SessionConfig) *Session {
 	}
 }
 
-// Config returns the session's effective (defaulted) configuration.
-func (s *Session) Config() SessionConfig { return s.cfg }
-
 // Queued reports how many queries are waiting for an execution slot.
 func (s *Session) Queued() int { return int(s.queued.Load()) }
 
@@ -128,7 +125,7 @@ func (s *Session) Running() int { return int(s.running.Load()) }
 // controller. The returned QueryStats records the admission wait in
 // QueueWait.
 func (s *Session) RunContext(ctx context.Context, q *plan.Query, opts ...RunOption) (*storage.Batch, QueryStats, error) {
-	o := ResolveRunOptions(opts...)
+	o := resolveRunOptions(opts...)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

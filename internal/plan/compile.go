@@ -327,10 +327,7 @@ func (c *compiler) exchangeStreamSkew(name string, in *stream, mode exchange.Mod
 		mode = exchange.ModeClassicPartition
 	}
 	exID := env.NextExID()
-	// ser.For reuses the schema's specialized codec across compiles: a
-	// cached/prepared plan keeps its schema pointers, so re-executions skip
-	// codec construction entirely.
-	codec := ser.For(in.schema)
+	codec := ser.NewCodec(in.schema)
 	senders := env.Servers
 	if in.coordOnly {
 		senders = 1

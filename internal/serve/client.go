@@ -20,8 +20,10 @@ type ServerInfo struct {
 
 // ExecStats reports one served request as seen by the client.
 type ExecStats struct {
-	Rows      int
-	PlanHit   bool // compiled-plan cache hit (no prepare/compile)
+	Rows int
+	// PlanHit is always false — every executed request builds and compiles
+	// its statement; the field stays declared because benchmark/ reads it.
+	PlanHit   bool
 	ResultHit bool // result cache hit (no execution at all)
 	Shared    bool // single-flight: shared a concurrent identical run
 	QueueWait time.Duration
@@ -65,7 +67,7 @@ func Dial(addr, tenant string) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
-	typ, payload, err := readFrame(c.br)
+	typ, payload, err := readFrame(c.br, maxFrame)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -122,13 +124,14 @@ type Stmt struct {
 // Schema is the statement's result schema as reported at prepare time.
 func (st *Stmt) Schema() *storage.Schema { return st.schema }
 
-// Prepare registers the statement server-side (compiling and caching its
-// plan) and returns a handle for repeated execution.
+// Prepare has the server validate the statement (one compile on every
+// server, nothing of it kept) and returns a handle with the result schema.
+// Executing through the handle builds and compiles like executing by text.
 func (c *Client) Prepare(stmt string) (*Stmt, error) {
 	if err := c.request(framePrepare, putString(nil, stmt)); err != nil {
 		return nil, err
 	}
-	typ, payload, err := readFrame(c.br)
+	typ, payload, err := readFrame(c.br, maxFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +167,7 @@ func (st *Stmt) Close() error {
 	if err := st.c.request(frameCloseStmt, putU32(nil, st.handle)); err != nil {
 		return err
 	}
-	typ, payload, err := readFrame(st.c.br)
+	typ, payload, err := readFrame(st.c.br, maxFrame)
 	if err != nil {
 		return err
 	}
@@ -201,7 +204,7 @@ func (c *Client) exec(stmt string, handle uint32, opts ExecOpts) (*storage.Batch
 	var batch *storage.Batch
 	var codec *ser.Codec
 	for {
-		typ, payload, err := readFrame(c.br)
+		typ, payload, err := readFrame(c.br, maxFrame)
 		if err != nil {
 			return nil, ExecStats{}, err
 		}
@@ -214,7 +217,7 @@ func (c *Client) exec(stmt string, handle uint32, opts ExecOpts) (*storage.Batch
 				return nil, ExecStats{}, err
 			}
 			batch = storage.NewBatch(schema, 0)
-			codec = ser.For(schema)
+			codec = ser.NewCodec(schema)
 		case frameBatch:
 			if batch == nil {
 				return nil, ExecStats{}, errors.New("serve: Batch before Schema")
@@ -272,7 +275,6 @@ func decodeDone(payload []byte) (ExecStats, error) {
 	}
 	return ExecStats{
 		Rows:      int(rows),
-		PlanHit:   flags&donePlanHit != 0,
 		ResultHit: flags&doneResultHit != 0,
 		Shared:    flags&doneShared != 0,
 		QueueWait: time.Duration(qw),
@@ -288,7 +290,7 @@ func (c *Client) Shutdown() error {
 	if err := c.request(frameShutdown, nil); err != nil {
 		return err
 	}
-	typ, payload, err := readFrame(c.br)
+	typ, payload, err := readFrame(c.br, maxFrame)
 	if err != nil {
 		return err
 	}

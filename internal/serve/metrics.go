@@ -43,13 +43,6 @@ var (
 	mTotalP99 = obs.Default().GaugeVec("hsqp_serve_qos_total_p99_seconds",
 		"p99 total request latency over the tenant's recent-latency window.", "tenant")
 
-	mPlanHits = obs.Default().Counter("hsqp_serve_plancache_hits_total",
-		"Plan-cache hits (compile avoided).")
-	mPlanMisses = obs.Default().Counter("hsqp_serve_plancache_misses_total",
-		"Plan-cache misses (statement compiled on every server).")
-	mPlanEntries = obs.Default().Gauge("hsqp_serve_plancache_entries",
-		"Prepared statements currently cached.")
-
 	mResultHits = obs.Default().Counter("hsqp_serve_resultcache_hits_total",
 		"Result-cache hits (encoded bytes replayed, no execution).")
 	mResultMisses = obs.Default().Counter("hsqp_serve_resultcache_misses_total",
@@ -77,7 +70,6 @@ func (s *Server) registerCollect() {
 			mTotalP50.With(ts.Tenant).Set(ts.TotalP50.Seconds())
 			mTotalP99.With(ts.Tenant).Set(ts.TotalP99.Seconds())
 		}
-		mPlanEntries.Set(float64(s.plans.Stats().Entries))
 		rc := s.ResultCacheStats()
 		mResultEntries.Set(float64(rc.Entries))
 		mResultBytes.Set(float64(rc.Bytes))

@@ -1,11 +1,13 @@
 // Package serve is the network-facing serving tier: a TCP server speaking
-// a small length-prefixed request/response protocol, a compiled-plan cache
-// (prepare once, plan compilation amortized across users — the serving-
-// path analogue of the message-buffer registration reuse of §2.2.2), a
-// result cache with single-flight deduplication for identical read-only
-// queries, and per-tenant weighted-fair admission with latency accounting
-// layered on cluster.Session. It is where the engine meets untrusted,
-// concurrent, heterogeneous traffic.
+// a small length-prefixed request/response protocol, a result cache with
+// single-flight deduplication for identical read-only queries, and
+// per-tenant weighted-fair admission with latency accounting layered on
+// cluster.Session. Every request that executes builds its statement and
+// compiles it on every server (exchange state is per query id, so no
+// compiled state outlives a run); a Prepare frame validates the statement
+// and returns its result schema, nothing is kept from it but the handle.
+// It is where the engine meets untrusted, concurrent, heterogeneous
+// traffic.
 //
 // # Wire protocol
 //
@@ -25,8 +27,9 @@
 //	               (NoHandle = by text), statement string
 //	Schema    s→c  result schema (first frame of a result stream)
 //	Batch     s→c  row count u32, tuples in the ser wire format
-//	Done      s→c  rows u64, flags u8 (plan hit | result hit | shared),
-//	               queue-wait, compile, exec, total (u64 nanoseconds each)
+//	Done      s→c  rows u64, flags u8 (2 = result hit, 4 = shared; bit 0
+//	               reserved), queue-wait, compile, exec, total (u64
+//	               nanoseconds each)
 //	Error     s→c  message string
 //	CloseStmt c→s  handle u32  → OK
 //	Shutdown  c→s  → OK, then the server drains and exits
@@ -44,6 +47,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
+	"strings"
 
 	"hsqp/internal/storage"
 )
@@ -75,9 +80,9 @@ const (
 	execBypassResultCache = 1 << 0
 )
 
-// Done flags (response).
+// Done flags (response). Bit 0 is reserved and always sent as zero: older
+// clients read it as "plan-cache hit".
 const (
-	donePlanHit   = 1 << 0 // compiled-plan cache hit (no prepare/compile)
 	doneResultHit = 1 << 1 // result cache hit (no execution at all)
 	doneShared    = 1 << 2 // single-flight: rode another request's run
 )
@@ -85,16 +90,34 @@ const (
 // NoHandle in an Exec frame means "execute the statement text".
 const NoHandle = ^uint32(0)
 
-// maxFrame bounds a single frame; larger results stream as many Batch
-// frames, so this is per-frame, not per-result.
+// maxFrame bounds a single frame the server sends; larger results stream
+// as many Batch frames, so this is per-frame, not per-result.
 const maxFrame = 64 << 20
 
-var errFrameTooLarge = fmt.Errorf("serve: frame exceeds %d bytes", maxFrame)
+// maxRequestFrame bounds a frame the server reads. The largest legal
+// request is an Exec carrying a statement string, so a client — which may
+// not even have said Hello yet — cannot make the server allocate more than
+// this by advertising a length.
+const maxRequestFrame = 64 << 10
+
+var errFrameTooLarge = errors.New("serve: frame too large")
+
+// ParseStatement resolves a statement text to a TPC-H query number.
+// Accepted forms: "q12", "Q12", "12".
+func ParseStatement(stmt string) (int, error) {
+	s := strings.TrimSpace(strings.ToLower(stmt))
+	s = strings.TrimPrefix(s, "q")
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 1 || n > 22 {
+		return 0, fmt.Errorf("serve: unknown statement %q (want q1..q22)", stmt)
+	}
+	return n, nil
+}
 
 // writeFrame emits one frame. The caller flushes.
 func writeFrame(w *bufio.Writer, typ byte, payload []byte) error {
 	if len(payload)+1 > maxFrame {
-		return errFrameTooLarge
+		return fmt.Errorf("%w: %d bytes, bound %d", errFrameTooLarge, len(payload)+1, maxFrame)
 	}
 	var hdr [5]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
@@ -106,8 +129,9 @@ func writeFrame(w *bufio.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, rejecting oversized or truncated input.
-func readFrame(r *bufio.Reader) (typ byte, payload []byte, err error) {
+// readFrame reads one frame of at most max bytes (type byte included),
+// rejecting oversized input before allocating for it, and truncated input.
+func readFrame(r *bufio.Reader, max uint32) (typ byte, payload []byte, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -116,14 +140,40 @@ func readFrame(r *bufio.Reader) (typ byte, payload []byte, err error) {
 	if n == 0 {
 		return 0, nil, errors.New("serve: zero-length frame")
 	}
-	if n > maxFrame {
-		return 0, nil, errFrameTooLarge
+	if n > max {
+		return 0, nil, fmt.Errorf("%w: %d bytes, bound %d", errFrameTooLarge, n, max)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, nil, fmt.Errorf("serve: truncated frame: %w", err)
 	}
 	return buf[0], buf[1:], nil
+}
+
+// parseHello decodes a Hello payload into the tenant name, rejecting any
+// protocol version but this package's.
+func parseHello(payload []byte) (tenant string, err error) {
+	if len(payload) < 1 {
+		return "", errors.New("serve: corrupt Hello frame")
+	}
+	if payload[0] != ProtoVersion {
+		return "", fmt.Errorf("serve: protocol version %d not supported (want %d)", payload[0], ProtoVersion)
+	}
+	tenant, _, err = getString(payload[1:])
+	return tenant, err
+}
+
+// parseExec decodes an Exec payload.
+func parseExec(payload []byte) (flags byte, handle uint32, stmt string, err error) {
+	if len(payload) < 1 {
+		return 0, 0, "", errors.New("serve: corrupt Exec frame")
+	}
+	handle, rest, err := getU32(payload[1:])
+	if err != nil {
+		return 0, 0, "", err
+	}
+	stmt, _, err = getString(rest)
+	return payload[0], handle, stmt, err
 }
 
 // --- payload primitives ---
@@ -176,7 +226,9 @@ func putSchema(b []byte, s *storage.Schema) []byte {
 
 func getSchema(b []byte) (*storage.Schema, []byte, error) {
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > 1<<16 {
+	// A field is at least three bytes (empty name, type, nullable), so a
+	// short payload cannot ask for more fields than it could hold.
+	if sz <= 0 || n > 1<<16 || n > uint64(len(b)-sz)/3 {
 		return nil, nil, errors.New("serve: corrupt schema")
 	}
 	b = b[sz:]

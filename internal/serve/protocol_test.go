@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	r := bufio.NewReader(&buf)
 	for i, p := range payloads {
-		typ, got, err := readFrame(r)
+		typ, got, err := readFrame(r, maxFrame)
 		if err != nil {
 			t.Fatalf("readFrame %d: %v", i, err)
 		}
@@ -44,23 +45,26 @@ func TestFrameRejectsOversizedAndTruncated(t *testing.T) {
 		t.Fatal("oversized frame accepted on write")
 	}
 
-	// A length header beyond maxFrame must be rejected before allocation.
+	// A length header beyond the reader's bound must be rejected before
+	// allocation, whichever bound the reader passes.
 	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], maxFrame+1)
-	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr[:]))); err == nil {
-		t.Fatal("oversized frame accepted on read")
+	for _, bound := range []uint32{maxRequestFrame, maxFrame} {
+		binary.LittleEndian.PutUint32(hdr[:4], bound+1)
+		if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr[:])), bound); !errors.Is(err, errFrameTooLarge) {
+			t.Fatalf("frame of %d bytes under bound %d: %v, want errFrameTooLarge", bound+1, bound, err)
+		}
 	}
 
 	// Truncated payload: header promises 10 bytes, stream has 3.
 	binary.LittleEndian.PutUint32(hdr[:4], 10)
 	short := append(hdr[:4], 1, 2, 3)
-	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(short))); err == nil {
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(short)), maxFrame); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 
 	// Zero-length frame (no type byte).
 	binary.LittleEndian.PutUint32(hdr[:4], 0)
-	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr[:4]))); err == nil {
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr[:4])), maxFrame); err == nil {
 		t.Fatal("zero-length frame accepted")
 	}
 }

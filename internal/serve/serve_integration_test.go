@@ -1,6 +1,6 @@
 // Integration tests for the serving tier: a real Server on a loopback
 // listener over a real cluster, driven through the wire protocol by Client.
-// They pin the acceptance contract: served results — fresh, plan-cache hit,
+// They pin the acceptance contract: served results — fresh, bypassed,
 // result-cache hit, prepared, single-flight shared — are byte-identical to
 // a direct cluster.Run of the same query.
 package serve_test
@@ -8,6 +8,9 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -17,7 +20,9 @@ import (
 	"hsqp/internal/bench"
 	"hsqp/internal/cluster"
 	"hsqp/internal/queries"
+	"hsqp/internal/ref"
 	"hsqp/internal/serve"
+	"hsqp/internal/storage"
 	"hsqp/internal/tpch"
 )
 
@@ -147,10 +152,10 @@ func TestServedResultsMatchDirect(t *testing.T) {
 	}
 }
 
-// TestServingPlanCacheHit: the second execution of a statement (result
-// cache bypassed) reuses the compiled plan — PlanHit reported on the wire,
-// one miss and the rest hits in the server counters.
-func TestServingPlanCacheHit(t *testing.T) {
+// TestServingBypassedRepeatExecutes: every execution of a statement with
+// the result cache bypassed — the first and each repeat alike — runs the
+// query, compile included; nothing compiled is kept between requests.
+func TestServingBypassedRepeatExecutes(t *testing.T) {
 	addr, srv, _ := startServer(t, nil)
 	cl, err := serve.Dial(addr, "t")
 	if err != nil {
@@ -158,28 +163,129 @@ func TestServingPlanCacheHit(t *testing.T) {
 	}
 	defer cl.Close()
 
-	_, stats, err := cl.ExecWithOpts("q1", serve.ExecOpts{BypassResultCache: true})
-	if err != nil {
-		t.Fatalf("cold exec: %v", err)
-	}
-	if stats.PlanHit {
-		t.Fatal("cold execution reported a plan-cache hit")
-	}
 	for i := 0; i < 3; i++ {
-		_, stats, err = cl.ExecWithOpts("q1", serve.ExecOpts{BypassResultCache: true})
+		_, stats, err := cl.ExecWithOpts("q1", serve.ExecOpts{BypassResultCache: true})
 		if err != nil {
-			t.Fatalf("warm exec %d: %v", i, err)
+			t.Fatalf("exec %d: %v", i, err)
 		}
-		if !stats.PlanHit {
-			t.Fatalf("warm execution %d missed the plan cache", i)
+		if stats.ResultHit || stats.Shared {
+			t.Fatalf("bypassed execution %d reported a result hit: %+v", i, stats)
 		}
-		if stats.ResultHit {
-			t.Fatalf("bypassed execution %d reported a result hit", i)
+		if stats.Compile <= 0 || stats.Exec <= 0 {
+			t.Fatalf("bypassed execution %d reported compile %s, exec %s; want both > 0", i, stats.Compile, stats.Exec)
 		}
 	}
-	pcs := srv.PlanCacheStats()
-	if pcs.Misses != 1 || pcs.Hits < 3 {
-		t.Fatalf("plan cache stats %+v, want 1 miss and >=3 hits", pcs)
+	if st := srv.ResultCacheStats(); st.Hits+st.Misses+st.Shared != 0 {
+		t.Fatalf("bypassed requests touched the result cache: %+v", st)
+	}
+}
+
+// TestServedStatementFollowsReload: the result cache stops answering with
+// the previous epoch's bytes once a table is reloaded — the next request
+// executes on the new data, and only then do repeats hit again.
+func TestServedStatementFollowsReload(t *testing.T) {
+	addr, _, c := startServer(t, nil)
+	cl, err := serve.Dial(addr, "t")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer cl.Close()
+
+	if _, _, err := cl.Exec("q6"); err != nil {
+		t.Fatalf("exec before reload: %v", err)
+	}
+	if _, stats, err := cl.Exec("q6"); err != nil || !stats.ResultHit {
+		t.Fatalf("repeat before reload: result hit %v, err %v; want a hit", stats.ResultHit, err)
+	}
+
+	// Q6 reads lineitem only, so the reference runs on the other seed's
+	// database as a whole.
+	reloaded := tpch.Generate(testSF, testSeed+1)
+	c.LoadTable("lineitem", reloaded.Tables["lineitem"], storage.PlacementChunked, 0)
+	want, err := ref.Run(6, reloaded, testSF)
+	if err != nil {
+		t.Fatalf("reference q6: %v", err)
+	}
+	old, err := ref.Run(6, getDB(), testSF)
+	if err != nil {
+		t.Fatalf("reference q6 on the first database: %v", err)
+	}
+	if fmt.Sprint(want.Rows) == fmt.Sprint(old.Rows) {
+		t.Fatal("both seeds give the same q6 result; the test cannot tell the epochs apart")
+	}
+
+	res, stats, err := cl.Exec("q6")
+	if err != nil {
+		t.Fatalf("exec after reload: %v", err)
+	}
+	if stats.ResultHit {
+		t.Fatal("request after a table reload was answered from the result cache")
+	}
+	if res.Rows() != 1 || fmt.Sprint(res.Row(0)) != fmt.Sprint([]any(want.Rows[0])) {
+		t.Fatalf("q6 after reload: %d rows, first %v; reference on the new data has %v", res.Rows(), res.Row(0), want.Rows)
+	}
+	res, stats, err = cl.Exec("q6")
+	if err != nil || !stats.ResultHit {
+		t.Fatalf("repeat after reload: result hit %v, err %v; want a hit", stats.ResultHit, err)
+	}
+	if fmt.Sprint(res.Row(0)) != fmt.Sprint([]any(want.Rows[0])) {
+		t.Fatalf("cached q6 after reload: %v, want %v", res.Row(0), want.Rows[0])
+	}
+}
+
+// TestOversizedRequestFrame: a client that advertises a frame beyond the
+// request bound — before or after the handshake — gets an Error frame and
+// a closed connection without the server reading (or allocating for) the
+// payload, and the server goes on serving other clients.
+func TestOversizedRequestFrame(t *testing.T) {
+	addr, _, _ := startServer(t, nil)
+	// Frame types and layouts as in the package doc: 0x01 Hello (version,
+	// tenant string), 0x09 Error (message string).
+	hello := []byte{3, 0, 0, 0, 0x01, serve.ProtoVersion, 0}
+	oversized := binary.LittleEndian.AppendUint32(nil, 64<<10+1)
+
+	for _, afterHello := range []bool{false, true} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		readFrame := func() (byte, []byte) {
+			t.Helper()
+			var hdr [4]byte
+			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+				t.Fatalf("afterHello=%v: reading frame header: %v", afterHello, err)
+			}
+			body := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+			if _, err := io.ReadFull(conn, body); err != nil {
+				t.Fatalf("afterHello=%v: reading frame body: %v", afterHello, err)
+			}
+			return body[0], body[1:]
+		}
+		if afterHello {
+			conn.Write(hello)
+			if typ, _ := readFrame(); typ != 0x02 {
+				t.Fatalf("handshake answered with frame 0x%02x, want HelloOK", typ)
+			}
+		}
+		conn.Write(oversized)
+		typ, payload := readFrame()
+		if typ != 0x09 || !strings.Contains(string(payload), "too large") {
+			t.Fatalf("afterHello=%v: oversized header answered with frame 0x%02x %q, want an Error frame", afterHello, typ, payload)
+		}
+		if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("afterHello=%v: connection still open after the Error frame (read %d bytes, err %v)", afterHello, n, err)
+		}
+		conn.Close()
+	}
+
+	cl, err := serve.Dial(addr, "t")
+	if err != nil {
+		t.Fatalf("dial after oversized frames: %v", err)
+	}
+	defer cl.Close()
+	if _, _, err := cl.Exec("q6"); err != nil {
+		t.Fatalf("exec after oversized frames: %v", err)
 	}
 }
 

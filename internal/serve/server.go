@@ -13,6 +13,7 @@ import (
 
 	"hsqp/internal/cluster"
 	"hsqp/internal/obs"
+	"hsqp/internal/queries"
 	"hsqp/internal/ser"
 	"hsqp/internal/storage"
 )
@@ -37,9 +38,6 @@ type Config struct {
 	// MaxQueuedPerTenant bounds each tenant's admission queue (default
 	// DefaultMaxQueued).
 	MaxQueuedPerTenant int
-	// PlanCacheEntries bounds the compiled-plan cache (default
-	// DefaultPlanCacheEntries).
-	PlanCacheEntries int
 	// ResultCacheBytes is the result cache budget (default
 	// DefaultResultCacheBytes); DisableResultCache turns the cache off
 	// entirely (every request executes).
@@ -54,14 +52,13 @@ type Config struct {
 	SlowQueryLog io.Writer
 }
 
-// Server is the network front door: it owns the listener, the caches, the
-// admission controller and a cluster.Session, and serves any number of
-// concurrent client connections.
+// Server is the network front door: it owns the listener, the result
+// cache, the admission controller and a cluster.Session, and serves any
+// number of concurrent client connections.
 type Server struct {
 	cfg     Config
 	qos     *QoS
 	session *cluster.Session
-	plans   *PlanCache
 	results *ResultCache
 	slow    *obs.SlowLog
 
@@ -86,7 +83,6 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		qos:     qos,
 		session: cfg.Cluster.NewSession(cluster.SessionConfig{Admission: qos}),
-		plans:   NewPlanCache(cfg.Cluster, cfg.SF, cfg.PlanCacheEntries),
 		conns:   map[net.Conn]struct{}{},
 		done:    make(chan struct{}),
 	}
@@ -103,9 +99,6 @@ func New(cfg Config) *Server {
 	s.registerCollect()
 	return s
 }
-
-// SlowQueryCount reports how many requests the slow-query log recorded.
-func (s *Server) SlowQueryCount() uint64 { return s.slow.Count() }
 
 // Serve accepts connections on lis until Shutdown closes it. It always
 // returns a non-nil error (net.ErrClosed after a clean shutdown).
@@ -178,9 +171,6 @@ func (s *Server) Done() <-chan struct{} { return s.done }
 // TenantStats returns the per-tenant QoS/latency snapshot.
 func (s *Server) TenantStats() []TenantStats { return s.qos.Snapshot() }
 
-// PlanCacheStats snapshots the plan cache counters.
-func (s *Server) PlanCacheStats() PlanCacheStats { return s.plans.Stats() }
-
 // ResultCacheStats snapshots the result cache counters (zero value when
 // the cache is disabled).
 func (s *Server) ResultCacheStats() ResultCacheStats {
@@ -208,11 +198,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 
-	handles := map[uint32]string{} // prepared-statement handle → statement
+	handles := map[uint32]int{} // prepared-statement handle → query number
 	var nextHandle uint32
 
 	for {
-		typ, payload, err := readFrame(br)
+		typ, payload, err := s.readRequest(br, bw)
 		if err != nil {
 			return
 		}
@@ -222,23 +212,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		switch typ {
 		case framePrepare:
-			stmt, _, perr := getString(payload)
+			n, schema, perr := s.prepare(payload)
 			if perr == nil {
-				var n int
-				if n, perr = ParseStatement(stmt); perr == nil {
-					stmt = fmt.Sprintf("q%d", n)
-				}
-			}
-			if perr == nil {
-				var p *cluster.Prepared
-				p, _, perr = s.plans.Get(stmt)
-				if perr == nil {
-					nextHandle++
-					handles[nextHandle] = stmt
-					out := putU32(nil, nextHandle)
-					out = putSchema(out, p.Schema())
-					perr = writeFrame(bw, framePrepared, out)
-				}
+				nextHandle++
+				handles[nextHandle] = n
+				perr = writeFrame(bw, framePrepared, putSchema(putU32(nil, nextHandle), schema))
 			}
 			err = s.finishRequest(bw, perr)
 		case frameExec:
@@ -266,6 +244,42 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// readRequest reads one client frame under the request bound. A length
+// beyond it is answered with an Error frame before the caller closes the
+// connection, as it does on every read error: past an unread payload the
+// stream cannot be resynchronised.
+func (s *Server) readRequest(br *bufio.Reader, bw *bufio.Writer) (byte, []byte, error) {
+	typ, payload, err := readFrame(br, maxRequestFrame)
+	if errors.Is(err, errFrameTooLarge) {
+		s.writeError(bw, err)
+	}
+	return typ, payload, err
+}
+
+// prepare handles a Prepare frame: it validates the statement by compiling
+// it on every server and returns its query number and result schema.
+// Nothing compiled is kept — every Exec of the handle builds and compiles
+// again — so the handle saves a client only the statement text.
+func (s *Server) prepare(payload []byte) (int, *storage.Schema, error) {
+	stmt, _, err := getString(payload)
+	if err != nil {
+		return 0, nil, err
+	}
+	n, err := ParseStatement(stmt)
+	if err != nil {
+		return 0, nil, err
+	}
+	q, err := queries.Build(n, queries.Params{SF: s.cfg.SF})
+	if err != nil {
+		return 0, nil, err
+	}
+	p, err := s.cfg.Cluster.Prepare(q)
+	if err != nil {
+		return 0, nil, err
+	}
+	return n, p.Schema(), nil
 }
 
 // beginRequest registers an in-flight request unless the server drains.
@@ -298,20 +312,18 @@ func (s *Server) writeError(bw *bufio.Writer, err error) error {
 }
 
 func (s *Server) handshake(br *bufio.Reader, bw *bufio.Writer) (string, error) {
-	typ, payload, err := readFrame(br)
+	typ, payload, err := s.readRequest(br, bw)
 	if err != nil {
 		return "", err
 	}
-	if typ != frameHello || len(payload) < 1 {
-		s.writeError(bw, errors.New("serve: expected Hello"))
-		return "", errors.New("bad hello")
+	var tenant string
+	if typ != frameHello {
+		err = errors.New("serve: expected Hello")
+	} else {
+		tenant, err = parseHello(payload)
 	}
-	if payload[0] != ProtoVersion {
-		s.writeError(bw, fmt.Errorf("serve: protocol version %d not supported (want %d)", payload[0], ProtoVersion))
-		return "", errors.New("version mismatch")
-	}
-	tenant, _, err := getString(payload[1:])
 	if err != nil {
+		s.writeError(bw, err)
 		return "", err
 	}
 	if tenant == "" {
@@ -344,34 +356,22 @@ type doneInfo struct {
 	path      string // executed | result-hit | shared
 }
 
-func (s *Server) handleExec(bw *bufio.Writer, tenant string, payload []byte, handles map[uint32]string) error {
+func (s *Server) handleExec(bw *bufio.Writer, tenant string, payload []byte, handles map[uint32]int) error {
 	start := time.Now()
-	if len(payload) < 1 {
-		return s.finishRequest(bw, errors.New("serve: corrupt Exec frame"))
-	}
-	flags := payload[0]
-	handle, rest, err := getU32(payload[1:])
+	flags, handle, stmt, err := parseExec(payload)
 	if err != nil {
 		return s.finishRequest(bw, err)
 	}
-	stmt, _, err := getString(rest)
-	if err != nil {
-		return s.finishRequest(bw, err)
-	}
-	if handle != NoHandle {
-		ps, ok := handles[handle]
-		if !ok {
-			return s.finishRequest(bw, fmt.Errorf("serve: unknown prepared-statement handle %d", handle))
+	n, known := handles[handle]
+	switch {
+	case handle == NoHandle:
+		if n, err = ParseStatement(stmt); err != nil {
+			return s.finishRequest(bw, err)
 		}
-		stmt = ps
+	case !known:
+		return s.finishRequest(bw, fmt.Errorf("serve: unknown prepared-statement handle %d", handle))
 	}
-	n, err := ParseStatement(stmt)
-	if err != nil {
-		return s.finishRequest(bw, err)
-	}
-	norm := fmt.Sprintf("q%d", n)
-
-	entry, info, err := s.execStatement(tenant, norm, flags&execBypassResultCache != 0)
+	entry, info, err := s.execStatement(tenant, n, flags&execBypassResultCache != 0)
 	if err != nil {
 		return s.finishRequest(bw, err)
 	}
@@ -379,7 +379,7 @@ func (s *Server) handleExec(bw *bufio.Writer, tenant string, payload []byte, han
 	s.qos.Observe(tenant, info.queueWait, info.total)
 	mRequests.With(tenant).Inc()
 	if s.slow.Observe(obs.SlowQuery{
-		Tenant: tenant, Statement: norm, Rows: int(entry.Rows),
+		Tenant: tenant, Statement: fmt.Sprintf("q%d", n), Rows: int(entry.Rows),
 		QueueWait: info.queueWait, Compile: info.compile, Exec: info.exec,
 		Total: info.total, WireBytes: info.wireBytes, Path: info.path,
 	}) {
@@ -404,16 +404,18 @@ func (s *Server) handleExec(bw *bufio.Writer, tenant string, payload []byte, han
 	return s.finishRequest(bw, writeFrame(bw, frameDone, out))
 }
 
-// execStatement resolves the statement through the result cache (unless
-// bypassed or disabled) and the plan cache.
-func (s *Server) execStatement(tenant, norm string, bypass bool) (*ResultEntry, doneInfo, error) {
+// execStatement resolves TPC-H query n through the result cache, or
+// executes it when the cache is bypassed or disabled. Entries are keyed on
+// (statement, cluster epoch), so a table load or membership change leaves
+// the previous epoch's bytes unreachable.
+func (s *Server) execStatement(tenant string, n int, bypass bool) (*ResultEntry, doneInfo, error) {
 	if s.results == nil || bypass {
-		return s.runStatement(tenant, norm)
+		return s.runStatement(tenant, n)
 	}
-	key := fmt.Sprintf("%s|e%d", norm, s.cfg.Cluster.Epoch())
+	key := fmt.Sprintf("q%d|e%d", n, s.cfg.Cluster.Epoch())
 	var leader doneInfo
 	entry, src, err := s.results.Do(key, func() (*ResultEntry, error) {
-		e, info, err := s.runStatement(tenant, norm)
+		e, info, err := s.runStatement(tenant, n)
 		leader = info
 		return e, err
 	})
@@ -430,30 +432,26 @@ func (s *Server) execStatement(tenant, norm string, bypass bool) (*ResultEntry, 
 	}
 }
 
-// runStatement executes the statement through the plan cache and the
+// runStatement builds TPC-H query n and executes it through the
 // weighted-fair session, returning the encoded result.
-func (s *Server) runStatement(tenant, norm string) (*ResultEntry, doneInfo, error) {
-	prepared, planHit, err := s.plans.Get(norm)
+func (s *Server) runStatement(tenant string, n int) (*ResultEntry, doneInfo, error) {
+	q, err := queries.Build(n, queries.Params{SF: s.cfg.SF})
 	if err != nil {
 		return nil, doneInfo{}, err
 	}
-	res, stats, err := s.session.RunContext(context.Background(), prepared.Query(), cluster.WithTenant(tenant))
+	res, stats, err := s.session.RunContext(context.Background(), q, cluster.WithTenant(tenant))
 	if err != nil {
 		return nil, doneInfo{}, err
 	}
 	entry := encodeResult(res)
-	info := doneInfo{
+	return entry, doneInfo{
 		rows:      entry.Rows,
 		queueWait: stats.QueueWait,
 		compile:   stats.Compile,
 		exec:      stats.Exec,
 		wireBytes: stats.WireBytes(),
 		path:      "executed",
-	}
-	if planHit {
-		info.flags |= donePlanHit
-	}
-	return entry, info, nil
+	}, nil
 }
 
 // resultBatchRows caps rows per Batch frame so very large results stream
@@ -462,7 +460,7 @@ const resultBatchRows = 8192
 
 // encodeResult captures a result batch as wire frames (ser tuple format).
 func encodeResult(b *storage.Batch) *ResultEntry {
-	codec := ser.For(b.Schema)
+	codec := ser.NewCodec(b.Schema)
 	e := &ResultEntry{
 		SchemaPayload: putSchema(nil, b.Schema),
 		Rows:          uint64(b.Rows()),
