@@ -3,7 +3,7 @@
 // — executed (statement build + per-server compile + execution, the same
 // on the first request and on every repeat) and result-cache hit (encoded
 // bytes, no execution at all) — plus a prepared-statement round trip and
-// the per-tenant QoS snapshot.
+// the per-tenant snapshot.
 package main
 
 import (
@@ -32,7 +32,8 @@ func main() {
 	c.LoadTPCH(hsqp.GenerateTPCH(sf, 42), false)
 
 	// The serving tier wraps the cluster: wire protocol, single-flight
-	// result cache and weighted-fair admission.
+	// result cache, and a Session whose queue shares the two slots 4:1
+	// between the tenants when both have requests waiting.
 	srv := hsqp.NewServer(hsqp.ServeConfig{
 		Cluster: c,
 		SF:      sf,
@@ -88,7 +89,7 @@ func main() {
 		st.Exec.Round(time.Microsecond))
 	stmt.Close()
 
-	fmt.Println("\nper-tenant QoS snapshot:")
+	fmt.Println("\nper-tenant snapshot (latency as the server timed it, weight from the session's queue):")
 	for _, ts := range srv.TenantStats() {
 		fmt.Printf("  %-10s weight %d  served %3d  queue p99 %s\n",
 			ts.Tenant, ts.Weight, ts.Served, ts.QueueP99.Round(time.Microsecond))

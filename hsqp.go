@@ -99,15 +99,21 @@ const (
 
 // Session is the admission-controlled multi-query entry point: at most
 // MaxConcurrent queries execute at once over a cluster's shared worker
-// pools and fabric, at most MaxQueued more wait in line, and anything
-// beyond fails fast with ErrOverloaded (see cluster.Session).
+// pools and fabric, at most MaxQueued more per tenant wait in line, and
+// anything beyond fails fast with ErrOverloaded. One queue hands out the
+// slots: weighted-fair across the tenants queries are labelled with
+// (WithTenant), in arrival order within a tenant — so without labels it is
+// a bounded FIFO (see cluster.Session).
 type Session = cluster.Session
 
-// SessionConfig tunes a Session's admission control.
+// SessionConfig tunes a Session's admission control: MaxConcurrent slots,
+// MaxQueued waiting queries per tenant, and the Tenants weight map. The
+// serving tier's ServeConfig{Slots, MaxQueuedPerTenant, Tenants} are the
+// same three numbers, handed straight through.
 type SessionConfig = cluster.SessionConfig
 
-// ErrOverloaded is returned by Session.RunContext when the admission queue
-// is full.
+// ErrOverloaded is returned by Session.RunContext when the tenant's
+// admission queue is full.
 var ErrOverloaded = cluster.ErrOverloaded
 
 // ErrSessionClosed is returned by Session.RunContext after Close, and by
@@ -141,7 +147,9 @@ type PlanOptions = plan.Options
 //	c.RunContext(ctx, q, hsqp.WithPlan(hsqp.PlanOptions{Classic: true}))
 func WithPlan(o PlanOptions) RunOption { return cluster.WithPlan(o) }
 
-// WithTenant labels the query with a tenant for weighted-fair admission.
+// WithTenant labels the query with a tenant: the Session queue it waits in,
+// weighted by SessionConfig.Tenants (1 when absent). Unlabelled queries
+// share the tenant "".
 func WithTenant(tenant string) RunOption { return cluster.WithTenant(tenant) }
 
 // WithMaxRestarts bounds transparent restarts after server losses for one
@@ -187,11 +195,11 @@ func NewFaultInjector(target sim.Target, plan FaultPlan) *FaultInjector {
 	return sim.NewFaultInjector(target, plan)
 }
 
-// --- serving tier (cmd/hsqpd): network protocol, caches, QoS ---
+// --- serving tier (cmd/hsqpd): network protocol, result cache, tenant stats ---
 
 // ServeConfig configures the network serving tier over a cluster: wire
-// protocol endpoint, single-flight result cache and per-tenant
-// weighted-fair admission (see serve.Config).
+// protocol endpoint, single-flight result cache and the Session whose
+// queue does the per-tenant weighted-fair admission (see serve.Config).
 type ServeConfig = serve.Config
 
 // Server is the serving tier's front door (serve.Server).
@@ -207,8 +215,9 @@ type ExecStats = serve.ExecStats
 // ExecOpts tunes one served request (e.g. BypassResultCache).
 type ExecOpts = serve.ExecOpts
 
-// TenantStats is one tenant's serving-path SLO snapshot (served count and
-// queue/total p50/p99).
+// TenantStats is one tenant's serving-path SLO snapshot: served count and
+// queue/total p50/p99 as the server timed them, weight and queue depth as
+// the Session reports them.
 type TenantStats = serve.TenantStats
 
 // NewServer creates a serving tier over a cluster; drive it with

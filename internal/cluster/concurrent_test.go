@@ -106,25 +106,41 @@ func TestSessionAdmissionControl(t *testing.T) {
 	c.LoadTable("orders", orders, storage.PlacementChunked, 0)
 
 	s := c.NewSession(SessionConfig{MaxConcurrent: 2, MaxQueued: 1})
-	if got := s.cfg; got.MaxConcurrent != 2 || got.MaxQueued != 1 {
-		t.Fatalf("config defaults drifted: %+v", got)
+	if s.q.slots != 2 || s.q.maxQ != 1 {
+		t.Fatalf("config defaults drifted: %d slots, %d queued", s.q.slots, s.q.maxQ)
 	}
 
-	// Fill every admission ticket (2 slots + 1 queue position) by hand —
-	// deterministic, no timing dependence on real queries.
-	for i := 0; i < 3; i++ {
-		s.tickets <- struct{}{}
+	// Fill both slots and the one queue position by hand — deterministic,
+	// no timing dependence on real queries.
+	var held [2]*tenant
+	for i := range held {
+		held[i] = mustAcquire(t, s.q, "")
 	}
+	ctx, leave := context.WithCancel(context.Background())
+	left := make(chan error, 1)
+	go func() {
+		_, err := s.q.acquire(ctx, "")
+		left <- err
+	}()
+	waitFor(t, "the queue position to fill", func() bool { return s.Queued() == 1 })
 	if _, _, err := s.RunContext(context.Background(), groupByQueryPlan()); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overloaded session returned %v, want ErrOverloaded", err)
 	}
-	// One caller leaves the queue: the next query must be admitted and run.
-	<-s.tickets
-	if _, _, err := s.RunContext(context.Background(), groupByQueryPlan()); err != nil {
-		t.Fatalf("run after capacity freed: %v", err)
+	// One caller leaves the queue: the next query must be admitted and run
+	// once a slot frees.
+	leave()
+	<-left
+	ran := make(chan error, 1)
+	go func() {
+		_, _, err := s.RunContext(context.Background(), groupByQueryPlan())
+		ran <- err
+	}()
+	waitFor(t, "the query to take the freed queue position", func() bool { return s.Queued() == 1 })
+	for _, slot := range held {
+		s.q.release(slot)
 	}
-	for i := 0; i < 2; i++ {
-		<-s.tickets
+	if err := <-ran; err != nil {
+		t.Fatalf("run after capacity freed: %v", err)
 	}
 
 	s.Close()

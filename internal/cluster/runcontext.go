@@ -29,8 +29,9 @@ const DefaultMaxRestarts = 2
 // RunOptions is the resolved form of a RunOption list; callers set it
 // through the With* options.
 type RunOptions struct {
-	// Tenant labels the query for admission control. Sessions with an
-	// Admission controller queue per tenant; the bare cluster ignores it.
+	// Tenant labels the query for admission control: a Session queues per
+	// tenant and shares slots by SessionConfig.Tenants weight; the bare
+	// cluster ignores it.
 	Tenant string
 	// MaxRestarts bounds transparent restarts after server losses.
 	// Negative means 0 (fail on the first loss).
@@ -44,7 +45,9 @@ type RunOptions struct {
 // RunOption customizes one RunContext call.
 type RunOption func(*RunOptions)
 
-// WithTenant labels the query with a tenant for weighted-fair admission.
+// WithTenant labels the query with a tenant: the Session queue it waits in,
+// weighted by SessionConfig.Tenants (1 when absent). Unlabelled queries
+// share the tenant "".
 func WithTenant(tenant string) RunOption {
 	return func(o *RunOptions) { o.Tenant = tenant }
 }

@@ -7,26 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"hsqp/internal/engine"
 	"hsqp/internal/storage"
 )
-
-// gateAdmission is a test Admission controller whose grants are handed out
-// explicitly by the test: Acquire blocks until the test sends on grant (or
-// the session cancels the wait), making drain scenarios deterministic.
-type gateAdmission struct {
-	grant chan struct{}
-}
-
-var errGateCancelled = errors.New("gate: cancelled")
-
-func (g *gateAdmission) Acquire(tenant string, cancel <-chan struct{}) (func(), error) {
-	select {
-	case <-g.grant:
-		return func() {}, nil
-	case <-cancel:
-		return nil, errGateCancelled
-	}
-}
 
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -54,30 +37,21 @@ func TestSessionCloseDrain(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 
-	g := &gateAdmission{grant: make(chan struct{}, 1)}
-	s := c.NewSession(SessionConfig{Admission: g})
+	s := c.NewSession(SessionConfig{MaxConcurrent: 1, Tenants: map[string]int{"t": 2}})
 
-	type outcome struct {
-		stats QueryStats
-		err   error
+	// A takes the only slot straight from the queue, exactly as RunContext
+	// would, so it stays in flight until the test lets it finish.
+	slotA := mustAcquire(t, s.q, "t")
+
+	// B and C queue behind it.
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, _, err := s.RunContext(context.Background(), groupByQueryPlan(), WithTenant("t"))
+			errs <- err
+		}()
 	}
-	run := func(ch chan outcome) {
-		_, stats, err := s.RunContext(context.Background(), groupByQueryPlan(), WithTenant("t"))
-		ch <- outcome{stats, err}
-	}
-
-	// A is granted admission immediately and starts executing.
-	g.grant <- struct{}{}
-	aCh := make(chan outcome, 1)
-	go run(aCh)
-	waitFor(t, "query A to start", func() bool { return s.Running() == 1 || len(aCh) == 1 })
-
-	// B and C queue behind the (empty) gate.
-	bCh := make(chan outcome, 1)
-	cCh := make(chan outcome, 1)
-	go run(bCh)
-	go run(cCh)
-	waitFor(t, "B and C to queue", func() bool { return s.Queued() >= 2 })
+	waitFor(t, "B and C to queue", func() bool { return s.Queued() == 2 })
 
 	closed := make(chan struct{})
 	go func() {
@@ -85,13 +59,12 @@ func TestSessionCloseDrain(t *testing.T) {
 		close(closed)
 	}()
 
-	// Queued queries fail fast with ErrSessionClosed — not the gate's own
-	// cancellation error, and without waiting for A.
-	for _, ch := range []chan outcome{bCh, cCh} {
+	// Queued queries fail fast with ErrSessionClosed, without waiting for A.
+	for i := 0; i < 2; i++ {
 		select {
-		case out := <-ch:
-			if !errors.Is(out.err, ErrSessionClosed) {
-				t.Fatalf("queued query returned %v, want ErrSessionClosed", out.err)
+		case err := <-errs:
+			if !errors.Is(err, ErrSessionClosed) {
+				t.Fatalf("queued query returned %v, want ErrSessionClosed", err)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("queued query did not fail fast on Close")
@@ -99,14 +72,15 @@ func TestSessionCloseDrain(t *testing.T) {
 	}
 
 	// The in-flight query completes successfully and Close waits for it.
-	select {
-	case out := <-aCh:
-		if out.err != nil {
-			t.Fatalf("in-flight query failed during drain: %v", out.err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("in-flight query did not complete")
+	if _, _, err := c.RunContext(context.Background(), groupByQueryPlan()); err != nil {
+		t.Fatalf("in-flight query failed during drain: %v", err)
 	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a query still held its slot")
+	default:
+	}
+	s.q.release(slotA)
 	select {
 	case <-closed:
 	case <-time.After(5 * time.Second):
@@ -124,8 +98,8 @@ func TestSessionCloseDrain(t *testing.T) {
 	waitFor(t, "goroutines to drain", func() bool { return runtime.NumGoroutine() <= baseline })
 }
 
-// TestSessionCloseFailsFIFOQueue covers the built-in FIFO slot path: queries
-// blocked on a full slot channel fail fast with ErrSessionClosed on Close.
+// TestSessionCloseFailsFIFOQueue covers the untenanted FIFO case: queries
+// waiting behind a busy slot fail fast with ErrSessionClosed on Close.
 func TestSessionCloseFailsFIFOQueue(t *testing.T) {
 	orders := testOrders(200)
 	c := newTestCluster(t, 2, RDMA, true)
@@ -133,8 +107,8 @@ func TestSessionCloseFailsFIFOQueue(t *testing.T) {
 
 	s := c.NewSession(SessionConfig{MaxConcurrent: 1, MaxQueued: 4})
 	// Occupy the single execution slot by hand so queued queries park
-	// deterministically in acquire's select.
-	s.slots <- struct{}{}
+	// deterministically in the queue.
+	hold := mustAcquire(t, s.q, "")
 
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
@@ -143,9 +117,13 @@ func TestSessionCloseFailsFIFOQueue(t *testing.T) {
 			errs <- err
 		}()
 	}
-	waitFor(t, "queries to queue on the slot channel", func() bool { return s.Queued() >= 2 })
+	waitFor(t, "queries to queue behind the held slot", func() bool { return s.Queued() >= 2 })
 
-	s.Close()
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
 	for i := 0; i < 2; i++ {
 		select {
 		case err := <-errs:
@@ -156,7 +134,8 @@ func TestSessionCloseFailsFIFOQueue(t *testing.T) {
 			t.Fatal("queued query did not fail fast on Close")
 		}
 	}
-	<-s.slots
+	s.q.release(hold)
+	<-closed
 }
 
 // TestSessionQueueWaitRecorded: a query that had to wait for admission
@@ -166,9 +145,9 @@ func TestSessionQueueWaitRecorded(t *testing.T) {
 	c := newTestCluster(t, 2, RDMA, true)
 	c.LoadTable("orders", orders, storage.PlacementChunked, 0)
 
-	g := &gateAdmission{grant: make(chan struct{})}
-	s := c.NewSession(SessionConfig{Admission: g})
+	s := c.NewSession(SessionConfig{MaxConcurrent: 1})
 	defer s.Close()
+	hold := mustAcquire(t, s.q, "")
 
 	done := make(chan QueryStats, 1)
 	go func() {
@@ -180,16 +159,56 @@ func TestSessionQueueWaitRecorded(t *testing.T) {
 	}()
 	waitFor(t, "query to queue", func() bool { return s.Queued() == 1 })
 	time.Sleep(20 * time.Millisecond) // measurable admission wait
-	g.grant <- struct{}{}
+	s.q.release(hold)
 	stats := <-done
 
 	if stats.QueueWait < 10*time.Millisecond {
-		t.Fatalf("QueueWait = %v, want >= 10ms of gated wait", stats.QueueWait)
+		t.Fatalf("QueueWait = %v, want >= 10ms of queued wait", stats.QueueWait)
 	}
 	if stats.Compile <= 0 || stats.Exec <= 0 {
 		t.Fatalf("timing split missing: compile=%v exec=%v", stats.Compile, stats.Exec)
 	}
 	if stats.Duration != stats.Compile+stats.Exec {
 		t.Fatalf("Duration %v != Compile %v + Exec %v", stats.Duration, stats.Compile, stats.Exec)
+	}
+}
+
+// TestSessionCancelWhileQueued: a context cancelled while the query waits
+// for a slot surfaces engine.ErrCancelled — the sentinel a cancel during
+// execution surfaces — for an untenanted session and for one configured
+// the way the serving tier configures it.
+func TestSessionCancelWhileQueued(t *testing.T) {
+	c := newTestCluster(t, 2, RDMA, true)
+	c.LoadTable("orders", testOrders(200), storage.PlacementChunked, 0)
+
+	for _, tc := range []struct {
+		name string
+		cfg  SessionConfig
+		opts []RunOption
+	}{
+		{"fifo", SessionConfig{MaxConcurrent: 1}, nil},
+		{"served", SessionConfig{MaxConcurrent: 1, MaxQueued: 256, Tenants: map[string]int{"heavy": 4}}, []RunOption{WithTenant("light")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := c.NewSession(tc.cfg)
+			defer s.Close()
+			hold := mustAcquire(t, s.q, "")
+			defer s.q.release(hold)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			got := make(chan error, 1)
+			go func() {
+				_, _, err := s.RunContext(ctx, groupByQueryPlan(), tc.opts...)
+				got <- err
+			}()
+			waitFor(t, "query to queue", func() bool { return s.Queued() == 1 })
+			cancel()
+			if err := <-got; !errors.Is(err, engine.ErrCancelled) {
+				t.Fatalf("cancel while queued returned %v, want engine.ErrCancelled", err)
+			}
+			if s.Queued() != 0 {
+				t.Fatalf("cancelled query still queued: %d", s.Queued())
+			}
+		})
 	}
 }

@@ -1,6 +1,6 @@
 // Package leakcheck fails a test binary whose goroutines outlive its
-// tests. The serving tier (mux receive loops, exchange workers, QoS
-// dispatchers, scheduler pools) owns many goroutines whose shutdown
+// tests. The serving tier (mux receive loops, exchange workers, queued
+// session waiters, scheduler pools) owns many goroutines whose shutdown
 // paths are exactly the code most likely to regress; a leaked goroutine
 // in a test is usually a missed Close/Wake on one of those paths, and
 // without a checker it stays invisible until a production drain hangs.

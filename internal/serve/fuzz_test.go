@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,6 +91,7 @@ func FuzzServeFrames(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, frameExec})
 	f.Add([]byte{2, 0, 0, 0, frameSchema, 0xff})
+	f.Add(frame(f, frameHello, putString([]byte{ProtoVersion}, strings.Repeat("t", maxTenantName+1))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
@@ -116,6 +118,9 @@ func fuzzPayload(t *testing.T, typ byte, payload []byte, schema *storage.Schema)
 		tenant, err := parseHello(payload)
 		if err != nil {
 			break
+		}
+		if len(tenant) > maxTenantName {
+			t.Fatalf("Hello accepted a %d-byte tenant name (bound %d)", len(tenant), maxTenantName)
 		}
 		if again, err := parseHello(putString([]byte{ProtoVersion}, tenant)); err != nil || again != tenant {
 			t.Fatalf("Hello tenant %q re-decoded as %q, %v", tenant, again, err)

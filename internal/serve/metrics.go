@@ -28,10 +28,10 @@ var (
 	mTotalLatency = obs.Default().HistogramVec("hsqp_serve_request_seconds",
 		"End-to-end request latency, by tenant.", nil, "tenant")
 	mServed = obs.Default().CounterVec("hsqp_serve_qos_served_total",
-		"Requests completed through QoS accounting, by tenant.", "tenant")
+		"Requests completed and counted in the tenant's latency stats.", "tenant")
 
 	mQueueDepth = obs.Default().GaugeVec("hsqp_serve_qos_queue_depth",
-		"Requests waiting in the tenant's admission queue.", "tenant")
+		"Requests waiting in the tenant's line of the session's admission queue.", "tenant")
 	mTenantWeight = obs.Default().GaugeVec("hsqp_serve_qos_weight",
 		"Configured stride-scheduling weight, by tenant.", "tenant")
 	mQueueP50 = obs.Default().GaugeVec("hsqp_serve_qos_queue_p50_seconds",
@@ -62,7 +62,7 @@ var (
 // server (tests, restarts) never accumulates stale closures.
 func (s *Server) registerCollect() {
 	obs.Default().OnCollect("serve", func() {
-		for _, ts := range s.qos.Snapshot() {
+		for _, ts := range s.TenantStats() {
 			mQueueDepth.With(ts.Tenant).Set(float64(ts.Queued))
 			mTenantWeight.With(ts.Tenant).Set(float64(ts.Weight))
 			mQueueP50.With(ts.Tenant).Set(ts.QueueP50.Seconds())

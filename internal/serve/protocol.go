@@ -1,9 +1,9 @@
 // Package serve is the network-facing serving tier: a TCP server speaking
 // a small length-prefixed request/response protocol, a result cache with
 // single-flight deduplication for identical read-only queries, and
-// per-tenant weighted-fair admission with latency accounting layered on
-// cluster.Session. Every request that executes builds its statement and
-// compiles it on every server (exchange state is per query id, so no
+// per-tenant latency accounting, layered on a cluster.Session whose queue
+// does the per-tenant weighted-fair admission. Every request that executes
+// builds its statement and compiles it on every server (exchange state is per query id, so no
 // compiled state outlives a run); a Prepare frame validates the statement
 // and returns its result schema, nothing is kept from it but the handle.
 // It is where the engine meets untrusted, concurrent, heterogeneous
@@ -19,7 +19,7 @@
 // connection opens with Hello/HelloOK, then carries one request/response
 // exchange at a time:
 //
-//	Hello     c→s  version u8, tenant string
+//	Hello     c→s  version u8, tenant string (at most 64 bytes)
 //	HelloOK   s→c  version u8, sf f64bits, seed u64, weight u32
 //	Prepare   c→s  statement string                ("q1".."q22")
 //	Prepared  s→c  handle u32, result schema
@@ -150,8 +150,13 @@ func readFrame(r *bufio.Reader, max uint32) (typ byte, payload []byte, err error
 	return buf[0], buf[1:], nil
 }
 
+// maxTenantName bounds the tenant name a Hello may carry: the name becomes
+// a metric label and a key of the per-tenant stats, so one handshake must
+// not be able to pin a request frame's worth of it.
+const maxTenantName = 64
+
 // parseHello decodes a Hello payload into the tenant name, rejecting any
-// protocol version but this package's.
+// protocol version but this package's and names beyond maxTenantName.
 func parseHello(payload []byte) (tenant string, err error) {
 	if len(payload) < 1 {
 		return "", errors.New("serve: corrupt Hello frame")
@@ -160,6 +165,9 @@ func parseHello(payload []byte) (tenant string, err error) {
 		return "", fmt.Errorf("serve: protocol version %d not supported (want %d)", payload[0], ProtoVersion)
 	}
 	tenant, _, err = getString(payload[1:])
+	if err == nil && len(tenant) > maxTenantName {
+		return "", fmt.Errorf("serve: tenant name of %d bytes exceeds %d", len(tenant), maxTenantName)
+	}
 	return tenant, err
 }
 

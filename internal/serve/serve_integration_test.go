@@ -234,17 +234,31 @@ func TestServedStatementFollowsReload(t *testing.T) {
 }
 
 // TestOversizedRequestFrame: a client that advertises a frame beyond the
-// request bound — before or after the handshake — gets an Error frame and
-// a closed connection without the server reading (or allocating for) the
-// payload, and the server goes on serving other clients.
+// request bound — before or after the handshake — or names a tenant beyond
+// the name bound gets an Error frame and a closed connection (an oversized
+// payload is neither read nor allocated for), and the server goes on
+// serving other clients.
 func TestOversizedRequestFrame(t *testing.T) {
 	addr, _, _ := startServer(t, nil)
 	// Frame types and layouts as in the package doc: 0x01 Hello (version,
 	// tenant string), 0x09 Error (message string).
-	hello := []byte{3, 0, 0, 0, 0x01, serve.ProtoVersion, 0}
+	hello := func(tenant string) []byte {
+		body := append([]byte{0x01, serve.ProtoVersion}, binary.AppendUvarint(nil, uint64(len(tenant)))...)
+		body = append(body, tenant...)
+		return append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+	}
 	oversized := binary.LittleEndian.AppendUint32(nil, 64<<10+1)
 
-	for _, afterHello := range []bool{false, true} {
+	for _, tc := range []struct {
+		name       string
+		afterHello bool
+		send       []byte
+		want       string
+	}{
+		{"frame before Hello", false, oversized, "too large"},
+		{"frame after Hello", true, oversized, "too large"},
+		{"1 KiB tenant name", false, hello(strings.Repeat("t", 1024)), "tenant name"},
+	} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatalf("dial: %v", err)
@@ -254,27 +268,27 @@ func TestOversizedRequestFrame(t *testing.T) {
 			t.Helper()
 			var hdr [4]byte
 			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-				t.Fatalf("afterHello=%v: reading frame header: %v", afterHello, err)
+				t.Fatalf("%s: reading frame header: %v", tc.name, err)
 			}
 			body := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
 			if _, err := io.ReadFull(conn, body); err != nil {
-				t.Fatalf("afterHello=%v: reading frame body: %v", afterHello, err)
+				t.Fatalf("%s: reading frame body: %v", tc.name, err)
 			}
 			return body[0], body[1:]
 		}
-		if afterHello {
-			conn.Write(hello)
+		if tc.afterHello {
+			conn.Write(hello(""))
 			if typ, _ := readFrame(); typ != 0x02 {
 				t.Fatalf("handshake answered with frame 0x%02x, want HelloOK", typ)
 			}
 		}
-		conn.Write(oversized)
+		conn.Write(tc.send)
 		typ, payload := readFrame()
-		if typ != 0x09 || !strings.Contains(string(payload), "too large") {
-			t.Fatalf("afterHello=%v: oversized header answered with frame 0x%02x %q, want an Error frame", afterHello, typ, payload)
+		if typ != 0x09 || !strings.Contains(string(payload), tc.want) {
+			t.Fatalf("%s: answered with frame 0x%02x %q, want an Error frame saying %q", tc.name, typ, payload, tc.want)
 		}
 		if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
-			t.Fatalf("afterHello=%v: connection still open after the Error frame (read %d bytes, err %v)", afterHello, n, err)
+			t.Fatalf("%s: connection still open after the Error frame (read %d bytes, err %v)", tc.name, n, err)
 		}
 		conn.Close()
 	}
@@ -405,5 +419,49 @@ func TestServerShutdownDrain(t *testing.T) {
 	}
 	if _, err := serve.Dial(addr, "t"); err == nil {
 		t.Fatal("dial succeeded after shutdown")
+	}
+}
+
+// TestShutdownFailsQueuedRequests: requests waiting for the one execution
+// slot when the server drains are answered "server draining" — the
+// session's own close error never reaches the wire.
+func TestShutdownFailsQueuedRequests(t *testing.T) {
+	addr, srv, _ := startServer(t, func(cfg *serve.Config) { cfg.Slots = 1 })
+	const clients = 6
+	served := make(chan struct{}, 1)
+	last := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		cl, err := serve.Dial(addr, "t")
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer cl.Close()
+		go func() {
+			for {
+				if _, _, err := cl.ExecWithOpts("q1", serve.ExecOpts{BypassResultCache: true}); err != nil {
+					last <- err
+					return
+				}
+				select {
+				case served <- struct{}{}:
+				default:
+				}
+			}
+		}()
+	}
+	<-served // the slot is contended from here on
+	srv.Shutdown()
+	draining := 0
+	for i := 0; i < clients; i++ {
+		err := <-last
+		if strings.Contains(err.Error(), cluster.ErrSessionClosed.Error()) {
+			t.Fatalf("client saw the session's error on the wire: %v", err)
+		}
+		if strings.Contains(err.Error(), serve.ErrDraining.Error()) {
+			draining++
+		}
+	}
+	if draining == 0 {
+		t.Fatal("no request was answered with ErrDraining")
 	}
 }

@@ -18,6 +18,13 @@ import (
 	"hsqp/internal/storage"
 )
 
+// ErrDraining is returned to queued requests when the server drains:
+// in-flight queries complete, waiting ones fail fast.
+var ErrDraining = errors.New("serve: server draining")
+
+// DefaultMaxQueued bounds each tenant's admission queue.
+const DefaultMaxQueued = 256
+
 // Config configures a serving tier over one cluster.
 type Config struct {
 	// Cluster executes the queries; the caller keeps ownership (the server
@@ -30,7 +37,9 @@ type Config struct {
 	// clients so they can regenerate it for verification.
 	Seed uint64
 	// Tenants maps tenant name → weight for weighted-fair admission.
-	// Unknown tenants are admitted with weight 1.
+	// Unknown tenants are admitted with weight 1. It, Slots and
+	// MaxQueuedPerTenant are handed to the session as
+	// cluster.SessionConfig{Tenants, MaxConcurrent, MaxQueued}.
 	Tenants map[string]int
 	// Slots is how many queries may execute concurrently (default
 	// cluster.DefaultMaxConcurrent).
@@ -53,11 +62,11 @@ type Config struct {
 }
 
 // Server is the network front door: it owns the listener, the result
-// cache, the admission controller and a cluster.Session, and serves any
-// number of concurrent client connections.
+// cache, the per-tenant latency stats and a cluster.Session (which does the
+// admission), and serves any number of concurrent client connections.
 type Server struct {
 	cfg     Config
-	qos     *QoS
+	lat     *tenantLatencies
 	session *cluster.Session
 	results *ResultCache
 	slow    *obs.SlowLog
@@ -75,16 +84,19 @@ type Server struct {
 
 // New creates a server over the cluster.
 func New(cfg Config) *Server {
-	if cfg.Slots <= 0 {
-		cfg.Slots = cluster.DefaultMaxConcurrent
+	if cfg.MaxQueuedPerTenant <= 0 {
+		cfg.MaxQueuedPerTenant = DefaultMaxQueued
 	}
-	qos := NewQoS(cfg.Slots, cfg.Tenants, cfg.MaxQueuedPerTenant)
 	s := &Server{
-		cfg:     cfg,
-		qos:     qos,
-		session: cfg.Cluster.NewSession(cluster.SessionConfig{Admission: qos}),
-		conns:   map[net.Conn]struct{}{},
-		done:    make(chan struct{}),
+		cfg: cfg,
+		lat: newTenantLatencies(cfg.Tenants),
+		session: cfg.Cluster.NewSession(cluster.SessionConfig{
+			MaxConcurrent: cfg.Slots,
+			MaxQueued:     cfg.MaxQueuedPerTenant,
+			Tenants:       cfg.Tenants,
+		}),
+		conns: map[net.Conn]struct{}{},
+		done:  make(chan struct{}),
 	}
 	if !cfg.DisableResultCache {
 		s.results = NewResultCache(cfg.ResultCacheBytes)
@@ -146,9 +158,8 @@ func (s *Server) Shutdown() {
 	if lis != nil {
 		lis.Close()
 	}
-	s.qos.Close()     // queued admission waiters fail fast
-	s.reqWG.Wait()    // in-flight requests complete and responses flush
-	s.session.Close() // no stragglers: the session drains instantly now
+	s.session.Close() // queued queries fail fast, running ones complete
+	s.reqWG.Wait()    // their responses flush
 	// Snapshot under the lock, close outside it: Close on a hung
 	// connection may block, and connection handlers take s.mu on their
 	// exit path — closing under the lock can deadlock the drain.
@@ -168,8 +179,15 @@ func (s *Server) Shutdown() {
 // Done is closed once a Shutdown completes.
 func (s *Server) Done() <-chan struct{} { return s.done }
 
-// TenantStats returns the per-tenant QoS/latency snapshot.
-func (s *Server) TenantStats() []TenantStats { return s.qos.Snapshot() }
+// TenantStats returns the per-tenant latency snapshot, with each tenant's
+// weight and queue depth read from the session.
+func (s *Server) TenantStats() []TenantStats {
+	out := s.lat.Snapshot()
+	for i := range out {
+		out[i].Weight, out[i].Queued = s.session.TenantQueue(out[i].Tenant)
+	}
+	return out
+}
 
 // ResultCacheStats snapshots the result cache counters (zero value when
 // the cache is disabled).
@@ -376,7 +394,7 @@ func (s *Server) handleExec(bw *bufio.Writer, tenant string, payload []byte, han
 		return s.finishRequest(bw, err)
 	}
 	info.total = time.Since(start)
-	s.qos.Observe(tenant, info.queueWait, info.total)
+	s.lat.Observe(tenant, info.queueWait, info.total)
 	mRequests.With(tenant).Inc()
 	if s.slow.Observe(obs.SlowQuery{
 		Tenant: tenant, Statement: fmt.Sprintf("q%d", n), Rows: int(entry.Rows),
@@ -440,6 +458,9 @@ func (s *Server) runStatement(tenant string, n int) (*ResultEntry, doneInfo, err
 		return nil, doneInfo{}, err
 	}
 	res, stats, err := s.session.RunContext(context.Background(), q, cluster.WithTenant(tenant))
+	if errors.Is(err, cluster.ErrSessionClosed) {
+		err = ErrDraining
+	}
 	if err != nil {
 		return nil, doneInfo{}, err
 	}
