@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fmt fuzz-seed loc allow-count
+.PHONY: all build test race lint fmt fuzz-seed experiments loc allow-count
 
 all: build test lint
 
@@ -28,6 +28,11 @@ fmt:
 fuzz-seed:
 	$(GO) test -race ./internal/ser -run '^FuzzCodecRoundTrip$$'
 	$(GO) test -race ./internal/serve -run '^FuzzServeFrames$$'
+
+# Every experiment of internal/bench.Experiments at a small scale factor
+# (about a minute): the CI smoke that keeps `hsqp experiment` from rotting.
+experiments:
+	$(GO) run ./cmd/hsqp experiment -id all -sf 0.005
 
 # Non-test Go lines outside benchmark/ and the linter's testdata: the
 # number CHANGES.md reports before and after a simplification.

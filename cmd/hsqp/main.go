@@ -24,6 +24,7 @@ import (
 	"hsqp/internal/plan"
 	"hsqp/internal/queries"
 	"hsqp/internal/ref"
+	"hsqp/internal/report"
 	"hsqp/internal/serve"
 	"hsqp/internal/storage"
 	"hsqp/internal/tpch"
@@ -68,8 +69,8 @@ func usage() {
   hsqp client     -addr host:port [-tenant name] [-q q1] [-n N] [-prepare]
                   [-bypass] [-rows N] [-stats] [-verify] [-shutdown]
   hsqp top        -addr host:port [-interval 2s] [-n N]
-  hsqp experiment -id table1|fig2|fig3|fig4|fig5|fig9|fig10b|fig10c|fig11|fig12a|fig12b|table2|sched|sf|skew|skewjoin|skewsweep|throughput|serving|chaos|all
-                  [-sf S] [-servers N] [-concurrency N] [-full]`)
+  hsqp experiment -id <id>|all [-sf S] [-servers N] [-concurrency N] [-full]
+                  (no -id lists the experiments)`)
 }
 
 func cmdDbgen(args []string) error {
@@ -89,7 +90,7 @@ func cmdDbgen(args []string) error {
 	}
 	names := append([]string{}, tpch.TableNames...)
 	sort.Strings(names)
-	tab := &bench.Table{Title: fmt.Sprintf("TPC-H SF %g", *sf), Header: []string{"relation", "rows"}}
+	tab := &report.Table{Title: fmt.Sprintf("TPC-H SF %g", *sf), Header: []string{"relation", "rows"}}
 	for _, n := range names {
 		tab.Add(n, fmt.Sprintf("%d", db.Tables[n].Rows()))
 	}
@@ -146,7 +147,7 @@ func cmdRun(args []string) error {
 	defer c.Close()
 	fmt.Printf("loading TPC-H SF %g (%s placement) on %d servers…\n",
 		*sf, map[bool]string{true: "partitioned", false: "chunked"}[*partitioned], *servers)
-	c.LoadTPCH(bench.DB(*sf, 42), *partitioned)
+	c.LoadTPCH(tpch.Generate(*sf, 42), *partitioned)
 	qp, err := queries.Build(*q, queries.Params{SF: *sf})
 	if err != nil {
 		return err
@@ -165,7 +166,7 @@ func cmdRun(args []string) error {
 	}
 	printBatch(res, *rows)
 	fmt.Printf("\n%d rows; %s; shuffled %s in %d messages (%d stolen, %d local)\n",
-		res.Rows(), stats.Duration, bench.MB(stats.BytesSent), stats.MessagesSent,
+		res.Rows(), stats.Duration, report.MB(stats.BytesSent), stats.MessagesSent,
 		stats.StolenMsgs, stats.LocalMsgs)
 	fmt.Printf("pipeline DAG: overlap ratio %.2f, peak %d concurrent pipelines/server\n",
 		stats.MaxOverlap(), stats.PeakConcurrentPipelines())
@@ -196,7 +197,7 @@ func cmdRun(args []string) error {
 }
 
 func printBatch(b *storage.Batch, maxRows int) {
-	tab := &bench.Table{}
+	tab := &report.Table{}
 	for _, f := range b.Schema.Fields {
 		tab.Header = append(tab.Header, f.Name)
 	}
@@ -326,7 +327,7 @@ func cmdClient(args []string) error {
 			if err != nil {
 				return fmt.Errorf("reference %s: %w", stmt, err)
 			}
-			if err := verifyBatch(last, want); err != nil {
+			if err := ref.Compare(qn, last, want); err != nil {
 				return fmt.Errorf("%s: VERIFICATION FAILED: %w", stmt, err)
 			}
 			fmt.Printf("     verified against reference engine (%d rows)\n", last.Rows())
@@ -355,44 +356,9 @@ func cmdClient(args []string) error {
 	return nil
 }
 
-// verifyBatch compares a served result against the reference rows as a
-// multiset of formatted rows (row order is scheduling-dependent).
-func verifyBatch(got *storage.Batch, want *ref.Result) error {
-	if got.Rows() != len(want.Rows) {
-		return fmt.Errorf("%d rows, reference has %d", got.Rows(), len(want.Rows))
-	}
-	format := func(vals []any) string {
-		parts := make([]string, len(vals))
-		for i, v := range vals {
-			if v == nil {
-				parts[i] = "∅"
-			} else {
-				parts[i] = fmt.Sprintf("%v", v)
-			}
-		}
-		return strings.Join(parts, "|")
-	}
-	g := make([]string, got.Rows())
-	for i := range g {
-		g[i] = format(got.Row(i))
-	}
-	w := make([]string, len(want.Rows))
-	for i := range w {
-		w[i] = format(want.Rows[i])
-	}
-	sort.Strings(g)
-	sort.Strings(w)
-	for i := range g {
-		if g[i] != w[i] {
-			return fmt.Errorf("row %d (canonical order) differs\n  got:  %s\n  want: %s", i, g[i], w[i])
-		}
-	}
-	return nil
-}
-
 func cmdExperiment(args []string) error {
 	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
-	id := fs.String("id", "", "experiment id")
+	id := fs.String("id", "", "experiment id, or all (run without an id to list them)")
 	sf := fs.Float64("sf", 0.05, "scale factor")
 	servers := fs.Int("servers", 3, "cluster size (engine experiments)")
 	concurrency := fs.Int("concurrency", 8, "concurrent query streams (throughput experiment)")
@@ -400,128 +366,28 @@ func cmdExperiment(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	wl := bench.Workload{SF: *sf}
+	a := bench.Args{
+		Workload: bench.Workload{SF: *sf},
+		Setup:    bench.Setup{Servers: *servers},
+		Streams:  *concurrency,
+		Full:     *full,
+	}
 	if *full {
-		wl.Queries = queries.All()
+		a.Workload.Queries = queries.All()
 	}
-	setup := bench.Setup{Servers: *servers}
-	w := os.Stdout
-	run := func(name string, fn func() error) error {
-		fmt.Fprintf(w, "\n")
-		if err := fn(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+	exps := bench.Experiments
+	if *id != "all" {
+		e, err := bench.Lookup(*id)
+		if err != nil {
+			return err
 		}
-		return nil
+		exps = []bench.Experiment{e}
 	}
-	all := map[string]func() error{
-		"table1": func() error { bench.Table1(w); return nil },
-		"fig2": func() error {
-			steps := []int{1, 2, 4}
-			if *full {
-				steps = []int{1, 2, 4, 8}
-			}
-			_, err := bench.Figure2{Workload: wl, Setup: setup, CoreSteps: steps}.Run(w)
-			return err
-		},
-		"fig3": func() error {
-			maxS := 4
-			if *full {
-				maxS = 6
-			}
-			_, err := bench.Figure3{Workload: wl, Setup: bench.Setup{Servers: maxS}}.Run(w)
-			return err
-		},
-		"fig4": func() error { bench.Figure4(w); return nil },
-		"fig5": func() error { _, err := bench.Figure5{}.Run(w); return err },
-		"fig9": func() error {
-			_, err := bench.Figure9{Workload: wl, Setup: setup}.Run(w)
-			return err
-		},
-		"fig10b": func() error { _, err := bench.Figure10b{}.Run(w); return err },
-		"fig10c": func() error { _, err := bench.Figure10c{}.Run(w); return err },
-		"fig11": func() error {
-			serverList := []int{1, 2, 4}
-			if *full {
-				serverList = []int{1, 2, 3, 4, 5, 6}
-			}
-			_, err := bench.Figure11{Workload: wl, ServerList: serverList}.Run(w)
-			return err
-		},
-		"fig12a": func() error {
-			_, err := bench.Figure12a{Workload: wl, Setup: setup, IncludeInterpreted: *full}.Run(w)
-			return err
-		},
-		"fig12b": func() error {
-			_, err := bench.Figure12b{Workload: wl, Setup: setup}.Run(w)
-			return err
-		},
-		"table2": func() error {
-			_, err := bench.Table2{Workload: wl, Setup: setup, IncludeInterpreted: *full}.Run(w)
-			return err
-		},
-		"sched": func() error {
-			_, err := bench.SchedulingImpact{Workload: wl, Setup: setup}.Run(w)
-			return err
-		},
-		"sf": func() error {
-			_, err := bench.ScaleFactorScaling{Workload: wl, Setup: setup}.Run(w)
-			return err
-		},
-		"skew": func() error { bench.Skew{}.Run(w); return nil },
-		"skewjoin": func() error {
-			_, err := bench.SkewedJoin{Setup: setup, Transport: cluster.TCPGbE}.Run(w)
-			return err
-		},
-		"throughput": func() error {
-			run := bench.Throughput{Servers: *servers, Streams: *concurrency}
-			if *full {
-				run.Queries = []int{1, 12}
-				run.Rounds = 2
-			}
-			_, err := run.Run(w)
-			return err
-		},
-		"serving": func() error {
-			run := bench.Serving{Servers: *servers}
-			if *full {
-				run.Iters = 10
-				run.FairRequests = 20
-			}
-			_, err := run.Run(w)
-			return err
-		},
-		"chaos": func() error {
-			run := bench.Chaos{}
-			if *full {
-				run.SF = 0.02
-			}
-			_, err := run.Run(w)
-			return err
-		},
-		"skewsweep": func() error {
-			run := bench.SkewSweep{SkewedJoin: bench.SkewedJoin{
-				Setup: setup, Transport: cluster.TCPGbE, Rows: 200_000}}
-			if *full {
-				run.Rows = 600_000
-			}
-			_, err := run.Run(w)
-			return err
-		},
-	}
-	if *id == "all" {
-		order := []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig9", "fig10b",
-			"fig10c", "fig11", "fig12a", "fig12b", "table2", "sched", "sf", "skew",
-			"skewjoin", "skewsweep", "throughput", "serving", "chaos"}
-		for _, name := range order {
-			if err := run(name, all[name]); err != nil {
-				return err
-			}
+	for _, e := range exps {
+		fmt.Println()
+		if err := e.Run(os.Stdout, a); err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		return nil
 	}
-	fn, ok := all[*id]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q", *id)
-	}
-	return run(*id, fn)
+	return nil
 }

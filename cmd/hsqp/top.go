@@ -9,8 +9,8 @@ import (
 	"sort"
 	"time"
 
-	"hsqp/internal/bench"
 	"hsqp/internal/obs"
+	"hsqp/internal/report"
 )
 
 // cmdTop polls a daemon's /metrics endpoint and renders a one-screen live
@@ -84,7 +84,7 @@ func render(w io.Writer, cur, prev *obs.SampleSet, dt time.Duration) {
 
 	fmt.Fprintf(w, "hsqp top — %s\n", time.Now().Format("15:04:05"))
 	if qps >= 0 {
-		fmt.Fprintf(w, "requests %7.1f/s   wire %9s/s   ", qps, bench.MB(uint64(max64(wireRate, 0))))
+		fmt.Fprintf(w, "requests %7.1f/s   wire %9s/s   ", qps, report.MB(uint64(max64(wireRate, 0))))
 	} else {
 		fmt.Fprintf(w, "requests   (first sample)   ")
 	}
@@ -112,7 +112,7 @@ func render(w io.Writer, cur, prev *obs.SampleSet, dt time.Duration) {
 	if len(tenants) == 0 {
 		return
 	}
-	tab := &bench.Table{Header: []string{"tenant", "served", "queued", "queue p99", "total p50", "total p99"}}
+	tab := &report.Table{Header: []string{"tenant", "served", "queued", "queue p99", "total p50", "total p99"}}
 	for _, tn := range tenants {
 		l := map[string]string{"tenant": tn}
 		served, _ := cur.Value("hsqp_serve_qos_served_total", l)
@@ -121,7 +121,7 @@ func render(w io.Writer, cur, prev *obs.SampleSet, dt time.Duration) {
 		tp50, _ := cur.Value("hsqp_serve_qos_total_p50_seconds", l)
 		tp99, _ := cur.Value("hsqp_serve_qos_total_p99_seconds", l)
 		tab.Add(tn, fmt.Sprintf("%.0f", served), fmt.Sprintf("%.0f", depth),
-			bench.Dur(secs(qp99)), bench.Dur(secs(tp50)), bench.Dur(secs(tp99)))
+			report.Dur(secs(qp99)), report.Dur(secs(tp50)), report.Dur(secs(tp99)))
 	}
 	tab.Fprint(w)
 }

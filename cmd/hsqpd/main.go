@@ -27,10 +27,11 @@ import (
 	"syscall"
 	"time"
 
-	"hsqp/internal/bench"
 	"hsqp/internal/cluster"
 	"hsqp/internal/obs"
+	"hsqp/internal/report"
 	"hsqp/internal/serve"
+	"hsqp/internal/tpch"
 )
 
 func main() {
@@ -144,7 +145,7 @@ func run(args []string) error {
 	defer c.Close()
 	fmt.Printf("hsqpd: loading TPC-H SF %g (seed %d, %s placement) on %d servers…\n",
 		*sf, *seed, map[bool]string{true: "partitioned", false: "chunked"}[*partitioned], *servers)
-	c.LoadTPCH(bench.DB(*sf, *seed), *partitioned)
+	c.LoadTPCH(tpch.Generate(*sf, *seed), *partitioned)
 
 	var slowW io.Writer
 	if *slowLogPath != "" {
@@ -204,13 +205,13 @@ func run(args []string) error {
 
 	stats := srv.TenantStats()
 	if len(stats) > 0 {
-		tab := &bench.Table{
+		tab := &report.Table{
 			Title:  "per-tenant serving stats",
 			Header: []string{"tenant", "weight", "served", "queue p50", "queue p99", "total p50", "total p99"},
 		}
 		for _, ts := range stats {
 			tab.Add(ts.Tenant, fmt.Sprintf("%d", ts.Weight), fmt.Sprintf("%d", ts.Served),
-				bench.Dur(ts.QueueP50), bench.Dur(ts.QueueP99), bench.Dur(ts.TotalP50), bench.Dur(ts.TotalP99))
+				report.Dur(ts.QueueP50), report.Dur(ts.QueueP99), report.Dur(ts.TotalP50), report.Dur(ts.TotalP99))
 		}
 		tab.Fprint(os.Stdout)
 	}

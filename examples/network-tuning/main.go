@@ -2,7 +2,8 @@
 // tuning ladder of Figure 5 (TCP datagram/connected modes, offload,
 // interrupt pinning, RDMA) on the simulated InfiniBand fabric, then shows
 // the effect of round-robin network scheduling on all-to-all shuffles
-// (Figure 10(b)).
+// (Figure 10(b)) and what message size it takes to hide the scheduling
+// barriers (Figure 10(c)).
 package main
 
 import (
@@ -10,23 +11,18 @@ import (
 	"log"
 	"os"
 
-	"hsqp"
 	"hsqp/internal/bench"
 )
 
 func main() {
-	fmt.Println("transport tuning on simulated InfiniBand 4×QDR (Figure 5):")
-	if err := hsqp.ExperimentFigure5(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println()
-	fmt.Println("uncoordinated all-to-all vs round-robin scheduling (Figure 10(b)):")
-	if err := hsqp.ExperimentFigure10b(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println()
-	fmt.Println("message size vs scheduling synchronization cost (Figure 10(c)):")
-	if _, err := (bench.Figure10c{}).Run(os.Stdout); err != nil {
-		log.Fatal(err)
+	for _, id := range []string{"fig5", "fig10b", "fig10c"} {
+		e, err := bench.Lookup(id)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := e.Run(os.Stdout, bench.Args{}); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println()
 	}
 }

@@ -37,7 +37,7 @@ func main() {
 		Zipf:      1.1,
 		Transport: cluster.TCPGbE,
 	}
-	if _, err := exp.Run(os.Stdout); err != nil {
+	if err := exp.Run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 

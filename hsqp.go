@@ -31,15 +31,15 @@
 //	result, stats, _ := c.RunContext(ctx, hsqp.TPCHQuery(5, 0.1))
 //	fmt.Println(stats.Duration, stats.MaxOverlap())
 //
-// The paper's tables and figures regenerate through the Experiments API
-// (see ExperimentTable1 … or `go test -bench .` / cmd/hsqp).
+// The paper's tables and figures regenerate through `hsqp experiment`
+// (cmd/hsqp; the list is internal/bench.Experiments). The regression
+// yardstick is the benchmark/ module.
 package hsqp
 
 import (
 	"io"
 	"net/http"
 
-	"hsqp/internal/bench"
 	"hsqp/internal/cluster"
 	"hsqp/internal/engine"
 	"hsqp/internal/fabric"
@@ -285,72 +285,3 @@ func TwoSocketTopology() *numa.Topology { return numa.TwoSocket() }
 
 // FourSocketTopology is the Figure 9 server (4×15 cores).
 func FourSocketTopology() *numa.Topology { return numa.FourSocket() }
-
-// --- experiment façade: one entry point per paper table/figure ---
-
-// Workload selects the dataset and query subset of an experiment.
-type Workload = bench.Workload
-
-// ExperimentTable1 prints the data-link standards table.
-func ExperimentTable1(w io.Writer) { bench.Table1(w) }
-
-// ExperimentFigure2 runs hybrid vs classic core scaling.
-func ExperimentFigure2(w io.Writer, wl Workload) error {
-	_, err := bench.Figure2{Workload: wl}.Run(w)
-	return err
-}
-
-// ExperimentFigure3 runs the scale-out comparison of the three engines.
-func ExperimentFigure3(w io.Writer, wl Workload, maxServers int) error {
-	_, err := bench.Figure3{Workload: wl, Setup: bench.Setup{Servers: maxServers}}.Run(w)
-	return err
-}
-
-// ExperimentFigure5 runs the transport tuning microbenchmark.
-func ExperimentFigure5(w io.Writer) error {
-	_, err := bench.Figure5{}.Run(w)
-	return err
-}
-
-// ExperimentFigure9 runs the NUMA allocation-policy comparison.
-func ExperimentFigure9(w io.Writer, wl Workload) error {
-	_, err := bench.Figure9{Workload: wl}.Run(w)
-	return err
-}
-
-// ExperimentFigure10b runs all-to-all vs round-robin scheduling.
-func ExperimentFigure10b(w io.Writer) error {
-	_, err := bench.Figure10b{}.Run(w)
-	return err
-}
-
-// ExperimentFigure12a runs the system-style comparison.
-func ExperimentFigure12a(w io.Writer, wl Workload) error {
-	_, err := bench.Figure12a{Workload: wl}.Run(w)
-	return err
-}
-
-// ExperimentThroughput runs the multi-query throughput comparison:
-// N concurrent TPC-H streams through a Session versus the same queries
-// back-to-back, reporting qps and p50/p99 latency for both modes.
-func ExperimentThroughput(w io.Writer, streams int) error {
-	_, err := bench.Throughput{Streams: streams}.Run(w)
-	return err
-}
-
-// ExperimentServing measures the serving tier's two latency paths over a
-// loopback socket — executed and result-cache hit — plus per-tenant
-// latency under weighted-fair admission.
-func ExperimentServing(w io.Writer) error {
-	_, err := bench.Serving{}.Run(w)
-	return err
-}
-
-// ExperimentChaos measures per-query fault tolerance: one server is
-// killed, hung, or partitioned mid-query and the coordinator detects the
-// loss, evicts the server, and transparently restarts on the survivors;
-// plus the cost of online AddServer/RemoveServer membership changes.
-func ExperimentChaos(w io.Writer) error {
-	_, err := bench.Chaos{}.Run(w)
-	return err
-}

@@ -1,7 +1,6 @@
 package hsqp
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -34,11 +33,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if out := ExplainQuery(TPCHQuery(17, 1)); !strings.Contains(out, "groupjoin") {
 		t.Fatalf("explain: %s", out)
-	}
-	var buf bytes.Buffer
-	ExperimentTable1(&buf)
-	if !strings.Contains(buf.String(), "IB 4xQDR") {
-		t.Fatal("Table 1 output incomplete")
 	}
 	if TwoSocketTopology().Sockets != 2 || FourSocketTopology().Sockets != 4 {
 		t.Fatal("topology helpers broken")

@@ -10,52 +10,30 @@ import (
 	"hsqp/internal/op"
 	"hsqp/internal/plan"
 	"hsqp/internal/queries"
+	"hsqp/internal/report"
 	"hsqp/internal/storage"
 	"hsqp/internal/tpch"
 )
 
-// PreAggAblation quantifies the pre-aggregation optimization of
-// Figure 6(c): group-bys either pre-aggregate locally before shuffling
-// (the paper's plan) or ship raw rows and aggregate once after the
-// exchange.
-type PreAggAblation struct {
-	SF float64
-	Setup
-}
-
-// PreAggResult reports both variants.
-type PreAggResult struct {
-	With, Without           time.Duration
-	BytesWith, BytesWithout uint64
-}
-
-// Run executes the ablation on the aggregation-heavy queries.
-func (f PreAggAblation) Run(w io.Writer) (PreAggResult, error) {
-	// Workload defaults SF to 0.05.
-	wl := Workload{SF: f.SF, Queries: []int{1, 13, 15, 20}}
-	res, err := RunVariants(f.config(cluster.RDMA, true), wl, plan.Options{}, plan.Options{DisablePreAgg: true})
+// preAggAblation quantifies the pre-aggregation optimization of
+// Figure 6(c) on the aggregation-heavy queries: group-bys either
+// pre-aggregate locally before shuffling (the paper's plan) or ship raw
+// rows and aggregate once after the exchange.
+func preAggAblation(w io.Writer, a Args) error {
+	wl := a.Workload
+	wl.Queries = []int{1, 13, 15, 20}
+	res, err := RunVariants(a.Setup.config(cluster.RDMA, true), wl, plan.Options{}, plan.Options{DisablePreAgg: true})
 	if err != nil {
-		return PreAggResult{}, err
+		return err
 	}
-	out := PreAggResult{
-		With: res[0].Total, BytesWith: res[0].Stats.BytesSent,
-		Without: res[1].Total, BytesWithout: res[1].Stats.BytesSent,
-	}
-	tab := &Table{
+	tab := &report.Table{
 		Title:  "Ablation: pre-aggregation before group-by exchanges (Figure 6(c))",
 		Header: []string{"variant", "time", "data shuffled"},
 	}
-	tab.Add("pre-aggregate", Dur(out.With), MB(out.BytesWith))
-	tab.Add("raw shuffle", Dur(out.Without), MB(out.BytesWithout))
+	tab.Add("pre-aggregate", report.Dur(res[0].Total), report.MB(res[0].Stats.BytesSent))
+	tab.Add("raw shuffle", report.Dur(res[1].Total), report.MB(res[1].Stats.BytesSent))
 	tab.Fprint(w)
-	return out, nil
-}
-
-// GroupJoinAblation compares HyPer's Γ⨝ groupjoin (used by Q18's plan)
-// against the classical aggregate-then-join rewrite of the same query.
-type GroupJoinAblation struct {
-	SF float64
-	Setup
+	return nil
 }
 
 // q18AggThenJoin is TPC-H Q18 without the groupjoin: aggregate lineitem by
@@ -86,47 +64,42 @@ func q18AggThenJoin() *plan.Query {
 	return plan.NewQuery("q18-agg-then-join", f)
 }
 
-// Run executes both Q18 variants and verifies they agree.
-func (f GroupJoinAblation) Run(w io.Writer) (groupjoin, aggjoin time.Duration, err error) {
-	if f.SF == 0 {
-		f.SF = 0.05
-	}
-	Warmup()
-	c, err := load(f.config(cluster.RDMA, true), Workload{SF: f.SF})
+// groupJoinAblation compares HyPer's Γ⨝ groupjoin (used by Q18's plan)
+// against the classical aggregate-then-join rewrite of the same query, on
+// one loaded cluster.
+func groupJoinAblation(w io.Writer, a Args) error {
+	warmup()
+	c, err := load(a.Setup.config(cluster.RDMA, true), a.Workload.fill)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	defer c.Close()
 
-	run := func(q *plan.Query) (time.Duration, int, error) {
+	tab := &report.Table{
+		Title:  "Ablation: Q18 via groupjoin (Γ⨝) vs aggregate-then-join",
+		Header: []string{"plan", "time", "rows"},
+	}
+	for _, v := range []struct {
+		name string
+		q    *plan.Query
+	}{
+		{"groupjoin", queries.MustBuild(18, queries.Params{SF: a.Workload.withDefaults().SF})},
+		{"agg-then-join", q18AggThenJoin()},
+	} {
 		var best time.Duration
 		var rows int
 		for r := 0; r < 2; r++ {
-			res, stats, err := c.RunContext(context.Background(), q)
+			res, stats, err := c.RunContext(context.Background(), v.q)
 			if err != nil {
-				return 0, 0, err
+				return err
 			}
 			if r == 0 || stats.Duration < best {
 				best = stats.Duration
 			}
 			rows = res.Rows()
 		}
-		return best, rows, nil
+		tab.Add(v.name, report.Dur(best), strconv.Itoa(rows))
 	}
-	gjTime, gjRows, err := run(queries.MustBuild(18, queries.Params{SF: f.SF}))
-	if err != nil {
-		return 0, 0, err
-	}
-	ajTime, ajRows, err := run(q18AggThenJoin())
-	if err != nil {
-		return 0, 0, err
-	}
-	tab := &Table{
-		Title:  "Ablation: Q18 via groupjoin (Γ⨝) vs aggregate-then-join",
-		Header: []string{"plan", "time", "rows"},
-	}
-	tab.Add("groupjoin", Dur(gjTime), strconv.Itoa(gjRows))
-	tab.Add("agg-then-join", Dur(ajTime), strconv.Itoa(ajRows))
 	tab.Fprint(w)
-	return gjTime, ajTime, nil
+	return nil
 }

@@ -11,14 +11,15 @@ import (
 	"hsqp/internal/mux"
 	"hsqp/internal/numa"
 	"hsqp/internal/rdma"
+	"hsqp/internal/report"
 	"hsqp/internal/tcp"
 )
 
-// Figure4 prints the memory-bus trips of the classic I/O model vs data
+// figure4 prints the memory-bus trips of the classic I/O model vs data
 // direct I/O (§2.1.1): DDIO cuts 3 bus transfers per side to 1, and NUIOA
 // restricts DDIO to the NIC-local socket.
-func Figure4(w io.Writer) *Table {
-	tab := &Table{
+func figure4(w io.Writer, _ Args) error {
+	tab := &report.Table{
 		Title:  "Figure 4: memory-bus traffic per payload byte (model)",
 		Header: []string{"configuration", "sender reads", "sender writes", "receiver reads", "receiver writes"},
 	}
@@ -30,90 +31,68 @@ func Figure4(w io.Writer) *Table {
 	// DDIO defeated by a NUIOA-remote network thread.
 	tab.Add("DDIO, NUIOA-remote", "2.11", "0.00", "1.50", "2.33")
 	tab.Fprint(w)
-	return tab
+	return nil
 }
 
-// TransportVariant is one bar of Figure 5.
-type TransportVariant struct {
-	Name string
-	// TCP is nil for the RDMA variant.
-	TCP *tcp.Config
-}
+// The microbenchmarks below move raw messages of the engine's default
+// size; their time scales are small because no query compute has to be
+// kept in proportion.
+const (
+	figure5Messages   = 150
+	figure5TimeScale  = 4
+	figure10TimeScale = 2
+)
 
-// Figure5Variants returns the paper's tuning ladder.
-func Figure5Variants() []TransportVariant {
-	return []TransportVariant{
+// figure5 runs the single-stream transport microbenchmark (§2.1.2) over
+// the paper's tuning ladder: 150 transfers of one message between two
+// servers, unidirectional and bidirectional, per-stream simulated GB/s.
+func figure5(w io.Writer, _ Args) error {
+	tab := &report.Table{
+		Title: fmt.Sprintf("Figure 5: transport tuning (%d × %d KB, one stream)",
+			figure5Messages, memory.DefaultMessageSize/1024),
+		Header: []string{"variant", "unidirectional GB/s", "bidirectional GB/s"},
+	}
+	for _, v := range []struct {
+		name string
+		tcp  *tcp.Config // nil for RDMA
+	}{
 		{"TCP w/o offload", &tcp.Config{Mode: tcp.ModeDatagram, Offload: false, NICLocal: true}},
 		{"default TCP", &tcp.Config{Mode: tcp.ModeDatagram, Offload: true, NICLocal: true}},
 		{"TCP 64k MTU", &tcp.Config{Mode: tcp.ModeConnected, NICLocal: true}},
 		{"TCP interrupts", &tcp.Config{Mode: tcp.ModeConnected, NICLocal: true, TunedInterrupts: true}},
 		{"default RDMA", nil},
-	}
-}
-
-// Figure5 runs the single-stream transport microbenchmark (§2.1.2):
-// `Messages` transfers of `MessageSize` bytes between two servers,
-// unidirectional and bidirectional.
-type Figure5 struct {
-	Messages    int
-	MessageSize int
-	TimeScale   float64
-}
-
-// Figure5Point is one variant's throughput in simulated GB/s.
-type Figure5Point struct {
-	Name           string
-	Unidirectional float64
-	Bidirectional  float64
-}
-
-// Run executes all variants.
-func (f Figure5) Run(w io.Writer) ([]Figure5Point, error) {
-	if f.Messages == 0 {
-		f.Messages = 150
-	}
-	if f.MessageSize == 0 {
-		f.MessageSize = memory.DefaultMessageSize
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = 4
-	}
-	var out []Figure5Point
-	tab := &Table{
-		Title:  fmt.Sprintf("Figure 5: transport tuning (%d × %d KB, one stream)", f.Messages, f.MessageSize/1024),
-		Header: []string{"variant", "unidirectional GB/s", "bidirectional GB/s"},
-	}
-	for _, v := range Figure5Variants() {
-		uni, err := f.measure(v, false)
+	} {
+		uni, err := oneStream(v.tcp, false)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		bidi, err := f.measure(v, true)
+		bidi, err := oneStream(v.tcp, true)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, Figure5Point{Name: v.Name, Unidirectional: uni, Bidirectional: bidi})
-		tab.Add(v.Name, F2(uni), F2(bidi))
+		tab.Add(v.name, report.F2(uni), report.F2(bidi))
 	}
 	tab.Fprint(w)
-	return out, nil
+	return nil
 }
 
-// measure runs one stream (or two opposing streams) and returns the
+// oneStream runs one stream (or two opposing streams) over TCP in the
+// given configuration, or over RDMA when tcpCfg is nil, and returns the
 // per-stream payload throughput in simulated GB/s.
-func (f Figure5) measure(v TransportVariant, bidi bool) (float64, error) {
+func oneStream(tcpCfg *tcp.Config, bidi bool) (float64, error) {
+	const messages, messageSize = figure5Messages, memory.DefaultMessageSize
 	fab, err := fabric.New(fabric.Config{
 		Ports:     2,
 		Rate:      fabric.IB4xQDR,
-		TimeScale: f.TimeScale,
+		TimeScale: figure5TimeScale,
 	})
 	if err != nil {
 		return 0, err
 	}
 	topo := numa.TwoSocket()
 	pools := [2]*memory.Pool{
-		memory.NewPool(topo, numa.AllocLocal, f.MessageSize, nil),
-		memory.NewPool(topo, numa.AllocLocal, f.MessageSize, nil),
+		memory.NewPool(topo, numa.AllocLocal, messageSize, nil),
+		memory.NewPool(topo, numa.AllocLocal, messageSize, nil),
 	}
 	done := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
 	var counts [2]int
@@ -127,13 +106,13 @@ func (f Figure5) measure(v TransportVariant, bidi bool) (float64, error) {
 			counts[i]++
 			c := counts[i]
 			mu.Unlock()
-			if c == f.Messages {
+			if c == messages {
 				done[i] <- struct{}{}
 			}
 		}
 		onInline := func(int, uint32) {}
-		if v.TCP != nil {
-			endpoints[i] = tcp.NewEndpoint(fab, i, *v.TCP, pools[i].Get0, onRecv, onInline)
+		if tcpCfg != nil {
+			endpoints[i] = tcp.NewEndpoint(fab, i, *tcpCfg, pools[i].Get0, onRecv, onInline)
 		} else {
 			endpoints[i] = rdma.NewEndpoint(fab, i, pools[i].Get0, onRecv, onInline)
 		}
@@ -151,9 +130,9 @@ func (f Figure5) measure(v TransportVariant, bidi bool) (float64, error) {
 
 	send := func(from int) {
 		to := 1 - from
-		for k := 0; k < f.Messages; k++ {
+		for k := 0; k < messages; k++ {
 			m := pools[from].Get0()
-			m.Content = m.Content[:f.MessageSize-memory.HeaderSize]
+			m.Content = m.Content[:messageSize-memory.HeaderSize]
 			endpoints[from].Send(to, m)
 		}
 	}
@@ -167,122 +146,57 @@ func (f Figure5) measure(v TransportVariant, bidi bool) (float64, error) {
 		<-done[0]
 	}
 	wall := time.Since(start)
-	simSeconds := wall.Seconds() / f.TimeScale
-	perStream := float64(f.Messages) * float64(f.MessageSize) / simSeconds / 1e9
+	simSeconds := wall.Seconds() / figure5TimeScale
+	perStream := float64(messages) * float64(messageSize) / simSeconds / 1e9
 	return perStream, nil
 }
 
-// Figure10b measures all-to-all throughput with and without round-robin
-// network scheduling as the cluster grows (paper: +40% at 8 servers).
-type Figure10b struct {
-	ServerList  []int
-	MessagesPer int
-	MessageSize int
-	TimeScale   float64
-}
-
-// Figure10bPoint is one cluster size's per-server throughput (GB/s).
-type Figure10bPoint struct {
-	Servers              int
-	AllToAll, RoundRobin float64
-}
-
-// Run executes the sweep.
-func (f Figure10b) Run(w io.Writer) ([]Figure10bPoint, error) {
-	if len(f.ServerList) == 0 {
-		f.ServerList = []int{2, 4, 6, 8}
-	}
-	if f.MessagesPer == 0 {
-		f.MessagesPer = 240
-	}
-	if f.MessageSize == 0 {
-		f.MessageSize = memory.DefaultMessageSize
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = 2
-	}
-	var out []Figure10bPoint
-	tab := &Table{
+// figure10b measures all-to-all throughput with and without round-robin
+// network scheduling as the cluster grows (paper: +40% at 8 servers):
+// 240 messages per server, per-server simulated GB/s.
+func figure10b(w io.Writer, _ Args) error {
+	tab := &report.Table{
 		Title:  "Figure 10(b): all-to-all vs round-robin scheduling",
 		Header: []string{"servers", "all-to-all GB/s", "round-robin GB/s", "improvement"},
 	}
-	for _, n := range f.ServerList {
-		p := Figure10bPoint{Servers: n}
-		for _, sched := range []bool{false, true} {
+	for _, n := range []int{2, 4, 6, 8} {
+		var thr [2]float64 // unscheduled, scheduled
+		for i, sched := range []bool{false, true} {
 			// Average several trials: contention patterns vary run to run.
-			var sum float64
 			const trials = 3
 			for t := 0; t < trials; t++ {
-				thr, err := allToAll(n, f.MessagesPer, f.MessageSize, f.TimeScale, sched)
+				one, err := allToAll(n, 240, memory.DefaultMessageSize, figure10TimeScale, sched)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				sum += thr
-			}
-			thr := sum / trials
-			if sched {
-				p.RoundRobin = thr
-			} else {
-				p.AllToAll = thr
+				thr[i] += one / trials
 			}
 		}
-		out = append(out, p)
-		tab.Add(fmt.Sprintf("%d", n), F2(p.AllToAll), F2(p.RoundRobin),
-			fmt.Sprintf("%+.0f%%", (p.RoundRobin/p.AllToAll-1)*100))
+		tab.Add(fmt.Sprintf("%d", n), report.F2(thr[0]), report.F2(thr[1]),
+			fmt.Sprintf("%+.0f%%", (thr[1]/thr[0]-1)*100))
 	}
 	tab.Fprint(w)
-	return out, nil
+	return nil
 }
 
-// Figure10c sweeps the message size under scheduling: small messages
-// cannot amortize the synchronization barriers; ≥512 KB hides them
-// completely.
-type Figure10c struct {
-	Servers    int
-	TotalBytes int
-	Sizes      []int
-	TimeScale  float64
-}
-
-// Figure10cPoint is one message size's throughput.
-type Figure10cPoint struct {
-	Size       int
-	Throughput float64
-}
-
-// Run executes the sweep.
-func (f Figure10c) Run(w io.Writer) ([]Figure10cPoint, error) {
-	if f.Servers == 0 {
-		f.Servers = 4
-	}
-	if f.TotalBytes == 0 {
-		f.TotalBytes = 48 << 20
-	}
-	if len(f.Sizes) == 0 {
-		f.Sizes = []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 512 << 10, 2 << 20}
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = 2
-	}
-	var out []Figure10cPoint
-	tab := &Table{
-		Title:  fmt.Sprintf("Figure 10(c): throughput vs message size (%d servers, scheduled)", f.Servers),
+// figure10c sweeps the message size under scheduling on 4 servers moving
+// 48 MB each: small messages cannot amortize the synchronization barriers;
+// ≥512 KB hides them completely.
+func figure10c(w io.Writer, _ Args) error {
+	const servers, totalBytes = 4, 48 << 20
+	tab := &report.Table{
+		Title:  fmt.Sprintf("Figure 10(c): throughput vs message size (%d servers, scheduled)", servers),
 		Header: []string{"message size", "GB/s"},
 	}
-	for _, size := range f.Sizes {
-		per := f.TotalBytes / size
-		if per < 8 {
-			per = 8
-		}
-		thr, err := allToAll(f.Servers, per, size, f.TimeScale, true)
+	for _, size := range []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 512 << 10, 2 << 20} {
+		thr, err := allToAll(servers, max(totalBytes/size, 8), size, figure10TimeScale, true)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, Figure10cPoint{Size: size, Throughput: thr})
-		tab.Add(fmt.Sprintf("%dKB", size/1024), F2(thr))
+		tab.Add(fmt.Sprintf("%dKB", size/1024), report.F2(thr))
 	}
 	tab.Fprint(w)
-	return out, nil
+	return nil
 }
 
 // allToAll runs the raw shuffle microbenchmark through the real

@@ -8,111 +8,87 @@ import (
 
 	"hsqp/internal/competitors"
 	"hsqp/internal/fabric"
+	"hsqp/internal/report"
 	"hsqp/internal/tpch"
 )
 
-// runStyle runs the workload as one modeled system on this deployment: the
-// style's transport and plan options, at the given link rate (zero = the
+// system is one column of the system comparisons: a modeled engine style
+// on one data placement.
+type system struct {
+	name        string
+	style       competitors.Style
+	partitioned bool
+}
+
+// comparedSystems are the systems of Figure 12(a) and Table 2, slowest
+// first. The very slow interpreted Spark/Impala styles only run under
+// -full.
+func comparedSystems(full bool) []system {
+	systems := []system{
+		{"MemSQL-style", competitors.MemSQLStyle, true},
+		{"Vectorwise-style", competitors.VectorwiseStyle, true},
+		{"HyPer (chunked)", competitors.HyPerStyle, false},
+		{"HyPer (partitioned)", competitors.HyPerStyle, true},
+	}
+	if full {
+		systems = append([]system{
+			{"SparkSQL-style", competitors.SparkSQLStyle, false},
+			{"Impala-style", competitors.ImpalaStyle, false},
+		}, systems...)
+	}
+	return systems
+}
+
+// run executes the workload as this system on deployment s: the style's
+// transport and plan options, at the given link rate (zero = the
 // transport's native rate).
-func (s Setup) runStyle(style competitors.Style, rate fabric.Rate, w Workload) (RunResult, error) {
+func (sys system) run(s Setup, rate fabric.Rate, wl Workload) (RunResult, error) {
 	s = s.withDefaults()
-	cfg, po := competitors.ClusterConfig(style, s.Servers, s.Workers, s.TimeScale)
+	cfg, po := competitors.ClusterConfig(sys.style, s.Servers, s.Workers, s.TimeScale)
 	cfg.Rate = rate
-	res, err := RunVariants(cfg, w, po)
+	wl.Partitioned = sys.partitioned
+	res, err := RunVariants(cfg, wl, po)
 	if err != nil {
 		return RunResult{}, err
 	}
 	return res[0], nil
 }
 
-// Figure12a compares the modeled distributed SQL systems by
+// figure12a compares the modeled distributed SQL systems by
 // queries-per-hour on the same workload (paper: Spark 77, Impala 123,
 // MemSQL 544, Vectorwise 3856, HyPer chunked 16090 / partitioned 20739).
-type Figure12a struct {
-	Workload Workload
-	Setup
-	// IncludeInterpreted also runs the very slow Spark/Impala styles
-	// (expensive; off for quick runs).
-	IncludeInterpreted bool
-}
-
-// Figure12aPoint is one system's throughput.
-type Figure12aPoint struct {
-	System string
-	QpH    float64
-}
-
-// Run executes the comparison.
-func (f Figure12a) Run(w io.Writer) ([]Figure12aPoint, error) {
-	styles := []competitors.Style{competitors.MemSQLStyle, competitors.VectorwiseStyle}
-	if f.IncludeInterpreted {
-		styles = append([]competitors.Style{competitors.SparkSQLStyle, competitors.ImpalaStyle}, styles...)
-	}
-	var out []Figure12aPoint
-	tab := &Table{
+func figure12a(w io.Writer, a Args) error {
+	tab := &report.Table{
 		Title:  "Figure 12(a): queries per hour by system style",
 		Header: []string{"system", "placement", "queries/hour"},
 	}
-	run := func(name string, style competitors.Style, partitioned bool) error {
-		wl := f.Workload
-		wl.Partitioned = partitioned
-		res, err := f.runStyle(style, 0, wl)
+	for _, sys := range comparedSystems(a.Full) {
+		res, err := sys.run(a.Setup, 0, a.Workload)
 		if err != nil {
 			return err
 		}
-		out = append(out, Figure12aPoint{System: name, QpH: res.QpH()})
 		placement := "chunked"
-		if partitioned {
+		if sys.partitioned {
 			placement = "partitioned"
 		}
-		tab.Add(name, placement, fmt.Sprintf("%.0f", res.QpH()))
-		return nil
-	}
-	for _, s := range styles {
-		if err := run(s.String(), s, s.Partitioned()); err != nil {
-			return nil, err
-		}
-	}
-	if err := run("HyPer (chunked)", competitors.HyPerStyle, false); err != nil {
-		return nil, err
-	}
-	if err := run("HyPer (partitioned)", competitors.HyPerStyle, true); err != nil {
-		return nil, err
+		tab.Add(sys.name, placement, fmt.Sprintf("%.0f", res.QpH()))
 	}
 	tab.Fprint(w)
-	return out, nil
+	return nil
 }
 
-// Figure12b sweeps the network bandwidth (GbE → SDR → DDR → QDR) and
+// figure12b sweeps the network bandwidth (GbE → SDR → DDR → QDR) and
 // reports each system's speedup over its own GbE run. Paper: HyPer-RDMA
 // scales ~12×, TCP engines plateau around 4×, MemSQL ~1.2×.
-type Figure12b struct {
-	Workload Workload
-	Setup
-}
-
-// Figure12bPoint is one (system, rate) speedup over GbE.
-type Figure12bPoint struct {
-	System  string
-	Rate    fabric.Rate
-	Speedup float64
-}
-
-// Run executes the sweep.
-func (f Figure12b) Run(w io.Writer) ([]Figure12bPoint, error) {
+func figure12b(w io.Writer, a Args) error {
 	rates := []fabric.Rate{fabric.GbE, fabric.IB4xSDR, fabric.IB4xDDR, fabric.IB4xQDR}
-	systems := []struct {
-		name        string
-		style       competitors.Style
-		partitioned bool
-	}{
+	systems := []system{
 		{"HyPer (RDMA)", competitors.HyPerStyle, false},
 		{"HyPer (TCP)", competitors.HyPerTCPStyle, false},
 		{"Vectorwise-style", competitors.VectorwiseStyle, true},
 		{"MemSQL-style", competitors.MemSQLStyle, true},
 	}
-	var out []Figure12bPoint
-	tab := &Table{
+	tab := &report.Table{
 		Title:  "Figure 12(b): speedup over GbE as the data rate grows",
 		Header: []string{"system", "GbE", "SDR", "DDR", "QDR"},
 	}
@@ -120,111 +96,53 @@ func (f Figure12b) Run(w io.Writer) ([]Figure12bPoint, error) {
 		base := time.Duration(0)
 		row := []string{sys.name}
 		for _, rate := range rates {
-			wl := f.Workload
-			wl.Partitioned = sys.partitioned
-			res, err := f.runStyle(sys.style, rate, wl)
+			res, err := sys.run(a.Setup, rate, a.Workload)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if rate == fabric.GbE {
 				base = res.Total
 			}
-			sp := base.Seconds() / res.Total.Seconds()
-			out = append(out, Figure12bPoint{System: sys.name, Rate: rate, Speedup: sp})
-			row = append(row, F2(sp))
+			row = append(row, report.F2(base.Seconds()/res.Total.Seconds()))
 		}
 		tab.Add(row...)
 	}
 	tab.Fprint(w)
-	return out, nil
+	return nil
 }
 
-// Table2 produces the detailed per-query comparison: runtimes per system,
+// table2 produces the detailed per-query comparison: runtimes per system,
 // messages sent and data shuffled, geometric mean and queries/hour.
-type Table2 struct {
-	Workload Workload
-	Setup
-	// IncludeInterpreted adds the slow Spark-/Impala-style engines.
-	IncludeInterpreted bool
-}
-
-// Table2Column is one system's full-run measurement.
-type Table2Column struct {
-	System   string
-	Times    map[int]time.Duration
-	Shuffled uint64
-	Messages uint64
-	Total    time.Duration
-	GeoMean  float64
-	QpH      float64
-}
-
-// Run executes the comparison.
-func (f Table2) Run(w io.Writer) ([]Table2Column, error) {
-	type sys struct {
-		name        string
-		style       competitors.Style
-		partitioned bool
-	}
-	systems := []sys{
-		{"MemSQL-style", competitors.MemSQLStyle, true},
-		{"Vectorwise-style", competitors.VectorwiseStyle, true},
-		{"HyPer (chunked)", competitors.HyPerStyle, false},
-		{"HyPer (partitioned)", competitors.HyPerStyle, true},
-	}
-	if f.IncludeInterpreted {
-		systems = append([]sys{
-			{"SparkSQL-style", competitors.SparkSQLStyle, false},
-			{"Impala-style", competitors.ImpalaStyle, false},
-		}, systems...)
-	}
-	var cols []Table2Column
-	for _, s := range systems {
-		wl := f.Workload
-		wl.Partitioned = s.partitioned
-		res, err := f.runStyle(s.style, 0, wl)
-		if err != nil {
-			return nil, err
+func table2(w io.Writer, a Args) error {
+	systems := comparedSystems(a.Full)
+	cols := make([]RunResult, len(systems))
+	tab := &report.Table{Title: "Table 2: detailed query runtimes", Header: []string{"query"}}
+	for i, sys := range systems {
+		var err error
+		if cols[i], err = sys.run(a.Setup, 0, a.Workload); err != nil {
+			return err
 		}
-		cols = append(cols, Table2Column{
-			System:   s.name,
-			Times:    res.Times,
-			Shuffled: res.Stats.BytesSent,
-			Messages: res.Stats.MessagesSent,
-			Total:    res.Total,
-			GeoMean:  res.GeoMeanSeconds(),
-			QpH:      res.QpH(),
-		})
+		tab.Header = append(tab.Header, sys.name)
 	}
-	// Render.
-	wl := f.Workload.withDefaults()
-	qs := append([]int{}, wl.Queries...)
+	qs := append([]int{}, a.Workload.withDefaults().Queries...)
 	sort.Ints(qs)
-	tab := &Table{Title: "Table 2: detailed query runtimes", Header: []string{"query"}}
-	for _, c := range cols {
-		tab.Header = append(tab.Header, c.System)
-	}
-	for _, q := range qs {
-		row := []string{fmt.Sprintf("Q%d", q)}
-		for _, c := range cols {
-			row = append(row, Dur(c.Times[q]))
-		}
-		tab.Add(row...)
-	}
-	addSummary := func(label string, fn func(Table2Column) string) {
+	addRow := func(label string, cell func(RunResult) string) {
 		row := []string{label}
 		for _, c := range cols {
-			row = append(row, fn(c))
+			row = append(row, cell(c))
 		}
 		tab.Add(row...)
 	}
-	addSummary("messages", func(c Table2Column) string { return fmt.Sprintf("%d", c.Messages) })
-	addSummary("data shuffled", func(c Table2Column) string { return MB(c.Shuffled) })
-	addSummary("total", func(c Table2Column) string { return Dur(c.Total) })
-	addSummary("geo mean (s)", func(c Table2Column) string { return fmt.Sprintf("%.4f", c.GeoMean) })
-	addSummary("queries/hour", func(c Table2Column) string { return fmt.Sprintf("%.0f", c.QpH) })
+	for _, q := range qs {
+		addRow(fmt.Sprintf("Q%d", q), func(c RunResult) string { return report.Dur(c.Times[q]) })
+	}
+	addRow("messages", func(c RunResult) string { return fmt.Sprintf("%d", c.Stats.MessagesSent) })
+	addRow("data shuffled", func(c RunResult) string { return report.MB(c.Stats.BytesSent) })
+	addRow("total", func(c RunResult) string { return report.Dur(c.Total) })
+	addRow("geo mean (s)", func(c RunResult) string { return fmt.Sprintf("%.4f", c.GeoMeanSeconds()) })
+	addRow("queries/hour", func(c RunResult) string { return fmt.Sprintf("%.0f", c.QpH()) })
 	tab.Fprint(w)
-	return cols, nil
+	return nil
 }
 
 // Skew reproduces the §3.1 analysis: the largest partition's overload
@@ -254,15 +172,20 @@ func (f Skew) Run(w io.Writer) []SkewPoint {
 		f.Draws = 2_000_000
 	}
 	var out []SkewPoint
-	tab := &Table{
+	tab := &report.Table{
 		Title:  fmt.Sprintf("§3.1: skew impact (Zipf z=%.2f): overload of the largest partition", f.Zipf),
 		Header: []string{"parallel units", "max/ideal", "input increase"},
 	}
 	for _, units := range []int{6, 240} {
 		ov := tpch.MaxPartitionShare(f.Values, f.Zipf, f.Draws, units, 7)
 		out = append(out, SkewPoint{Units: units, Overload: ov})
-		tab.Add(fmt.Sprintf("%d", units), F2(ov), fmt.Sprintf("%+.1f%%", (ov-1)*100))
+		tab.Add(fmt.Sprintf("%d", units), report.F2(ov), fmt.Sprintf("%+.1f%%", (ov-1)*100))
 	}
 	tab.Fprint(w)
 	return out
+}
+
+func skewAnalysis(w io.Writer, _ Args) error {
+	Skew{}.Run(w)
+	return nil
 }

@@ -6,10 +6,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hsqp/internal/report"
 )
 
 func TestTableRendering(t *testing.T) {
-	tab := &Table{Title: "demo", Header: []string{"a", "bbbb"}}
+	tab := &report.Table{Title: "demo", Header: []string{"a", "bbbb"}}
 	tab.Add("x", "1")
 	tab.Add("longer", "2")
 	var buf bytes.Buffer
@@ -39,16 +41,16 @@ func TestGeoMean(t *testing.T) {
 }
 
 func TestFormatHelpers(t *testing.T) {
-	if Dur(1500*time.Millisecond) != "1.50s" {
-		t.Fatal(Dur(1500 * time.Millisecond))
+	if report.Dur(1500*time.Millisecond) != "1.50s" {
+		t.Fatal(report.Dur(1500 * time.Millisecond))
 	}
-	if Dur(2500*time.Microsecond) != "2.5ms" {
-		t.Fatal(Dur(2500 * time.Microsecond))
+	if report.Dur(2500*time.Microsecond) != "2.5ms" {
+		t.Fatal(report.Dur(2500 * time.Microsecond))
 	}
-	if MB(3<<20) != "3.00MB" || MB(2<<30) != "2.00GB" {
+	if report.MB(3<<20) != "3.00MB" || report.MB(2<<30) != "2.00GB" {
 		t.Fatal("MB formatting")
 	}
-	if F2(1.234) != "1.23" {
+	if report.F2(1.234) != "1.23" {
 		t.Fatal("F2")
 	}
 }

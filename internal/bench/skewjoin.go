@@ -10,6 +10,7 @@ import (
 	"hsqp/internal/exchange"
 	"hsqp/internal/op"
 	"hsqp/internal/plan"
+	"hsqp/internal/report"
 	"hsqp/internal/storage"
 	"hsqp/internal/tpch"
 )
@@ -138,13 +139,14 @@ type skewRun struct {
 // plan options and join strategy, so they share placements and warmed
 // pools (the conformance test also checks they produce identical rows).
 func (f SkewedJoin) runEngines(build, probe *storage.Batch) ([]skewRun, error) {
-	c, err := cluster.New(f.config(f.Transport, true))
+	c, err := load(f.config(f.Transport, true), func(c *cluster.Cluster) {
+		c.LoadTable("skew_build", build, storage.PlacementChunked, 0)
+		c.LoadTable("skew_probe", probe, storage.PlacementChunked, 0)
+	})
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
-	c.LoadTable("skew_build", build, storage.PlacementChunked, 0)
-	c.LoadTable("skew_probe", probe, storage.PlacementChunked, 0)
 	runs := f.Runs
 	if runs <= 0 {
 		runs = 2
@@ -192,29 +194,31 @@ func (f *SkewedJoin) defaults() {
 }
 
 // Run executes the three-engine comparison at one skew level.
-func (f SkewedJoin) Run(w io.Writer) ([]SkewedJoinPoint, error) {
+func (f SkewedJoin) Run(w io.Writer) error {
 	f.defaults()
 	build, probe := buildSkewTables(f.Rows, f.Keys, f.Zipf)
-
-	var out []SkewedJoinPoint
-	tab := &Table{
+	tab := &report.Table{
 		Title: fmt.Sprintf("§3.1 skewed shuffle join (Zipf z=%.2f, %d rows): static vs classic vs adaptive",
 			f.Zipf, f.Rows),
 		Header: []string{"engine", "time", "shuffled", "speedup vs static"},
 	}
 	runs, err := f.runEngines(build, probe)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	staticTime := runs[0].stats.Duration
 	for i, eng := range skewEngines {
 		stats := runs[i].stats
-		out = append(out, SkewedJoinPoint{Engine: eng.name, Zipf: f.Zipf, Time: stats.Duration, Bytes: stats.WireBytes()})
-		tab.Add(eng.name, Dur(stats.Duration), MB(stats.WireBytes()),
-			F2(staticTime.Seconds()/stats.Duration.Seconds())+"x")
+		tab.Add(eng.name, report.Dur(stats.Duration), report.MB(stats.WireBytes()),
+			report.F2(staticTime.Seconds()/stats.Duration.Seconds())+"x")
 	}
 	tab.Fprint(w)
-	return out, nil
+	return nil
+}
+
+// skewedJoin is the comparison on the bandwidth-limited transport.
+func skewedJoin(w io.Writer, a Args) error {
+	return SkewedJoin{Setup: a.Setup, Transport: cluster.TCPGbE}.Run(w)
 }
 
 // SkewSweep is the skew-tolerance figure: the three engines across a Zipf
@@ -235,7 +239,7 @@ func (f SkewSweep) Run(w io.Writer) ([]SkewedJoinPoint, error) {
 	if len(f.ZipfList) == 0 {
 		f.ZipfList = []float64{0, 0.6, 0.9, 1.1, 1.4}
 	}
-	tab := &Table{
+	tab := &report.Table{
 		Title: fmt.Sprintf("adaptive skew handling: shuffle join runtime across Zipf skew (%d rows, %d servers)",
 			f.Rows, f.Servers),
 		Header: []string{"zipf", "static", "classic", "adaptive", "adaptive speedup", "bytes saved"},
@@ -257,11 +261,22 @@ func (f SkewSweep) Run(w io.Writer) ([]SkewedJoinPoint, error) {
 		}
 		saved := "-"
 		if bytes["static"] > bytes["adaptive"] {
-			saved = MB(bytes["static"] - bytes["adaptive"])
+			saved = report.MB(bytes["static"] - bytes["adaptive"])
 		}
-		tab.Add(fmt.Sprintf("%.1f", z), Dur(times["static"]), Dur(times["classic"]), Dur(times["adaptive"]),
-			F2(times["static"].Seconds()/times["adaptive"].Seconds())+"x", saved)
+		tab.Add(fmt.Sprintf("%.1f", z), report.Dur(times["static"]), report.Dur(times["classic"]), report.Dur(times["adaptive"]),
+			report.F2(times["static"].Seconds()/times["adaptive"].Seconds())+"x", saved)
 	}
 	tab.Fprint(w)
 	return out, nil
+}
+
+// skewSweep sweeps 200 000 probe rows on the bandwidth-limited transport
+// (600 000 under -full).
+func skewSweep(w io.Writer, a Args) error {
+	f := SkewSweep{SkewedJoin: SkewedJoin{Setup: a.Setup, Transport: cluster.TCPGbE, Rows: 200_000}}
+	if a.Full {
+		f.Rows = 600_000
+	}
+	_, err := f.Run(w)
+	return err
 }

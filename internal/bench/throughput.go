@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -14,8 +13,8 @@ import (
 	"hsqp/internal/cluster"
 	"hsqp/internal/fabric"
 	"hsqp/internal/queries"
+	"hsqp/internal/report"
 	"hsqp/internal/ser"
-	"hsqp/internal/storage"
 )
 
 // Throughput measures multi-query throughput on one shared cluster: the
@@ -26,38 +25,17 @@ import (
 // another's compute — the wall-time win of making the whole stack
 // multi-query.
 type Throughput struct {
-	Servers int // cluster size (default 3)
-	Workers int // workers per server (default 4)
-	Streams int // concurrent client streams (default 8)
+	Setup       // 3 servers × 4 workers by default
+	Streams int // concurrent client streams (default 8), all admitted at once
 	Rounds  int // queries issued per stream (default 1)
 	// Queries are the TPC-H query numbers the streams cycle through
 	// (stream i runs Queries[i%len]); default {12}.
 	Queries []int
-	// MaxConcurrent caps in-flight queries through the session (default:
-	// Streams — every stream may be in flight).
-	MaxConcurrent int
-	SF            float64
-	Transport     cluster.TransportKind
-	// Rate is the link data rate; zero selects fabric.GbE (NOT the
-	// transport's native default): the headline experiment runs RDMA
-	// semantics on a GbE-speed link, isolating the wall-clock network
-	// wait from TCP's modeled CPU cost. Pass the native rate (e.g.
-	// fabric.IB4xQDR) explicitly to measure a fast link.
-	Rate      fabric.Rate
-	TimeScale float64 // default cluster.DefaultTimeScale
-	// Scheduling overrides round-robin network scheduling (nil = on).
-	Scheduling *bool
-	// MessageSize overrides the exchange message size (0 = default 512 KB).
-	MessageSize int
+	SF      float64
 }
 
 func (f *Throughput) defaults() {
-	if f.Servers == 0 {
-		f.Servers = 3
-	}
-	if f.Workers == 0 {
-		f.Workers = 4
-	}
+	f.Setup = f.withDefaults()
 	if f.Streams == 0 {
 		f.Streams = 8
 	}
@@ -67,9 +45,6 @@ func (f *Throughput) defaults() {
 	if len(f.Queries) == 0 {
 		f.Queries = []int{12}
 	}
-	if f.MaxConcurrent == 0 {
-		f.MaxConcurrent = f.Streams
-	}
 	if f.SF == 0 {
 		// Small per-query working set: per-query wall time is dominated by
 		// network waits rather than by a saturated resource, which is the
@@ -78,16 +53,6 @@ func (f *Throughput) defaults() {
 		// host, the CPU — is already saturated serially and concurrency
 		// cannot multiply throughput.)
 		f.SF = 0.005
-	}
-	if f.Rate == 0 {
-		// Default the link to GbE rate regardless of transport semantics:
-		// the headline experiment runs the paper's multiplexer (RDMA
-		// semantics, no per-byte CPU cost) on a slow link, so queries are
-		// genuinely network-bound and the wall-clock waits are overlappable.
-		f.Rate = fabric.GbE
-	}
-	if f.TimeScale == 0 {
-		f.TimeScale = cluster.DefaultTimeScale
 	}
 }
 
@@ -133,17 +98,15 @@ func percentile(lat []time.Duration, q float64) time.Duration {
 // Run executes the workload and prints a two-row table.
 func (f Throughput) Run(w io.Writer) (ThroughputResult, error) {
 	f.defaults()
-	Warmup()
+	warmup()
 
-	c, err := load(cluster.Config{
-		Servers:          f.Servers,
-		WorkersPerServer: f.Workers,
-		Transport:        f.Transport,
-		Rate:             f.Rate,
-		Scheduling:       f.Scheduling == nil || *f.Scheduling,
-		TimeScale:        f.TimeScale,
-		MessageSize:      f.MessageSize,
-	}, Workload{SF: f.SF})
+	// The paper's multiplexer (RDMA semantics, no per-byte CPU cost) on a
+	// GbE-rate link rather than the transport's native rate: queries are
+	// genuinely network-bound, so the wall-clock waits are overlappable and
+	// are not mixed with TCP's modeled CPU cost.
+	cfg := f.config(cluster.RDMA, true)
+	cfg.Rate = fabric.GbE
+	c, err := load(cfg, Workload{SF: f.SF}.fill)
 	if err != nil {
 		return ThroughputResult{}, err
 	}
@@ -167,7 +130,7 @@ func (f Throughput) Run(w io.Writer) (ThroughputResult, error) {
 	// warmed state, keeping the comparison fair.
 	{
 		var wwg sync.WaitGroup
-		warm := c.NewSession(cluster.SessionConfig{MaxConcurrent: f.MaxConcurrent, MaxQueued: f.Streams})
+		warm := c.NewSession(cluster.SessionConfig{MaxConcurrent: f.Streams, MaxQueued: f.Streams})
 		for s := 0; s < f.Streams; s++ {
 			wwg.Add(1)
 			go func(s int) {
@@ -198,14 +161,14 @@ func (f Throughput) Run(w io.Writer) (ThroughputResult, error) {
 		}
 		serialLat[i] = time.Since(t0)
 		res.SerialWireBytes += stats.WireBytes()
-		res.SerialResults[i] = CanonicalRows(out)
+		res.SerialResults[i] = ser.CanonicalRows(out)
 	}
 	res.SerialWall = time.Since(serialStart)
 
 	// Concurrent mode: Streams client goroutines, each issuing Rounds
 	// queries through one admission-controlled session.
 	sess := c.NewSession(cluster.SessionConfig{
-		MaxConcurrent: f.MaxConcurrent,
+		MaxConcurrent: f.Streams,
 		MaxQueued:     total, // a benchmark client never gets rejected
 	})
 	defer sess.Close()
@@ -236,7 +199,7 @@ func (f Throughput) Run(w io.Writer) (ThroughputResult, error) {
 				}
 				concLat[i] = time.Since(t0)
 				concWire.Add(stats.WireBytes())
-				res.ConcurrentResults[i] = CanonicalRows(out)
+				res.ConcurrentResults[i] = ser.CanonicalRows(out)
 			}
 		}(s)
 	}
@@ -259,38 +222,29 @@ func (f Throughput) Run(w io.Writer) (ThroughputResult, error) {
 	res.ConcurrentP50 = percentile(concLat, 0.50)
 	res.ConcurrentP99 = percentile(concLat, 0.99)
 
-	if w != nil {
-		tab := &Table{
-			Title: fmt.Sprintf("Multi-query throughput — %d×q%v streams, %d servers, %v, SF %g",
-				f.Streams, f.Queries, f.Servers, f.Transport, f.SF),
-			Header: []string{"mode", "queries", "wall", "qps", "p50", "p99", "wire"},
-		}
-		tab.Add("serial", fmt.Sprintf("%d", total), Dur(res.SerialWall),
-			F2(res.SerialQPS), Dur(res.SerialP50), Dur(res.SerialP99), MB(res.SerialWireBytes))
-		tab.Add("concurrent", fmt.Sprintf("%d", total), Dur(res.ConcurrentWall),
-			F2(res.ConcurrentQPS), Dur(res.ConcurrentP50), Dur(res.ConcurrentP99), MB(res.ConcurrentWireBytes))
-		tab.Fprint(w)
-		fmt.Fprintf(w, "throughput speedup: %.2fx\n", res.Speedup)
+	tab := &report.Table{
+		Title: fmt.Sprintf("Multi-query throughput — %d×q%v streams, %d servers, %v, SF %g",
+			f.Streams, f.Queries, f.Servers, cfg.Transport, f.SF),
+		Header: []string{"mode", "queries", "wall", "qps", "p50", "p99", "wire"},
 	}
+	tab.Add("serial", fmt.Sprintf("%d", total), report.Dur(res.SerialWall),
+		report.F2(res.SerialQPS), report.Dur(res.SerialP50), report.Dur(res.SerialP99), report.MB(res.SerialWireBytes))
+	tab.Add("concurrent", fmt.Sprintf("%d", total), report.Dur(res.ConcurrentWall),
+		report.F2(res.ConcurrentQPS), report.Dur(res.ConcurrentP50), report.Dur(res.ConcurrentP99), report.MB(res.ConcurrentWireBytes))
+	tab.Fprint(w)
+	fmt.Fprintf(w, "throughput speedup: %.2fx\n", res.Speedup)
 	return res, nil
 }
 
-// CanonicalRows serializes a batch into a canonical byte string: every row
-// is wire-encoded separately (the codec is deterministic for a schema) and
-// the encoded rows are sorted before concatenation. Result row *order* is
-// scheduling-dependent — hash tables drain in worker order — so byte-exact
-// conformance across serial and concurrent executions compares canonical
-// encodings.
-func CanonicalRows(b *storage.Batch) []byte {
-	c := ser.NewCodec(b.Schema)
-	rows := make([][]byte, b.Rows())
-	for i := range rows {
-		rows[i] = c.EncodeRow(b, i, nil)
+// throughput runs -concurrency streams of Q12 (two rounds of a Q1/Q12 mix
+// under -full). The scale factor is the experiment's own (see defaults),
+// not -sf.
+func throughput(w io.Writer, a Args) error {
+	f := Throughput{Setup: a.Setup, Streams: a.Streams}
+	if a.Full {
+		f.Queries = []int{1, 12}
+		f.Rounds = 2
 	}
-	sort.Slice(rows, func(i, j int) bool { return bytes.Compare(rows[i], rows[j]) < 0 })
-	var out []byte
-	for _, r := range rows {
-		out = append(out, r...)
-	}
-	return out
+	_, err := f.Run(w)
+	return err
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -46,7 +47,13 @@ func (w Workload) withDefaults() Workload {
 	return w
 }
 
-// Setup is the deployment of a TPC-H experiment. Zero fields select
+// fill loads the workload's database on c (the usual argument to load).
+func (w Workload) fill(c *cluster.Cluster) {
+	w = w.withDefaults()
+	c.LoadTPCH(DB(w.SF, w.Seed), w.Partitioned)
+}
+
+// Setup is the deployment of an experiment. Zero fields select
 // 3 servers × 4 workers at cluster.DefaultTimeScale unless the experiment
 // documents its own default.
 type Setup struct {
@@ -73,7 +80,9 @@ func (s Setup) withDefaults() Setup {
 	return s.or(Setup{Servers: 3, Workers: 4, TimeScale: cluster.DefaultTimeScale})
 }
 
-// config returns the deployment on one transport.
+// config returns the deployment on one transport: the harness's one
+// cluster.Config literal. An experiment that needs more (a link rate, a
+// topology, failure detection) sets those fields on the returned value.
 func (s Setup) config(transport cluster.TransportKind, sched bool) cluster.Config {
 	s = s.withDefaults()
 	return cluster.Config{
@@ -135,17 +144,32 @@ func (r RunResult) GeoMeanSeconds() float64 {
 	return GeoMean(ds)
 }
 
+// GeoMean returns the geometric mean of positive durations, in seconds.
+func GeoMean(ds []time.Duration) float64 {
+	if len(ds) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, d := range ds {
+		s := d.Seconds()
+		if s <= 0 {
+			s = 1e-9
+		}
+		sum += math.Log(s)
+	}
+	return math.Exp(sum / float64(len(ds)))
+}
+
 // warmupOnce runs a throwaway workload once per process before the first
 // measurement: thread-pool ramp-up, heap sizing and CPU frequency state
 // otherwise penalize whichever configuration happens to run first.
 var warmupOnce sync.Once
 
-// Warmup primes the process. All experiment entry points call it; exposed
-// for external benchmark drivers.
-func Warmup() {
+// warmup primes the process; every timed TPC-H entry point calls it.
+func warmup() {
 	warmupOnce.Do(func() {
 		wl := Workload{SF: 0.02, Queries: []int{1, 5, 18}, Repeat: 1}
-		c, err := load(Setup{Servers: 2, TimeScale: 1}.config(cluster.RDMA, true), wl)
+		c, err := load(Setup{Servers: 2, TimeScale: 1}.config(cluster.RDMA, true), wl.fill)
 		if err != nil {
 			return
 		}
@@ -154,14 +178,14 @@ func Warmup() {
 	})
 }
 
-// load builds a cluster from cfg and loads the workload's database.
-func load(cfg cluster.Config, w Workload) (*cluster.Cluster, error) {
-	w = w.withDefaults()
+// load is the harness's one way to a running cluster: it builds cfg's
+// deployment and lets fill load its tables (Workload.fill for TPC-H).
+func load(cfg cluster.Config, fill func(*cluster.Cluster)) (*cluster.Cluster, error) {
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c.LoadTPCH(DB(w.SF, w.Seed), w.Partitioned)
+	fill(c)
 	return c, nil
 }
 
@@ -179,8 +203,8 @@ func RunTPCH(cfg cluster.Config, w Workload) (RunResult, error) {
 // the workload runs on it once per plan variant, so every side sees the
 // same placements and warmed pools.
 func RunVariants(cfg cluster.Config, w Workload, variants ...plan.Options) ([]RunResult, error) {
-	Warmup()
-	c, err := load(cfg, w)
+	warmup()
+	c, err := load(cfg, w.fill)
 	if err != nil {
 		return nil, err
 	}

@@ -102,8 +102,8 @@ type Config struct {
 
 // DefaultTimeScale calibrates the simulated network against the in-process
 // engine's compute speed so that the paper's compute:network balance is
-// preserved (see DESIGN.md §2). Experiments at SF ≈ 0.05–0.2 with this
-// scale reproduce the paper's shapes.
+// preserved. Experiments at SF ≈ 0.05–0.2 with this scale reproduce the
+// paper's shapes.
 const DefaultTimeScale = 12.0
 
 // Node is one simulated server.

@@ -1,13 +1,11 @@
-// Package bench is the experiment harness: one entry point per table and
-// figure of the paper's evaluation, each regenerating the corresponding
-// rows/series from the simulated cluster. EXPERIMENTS.md records
-// paper-vs-measured for every entry.
-package bench
+// Package report renders the aligned text tables and compact quantities
+// the CLI, the serving daemon and the experiment harness print. Standard
+// library only, so any binary can link it.
+package report
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"strings"
 	"time"
 )
@@ -82,22 +80,6 @@ func Dur(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%dµs", d.Microseconds())
 	}
-}
-
-// GeoMean returns the geometric mean of positive durations, in seconds.
-func GeoMean(ds []time.Duration) float64 {
-	if len(ds) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, d := range ds {
-		s := d.Seconds()
-		if s <= 0 {
-			s = 1e-9
-		}
-		sum += math.Log(s)
-	}
-	return math.Exp(sum / float64(len(ds)))
 }
 
 // MB renders byte counts as mega/gigabytes.

@@ -17,10 +17,10 @@ import (
 	"testing"
 	"time"
 
-	"hsqp/internal/bench"
 	"hsqp/internal/cluster"
 	"hsqp/internal/queries"
 	"hsqp/internal/ref"
+	"hsqp/internal/ser"
 	"hsqp/internal/serve"
 	"hsqp/internal/storage"
 	"hsqp/internal/tpch"
@@ -97,7 +97,7 @@ func TestServedResultsMatchDirect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("direct %s: %v", stmt, err)
 		}
-		want := bench.CanonicalRows(direct)
+		want := ser.CanonicalRows(direct)
 
 		fresh, stats, err := cl.Exec(stmt)
 		if err != nil {
@@ -106,7 +106,7 @@ func TestServedResultsMatchDirect(t *testing.T) {
 		if stats.ResultHit {
 			t.Fatalf("%s: first execution reported a result-cache hit", stmt)
 		}
-		if got := bench.CanonicalRows(fresh); !bytes.Equal(got, want) {
+		if got := ser.CanonicalRows(fresh); !bytes.Equal(got, want) {
 			t.Fatalf("%s: served result differs from direct run (%d vs %d rows)", stmt, fresh.Rows(), direct.Rows())
 		}
 
@@ -117,7 +117,7 @@ func TestServedResultsMatchDirect(t *testing.T) {
 		if !stats.ResultHit {
 			t.Fatalf("%s: repeat execution missed the result cache", stmt)
 		}
-		if got := bench.CanonicalRows(cached); !bytes.Equal(got, want) {
+		if got := ser.CanonicalRows(cached); !bytes.Equal(got, want) {
 			t.Fatalf("%s: cached result differs from direct run", stmt)
 		}
 
@@ -128,7 +128,7 @@ func TestServedResultsMatchDirect(t *testing.T) {
 		if stats.ResultHit {
 			t.Fatalf("%s: bypassed execution reported a result-cache hit", stmt)
 		}
-		if got := bench.CanonicalRows(bypassed); !bytes.Equal(got, want) {
+		if got := ser.CanonicalRows(bypassed); !bytes.Equal(got, want) {
 			t.Fatalf("%s: bypassed result differs from direct run", stmt)
 		}
 
@@ -143,7 +143,7 @@ func TestServedResultsMatchDirect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("prepared exec %s: %v", stmt, err)
 		}
-		if got := bench.CanonicalRows(prepped); !bytes.Equal(got, want) {
+		if got := ser.CanonicalRows(prepped); !bytes.Equal(got, want) {
 			t.Fatalf("%s: prepared result differs from direct run", stmt)
 		}
 		if err := st.Close(); err != nil {
@@ -327,7 +327,7 @@ func TestServingSingleFlight(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			canon[i] = bench.CanonicalRows(res)
+			canon[i] = ser.CanonicalRows(res)
 			hits[i] = stats.ResultHit
 		}(i)
 	}

@@ -186,9 +186,19 @@ func retailPrice(pk int) int64 {
 }
 
 // supplierFor implements dbgen's partsupp supplier spreading so each
-// (part, supplier) pair is unique and suppliers are evenly loaded.
+// (part, supplier) pair is unique and suppliers are evenly loaded: part
+// pk's i-th supplier lies i strides past pk. dbgen's stride is only safe
+// at full scale — with few suppliers some parts' stride times 2 or 3 is a
+// multiple of nSupp and two of the four coincide — so it is advanced to
+// the next one that keeps them apart (stride 1 always does once there are
+// four suppliers; with fewer, duplicates are unavoidable and the stride
+// stays as computed).
 func supplierFor(pk, i, nSupp int) int {
-	return (pk+i*(nSupp/4+(pk-1)/nSupp))%nSupp + 1
+	stride := nSupp/4 + (pk-1)/nSupp
+	for nSupp >= suppsPerPart && (stride%nSupp == 0 || 2*stride%nSupp == 0 || 3*stride%nSupp == 0) {
+		stride++
+	}
+	return (pk+i*stride)%nSupp + 1
 }
 
 func genPartSupp(nPart, nSupp int, seed uint64) *storage.Batch {
