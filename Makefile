@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fmt fuzz-seed experiments loc allow-count
+.PHONY: all build test race allocs lint fmt fuzz-seed experiments loc allow-count
 
 all: build test lint
 
@@ -12,6 +12,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The AllocsPerRun pins on the key path (hash kernels, routing, decode,
+# group-by and join): an allocation creeping back fails here by name. The
+# files are //go:build !race — the race detector allocates — so no -race.
+allocs:
+	$(GO) test -run 'Allocs' ./internal/storage ./internal/ser ./internal/op ./internal/exchange
 
 # The repo's invariant linter (see docs/invariants.md) plus the vet
 # checks CI enforces. nilness is not in `go vet`; hsqplint ships its own.

@@ -40,6 +40,23 @@ var ErrCancelled = errors.New("run cancelled")
 type Worker struct {
 	ID   int
 	Node numa.Node
+
+	// hashes is the key-hash vector of the batch the worker is processing.
+	// It lives here, not on an operator, so one vector per pool worker
+	// serves every morsel of every query.
+	hashes []uint32
+}
+
+// HashRows returns storage.HashRows(b, keys) in the worker's own vector:
+// the result is valid until the worker's next HashRows call, which is why
+// operators consume it before they return. A nil worker (operators driven
+// directly by a test) gets a fresh slice.
+func (w *Worker) HashRows(b *storage.Batch, keys []int) []uint32 {
+	if w == nil {
+		return storage.HashRows(b, keys, nil)
+	}
+	w.hashes = storage.HashRows(b, keys, w.hashes)
+	return w.hashes
 }
 
 // Source produces morsels for a pipeline. Implementations must be safe for

@@ -200,12 +200,12 @@ func (s *Send) Consume(w *engine.Worker, b *storage.Batch) {
 			// worker that exhausts the budget publishes the local sketch
 			// (non-blocking — the cluster-wide merge runs asynchronously).
 			st.held = append(st.held, b)
-			if sk.ObserveBatch(b, s.cfg.Keys) {
+			if sk.ObserveBatch(w, b, s.cfg.Keys) {
 				sk.CompleteSampling(w.Node)
 			}
 			return
 		}
-		s.flushHeld(st, w.Node)
+		s.flushHeld(st, w)
 	case ModeSkewBuild:
 		// Plans gate the build pipeline on the decision (GatedSource); a
 		// direct caller may not, so block defensively.
@@ -215,49 +215,56 @@ func (s *Send) Consume(w *engine.Worker, b *storage.Batch) {
 			}
 		}
 	}
-	s.routeBatch(st, w.Node, b)
+	s.routeBatch(st, w, b)
 }
 
 // flushHeld routes the batches a worker buffered during skew sampling.
-func (s *Send) flushHeld(st *workerSendState, node numa.Node) {
+func (s *Send) flushHeld(st *workerSendState, w *engine.Worker) {
 	if len(st.held) == 0 {
 		return
 	}
 	held := st.held
 	st.held = nil
 	for _, b := range held {
-		s.routeBatch(st, node, b)
+		s.routeBatch(st, w, b)
 	}
 }
 
 // routeBatch serializes every row of b into the open message of its
-// destination stream, dispatching messages as they fill up.
-func (s *Send) routeBatch(st *workerSendState, node numa.Node, b *storage.Batch) {
+// destination stream, dispatching messages as they fill up. What can be
+// done once per batch is: the key hashes are one vector (w's), and the
+// bytes written into socket-local messages are accounted with one Charge.
+func (s *Send) routeBatch(st *workerSendState, w *engine.Worker, b *storage.Batch) {
+	var hashes []uint32
+	switch s.cfg.Mode {
+	case ModePartition, ModeClassicPartition, ModeSkewProbe, ModeSkewBuild:
+		hashes = w.HashRows(b, s.cfg.Keys)
+	}
+	node := w.Node
+	localBytes := 0
 	n := b.Rows()
 	for i := 0; i < n; i++ {
 		unit := 0
 		switch s.cfg.Mode {
 		case ModePartition:
-			unit = storage.PartitionOf(storage.HashRow(b, s.cfg.Keys, i), s.cfg.Servers)
+			unit = storage.PartitionOf(hashes[i], s.cfg.Servers)
 		case ModeClassicPartition:
-			unit = storage.PartitionOf(storage.HashRow(b, s.cfg.Keys, i), s.units)
+			unit = storage.PartitionOf(hashes[i], s.units)
 		case ModeSkewProbe:
-			h := storage.HashRow(b, s.cfg.Keys, i)
-			if s.cfg.Skew.Hot(h) {
+			if s.cfg.Skew.Hot(hashes[i]) {
 				// Hot probe tuples stay local: every server holds the
 				// broadcast build rows of hot keys, so probing on the
 				// origin server is correct and spreads the heavy key over
 				// all servers instead of one owner.
 				unit = s.cfg.Mux.ServerID()
 			} else {
-				unit = storage.PartitionOf(h, s.cfg.Servers)
+				unit = storage.PartitionOf(hashes[i], s.cfg.Servers)
 			}
 		case ModeSkewBuild:
-			h := storage.HashRow(b, s.cfg.Keys, i)
-			if s.cfg.Skew.Hot(h) {
+			if s.cfg.Skew.Hot(hashes[i]) {
 				unit = s.units - 1 // selective-broadcast stream
 			} else {
-				unit = storage.PartitionOf(h, s.cfg.Servers)
+				unit = storage.PartitionOf(hashes[i], s.cfg.Servers)
 			}
 		}
 		msg := st.open[unit]
@@ -278,9 +285,16 @@ func (s *Send) routeBatch(st *workerSendState, node numa.Node, b *storage.Batch)
 		}
 		before := len(msg.Content)
 		msg.Content = s.cfg.Codec.EncodeRow(b, i, msg.Content)
-		if s.cfg.Topo != nil {
+		if msg.Node == node {
+			localBytes += len(msg.Content) - before
+		} else if s.cfg.Topo != nil {
+			// A remote write pays QPILatency per call, so it stays per row:
+			// batching it would change Figure 9's modelled time.
 			s.cfg.Topo.Charge(node, msg.Node, len(msg.Content)-before, s.cfg.Scale)
 		}
+	}
+	if s.cfg.Topo != nil {
+		s.cfg.Topo.Charge(node, node, localBytes, s.cfg.Scale)
 	}
 }
 
@@ -373,17 +387,18 @@ func (s *Send) dispatch(unit int, msg *memory.Message, last bool) {
 // scheduler support the flush buffers are allocated on the node of the
 // last consuming worker (FinalizeOn is preferred).
 func (s *Send) Finalize() error {
-	return s.finalizeOn(numa.Node(s.lastNode.Load()))
+	return s.finalizeOn(&engine.Worker{Node: numa.Node(s.lastNode.Load())})
 }
 
 // FinalizeOn implements engine.WorkerFinalizer: flush and Last-marker
 // buffers are allocated NUMA-local to the finalizing worker, honoring the
 // pool's AllocLocal policy instead of defaulting to socket 0.
 func (s *Send) FinalizeOn(w *engine.Worker) error {
-	return s.finalizeOn(w.Node)
+	return s.finalizeOn(w)
 }
 
-func (s *Send) finalizeOn(node numa.Node) error {
+func (s *Send) finalizeOn(w *engine.Worker) error {
+	node := w.Node
 	if s.cfg.Mode == ModeSkewProbe {
 		// A probe input smaller than the sample budget completes sampling
 		// here; then wait for the cluster-wide decision and route whatever
@@ -394,7 +409,7 @@ func (s *Send) finalizeOn(node numa.Node) error {
 			return err
 		}
 		for wi := range s.workers {
-			s.flushHeld(&s.workers[wi], node)
+			s.flushHeld(&s.workers[wi], w)
 		}
 	}
 	for wi := range s.workers {
@@ -535,7 +550,8 @@ func (src *Source) decode(w *engine.Worker, msg *memory.Message) *storage.Batch 
 	if src.Topo != nil {
 		src.Topo.Charge(w.Node, msg.Node, len(msg.Content), src.Scale)
 	}
-	b := storage.NewBatch(src.Codec.Schema(), 256)
+	// DecodeAll sizes the columns from the message's row count.
+	b := storage.NewBatch(src.Codec.Schema(), 0)
 	if _, err := src.Codec.DecodeAll(msg.Content, b); err != nil {
 		sender := msg.Sender
 		msg.Release()

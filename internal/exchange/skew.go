@@ -139,17 +139,16 @@ func NewSkewCoord(cfg SkewCoordConfig) *SkewCoord {
 // ObserveBatch feeds the key hashes of b into the sketch during the
 // sampling phase. It returns true exactly once: for the batch that
 // exhausts the sample budget (the caller then invokes CompleteSampling).
-func (c *SkewCoord) ObserveBatch(b *storage.Batch, keys []int) bool {
+func (c *SkewCoord) ObserveBatch(w *engine.Worker, b *storage.Batch, keys []int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.sampling {
 		return false
 	}
-	n := b.Rows()
-	for i := 0; i < n; i++ {
-		c.sk.Observe(storage.HashRow(b, keys, i))
+	for _, h := range w.HashRows(b, keys) {
+		c.sk.Observe(h)
 	}
-	c.sampled += n
+	c.sampled += b.Rows()
 	if c.sampled >= c.cfg.Config.SampleBudget {
 		c.sampling = false
 		return true

@@ -133,7 +133,9 @@ func (c *aggChain) grow() {
 type aggTable struct {
 	keys   *storage.Batch // one row per group: the key columns
 	idx    aggChain
-	states [][]aggState // [group][agg]
+	nAggs  int
+	groups int
+	states []aggState // group g's states are states[g*nAggs : (g+1)*nAggs]
 }
 
 // aggTable sizing bounds: hints are estimates (often row counts, an upper
@@ -146,26 +148,38 @@ const (
 	maxAggKeysAlloc = 4096
 )
 
-func newAggTable(keySchema *storage.Schema, hint int) *aggTable {
+func newAggTable(keySchema *storage.Schema, nAggs, hint int) *aggTable {
 	keysCap := hint
 	if keysCap > maxAggKeysAlloc {
 		keysCap = maxAggKeysAlloc
 	}
 	return &aggTable{
-		keys: storage.NewBatch(keySchema, keysCap),
-		idx:  newAggChain(hint),
+		keys:  storage.NewBatch(keySchema, keysCap),
+		idx:   newAggChain(hint),
+		nAggs: nAggs,
 	}
 }
 
-// groupFor finds or creates the group of row i (keyed by keyCols of b).
-func (t *aggTable) groupFor(b *storage.Batch, keyCols []int, i int, nAggs int) int32 {
+// newGroup appends one group's zeroed aggregate states.
+func (t *aggTable) newGroup() {
+	t.groups++
+	t.states = append(t.states, make([]aggState, t.nAggs)...)
+}
+
+// statesOf returns the aggregate states of group g.
+func (t *aggTable) statesOf(g int) []aggState {
+	return t.states[g*t.nAggs : (g+1)*t.nAggs]
+}
+
+// groupFor finds or creates the group of row i (keyed by keyCols of b);
+// h is the row's key hash (storage.HashRow).
+func (t *aggTable) groupFor(b *storage.Batch, keyCols []int, i int, h uint32) int32 {
 	if len(keyCols) == 0 {
-		if len(t.states) == 0 {
-			t.states = append(t.states, make([]aggState, nAggs))
+		if t.groups == 0 {
+			t.newGroup()
 		}
 		return 0
 	}
-	h := storage.HashRow(b, keyCols, i)
 	for g := t.idx.heads[h&t.idx.mask]; g >= 0; g = t.idx.next[g] {
 		if t.idx.hashes[g] == h && keysEqual(t.keys, int(g), b, keyCols, i) {
 			return g
@@ -175,7 +189,7 @@ func (t *aggTable) groupFor(b *storage.Batch, keyCols []int, i int, nAggs int) i
 	for k, kc := range keyCols {
 		t.keys.Cols[k].AppendFrom(b.Cols[kc], i)
 	}
-	t.states = append(t.states, make([]aggState, nAggs))
+	t.newGroup()
 	return g
 }
 
@@ -228,7 +242,7 @@ func NewGroupBy(in *storage.Schema, keys []int, aggs []AggSpec, numWorkers int) 
 	g := &GroupBy{Keys: keys, Aggs: aggs, InSchema: in, keySchema: ks}
 	g.tables = make([]*aggTable, numWorkers)
 	for i := range g.tables {
-		g.tables[i] = newAggTable(ks, minAggHint)
+		g.tables[i] = newAggTable(ks, len(aggs), minAggHint)
 	}
 	return g
 }
@@ -250,7 +264,7 @@ func (g *GroupBy) WithHint(rows int) *GroupBy {
 		hint = maxAggHint
 	}
 	for i := range g.tables {
-		g.tables[i] = newAggTable(g.keySchema, hint)
+		g.tables[i] = newAggTable(g.keySchema, len(g.Aggs), hint)
 	}
 	return g
 }
@@ -258,10 +272,8 @@ func (g *GroupBy) WithHint(rows int) *GroupBy {
 // Consume implements engine.Sink: thread-local aggregation.
 func (g *GroupBy) Consume(w *engine.Worker, b *storage.Batch) {
 	t := g.tables[w.ID]
-	n := b.Rows()
-	for i := 0; i < n; i++ {
-		grp := t.groupFor(b, g.Keys, i, len(g.Aggs))
-		st := t.states[grp]
+	for i, h := range w.HashRows(b, g.Keys) {
+		st := t.statesOf(int(t.groupFor(b, g.Keys, i, h)))
 		for a := range g.Aggs {
 			g.update(&st[a], &g.Aggs[a], b, i)
 		}
@@ -345,7 +357,7 @@ func (s *aggState) I64() int64 { return s.i }
 func (g *GroupBy) Finalize() error {
 	total := 0
 	for _, t := range g.tables {
-		total += len(t.states)
+		total += t.groups
 	}
 	if total < minAggHint {
 		total = minAggHint
@@ -353,20 +365,26 @@ func (g *GroupBy) Finalize() error {
 	if total > maxMergedHint {
 		total = maxMergedHint
 	}
-	merged := newAggTable(g.keySchema, total)
+	merged := newAggTable(g.keySchema, len(g.Aggs), total)
+	keyCols := identityCols(len(g.Keys))
 	for _, t := range g.tables {
-		for grp := range t.states {
-			mg := merged.groupFor(t.keys, identityCols(len(g.Keys)), grp, len(g.Aggs))
-			dst := merged.states[mg]
-			src := t.states[grp]
+		for grp := 0; grp < t.groups; grp++ {
+			// A group's key columns hold the values it was hashed from, so
+			// the hash the worker stored is the merged table's hash too.
+			var h uint32
+			if len(keyCols) > 0 {
+				h = t.idx.hashes[grp]
+			}
+			dst := merged.statesOf(int(merged.groupFor(t.keys, keyCols, grp, h)))
+			src := t.statesOf(grp)
 			for a := range g.Aggs {
 				mergeState(&dst[a], &src[a], &g.Aggs[a])
 			}
 		}
 	}
 	// Scalar aggregation always has its single group, even on empty input.
-	if len(g.Keys) == 0 && len(merged.states) == 0 {
-		merged.states = append(merged.states, make([]aggState, len(g.Aggs)))
+	if len(g.Keys) == 0 && merged.groups == 0 {
+		merged.newGroup()
 	}
 	g.merged = merged
 	g.tables = nil
@@ -468,14 +486,14 @@ func (g *GroupBy) emit(final bool) []*storage.Batch {
 		schema = g.FinalSchema()
 	}
 	t := g.merged
-	out := storage.NewBatch(schema, len(t.states))
-	for grp := range t.states {
+	out := storage.NewBatch(schema, t.groups)
+	for grp := 0; grp < t.groups; grp++ {
 		for k := range g.Keys {
 			out.Cols[k].AppendFrom(t.keys.Cols[k], grp)
 		}
 		c := len(g.Keys)
 		for a := range g.Aggs {
-			st := &t.states[grp][a]
+			st := &t.statesOf(grp)[a]
 			spec := &g.Aggs[a]
 			if final {
 				appendFinal(out.Cols[c], st, spec)

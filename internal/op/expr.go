@@ -198,9 +198,11 @@ func StrContains(c int, p string) Pred {
 }
 
 // Like matches a SQL LIKE pattern with % wildcards (no '_' support:
-// TPC-H does not use it).
+// TPC-H does not use it). The pattern is compiled here, once per
+// predicate, not per row.
 func Like(c int, pattern string) Pred {
-	return func(b *storage.Batch, i int) bool { return storage.MatchLike(b.Cols[c].Str[i], pattern) }
+	like := storage.CompileLike(pattern)
+	return func(b *storage.Batch, i int) bool { return like.Match(b.Cols[c].Str[i]) }
 }
 
 // DivDecConst divides a decimal expression by an integer constant

@@ -26,8 +26,8 @@ type GroupJoinBuild struct {
 
 	jb    *JoinBuild
 	locks []sync.Mutex
-	state [][]aggState // [build row][agg]
-	hit   []bool       // build row matched at least once
+	state []aggState // [build row × agg], see statesOf
+	hit   []bool     // build row matched at least once
 }
 
 // NewGroupJoinBuild creates the build sink.
@@ -50,12 +50,14 @@ func (g *GroupJoinBuild) Finalize() error {
 		return err
 	}
 	n := g.jb.Table().Size()
-	g.state = make([][]aggState, n)
-	for i := range g.state {
-		g.state[i] = make([]aggState, len(g.Aggs))
-	}
+	g.state = make([]aggState, n*len(g.Aggs))
 	g.hit = make([]bool, n)
 	return nil
+}
+
+// statesOf returns the aggregate states of build row bi.
+func (g *GroupJoinBuild) statesOf(bi int) []aggState {
+	return g.state[bi*len(g.Aggs) : (bi+1)*len(g.Aggs)]
 }
 
 // GroupJoinProbe is the right-side sink: it folds probe tuples into the
@@ -68,11 +70,10 @@ type GroupJoinProbe struct {
 }
 
 // Consume implements engine.Sink.
-func (p *GroupJoinProbe) Consume(_ *engine.Worker, b *storage.Batch) {
+func (p *GroupJoinProbe) Consume(w *engine.Worker, b *storage.Batch) {
 	g := p.Build
 	ht := g.jb.Table()
-	for i := 0; i < b.Rows(); i++ {
-		h := storage.HashRow(b, p.ProbeKeys, i)
+	for i, h := range w.HashRows(b, p.ProbeKeys) {
 		for bi := ht.First(h); bi >= 0; bi = ht.Next(bi) {
 			if !ht.KeyEq(bi, b, p.ProbeKeys, i) {
 				continue
@@ -83,7 +84,7 @@ func (p *GroupJoinProbe) Consume(_ *engine.Worker, b *storage.Batch) {
 			lock := &g.locks[uint32(bi)&255]
 			lock.Lock()
 			g.hit[bi] = true
-			st := g.state[bi]
+			st := g.statesOf(int(bi))
 			for a := range g.Aggs {
 				// Aggregate arguments are evaluated over the probe batch.
 				spec := g.Aggs[a]
@@ -165,7 +166,7 @@ func (g *GroupJoinBuild) ResultBatches() []*storage.Batch {
 			out.Cols[c].AppendFrom(build.Cols[c], bi)
 		}
 		for a := range g.Aggs {
-			appendFinal(out.Cols[len(build.Cols)+a], &g.state[bi][a], &g.Aggs[a])
+			appendFinal(out.Cols[len(build.Cols)+a], &g.statesOf(bi)[a], &g.Aggs[a])
 		}
 	}
 	return []*storage.Batch{out}

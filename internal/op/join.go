@@ -179,8 +179,8 @@ func (jb *JoinBuild) Finalize() error {
 	for i := range jb.shards {
 		sh := &jb.shards[i]
 		for _, b := range sh.batches {
-			for r := 0; r < b.Rows(); r++ {
-				build.AppendRowFrom(b, r)
+			for c, col := range build.Cols {
+				col.AppendColumn(b.Cols[c])
 			}
 		}
 		sh.batches = nil
@@ -197,8 +197,9 @@ func (jb *JoinBuild) Finalize() error {
 	}
 	next := make([]int32, rows)
 	mask := uint32(buckets - 1)
+	hashes := storage.HashRows(build, jb.Keys, nil)
 	for i := rows - 1; i >= 0; i-- {
-		h := storage.HashRow(build, jb.Keys, i) & mask
+		h := hashes[i] & mask
 		next[i] = heads[h]
 		heads[h] = int32(i)
 	}
@@ -283,12 +284,12 @@ func NewJoinProbe(build *JoinBuild, typ JoinType, probeSchema *storage.Schema,
 func (jp *JoinProbe) OpName() string { return "probe(" + jp.Type.String() + ")" }
 
 // Process implements engine.Op.
-func (jp *JoinProbe) Process(_ *engine.Worker, b *storage.Batch) *storage.Batch {
+func (jp *JoinProbe) Process(w *engine.Worker, b *storage.Batch) *storage.Batch {
 	ht := jp.Build.Table()
 	out := storage.NewBatch(jp.Schema, jp.outCap(b.Rows()))
-	for i := 0; i < b.Rows(); i++ {
+	for i, h := range w.HashRows(b, jp.ProbeKeys) {
 		matched := false
-		for bi := ht.First(storage.HashRow(b, jp.ProbeKeys, i)); bi >= 0; bi = ht.Next(bi) {
+		for bi := ht.First(h); bi >= 0; bi = ht.Next(bi) {
 			if !ht.KeyEq(bi, b, jp.ProbeKeys, i) {
 				continue
 			}

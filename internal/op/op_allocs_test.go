@@ -1,0 +1,99 @@
+//go:build !race
+
+package op
+
+import (
+	"fmt"
+	"testing"
+
+	"hsqp/internal/engine"
+	"hsqp/internal/storage"
+)
+
+// keyedBatch has an int and a string key (n distinct pairs) and a value.
+func keyedBatch(n int) *storage.Batch {
+	b := storage.NewBatch(storage.NewSchema(
+		storage.Field{Name: "k", Type: storage.TInt64},
+		storage.Field{Name: "s", Type: storage.TString},
+		storage.Field{Name: "v", Type: storage.TDecimal},
+	), n)
+	for i := 0; i < n; i++ {
+		b.AppendRow(int64(i), fmt.Sprint("key", i%13), int64(i))
+	}
+	return b
+}
+
+var sumCount = []AggSpec{
+	{Kind: Sum, Name: "sum", Arg: Col(2), ArgType: storage.TDecimal},
+	{Kind: Count, Name: "n"},
+}
+
+// TestGroupByAllocs: rows that fall into existing groups allocate nothing
+// (no per-row hash or key copy), and new groups cost the amortized growth
+// of the table's flat arrays, not a slice each.
+func TestGroupByAllocs(t *testing.T) {
+	const n = 4096
+	b := keyedBatch(n)
+	w := &engine.Worker{}
+	warm := NewGroupBy(b.Schema, []int{0, 1}, sumCount, 1)
+	warm.Consume(w, b)
+	if got := testing.AllocsPerRun(10, func() { warm.Consume(w, b) }); got != 0 {
+		t.Errorf("GroupBy.Consume of %d rows into existing groups allocates %v times, want 0", n, got)
+	}
+	if got := testing.AllocsPerRun(5, func() {
+		NewGroupBy(b.Schema, []int{0, 1}, sumCount, 1).Consume(w, b)
+	}); got > n/16 {
+		t.Errorf("GroupBy.Consume creating %d groups allocates %v times: that is per group", n, got)
+	}
+	merged := testing.AllocsPerRun(5, func() {
+		g := NewGroupBy(b.Schema, []int{0, 1}, sumCount, 1)
+		g.Consume(w, b)
+		if err := g.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if merged > n/16 {
+		t.Errorf("GroupBy.Consume + Finalize over %d groups allocates %v times: that is per group", n, merged)
+	}
+}
+
+// TestJoinAllocs: building allocates per column and per index array, not
+// per row; a GroupJoin probe folds rows into existing state for free; a
+// join probe allocates its output batch and nothing per probe row.
+func TestJoinAllocs(t *testing.T) {
+	const n = 4096
+	b := keyedBatch(n)
+	w := &engine.Worker{}
+	if got := testing.AllocsPerRun(5, func() {
+		jb := NewJoinBuild(b.Schema, []int{0})
+		jb.Consume(w, b)
+		if err := jb.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 32 {
+		t.Errorf("JoinBuild of %d rows allocates %v times, want a constant", n, got)
+	}
+
+	gj := NewGroupJoinBuild(b.Schema, []int{0}, sumCount)
+	gj.Consume(w, b)
+	if err := gj.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	probe := &GroupJoinProbe{Build: gj, ProbeKeys: []int{0}}
+	probe.Consume(w, b)
+	if got := testing.AllocsPerRun(10, func() { probe.Consume(w, b) }); got != 0 {
+		t.Errorf("GroupJoinProbe.Consume of %d rows allocates %v times, want 0", n, got)
+	}
+
+	jb := NewJoinBuild(b.Schema, []int{0})
+	jb.Consume(w, b)
+	if err := jb.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	jp := NewJoinProbe(jb, Inner, b.Schema, []int{0}, []int{0, 2}, []int{1}, nil)
+	jp.Process(w, b)
+	outBatch := testing.AllocsPerRun(10, func() { storage.NewBatch(jp.Schema, n) })
+	if got := testing.AllocsPerRun(10, func() { jp.Process(w, b) }); got > outBatch {
+		t.Errorf("JoinProbe.Process of %d rows allocates %v times, its output batch alone %v", n, got, outBatch)
+	}
+}

@@ -427,3 +427,72 @@ func TestCompareRowsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestJoinBuildLayoutIsShardOrder: Finalize consolidates a column at a
+// time, yet the build batch holds the rows a row-at-a-time copy in shard
+// order (worker id mod shards, arrival order within a shard) would —
+// chain iteration order, and so the order of join output, rests on it.
+func TestJoinBuildLayoutIsShardOrder(t *testing.T) {
+	schema := storage.NewSchema(
+		storage.Field{Name: "k", Type: storage.TInt64},
+		storage.Field{Name: "s", Type: storage.TString, Nullable: true},
+		storage.Field{Name: "f", Type: storage.TFloat64},
+	)
+	batchOf := func(first, n int) *storage.Batch {
+		b := storage.NewBatch(schema, n)
+		for i := first; i < first+n; i++ {
+			var s any
+			if i%4 != 0 {
+				s = fmt.Sprint("s", i)
+			}
+			b.AppendRow(int64(i%7), s, float64(i)/2)
+		}
+		return b
+	}
+	jb := NewJoinBuild(schema, []int{0})
+	want := storage.NewBatch(schema, 0)
+	byShard := make([][]*storage.Batch, joinBuildShards)
+	next := 0
+	for _, id := range []int{3, 0, 11, 3, 9, 0, 1} { // 11 and 3 share a shard, 9 and 1 too
+		b := batchOf(next, 5+id)
+		next += b.Rows()
+		jb.Consume(&engine.Worker{ID: id}, b)
+		byShard[id%joinBuildShards] = append(byShard[id%joinBuildShards], b)
+	}
+	for _, batches := range byShard {
+		for _, b := range batches {
+			for r := 0; r < b.Rows(); r++ {
+				want.AppendRowFrom(b, r)
+			}
+		}
+	}
+	if err := jb.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	ht := jb.Table()
+	if ht.Size() != want.Rows() {
+		t.Fatalf("build has %d rows, want %d", ht.Size(), want.Rows())
+	}
+	for r := 0; r < want.Rows(); r++ {
+		if fmt.Sprint(ht.Build.Row(r)) != fmt.Sprint(want.Row(r)) {
+			t.Fatalf("build row %d is %v, shard-order copy has %v", r, ht.Build.Row(r), want.Row(r))
+		}
+	}
+	// Chains iterate build rows in ascending order and reach every row once.
+	seen := 0
+	for k := int64(0); k < 7; k++ {
+		last := int32(-1)
+		for bi := ht.First(storage.HashI64(k)); bi >= 0; bi = ht.Next(bi) {
+			if bi <= last {
+				t.Fatalf("key %d: chain visits row %d after row %d", k, bi, last)
+			}
+			last = bi
+			if ht.Build.Cols[0].I64[bi] == k {
+				seen++
+			}
+		}
+	}
+	if seen != want.Rows() {
+		t.Fatalf("chains reach %d of %d build rows", seen, want.Rows())
+	}
+}

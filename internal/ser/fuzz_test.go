@@ -89,7 +89,12 @@ func genBatch(r *fuzzRNG, schema *storage.Schema) *storage.Batch {
 //  1. encode → DecodeAll round-trips every value;
 //  2. DecodeAll of a truncated buffer errors at EVERY prefix length that
 //     does not fall exactly on a row boundary, and decodes exactly the
-//     whole rows when it does (no infinite loop, no partial row).
+//     whole rows when it does (no infinite loop, no partial row);
+//  3. a destination DecodeAll has to size itself (fresh, no capacity)
+//     gives the rows and the error a pre-sized one gives, counts the rows
+//     exactly before decoding them, and never reserves more than
+//     len(in)/minRowBytes rows — also when the fuzz input itself is fed in
+//     as a hostile peer's bytes.
 func FuzzCodecRoundTrip(f *testing.F) {
 	// Seed corpus: empty, short, and structured inputs covering the
 	// all-fixed, all-varlen, and mixed schema shapes.
@@ -99,6 +104,15 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff, 0x00, 0xff})
 	f.Add([]byte("nullable varlen mixes"))
 	f.Add([]byte{4, 1, 4, 1, 3, 0, 3, 0, 2, 1, 8, 255, 255, 255, 255, 0, 0, 0, 0})
+	// Fixed-width, nullable-only and string-only schemas, and inputs
+	// that read as wire bytes whose length fields lie (4 GB, 2 GB, one
+	// byte more than follows) or stop mid-field.
+	f.Add([]byte{1, 0, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
+	f.Add([]byte{2, 2, 1, 3, 1, 1, 0, 1, 7, 7, 7, 7})
+	f.Add([]byte{0, 4, 0, 0xff, 0xff, 0xff, 0xff, 'a', 'b', 'c'})
+	f.Add([]byte{0, 4, 0, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{0, 4, 1, 1, 4, 0, 0, 0, 'a', 'b', 'c'})
+	f.Add([]byte{1, 4, 0, 2, 0, 0, 0, 'h', 'i', 3, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzRNG{data: data}
 		schema := genSchema(r)
@@ -134,11 +148,17 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 		}
 
+		if got := c.countRows(buf); got != in.Rows() {
+			t.Fatalf("countRows = %d over %d encoded rows", got, in.Rows())
+		}
+		sameAsPresized(t, c, buf, in.Rows())
+
 		// Truncation: every non-boundary prefix must error; boundary
 		// prefixes must decode exactly the whole rows before them.
 		for p := 0; p < len(buf); p++ {
 			dst := storage.NewBatch(schema, in.Rows())
 			n, err := c.DecodeAll(buf[:p], dst)
+			sameAsPresized(t, c, buf[:p], in.Rows())
 			if rows, ok := boundaries[p]; ok {
 				if err != nil {
 					t.Fatalf("prefix %d is a row boundary but errored: %v", p, err)
@@ -150,7 +170,52 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				t.Fatalf("prefix %d of %d decoded %d rows without error; want truncation error", p, len(buf), n)
 			}
 		}
+
+		// The input as a peer's bytes: whatever they are, no panic, and
+		// the self-sizing path agrees with the pre-sized one.
+		sameAsPresized(t, c, data, len(data))
 	})
+}
+
+// sameAsPresized decodes wire into a destination with room for `room`
+// rows — which DecodeAll never has to grow when room covers the input —
+// and into a fresh one it must size itself, and requires the same rows,
+// the same error, the same values, a row count (what DecodeAll reserves)
+// within len(wire)/minRowBytes, and a fresh destination that ends exactly
+// full — or, on malformed input, with what append made of a full column
+// when the failing row's first fields landed in it.
+func sameAsPresized(t *testing.T, c *Codec, wire []byte, room int) {
+	t.Helper()
+	presized, fresh := storage.NewBatch(c.schema, room), storage.NewBatch(c.schema, 0)
+	wantN, wantErr := c.DecodeAll(wire, presized)
+	gotN, gotErr := c.DecodeAll(wire, fresh)
+	if gotN != wantN || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("fresh destination: %d rows, %v; pre-sized: %d rows, %v", gotN, gotErr, wantN, wantErr)
+	}
+	for i := 0; i < gotN; i++ {
+		for col := range fresh.Cols {
+			// Compared as text: hostile bytes may decode to NaN.
+			if fmt.Sprint(fresh.Cols[col].Value(i)) != fmt.Sprint(presized.Cols[col].Value(i)) {
+				t.Fatalf("row %d col %d: fresh %v, pre-sized %v", i, col,
+					fresh.Cols[col].Value(i), presized.Cols[col].Value(i))
+			}
+		}
+	}
+	if c.minRowBytes == 0 {
+		return
+	}
+	most := len(wire) / c.minRowBytes
+	if got := c.countRows(wire); got > most {
+		t.Fatalf("countRows = %d, %d input bytes fit at most %d rows", got, len(wire), most)
+	}
+	for col, column := range fresh.Cols {
+		if gotErr == nil && column.Room() != 0 {
+			t.Fatalf("col %d: %d rows decoded into a fresh destination left room for %d more", col, gotN, column.Room())
+		}
+		if got := column.Len() + column.Room(); got > 3*most+8 {
+			t.Fatalf("col %d reserved %d rows for %d input bytes (at most %d rows fit)", col, got, len(wire), most)
+		}
+	}
 }
 
 // TestDecodeAllNoProgress: a codec over a schema with no decodable fields

@@ -35,6 +35,14 @@ type Codec struct {
 
 	enc []func(b *storage.Batch, row int, out []byte) []byte
 	dec []func(in []byte, b *storage.Batch) ([]byte, error)
+
+	// What DecodeAll needs to size its destination before it appends:
+	// part 1's width, the fewest bytes a row can take (every nullable
+	// field NULL, every string empty), and whether those are the same —
+	// then the row count is a division, otherwise countRows walks the
+	// row boundaries.
+	fixedBytes  int
+	minRowBytes int
 }
 
 // NewCodec builds a specialized codec for the schema.
@@ -72,6 +80,17 @@ func NewCodec(schema *storage.Schema) *Codec {
 			emit(i, emitVar)
 		}
 	}
+	for _, i := range c.fixedNotNull {
+		c.fixedBytes += schema.Fields[i].Type.FixedSize()
+	}
+	c.minRowBytes = c.fixedBytes + len(c.nullableFix)
+	for _, i := range c.varlen {
+		if schema.Fields[i].Nullable {
+			c.minRowBytes++
+		} else {
+			c.minRowBytes += 4
+		}
+	}
 	return c
 }
 
@@ -88,10 +107,7 @@ func (c *Codec) EncodeRow(b *storage.Batch, row int, out []byte) []byte {
 
 // RowSize returns the serialized size of row `row` without encoding it.
 func (c *Codec) RowSize(b *storage.Batch, row int) int {
-	n := 0
-	for _, i := range c.fixedNotNull {
-		n += c.schema.Fields[i].Type.FixedSize()
-	}
+	n := c.fixedBytes
 	for _, i := range c.nullableFix {
 		n++ // indicator
 		if !b.Cols[i].IsNull(row) {
@@ -114,9 +130,21 @@ func (c *Codec) RowSize(b *storage.Batch, row int) int {
 // the number of rows decoded. A schema whose rows serialize to zero bytes
 // (no decodable fields) cannot make progress against a non-empty buffer;
 // that case returns an error instead of looping forever.
+//
+// dst is grown at most once, and only when it runs out of room: the rows
+// still to come are counted (countRows) and every column is grown to
+// exactly fit them, so a fresh dst ends with cap == len and a dst that
+// already has the room (a reused batch) costs nothing. The reservation is
+// bounded by len(in)/minRowBytes whatever the bytes say, and malformed
+// input fails in the decoders with the error it always had.
 func (c *Codec) DecodeAll(in []byte, dst *storage.Batch) (int, error) {
 	rows := 0
+	room := dst.Room()
 	for len(in) > 0 {
+		if room == 0 {
+			room = c.countRows(in)
+			dst.Grow(room)
+		}
 		var err error
 		before := len(in)
 		for _, d := range c.dec {
@@ -128,8 +156,63 @@ func (c *Codec) DecodeAll(in []byte, dst *storage.Batch) (int, error) {
 			return rows, fmt.Errorf("ser: no progress decoding row %d: schema has no decodable fields but %d input bytes remain", rows, len(in))
 		}
 		rows++
+		room--
 	}
 	return rows, nil
+}
+
+// countRows returns how many whole rows in holds, without decoding
+// values: a division when every row has the same width, otherwise a walk
+// over the row boundaries that applies the length checks the decoders
+// apply and stops at the first row that fails one. It never reads past in
+// and never counts more than len(in)/minRowBytes.
+func (c *Codec) countRows(in []byte) int {
+	if c.minRowBytes == 0 {
+		return 0
+	}
+	if c.fixedBytes == c.minRowBytes {
+		return len(in) / c.fixedBytes
+	}
+	rows := 0
+	for len(in) >= c.fixedBytes {
+		rest := in[c.fixedBytes:]
+		for _, i := range c.nullableFix {
+			if len(rest) < 1 {
+				return rows
+			}
+			size := 1
+			if rest[0] != 0 {
+				size += c.schema.Fields[i].Type.FixedSize()
+			}
+			if len(rest) < size {
+				return rows
+			}
+			rest = rest[size:]
+		}
+		for _, i := range c.varlen {
+			if c.schema.Fields[i].Nullable {
+				if len(rest) < 1 {
+					return rows
+				}
+				present := rest[0] != 0
+				rest = rest[1:]
+				if !present {
+					continue
+				}
+			}
+			if len(rest) < 4 {
+				return rows
+			}
+			n := int(binary.LittleEndian.Uint32(rest))
+			if len(rest)-4 < n {
+				return rows
+			}
+			rest = rest[4+n:]
+		}
+		in = rest
+		rows++
+	}
+	return rows
 }
 
 type emitMode int

@@ -155,3 +155,137 @@ func TestAllTPCHSchemasRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// sizingSchemas are the three shapes DecodeAll sizes differently: every
+// row the same width (a division), nullable fixed fields and strings (a
+// walk over the row boundaries).
+var sizingSchemas = map[string]*storage.Schema{
+	"fixed": storage.NewSchema(
+		storage.Field{Name: "k", Type: storage.TInt64},
+		storage.Field{Name: "d", Type: storage.TDate},
+		storage.Field{Name: "f", Type: storage.TFloat64},
+		storage.Field{Name: "m", Type: storage.TDecimal},
+	),
+	"nullable": storage.NewSchema(
+		storage.Field{Name: "k", Type: storage.TInt64},
+		storage.Field{Name: "d", Type: storage.TDate, Nullable: true},
+		storage.Field{Name: "f", Type: storage.TFloat64, Nullable: true},
+	),
+	"string": storage.NewSchema(
+		storage.Field{Name: "k", Type: storage.TInt64},
+		storage.Field{Name: "tag", Type: storage.TString},
+		storage.Field{Name: "note", Type: storage.TString, Nullable: true},
+	),
+}
+
+// sizingRows encodes n rows of the named schema.
+func sizingRows(name string, n int) (*Codec, []byte) {
+	schema := sizingSchemas[name]
+	b := storage.NewBatch(schema, n)
+	for i := 0; i < n; i++ {
+		switch name {
+		case "fixed":
+			b.AppendRow(int64(i), int64(i%365), float64(i)/4, int64(i*100))
+		case "nullable":
+			var d, f any
+			if i%3 != 0 {
+				d = int64(i)
+			}
+			if i%5 != 0 {
+				f = float64(i)
+			}
+			b.AppendRow(int64(i), d, f)
+		default:
+			var note any
+			if i%2 == 0 {
+				note = storage.FormatDate(int64(i))
+			}
+			b.AppendRow(int64(i), storage.FormatDate(int64(i * 31))[:i%11], note)
+		}
+	}
+	c := NewCodec(schema)
+	var wire []byte
+	for i := 0; i < n; i++ {
+		wire = c.EncodeRow(b, i, wire)
+	}
+	return c, wire
+}
+
+// TestDecodeAllSizesFreshDestinationExactly: the rows counted before
+// decoding are the rows decoded, and a destination that starts empty ends
+// with cap == len in every column — one allocation per column, no
+// append-doubling under the decoders.
+func TestDecodeAllSizesFreshDestinationExactly(t *testing.T) {
+	for name := range sizingSchemas {
+		const rows = 1000
+		c, wire := sizingRows(name, rows)
+		if got := c.countRows(wire); got != rows {
+			t.Fatalf("%s: countRows = %d, encoded %d", name, got, rows)
+		}
+		dst := storage.NewBatch(c.Schema(), 0)
+		if n, err := c.DecodeAll(wire, dst); err != nil || n != rows {
+			t.Fatalf("%s: DecodeAll = %d, %v", name, n, err)
+		}
+		for i, col := range dst.Cols {
+			if col.Len() != rows || col.Room() != 0 {
+				t.Fatalf("%s col %d: len %d, room for %d more; want exactly %d", name, i, col.Len(), col.Room(), rows)
+			}
+		}
+		// A second message appended to the same batch grows it once more,
+		// again exactly.
+		if _, err := c.DecodeAll(wire, dst); err != nil {
+			t.Fatal(err)
+		}
+		for i, col := range dst.Cols {
+			if col.Len() != 2*rows || col.Room() != 0 {
+				t.Fatalf("%s col %d after a second message: len %d, room %d", name, i, col.Len(), col.Room())
+			}
+		}
+	}
+}
+
+// TestDecodeAllMalformedInput: truncated buffers and length fields that
+// lie fail with the decoder's own error — the text is what it was before
+// DecodeAll counted rows — and whatever the bytes claim, it reserves no
+// more rows than fit in len(in) bytes.
+func TestDecodeAllMalformedInput(t *testing.T) {
+	fixed, fixedWire := sizingRows("fixed", 100)
+	str, strWire := sizingRows("string", 100)
+	lying := func(claim uint32) []byte {
+		// 50 good rows, then a row whose tag claims `claim` bytes.
+		_, wire := sizingRows("string", 50)
+		wire = append(wire, 1, 2, 3, 4, 5, 6, 7, 8)
+		return append(wire, byte(claim), byte(claim>>8), byte(claim>>16), byte(claim>>24), 'x')
+	}
+	for _, c := range []struct {
+		name    string
+		codec   *Codec
+		in      []byte
+		rows    int
+		wantErr string
+	}{
+		{"fixed, cut mid-row", fixed, fixedWire[:len(fixedWire)-5], 99, `ser: row 99: ser: truncated input for field "m"`},
+		{"fixed, one stray byte", fixed, append(fixedWire[:len(fixedWire):len(fixedWire)], 7), 100, `ser: row 100: ser: truncated input for field "k"`},
+		{"string, cut in the last note", str, strWire[:len(strWire)-1], 99, `ser: row 99: ser: truncated input for field "note"`},
+		{"string, tag claims 4 GB", str, lying(0xffffffff), 50, `ser: row 50: ser: truncated input for field "tag"`},
+		{"string, tag claims 2 GB", str, lying(0x7fffffff), 50, `ser: row 50: ser: truncated input for field "tag"`},
+		{"string, tag claims one byte too many", str, lying(2), 50, `ser: row 50: ser: truncated input for field "tag"`},
+	} {
+		dst := storage.NewBatch(c.codec.Schema(), 0)
+		n, err := c.codec.DecodeAll(c.in, dst)
+		if n != c.rows || err == nil || err.Error() != c.wantErr {
+			t.Errorf("%s: DecodeAll = %d, %v; want %d, %s", c.name, n, err, c.rows, c.wantErr)
+		}
+		most := len(c.in) / c.codec.minRowBytes
+		if got := c.codec.countRows(c.in); got != c.rows || got > most {
+			t.Errorf("%s: countRows = %d, want the %d whole rows (%d input bytes fit at most %d)", c.name, got, c.rows, len(c.in), most)
+		}
+		for i, col := range dst.Cols {
+			// The failing row's first fields land in full columns, which
+			// append then grows by its own rule: still O(len(in)).
+			if got := col.Len() + col.Room(); got > 3*most {
+				t.Errorf("%s: col %d holds room for %d rows, %d input bytes fit at most %d", c.name, i, got, len(c.in), most)
+			}
+		}
+	}
+}

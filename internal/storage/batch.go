@@ -43,6 +43,26 @@ func (b *Batch) AppendRowFrom(src *Batch, i int) {
 	}
 }
 
+// Room returns how many rows can be appended before any column
+// reallocates.
+func (b *Batch) Room() int {
+	if len(b.Cols) == 0 {
+		return 0
+	}
+	room := b.Cols[0].Room()
+	for _, c := range b.Cols[1:] {
+		room = min(room, c.Room())
+	}
+	return room
+}
+
+// Grow makes room for n more rows in every column (see Column.Grow).
+func (b *Batch) Grow(n int) {
+	for _, c := range b.Cols {
+		c.Grow(n)
+	}
+}
+
 // Row materializes row i as Go values (tests, reference engine).
 func (b *Batch) Row(i int) []any {
 	out := make([]any, len(b.Cols))

@@ -129,6 +129,74 @@ func (c *Column) AppendFrom(src *Column, i int) {
 	}
 }
 
+// AppendColumn appends every row of src (which must have the same type),
+// a slice at a time. NULLs follow AppendFrom's rules: a nullable
+// destination records src's validity (all present when src is not
+// nullable); a non-nullable destination panics on a NULL.
+func (c *Column) AppendColumn(src *Column) {
+	n := src.Len()
+	switch c.Type {
+	case TFloat64:
+		c.F64 = append(c.F64, src.F64...)
+	case TString:
+		c.Str = append(c.Str, src.Str...)
+	default:
+		c.I64 = append(c.I64, src.I64...)
+	}
+	switch {
+	case c.Nullable && src.Nullable:
+		c.Valid = append(c.Valid, src.Valid...)
+	case c.Nullable:
+		for i := 0; i < n; i++ {
+			c.Valid = append(c.Valid, true)
+		}
+	case src.Nullable:
+		for _, ok := range src.Valid {
+			if !ok {
+				panic("storage: AppendColumn of a NULL into a non-nullable column")
+			}
+		}
+	}
+}
+
+// Room returns how many values can be appended before the column
+// reallocates.
+func (c *Column) Room() int {
+	room := 0
+	switch c.Type {
+	case TFloat64:
+		room = cap(c.F64) - len(c.F64)
+	case TString:
+		room = cap(c.Str) - len(c.Str)
+	default:
+		room = cap(c.I64) - len(c.I64)
+	}
+	if c.Nullable {
+		room = min(room, cap(c.Valid)-len(c.Valid))
+	}
+	return room
+}
+
+// Grow makes room for n more values. When it has to reallocate, the new
+// capacity is exactly Len()+n: the caller knows the final size (a decoder
+// that counted its rows), so append-doubling's slack would be waste.
+func (c *Column) Grow(n int) {
+	if c.Room() >= n {
+		return
+	}
+	switch c.Type {
+	case TFloat64:
+		c.F64 = append(make([]float64, 0, len(c.F64)+n), c.F64...)
+	case TString:
+		c.Str = append(make([]string, 0, len(c.Str)+n), c.Str...)
+	default:
+		c.I64 = append(make([]int64, 0, len(c.I64)+n), c.I64...)
+	}
+	if c.Nullable {
+		c.Valid = append(make([]bool, 0, len(c.Valid)+n), c.Valid...)
+	}
+}
+
 // Value returns row i as a Go value (nil for NULL).
 func (c *Column) Value(i int) any {
 	if c.IsNull(i) {

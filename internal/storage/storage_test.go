@@ -234,3 +234,114 @@ func TestSchemaOps(t *testing.T) {
 		t.Fatal("Concat broken")
 	}
 }
+
+// TestCompiledLikeAgreesWithMatchLike: a pattern compiled once gives the
+// verdict the compile-per-call form gives, on the shapes of pattern that
+// exist (no %, leading, trailing, inner, repeated literal) against empty,
+// exact, overlapping and non-matching inputs.
+func TestCompiledLikeAgreesWithMatchLike(t *testing.T) {
+	want := map[string]map[string]bool{
+		"":      {"": true, "a": false, "abc": false},
+		"%":     {"": true, "a": true, "abc": true},
+		"abc":   {"": false, "abc": true, "abcabc": false, "ab": false, "xabc": false},
+		"a%":    {"": false, "a": true, "abc": true, "ba": false},
+		"%a":    {"": false, "a": true, "cba": true, "ab": false, "aa": true},
+		"a%b%c": {"": false, "abc": true, "aXbYc": true, "abcbc": true, "acb": false, "ac": false, "abca": false},
+		"%a%a%": {"": false, "a": false, "aa": true, "aXa": true, "XaYaZ": true, "aaa": true, "bab": false},
+	}
+	for pattern, inputs := range want {
+		like := CompileLike(pattern)
+		for s, match := range inputs {
+			if got := like.Match(s); got != match {
+				t.Errorf("CompileLike(%q).Match(%q) = %v, want %v", pattern, s, got, match)
+			}
+			if got := MatchLike(s, pattern); got != match {
+				t.Errorf("MatchLike(%q, %q) = %v, want %v", s, pattern, got, match)
+			}
+		}
+	}
+}
+
+// TestAppendColumnMatchesAppendFrom: the bulk append lays a column out
+// exactly as the row-at-a-time append does, NULLs included, for every
+// pairing of nullable and non-nullable source and destination that
+// AppendFrom accepts.
+func TestAppendColumnMatchesAppendFrom(t *testing.T) {
+	fill := func(c *Column, nulls bool) {
+		for i := 0; i < 9; i++ {
+			switch {
+			case nulls && i%3 == 1:
+				c.AppendNull()
+			case c.Type == TFloat64:
+				c.AppendF64(float64(i) / 2)
+			case c.Type == TString:
+				c.AppendStr(FormatDate(int64(i)))
+			default:
+				c.AppendI64(int64(i * i))
+			}
+		}
+	}
+	for _, typ := range []Type{TInt64, TDate, TDecimal, TFloat64, TString} {
+		for _, shape := range []struct{ srcNullable, dstNullable bool }{
+			{false, false}, {false, true}, {true, true},
+		} {
+			src := NewColumn(typ, shape.srcNullable, 0)
+			fill(src, shape.srcNullable)
+			bulk, rowwise := NewColumn(typ, shape.dstNullable, 0), NewColumn(typ, shape.dstNullable, 0)
+			fill(bulk, false)
+			fill(rowwise, false)
+			bulk.AppendColumn(src)
+			for i := 0; i < src.Len(); i++ {
+				rowwise.AppendFrom(src, i)
+			}
+			if bulk.Len() != rowwise.Len() || len(bulk.Valid) != len(rowwise.Valid) {
+				t.Fatalf("%v %+v: bulk has %d rows / %d validity bits, row-wise %d / %d",
+					typ, shape, bulk.Len(), len(bulk.Valid), rowwise.Len(), len(rowwise.Valid))
+			}
+			for i := 0; i < bulk.Len(); i++ {
+				if bulk.Value(i) != rowwise.Value(i) {
+					t.Fatalf("%v %+v row %d: bulk %v, row-wise %v", typ, shape, i, bulk.Value(i), rowwise.Value(i))
+				}
+			}
+		}
+	}
+	// A NULL has no place in a non-nullable column, in bulk as row-wise.
+	src := NewColumn(TInt64, true, 0)
+	src.AppendNull()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AppendColumn put a NULL into a non-nullable column")
+		}
+	}()
+	NewColumn(TInt64, false, 0).AppendColumn(src)
+}
+
+// TestGrowIsExact: Grow reallocates to exactly the requested size and
+// leaves a column that already has the room alone.
+func TestGrowIsExact(t *testing.T) {
+	b := NewBatch(NewSchema(
+		Field{Name: "i", Type: TInt64},
+		Field{Name: "f", Type: TFloat64, Nullable: true},
+		Field{Name: "s", Type: TString},
+	), 0)
+	b.AppendRow(int64(1), 1.5, "x")
+	if b.Room() > 7 { // append-doubling from empty leaves little slack
+		t.Fatalf("Room() = %d after one append", b.Room())
+	}
+	b.Grow(1000)
+	if b.Room() != 1000 {
+		t.Fatalf("Room() = %d after Grow(1000)", b.Room())
+	}
+	if cap(b.Cols[0].I64) != 1001 || cap(b.Cols[1].F64) != 1001 || cap(b.Cols[1].Valid) != 1001 || cap(b.Cols[2].Str) != 1001 {
+		t.Fatalf("Grow(1000) over one row left capacities %d %d %d %d, want 1001",
+			cap(b.Cols[0].I64), cap(b.Cols[1].F64), cap(b.Cols[1].Valid), cap(b.Cols[2].Str))
+	}
+	if got := b.Row(0); got[0] != int64(1) || got[1] != 1.5 || got[2] != "x" {
+		t.Fatalf("Grow lost the row: %v", got)
+	}
+	before := &b.Cols[0].I64[0]
+	b.Grow(1000)
+	if &b.Cols[0].I64[0] != before {
+		t.Fatal("Grow reallocated a column that had the room")
+	}
+}

@@ -7,6 +7,7 @@ package storage
 
 import (
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -192,51 +193,15 @@ func DateYear(d int64) int {
 	return epoch.Add(time.Duration(d) * 24 * time.Hour).Year()
 }
 
-// MatchLike matches SQL LIKE patterns consisting of literal runs separated
-// by % wildcards ('_' is not supported; TPC-H does not use it).
-func MatchLike(s, pattern string) bool {
-	parts := splitLike(pattern)
-	// First part must be a prefix unless the pattern starts with %.
-	i := 0
-	if len(parts) > 0 && parts[0].anchoredStart {
-		if len(s) < len(parts[0].lit) || s[:len(parts[0].lit)] != parts[0].lit {
-			return false
-		}
-		s = s[len(parts[0].lit):]
-		if parts[0].anchoredEnd {
-			// Pattern without any %: exact match required.
-			return s == ""
-		}
-		i = 1
-	}
-	// Last part must be a suffix unless the pattern ends with %.
-	last := len(parts)
-	if last > i && parts[last-1].anchoredEnd {
-		lit := parts[last-1].lit
-		if len(s) < len(lit) || s[len(s)-len(lit):] != lit {
-			return false
-		}
-		s = s[:len(s)-len(lit)]
-		last--
-	}
-	// Remaining parts must appear in order.
-	for ; i < last; i++ {
-		idx := indexOf(s, parts[i].lit)
-		if idx < 0 {
-			return false
-		}
-		s = s[idx+len(parts[i].lit):]
-	}
-	return true
+// Like is a compiled SQL LIKE pattern: literal runs separated by %
+// wildcards ('_' is not supported; TPC-H does not use it). Compile once
+// per predicate with CompileLike, match per row.
+type Like struct {
+	parts []likePart
 }
 
-type likePart struct {
-	lit           string
-	anchoredStart bool
-	anchoredEnd   bool
-}
-
-func splitLike(pattern string) []likePart {
+// CompileLike splits the pattern into its literal runs.
+func CompileLike(pattern string) Like {
 	var parts []likePart
 	litStart := 0
 	start := true
@@ -256,18 +221,52 @@ func splitLike(pattern string) []likePart {
 		// Pattern without any % and empty literal: matches empty only.
 		parts = append(parts, likePart{lit: "", anchoredStart: true, anchoredEnd: true})
 	}
-	return parts
+	return Like{parts: parts}
 }
 
-func indexOf(s, sub string) int {
-	n, m := len(s), len(sub)
-	if m == 0 {
-		return 0
-	}
-	for i := 0; i+m <= n; i++ {
-		if s[i:i+m] == sub {
-			return i
+// Match reports whether s matches the pattern.
+func (l Like) Match(s string) bool {
+	parts := l.parts
+	// First part must be a prefix unless the pattern starts with %.
+	i := 0
+	if len(parts) > 0 && parts[0].anchoredStart {
+		if !strings.HasPrefix(s, parts[0].lit) {
+			return false
 		}
+		s = s[len(parts[0].lit):]
+		if parts[0].anchoredEnd {
+			// Pattern without any %: exact match required.
+			return s == ""
+		}
+		i = 1
 	}
-	return -1
+	// Last part must be a suffix unless the pattern ends with %.
+	last := len(parts)
+	if last > i && parts[last-1].anchoredEnd {
+		lit := parts[last-1].lit
+		if !strings.HasSuffix(s, lit) {
+			return false
+		}
+		s = s[:len(s)-len(lit)]
+		last--
+	}
+	// Remaining parts must appear in order.
+	for ; i < last; i++ {
+		idx := strings.Index(s, parts[i].lit)
+		if idx < 0 {
+			return false
+		}
+		s = s[idx+len(parts[i].lit):]
+	}
+	return true
+}
+
+// MatchLike is CompileLike(pattern).Match(s) for callers that match a
+// pattern once (the reference engine).
+func MatchLike(s, pattern string) bool { return CompileLike(pattern).Match(s) }
+
+type likePart struct {
+	lit           string
+	anchoredStart bool
+	anchoredEnd   bool
 }
