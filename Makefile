@@ -13,11 +13,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The AllocsPerRun pins on the key path (hash kernels, routing, decode,
-# group-by and join): an allocation creeping back fails here by name. The
-# files are //go:build !race — the race detector allocates — so no -race.
+# The AllocsPerRun pins on the key path (hash kernels, batch headers,
+# routing, decode, group-by and join): an allocation creeping back fails
+# here by name. The files are //go:build !race — the race detector
+# allocates — so no -race. One pass of the decode micro-benchmark keeps it
+# compiling and prints ser's MB/s and allocs/op.
 allocs:
 	$(GO) test -run 'Allocs' ./internal/storage ./internal/ser ./internal/op ./internal/exchange
+	$(GO) test -run '^$$' -bench DecodeAll -benchtime 1x ./internal/ser
 
 # The repo's invariant linter (see docs/invariants.md) plus the vet
 # checks CI enforces. nilness is not in `go vet`; hsqplint ships its own.

@@ -550,7 +550,9 @@ func (src *Source) decode(w *engine.Worker, msg *memory.Message) *storage.Batch 
 	if src.Topo != nil {
 		src.Topo.Charge(w.Node, msg.Node, len(msg.Content), src.Scale)
 	}
-	// DecodeAll sizes the columns from the message's row count.
+	// DecodeAll sizes the columns from the message's row count and copies
+	// its strings into one arena of their own, so releasing msg right
+	// after is safe: nothing decoded aliases msg.Content.
 	b := storage.NewBatch(src.Codec.Schema(), 0)
 	if _, err := src.Codec.DecodeAll(msg.Content, b); err != nil {
 		sender := msg.Sender

@@ -57,6 +57,15 @@ func TestGroupByAllocs(t *testing.T) {
 	}
 }
 
+// TestSliceBatchAllocs: a morsel window is its batch, its column-pointer
+// slice and one slab of column headers, however many columns it has.
+func TestSliceBatchAllocs(t *testing.T) {
+	b := keyedBatch(1024)
+	if got := testing.AllocsPerRun(20, func() { sliceBatch(b, 100, 600) }); got > 3 {
+		t.Errorf("sliceBatch of %d columns allocates %v times, want 3", len(b.Cols), got)
+	}
+}
+
 // TestJoinAllocs: building allocates per column and per index array, not
 // per row; a GroupJoin probe folds rows into existing state for free; a
 // join probe allocates its output batch and nothing per probe row.

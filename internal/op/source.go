@@ -82,11 +82,14 @@ func (s *TableSource) HasLocal(node numa.Node) bool {
 	return false
 }
 
-// sliceBatch returns a window [lo,hi) over b sharing the column storage.
+// sliceBatch returns a window [lo,hi) over b sharing the column storage;
+// the window's column headers are one slab.
 func sliceBatch(b *storage.Batch, lo, hi int) *storage.Batch {
+	cols := make([]storage.Column, len(b.Cols))
 	out := &storage.Batch{Schema: b.Schema, Cols: make([]*storage.Column, len(b.Cols))}
 	for i, c := range b.Cols {
-		w := &storage.Column{Type: c.Type, Nullable: c.Nullable}
+		w := &cols[i]
+		w.Type, w.Nullable = c.Type, c.Nullable
 		switch c.Type {
 		case storage.TFloat64:
 			w.F64 = c.F64[lo:hi]

@@ -92,9 +92,12 @@ func genBatch(r *fuzzRNG, schema *storage.Schema) *storage.Batch {
 //     whole rows when it does (no infinite loop, no partial row);
 //  3. a destination DecodeAll has to size itself (fresh, no capacity)
 //     gives the rows and the error a pre-sized one gives, counts the rows
-//     exactly before decoding them, and never reserves more than
-//     len(in)/minRowBytes rows — also when the fuzz input itself is fed in
-//     as a hostile peer's bytes.
+//     and their string bytes exactly before decoding them, and never
+//     reserves more than len(in)/minRowBytes rows or len(in) string bytes
+//     — also when the fuzz input itself is fed in as a hostile peer's
+//     bytes;
+//  4. decoded values do not alias the input: scribbling over it after
+//     the round trip, as a recycled pool buffer is, changes none of them.
 func FuzzCodecRoundTrip(f *testing.F) {
 	// Seed corpus: empty, short, and structured inputs covering the
 	// all-fixed, all-varlen, and mixed schema shapes.
@@ -139,17 +142,21 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if n != in.Rows() {
 			t.Fatalf("decoded %d rows, want %d", n, in.Rows())
 		}
-		for i := 0; i < in.Rows(); i++ {
-			for col := range in.Cols {
-				if in.Cols[col].Value(i) != out.Cols[col].Value(i) {
-					t.Fatalf("row %d col %d: %v != %v", i, col,
-						in.Cols[col].Value(i), out.Cols[col].Value(i))
+		sameValues := func(when string) {
+			t.Helper()
+			for i := 0; i < in.Rows(); i++ {
+				for col := range in.Cols {
+					if in.Cols[col].Value(i) != out.Cols[col].Value(i) {
+						t.Fatalf("%s: row %d col %d: %v != %v", when, i, col,
+							in.Cols[col].Value(i), out.Cols[col].Value(i))
+					}
 				}
 			}
 		}
+		sameValues("round trip")
 
-		if got := c.countRows(buf); got != in.Rows() {
-			t.Fatalf("countRows = %d over %d encoded rows", got, in.Rows())
+		if rows, str := c.countRows(buf); rows != in.Rows() || str != wholeRowStrBytes(in, in.Rows()) {
+			t.Fatalf("countRows = %d rows, %d string bytes over %d encoded rows with %d", rows, str, in.Rows(), wholeRowStrBytes(in, in.Rows()))
 		}
 		sameAsPresized(t, c, buf, in.Rows())
 
@@ -174,6 +181,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		// The input as a peer's bytes: whatever they are, no panic, and
 		// the self-sizing path agrees with the pre-sized one.
 		sameAsPresized(t, c, data, len(data))
+
+		for i := range buf {
+			buf[i] = ^buf[i]
+		}
+		sameValues("after the input was overwritten")
 	})
 }
 
@@ -181,9 +193,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // rows — which DecodeAll never has to grow when room covers the input —
 // and into a fresh one it must size itself, and requires the same rows,
 // the same error, the same values, a row count (what DecodeAll reserves)
-// within len(wire)/minRowBytes, and a fresh destination that ends exactly
-// full — or, on malformed input, with what append made of a full column
-// when the failing row's first fields landed in it.
+// within len(wire)/minRowBytes and a string arena within len(wire), and a
+// fresh destination that ends exactly full — or, on malformed input, with
+// what append made of a full column when the failing row's first fields
+// landed in it.
 func sameAsPresized(t *testing.T, c *Codec, wire []byte, room int) {
 	t.Helper()
 	presized, fresh := storage.NewBatch(c.schema, room), storage.NewBatch(c.schema, 0)
@@ -205,8 +218,8 @@ func sameAsPresized(t *testing.T, c *Codec, wire []byte, room int) {
 		return
 	}
 	most := len(wire) / c.minRowBytes
-	if got := c.countRows(wire); got > most {
-		t.Fatalf("countRows = %d, %d input bytes fit at most %d rows", got, len(wire), most)
+	if got, str := c.countRows(wire); got > most || str > len(wire) {
+		t.Fatalf("countRows = %d rows, %d string bytes; %d input bytes fit at most %d rows", got, str, len(wire), most)
 	}
 	for col, column := range fresh.Cols {
 		if gotErr == nil && column.Room() != 0 {

@@ -20,6 +20,7 @@ package ser
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"hsqp/internal/storage"
 )
@@ -34,7 +35,7 @@ type Codec struct {
 	varlen       []int // part 3 (schema order)
 
 	enc []func(b *storage.Batch, row int, out []byte) []byte
-	dec []func(in []byte, b *storage.Batch) ([]byte, error)
+	dec []func(in []byte, b *storage.Batch) ([]byte, error) // parts 1 and 2
 
 	// What DecodeAll needs to size its destination before it appends:
 	// part 1's width, the fewest bytes a row can take (every nullable
@@ -65,7 +66,9 @@ func NewCodec(schema *storage.Schema) *Codec {
 	emit := func(idx int, mode emitMode) {
 		f := schema.Fields[idx]
 		c.enc = append(c.enc, makeEncoder(idx, f, mode))
-		c.dec = append(c.dec, makeDecoder(idx, f, mode))
+		if f.Type.Fixed() {
+			c.dec = append(c.dec, makeDecoder(idx, f))
+		}
 	}
 	for _, i := range c.fixedNotNull {
 		emit(i, emitPlain)
@@ -131,20 +134,25 @@ func (c *Codec) RowSize(b *storage.Batch, row int) int {
 // (no decodable fields) cannot make progress against a non-empty buffer;
 // that case returns an error instead of looping forever.
 //
-// dst is grown at most once, and only when it runs out of room: the rows
-// still to come are counted (countRows) and every column is grown to
-// exactly fit them, so a fresh dst ends with cap == len and a dst that
-// already has the room (a reused batch) costs nothing. The reservation is
-// bounded by len(in)/minRowBytes whatever the bytes say, and malformed
-// input fails in the decoders with the error it always had.
+// Decoding allocates per message, not per row: before it appends, the
+// rows in holds and their string bytes are counted (countRows), every
+// column is grown to exactly fit those rows — a fresh dst ends with
+// cap == len, a dst that already has the room (a reused batch) costs
+// nothing — and the string values are copied into one arena of exactly
+// their size and appended as substrings of it. Both reservations are
+// bounded by len(in) whatever the bytes say; a row past the counted ones
+// (malformed input) copies its strings on their own and fails in the
+// decoders with the error it always had.
+//
+// A decoded string therefore keeps its message's string bytes alive, and
+// never aliases in: the exchange releases in to the pool right after.
 func (c *Codec) DecodeAll(in []byte, dst *storage.Batch) (int, error) {
+	whole, strBytes := c.countRows(in)
+	dst.Grow(whole)
+	var arena strings.Builder
+	arena.Grow(strBytes)
 	rows := 0
-	room := dst.Room()
 	for len(in) > 0 {
-		if room == 0 {
-			room = c.countRows(in)
-			dst.Grow(room)
-		}
 		var err error
 		before := len(in)
 		for _, d := range c.dec {
@@ -152,47 +160,52 @@ func (c *Codec) DecodeAll(in []byte, dst *storage.Batch) (int, error) {
 				return rows, fmt.Errorf("ser: row %d: %w", rows, err)
 			}
 		}
+		for _, i := range c.varlen {
+			if in, err = decodeStr(in, &c.schema.Fields[i], dst.Cols[i], &arena); err != nil {
+				return rows, fmt.Errorf("ser: row %d: %w", rows, err)
+			}
+		}
 		if len(in) >= before {
 			return rows, fmt.Errorf("ser: no progress decoding row %d: schema has no decodable fields but %d input bytes remain", rows, len(in))
 		}
 		rows++
-		room--
 	}
 	return rows, nil
 }
 
-// countRows returns how many whole rows in holds, without decoding
-// values: a division when every row has the same width, otherwise a walk
-// over the row boundaries that applies the length checks the decoders
-// apply and stops at the first row that fails one. It never reads past in
-// and never counts more than len(in)/minRowBytes.
-func (c *Codec) countRows(in []byte) int {
+// countRows returns how many whole rows in holds and how many string
+// bytes those rows carry, without decoding values: a division when every
+// row has the same width, otherwise a walk over the row boundaries that
+// applies the length checks the decoders apply and stops at the first row
+// that fails one. It never reads past in, never counts more than
+// len(in)/minRowBytes rows nor more than len(in) string bytes.
+func (c *Codec) countRows(in []byte) (rows, strBytes int) {
 	if c.minRowBytes == 0 {
-		return 0
+		return 0, 0
 	}
 	if c.fixedBytes == c.minRowBytes {
-		return len(in) / c.fixedBytes
+		return len(in) / c.fixedBytes, 0
 	}
-	rows := 0
 	for len(in) >= c.fixedBytes {
 		rest := in[c.fixedBytes:]
 		for _, i := range c.nullableFix {
 			if len(rest) < 1 {
-				return rows
+				return rows, strBytes
 			}
 			size := 1
 			if rest[0] != 0 {
 				size += c.schema.Fields[i].Type.FixedSize()
 			}
 			if len(rest) < size {
-				return rows
+				return rows, strBytes
 			}
 			rest = rest[size:]
 		}
+		rowStr := 0
 		for _, i := range c.varlen {
 			if c.schema.Fields[i].Nullable {
 				if len(rest) < 1 {
-					return rows
+					return rows, strBytes
 				}
 				present := rest[0] != 0
 				rest = rest[1:]
@@ -201,18 +214,67 @@ func (c *Codec) countRows(in []byte) int {
 				}
 			}
 			if len(rest) < 4 {
-				return rows
+				return rows, strBytes
 			}
 			n := int(binary.LittleEndian.Uint32(rest))
 			if len(rest)-4 < n {
-				return rows
+				return rows, strBytes
 			}
 			rest = rest[4+n:]
+			rowStr += n
 		}
 		in = rest
 		rows++
+		strBytes += rowStr
 	}
-	return rows
+	return rows, strBytes
+}
+
+// decodeStr decodes a part-3 field f — a null indicator when f is
+// nullable, then a uint32 size and the bytes — into col. DecodeAll calls
+// it directly, not through a closure in dec, so the arena stays on
+// DecodeAll's stack.
+func decodeStr(in []byte, f *storage.Field, col *storage.Column, arena *strings.Builder) ([]byte, error) {
+	if f.Nullable {
+		if len(in) < 1 {
+			return nil, errTruncated(f.Name)
+		}
+		present := in[0] != 0
+		in = in[1:]
+		if !present {
+			col.AppendNull()
+			return in, nil
+		}
+	}
+	if len(in) < 4 {
+		return nil, errTruncated(f.Name)
+	}
+	n := int(binary.LittleEndian.Uint32(in))
+	in = in[4:]
+	if len(in) < n {
+		return nil, errTruncated(f.Name)
+	}
+	col.AppendStr(copyStr(arena, in[:n]))
+	return in[n:], nil
+}
+
+// copyStr returns b as a string that does not alias b: a substring of
+// arena while arena has room for it, its own copy otherwise. DecodeAll
+// sizes arena to the counted rows' string bytes, so the arena is never
+// regrown and only rows past the counted ones take the second path.
+func copyStr(arena *strings.Builder, b []byte) string {
+	if len(b) == 0 || arena.Cap()-arena.Len() < len(b) {
+		return string(b)
+	}
+	start := arena.Len()
+	arena.Write(b)
+	return arena.String()[start:]
+}
+
+// errTruncated is built when a decode fails, not per field in NewCodec:
+// every compile builds codecs, few decodes fail.
+func errTruncated(field string) error {
+	return fmt.Errorf("ser: truncated input for field %q", field)
 }
 
 type emitMode int
@@ -279,84 +341,47 @@ func makeEncoder(idx int, f storage.Field, mode emitMode) func(*storage.Batch, i
 	}
 }
 
-func makeDecoder(idx int, f storage.Field, mode emitMode) func([]byte, *storage.Batch) ([]byte, error) {
-	t := f.Type
-	errShort := fmt.Errorf("ser: truncated input for field %q", f.Name)
+// makeDecoder returns the decoder of a fixed-size field (parts 1 and 2);
+// strings (part 3) are Codec.decodeStr's.
+func makeDecoder(idx int, f storage.Field) func([]byte, *storage.Batch) ([]byte, error) {
 	readFixed := func(in []byte, col *storage.Column) ([]byte, error) {
-		switch t {
+		switch f.Type {
 		case storage.TDate:
 			if len(in) < 4 {
-				return nil, errShort
+				return nil, errTruncated(f.Name)
 			}
 			col.AppendI64(int64(int32(binary.LittleEndian.Uint32(in))))
 			return in[4:], nil
 		case storage.TFloat64:
 			if len(in) < 8 {
-				return nil, errShort
+				return nil, errTruncated(f.Name)
 			}
 			col.AppendF64(f64frombits(binary.LittleEndian.Uint64(in)))
 			return in[8:], nil
 		default:
 			if len(in) < 8 {
-				return nil, errShort
+				return nil, errTruncated(f.Name)
 			}
 			col.AppendI64(int64(binary.LittleEndian.Uint64(in)))
 			return in[8:], nil
 		}
 	}
-	switch mode {
-	case emitPlain:
+	if !f.Nullable {
 		return func(in []byte, b *storage.Batch) ([]byte, error) {
 			return readFixed(in, b.Cols[idx])
 		}
-	case emitNullable:
-		return func(in []byte, b *storage.Batch) ([]byte, error) {
-			if len(in) < 1 {
-				return nil, errShort
-			}
-			ind := in[0]
-			in = in[1:]
-			if ind == 0 {
-				b.Cols[idx].AppendNull()
-				return in, nil
-			}
-			return readFixed(in, b.Cols[idx])
+	}
+	return func(in []byte, b *storage.Batch) ([]byte, error) {
+		if len(in) < 1 {
+			return nil, errTruncated(f.Name)
 		}
-	case emitVar:
-		return func(in []byte, b *storage.Batch) ([]byte, error) {
-			if len(in) < 4 {
-				return nil, errShort
-			}
-			n := int(binary.LittleEndian.Uint32(in))
-			in = in[4:]
-			if len(in) < n {
-				return nil, errShort
-			}
-			b.Cols[idx].AppendStr(string(in[:n]))
-			return in[n:], nil
+		ind := in[0]
+		in = in[1:]
+		if ind == 0 {
+			b.Cols[idx].AppendNull()
+			return in, nil
 		}
-	default: // emitVarNullable
-		return func(in []byte, b *storage.Batch) ([]byte, error) {
-			if len(in) < 1 {
-				return nil, errShort
-			}
-			ind := in[0]
-			in = in[1:]
-			if ind == 0 {
-				b.Cols[idx].AppendNull()
-				return in, nil
-			}
-			if len(in) < 4 {
-				return nil, errShort
-			}
-			n := int(binary.LittleEndian.Uint32(in))
-			in = in[4:]
-			if len(in) < n {
-				return nil, errShort
-			}
-			b.Cols[idx].AppendStr(string(in[:n]))
-			return in[n:], nil
-		}
+		return readFixed(in, b.Cols[idx])
 	}
 }
 

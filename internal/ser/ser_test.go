@@ -4,7 +4,10 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"hsqp/internal/memory"
+	"hsqp/internal/numa"
 	"hsqp/internal/storage"
 	"hsqp/internal/tpch"
 )
@@ -219,7 +222,7 @@ func TestDecodeAllSizesFreshDestinationExactly(t *testing.T) {
 	for name := range sizingSchemas {
 		const rows = 1000
 		c, wire := sizingRows(name, rows)
-		if got := c.countRows(wire); got != rows {
+		if got, _ := c.countRows(wire); got != rows {
 			t.Fatalf("%s: countRows = %d, encoded %d", name, got, rows)
 		}
 		dst := storage.NewBatch(c.Schema(), 0)
@@ -247,7 +250,8 @@ func TestDecodeAllSizesFreshDestinationExactly(t *testing.T) {
 // TestDecodeAllMalformedInput: truncated buffers and length fields that
 // lie fail with the decoder's own error — the text is what it was before
 // DecodeAll counted rows — and whatever the bytes claim, it reserves no
-// more rows than fit in len(in) bytes.
+// more rows than fit in len(in) bytes and no more string bytes than the
+// whole rows carry.
 func TestDecodeAllMalformedInput(t *testing.T) {
 	fixed, fixedWire := sizingRows("fixed", 100)
 	str, strWire := sizingRows("string", 100)
@@ -277,8 +281,12 @@ func TestDecodeAllMalformedInput(t *testing.T) {
 			t.Errorf("%s: DecodeAll = %d, %v; want %d, %s", c.name, n, err, c.rows, c.wantErr)
 		}
 		most := len(c.in) / c.codec.minRowBytes
-		if got := c.codec.countRows(c.in); got != c.rows || got > most {
+		got, strBytes := c.codec.countRows(c.in)
+		if got != c.rows || got > most {
 			t.Errorf("%s: countRows = %d, want the %d whole rows (%d input bytes fit at most %d)", c.name, got, c.rows, len(c.in), most)
+		}
+		if want := wholeRowStrBytes(dst, c.rows); strBytes != want || strBytes > len(c.in) {
+			t.Errorf("%s: arena of %d bytes for %d input bytes; the %d whole rows carry %d", c.name, strBytes, len(c.in), c.rows, want)
 		}
 		for i, col := range dst.Cols {
 			// The failing row's first fields land in full columns, which
@@ -286,6 +294,121 @@ func TestDecodeAllMalformedInput(t *testing.T) {
 			if got := col.Len() + col.Room(); got > 3*most {
 				t.Errorf("%s: col %d holds room for %d rows, %d input bytes fit at most %d", c.name, i, got, len(c.in), most)
 			}
+		}
+	}
+}
+
+// wholeRowStrBytes sums the string bytes of b's first rows.
+func wholeRowStrBytes(b *storage.Batch, rows int) int {
+	n := 0
+	for _, col := range b.Cols {
+		if col.Type == storage.TString {
+			for _, s := range col.Str[:rows] {
+				n += len(s)
+			}
+		}
+	}
+	return n
+}
+
+// TestDecodedStringsOutliveTheirMessage: the exchange releases a message
+// to the pool as soon as it is decoded, and the pool hands the same
+// buffer to the next sender, who overwrites it. Decoded strings must not
+// notice.
+func TestDecodedStringsOutliveTheirMessage(t *testing.T) {
+	c, wire := sizingRows("string", 200)
+	pool := memory.NewPool(numa.TwoSocket(), numa.AllocLocal, len(wire), nil)
+	msg := pool.Get(0)
+	msg.Content = append(msg.Content, wire...)
+	dst := storage.NewBatch(c.Schema(), 0)
+	if _, err := c.DecodeAll(msg.Content, dst); err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]any, dst.Rows())
+	for i := range want {
+		want[i] = dst.Row(i)
+	}
+	msg.Release()
+	next := pool.Get(0)
+	if next != msg {
+		t.Fatal("the pool did not recycle the decoded message's buffer")
+	}
+	_, other := sizingRows("string", 300)
+	next.Content = append(next.Content, other[:len(wire)]...)
+	for i := range want {
+		for col, v := range dst.Row(i) {
+			if v != want[i][col] {
+				t.Fatalf("row %d col %d read %v after the buffer was recycled, decoded %v", i, col, v, want[i][col])
+			}
+		}
+	}
+	next.Release()
+}
+
+// strSpan is the address range the non-empty strings of rows [lo,hi) of
+// b cover, and how many bytes they hold.
+func strSpan(b *storage.Batch, lo, hi int) (first, end uintptr, bytes int) {
+	first = ^uintptr(0)
+	for _, col := range b.Cols {
+		if col.Type != storage.TString {
+			continue
+		}
+		for _, s := range col.Str[lo:hi] {
+			if s == "" {
+				continue
+			}
+			p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+			first, end = min(first, p), max(end, p+uintptr(len(s)))
+			bytes += len(s)
+		}
+	}
+	return first, end, bytes
+}
+
+// TestDecodeAllOneArenaPerMessage: a message's strings are copied into one
+// buffer exactly their size, outside the message; a second message
+// decoded into the same batch gets its own.
+func TestDecodeAllOneArenaPerMessage(t *testing.T) {
+	const rows = 300
+	c, wire := sizingRows("string", rows)
+	dst := storage.NewBatch(c.Schema(), 0)
+	wireLo := uintptr(unsafe.Pointer(unsafe.SliceData(wire)))
+	wireHi := wireLo + uintptr(len(wire))
+	var spans [2][2]uintptr
+	for m := range spans {
+		if _, err := c.DecodeAll(wire, dst); err != nil {
+			t.Fatal(err)
+		}
+		first, end, total := strSpan(dst, m*rows, (m+1)*rows)
+		if got := int(end - first); got != total {
+			t.Errorf("message %d: %d string bytes span %d bytes, want one arena of exactly their size", m, total, got)
+		}
+		if first < wireHi && wireLo < end {
+			t.Errorf("message %d: decoded strings alias the input buffer", m)
+		}
+		spans[m] = [2]uintptr{first, end}
+	}
+	if spans[0][0] < spans[1][1] && spans[1][0] < spans[0][1] {
+		t.Errorf("two messages decoded into one batch share an arena: %x-%x and %x-%x",
+			spans[0][0], spans[0][1], spans[1][0], spans[1][1])
+	}
+}
+
+// BenchmarkDecodeAll decodes lineitem at SF 0.01 — the widest relation,
+// three string columns — into a fresh destination, as the exchange does
+// per message: `go test -run '^$' -bench DecodeAll ./internal/ser`.
+func BenchmarkDecodeAll(b *testing.B) {
+	li := tpch.Generate(0.01, 1).Tables["lineitem"]
+	c := NewCodec(li.Schema)
+	var wire []byte
+	for i := 0; i < li.Rows(); i++ {
+		wire = c.EncodeRow(li, i, wire)
+	}
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := c.DecodeAll(wire, storage.NewBatch(li.Schema, 0)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -9,11 +9,14 @@ type Batch struct {
 	Cols   []*Column
 }
 
-// NewBatch creates an empty batch for a schema with a capacity hint.
+// NewBatch creates an empty batch for a schema with a capacity hint. The
+// column headers are one slab, not an allocation each.
 func NewBatch(schema *Schema, capacity int) *Batch {
-	b := &Batch{Schema: schema, Cols: make([]*Column, schema.Len())}
+	cols := make([]Column, schema.Len())
+	b := &Batch{Schema: schema, Cols: make([]*Column, len(cols))}
 	for i, f := range schema.Fields {
-		b.Cols[i] = NewColumn(f.Type, f.Nullable, capacity)
+		cols[i] = makeColumn(f.Type, f.Nullable, capacity)
+		b.Cols[i] = &cols[i]
 	}
 	return b
 }

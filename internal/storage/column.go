@@ -17,7 +17,12 @@ type Column struct {
 
 // NewColumn creates an empty column with the given capacity hint.
 func NewColumn(t Type, nullable bool, capacity int) *Column {
-	c := &Column{Type: t, Nullable: nullable}
+	c := makeColumn(t, nullable, capacity)
+	return &c
+}
+
+func makeColumn(t Type, nullable bool, capacity int) Column {
+	c := Column{Type: t, Nullable: nullable}
 	switch t {
 	case TFloat64:
 		c.F64 = make([]float64, 0, capacity)
