@@ -14,12 +14,13 @@ race:
 	$(GO) test -race ./...
 
 # The AllocsPerRun pins on the key path (hash kernels, batch headers,
-# routing, decode, group-by and join): an allocation creeping back fails
-# here by name. The files are //go:build !race — the race detector
-# allocates — so no -race. One pass of the decode micro-benchmark keeps it
-# compiling and prints ser's MB/s and allocs/op.
+# routing, decode, group-by, join, reused operator output and the engine's
+# column pool): an allocation creeping back fails here by name. The files
+# are //go:build !race — the race detector allocates — so no -race. One
+# pass of the decode micro-benchmark keeps it compiling and prints ser's
+# MB/s and allocs/op.
 allocs:
-	$(GO) test -run 'Allocs' ./internal/storage ./internal/ser ./internal/op ./internal/exchange
+	$(GO) test -run 'Allocs' ./internal/storage ./internal/ser ./internal/op ./internal/exchange ./internal/engine
 	$(GO) test -run '^$$' -bench DecodeAll -benchtime 1x ./internal/ser
 
 # The repo's invariant linter (see docs/invariants.md) plus the vet

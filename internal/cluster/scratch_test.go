@@ -1,0 +1,183 @@
+package cluster
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"hsqp/internal/engine"
+	"hsqp/internal/exchange"
+	"hsqp/internal/op"
+	"hsqp/internal/plan"
+	"hsqp/internal/queries"
+	"hsqp/internal/ref"
+	"hsqp/internal/storage"
+	"hsqp/internal/tpch"
+)
+
+// conformanceOptions are the rows of the conformance matrix
+// (runConformance in internal/queries).
+var conformanceOptions = map[string]plan.Options{
+	"default":           {},
+	"classic":           {Classic: true},
+	"serial":            {Serial: true},
+	"no-preagg":         {DisablePreAgg: true},
+	"nofuse":            {NoFuse: true},
+	"nopushdown":        {NoPushdown: true},
+	"nofuse+nopushdown": {NoFuse: true, NoPushdown: true},
+}
+
+// compileTPCH compiles query qn on every server of c and returns the
+// per-server plans and a func that releases their exchange state.
+func compileTPCH(t *testing.T, c *Cluster, qn int, sf float64, po plan.Options) ([]*plan.Compiled, func()) {
+	t.Helper()
+	qid := c.nextQueryID.Add(1)
+	compiled, err := c.compileAll(c.Nodes, queries.MustBuild(qn, queries.Params{SF: sf}), qid, po, nil)
+	if err != nil {
+		t.Fatalf("q%d: %v", qn, err)
+	}
+	return compiled, func() {
+		for _, n := range c.Nodes {
+			n.Mux.CloseQuery(qid)
+		}
+	}
+}
+
+// retained is this test's own reading of the retention rule: the batch an
+// operator returns travels through fused stages (which may forward its
+// columns zero-copy) until a JoinProbe copies it, and must then reach a
+// sink that does not keep it.
+func retained(rest []engine.Op, sink engine.Sink) bool {
+	for _, o := range rest {
+		switch o.(type) {
+		case *op.JoinProbe:
+			return false
+		case *op.FusedStage, *op.Filter, *op.MapOp, *op.Project:
+		default:
+			return true
+		}
+	}
+	switch s := sink.(type) {
+	case *exchange.Send:
+		return s.Mode() == exchange.ModeSkewProbe
+	case *op.GroupBy, *op.TopK, *op.GroupJoinProbe:
+		return false
+	}
+	return true // JoinBuild, Collector, anything else
+}
+
+// TestNoReusedScratchUpstreamOfRetainingSink walks every compiled TPC-H
+// graph, on every server of a 3-server cluster under every conformance
+// options row: no reuse-mode FusedStage or JoinProbe may feed a sink that
+// keeps its batches, because its columns are overwritten by the next
+// morsel and handed to another query at pipeline completion.
+func TestNoReusedScratchUpstreamOfRetainingSink(t *testing.T) {
+	const sf = 0.01
+	c := newTPCHCluster(t)
+	c.LoadTPCH(tpch.Generate(sf, 42), false)
+	c.memMu.RLock()
+	defer c.memMu.RUnlock()
+	var fused, probes int
+	for row, po := range conformanceOptions {
+		for _, qn := range queries.All() {
+			compiled, release := compileTPCH(t, c, qn, sf, po)
+			for sid, cp := range compiled {
+				for _, p := range cp.Pipelines {
+					for i, o := range p.Ops {
+						switch x := o.(type) {
+						case *op.FusedStage:
+							if !x.Reuses() {
+								continue
+							}
+							fused++
+						case *op.JoinProbe:
+							if !x.Reuses() {
+								continue
+							}
+							probes++
+						default:
+							continue
+						}
+						if retained(p.Ops[i+1:], p.Sink) {
+							t.Errorf("%s q%d server %d: reuse-mode %T in %q feeds a retaining %T",
+								row, qn, sid, o, p.Name, p.Sink)
+						}
+					}
+				}
+			}
+			release()
+		}
+	}
+	if fused == 0 || probes == 0 {
+		t.Fatalf("the walk found %d reuse-mode fused stages and %d probes: it checked nothing", fused, probes)
+	}
+}
+
+// scribble overwrites every slot of c up to its capacity.
+func scribble(c *storage.Column) {
+	i64, f64, str, valid := c.I64[:cap(c.I64)], c.F64[:cap(c.F64)], c.Str[:cap(c.Str)], c.Valid[:cap(c.Valid)]
+	for i := range i64 {
+		i64[i] = -7
+	}
+	for i := range f64 {
+		f64[i] = -7
+	}
+	for i := range str {
+		str[i] = "scribbled"
+	}
+	for i := range valid {
+		valid[i] = false
+	}
+}
+
+// TestPooledScratchOutlivesNoResult runs every TPC-H query on 3 servers
+// and, after every server's graph completed — so every reuse-mode
+// operator has given its columns back to its engine's pool — scribbles
+// over every pooled column before it reads the coordinator's collected
+// result. The result must still be internal/ref's.
+func TestPooledScratchOutlivesNoResult(t *testing.T) {
+	const sf = 0.01
+	db := tpch.Generate(sf, 42)
+	c := newTPCHCluster(t)
+	c.LoadTPCH(db, false)
+	c.memMu.RLock()
+	defer c.memMu.RUnlock()
+	scribbled := 0
+	for _, qn := range queries.All() {
+		t.Run(fmt.Sprintf("q%02d", qn), func(t *testing.T) {
+			compiled, release := compileTPCH(t, c, qn, sf, plan.Options{})
+			defer release()
+			var wg sync.WaitGroup
+			errs := make([]error, len(c.Nodes))
+			for id, n := range c.Nodes {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, errs[id] = n.Engine.RunGraph(compiled[id].Graph(), engine.RunOptions{Coordinator: id == 0})
+				}()
+			}
+			wg.Wait()
+			for id, err := range errs {
+				if err != nil {
+					t.Fatalf("server %d: %v", id, err)
+				}
+			}
+			for _, n := range c.Nodes {
+				n.Engine.EachPooled(func(col *storage.Column) {
+					scribbled++
+					scribble(col)
+				})
+			}
+			want, err := ref.Run(qn, db, sf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Compare(qn, compiled[0].Result.Flatten(compiled[0].Schema), want); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if scribbled == 0 {
+		t.Fatal("no column was ever pooled: the scribble checked nothing")
+	}
+}

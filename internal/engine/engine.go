@@ -41,10 +41,13 @@ type Worker struct {
 	ID   int
 	Node numa.Node
 
-	// hashes is the key-hash vector of the batch the worker is processing.
-	// It lives here, not on an operator, so one vector per pool worker
-	// serves every morsel of every query.
+	// hashes is the key-hash vector of the batch the worker is processing,
+	// sel its selection vector. They live here, not on an operator, so one
+	// vector per pool worker serves every morsel of every query.
 	hashes []uint32
+	sel    []int32
+	// pool is the engine's column pool (nil for a bare &Worker{}).
+	pool *colPool
 }
 
 // HashRows returns storage.HashRows(b, keys) in the worker's own vector:
@@ -57,6 +60,19 @@ func (w *Worker) HashRows(b *storage.Batch, keys []int) []uint32 {
 	}
 	w.hashes = storage.HashRows(b, keys, w.hashes)
 	return w.hashes
+}
+
+// Sel returns the worker's selection vector, empty with room for n row
+// indexes. Like HashRows, it is valid until the worker's next Sel call, so
+// an operator consumes it before it returns.
+func (w *Worker) Sel(n int) []int32 {
+	if w == nil {
+		return make([]int32, 0, n)
+	}
+	if cap(w.sel) < n {
+		w.sel = make([]int32, 0, n)
+	}
+	return w.sel[:0]
 }
 
 // Source produces morsels for a pipeline. Implementations must be safe for
@@ -250,6 +266,7 @@ type Engine struct {
 	topo       *numa.Topology
 	workers    []Worker
 	morselSize int
+	pool       colPool // scratch columns shared by the workers
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -288,11 +305,12 @@ func New(cfg Config) (*Engine, error) {
 		ms = DefaultMorselSize
 	}
 	e := &Engine{topo: cfg.Topology, morselSize: ms}
+	e.pool.limit = poolLimit * ms
 	e.cond = sync.NewCond(&e.mu)
 	for i := 0; i < n; i++ {
 		// Workers are assigned to sockets round-robin so every socket has
 		// workers even when n < TotalCores.
-		e.workers = append(e.workers, Worker{ID: i, Node: numa.Node(i % cfg.Topology.Sockets)})
+		e.workers = append(e.workers, Worker{ID: i, Node: numa.Node(i % cfg.Topology.Sockets), pool: &e.pool})
 	}
 	for i := range e.workers {
 		e.wg.Add(1)

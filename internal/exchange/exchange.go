@@ -186,6 +186,11 @@ func (s *Send) SinkStats() (rows, bytes uint64) {
 // OpName implements engine.NamedOp.
 func (s *Send) OpName() string { return "send(" + s.cfg.Mode.String() + ")" }
 
+// Mode returns the routing mode. ModeSkewProbe holds the batches it
+// consumes until the skew decision, so the planner gives no reused scratch
+// to a pipeline that ends in one.
+func (s *Send) Mode() Mode { return s.cfg.Mode }
+
 // Consume implements engine.Sink: partition/serialize (step 2 of
 // Figure 7) and pass full messages to the multiplexer (step 3).
 func (s *Send) Consume(w *engine.Worker, b *storage.Batch) {

@@ -80,11 +80,11 @@ type aggState struct {
 	set bool
 }
 
-// aggChain is a pre-sizable chained hash index over group ids: heads is a
-// power-of-two bucket array, next/hashes are indexed by group id. It
-// replaces the old map[uint32][]int32, which allocated one slice per
-// distinct hash and rehashed as the table grew; sized from the planner's
-// cardinality estimate, a build inserts without ever rehashing.
+// aggChain is a chained hash index over group ids: heads is a power-of-two
+// bucket array, next/hashes are indexed by group id. It replaces the old
+// map[uint32][]int32, which allocated one slice per distinct hash; a
+// worker's chain grows from small by doubling, the merged table's is sized
+// exactly and never rehashes.
 type aggChain struct {
 	mask   uint32
 	heads  []int32
@@ -92,9 +92,14 @@ type aggChain struct {
 	hashes []uint32 // full hash per group: cheap equality pre-check + rehash
 }
 
-func newAggChain(hint int) aggChain {
-	buckets := nextPow2(hint)
-	c := aggChain{heads: make([]int32, buckets), mask: uint32(buckets - 1)}
+func newAggChain(groups int) aggChain {
+	buckets := nextPow2(groups)
+	c := aggChain{
+		heads:  make([]int32, buckets),
+		mask:   uint32(buckets - 1),
+		next:   make([]int32, 0, groups),
+		hashes: make([]uint32, 0, groups),
+	}
 	for i := range c.heads {
 		c.heads[i] = -1
 	}
@@ -138,25 +143,18 @@ type aggTable struct {
 	states []aggState // group g's states are states[g*nAggs : (g+1)*nAggs]
 }
 
-// aggTable sizing bounds: hints are estimates (often row counts, an upper
-// bound on groups), so cap the per-worker bucket allocation; the merged
-// table is sized exactly and gets a higher ceiling.
-const (
-	minAggHint      = 64
-	maxAggHint      = 1 << 14
-	maxMergedHint   = 1 << 20
-	maxAggKeysAlloc = 4096
-)
+// minAggHint is the group capacity a worker's table starts at; it doubles
+// from there.
+const minAggHint = 64
 
-func newAggTable(keySchema *storage.Schema, nAggs, hint int) *aggTable {
-	keysCap := hint
-	if keysCap > maxAggKeysAlloc {
-		keysCap = maxAggKeysAlloc
-	}
+// newAggTable creates a table with room for groups groups in its keys,
+// chain and flat states.
+func newAggTable(keySchema *storage.Schema, nAggs, groups int) *aggTable {
 	return &aggTable{
-		keys:  storage.NewBatch(keySchema, keysCap),
-		idx:   newAggChain(hint),
-		nAggs: nAggs,
+		keys:   storage.NewBatch(keySchema, groups),
+		idx:    newAggChain(groups),
+		nAggs:  nAggs,
+		states: make([]aggState, 0, groups*nAggs),
 	}
 }
 
@@ -237,34 +235,15 @@ type GroupBy struct {
 }
 
 // NewGroupBy creates the sink. numWorkers is the engine's worker count.
+// Nothing is sized from estimates: a worker's table starts at minAggHint
+// groups and doubles (Q1 has 4 groups in 6M rows), and Finalize sizes the
+// merged table exactly.
 func NewGroupBy(in *storage.Schema, keys []int, aggs []AggSpec, numWorkers int) *GroupBy {
 	ks := in.Project(keys)
 	g := &GroupBy{Keys: keys, Aggs: aggs, InSchema: in, keySchema: ks}
 	g.tables = make([]*aggTable, numWorkers)
 	for i := range g.tables {
 		g.tables[i] = newAggTable(ks, len(aggs), minAggHint)
-	}
-	return g
-}
-
-// WithHint pre-sizes the per-worker tables for an expected input
-// cardinality (rows across all workers, an upper bound on groups) and
-// returns g. Must be called before any Consume. The hint is clamped —
-// low-cardinality aggregations (Q1: 4 groups from 6M rows) must not pay
-// for row-count-sized bucket arrays.
-func (g *GroupBy) WithHint(rows int) *GroupBy {
-	if rows <= 0 {
-		return g
-	}
-	hint := rows / len(g.tables)
-	if hint < minAggHint {
-		hint = minAggHint
-	}
-	if hint > maxAggHint {
-		hint = maxAggHint
-	}
-	for i := range g.tables {
-		g.tables[i] = newAggTable(g.keySchema, len(g.Aggs), hint)
 	}
 	return g
 }
@@ -351,21 +330,16 @@ func (g *GroupBy) update(st *aggState, spec *AggSpec, b *storage.Batch, i int) {
 // I64 is a tiny accessor keeping update readable.
 func (s *aggState) I64() int64 { return s.i }
 
-// Finalize merges the thread-local tables. The merged table is pre-sized
-// exactly from the per-worker group counts (their sum bounds the merged
-// cardinality), so the merge never rehashes.
+// Finalize merges the thread-local tables. The merged table's keys, flat
+// states and chain are sized exactly from the per-worker group counts
+// (their sum bounds the merged cardinality; scalar aggregation has its one
+// group), so the merge never grows or rehashes.
 func (g *GroupBy) Finalize() error {
 	total := 0
 	for _, t := range g.tables {
 		total += t.groups
 	}
-	if total < minAggHint {
-		total = minAggHint
-	}
-	if total > maxMergedHint {
-		total = maxMergedHint
-	}
-	merged := newAggTable(g.keySchema, len(g.Aggs), total)
+	merged := newAggTable(g.keySchema, len(g.Aggs), max(total, 1))
 	keyCols := identityCols(len(g.Keys))
 	for _, t := range g.tables {
 		for grp := 0; grp < t.groups; grp++ {

@@ -21,13 +21,16 @@ import (
 // once, at the very end — and not at all when every row survives (the
 // output then shares the input's column storage).
 //
-// Scratch reuse: each worker owns a scratch slot (selection vector,
-// computed-column buffers, output batch), so steady-state execution does
-// not allocate per morsel. That is only sound when the downstream consumer
-// does not retain the batch beyond its synchronous Process/Consume call;
-// the planner sets reuse accordingly (a JoinProbe downstream always
-// re-materializes, sends/aggregations/top-k consume without retaining,
-// hash builds and collectors retain and force reuse off).
+// Scratch reuse: each worker owns a scratch slot (computed-column buffers,
+// output batch) and the selection vector is the worker's own (Worker.Sel),
+// so steady-state execution does not allocate per morsel. In reuse mode the
+// slot's columns come from the engine's pool and return to it on Release,
+// so they outlive the query, not just the morsel. That is only sound when
+// the downstream consumer does not retain the batch beyond its synchronous
+// Process/Consume call; the planner sets reuse accordingly (a JoinProbe
+// downstream always re-materializes, sends/aggregations/top-k consume
+// without retaining, hash builds and collectors retain and force reuse
+// off).
 type FusedStage struct {
 	steps []fusedStep
 	names []string // per-step labels for OpName
@@ -57,12 +60,12 @@ type fusedStep struct {
 
 // fusedScratch is one worker's reusable state.
 type fusedScratch struct {
-	sel      []int32
 	work     []*storage.Column
 	proj     []*storage.Column
 	view     storage.Batch
-	computed [][]*storage.Column // [step][expr]
-	out      *storage.Batch      // compacted-output batch (reuse mode)
+	computed [][]*storage.Column // [step][expr]; pooled in reuse mode
+	out      outSlot             // compacted output (reuse mode)
+	pass     storage.Batch       // zero-copy output header (reuse mode)
 	_pad     [8]uint64           // avoid false sharing between slots
 }
 
@@ -106,6 +109,9 @@ func (f *FusedStage) OpName() string {
 // count once, at first use).
 func (f *FusedStage) BatchAllocs() uint64 { return f.allocs.Load() }
 
+// Reuses reports whether the stage reuses its output across morsels.
+func (f *FusedStage) Reuses() bool { return f.reuse }
+
 // Schema returns the output schema. It is derived lazily from the first
 // batch, so it is only available after the first Process call.
 func (f *FusedStage) Schema() *storage.Schema { return f.outSchema }
@@ -131,14 +137,10 @@ func (f *FusedStage) deriveSchema(in *storage.Schema) *storage.Schema {
 // Process implements engine.Op.
 func (f *FusedStage) Process(w *engine.Worker, b *storage.Batch) *storage.Batch {
 	f.schemaOnce.Do(func() { f.outSchema = f.deriveSchema(b.Schema) })
-	slot := 0
-	if w != nil {
-		slot = w.ID % len(f.scratch)
-	}
-	sc := &f.scratch[slot]
+	sc := &f.scratch[slotOf(w, len(f.scratch))]
 	n := b.Rows()
 	cols := append(sc.work[:0], b.Cols...)
-	sel := sc.sel[:0]
+	sel := w.Sel(n)
 	allPass := true
 
 	for si := range f.steps {
@@ -171,7 +173,7 @@ func (f *FusedStage) Process(w *engine.Worker, b *storage.Batch) *storage.Batch 
 				sel = kept
 			}
 			if !allPass && len(sel) == 0 {
-				sc.work, sc.sel = cols[:0], sel[:0]
+				sc.work = cols[:0]
 				return nil
 			}
 		case stepMap:
@@ -183,8 +185,12 @@ func (f *FusedStage) Process(w *engine.Worker, b *storage.Batch) *storage.Batch 
 			for ei := range st.exprs {
 				e := &st.exprs[ei]
 				col := sc.computed[si][ei]
-				if col == nil || !f.reuse {
+				switch {
+				case !f.reuse:
 					col = &storage.Column{Type: e.Type}
+					f.allocs.Add(1)
+				case col == nil:
+					col = w.TakeColumn(e.Type, false, n)
 					sc.computed[si][ei] = col
 					f.allocs.Add(1)
 				}
@@ -218,18 +224,23 @@ func (f *FusedStage) Process(w *engine.Worker, b *storage.Batch) *storage.Batch 
 	sc.work = cols[:0]
 	if allPass {
 		// Zero-copy: every row survived, share the final column set.
+		if f.reuse {
+			if sc.pass.Cols == nil {
+				f.allocs.Add(1)
+			}
+			sc.pass.Schema = f.outSchema
+			sc.pass.Cols = append(sc.pass.Cols[:0], cols...)
+			return &sc.pass
+		}
 		f.allocs.Add(1)
 		return &storage.Batch{Schema: f.outSchema, Cols: append(make([]*storage.Column, 0, len(cols)), cols...)}
 	}
 	var out *storage.Batch
 	if f.reuse {
-		if sc.out == nil {
-			sc.out = storage.NewBatch(f.outSchema, len(sel))
+		var fresh bool
+		if out, fresh = sc.out.take(w, f.outSchema, len(sel)); fresh {
 			f.allocs.Add(1)
-		} else {
-			sc.out.Reset()
 		}
-		out = sc.out
 	} else {
 		out = storage.NewBatch(f.outSchema, len(sel))
 		f.allocs.Add(1)
@@ -237,8 +248,24 @@ func (f *FusedStage) Process(w *engine.Worker, b *storage.Batch) *storage.Batch 
 	for ci, src := range cols {
 		gatherCol(out.Cols[ci], src, sel)
 	}
-	sc.sel = sel[:0]
 	return out
+}
+
+// Release implements engine.Releaser: in reuse mode every slot's output
+// and computed columns go back to the engine's pool.
+func (f *FusedStage) Release(w *engine.Worker) {
+	if !f.reuse {
+		return
+	}
+	for i := range f.scratch {
+		sc := &f.scratch[i]
+		sc.out.release(w)
+		for _, cs := range sc.computed {
+			w.GiveColumns(cs)
+			clear(cs)
+		}
+		clear(sc.pass.Cols)
+	}
 }
 
 // growCol resizes a scratch column to exactly n indexable slots, reusing

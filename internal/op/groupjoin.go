@@ -154,10 +154,17 @@ func (g *GroupJoinBuild) ResultSchema() *storage.Schema {
 	return out
 }
 
-// ResultBatches emits one row per matched group.
+// ResultBatches emits one row per matched group, into a batch sized
+// exactly to the matched groups.
 func (g *GroupJoinBuild) ResultBatches() []*storage.Batch {
 	build := g.jb.Table().Build
-	out := storage.NewBatch(g.ResultSchema(), 1024)
+	hits := 0
+	for _, h := range g.hit {
+		if h {
+			hits++
+		}
+	}
+	out := storage.NewBatch(g.ResultSchema(), hits)
 	for bi := 0; bi < build.Rows(); bi++ {
 		if !g.hit[bi] {
 			continue

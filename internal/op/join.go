@@ -242,6 +242,9 @@ type JoinProbe struct {
 	// selective joins stop over-allocating the full b.Rows() guess.
 	rowsIn  atomic.Uint64
 	rowsOut atomic.Uint64
+
+	allocs atomic.Uint64 // output batches created (slot headers in reuse mode)
+	slots  []outSlot     // per-worker output batches; nil = fresh per morsel
 }
 
 // NewJoinProbe constructs the probe operator. probeSchema is the schema of
@@ -283,10 +286,47 @@ func NewJoinProbe(build *JoinBuild, typ JoinType, probeSchema *storage.Schema,
 // OpName implements engine.NamedOp.
 func (jp *JoinProbe) OpName() string { return "probe(" + jp.Type.String() + ")" }
 
+// ReuseOutput makes the probe write each worker's output into one batch
+// per worker slot, reused across morsels, its columns pooled (see outSlot
+// for the lifetime). Call before the first Process, and only when nothing
+// downstream retains the batch (plan.scratchSafe decides).
+func (jp *JoinProbe) ReuseOutput(workers int) {
+	jp.slots = make([]outSlot, max(workers, 1))
+}
+
+// Reuses reports whether ReuseOutput is in effect.
+func (jp *JoinProbe) Reuses() bool { return jp.slots != nil }
+
+// BatchAllocs implements engine.AllocCounter: output batches created, one
+// per morsel without reuse, one per worker slot with it.
+func (jp *JoinProbe) BatchAllocs() uint64 { return jp.allocs.Load() }
+
+// Release implements engine.Releaser: the slots' columns go back to the
+// engine's pool.
+func (jp *JoinProbe) Release(w *engine.Worker) {
+	for i := range jp.slots {
+		jp.slots[i].release(w)
+	}
+}
+
+// output returns an empty batch with room for the estimated output of n
+// probe rows: the worker's slot in reuse mode, a fresh batch otherwise.
+func (jp *JoinProbe) output(w *engine.Worker, n int) *storage.Batch {
+	if jp.slots == nil {
+		jp.allocs.Add(1)
+		return storage.NewBatch(jp.Schema, jp.outCap(n))
+	}
+	out, fresh := jp.slots[slotOf(w, len(jp.slots))].take(w, jp.Schema, jp.outCap(n))
+	if fresh {
+		jp.allocs.Add(1)
+	}
+	return out
+}
+
 // Process implements engine.Op.
 func (jp *JoinProbe) Process(w *engine.Worker, b *storage.Batch) *storage.Batch {
 	ht := jp.Build.Table()
-	out := storage.NewBatch(jp.Schema, jp.outCap(b.Rows()))
+	out := jp.output(w, b.Rows())
 	for i, h := range w.HashRows(b, jp.ProbeKeys) {
 		matched := false
 		for bi := ht.First(h); bi >= 0; bi = ht.Next(bi) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hsqp/internal/engine"
+	"hsqp/internal/numa"
 	"hsqp/internal/storage"
 )
 
@@ -104,5 +105,64 @@ func TestJoinAllocs(t *testing.T) {
 	outBatch := testing.AllocsPerRun(10, func() { storage.NewBatch(jp.Schema, n) })
 	if got := testing.AllocsPerRun(10, func() { jp.Process(w, b) }); got > outBatch {
 		t.Errorf("JoinProbe.Process of %d rows allocates %v times, its output batch alone %v", n, got, outBatch)
+	}
+}
+
+// pooledWorker is a worker sharing a one-worker engine's column pool.
+func pooledWorker(t *testing.T) *engine.Worker {
+	t.Helper()
+	e, err := engine.New(engine.Config{Topology: numa.TwoSocket(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	return e.NewWorker(0)
+}
+
+// TestJoinProbeReuseAllocs: a warm reused probe writes into its slot's
+// pooled columns, and so does one whose columns went back to the pool in
+// between — no allocation per Process either way.
+func TestJoinProbeReuseAllocs(t *testing.T) {
+	const n = 4096
+	b := keyedBatch(n)
+	w := pooledWorker(t)
+	jb := NewJoinBuild(b.Schema, []int{0})
+	jb.Consume(w, b)
+	if err := jb.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	jp := NewJoinProbe(jb, Inner, b.Schema, []int{0}, []int{0, 2}, []int{1}, nil)
+	jp.ReuseOutput(1)
+	jp.Process(w, b)
+	if got := testing.AllocsPerRun(10, func() { jp.Process(w, b) }); got != 0 {
+		t.Errorf("reused JoinProbe.Process of %d rows allocates %v times, want 0", n, got)
+	}
+	jp.Release(w)
+	if got := testing.AllocsPerRun(10, func() { jp.Process(w, b) }); got != 0 {
+		t.Errorf("JoinProbe.Process after Release allocates %v times, want 0", got)
+	}
+	if got := jp.BatchAllocs(); got != 1 {
+		t.Errorf("reused probe reports %d batch allocations, want 1 (its slot)", got)
+	}
+}
+
+// TestFusedReuseAllocs: after one Release → take cycle a reuse-mode fused
+// stage allocates nothing, on the compacting path (a filter drops rows)
+// and on the zero-copy one (every row survives).
+func TestFusedReuseAllocs(t *testing.T) {
+	const n = 4096
+	b := keyedBatch(n)
+	w := pooledWorker(t)
+	revenue := NewMap(b.Schema, []NamedExpr{{Name: "r", Type: storage.TDecimal, Expr: MulDec(Col(2), Col(0))}})
+	stages := map[string]*FusedStage{
+		"compacting": NewFused([]engine.Op{&Filter{Pred: I64LT(0, n/3)}, revenue, NewProject(revenue.Schema, []int{1, 3})}, 1, true),
+		"zero-copy":  NewFused([]engine.Op{revenue}, 1, true),
+	}
+	for name, f := range stages {
+		f.Process(w, b)
+		f.Release(w)
+		if got := testing.AllocsPerRun(10, func() { f.Process(w, b) }); got != 0 {
+			t.Errorf("%s fused stage allocates %v times per Process after a Release, want 0", name, got)
+		}
 	}
 }

@@ -27,9 +27,11 @@ type TopK struct {
 	out  *storage.Batch
 }
 
-// NewTopK creates the sink.
+// NewTopK creates the sink. Its row buffer starts at min(limit, 1024) rows
+// (empty for a full sort) and grows as rows arrive: a plan compiles one or
+// two per ORDER BY, most of which see few rows.
 func NewTopK(schema *storage.Schema, keys []SortKey, limit int) *TopK {
-	return &TopK{Keys: keys, Limit: limit, Schema: schema, rows: storage.NewBatch(schema, 1024)}
+	return &TopK{Keys: keys, Limit: limit, Schema: schema, rows: storage.NewBatch(schema, min(max(limit, 0), 1024))}
 }
 
 // Consume implements engine.Sink.

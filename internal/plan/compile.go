@@ -104,7 +104,7 @@ type stream struct {
 	deps []int
 	// rows is a rough upper-bound cardinality estimate (exact at the scan,
 	// carried through filters unreduced, multiplied by sender count across
-	// exchanges). Pre-sizes hash tables; 0 = unknown.
+	// exchanges). Pre-sizes join builds' batch lists; 0 = unknown.
 	rows int
 }
 
@@ -187,11 +187,15 @@ func (c *compiler) add(p *engine.Pipeline, deps []int) int {
 // into one op.FusedStage (single-pass evaluation over a selection vector).
 // Even single-operator runs are wrapped: the fused path routes its scratch
 // through per-worker buffers instead of fresh storage.NewBatch allocations
-// per morsel.
+// per morsel. A JoinProbe gets the same per-worker output batch when
+// nothing after it retains its output.
 func fuseOps(ops []engine.Op, sink engine.Sink, workers int) []engine.Op {
 	out := make([]engine.Op, 0, len(ops))
 	for i := 0; i < len(ops); {
 		if !fusible(ops[i]) {
+			if jp, ok := ops[i].(*op.JoinProbe); ok && scratchSafe(ops[i+1:], sink) {
+				jp.ReuseOutput(workers)
+			}
 			out = append(out, ops[i])
 			i++
 			continue
@@ -214,11 +218,14 @@ func fusible(o engine.Op) bool {
 	return false
 }
 
-// scratchSafe decides whether a fused stage may reuse its scratch buffers
-// across morsels: sound only when no downstream operator or sink retains
-// the batch beyond its synchronous call. A JoinProbe downstream always
-// re-materializes its output; the whitelisted sinks consume without
-// retaining. Anything unknown (including retaining sinks like JoinBuild
+// scratchSafe decides whether an operator (a fused stage, a join probe)
+// may reuse its output batch across morsels and hand its columns to the
+// engine's pool at pipeline completion: sound only when no downstream
+// operator or sink retains the batch beyond its synchronous call. It is
+// the one place that decides. A JoinProbe downstream always copies its
+// input into its own output; the whitelisted sinks consume without
+// retaining — except a skew-adaptive probe send, which holds batches while
+// it samples. Anything unknown (including retaining sinks like JoinBuild
 // and Collector) forces fresh allocations.
 func scratchSafe(rest []engine.Op, sink engine.Sink) bool {
 	for _, o := range rest {
@@ -232,8 +239,10 @@ func scratchSafe(rest []engine.Op, sink engine.Sink) bool {
 			return false
 		}
 	}
-	switch sink.(type) {
-	case *exchange.Send, *op.GroupBy, *op.TopK, *op.GroupJoinProbe:
+	switch s := sink.(type) {
+	case *exchange.Send:
+		return s.Mode() != exchange.ModeSkewProbe
+	case *op.GroupBy, *op.TopK, *op.GroupJoinProbe:
 		return true
 	}
 	return false
@@ -645,7 +654,7 @@ func (c *compiler) buildGroupBy(n *Node) (*stream, error) {
 		(len(n.Keys) > 0 && aligned(in.part, n.Keys))
 
 	if local {
-		gb := op.NewGroupBy(in.schema, n.Keys, n.Aggs, workers).WithHint(in.rows)
+		gb := op.NewGroupBy(in.schema, n.Keys, n.Aggs, workers)
 		agg := c.add(&engine.Pipeline{
 			Name:            gbName(n, "agg"),
 			Source:          in.source,
@@ -664,7 +673,7 @@ func (c *compiler) buildGroupBy(n *Node) (*stream, error) {
 
 	if len(n.Keys) == 0 {
 		// Scalar aggregate: local partial → gather → merge on coordinator.
-		partial := op.NewGroupBy(in.schema, nil, n.Aggs, workers).WithHint(in.rows)
+		partial := op.NewGroupBy(in.schema, nil, n.Aggs, workers)
 		pa := c.add(&engine.Pipeline{
 			Name:   gbName(n, "partial"),
 			Source: in.source,
@@ -697,7 +706,7 @@ func (c *compiler) buildGroupBy(n *Node) (*stream, error) {
 	if env.DisablePreAgg {
 		// Ablation: shuffle raw rows, aggregate once after the exchange.
 		shuffled := c.exchangeStream(gbName(n, "shuffle-raw"), in, exchange.ModePartition, n.Keys)
-		gb := op.NewGroupBy(shuffled.schema, n.Keys, n.Aggs, workers).WithHint(shuffled.rows)
+		gb := op.NewGroupBy(shuffled.schema, n.Keys, n.Aggs, workers)
 		agg := c.add(&engine.Pipeline{
 			Name:   gbName(n, "agg"),
 			Source: shuffled.source,
@@ -714,7 +723,7 @@ func (c *compiler) buildGroupBy(n *Node) (*stream, error) {
 
 	// Pre-aggregate locally (Figure 6(c)), shuffle partials on the group
 	// keys, merge.
-	partial := op.NewGroupBy(in.schema, n.Keys, n.Aggs, workers).WithHint(in.rows)
+	partial := op.NewGroupBy(in.schema, n.Keys, n.Aggs, workers)
 	pa := c.add(&engine.Pipeline{
 		Name:   gbName(n, "preagg"),
 		Source: in.source,
@@ -726,10 +735,9 @@ func (c *compiler) buildGroupBy(n *Node) (*stream, error) {
 		source: &op.LazySource{Fn: partial.PartialBatches, Morsel: env.MorselSize},
 		schema: ps,
 		deps:   []int{pa},
-		rows:   in.rows, // partial groups are bounded by the input rows
 	}
 	mid = c.exchangeStream(gbName(n, "shuffle"), mid, exchange.ModePartition, identity(len(n.Keys)))
-	merge := op.NewGroupBy(ps, identity(len(n.Keys)), op.MergeSpecs(n.Aggs, len(n.Keys)), workers).WithHint(mid.rows)
+	merge := op.NewGroupBy(ps, identity(len(n.Keys)), op.MergeSpecs(n.Aggs, len(n.Keys)), workers)
 	mg := c.add(&engine.Pipeline{
 		Name:   gbName(n, "merge"),
 		Source: mid.source,
