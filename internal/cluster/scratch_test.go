@@ -68,9 +68,11 @@ func retained(rest []engine.Op, sink engine.Sink) bool {
 
 // TestNoReusedScratchUpstreamOfRetainingSink walks every compiled TPC-H
 // graph, on every server of a 3-server cluster under every conformance
-// options row: no reuse-mode FusedStage or JoinProbe may feed a sink that
-// keeps its batches, because its columns are overwritten by the next
-// morsel and handed to another query at pipeline completion.
+// options row: no reuse-mode FusedStage, JoinProbe or exchange receive may
+// feed a sink that keeps its batches, because its columns are overwritten
+// by the next morsel (or message) and handed to another query at pipeline
+// completion. Every query's 3-server run must decode some receive into
+// reused batches under every row, or the walk would check nothing there.
 func TestNoReusedScratchUpstreamOfRetainingSink(t *testing.T) {
 	const sf = 0.01
 	c := newTPCHCluster(t)
@@ -80,9 +82,17 @@ func TestNoReusedScratchUpstreamOfRetainingSink(t *testing.T) {
 	var fused, probes int
 	for row, po := range conformanceOptions {
 		for _, qn := range queries.All() {
+			sources := 0
 			compiled, release := compileTPCH(t, c, qn, sf, po)
 			for sid, cp := range compiled {
 				for _, p := range cp.Pipelines {
+					if src, ok := p.Source.(*exchange.Source); ok && src.Reuses() {
+						sources++
+						if retained(p.Ops, p.Sink) {
+							t.Errorf("%s q%d server %d: reuse-mode receive of %q feeds a retaining %T",
+								row, qn, sid, p.Name, p.Sink)
+						}
+					}
 					for i, o := range p.Ops {
 						switch x := o.(type) {
 						case *op.FusedStage:
@@ -106,6 +116,9 @@ func TestNoReusedScratchUpstreamOfRetainingSink(t *testing.T) {
 				}
 			}
 			release()
+			if sources == 0 {
+				t.Errorf("%s q%d: no receive decodes into reused batches: the walk checked none", row, qn)
+			}
 		}
 	}
 	if fused == 0 || probes == 0 {

@@ -8,12 +8,64 @@ import (
 	"hsqp/internal/storage"
 )
 
-// Releaser is implemented by operators that keep per-worker scratch
-// (output batches, computed columns) across morsels. The scheduler calls
-// Release once a pipeline has no morsel in flight and its sink finalized;
-// the operator hands its pooled columns back through w.GiveColumns.
+// Releaser is implemented by operators and sources that keep per-worker
+// scratch (output batches, computed columns, decode targets) across
+// morsels. The scheduler calls Release once a pipeline has no morsel in
+// flight and its sink finalized; the holder hands its pooled columns back
+// through w.GiveColumns.
 type Releaser interface {
 	Release(w *Worker)
+}
+
+// Slot is one worker's reusable batch: the output of a reuse-mode
+// FusedStage or JoinProbe, the decode target of a reuse-mode exchange
+// receive. The header lives as long as its holder; the columns come from
+// the engine's pool on first use after a release and go back on Release,
+// at pipeline completion. A batch handed out from the slot is valid until
+// the holder's next Take on the same slot, which is why only
+// plan.scratchSafe may turn reuse on.
+type Slot struct {
+	b    storage.Batch
+	_pad [4]uint64 // avoid false sharing between slots
+}
+
+// Take returns the slot's batch, empty, with room for n rows in every
+// column. fresh reports that the slot's header was created by this call.
+// A column without the room is traded for a pooled one of n's size class
+// rather than grown, so the slot never reallocates a pooled column.
+func (s *Slot) Take(w *Worker, schema *storage.Schema, n int) (b *storage.Batch, fresh bool) {
+	if s.b.Cols == nil {
+		s.b.Schema = schema
+		s.b.Cols = make([]*storage.Column, schema.Len())
+		fresh = true
+	}
+	for i, c := range s.b.Cols {
+		if c != nil {
+			c.Reset()
+			if c.Room() >= n {
+				continue
+			}
+			w.GiveColumns(s.b.Cols[i : i+1])
+		}
+		f := schema.Fields[i]
+		s.b.Cols[i] = w.TakeColumn(f.Type, f.Nullable, n)
+	}
+	return &s.b, fresh
+}
+
+// Release gives the slot's columns back to the pool; the header stays.
+func (s *Slot) Release(w *Worker) {
+	w.GiveColumns(s.b.Cols)
+	clear(s.b.Cols)
+}
+
+// SlotOf maps a worker onto one of n per-worker slots (slot 0 for a nil
+// worker: operators driven directly by tests).
+func SlotOf(w *Worker, n int) int {
+	if w == nil {
+		return 0
+	}
+	return w.ID % n
 }
 
 // colPool is an engine's free list of scratch columns, shared by all its

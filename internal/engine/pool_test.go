@@ -142,3 +142,45 @@ func TestReleaseAfterFinalize(t *testing.T) {
 		t.Fatal("Release ran before Finalize or while morsels were still processed")
 	}
 }
+
+// releaseSource is a countSource that records when the scheduler releases
+// it.
+type releaseSource struct {
+	countSource
+	sink     *countSink
+	released atomic.Int64
+	late     atomic.Bool // a Next after Release, or a Release before Finalize
+}
+
+func (s *releaseSource) Next(w *Worker) *storage.Batch {
+	if s.released.Load() > 0 {
+		s.late.Store(true)
+	}
+	return s.countSource.Next(w)
+}
+
+func (s *releaseSource) Release(w *Worker) {
+	if w == nil || s.sink.finalized.Load() != 1 {
+		s.late.Store(true)
+	}
+	s.released.Add(1)
+}
+
+// TestSourceReleasedAfterFinalize: a source that keeps pooled scratch (an
+// exchange receive decoding into per-worker slots) is released exactly
+// once, on a pool worker, after its last morsel and its sink's Finalize.
+func TestSourceReleasedAfterFinalize(t *testing.T) {
+	e, _ := New(Config{Topology: numa.TwoSocket(), Workers: 3})
+	defer e.Close()
+	sink := &countSink{}
+	src := &releaseSource{countSource: countSource{left: 50, b: smallBatch()}, sink: sink}
+	if err := e.RunPipeline(&Pipeline{Name: "p", Source: src, Sink: sink}); err != nil {
+		t.Fatal(err)
+	}
+	if got := src.released.Load(); got != 1 {
+		t.Fatalf("Release called %d times, want 1", got)
+	}
+	if src.late.Load() {
+		t.Fatal("Release ran before Finalize or while the source was still read")
+	}
+}

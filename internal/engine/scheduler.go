@@ -314,9 +314,9 @@ func (s *scheduler) checkSourceErrLocked(n *pipeNode) {
 
 // finalizeLocked finalizes pipeline i's sink (outside the lock: sinks send
 // messages, which can re-enter the scheduler through wake callbacks),
-// releases its operators' scratch (Releaser) and completes it. w is the
-// pool worker driving the finalize; NUMA-aware sinks (WorkerFinalizer)
-// allocate their flush buffers on its socket.
+// releases its source's and operators' scratch (Releaser) and completes
+// it. w is the pool worker driving the finalize; NUMA-aware sinks
+// (WorkerFinalizer) allocate their flush buffers on its socket.
 func (s *scheduler) finalizeLocked(i int, w *Worker) {
 	n := &s.nodes[i]
 	n.state = psFinalizing
@@ -334,7 +334,11 @@ func (s *scheduler) finalizeLocked(i int, w *Worker) {
 	t0 := time.Now()
 	err := safeFinalize(n.p, w)
 	// No morsel of this pipeline is in flight and its sink has finalized:
-	// operator scratch goes back to the engine's pool for the next query.
+	// source and operator scratch goes back to the engine's pool for the
+	// next query.
+	if r, ok := n.p.Source.(Releaser); ok {
+		r.Release(w)
+	}
 	for _, op := range n.p.Ops {
 		if r, ok := op.(Releaser); ok {
 			r.Release(w)

@@ -469,6 +469,32 @@ type Source struct {
 
 	failMu  sync.Mutex
 	failure error
+
+	// slots are the per-worker decode targets in reuse mode; nil decodes
+	// every message into a fresh batch.
+	slots []engine.Slot
+}
+
+// ReuseBatches makes each worker decode its messages into one batch of
+// its own, reused across messages, its columns pooled (see engine.Slot for
+// the lifetime): the batch Next or Poll returns is valid until that
+// worker's next Next or Poll on this source. Strings still get one arena
+// per message, so a string value outlives the batch as before. Call before
+// the first Next, and only when nothing downstream retains the batch
+// (plan.scratchSafe decides).
+func (src *Source) ReuseBatches(workers int) {
+	src.slots = make([]engine.Slot, max(workers, 1))
+}
+
+// Reuses reports whether ReuseBatches is in effect.
+func (src *Source) Reuses() bool { return src.slots != nil }
+
+// Release implements engine.Releaser: the decode slots' columns go back to
+// the engine's pool.
+func (src *Source) Release(w *engine.Worker) {
+	for i := range src.slots {
+		src.slots[i].Release(w)
+	}
 }
 
 // Next implements engine.Source (blocking receive).
@@ -555,11 +581,19 @@ func (src *Source) decode(w *engine.Worker, msg *memory.Message) *storage.Batch 
 	if src.Topo != nil {
 		src.Topo.Charge(w.Node, msg.Node, len(msg.Content), src.Scale)
 	}
-	// DecodeAll sizes the columns from the message's row count and copies
-	// its strings into one arena of their own, so releasing msg right
-	// after is safe: nothing decoded aliases msg.Content.
-	b := storage.NewBatch(src.Codec.Schema(), 0)
-	if _, err := src.Codec.DecodeAll(msg.Content, b); err != nil {
+	// The destination is sized from the message's row count, a fresh
+	// batch or the worker's slot, and the strings are copied into one
+	// arena of their own, so releasing msg right after is safe: nothing
+	// decoded aliases msg.Content.
+	schema := src.Codec.Schema()
+	b, err := src.Codec.DecodeInto(msg.Content, func(rows int) *storage.Batch {
+		if src.slots == nil {
+			return storage.NewBatch(schema, rows)
+		}
+		b, _ := src.slots[engine.SlotOf(w, len(src.slots))].Take(w, schema, rows)
+		return b
+	})
+	if err != nil {
 		sender := msg.Sender
 		msg.Release()
 		src.fail(fmt.Errorf("exchange %d: corrupt message from server %d: %w",

@@ -9,6 +9,7 @@ import (
 	"hsqp/internal/memory"
 	"hsqp/internal/numa"
 	"hsqp/internal/ser"
+	"hsqp/internal/storage"
 )
 
 // TestRouteBatchAllocs: hashing, partitioning, serializing and NUMA
@@ -41,6 +42,55 @@ func releaseOpen(st *workerSendState) {
 		if msg != nil {
 			msg.Release()
 			st.open[unit] = nil
+		}
+	}
+}
+
+// TestSourceReuseAllocs: a warm reuse-mode receive decodes each message
+// into its worker's slot, whose columns came back from the engine's pool
+// after a Release: no allocation for a fixed-width message, one (the
+// message's string arena) for a message with strings.
+func TestSourceReuseAllocs(t *testing.T) {
+	topo := numa.TwoSocket()
+	e, err := engine.New(engine.Config{Topology: topo, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	w := e.NewWorker(0)
+	pool := memory.NewPool(topo, numa.AllocLocal, 0, nil)
+	fixed := storage.NewBatch(storage.NewSchema(
+		storage.Field{Name: "k", Type: storage.TInt64},
+		storage.Field{Name: "p", Type: storage.TDecimal},
+		storage.Field{Name: "d", Type: storage.TDate, Nullable: true},
+	), 64)
+	for i := 0; i < 64; i++ {
+		fixed.AppendRow(int64(i), int64(i*100), int64(i))
+	}
+	for _, c := range []struct {
+		name string
+		b    *storage.Batch
+		want float64
+	}{{"fixed-width", fixed, 0}, {"string", rows(64, 0), 1}} {
+		codec := ser.NewCodec(c.b.Schema)
+		var content []byte
+		for i := 0; i < c.b.Rows(); i++ {
+			content = codec.EncodeRow(c.b, i, content)
+		}
+		src := &Source{Codec: codec}
+		src.ReuseBatches(1)
+		decode := func() {
+			msg := pool.Get(0)
+			msg.Content = append(msg.Content, content...)
+			if got := src.decode(w, msg); got == nil || got.Rows() != c.b.Rows() {
+				t.Fatalf("%s: decoded %v, want %d rows", c.name, got, c.b.Rows())
+			}
+		}
+		decode()
+		src.Release(w)
+		decode()
+		if got := testing.AllocsPerRun(20, decode); got != c.want {
+			t.Errorf("%s: a warm reuse-mode decode allocates %v times per message, want %v", c.name, got, c.want)
 		}
 	}
 }

@@ -64,7 +64,7 @@ type fusedScratch struct {
 	proj     []*storage.Column
 	view     storage.Batch
 	computed [][]*storage.Column // [step][expr]; pooled in reuse mode
-	out      outSlot             // compacted output (reuse mode)
+	out      engine.Slot         // compacted output (reuse mode)
 	pass     storage.Batch       // zero-copy output header (reuse mode)
 	_pad     [8]uint64           // avoid false sharing between slots
 }
@@ -137,7 +137,7 @@ func (f *FusedStage) deriveSchema(in *storage.Schema) *storage.Schema {
 // Process implements engine.Op.
 func (f *FusedStage) Process(w *engine.Worker, b *storage.Batch) *storage.Batch {
 	f.schemaOnce.Do(func() { f.outSchema = f.deriveSchema(b.Schema) })
-	sc := &f.scratch[slotOf(w, len(f.scratch))]
+	sc := &f.scratch[engine.SlotOf(w, len(f.scratch))]
 	n := b.Rows()
 	cols := append(sc.work[:0], b.Cols...)
 	sel := w.Sel(n)
@@ -238,7 +238,7 @@ func (f *FusedStage) Process(w *engine.Worker, b *storage.Batch) *storage.Batch 
 	var out *storage.Batch
 	if f.reuse {
 		var fresh bool
-		if out, fresh = sc.out.take(w, f.outSchema, len(sel)); fresh {
+		if out, fresh = sc.out.Take(w, f.outSchema, len(sel)); fresh {
 			f.allocs.Add(1)
 		}
 	} else {
@@ -259,7 +259,7 @@ func (f *FusedStage) Release(w *engine.Worker) {
 	}
 	for i := range f.scratch {
 		sc := &f.scratch[i]
-		sc.out.release(w)
+		sc.out.Release(w)
 		for _, cs := range sc.computed {
 			w.GiveColumns(cs)
 			clear(cs)

@@ -26,8 +26,8 @@ type GroupJoinBuild struct {
 
 	jb    *JoinBuild
 	locks []sync.Mutex
-	state []aggState // [build row × agg], see statesOf
-	hit   []bool     // build row matched at least once
+	state []aggState // [dense build row × agg], see statesOf
+	hit   []bool     // dense build row matched at least once
 }
 
 // NewGroupJoinBuild creates the build sink.
@@ -45,8 +45,12 @@ func NewGroupJoinBuild(schema *storage.Schema, keys []int, aggs []AggSpec) *Grou
 func (g *GroupJoinBuild) Consume(w *engine.Worker, b *storage.Batch) { g.jb.Consume(w, b) }
 
 // Finalize builds the hash table and allocates aggregate states.
-func (g *GroupJoinBuild) Finalize() error {
-	if err := g.jb.Finalize(); err != nil {
+func (g *GroupJoinBuild) Finalize() error { return g.FinalizeOn(&engine.Worker{}) }
+
+// FinalizeOn implements engine.WorkerFinalizer: the table is built in w's
+// hash vector (JoinBuild.FinalizeOn).
+func (g *GroupJoinBuild) FinalizeOn(w *engine.Worker) error {
+	if err := g.jb.FinalizeOn(w); err != nil {
 		return err
 	}
 	n := g.jb.Table().Size()
@@ -55,9 +59,9 @@ func (g *GroupJoinBuild) Finalize() error {
 	return nil
 }
 
-// statesOf returns the aggregate states of build row bi.
-func (g *GroupJoinBuild) statesOf(bi int) []aggState {
-	return g.state[bi*len(g.Aggs) : (bi+1)*len(g.Aggs)]
+// statesOf returns the aggregate states of dense build row d.
+func (g *GroupJoinBuild) statesOf(d int) []aggState {
+	return g.state[d*len(g.Aggs) : (d+1)*len(g.Aggs)]
 }
 
 // GroupJoinProbe is the right-side sink: it folds probe tuples into the
@@ -73,18 +77,23 @@ type GroupJoinProbe struct {
 func (p *GroupJoinProbe) Consume(w *engine.Worker, b *storage.Batch) {
 	g := p.Build
 	ht := g.jb.Table()
+	walk := ht.chain()
 	for i, h := range w.HashRows(b, p.ProbeKeys) {
-		for bi := ht.First(h); bi >= 0; bi = ht.Next(bi) {
-			if !ht.KeyEq(bi, b, p.ProbeKeys, i) {
+		for id := ht.First(h); id >= 0; {
+			var ch *buildChunk
+			var bi int
+			ch, bi, id = walk.step(id)
+			if !ht.KeyEq(ch.b, bi, b, p.ProbeKeys, i) {
 				continue
 			}
-			if p.Residual != nil && !p.Residual(b, i, ht.Build, int(bi)) {
+			if p.Residual != nil && !p.Residual(b, i, ch.b, bi) {
 				continue
 			}
-			lock := &g.locks[uint32(bi)&255]
+			d := ch.start + bi
+			lock := &g.locks[uint32(d)&255]
 			lock.Lock()
-			g.hit[bi] = true
-			st := g.statesOf(int(bi))
+			g.hit[d] = true
+			st := g.statesOf(d)
 			for a := range g.Aggs {
 				// Aggregate arguments are evaluated over the probe batch.
 				spec := g.Aggs[a]
@@ -154,10 +163,9 @@ func (g *GroupJoinBuild) ResultSchema() *storage.Schema {
 	return out
 }
 
-// ResultBatches emits one row per matched group, into a batch sized
-// exactly to the matched groups.
+// ResultBatches emits one row per matched group, in build order and into
+// a batch sized exactly to the matched groups.
 func (g *GroupJoinBuild) ResultBatches() []*storage.Batch {
-	build := g.jb.Table().Build
 	hits := 0
 	for _, h := range g.hit {
 		if h {
@@ -165,15 +173,19 @@ func (g *GroupJoinBuild) ResultBatches() []*storage.Batch {
 		}
 	}
 	out := storage.NewBatch(g.ResultSchema(), hits)
-	for bi := 0; bi < build.Rows(); bi++ {
-		if !g.hit[bi] {
-			continue
-		}
-		for c := range build.Cols {
-			out.Cols[c].AppendFrom(build.Cols[c], bi)
-		}
-		for a := range g.Aggs {
-			appendFinal(out.Cols[len(build.Cols)+a], &g.statesOf(bi)[a], &g.Aggs[a])
+	width := g.Schema.Len()
+	for _, ch := range g.jb.Table().chunks {
+		for bi := range ch.b.Rows() {
+			d := ch.start + bi
+			if !g.hit[d] {
+				continue
+			}
+			for c := 0; c < width; c++ {
+				out.Cols[c].AppendFrom(ch.b.Cols[c], bi)
+			}
+			for a := range g.Aggs {
+				appendFinal(out.Cols[width+a], &g.statesOf(d)[a], &g.Aggs[a])
+			}
 		}
 	}
 	return []*storage.Batch{out}

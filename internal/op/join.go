@@ -2,6 +2,7 @@ package op
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -40,35 +41,75 @@ func (t JoinType) String() string {
 }
 
 // ResidualPred evaluates a non-equality join condition over a matched
-// (probe row, build row) pair.
+// (probe row, build row) pair: pi is a row of probe, bi a row of build,
+// the build-side batch holding the match (HashTable.Row).
 type ResidualPred func(probe *storage.Batch, pi int, build *storage.Batch, bi int) bool
 
 // HashTable is the shared build-side state of a hash join: a chained
-// index over the consolidated build batch. heads is a power-of-two bucket
-// array sized once from the exact build cardinality (no rehash, no
-// per-bucket slice allocations — the old map[uint32][]int32 paid both);
-// next chains build rows within a bucket in ascending row order.
+// index over the collected build batches, which it references in place
+// (its chunks, in shard order) instead of copying them into one. A row id
+// packs chunk<<shift | offset, shift sized for the largest chunk, so ids
+// ascend in the order a consolidated copy would number the rows. heads is
+// a power-of-two bucket array sized once from the exact build cardinality
+// (no rehash, no per-bucket slice allocations); next chains build rows
+// within a bucket in ascending id order.
 type HashTable struct {
-	Build *storage.Batch
-	Keys  []int
-	mask  uint32
-	heads []int32 // bucket → first build row, -1 = empty
-	next  []int32 // build row → next row in its bucket, -1 = end
+	Keys   []int
+	chunks []buildChunk
+	shift  uint
+	off    int32 // 1<<shift - 1: the offset bits of an id
+	mask   uint32
+	heads  []int32 // bucket → first row id, -1 = empty
+	rows   int
 }
 
-// First returns the first candidate build row for a hash (-1 if none).
+// buildChunk is one collected build batch, indexed where it lies.
+type buildChunk struct {
+	b     *storage.Batch
+	next  []int32 // offset → next row id in its bucket, -1 = end
+	start int     // index of the batch's first row in a consolidated copy
+}
+
+// First returns the first candidate row id for a hash (-1 if none).
 // Buckets may mix different key hashes; KeyEq filters false candidates.
 func (h *HashTable) First(hash uint32) int32 { return h.heads[hash&h.mask] }
 
-// Next returns the next candidate after build row i (-1 at chain end).
-func (h *HashTable) Next(i int32) int32 { return h.next[i] }
+// Row resolves a row id to the build batch holding it and the row's
+// offset in that batch.
+func (h *HashTable) Row(i int32) (*storage.Batch, int) {
+	return h.chunks[i>>h.shift].b, int(i & h.off)
+}
 
-// KeyEq checks key equality between build row bi and probe row pi.
-func (h *HashTable) KeyEq(bi int32, probe *storage.Batch, probeKeys []int, pi int) bool {
+// chain walks row ids for a probe. Consecutive candidates often lie in
+// the same chunk (always, for a build of one batch), so it looks the
+// chunk up again only when the chunk number changes. That branch is
+// predicted, and the row's offset is then all that waits on the id, as
+// with one consolidated batch, instead of a series of dependent loads
+// through the chunk table.
+type chain struct {
+	h   *HashTable
+	cur int32
+	ch  *buildChunk
+}
+
+func (h *HashTable) chain() chain { return chain{h: h, cur: -1} }
+
+// step resolves row id i to its chunk and offset, and returns the next
+// candidate's id (-1 at chain end).
+func (c *chain) step(i int32) (ch *buildChunk, o int, next int32) {
+	if k := i >> c.h.shift; k != c.cur {
+		c.cur, c.ch = k, &c.h.chunks[k]
+	}
+	o = int(i & c.h.off)
+	return c.ch, o, c.ch.next[o]
+}
+
+// KeyEq checks key equality between row bi of build and row pi of probe.
+func (h *HashTable) KeyEq(build *storage.Batch, bi int, probe *storage.Batch, probeKeys []int, pi int) bool {
 	for k, bk := range h.Keys {
-		bc := h.Build.Cols[bk]
+		bc := build.Cols[bk]
 		pc := probe.Cols[probeKeys[k]]
-		if bc.IsNull(int(bi)) || pc.IsNull(pi) {
+		if bc.IsNull(bi) || pc.IsNull(pi) {
 			return false
 		}
 		switch bc.Type {
@@ -90,11 +131,69 @@ func (h *HashTable) KeyEq(bi int32, probe *storage.Batch, probeKeys []int, pi in
 }
 
 // Size returns the number of build rows.
-func (h *HashTable) Size() int { return h.Build.Rows() }
+func (h *HashTable) Size() int { return h.rows }
+
+// packShift returns the shift that packs a row id as chunk<<shift | offset
+// for n chunks of at most largest rows each, or an error when the ids of
+// the last chunk would pass MaxInt32: ids are int32 and -1 ends a chain,
+// so they must never wrap.
+func packShift(n, largest int) (uint, error) {
+	shift := uint(bits.Len(uint(max(largest, 1) - 1)))
+	if n > 0 && uint(bits.Len(uint(n-1)))+shift > 31 {
+		return 0, fmt.Errorf("op: join build of %d batches of up to %d rows overflows int32 row ids", n, largest)
+	}
+	return shift, nil
+}
+
+// newHashTable indexes chunks (non-empty, in id order) on keys. Rows are
+// inserted in descending id order (push-front), so chains iterate
+// ascending. The key hashes are w's vector, one chunk at a time.
+func newHashTable(chunks []*storage.Batch, keys []int, w *engine.Worker) (*HashTable, error) {
+	rows, largest := 0, 0
+	for _, b := range chunks {
+		rows += b.Rows()
+		largest = max(largest, b.Rows())
+	}
+	shift, err := packShift(len(chunks), largest)
+	if err != nil {
+		return nil, err
+	}
+	buckets := nextPow2(rows)
+	h := &HashTable{
+		Keys: keys, chunks: make([]buildChunk, len(chunks)),
+		shift: shift, off: int32(1)<<shift - 1, mask: uint32(buckets - 1),
+		heads: make([]int32, buckets), rows: rows,
+	}
+	for i := range h.heads {
+		h.heads[i] = -1
+	}
+	next := make([]int32, rows)
+	start := 0
+	for c, b := range chunks {
+		end := start + b.Rows()
+		h.chunks[c] = buildChunk{b: b, next: next[start:end:end], start: start}
+		start = end
+	}
+	for c := len(chunks) - 1; c >= 0; c-- {
+		ch, base := &h.chunks[c], int32(c)<<shift
+		hashes := w.HashRows(ch.b, keys)
+		for o := len(hashes) - 1; o >= 0; o-- {
+			b := hashes[o] & h.mask
+			ch.next[o] = h.heads[b]
+			h.heads[b] = base | int32(o)
+		}
+	}
+	return h, nil
+}
 
 // JoinBuild is the build-side pipeline breaker: workers collect morsels
 // into per-worker shards (no shared lock on the hot path), Finalize
-// consolidates them and builds the hash table.
+// indexes them in place.
+//
+// The table references the batches it was given for the life of the
+// graph, so they must not change afterwards: a build receives fresh
+// batches or base-table views, never a reuse-mode operator's or exchange
+// receive's pooled batch (plan.scratchSafe keeps those away).
 //
 // Duplicate-build invariant (skew-adaptive joins): under the SkewAdaptive
 // strategy the build rows of a hot key are replicated to every server, so
@@ -122,10 +221,9 @@ const joinBuildShards = 8
 type joinBuildShard struct {
 	mu      sync.Mutex
 	batches []*storage.Batch
-	rows    int
-	// Pad the 40 payload bytes to 128 (a 64-byte multiple) so adjacent
+	// Pad the 32 payload bytes to 128 (a 64-byte multiple) so adjacent
 	// shards never share a cache line.
-	_pad [11]uint64
+	_pad [12]uint64
 }
 
 // NewJoinBuild creates a build sink keyed on the given columns of schema.
@@ -155,55 +253,38 @@ func (jb *JoinBuild) Consume(w *engine.Worker, b *storage.Batch) {
 	sh := &jb.shards[idx]
 	sh.mu.Lock()
 	sh.batches = append(sh.batches, b)
-	sh.rows += b.Rows()
 	sh.mu.Unlock()
 }
 
-// Rows returns the number of build rows collected so far.
-func (jb *JoinBuild) Rows() int {
+// Finalize builds the table with a worker of its own (callers outside the
+// scheduler: tests, probes).
+func (jb *JoinBuild) Finalize() error { return jb.FinalizeOn(&engine.Worker{}) }
+
+// FinalizeOn implements engine.WorkerFinalizer: it indexes the collected
+// batches in place, in shard order — the layout does not depend on
+// consume interleaving beyond batch arrival order — hashing them in w's
+// vector. The index is built once from the exact observed cardinality;
+// there is no rehash-during-build.
+func (jb *JoinBuild) FinalizeOn(w *engine.Worker) error {
 	n := 0
 	for i := range jb.shards {
-		sh := &jb.shards[i]
-		sh.mu.Lock()
-		n += sh.rows
-		sh.mu.Unlock()
+		n += len(jb.shards[i].batches)
 	}
-	return n
-}
-
-// Finalize consolidates the collected batches (in shard order, so the
-// layout does not depend on consume interleaving beyond batch arrival
-// order) and builds the table.
-func (jb *JoinBuild) Finalize() error {
-	build := storage.NewBatch(jb.Schema, jb.Rows())
+	chunks := make([]*storage.Batch, 0, n)
 	for i := range jb.shards {
 		sh := &jb.shards[i]
 		for _, b := range sh.batches {
-			for c, col := range build.Cols {
-				col.AppendColumn(b.Cols[c])
+			if b.Rows() > 0 {
+				chunks = append(chunks, b)
 			}
 		}
 		sh.batches = nil
 	}
-	// The index is built once here from the exact observed cardinality —
-	// there is no rehash-during-build to kill. Rows are inserted in
-	// descending order (push-front), so chains iterate ascending, matching
-	// the append order of the old map-based table.
-	rows := build.Rows()
-	buckets := nextPow2(rows)
-	heads := make([]int32, buckets)
-	for i := range heads {
-		heads[i] = -1
+	ht, err := newHashTable(chunks, jb.Keys, w)
+	if err != nil {
+		return err
 	}
-	next := make([]int32, rows)
-	mask := uint32(buckets - 1)
-	hashes := storage.HashRows(build, jb.Keys, nil)
-	for i := rows - 1; i >= 0; i-- {
-		h := hashes[i] & mask
-		next[i] = heads[h]
-		heads[h] = int32(i)
-	}
-	jb.ht = &HashTable{Build: build, Keys: jb.Keys, mask: mask, heads: heads, next: next}
+	jb.ht = ht
 	return nil
 }
 
@@ -244,7 +325,7 @@ type JoinProbe struct {
 	rowsOut atomic.Uint64
 
 	allocs atomic.Uint64 // output batches created (slot headers in reuse mode)
-	slots  []outSlot     // per-worker output batches; nil = fresh per morsel
+	slots  []engine.Slot // per-worker output batches; nil = fresh per morsel
 }
 
 // NewJoinProbe constructs the probe operator. probeSchema is the schema of
@@ -287,11 +368,11 @@ func NewJoinProbe(build *JoinBuild, typ JoinType, probeSchema *storage.Schema,
 func (jp *JoinProbe) OpName() string { return "probe(" + jp.Type.String() + ")" }
 
 // ReuseOutput makes the probe write each worker's output into one batch
-// per worker slot, reused across morsels, its columns pooled (see outSlot
+// per worker slot, reused across morsels, its columns pooled (see engine.Slot
 // for the lifetime). Call before the first Process, and only when nothing
 // downstream retains the batch (plan.scratchSafe decides).
 func (jp *JoinProbe) ReuseOutput(workers int) {
-	jp.slots = make([]outSlot, max(workers, 1))
+	jp.slots = make([]engine.Slot, max(workers, 1))
 }
 
 // Reuses reports whether ReuseOutput is in effect.
@@ -305,7 +386,7 @@ func (jp *JoinProbe) BatchAllocs() uint64 { return jp.allocs.Load() }
 // engine's pool.
 func (jp *JoinProbe) Release(w *engine.Worker) {
 	for i := range jp.slots {
-		jp.slots[i].release(w)
+		jp.slots[i].Release(w)
 	}
 }
 
@@ -316,7 +397,7 @@ func (jp *JoinProbe) output(w *engine.Worker, n int) *storage.Batch {
 		jp.allocs.Add(1)
 		return storage.NewBatch(jp.Schema, jp.outCap(n))
 	}
-	out, fresh := jp.slots[slotOf(w, len(jp.slots))].take(w, jp.Schema, jp.outCap(n))
+	out, fresh := jp.slots[engine.SlotOf(w, len(jp.slots))].Take(w, jp.Schema, jp.outCap(n))
 	if fresh {
 		jp.allocs.Add(1)
 	}
@@ -327,19 +408,24 @@ func (jp *JoinProbe) output(w *engine.Worker, n int) *storage.Batch {
 func (jp *JoinProbe) Process(w *engine.Worker, b *storage.Batch) *storage.Batch {
 	ht := jp.Build.Table()
 	out := jp.output(w, b.Rows())
+	walk := ht.chain()
 	for i, h := range w.HashRows(b, jp.ProbeKeys) {
 		matched := false
-		for bi := ht.First(h); bi >= 0; bi = ht.Next(bi) {
-			if !ht.KeyEq(bi, b, jp.ProbeKeys, i) {
+		for id := ht.First(h); id >= 0; {
+			var ch *buildChunk
+			var bi int
+			ch, bi, id = walk.step(id)
+			build := ch.b
+			if !ht.KeyEq(build, bi, b, jp.ProbeKeys, i) {
 				continue
 			}
-			if jp.Residual != nil && !jp.Residual(b, i, ht.Build, int(bi)) {
+			if jp.Residual != nil && !jp.Residual(b, i, build, bi) {
 				continue
 			}
 			matched = true
 			switch jp.Type {
 			case Inner, LeftOuter:
-				jp.emit(out, b, i, ht.Build, int(bi))
+				jp.emit(out, b, i, build, bi)
 			case Semi:
 				// One match suffices.
 			case Anti:

@@ -428,9 +428,9 @@ func TestCompareRowsProperty(t *testing.T) {
 	}
 }
 
-// TestJoinBuildLayoutIsShardOrder: Finalize consolidates a column at a
-// time, yet the build batch holds the rows a row-at-a-time copy in shard
-// order (worker id mod shards, arrival order within a shard) would —
+// TestJoinBuildLayoutIsShardOrder: Finalize indexes the collected batches
+// in place, and walking its chunks in id order yields the rows a copy in
+// shard order (worker id mod shards, arrival order within a shard) holds —
 // chain iteration order, and so the order of join output, rests on it.
 func TestJoinBuildLayoutIsShardOrder(t *testing.T) {
 	schema := storage.NewSchema(
@@ -473,23 +473,41 @@ func TestJoinBuildLayoutIsShardOrder(t *testing.T) {
 	if ht.Size() != want.Rows() {
 		t.Fatalf("build has %d rows, want %d", ht.Size(), want.Rows())
 	}
-	for r := 0; r < want.Rows(); r++ {
-		if fmt.Sprint(ht.Build.Row(r)) != fmt.Sprint(want.Row(r)) {
-			t.Fatalf("build row %d is %v, shard-order copy has %v", r, ht.Build.Row(r), want.Row(r))
+	r := 0
+	for c, ch := range ht.chunks {
+		chunk := ch.b
+		for o := 0; o < chunk.Rows(); o, r = o+1, r+1 {
+			if got := fmt.Sprint(chunk.Row(o)); got != fmt.Sprint(want.Row(r)) {
+				t.Fatalf("chunk %d row %d is %v, shard-order copy has %v at row %d", c, o, got, want.Row(r), r)
+			}
 		}
 	}
-	// Chains iterate build rows in ascending order and reach every row once.
+	if r != want.Rows() {
+		t.Fatalf("chunks hold %d rows, want %d", r, want.Rows())
+	}
+	// The probes' walker visits row ids in ascending order, resolves each to
+	// the row Row names and the copy holds at that position, and reaches
+	// every row once.
 	seen := 0
+	walk := ht.chain()
 	for k := int64(0); k < 7; k++ {
 		last := int32(-1)
-		for bi := ht.First(storage.HashI64(k)); bi >= 0; bi = ht.Next(bi) {
-			if bi <= last {
-				t.Fatalf("key %d: chain visits row %d after row %d", k, bi, last)
+		for id := ht.First(storage.HashI64(k)); id >= 0; {
+			if id <= last {
+				t.Fatalf("key %d: chain visits id %d after id %d", k, id, last)
 			}
-			last = bi
-			if ht.Build.Cols[0].I64[bi] == k {
+			last = id
+			ch, bi, next := walk.step(id)
+			if build, o := ht.Row(id); build != ch.b || o != bi {
+				t.Fatalf("the walker resolves id %d to row %d of another batch than Row's row %d", id, bi, o)
+			}
+			if r := ch.start + bi; fmt.Sprint(ch.b.Row(bi)) != fmt.Sprint(want.Row(r)) {
+				t.Fatalf("id %d resolves to %v, row %d of the copy is %v", id, ch.b.Row(bi), r, want.Row(r))
+			}
+			if ch.b.Cols[0].I64[bi] == k {
 				seen++
 			}
+			id = next
 		}
 	}
 	if seen != want.Rows() {

@@ -173,8 +173,12 @@ func Compile(q *Query, env *Env) (*Compiled, error) {
 // add appends a pipeline with its dependency edges and returns its index.
 // Every pipeline passes through the fusion pass here, so fused execution
 // applies uniformly — scans, exchange receives and materialized
-// intermediates alike.
+// intermediates alike. An exchange receive decodes into per-worker slots
+// when nothing downstream retains its batches.
 func (c *compiler) add(p *engine.Pipeline, deps []int) int {
+	if src, ok := p.Source.(*exchange.Source); ok && scratchSafe(p.Ops, p.Sink) {
+		src.ReuseBatches(c.env.Engine.Workers())
+	}
 	if !c.env.NoFuse {
 		p.Ops = fuseOps(p.Ops, p.Sink, c.env.Engine.Workers())
 	}
@@ -218,9 +222,10 @@ func fusible(o engine.Op) bool {
 	return false
 }
 
-// scratchSafe decides whether an operator (a fused stage, a join probe)
-// may reuse its output batch across morsels and hand its columns to the
-// engine's pool at pipeline completion: sound only when no downstream
+// scratchSafe decides whether an operator (a fused stage, a join probe) or
+// an exchange receive may reuse its output batch across morsels and hand
+// its columns to the engine's pool at pipeline completion (rest are the
+// unfused operators after it): sound only when no downstream
 // operator or sink retains the batch beyond its synchronous call. It is
 // the one place that decides. A JoinProbe downstream always copies its
 // input into its own output; the whitelisted sinks consume without

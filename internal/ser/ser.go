@@ -148,6 +148,22 @@ func (c *Codec) RowSize(b *storage.Batch, row int) int {
 // never aliases in: the exchange releases in to the pool right after.
 func (c *Codec) DecodeAll(in []byte, dst *storage.Batch) (int, error) {
 	whole, strBytes := c.countRows(in)
+	return c.decodeCounted(in, dst, whole, strBytes)
+}
+
+// DecodeInto is DecodeAll into the batch take returns for the buffer's row
+// count: a caller that keeps its own destinations (the exchange's
+// per-worker decode slots) sizes one from the count DecodeAll would grow
+// by, without walking the rows twice.
+func (c *Codec) DecodeInto(in []byte, take func(rows int) *storage.Batch) (*storage.Batch, error) {
+	whole, strBytes := c.countRows(in)
+	dst := take(whole)
+	_, err := c.decodeCounted(in, dst, whole, strBytes)
+	return dst, err
+}
+
+// decodeCounted is DecodeAll once countRows has counted in.
+func (c *Codec) decodeCounted(in []byte, dst *storage.Batch, whole, strBytes int) (int, error) {
 	dst.Grow(whole)
 	var arena strings.Builder
 	arena.Grow(strBytes)

@@ -134,36 +134,6 @@ func (c *Column) AppendFrom(src *Column, i int) {
 	}
 }
 
-// AppendColumn appends every row of src (which must have the same type),
-// a slice at a time. NULLs follow AppendFrom's rules: a nullable
-// destination records src's validity (all present when src is not
-// nullable); a non-nullable destination panics on a NULL.
-func (c *Column) AppendColumn(src *Column) {
-	n := src.Len()
-	switch c.Type {
-	case TFloat64:
-		c.F64 = append(c.F64, src.F64...)
-	case TString:
-		c.Str = append(c.Str, src.Str...)
-	default:
-		c.I64 = append(c.I64, src.I64...)
-	}
-	switch {
-	case c.Nullable && src.Nullable:
-		c.Valid = append(c.Valid, src.Valid...)
-	case c.Nullable:
-		for i := 0; i < n; i++ {
-			c.Valid = append(c.Valid, true)
-		}
-	case src.Nullable:
-		for _, ok := range src.Valid {
-			if !ok {
-				panic("storage: AppendColumn of a NULL into a non-nullable column")
-			}
-		}
-	}
-}
-
 // Room returns how many values can be appended before the column
 // reallocates.
 func (c *Column) Room() int {

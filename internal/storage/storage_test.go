@@ -262,60 +262,6 @@ func TestCompiledLikeAgreesWithMatchLike(t *testing.T) {
 	}
 }
 
-// TestAppendColumnMatchesAppendFrom: the bulk append lays a column out
-// exactly as the row-at-a-time append does, NULLs included, for every
-// pairing of nullable and non-nullable source and destination that
-// AppendFrom accepts.
-func TestAppendColumnMatchesAppendFrom(t *testing.T) {
-	fill := func(c *Column, nulls bool) {
-		for i := 0; i < 9; i++ {
-			switch {
-			case nulls && i%3 == 1:
-				c.AppendNull()
-			case c.Type == TFloat64:
-				c.AppendF64(float64(i) / 2)
-			case c.Type == TString:
-				c.AppendStr(FormatDate(int64(i)))
-			default:
-				c.AppendI64(int64(i * i))
-			}
-		}
-	}
-	for _, typ := range []Type{TInt64, TDate, TDecimal, TFloat64, TString} {
-		for _, shape := range []struct{ srcNullable, dstNullable bool }{
-			{false, false}, {false, true}, {true, true},
-		} {
-			src := NewColumn(typ, shape.srcNullable, 0)
-			fill(src, shape.srcNullable)
-			bulk, rowwise := NewColumn(typ, shape.dstNullable, 0), NewColumn(typ, shape.dstNullable, 0)
-			fill(bulk, false)
-			fill(rowwise, false)
-			bulk.AppendColumn(src)
-			for i := 0; i < src.Len(); i++ {
-				rowwise.AppendFrom(src, i)
-			}
-			if bulk.Len() != rowwise.Len() || len(bulk.Valid) != len(rowwise.Valid) {
-				t.Fatalf("%v %+v: bulk has %d rows / %d validity bits, row-wise %d / %d",
-					typ, shape, bulk.Len(), len(bulk.Valid), rowwise.Len(), len(rowwise.Valid))
-			}
-			for i := 0; i < bulk.Len(); i++ {
-				if bulk.Value(i) != rowwise.Value(i) {
-					t.Fatalf("%v %+v row %d: bulk %v, row-wise %v", typ, shape, i, bulk.Value(i), rowwise.Value(i))
-				}
-			}
-		}
-	}
-	// A NULL has no place in a non-nullable column, in bulk as row-wise.
-	src := NewColumn(TInt64, true, 0)
-	src.AppendNull()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AppendColumn put a NULL into a non-nullable column")
-		}
-	}()
-	NewColumn(TInt64, false, 0).AppendColumn(src)
-}
-
 // TestGrowIsExact: Grow reallocates to exactly the requested size and
 // leaves a column that already has the room alone.
 func TestGrowIsExact(t *testing.T) {
