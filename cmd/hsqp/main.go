@@ -64,7 +64,7 @@ func usage() {
   hsqp dbgen      -sf <scale> [-seed N] [-o dir]
   hsqp run        -q <1-22> [-servers N] [-workers N] [-sf S] [-transport rdma|tcp|gbe]
                   [-sched] [-partitioned] [-classic] [-timescale X] [-rows N]
-                  [-nofuse] [-nopushdown] [-analyze] [-trace out.json]
+                  [-nopushdown] [-analyze] [-trace out.json]
   hsqp explain    -q <1-22>
   hsqp client     -addr host:port [-tenant name] [-q q1] [-n N] [-prepare]
                   [-bypass] [-rows N] [-stats] [-verify] [-shutdown]
@@ -123,7 +123,6 @@ func cmdRun(args []string) error {
 	classic := fs.Bool("classic", false, "classic exchange-operator model")
 	timescale := fs.Float64("timescale", cluster.DefaultTimeScale, "network time scale")
 	rows := fs.Int("rows", 20, "result rows to print")
-	nofuse := fs.Bool("nofuse", false, "disable operator fusion (ablation)")
 	nopushdown := fs.Bool("nopushdown", false, "disable column pruning below exchanges (ablation)")
 	analyze := fs.Bool("analyze", false, "print explain analyze (per-operator rows/time/allocs) after the run")
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON of the query to this file (load in chrome://tracing or Perfetto)")
@@ -158,7 +157,6 @@ func cmdRun(args []string) error {
 	defer sess.Close()
 	res, stats, err := sess.RunContext(context.Background(), qp, cluster.WithPlan(plan.Options{
 		Classic:    *classic,
-		NoFuse:     *nofuse,
 		NoPushdown: *nopushdown,
 	}))
 	if err != nil {

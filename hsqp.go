@@ -134,9 +134,9 @@ type Prepared = cluster.Prepared
 type RunOption = cluster.RunOption
 
 // PlanOptions are a query's compile-time switches — classic vs hybrid
-// exchange, serial vs DAG pipelines, pre-aggregation, operator fusion,
-// column pushdown, skew tuning, competitor-style extra operators. The zero
-// value is the paper's engine.
+// exchange, serial vs DAG pipelines, pre-aggregation, column pushdown, skew
+// tuning, competitor-style extra operators. The zero value is the paper's
+// engine.
 type PlanOptions = plan.Options
 
 // WithPlan compiles one query under the given plan options. Options belong

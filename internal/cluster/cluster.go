@@ -59,7 +59,8 @@ const RegistrationCost = 40 * time.Microsecond
 
 // Config describes a deployment: servers, their hardware, the network
 // between them and its failure handling. What varies per query — exchange
-// model, fusion, pushdown, … — is a plan.Options passed with WithPlan.
+// model, pre-aggregation, pushdown, … — is a plan.Options passed with
+// WithPlan.
 type Config struct {
 	Servers          int
 	Topology         *numa.Topology // per server; TwoSocket() if nil

@@ -37,7 +37,7 @@ type RunOptions struct {
 	// Negative means 0 (fail on the first loss).
 	MaxRestarts int
 	// Plan holds the query's compile-time switches (classic exchange,
-	// serial pipelines, no fusion, …); the zero value is the paper's
+	// serial pipelines, no pushdown, …); the zero value is the paper's
 	// engine. It is handed to the compiler untouched.
 	Plan plan.Options
 }

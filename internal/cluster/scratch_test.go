@@ -15,16 +15,16 @@ import (
 	"hsqp/internal/tpch"
 )
 
-// conformanceOptions are the rows of the conformance matrix
-// (runConformance in internal/queries).
+// conformanceOptions are the option rows of the conformance matrix
+// (runConformance in internal/queries); its nofuse rows only add unfused
+// operators after scans and receives, which the compiler treats as
+// retaining.
 var conformanceOptions = map[string]plan.Options{
-	"default":           {},
-	"classic":           {Classic: true},
-	"serial":            {Serial: true},
-	"no-preagg":         {DisablePreAgg: true},
-	"nofuse":            {NoFuse: true},
-	"nopushdown":        {NoPushdown: true},
-	"nofuse+nopushdown": {NoFuse: true, NoPushdown: true},
+	"default":    {},
+	"classic":    {Classic: true},
+	"serial":     {Serial: true},
+	"no-preagg":  {DisablePreAgg: true},
+	"nopushdown": {NoPushdown: true},
 }
 
 // compileTPCH compiles query qn on every server of c and returns the
@@ -52,7 +52,7 @@ func retained(rest []engine.Op, sink engine.Sink) bool {
 		switch o.(type) {
 		case *op.JoinProbe:
 			return false
-		case *op.FusedStage, *op.Filter, *op.MapOp, *op.Project:
+		case *op.FusedStage:
 		default:
 			return true
 		}
@@ -73,6 +73,8 @@ func retained(rest []engine.Op, sink engine.Sink) bool {
 // by the next morsel (or message) and handed to another query at pipeline
 // completion. Every query's 3-server run must decode some receive into
 // reused batches under every row, or the walk would check nothing there.
+// No bare Filter, MapOp or Project may reach a pipeline: the compiler fuses
+// every one of them.
 func TestNoReusedScratchUpstreamOfRetainingSink(t *testing.T) {
 	const sf = 0.01
 	c := newTPCHCluster(t)
@@ -95,6 +97,9 @@ func TestNoReusedScratchUpstreamOfRetainingSink(t *testing.T) {
 					}
 					for i, o := range p.Ops {
 						switch x := o.(type) {
+						case *op.Filter, *op.MapOp, *op.Project:
+							t.Errorf("%s q%d server %d: unfused %T in %q", row, qn, sid, o, p.Name)
+							continue
 						case *op.FusedStage:
 							if !x.Reuses() {
 								continue

@@ -5,41 +5,16 @@ import (
 	"hsqp/internal/storage"
 )
 
-// Filter keeps the rows satisfying the predicate.
+// Filter keeps the rows satisfying the predicate. Like MapOp and Project
+// it is a step descriptor for NewFused: the planner fuses every run of them
+// into one FusedStage, and Process runs a one-step stage.
 type Filter struct {
 	Pred Pred
 }
 
 // Process implements engine.Op.
-func (f *Filter) Process(_ *engine.Worker, b *storage.Batch) *storage.Batch {
-	n := b.Rows()
-	// First pass: find the passing rows; avoid copying when all pass.
-	var keep []int
-	allPass := true
-	for i := 0; i < n; i++ {
-		if f.Pred(b, i) {
-			if !allPass {
-				keep = append(keep, i)
-			}
-		} else if allPass {
-			keep = make([]int, i, n)
-			for j := 0; j < i; j++ {
-				keep[j] = j
-			}
-			allPass = false
-		}
-	}
-	if allPass {
-		return b
-	}
-	if len(keep) == 0 {
-		return nil
-	}
-	out := storage.NewBatch(b.Schema, len(keep))
-	for _, i := range keep {
-		out.AppendRowFrom(b, i)
-	}
-	return out
+func (f *Filter) Process(w *engine.Worker, b *storage.Batch) *storage.Batch {
+	return NewFused([]engine.Op{f}, 1, false).Process(w, b)
 }
 
 // Project keeps (and reorders) the given columns. Column storage is shared
@@ -56,12 +31,8 @@ func NewProject(in *storage.Schema, cols []int) *Project {
 }
 
 // Process implements engine.Op.
-func (p *Project) Process(_ *engine.Worker, b *storage.Batch) *storage.Batch {
-	out := &storage.Batch{Schema: p.Schema, Cols: make([]*storage.Column, len(p.Cols))}
-	for i, c := range p.Cols {
-		out.Cols[i] = b.Cols[c]
-	}
-	return out
+func (p *Project) Process(w *engine.Worker, b *storage.Batch) *storage.Batch {
+	return NewFused([]engine.Op{p}, 1, false).Process(w, b)
 }
 
 // NamedExpr is a computed output column.
@@ -88,24 +59,6 @@ func NewMap(in *storage.Schema, exprs []NamedExpr) *MapOp {
 }
 
 // Process implements engine.Op.
-func (m *MapOp) Process(_ *engine.Worker, b *storage.Batch) *storage.Batch {
-	n := b.Rows()
-	out := &storage.Batch{Schema: m.Schema, Cols: make([]*storage.Column, 0, len(b.Cols)+len(m.Exprs))}
-	out.Cols = append(out.Cols, b.Cols...)
-	for _, e := range m.Exprs {
-		col := storage.NewColumn(e.Type, false, n)
-		for i := 0; i < n; i++ {
-			v := e.Expr(b, i)
-			switch e.Type {
-			case storage.TFloat64:
-				col.AppendF64(v.F)
-			case storage.TString:
-				col.AppendStr(v.S)
-			default:
-				col.AppendI64(v.I)
-			}
-		}
-		out.Cols = append(out.Cols, col)
-	}
-	return out
+func (m *MapOp) Process(w *engine.Worker, b *storage.Batch) *storage.Batch {
+	return NewFused([]engine.Op{m}, 1, false).Process(w, b)
 }

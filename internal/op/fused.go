@@ -3,7 +3,6 @@ package op
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"hsqp/internal/engine"
@@ -11,15 +10,13 @@ import (
 )
 
 // FusedStage evaluates a run of adjacent non-blocking operators — filters,
-// computed-column maps and projections — in one pass over the morsel.
-// Instead of materializing a batch between every stage (Filter copies the
-// survivors, MapOp allocates a column per expression, Project allocates a
-// header), it keeps a selection vector of surviving row indexes over the
-// *original* morsel: filters shrink the selection, map expressions are
-// evaluated only at selected positions into per-worker scratch columns,
-// projections just re-point the working column set. Rows are copied at most
-// once, at the very end — and not at all when every row survives (the
-// output then shares the input's column storage).
+// computed-column maps and projections — in one pass over the morsel, and
+// is the only evaluator of them. It keeps a selection vector of surviving
+// row indexes over the *original* morsel: filters shrink the selection, map
+// expressions are evaluated only at selected positions into per-worker
+// scratch columns, projections just re-point the working column set. Rows
+// are copied at most once, at the very end — and not at all when every row
+// survives (the output then shares the input's column storage).
 //
 // Scratch reuse: each worker owns a scratch slot (computed-column buffers,
 // output batch) and the selection vector is the worker's own (Worker.Sel),
@@ -35,9 +32,9 @@ type FusedStage struct {
 	steps []fusedStep
 	names []string // per-step labels for OpName
 	reuse bool
-
-	schemaOnce sync.Once
-	outSchema  *storage.Schema
+	// outSchema is the last map's or projection's schema; nil for a run of
+	// filters, whose output keeps its input batch's schema.
+	outSchema *storage.Schema
 
 	allocs  atomic.Uint64 // fresh column/batch materializations
 	scratch []fusedScratch
@@ -82,9 +79,11 @@ func NewFused(ops []engine.Op, numWorkers int, reuse bool) *FusedStage {
 		case *MapOp:
 			f.steps = append(f.steps, fusedStep{kind: stepMap, exprs: t.Exprs})
 			f.names = append(f.names, "map")
+			f.outSchema = t.Schema
 		case *Project:
 			f.steps = append(f.steps, fusedStep{kind: stepProject, cols: t.Cols})
 			f.names = append(f.names, "project")
+			f.outSchema = t.Schema
 		default:
 			panic(fmt.Sprintf("op: NewFused: %T is not a fusible operator", o))
 		}
@@ -112,33 +111,13 @@ func (f *FusedStage) BatchAllocs() uint64 { return f.allocs.Load() }
 // Reuses reports whether the stage reuses its output across morsels.
 func (f *FusedStage) Reuses() bool { return f.reuse }
 
-// Schema returns the output schema. It is derived lazily from the first
-// batch, so it is only available after the first Process call.
-func (f *FusedStage) Schema() *storage.Schema { return f.outSchema }
-
-func (f *FusedStage) deriveSchema(in *storage.Schema) *storage.Schema {
-	cur := in
-	for i := range f.steps {
-		st := &f.steps[i]
-		switch st.kind {
-		case stepMap:
-			out := &storage.Schema{Fields: append([]storage.Field{}, cur.Fields...)}
-			for _, e := range st.exprs {
-				out.Fields = append(out.Fields, storage.Field{Name: e.Name, Type: e.Type})
-			}
-			cur = out
-		case stepProject:
-			cur = cur.Project(st.cols)
-		}
-	}
-	return cur
-}
-
 // Process implements engine.Op.
 func (f *FusedStage) Process(w *engine.Worker, b *storage.Batch) *storage.Batch {
-	f.schemaOnce.Do(func() { f.outSchema = f.deriveSchema(b.Schema) })
-	sc := &f.scratch[engine.SlotOf(w, len(f.scratch))]
 	n := b.Rows()
+	if n == 0 {
+		return nil // an empty morsel yields nothing, like a filter that drops every row
+	}
+	sc := &f.scratch[engine.SlotOf(w, len(f.scratch))]
 	cols := append(sc.work[:0], b.Cols...)
 	sel := w.Sel(n)
 	allPass := true
@@ -222,27 +201,31 @@ func (f *FusedStage) Process(w *engine.Worker, b *storage.Batch) *storage.Batch 
 	}
 
 	sc.work = cols[:0]
+	schema := f.outSchema
+	if schema == nil {
+		schema = b.Schema
+	}
 	if allPass {
 		// Zero-copy: every row survived, share the final column set.
 		if f.reuse {
 			if sc.pass.Cols == nil {
 				f.allocs.Add(1)
 			}
-			sc.pass.Schema = f.outSchema
+			sc.pass.Schema = schema
 			sc.pass.Cols = append(sc.pass.Cols[:0], cols...)
 			return &sc.pass
 		}
 		f.allocs.Add(1)
-		return &storage.Batch{Schema: f.outSchema, Cols: append(make([]*storage.Column, 0, len(cols)), cols...)}
+		return &storage.Batch{Schema: schema, Cols: append(make([]*storage.Column, 0, len(cols)), cols...)}
 	}
 	var out *storage.Batch
 	if f.reuse {
 		var fresh bool
-		if out, fresh = sc.out.Take(w, f.outSchema, len(sel)); fresh {
+		if out, fresh = sc.out.Take(w, schema, len(sel)); fresh {
 			f.allocs.Add(1)
 		}
 	} else {
-		out = storage.NewBatch(f.outSchema, len(sel))
+		out = storage.NewBatch(schema, len(sel))
 		f.allocs.Add(1)
 	}
 	for ci, src := range cols {
@@ -294,7 +277,7 @@ func growCol(c *storage.Column, n int) {
 }
 
 // setComputed stores an expression value at row i. Computed columns are
-// non-nullable (MapOp semantics: NULL results store the zero value).
+// non-nullable: an expression that yields NULL stores its type's zero value.
 func setComputed(c *storage.Column, i int, t storage.Type, v Val) {
 	switch t {
 	case storage.TFloat64:

@@ -45,15 +45,36 @@ func TestFilterKeepsMatching(t *testing.T) {
 	if out.Rows() != 10 {
 		t.Fatalf("filtered to %d rows, want 10", out.Rows())
 	}
-	// All-pass returns the input unchanged (no copy).
+	// All-pass copies no rows: the output shares every input column.
 	all := &Filter{Pred: I64GE(0, 0)}
-	if got := all.Process(nil, b); got != b {
-		t.Fatal("all-pass filter copied the batch")
+	got := all.Process(nil, b)
+	if got.Rows() != b.Rows() || len(got.Cols) != len(b.Cols) {
+		t.Fatalf("all-pass filter returned %d rows × %d columns, want %d × %d", got.Rows(), len(got.Cols), b.Rows(), len(b.Cols))
+	}
+	for i, c := range got.Cols {
+		if c != b.Cols[i] {
+			t.Fatalf("all-pass filter copied column %d", i)
+		}
 	}
 	// None-pass returns nil.
 	none := &Filter{Pred: I64LT(0, 0)}
 	if got := none.Process(nil, b); got != nil {
 		t.Fatal("none-pass filter returned rows")
+	}
+}
+
+// TestFusedFiltersKeepInputSchema: a run of filters has no schema of its
+// own, so both its compacted and its zero-copy output carry the input's.
+func TestFusedFiltersKeepInputSchema(t *testing.T) {
+	b := intBatch(100)
+	f := NewFused([]engine.Op{&Filter{Pred: I64LT(0, 50)}, &Filter{Pred: I64GE(1, 5)}}, 1, false)
+	out := f.Process(nil, b)
+	if out.Rows() != 25 || out.Schema != b.Schema {
+		t.Fatalf("compacted: %d rows with schema %v, want 25 with the input's %v", out.Rows(), out.Schema, b.Schema)
+	}
+	all := NewFused([]engine.Op{&Filter{Pred: I64GE(0, 0)}}, 1, true)
+	if out := all.Process(nil, b); out.Schema != b.Schema {
+		t.Fatalf("zero-copy: schema %v, want the input's %v", out.Schema, b.Schema)
 	}
 }
 

@@ -42,9 +42,6 @@ type Options struct {
 	Serial bool
 	// DisablePreAgg turns off pre-aggregation before group-by exchanges.
 	DisablePreAgg bool
-	// NoFuse compiles filters/maps/projections as separate batch-at-a-time
-	// operators instead of fusing adjacent runs into op.FusedStage.
-	NoFuse bool
 	// NoPushdown disables join-input column pruning below exchange sends
 	// (the wire-byte reduction).
 	NoPushdown bool
@@ -179,9 +176,7 @@ func (c *compiler) add(p *engine.Pipeline, deps []int) int {
 	if src, ok := p.Source.(*exchange.Source); ok && scratchSafe(p.Ops, p.Sink) {
 		src.ReuseBatches(c.env.Engine.Workers())
 	}
-	if !c.env.NoFuse {
-		p.Ops = fuseOps(p.Ops, p.Sink, c.env.Engine.Workers())
-	}
+	p.Ops = fuseOps(p.Ops, p.Sink, c.env.Engine.Workers())
 	c.pipe = append(c.pipe, p)
 	c.deps = append(c.deps, deps)
 	return len(c.pipe) - 1
@@ -325,7 +320,7 @@ func (c *compiler) buildScan(n *Node) (*stream, error) {
 }
 
 // exchangeStream cuts the stream with a send-side exchange and returns the
-// receive-side stream. senders is the number of servers contributing.
+// receive-side stream.
 func (c *compiler) exchangeStream(name string, in *stream, mode exchange.Mode, keys []int) *stream {
 	return c.exchangeStreamSkew(name, in, mode, keys, nil)
 }
@@ -372,9 +367,8 @@ func (c *compiler) exchangeStreamSkew(name string, in *stream, mode exchange.Mod
 		Sink:            send,
 		CoordinatorOnly: in.coordOnly,
 	}, in.deps)
-	// Non-coordinator servers still contribute a Last marker when they
-	// skip a coordinator-only send pipeline? No: senders is 1 then, and
-	// only the coordinator opens/sends. Receivers must know the count.
+	// Receivers wait for one Last marker per sender: every server, or only
+	// the coordinator when it alone runs the send pipeline.
 	var recv *mux.ExchangeRecv
 	classic := mode == exchange.ModeClassicPartition
 	openHere := true

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"hsqp/internal/cluster"
+	"hsqp/internal/engine"
+	"hsqp/internal/op"
 	"hsqp/internal/plan"
 	"hsqp/internal/ref"
 	"hsqp/internal/storage"
@@ -76,16 +78,45 @@ type ablation struct {
 }
 
 // ablations are every way a query's plan.Options can differ from the
-// paper's engine (the first row).
+// paper's engine (the first row), plus the nofuse rows (see unfused).
 var ablations = []ablation{
 	{"default", plan.Options{}},
 	{"classic", plan.Options{Classic: true}},
 	{"serial", plan.Options{Serial: true}},
 	{"no-preagg", plan.Options{DisablePreAgg: true}},
-	{"nofuse", plan.Options{NoFuse: true}},
+	{"nofuse", unfused(plan.Options{})},
 	{"nopushdown", plan.Options{NoPushdown: true}},
-	{"nofuse+nopushdown", plan.Options{NoFuse: true, NoPushdown: true}},
+	{"nofuse+nopushdown", unfused(plan.Options{NoPushdown: true})},
 }
+
+// unfused puts a MapOp, a Filter and a Project after every scan and
+// exchange receive, each hidden from the compiler's fusion pass so it runs
+// through its own Process (a one-step fused stage). Together they keep
+// every row and column: the map appends a zero, the filter keeps the rows
+// where it is zero, the projection drops it. The nofuse rows thus run the
+// standalone operators over every schema and morsel the queries produce,
+// and feed their fresh batches into the plan's fused stages.
+func unfused(po plan.Options) plan.Options {
+	standalone := func(in *storage.Schema) []engine.Op {
+		n := len(in.Fields)
+		m := op.NewMap(in, []op.NamedExpr{{Name: "zero", Type: storage.TInt64, Expr: op.ConstI(0)}})
+		keep := make([]int, n)
+		for i := range keep {
+			keep[i] = i
+		}
+		return []engine.Op{
+			unfusible{m},
+			unfusible{&op.Filter{Pred: op.I64EQ(n, 0)}},
+			unfusible{op.NewProject(m.Schema, keep)},
+		}
+	}
+	po.AfterScan = standalone
+	po.AfterExchange = standalone
+	return po
+}
+
+// unfusible hides an operator's type from the compiler's fusion pass.
+type unfusible struct{ engine.Op }
 
 // runConformance is the conformance floor: every given ablation × every
 // query returns the rows of internal/ref, on one loaded cluster — the
