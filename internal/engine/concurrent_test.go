@@ -125,7 +125,6 @@ func TestErrorIsolationBetweenRuns(t *testing.T) {
 // exchange receive whose senders have gone away.
 type blockedSource struct{}
 
-func (blockedSource) Next(*Worker) *storage.Batch         { return nil }
 func (blockedSource) Poll(*Worker) (*storage.Batch, bool) { return nil, false }
 func (blockedSource) SetWake(func())                      {}
 

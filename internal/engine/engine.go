@@ -10,10 +10,11 @@
 // Pipelines are organized into a Graph: explicit dependency edges
 // (build-before-probe, materialize-before-consume) gate when a pipeline
 // becomes runnable, and a Scheduler dispatches morsels from *all* runnable
-// pipelines to idle workers. Sources that stream from the network
-// implement PollSource so a pipeline with no input yet parks without
-// blocking a worker, which is what lets exchange-receive pipelines overlap
-// with upstream compute (hybrid parallelism, §3).
+// pipelines to idle workers. Every Source only polls: a source that
+// streams from the network answers "nothing yet" instead of blocking, so a
+// pipeline with no input parks without holding a worker, which is what
+// lets exchange-receive pipelines overlap with upstream compute (hybrid
+// parallelism, §3).
 package engine
 
 import (
@@ -76,17 +77,10 @@ func (w *Worker) Sel(n int) []int32 {
 }
 
 // Source produces morsels for a pipeline. Implementations must be safe for
-// concurrent use; Next returns nil when the source is exhausted for good.
+// concurrent use and must never block: Poll returns (b, false) with a
+// morsel, (nil, false) when no input is available yet (try again later),
+// and (nil, true) once the source is drained for good.
 type Source interface {
-	Next(w *Worker) *storage.Batch
-}
-
-// PollSource is a Source that can distinguish "no input available yet"
-// from "exhausted". The scheduler uses Poll instead of Next so a worker is
-// never parked inside a source: (nil, false) means try again later,
-// (nil, true) means the source is drained for good.
-type PollSource interface {
-	Source
 	Poll(w *Worker) (b *storage.Batch, done bool)
 }
 
@@ -114,7 +108,7 @@ type LocalityHinter interface {
 
 // FallibleSource is a Source that can fail mid-stream (an exchange receive
 // hitting a corrupt message). Such a source reports exhaustion through the
-// normal Next/Poll protocol and records the cause; the scheduler checks
+// normal Poll protocol and records the cause; the scheduler checks
 // Err when the source drains and aborts the run with the pipeline's name
 // instead of relying on panic recovery.
 type FallibleSource interface {

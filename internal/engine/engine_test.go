@@ -15,14 +15,14 @@ type countSource struct {
 	b    *storage.Batch
 }
 
-func (s *countSource) Next(*Worker) *storage.Batch {
+func (s *countSource) Poll(*Worker) (*storage.Batch, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.left == 0 {
-		return nil
+		return nil, true
 	}
 	s.left--
-	return s.b
+	return s.b, false
 }
 
 type countSink struct {

@@ -149,14 +149,14 @@ type releaseSource struct {
 	countSource
 	sink     *countSink
 	released atomic.Int64
-	late     atomic.Bool // a Next after Release, or a Release before Finalize
+	late     atomic.Bool // a Poll after Release, or a Release before Finalize
 }
 
-func (s *releaseSource) Next(w *Worker) *storage.Batch {
+func (s *releaseSource) Poll(w *Worker) (*storage.Batch, bool) {
 	if s.released.Load() > 0 {
 		s.late.Store(true)
 	}
-	return s.countSource.Next(w)
+	return s.countSource.Poll(w)
 }
 
 func (s *releaseSource) Release(w *Worker) {

@@ -23,7 +23,6 @@ const (
 // pipeNode is the scheduler's view of one pipeline.
 type pipeNode struct {
 	p       *Pipeline
-	poll    PollSource     // non-nil when the source is pollable
 	hint    LocalityHinter // non-nil when the source advertises locality
 	deps    int            // unmet dependency count
 	depOn   []int          // pipelines waiting on this one
@@ -96,7 +95,6 @@ func newScheduler(g *Graph, isCoordinator bool, notify func(all bool)) *schedule
 		n.ops = make([]opCounter, len(p.Ops))
 		n.deps = len(g.deps(i))
 		n.skipped = p.CoordinatorOnly && !isCoordinator
-		n.poll, _ = p.Source.(PollSource)
 		n.hint, _ = p.Source.(LocalityHinter)
 		for _, d := range g.deps(i) {
 			s.nodes[d].depOn = append(s.nodes[d].depOn, i)
@@ -195,7 +193,7 @@ func (s *scheduler) tryMorsel(w *Worker) (node int, b *storage.Batch, progress b
 			n.active++
 			s.inFlight++
 			s.mu.Unlock()
-			mb, srcDone := s.pull(n, w)
+			mb, srcDone := n.p.Source.Poll(w)
 			s.mu.Lock()
 			if mb != nil {
 				if !n.started {
@@ -237,15 +235,6 @@ func (s *scheduler) tryMorsel(w *Worker) (node int, b *storage.Batch, progress b
 	}
 	s.mu.Unlock()
 	return 0, nil, false
-}
-
-// pull fetches one morsel, preferring the non-blocking Poll protocol.
-func (s *scheduler) pull(n *pipeNode, w *Worker) (*storage.Batch, bool) {
-	if n.poll != nil {
-		return n.poll.Poll(w)
-	}
-	b := n.p.Source.Next(w)
-	return b, b == nil
 }
 
 // process pushes one morsel through the pipeline, converting panics into

@@ -20,11 +20,11 @@ type guardedSource struct {
 	violated atomic.Bool
 }
 
-func (s *guardedSource) Next(w *Worker) *storage.Batch {
+func (s *guardedSource) Poll(w *Worker) (*storage.Batch, bool) {
 	if !s.gate.Load() {
 		s.violated.Store(true)
 	}
-	return s.inner.Next(w)
+	return s.inner.Poll(w)
 }
 
 // gateSink flips a gate on Finalize.
@@ -115,14 +115,14 @@ type socketSource struct {
 	b    *storage.Batch
 }
 
-func (s *socketSource) Next(*Worker) *storage.Batch {
+func (s *socketSource) Poll(*Worker) (*storage.Batch, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.left == 0 {
-		return nil
+		return nil, true
 	}
 	s.left--
-	return s.b
+	return s.b, false
 }
 
 func (s *socketSource) HasLocal(node numa.Node) bool {
@@ -202,7 +202,7 @@ type panicSink struct{ countSink }
 
 func (s *panicSink) Finalize() error { panic("finalize kaboom") }
 
-// pollGate is a PollSource that stays pending until released, then yields
+// pollGate is a Source that stays pending until released, then yields
 // its morsels — a stand-in for an exchange receive.
 type pollGate struct {
 	mu       sync.Mutex
@@ -210,11 +210,6 @@ type pollGate struct {
 	left     int
 	b        *storage.Batch
 	wake     func()
-}
-
-func (s *pollGate) Next(w *Worker) *storage.Batch {
-	b, _ := s.Poll(w)
-	return b
 }
 
 func (s *pollGate) Poll(*Worker) (*storage.Batch, bool) {

@@ -6,13 +6,16 @@
 // operator, partitions them by the CRC32 hash of the key attributes (or
 // serializes once and broadcasts with a retain count), fills 512 KB pooled
 // messages with the schema-specialized wire format of Figure 8, and hands
-// full messages to the multiplexer. The receive side pulls messages from
-// the per-NUMA-socket queues (stealing when local ones run dry),
-// deserializes and pushes the tuples into the next pipeline.
+// full messages to the multiplexer. The receive side (Source) polls one
+// lane of its exchange's receive queue, deserializes and pushes the tuples
+// into the next pipeline: a hybrid exchange has one lane per NUMA socket
+// and a worker polls its socket's lane, stealing from the fullest other
+// lane when its own runs dry.
 //
 // The same package implements the classic exchange-operator baseline
 // (Mode ModeClassicPartition): n×t parallel units with fixed partition
-// assignment and no stealing — used by Figure 2's comparison.
+// assignment — used by Figure 2's comparison. Its exchange has one lane
+// per worker; a worker polls only its own and never steals.
 //
 // Adaptive skew handling (Flow-Join style, see skew.go): the probe-side
 // send samples key hashes through a Space-Saving sketch during the first
@@ -477,10 +480,10 @@ type Source struct {
 
 // ReuseBatches makes each worker decode its messages into one batch of
 // its own, reused across messages, its columns pooled (see engine.Slot for
-// the lifetime): the batch Next or Poll returns is valid until that
-// worker's next Next or Poll on this source. Strings still get one arena
-// per message, so a string value outlives the batch as before. Call before
-// the first Next, and only when nothing downstream retains the batch
+// the lifetime): the batch Poll returns is valid until that worker's next
+// Poll on this source. Strings still get one arena per message, so a
+// string value outlives the batch as before. Call before the first Poll,
+// and only when nothing downstream retains the batch
 // (plan.scratchSafe decides).
 func (src *Source) ReuseBatches(workers int) {
 	src.slots = make([]engine.Slot, max(workers, 1))
@@ -497,43 +500,21 @@ func (src *Source) Release(w *engine.Worker) {
 	}
 }
 
-// Next implements engine.Source (blocking receive).
-func (src *Source) Next(w *engine.Worker) *storage.Batch {
-	for {
-		if src.Err() != nil {
-			return nil
-		}
-		var msg *memory.Message
-		if src.Classic {
-			msg = src.Recv.RecvWorker(w.ID)
-		} else {
-			msg = src.Recv.Recv(w.Node)
-		}
-		if msg == nil {
-			return nil
-		}
-		if b := src.decode(w, msg); b != nil {
-			return b
-		}
-	}
-}
-
-// Poll implements engine.PollSource: it never blocks, reporting
-// (nil, false) while the exchange is still open but has no message queued
-// — the distinction that lets a receive pipeline become runnable as soon
-// as the first message lands instead of stalling a whole plan stage.
+// Poll implements engine.Source: it never blocks, reporting (nil, false)
+// while the exchange is still open but has no message for the worker's
+// lane — the distinction that lets a receive pipeline become runnable as
+// soon as the first message lands instead of stalling a whole plan stage.
+// A worker's lane is its socket, or in classic mode its own partition.
 func (src *Source) Poll(w *engine.Worker) (*storage.Batch, bool) {
+	lane := int(w.Node)
+	if src.Classic {
+		lane = w.ID
+	}
 	for {
 		if src.Err() != nil {
 			return nil, true
 		}
-		var msg *memory.Message
-		var done bool
-		if src.Classic {
-			msg, done = src.Recv.TryRecvWorker(w.ID)
-		} else {
-			msg, done = src.Recv.TryRecv(w.Node)
-		}
+		msg, done := src.Recv.TryRecv(lane)
 		if msg == nil {
 			return nil, done
 		}
@@ -547,7 +528,7 @@ func (src *Source) Poll(w *engine.Worker) (*storage.Batch, bool) {
 func (src *Source) SetWake(f func()) { src.Recv.SetWake(f) }
 
 // WakeTargetsWorker implements engine.TargetedWakeSource: classic-mode
-// deliveries land in one fixed worker's private queue, so wakes must reach
+// deliveries land in one fixed worker's lane, so wakes must reach
 // the whole pool.
 func (src *Source) WakeTargetsWorker() bool { return src.Classic }
 

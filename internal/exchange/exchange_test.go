@@ -81,6 +81,16 @@ func rows(n, server int) *storage.Batch {
 	return b
 }
 
+// receive runs src as a receive pipeline on eng, the way a compiled plan
+// does, and returns the batches it yielded.
+func receive(t *testing.T, eng *engine.Engine, src *Source) []*storage.Batch {
+	sink := &op.Collector{}
+	if err := eng.RunPipeline(&engine.Pipeline{Name: "recv", Source: src, Sink: sink}); err != nil {
+		t.Error(err)
+	}
+	return sink.Batches()
+}
+
 // runExchange pushes each server's rows through a Send sink and collects
 // what each server's Source yields.
 func runExchange(t *testing.T, servers int, mode Mode, rowsPer int) []map[string]bool {
@@ -123,12 +133,7 @@ func runExchange(t *testing.T, servers int, mode Mode, rowsPer int) []map[string
 		go func() {
 			defer wg.Done()
 			src := &Source{Recv: recvs[i], Codec: codec, Topo: h.topo, Scale: 0.001}
-			w := &engine.Worker{ID: 0, Node: 0}
-			for {
-				b := src.Next(w)
-				if b == nil {
-					return
-				}
+			for _, b := range receive(t, h.engs[i], src) {
 				for r := 0; r < b.Rows(); r++ {
 					got[i][b.Cols[1].Str[r]] = true
 				}
@@ -211,12 +216,7 @@ func TestGatherExchangeCoordinatorOnly(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		src := &Source{Recv: recv, Codec: codec, Topo: h.topo, Scale: 0.001}
-		w := &engine.Worker{ID: 0, Node: 0}
-		for {
-			b := src.Next(w)
-			if b == nil {
-				return
-			}
+		for _, b := range receive(t, h.engs[0], src) {
 			count += b.Rows()
 		}
 	}()
@@ -406,12 +406,7 @@ func TestSkewAdaptiveExchange(t *testing.T) {
 			go func() {
 				defer dwg.Done()
 				src := &Source{Recv: recvs[i], Codec: codec, Topo: h.topo, Scale: 0.001}
-				w := &engine.Worker{ID: 0, Node: 0}
-				for {
-					b := src.Next(w)
-					if b == nil {
-						return
-					}
+				for _, b := range receive(t, h.engs[i], src) {
 					for r := 0; r < b.Rows(); r++ {
 						out[i] = append(out[i], recvRow{b.Cols[0].I64[r], b.Cols[1].Str[r]})
 					}

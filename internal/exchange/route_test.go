@@ -102,7 +102,8 @@ func TestSourceDecodesIntoExactColumns(t *testing.T) {
 	}
 	src := &Source{Recv: recv, Codec: codec}
 	total := 0
-	for got := src.Next(w); got != nil; got = src.Next(w) {
+	// Local sends deliver synchronously: every message is queued already.
+	for got, done := src.Poll(w); !done; got, done = src.Poll(w) {
 		total += got.Rows()
 		if got.Room() != 0 {
 			t.Fatalf("a %d-row message decoded into columns with room for %d more", got.Rows(), got.Room())

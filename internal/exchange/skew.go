@@ -376,25 +376,13 @@ func NewGatedSource(inner engine.Source, coord *SkewCoord) *GatedSource {
 	return &GatedSource{inner: inner, coord: coord}
 }
 
-// Next implements engine.Source (blocking until the decision is ready).
-func (g *GatedSource) Next(w *engine.Worker) *storage.Batch {
-	if err := g.coord.WaitReady(); err != nil {
-		return nil
-	}
-	return g.inner.Next(w)
-}
-
-// Poll implements engine.PollSource: (nil, false) parks the pipeline
-// until the decision wake fires.
+// Poll implements engine.Source: (nil, false) parks the pipeline until
+// the decision wake fires.
 func (g *GatedSource) Poll(w *engine.Worker) (*storage.Batch, bool) {
 	if !g.coord.Ready() {
 		return nil, false
 	}
-	if p, ok := g.inner.(engine.PollSource); ok {
-		return p.Poll(w)
-	}
-	b := g.inner.Next(w)
-	return b, b == nil
+	return g.inner.Poll(w)
 }
 
 // SetWake implements engine.WakeSource: the scheduler is woken both by

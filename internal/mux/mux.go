@@ -402,28 +402,6 @@ func (m *Mux) route(msg *memory.Message, local bool) {
 	ex.push(msg)
 }
 
-// OpenExchange registers a logical exchange operator of one query that
-// will receive from `senders` servers (each sends exactly one Last-flagged
-// message). Early arrivals buffered under this (query, exchange) key are
-// replayed.
-func (m *Mux) OpenExchange(queryID, exID int32, senders int) *ExchangeRecv {
-	ex := newExchangeRecv(m, queryID, exID, senders, m.cfg.Topology.Sockets)
-	key := ExchangeKey{Query: queryID, Exchange: exID}
-	m.mu.Lock()
-	if _, dup := m.exchanges[key]; dup {
-		m.mu.Unlock()
-		invariant.Failf("mux: exchange %d/%d opened twice", queryID, exID)
-	}
-	m.exchanges[key] = ex
-	early := m.pending[key]
-	delete(m.pending, key)
-	m.mu.Unlock()
-	for _, msg := range early {
-		ex.push(msg)
-	}
-	return ex
-}
-
 // CloseQuery forgets every exchange of a finished query and releases any
 // pending (never-opened) buffers it still holds, so the routing maps do
 // not grow across queries. The query id is remembered (bounded FIFO of

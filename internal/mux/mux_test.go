@@ -222,21 +222,30 @@ func TestClassicModeRouting(t *testing.T) {
 		last.Last = true
 		muxes[0].Send(1, last)
 	}
+	// A classic Recv returns nil only once the whole exchange is drained,
+	// so every worker lane needs its own consumer.
+	payloads := make([][][]byte, workers)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		var payloads [][]byte
-		for {
-			m := recv.RecvWorker(w)
-			if m == nil {
-				break
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for m := recv.Recv(w); m != nil; m = recv.Recv(w) {
+				if len(m.Content) > 0 {
+					payloads[w] = append(payloads[w], append([]byte{}, m.Content...))
+				}
+				m.Release()
 			}
-			if len(m.Content) > 0 {
-				payloads = append(payloads, append([]byte{}, m.Content...))
-			}
-			m.Release()
+		}()
+	}
+	wg.Wait()
+	for w, p := range payloads {
+		if len(p) != 1 || p[0][0] != byte(w) {
+			t.Fatalf("worker %d got %v, want exactly its own message", w, p)
 		}
-		if len(payloads) != 1 || payloads[0][0] != byte(w) {
-			t.Fatalf("worker %d got %v, want exactly its own message", w, payloads)
-		}
+	}
+	if recv.StolenCount() != 0 {
+		t.Fatalf("classic exchange stole %d messages", recv.StolenCount())
 	}
 }
 

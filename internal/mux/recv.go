@@ -7,17 +7,21 @@ import (
 
 	"hsqp/internal/invariant"
 	"hsqp/internal/memory"
-	"hsqp/internal/numa"
 )
 
 // ExchangeRecv is the receive side of one logical exchange operator on one
-// server: one queue per NUMA socket plus intra-server work stealing
-// (steps 5a/5b of Figure 7).
+// server: one FIFO lane per consumer group. The hybrid exchange has one
+// lane per NUMA socket, keyed by a message's home node, and a worker whose
+// lane is empty steals from the fullest other lane (steps 5a/5b of
+// Figure 7). The classic exchange (§3.1) has one lane per worker, keyed by
+// a message's Part, and never steals: each worker owns its partition.
 //
 // Completion protocol: every sending server (including this one) sends
-// exactly one message with Last=true as its final message for the
-// exchange; once all Last markers have arrived and all queued messages
-// have been consumed, Recv returns nil.
+// exactly one message with Last=true per receiving unit — one per server
+// in the hybrid model, one per worker in the classic model — as its final
+// message for that unit. Once every Last marker has arrived and every
+// queued message has been consumed, the exchange is drained and Recv
+// returns nil on every lane.
 type ExchangeRecv struct {
 	mux     *Mux
 	queryID int32
@@ -25,10 +29,10 @@ type ExchangeRecv struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	queues    [][]*memory.Message // one FIFO per NUMA socket
-	remaining int                 // senders that have not sent Last yet
+	lanes     [][]*memory.Message // one FIFO per socket (hybrid) or worker (classic)
+	steal     bool                // hybrid: lanes keyed by Node, an empty one takes from the fullest other
+	remaining int                 // Last markers not yet received
 	queued    int
-	classic   *classicState // non-nil in classic exchange mode
 
 	// lastSeq[sender] is the highest wire sequence number seen from that
 	// server. Senders stamp strictly increasing per-destination sequence
@@ -42,19 +46,48 @@ type ExchangeRecv struct {
 	wake func() // engine-scheduler callback fired on every delivery
 }
 
-func newExchangeRecv(m *Mux, queryID, exID int32, senders, sockets int) *ExchangeRecv {
-	if senders < 1 {
-		invariant.Failf("mux: exchange %d needs at least one sender", exID)
+// OpenExchange registers a hybrid exchange of one query that will receive
+// from `senders` servers (each sends exactly one Last-flagged message):
+// one lane per NUMA socket, with stealing. Early arrivals buffered under
+// this (query, exchange) key are replayed.
+func (m *Mux) OpenExchange(queryID, exID int32, senders int) *ExchangeRecv {
+	return m.open(queryID, exID, m.cfg.Topology.Sockets, senders, true)
+}
+
+// OpenExchangeClassic registers a classic exchange with `workers` parallel
+// units on this server: one lane per worker, no stealing, and one Last
+// marker expected per sender and worker.
+func (m *Mux) OpenExchangeClassic(queryID, exID int32, senders, workers int) *ExchangeRecv {
+	return m.open(queryID, exID, workers, senders*workers, false)
+}
+
+func (m *Mux) open(queryID, exID int32, lanes, lastMarkers int, steal bool) *ExchangeRecv {
+	if lanes < 1 || lastMarkers < 1 {
+		invariant.Failf("mux: exchange %d needs at least one lane and one sender", exID)
 	}
 	ex := &ExchangeRecv{
 		mux:       m,
 		queryID:   queryID,
 		exID:      exID,
-		queues:    make([][]*memory.Message, sockets),
-		remaining: senders,
+		lanes:     make([][]*memory.Message, lanes),
+		steal:     steal,
+		remaining: lastMarkers,
 		lastSeq:   make(map[int]int64),
 	}
 	ex.cond = sync.NewCond(&ex.mu)
+	key := ExchangeKey{Query: queryID, Exchange: exID}
+	m.mu.Lock()
+	if _, dup := m.exchanges[key]; dup {
+		m.mu.Unlock()
+		invariant.Failf("mux: exchange %d/%d opened twice", queryID, exID)
+	}
+	m.exchanges[key] = ex
+	early := m.pending[key]
+	delete(m.pending, key)
+	m.mu.Unlock()
+	for _, msg := range early {
+		ex.push(msg)
+	}
 	return ex
 }
 
@@ -91,31 +124,30 @@ func (ex *ExchangeRecv) SetWake(f func()) {
 	ex.mu.Unlock()
 }
 
-// push delivers a message into the queue of its home NUMA node (hybrid)
-// or its target worker (classic).
+// push delivers a message into its lane: its home NUMA node (hybrid) or
+// its target worker (classic).
 func (ex *ExchangeRecv) push(msg *memory.Message) {
-	if ex.classic != nil {
-		ex.pushClassic(msg)
-		return
-	}
-	node := int(msg.Node)
-	if node < 0 || node >= len(ex.queues) {
-		// Interleaved (or unknown) home: spread consumption over queues.
-		node = int(ex.received % uint64(len(ex.queues)))
-	}
 	ex.mu.Lock()
 	if viol := ex.checkSeqLocked(msg); viol != "" {
 		ex.mu.Unlock()
 		invariant.Failf("%s", viol)
 	}
-	ex.queues[node] = append(ex.queues[node], msg)
+	lane := int(msg.Node)
+	if !ex.steal {
+		lane = int(msg.Part)
+	}
+	if lane < 0 || lane >= len(ex.lanes) {
+		// Interleaved (or unknown) home: spread consumption over lanes.
+		lane = int(ex.received % uint64(len(ex.lanes)))
+	}
+	ex.lanes[lane] = append(ex.lanes[lane], msg)
 	ex.queued++
 	ex.received++
 	if msg.Last {
 		ex.remaining--
 		if ex.remaining < 0 {
 			ex.mu.Unlock()
-			invariant.Failf("mux: exchange %d received more Last markers than senders", ex.exID)
+			invariant.Failf("mux: exchange %d received more Last markers than expected", ex.exID)
 		}
 	}
 	ex.cond.Broadcast()
@@ -126,104 +158,77 @@ func (ex *ExchangeRecv) push(msg *memory.Message) {
 	}
 }
 
-// Recv returns the next message for a worker pinned to socket `local`,
-// preferring the NUMA-local queue and stealing from other sockets when it
-// is empty. It blocks while the exchange is still open and returns nil
-// once all senders finished and all messages were consumed. The caller
-// must Release the returned message after deserializing it.
-func (ex *ExchangeRecv) Recv(local numa.Node) *memory.Message {
+// takeLocked pops the next message for a consumer of lane: from its own
+// FIFO first (5a), else — when the exchange steals — from the fullest
+// other lane (5b). It returns nil when nothing is available to the lane.
+// The take that drains a finished exchange wakes every blocked Recv: a
+// classic waiter whose own lane ran dry earlier learns only then that it
+// is done.
+func (ex *ExchangeRecv) takeLocked(lane int) *memory.Message {
+	from := -1
+	if lane >= 0 && lane < len(ex.lanes) && len(ex.lanes[lane]) > 0 {
+		from = lane
+	} else if ex.steal {
+		best := 0
+		for i, q := range ex.lanes {
+			if i != lane && len(q) > best {
+				from, best = i, len(q)
+			}
+		}
+	}
+	if from < 0 {
+		return nil
+	}
+	msg := ex.lanes[from][0]
+	ex.lanes[from] = ex.lanes[from][1:]
+	ex.queued--
+	if from != lane {
+		ex.stolen++
+		ex.mux.stolenMsgs.Add(1)
+	}
+	if ex.queued == 0 && ex.remaining == 0 {
+		ex.cond.Broadcast()
+	}
+	return msg
+}
+
+// doneLocked reports whether the exchange is drained (or the multiplexer
+// stopped): no lane will ever yield another message.
+func (ex *ExchangeRecv) doneLocked() bool {
+	return (ex.remaining == 0 && ex.queued == 0) || ex.mux.stopped.Load()
+}
+
+// TryRecv is the non-blocking receive for a consumer of lane: it returns
+// (msg, false) when a message is available, (nil, false) while the
+// exchange is open but has nothing for the lane, and (nil, true) once the
+// whole exchange is drained. The caller must Release the returned message
+// after deserializing it.
+func (ex *ExchangeRecv) TryRecv(lane int) (msg *memory.Message, done bool) {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	if msg := ex.takeLocked(lane); msg != nil {
+		return msg, false
+	}
+	return nil, ex.doneLocked()
+}
+
+// Recv is TryRecv that waits while the lane has nothing: it returns nil
+// only once the whole exchange is drained. Time spent waiting counts as
+// receive stall.
+func (ex *ExchangeRecv) Recv(lane int) *memory.Message {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	for {
-		if ex.queued > 0 {
-			// 5a: NUMA-local first.
-			l := int(local)
-			if l >= 0 && l < len(ex.queues) && len(ex.queues[l]) > 0 {
-				return ex.popLocked(l, false)
-			}
-			// 5b: steal from the fullest remote queue.
-			best, bestLen := -1, 0
-			for i := range ex.queues {
-				if i == l {
-					continue
-				}
-				if len(ex.queues[i]) > bestLen {
-					best, bestLen = i, len(ex.queues[i])
-				}
-			}
-			if best >= 0 {
-				return ex.popLocked(best, true)
-			}
+		if msg := ex.takeLocked(lane); msg != nil {
+			return msg
 		}
-		if ex.remaining == 0 {
-			return nil
-		}
-		if ex.mux.stopped.Load() {
+		if ex.doneLocked() {
 			return nil
 		}
 		t0 := time.Now()
 		ex.cond.Wait()
 		mRecvStallNanos.AddDuration(time.Since(t0))
 	}
-}
-
-// TryRecv is a non-blocking Recv: it returns (nil, true) when the exchange
-// is drained and closed, (nil, false) when no message is currently
-// available, and (msg, false) otherwise.
-func (ex *ExchangeRecv) TryRecv(local numa.Node) (msg *memory.Message, done bool) {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	if ex.queued > 0 {
-		l := int(local)
-		if l >= 0 && l < len(ex.queues) && len(ex.queues[l]) > 0 {
-			return ex.popLocked(l, false), false
-		}
-		for i := range ex.queues {
-			if len(ex.queues[i]) > 0 {
-				return ex.popLocked(i, i != l), false
-			}
-		}
-	}
-	return nil, ex.remaining == 0 || ex.mux.stopped.Load()
-}
-
-// TryRecvWorker is the non-blocking classic-mode receive for the fixed
-// parallel unit `worker` (no stealing). done only turns true once *every*
-// unit's partition is complete and drained: the classic exchange is one
-// pipeline, and its sink must not finalize while another worker's
-// partition still holds messages.
-func (ex *ExchangeRecv) TryRecvWorker(worker int) (msg *memory.Message, done bool) {
-	cs := ex.classic
-	if cs == nil {
-		invariant.Failf("mux: TryRecvWorker on a hybrid exchange")
-	}
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	if q := cs.queues[worker]; len(q) > 0 {
-		m := q[0]
-		cs.queues[worker] = q[1:]
-		return m, false
-	}
-	if ex.mux.stopped.Load() {
-		return nil, true
-	}
-	for i := range cs.queues {
-		if len(cs.queues[i]) > 0 || cs.remaining[i] > 0 {
-			return nil, false
-		}
-	}
-	return nil, true
-}
-
-func (ex *ExchangeRecv) popLocked(q int, steal bool) *memory.Message {
-	msg := ex.queues[q][0]
-	ex.queues[q] = ex.queues[q][1:]
-	ex.queued--
-	if steal {
-		ex.stolen++
-		ex.mux.stolenMsgs.Add(1)
-	}
-	return msg
 }
 
 // Drained reports whether all senders finished and every message was
@@ -234,8 +239,8 @@ func (ex *ExchangeRecv) Drained() bool {
 	return ex.remaining == 0 && ex.queued == 0
 }
 
-// StolenCount returns the number of messages consumed from a remote
-// socket's queue.
+// StolenCount returns the number of messages consumed from another lane
+// than the consumer's own.
 func (ex *ExchangeRecv) StolenCount() uint64 {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
@@ -247,101 +252,4 @@ func (ex *ExchangeRecv) Wake() {
 	ex.mu.Lock()
 	ex.cond.Broadcast()
 	ex.mu.Unlock()
-}
-
-// --- classic exchange-operator mode (§3.1 baseline) ---
-//
-// In the classic model every worker thread is its own parallel unit with a
-// fixed input partition: messages carry a Part tag and land in that
-// worker's private queue; there is no work stealing. Every sending server
-// sends one Last marker per target worker.
-
-// classicState extends an ExchangeRecv with per-worker queues.
-type classicState struct {
-	queues    [][]*memory.Message
-	remaining []int // per worker: senders that have not sent Last
-}
-
-// OpenExchangeClassic registers an exchange in classic mode with `workers`
-// parallel units on this server, each expecting `senders` Last markers.
-func (m *Mux) OpenExchangeClassic(queryID, exID int32, senders, workers int) *ExchangeRecv {
-	ex := newExchangeRecv(m, queryID, exID, senders, m.cfg.Topology.Sockets)
-	ex.classic = &classicState{
-		queues:    make([][]*memory.Message, workers),
-		remaining: make([]int, workers),
-	}
-	for i := range ex.classic.remaining {
-		ex.classic.remaining[i] = senders
-	}
-	key := ExchangeKey{Query: queryID, Exchange: exID}
-	m.mu.Lock()
-	if _, dup := m.exchanges[key]; dup {
-		m.mu.Unlock()
-		invariant.Failf("mux: exchange %d/%d opened twice", queryID, exID)
-	}
-	m.exchanges[key] = ex
-	early := m.pending[key]
-	delete(m.pending, key)
-	m.mu.Unlock()
-	for _, msg := range early {
-		ex.push(msg)
-	}
-	return ex
-}
-
-// pushClassic routes a message into its target worker's private queue.
-func (ex *ExchangeRecv) pushClassic(msg *memory.Message) {
-	part := int(msg.Part)
-	cs := ex.classic
-	if part < 0 || part >= len(cs.queues) {
-		part = 0
-	}
-	ex.mu.Lock()
-	if viol := ex.checkSeqLocked(msg); viol != "" {
-		ex.mu.Unlock()
-		invariant.Failf("%s", viol)
-	}
-	cs.queues[part] = append(cs.queues[part], msg)
-	ex.received++
-	if msg.Last {
-		cs.remaining[part]--
-		if cs.remaining[part] < 0 {
-			ex.mu.Unlock()
-			invariant.Failf("mux: classic exchange %d worker %d got extra Last", ex.exID, part)
-		}
-	}
-	ex.cond.Broadcast()
-	wake := ex.wake
-	ex.mu.Unlock()
-	if wake != nil {
-		wake()
-	}
-}
-
-// RecvWorker returns the next message for the fixed parallel unit
-// `worker`, with no stealing — the classic model's inflexibility under
-// skew. Returns nil once the unit's partition is complete.
-func (ex *ExchangeRecv) RecvWorker(worker int) *memory.Message {
-	cs := ex.classic
-	if cs == nil {
-		invariant.Failf("mux: RecvWorker on a hybrid exchange")
-	}
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	for {
-		if q := cs.queues[worker]; len(q) > 0 {
-			msg := q[0]
-			cs.queues[worker] = q[1:]
-			return msg
-		}
-		if cs.remaining[worker] == 0 {
-			return nil
-		}
-		if ex.mux.stopped.Load() {
-			return nil
-		}
-		t0 := time.Now()
-		ex.cond.Wait()
-		mRecvStallNanos.AddDuration(time.Since(t0))
-	}
 }

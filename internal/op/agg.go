@@ -254,12 +254,15 @@ func (g *GroupBy) Consume(w *engine.Worker, b *storage.Batch) {
 	for i, h := range w.HashRows(b, g.Keys) {
 		st := t.statesOf(int(t.groupFor(b, g.Keys, i, h)))
 		for a := range g.Aggs {
-			g.update(&st[a], &g.Aggs[a], b, i)
+			update(&st[a], &g.Aggs[a], b, i)
 		}
 	}
 }
 
-func (g *GroupBy) update(st *aggState, spec *AggSpec, b *storage.Batch, i int) {
+// update folds row i of b into one aggregate state. GroupBy and
+// GroupJoinProbe share it; the group-join caller holds the group's lock.
+// Sum counts its rows like Avg does, which appendFinal ignores.
+func update(st *aggState, spec *AggSpec, b *storage.Batch, i int) {
 	switch spec.Kind {
 	case Count:
 		if spec.Arg != nil {
@@ -268,18 +271,7 @@ func (g *GroupBy) update(st *aggState, spec *AggSpec, b *storage.Batch, i int) {
 			}
 		}
 		st.cnt++
-	case Sum:
-		v := spec.Arg(b, i)
-		if v.Null {
-			return
-		}
-		if spec.ArgType == storage.TFloat64 {
-			st.f += v.F
-		} else {
-			st.i += v.I
-		}
-		st.set = true
-	case Avg:
+	case Sum, Avg:
 		v := spec.Arg(b, i)
 		if v.Null {
 			return
@@ -319,16 +311,13 @@ func (g *GroupBy) update(st *aggState, spec *AggSpec, b *storage.Batch, i int) {
 		case storage.TString:
 			less = v.S < st.s
 		default:
-			less = v.I < st.I64()
+			less = v.I < st.i
 		}
 		if (spec.Kind == Min) == less {
 			st.i, st.f, st.s = v.I, v.F, v.S
 		}
 	}
 }
-
-// I64 is a tiny accessor keeping update readable.
-func (s *aggState) I64() int64 { return s.i }
 
 // Finalize merges the thread-local tables. The merged table's keys, flat
 // states and chain are sized exactly from the per-worker group counts

@@ -96,57 +96,9 @@ func (p *GroupJoinProbe) Consume(w *engine.Worker, b *storage.Batch) {
 			st := g.statesOf(d)
 			for a := range g.Aggs {
 				// Aggregate arguments are evaluated over the probe batch.
-				spec := g.Aggs[a]
-				updateProbeAgg(&st[a], &spec, b, i)
+				update(&st[a], &g.Aggs[a], b, i)
 			}
 			lock.Unlock()
-		}
-	}
-}
-
-// updateProbeAgg mirrors GroupBy.update but lives here to keep the
-// concurrency contract (caller holds the group lock) explicit.
-func updateProbeAgg(st *aggState, spec *AggSpec, b *storage.Batch, i int) {
-	switch spec.Kind {
-	case Count:
-		if spec.Arg != nil {
-			if v := spec.Arg(b, i); v.Null {
-				return
-			}
-		}
-		st.cnt++
-	case Sum, Avg:
-		v := spec.Arg(b, i)
-		if v.Null {
-			return
-		}
-		if spec.ArgType == storage.TFloat64 {
-			st.f += v.F
-		} else {
-			st.i += v.I
-		}
-		st.cnt++
-		st.set = true
-	case Min, Max:
-		v := spec.Arg(b, i)
-		if v.Null {
-			return
-		}
-		if !st.set {
-			st.i, st.f, st.s, st.set = v.I, v.F, v.S, true
-			return
-		}
-		less := false
-		switch spec.ArgType {
-		case storage.TFloat64:
-			less = v.F < st.f
-		case storage.TString:
-			less = v.S < st.s
-		default:
-			less = v.I < st.i
-		}
-		if (spec.Kind == Min) == less {
-			st.i, st.f, st.s = v.I, v.F, v.S
 		}
 	}
 }

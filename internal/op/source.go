@@ -36,9 +36,10 @@ func NewTableSource(t *storage.Table, sockets, morselSize int) *TableSource {
 	return s
 }
 
-// Next returns the next morsel: a zero-copy column-window view over the
-// segment.
-func (s *TableSource) Next(w *engine.Worker) *storage.Batch {
+// Poll implements engine.Source: the next morsel is a zero-copy
+// column-window view over the segment; a table is done once every
+// segment is scanned.
+func (s *TableSource) Poll(w *engine.Worker) (*storage.Batch, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	node := int(w.Node)
@@ -56,10 +57,10 @@ func (s *TableSource) Next(w *engine.Worker) *storage.Batch {
 			lo := c.off
 			hi := min(lo+s.morsel, c.seg.Rows())
 			c.off = hi
-			return sliceBatch(c.seg.Batch, lo, hi)
+			return sliceBatch(c.seg.Batch, lo, hi), false
 		}
 	}
-	return nil
+	return nil, true
 }
 
 // HasLocal implements engine.LocalityHinter: it reports whether the table
@@ -106,7 +107,7 @@ func sliceBatch(b *storage.Batch, lo, hi int) *storage.Batch {
 	return out
 }
 
-// BatchSource yields a fixed list of batches, one per Next call.
+// BatchSource yields a fixed list of batches, one per Poll call.
 type BatchSource struct {
 	mu      sync.Mutex
 	batches []*storage.Batch
@@ -118,25 +119,25 @@ func NewBatchSource(batches []*storage.Batch) *BatchSource {
 	return &BatchSource{batches: batches}
 }
 
-// Next returns the next batch or nil.
-func (s *BatchSource) Next(*engine.Worker) *storage.Batch {
+// Poll implements engine.Source: the next non-empty batch, or done.
+func (s *BatchSource) Poll(*engine.Worker) (*storage.Batch, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.next < len(s.batches) {
 		b := s.batches[s.next]
 		s.next++
 		if b != nil && b.Rows() > 0 {
-			return b
+			return b, false
 		}
 	}
-	return nil
+	return nil, true
 }
 
 // EmptySource yields nothing (plan stages that don't run on this server).
 type EmptySource struct{}
 
-// Next always returns nil.
-func (EmptySource) Next(*engine.Worker) *storage.Batch { return nil }
+// Poll is always done.
+func (EmptySource) Poll(*engine.Worker) (*storage.Batch, bool) { return nil, true }
 
 // Collector is a sink that gathers all batches of a pipeline (the local
 // materialization at the top of a plan or below a pipeline breaker that
@@ -196,8 +197,8 @@ type LazySource struct {
 	inner *BatchSource
 }
 
-// Next implements engine.Source.
-func (s *LazySource) Next(w *engine.Worker) *storage.Batch {
+// Poll implements engine.Source.
+func (s *LazySource) Poll(w *engine.Worker) (*storage.Batch, bool) {
 	s.mu.Lock()
 	if s.inner == nil {
 		batches := s.Fn()
@@ -208,7 +209,7 @@ func (s *LazySource) Next(w *engine.Worker) *storage.Batch {
 	}
 	inner := s.inner
 	s.mu.Unlock()
-	return inner.Next(w)
+	return inner.Poll(w)
 }
 
 // SplitIntoMorsels re-slices batches into windows of at most morsel rows
