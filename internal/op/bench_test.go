@@ -81,3 +81,30 @@ func BenchmarkGroupBy(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(li.Rows()), "ns/row")
 }
+
+// BenchmarkJoinProbe probes an orders table with lineitem at SF 0.01 the
+// way the benchmark's op probe does (inner, fresh output, one probe and
+// one build column) and reports ns per probe row:
+// `go test -run '^$' -bench JoinProbe ./internal/op`.
+func BenchmarkJoinProbe(b *testing.B) {
+	db := tpch.Generate(0.01, 1)
+	li, ord := db.Tables["lineitem"], db.Tables["orders"]
+	w := &engine.Worker{}
+	jb := NewJoinBuild(ord.Schema, []int{ord.Schema.MustColIndex("o_orderkey")})
+	for _, m := range SplitIntoMorsels([]*storage.Batch{ord}, engine.DefaultMorselSize) {
+		jb.Consume(w, m)
+	}
+	if err := jb.Finalize(); err != nil {
+		b.Fatal(err)
+	}
+	probe := NewJoinProbe(jb, Inner, li.Schema, []int{li.Schema.MustColIndex("l_orderkey")},
+		[]int{li.Schema.MustColIndex("l_extendedprice")}, []int{ord.Schema.MustColIndex("o_custkey")}, nil)
+	morsels := SplitIntoMorsels([]*storage.Batch{li}, engine.DefaultMorselSize)
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, m := range morsels {
+			probe.Process(w, m)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(li.Rows()), "ns/row")
+}

@@ -13,9 +13,9 @@
 // and an Expr stores each value at its row's own index, so one selection
 // stays valid across every step of a pipeline. Intermediate vectors are
 // the worker's (engine.Worker.PushI64, PushI32), taken and returned like a
-// stack within one call. Each Pred and Expr keeps its row form, Eval: join
-// residuals use it, and a kernel falls back to it for a batch in which a
-// column it reads is nullable.
+// stack within one call. A join residual is a Pred over its candidate
+// pairs. The row form, Eval, serves a batch in which a column a kernel
+// reads is nullable, and a comparison of computed operands.
 //
 // NULL compares false: every comparison and string predicate rejects a
 // row whose column is NULL, in both forms. An expression over a NULL is
@@ -507,27 +507,66 @@ func (p *i64Range) Select(b *storage.Batch, sel, out []int32) []int32 {
 	return out[:k]
 }
 
-type colLT struct{ a, b int }
+type cmpOp uint8
 
-// ColLT holds when col a < col b (int64-backed).
-func ColLT(a, b int) Pred { return &colLT{a, b} }
+const (
+	ltOp cmpOp = iota
+	neOp
+	gtFracOp
+)
 
-func (p *colLT) Eval(b *storage.Batch, i int) bool {
-	x, y := b.Cols[p.a], b.Cols[p.b]
-	return !x.IsNull(i) && !y.IsNull(i) && x.I64[i] < y.I64[i]
+// exprCmp compares two int64-backed expressions: a < b, a ≠ b, or
+// float64(a) > float64(b)·f.
+type exprCmp struct {
+	op   cmpOp
+	a, b Expr
+	f    float64
 }
 
-func (p *colLT) Select(b *storage.Batch, sel, out []int32) []int32 {
-	x, y := b.Cols[p.a], b.Cols[p.b]
-	if x.Nullable || y.Nullable {
+// LT holds when a < b (int64-backed expressions).
+func LT(a, b Expr) Pred { return &exprCmp{op: ltOp, a: a, b: b} }
+
+// NE holds when a ≠ b (int64-backed expressions).
+func NE(a, b Expr) Pred { return &exprCmp{op: neOp, a: a, b: b} }
+
+// GTFrac holds when float64(a) > float64(b)·f: a HAVING against a fraction
+// of a total (Q11), compared in float as the reference engine does.
+func GTFrac(a, b Expr, f float64) Pred { return &exprCmp{op: gtFracOp, a: a, b: b, f: f} }
+
+// ColLT holds when col a < col b (int64-backed).
+func ColLT(a, b int) Pred { return LT(Col(a), Col(b)) }
+
+func (p *exprCmp) holds(x, y int64) bool {
+	switch p.op {
+	case ltOp:
+		return x < y
+	case neOp:
+		return x != y
+	default:
+		return float64(x) > float64(y)*p.f
+	}
+}
+
+func (p *exprCmp) Eval(b *storage.Batch, i int) bool {
+	x, y := p.a.Eval(b, i), p.b.Eval(b, i)
+	return !x.Null && !y.Null && p.holds(x.I, y.I)
+}
+
+// Select runs one typed loop when both operands are non-nullable columns;
+// a computed operand needs scratch that Select has no worker for, so it
+// takes the row form, as a nullable column does.
+func (p *exprCmp) Select(b *storage.Batch, sel, out []int32) []int32 {
+	x, okx := p.a.(*colExpr)
+	y, oky := p.b.(*colExpr)
+	if !okx || !oky || b.Cols[x.c].Nullable || b.Cols[y.c].Nullable {
 		return selectRows(p, b, sel, out)
 	}
-	xs, ys := x.I64, y.I64
+	xs, ys := b.Cols[x.c].I64, b.Cols[y.c].I64
 	out = out[:len(sel)]
 	k := 0
 	for _, i := range sel {
 		out[k] = i
-		if xs[i] < ys[i] {
+		if p.holds(xs[i], ys[i]) {
 			k++
 		}
 	}

@@ -139,8 +139,29 @@ func (g gen) leaf(c int) Pred {
 		}
 		return I64In(c, vs...)
 	default:
-		other, _ := g.col(isI64)
+		return g.cmp(c)
+	}
+}
+
+// cmp returns a random two-operand comparison whose first operand reads
+// column c: over two columns, where the kernel runs, or over a computed
+// operand, which takes the row form.
+func (g gen) cmp(c int) Pred {
+	r := g.rng
+	other, _ := g.col(isI64)
+	a, b := Col(c), Col(other)
+	if r.Intn(3) == 0 {
+		b = MulDec(b, g.intExpr(0))
+	}
+	switch r.Intn(4) {
+	case 0:
 		return ColLT(c, other)
+	case 1:
+		return LT(a, b)
+	case 2:
+		return NE(a, b)
+	default:
+		return GTFrac(a, b, []float64{0, 0.5, 1, 2.5}[r.Intn(4)])
 	}
 }
 
@@ -371,6 +392,9 @@ func TestComparisonsRejectNull(t *testing.T) {
 		"I64Between":  I64Between(0, -5, 5),
 		"I64In":       I64In(0, 0, 1),
 		"ColLT":       ColLT(0, 2),
+		"LT":          LT(MulDec(Col(0), ConstI(100)), Col(2)),
+		"NE":          NE(Col(2), Col(0)),
+		"GTFrac":      GTFrac(Col(2), Col(0), 0.5),
 		"StrEQ":       StrEQ(1, ""),
 		"StrIn":       StrIn(1, "", "a"),
 		"StrPrefix":   StrPrefix(1, ""),

@@ -69,8 +69,6 @@ func (g *GroupJoinBuild) statesOf(d int) []aggState {
 type GroupJoinProbe struct {
 	Build     *GroupJoinBuild
 	ProbeKeys []int
-	// Residual optionally restricts which probe tuples join.
-	Residual ResidualPred
 }
 
 // Consume implements engine.Sink. It collects the batch's matches (probe
@@ -80,29 +78,13 @@ type GroupJoinProbe struct {
 func (p *GroupJoinProbe) Consume(w *engine.Worker, b *storage.Batch) {
 	g := p.Build
 	ht := g.jb.Table()
-	walk := ht.chain()
-	n := b.Rows()
-	sel := w.PushI32(n)    // the probe rows with a match, once each
-	rows := w.PushI32(n)   // per match: its probe row
-	groups := w.PushI32(n) // per match: its dense build row
-	for i, h := range w.HashRows(b, p.ProbeKeys) {
-		matched := false
-		for id := ht.First(h); id >= 0; {
-			var ch *buildChunk
-			var bi int
-			ch, bi, id = walk.step(id)
-			if !ht.KeyEq(ch.b, bi, b, p.ProbeKeys, i) {
-				continue
-			}
-			if p.Residual != nil && !p.Residual(b, i, ch.b, bi) {
-				continue
-			}
-			rows = append(rows, int32(i))
-			groups = append(groups, int32(ch.start+bi))
-			matched = true
-		}
-		if matched {
-			sel = append(sel, int32(i))
+	// Per match: its probe row, and its build row id made dense in place.
+	rows, groups := ht.matches(w, b, p.ProbeKeys, false)
+	sel := w.PushI32(b.Rows()) // the probe rows with a match, once each
+	for k, id := range groups {
+		groups[k] = int32(ht.chunks[id>>ht.shift].start) + id&ht.off
+		if i := rows[k]; len(sel) == 0 || sel[len(sel)-1] != i {
+			sel = append(sel, i)
 		}
 	}
 	var buf [4]aggArg // up to four aggregates without an allocation
@@ -131,9 +113,9 @@ func (p *GroupJoinProbe) Consume(w *engine.Worker, b *storage.Batch) {
 		w.PopI64()
 		w.PopI64()
 	}
+	w.PopI32(sel)
 	w.PopI32(groups)
 	w.PopI32(rows)
-	w.PopI32(sel)
 }
 
 // Finalize implements engine.Sink.

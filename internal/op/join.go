@@ -40,10 +40,21 @@ func (t JoinType) String() string {
 	}
 }
 
-// ResidualPred evaluates a non-equality join condition over a matched
-// (probe row, build row) pair: pi is a row of probe, bi a row of build,
-// the build-side batch holding the match (HashTable.Row).
-type ResidualPred func(probe *storage.Batch, pi int, build *storage.Batch, bi int) bool
+// Residual is a join's non-equality condition: an ordinary Pred over a
+// candidate batch that holds one row per key-matching (probe row, build
+// row) pair, and as its column k the pair's value of Cols[k]. Only the
+// columns the residual reads are gathered.
+type Residual struct {
+	Pred Pred
+	Cols []ResidualCol
+}
+
+// ResidualCol is one column of a residual's candidate batch: column Col of
+// the build side when Build is set, of the probe side otherwise.
+type ResidualCol struct {
+	Build bool
+	Col   int
+}
 
 // HashTable is the shared build-side state of a hash join: a chained
 // index over the collected build batches, which it references in place
@@ -102,6 +113,40 @@ func (c *chain) step(i int32) (ch *buildChunk, o int, next int32) {
 	}
 	o = int(i & c.h.off)
 	return c.ch, o, c.ch.next[o]
+}
+
+// matches collects the key-matching (probe row, build row id) pairs of
+// probe, in probe row and then chain order, into two vectors pushed on w's
+// stack (pop ids, then rows). With first, a probe row stops at its first.
+func (h *HashTable) matches(w *engine.Worker, probe *storage.Batch, keys []int, first bool) (rows, ids []int32) {
+	rows, ids = w.PushI32(probe.Rows()), w.PushI32(probe.Rows())
+	walk := h.chain()
+	for i, hash := range w.HashRows(probe, keys) {
+		for id := h.First(hash); id >= 0; {
+			ch, bi, next := walk.step(id)
+			if h.KeyEq(ch.b, bi, probe, keys, i) {
+				rows = append(rows, int32(i))
+				ids = append(ids, id)
+				if first {
+					break
+				}
+			}
+			id = next
+		}
+	}
+	return rows, ids
+}
+
+// gather appends column c of the build rows ids to dst, a NULL for id -1.
+func (h *HashTable) gather(dst *storage.Column, c int, ids []int32) {
+	for _, id := range ids {
+		if id < 0 {
+			dst.AppendNull()
+			continue
+		}
+		build, bi := h.Row(id)
+		dst.AppendFrom(build.Cols[c], bi)
+	}
 }
 
 // KeyEq checks key equality between row bi of build and row pi of probe.
@@ -310,13 +355,14 @@ type JoinProbe struct {
 	Build     *JoinBuild
 	Type      JoinType
 	ProbeKeys []int
-	Residual  ResidualPred // optional
+	Residual  *Residual // optional
 
 	// Output column selection: probe columns first, then build columns.
 	// For Semi/Anti only probe columns are emitted.
-	ProbeCols []int
-	BuildCols []int
-	Schema    *storage.Schema
+	ProbeCols  []int
+	BuildCols  []int
+	Schema     *storage.Schema
+	candSchema *storage.Schema // the residual's candidate batch
 
 	// rowsIn/rowsOut feed the running match-rate estimate that pre-sizes
 	// the output batch: expanding joins stop regrowing mid-morsel,
@@ -325,15 +371,15 @@ type JoinProbe struct {
 	rowsOut atomic.Uint64
 
 	allocs atomic.Uint64 // output batches created (slot headers in reuse mode)
-	slots  []engine.Slot // per-worker output batches; nil = fresh per morsel
+	slots  []engine.Slot // per worker: output, then candidates; nil = fresh per morsel
 }
 
 // NewJoinProbe constructs the probe operator. probeSchema is the schema of
 // the probe stream; probeCols/buildCols select the output (pruning unused
 // columns as early as possible, §3.2.1). For LeftOuter, emitted build
-// columns become nullable in the output schema.
+// columns become nullable in the output schema. residual may be nil.
 func NewJoinProbe(build *JoinBuild, typ JoinType, probeSchema *storage.Schema,
-	probeKeys []int, probeCols, buildCols []int, residual ResidualPred) *JoinProbe {
+	probeKeys []int, probeCols, buildCols []int, residual *Residual) *JoinProbe {
 
 	if len(probeKeys) != len(build.Keys) {
 		panic(fmt.Sprintf("op: probe has %d keys, build %d", len(probeKeys), len(build.Keys)))
@@ -353,14 +399,26 @@ func NewJoinProbe(build *JoinBuild, typ JoinType, probeSchema *storage.Schema,
 	} else {
 		buildCols = nil
 	}
+	var cand *storage.Schema
+	if residual != nil {
+		cand = &storage.Schema{}
+		for _, rc := range residual.Cols {
+			side := probeSchema
+			if rc.Build {
+				side = build.Schema
+			}
+			cand.Fields = append(cand.Fields, side.Fields[rc.Col])
+		}
+	}
 	return &JoinProbe{
-		Build:     build,
-		Type:      typ,
-		ProbeKeys: probeKeys,
-		Residual:  residual,
-		ProbeCols: probeCols,
-		BuildCols: buildCols,
-		Schema:    out,
+		Build:      build,
+		Type:       typ,
+		ProbeKeys:  probeKeys,
+		Residual:   residual,
+		ProbeCols:  probeCols,
+		BuildCols:  buildCols,
+		Schema:     out,
+		candSchema: cand,
 	}
 }
 
@@ -372,7 +430,7 @@ func (jp *JoinProbe) OpName() string { return "probe(" + jp.Type.String() + ")" 
 // for the lifetime). Call before the first Process, and only when nothing
 // downstream retains the batch (plan.scratchSafe decides).
 func (jp *JoinProbe) ReuseOutput(workers int) {
-	jp.slots = make([]engine.Slot, max(workers, 1))
+	jp.slots = make([]engine.Slot, 2*max(workers, 1))
 }
 
 // Reuses reports whether ReuseOutput is in effect.
@@ -390,72 +448,90 @@ func (jp *JoinProbe) Release(w *engine.Worker) {
 	}
 }
 
-// output returns an empty batch with room for the estimated output of n
-// probe rows: the worker's slot in reuse mode, a fresh batch otherwise.
-func (jp *JoinProbe) output(w *engine.Worker, n int) *storage.Batch {
+// batch returns an empty batch of schema with room for n rows: in reuse
+// mode the worker's slot of the given kind (0 output, 1 candidates), a
+// fresh batch otherwise. fresh reports a header this call created.
+func (jp *JoinProbe) batch(w *engine.Worker, kind int, schema *storage.Schema, n int) (b *storage.Batch, fresh bool) {
 	if jp.slots == nil {
-		jp.allocs.Add(1)
-		return storage.NewBatch(jp.Schema, jp.outCap(n))
+		return storage.NewBatch(schema, n), true
 	}
-	out, fresh := jp.slots[engine.SlotOf(w, len(jp.slots))].Take(w, jp.Schema, jp.outCap(n))
+	return jp.slots[2*engine.SlotOf(w, len(jp.slots)/2)+kind].Take(w, schema, n)
+}
+
+// Process implements engine.Op: the batch's key matches, narrowed by the
+// residual, become output rows in one loop by join type ("any match left"
+// decides Semi, Anti, LeftOuter), and each output column one gather.
+func (jp *JoinProbe) Process(w *engine.Worker, b *storage.Batch) *storage.Batch {
+	ht := jp.Build.Table()
+	rows, ids := ht.matches(w, b, jp.ProbeKeys, jp.Residual == nil && (jp.Type == Semi || jp.Type == Anti))
+	if jp.Residual != nil {
+		rows, ids = jp.residual(w, b, rows, ids)
+	}
+	// Output pairs of a probe row and a build row id, -1 for none: for
+	// Inner the matches themselves.
+	outRows, outIDs := rows, ids
+	if jp.Type != Inner {
+		outRows, outIDs = w.PushI32(b.Rows()+len(rows)), w.PushI32(b.Rows()+len(rows))
+		k := 0
+		for i := range int32(b.Rows()) {
+			start := k
+			for k < len(rows) && rows[k] == i {
+				k++
+			}
+			switch hit := k > start; {
+			case jp.Type == LeftOuter && hit:
+				outRows, outIDs = append(outRows, rows[start:k]...), append(outIDs, ids[start:k]...)
+			case jp.Type == Semi && hit, jp.Type != Semi && !hit:
+				outRows, outIDs = append(outRows, i), append(outIDs, -1)
+			}
+		}
+	}
+	out, fresh := jp.batch(w, 0, jp.Schema, jp.outCap(b.Rows()))
 	if fresh {
 		jp.allocs.Add(1)
 	}
-	return out
-}
-
-// Process implements engine.Op.
-func (jp *JoinProbe) Process(w *engine.Worker, b *storage.Batch) *storage.Batch {
-	ht := jp.Build.Table()
-	out := jp.output(w, b.Rows())
-	walk := ht.chain()
-	for i, h := range w.HashRows(b, jp.ProbeKeys) {
-		matched := false
-		for id := ht.First(h); id >= 0; {
-			var ch *buildChunk
-			var bi int
-			ch, bi, id = walk.step(id)
-			build := ch.b
-			if !ht.KeyEq(build, bi, b, jp.ProbeKeys, i) {
-				continue
-			}
-			if jp.Residual != nil && !jp.Residual(b, i, build, bi) {
-				continue
-			}
-			matched = true
-			switch jp.Type {
-			case Inner, LeftOuter:
-				jp.emit(out, b, i, build, bi)
-			case Semi:
-				// One match suffices.
-			case Anti:
-				// A match disqualifies the probe row.
-			}
-			if jp.Type != Inner && jp.Type != LeftOuter {
-				break
-			}
-		}
-		switch jp.Type {
-		case Semi:
-			if matched {
-				jp.emitProbeOnly(out, b, i)
-			}
-		case Anti:
-			if !matched {
-				jp.emitProbeOnly(out, b, i)
-			}
-		case LeftOuter:
-			if !matched {
-				jp.emitProbeWithNulls(out, b, i)
-			}
-		}
+	for c, pc := range jp.ProbeCols {
+		gatherCol(out.Cols[c], b.Cols[pc], outRows)
 	}
+	for c, bc := range jp.BuildCols {
+		ht.gather(out.Cols[len(jp.ProbeCols)+c], bc, outIDs)
+	}
+	if jp.Type != Inner {
+		w.PopI32(outIDs)
+		w.PopI32(outRows)
+	}
+	w.PopI32(ids)
+	w.PopI32(rows)
 	jp.rowsIn.Add(uint64(b.Rows()))
 	jp.rowsOut.Add(uint64(out.Rows()))
 	if out.Rows() == 0 {
 		return nil
 	}
 	return out
+}
+
+// residual gathers the columns the residual reads at the key matches
+// (rows, ids) into a candidate batch, one row per match, selects it with
+// the residual's Pred, and keeps the selected matches, in order.
+func (jp *JoinProbe) residual(w *engine.Worker, b *storage.Batch, rows, ids []int32) ([]int32, []int32) {
+	cand, _ := jp.batch(w, 1, jp.candSchema, len(rows))
+	for k, rc := range jp.Residual.Cols {
+		if rc.Build {
+			jp.Build.Table().gather(cand.Cols[k], rc.Col, ids)
+		} else {
+			gatherCol(cand.Cols[k], b.Cols[rc.Col], rows)
+		}
+	}
+	sel := w.PushI32(len(rows))[:len(rows)]
+	for k := range sel {
+		sel[k] = int32(k)
+	}
+	sel = jp.Residual.Pred.Select(cand, sel, sel)
+	for j, k := range sel {
+		rows[j], ids[j] = rows[k], ids[k]
+	}
+	w.PopI32(sel)
+	return rows[:len(sel)], ids[:len(sel)]
 }
 
 // outCap estimates the output size of a morsel with n probe rows from the
@@ -471,34 +547,4 @@ func (jp *JoinProbe) outCap(n int) int {
 		est = 1
 	}
 	return est
-}
-
-func (jp *JoinProbe) emit(out, probe *storage.Batch, pi int, build *storage.Batch, bi int) {
-	c := 0
-	for _, pc := range jp.ProbeCols {
-		out.Cols[c].AppendFrom(probe.Cols[pc], pi)
-		c++
-	}
-	for _, bc := range jp.BuildCols {
-		out.Cols[c].AppendFrom(build.Cols[bc], bi)
-		c++
-	}
-}
-
-func (jp *JoinProbe) emitProbeOnly(out, probe *storage.Batch, pi int) {
-	for c, pc := range jp.ProbeCols {
-		out.Cols[c].AppendFrom(probe.Cols[pc], pi)
-	}
-}
-
-func (jp *JoinProbe) emitProbeWithNulls(out, probe *storage.Batch, pi int) {
-	c := 0
-	for _, pc := range jp.ProbeCols {
-		out.Cols[c].AppendFrom(probe.Cols[pc], pi)
-		c++
-	}
-	for range jp.BuildCols {
-		out.Cols[c].AppendNull()
-		c++
-	}
 }

@@ -3,6 +3,7 @@ package op
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"hsqp/internal/engine"
@@ -96,13 +97,15 @@ func sameRows(t *testing.T, what string, got, want *storage.Batch) {
 // TestInPlaceBuildMatchesConsolidated: a table indexed over mixed-size
 // batches in place joins exactly as one built over their consolidated
 // copy — the same rows in the same order — under every join type, with
-// and without a residual that reads the build row, and for GroupJoin.
+// and without a residual that reads both sides, and for GroupJoin.
 func TestInPlaceBuildMatchesConsolidated(t *testing.T) {
 	schema, batches, ids := mixedBuild()
 	copied := consolidated(schema, batches, ids)
 	probe := probeBatch()
-	residual := func(p *storage.Batch, pi int, b *storage.Batch, bi int) bool {
-		return b.Cols[2].I64[bi]%3 != p.Cols[1].I64[pi]%3
+	// build v < probe pv, or a build string with prefix "s1".
+	residual := &Residual{
+		Pred: Or(LT(Col(0), Col(1)), StrPrefix(2, "s1")),
+		Cols: []ResidualCol{{Build: true, Col: 2}, {Col: 1}, {Build: true, Col: 1}},
 	}
 	inPlace := func() *JoinBuild {
 		jb := NewJoinBuild(schema, []int{0})
@@ -123,7 +126,7 @@ func TestInPlaceBuildMatchesConsolidated(t *testing.T) {
 		t.Fatalf("the in-place table has %d chunks, want the 7 non-empty batches", got)
 	}
 	for _, typ := range []JoinType{Inner, LeftOuter, Semi, Anti} {
-		for _, res := range []ResidualPred{nil, residual} {
+		for _, res := range []*Residual{nil, residual} {
 			what := fmt.Sprintf("%v residual=%v", typ, res != nil)
 			var out [2]*storage.Batch
 			for i, jb := range []*JoinBuild{inPlace(), reference} {
@@ -140,25 +143,23 @@ func TestInPlaceBuildMatchesConsolidated(t *testing.T) {
 		{Kind: Sum, Name: "sum", Arg: Col(1), ArgType: storage.TInt64},
 		{Kind: Count, Name: "n"},
 	}
-	for _, res := range []ResidualPred{nil, residual} {
-		var out [2]*storage.Batch
-		for i, build := range [][]*storage.Batch{batches, {copied}} {
-			g := NewGroupJoinBuild(schema, []int{0}, aggs)
-			for j, b := range build {
-				id := 0
-				if len(build) > 1 {
-					id = ids[j]
-				}
-				g.Consume(&engine.Worker{ID: id}, b)
+	var out [2]*storage.Batch
+	for i, build := range [][]*storage.Batch{batches, {copied}} {
+		g := NewGroupJoinBuild(schema, []int{0}, aggs)
+		for j, b := range build {
+			id := 0
+			if len(build) > 1 {
+				id = ids[j]
 			}
-			if err := g.Finalize(); err != nil {
-				t.Fatal(err)
-			}
-			(&GroupJoinProbe{Build: g, ProbeKeys: []int{0}, Residual: res}).Consume(&engine.Worker{}, probe)
-			out[i] = g.ResultBatches()[0]
+			g.Consume(&engine.Worker{ID: id}, b)
 		}
-		sameRows(t, fmt.Sprintf("groupjoin residual=%v", res != nil), out[0], out[1])
+		if err := g.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		(&GroupJoinProbe{Build: g, ProbeKeys: []int{0}}).Consume(&engine.Worker{}, probe)
+		out[i] = g.ResultBatches()[0]
 	}
+	sameRows(t, "groupjoin", out[0], out[1])
 }
 
 // TestPackShiftRejectsOverflow: row ids pack chunk<<shift | offset into
@@ -197,4 +198,104 @@ func TestPackShiftRejectsOverflow(t *testing.T) {
 			t.Errorf("packShift(%d chunks, %d rows) = %d: the last id %d wraps", c.chunks, c.largest, shift, last)
 		}
 	}
+}
+
+// TestResidualJoinMatchesOracle checks a probe with a residual against a
+// nested-loop join: random builds of three to five batches whose keys
+// repeat (sometimes the nullable key column), every join type, random
+// residuals over a random choice of probe and build columns, nullable ones
+// included, in fresh and in reuse mode. The oracle walks the build rows in
+// table order (one worker consumed them, so one shard holds them), matches
+// keys by value and evaluates the residual's row form on a one-row batch
+// of the pair's own values.
+func TestResidualJoinMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	w := testEngine(t, 1).NewWorker(0)
+	for round := 0; round < 150; round++ {
+		key := []int{0, 5}[rng.Intn(2)]
+		probe := exprBatch(rng, rng.Intn(200))
+		var chunks []*storage.Batch
+		for range 3 + rng.Intn(3) {
+			chunks = append(chunks, exprBatch(rng, 1+rng.Intn(60)))
+		}
+		schema := probe.Schema
+		var sides []ResidualCol
+		for c := range schema.Fields {
+			sides = append(sides, ResidualCol{Col: c}, ResidualCol{Build: true, Col: c})
+		}
+		rng.Shuffle(len(sides), func(i, j int) { sides[i], sides[j] = sides[j], sides[i] })
+		cols := []ResidualCol{{Col: rng.Intn(len(schema.Fields))}, {Build: true, Col: rng.Intn(len(schema.Fields))}}
+		cols = append(cols, sides[:rng.Intn(4)]...)
+		cand := &storage.Schema{}
+		for _, rc := range cols {
+			cand.Fields = append(cand.Fields, schema.Fields[rc.Col])
+		}
+		res := &Residual{Pred: gen{rng, cand}.pred(2), Cols: cols}
+		pair := storage.NewBatch(cand, 1)
+		holds := func(pi int, build *storage.Batch, bi int) bool {
+			pair.Reset()
+			for k, rc := range cols {
+				if rc.Build {
+					pair.Cols[k].AppendFrom(build.Cols[rc.Col], bi)
+				} else {
+					pair.Cols[k].AppendFrom(probe.Cols[rc.Col], pi)
+				}
+			}
+			return res.Pred.Eval(pair, 0)
+		}
+		probeCols, buildCols := []int{0, 3, 6}, []int{1, 5, 7}
+		for _, typ := range []JoinType{Inner, LeftOuter, Semi, Anti} {
+			jb := NewJoinBuild(schema, []int{key})
+			for _, b := range chunks {
+				jb.Consume(w, b)
+			}
+			if err := jb.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			want := storage.NewBatch(NewJoinProbe(jb, typ, schema, []int{key}, probeCols, buildCols, nil).Schema, 0)
+			for pi := range probe.Rows() {
+				hit := false
+				for _, build := range chunks {
+					for bi := range build.Rows() {
+						k := probe.Cols[key].Value(pi)
+						if k == nil || k != build.Cols[key].Value(bi) || !holds(pi, build, bi) {
+							continue
+						}
+						hit = true
+						if typ == Inner || typ == LeftOuter {
+							want.AppendRow(append(pickRow(probe, pi, probeCols), pickRow(build, bi, buildCols)...)...)
+						}
+					}
+				}
+				switch {
+				case typ == Semi && hit, typ == Anti && !hit:
+					want.AppendRow(pickRow(probe, pi, probeCols)...)
+				case typ == LeftOuter && !hit:
+					want.AppendRow(append(pickRow(probe, pi, probeCols), nil, nil, nil)...)
+				}
+			}
+			for _, reuse := range []bool{false, true} {
+				jp := NewJoinProbe(jb, typ, schema, []int{key}, probeCols, buildCols, res)
+				if reuse {
+					jp.ReuseOutput(1)
+				}
+				got := jp.Process(w, probe)
+				what := fmt.Sprintf("round %d, %v reuse=%v, residual %T over %v", round, typ, reuse, res.Pred, cols)
+				if got == nil && want.Rows() == 0 {
+					continue
+				}
+				sameRows(t, what, got, want)
+				jp.Release(w)
+			}
+		}
+	}
+}
+
+// pickRow returns the values of row i of b in the given columns.
+func pickRow(b *storage.Batch, i int, cols []int) []any {
+	out := make([]any, len(cols))
+	for k, c := range cols {
+		out[k] = b.Cols[c].Value(i)
+	}
+	return out
 }

@@ -123,7 +123,8 @@ func pooledWorker(t *testing.T) *engine.Worker {
 
 // TestJoinProbeReuseAllocs: a warm reused probe writes into its slot's
 // pooled columns, and so does one whose columns went back to the pool in
-// between — no allocation per Process either way.
+// between — no allocation per Process either way, with or without a
+// residual, whose candidate batch is the slot's too.
 func TestJoinProbeReuseAllocs(t *testing.T) {
 	const n = 4096
 	b := keyedBatch(n)
@@ -133,18 +134,27 @@ func TestJoinProbeReuseAllocs(t *testing.T) {
 	if err := jb.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	jp := NewJoinProbe(jb, Inner, b.Schema, []int{0}, []int{0, 2}, []int{1}, nil)
-	jp.ReuseOutput(1)
-	jp.Process(w, b)
-	if got := testing.AllocsPerRun(10, func() { jp.Process(w, b) }); got != 0 {
-		t.Errorf("reused JoinProbe.Process of %d rows allocates %v times, want 0", n, got)
+	// probe v ≥ 100 and a build string with prefix "key1".
+	residual := &Residual{
+		Pred: And(I64GE(0, 100), StrPrefix(1, "key1")),
+		Cols: []ResidualCol{{Col: 2}, {Build: true, Col: 1}},
 	}
-	jp.Release(w)
-	if got := testing.AllocsPerRun(10, func() { jp.Process(w, b) }); got != 0 {
-		t.Errorf("JoinProbe.Process after Release allocates %v times, want 0", got)
-	}
-	if got := jp.BatchAllocs(); got != 1 {
-		t.Errorf("reused probe reports %d batch allocations, want 1 (its slot)", got)
+	for _, res := range []*Residual{nil, residual} {
+		jp := NewJoinProbe(jb, Inner, b.Schema, []int{0}, []int{0, 2}, []int{1}, res)
+		jp.ReuseOutput(1)
+		if out := jp.Process(w, b); res != nil && (out == nil || out.Rows() == n) {
+			t.Fatal("the residual selects no row or every row: the pin checks no narrowing")
+		}
+		if got := testing.AllocsPerRun(10, func() { jp.Process(w, b) }); got != 0 {
+			t.Errorf("reused JoinProbe.Process (residual=%v) of %d rows allocates %v times, want 0", res != nil, n, got)
+		}
+		jp.Release(w)
+		if got := testing.AllocsPerRun(10, func() { jp.Process(w, b) }); got != 0 {
+			t.Errorf("JoinProbe.Process (residual=%v) after Release allocates %v times, want 0", res != nil, got)
+		}
+		if got := jp.BatchAllocs(); got != 1 {
+			t.Errorf("reused probe (residual=%v) reports %d batch allocations, want 1 (its slot)", res != nil, got)
+		}
 	}
 }
 

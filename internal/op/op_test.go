@@ -115,7 +115,7 @@ func TestMapComputes(t *testing.T) {
 	}
 }
 
-func runJoin(t *testing.T, typ JoinType, residual ResidualPred) *storage.Batch {
+func runJoin(t *testing.T, typ JoinType, residual *Residual) *storage.Batch {
 	t.Helper()
 	e := testEngine(t, 4)
 	topo := e.Topology()
@@ -186,9 +186,7 @@ func TestHashJoinTypes(t *testing.T) {
 
 func TestJoinResidual(t *testing.T) {
 	// Residual keeps only probe rows with k < 50.
-	res := func(probe *storage.Batch, pi int, _ *storage.Batch, _ int) bool {
-		return probe.Cols[0].I64[pi] < 50
-	}
+	res := &Residual{Pred: I64LT(0, 50), Cols: []ResidualCol{{Col: 0}}}
 	inner := runJoin(t, Inner, res)
 	if inner.Rows() != 40 {
 		t.Fatalf("residual inner: %d rows, want 40", inner.Rows())

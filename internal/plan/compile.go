@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"hsqp/internal/engine"
 	"hsqp/internal/exchange"
@@ -437,41 +438,19 @@ func (c *compiler) buildJoin(n *Node) (*stream, error) {
 	// the pruned column space, and n is shared by every server's compile —
 	// Node fields must never be mutated.
 	buildKeys, probeKeys := n.BuildKeys, n.ProbeKeys
-	buildOut, probeOut := n.BuildOut, n.ProbeOut
+	buildOut, probeOut, residual := n.BuildOut, n.ProbeOut, n.Residual
 
 	// Pushdown below exchanges: a side that is about to be serialized onto
 	// the wire is narrowed to the columns the join actually consumes (its
-	// keys plus its output columns), so dropped columns never reach the
-	// codec. Residual predicates capture original column indexes of both
-	// sides, so they disable pruning.
-	if !c.env.NoPushdown && n.Residual == nil {
-		pruneBuild, pruneProbe := false, false
-		switch strat {
-		case BroadcastBuild:
-			pruneBuild = !bs.replicated
-		case PartitionBoth:
-			pruneBuild = !aligned(bs.part, buildKeys)
-			pruneProbe = !aligned(ps.part, probeKeys)
-		case SkewAdaptive:
-			pruneBuild, pruneProbe = true, true
+	// keys, its output columns and the columns the residual reads), so
+	// dropped columns never reach the codec.
+	if !c.env.NoPushdown {
+		skew := strat == SkewAdaptive
+		if skew || strat == BroadcastBuild && !bs.replicated || strat == PartitionBoth && !aligned(bs.part, buildKeys) {
+			residual = prune(bs, true, &buildKeys, &buildOut, residual)
 		}
-		if pruneBuild {
-			if keep, ok := pruneCols(bs.schema.Len(), buildKeys, buildOut); ok {
-				bs.ops = append(bs.ops, op.NewProject(bs.schema, keep))
-				bs.schema = bs.schema.Project(keep)
-				bs.part = remap(bs.part, keep)
-				buildKeys = remap(buildKeys, keep)
-				buildOut = remap(buildOut, keep)
-			}
-		}
-		if pruneProbe {
-			if keep, ok := pruneCols(ps.schema.Len(), probeKeys, probeOut); ok {
-				ps.ops = append(ps.ops, op.NewProject(ps.schema, keep))
-				ps.schema = ps.schema.Project(keep)
-				ps.part = remap(ps.part, keep)
-				probeKeys = remap(probeKeys, keep)
-				probeOut = remap(probeOut, keep)
-			}
+		if skew || strat == PartitionBoth && !aligned(ps.part, probeKeys) {
+			residual = prune(ps, false, &probeKeys, &probeOut, residual)
 		}
 	}
 
@@ -520,7 +499,7 @@ func (c *compiler) buildJoin(n *Node) (*stream, error) {
 		Sink:            jb,
 		CoordinatorOnly: bs.coordOnly,
 	}, bs.deps)
-	probe := op.NewJoinProbe(jb, n.JoinType, ps.schema, probeKeys, probeOut, buildOut, n.Residual)
+	probe := op.NewJoinProbe(jb, n.JoinType, ps.schema, probeKeys, probeOut, buildOut, residual)
 	ps.ops = append(ps.ops, probe)
 	// Build-before-probe: whichever pipeline ends up running the probe
 	// operator must wait for the hash table to finalize.
@@ -544,26 +523,38 @@ func (c *compiler) buildJoin(n *Node) (*stream, error) {
 	return ps, nil
 }
 
-// pruneCols computes the columns (ascending) of a width-column schema that
-// a join side must keep: its keys and output columns. ok is false when
-// nothing can be pruned.
-func pruneCols(width int, keys, out []int) (keep []int, ok bool) {
-	need := make([]bool, width)
-	for _, c := range keys {
-		need[c] = true
-	}
-	for _, c := range out {
-		need[c] = true
-	}
-	for i, b := range need {
-		if b {
-			keep = append(keep, i)
+// prune narrows a join side's stream to the columns the join consumes of
+// it — keys, output columns, the residual's columns — and remaps those on
+// the caller's copies (n is shared by every server's compile). It returns
+// the residual over the pruned side.
+func prune(s *stream, build bool, keys, out *[]int, res *op.Residual) *op.Residual {
+	used := slices.Concat(*keys, *out)
+	if res != nil {
+		for _, rc := range res.Cols {
+			if rc.Build == build {
+				used = append(used, rc.Col)
+			}
 		}
 	}
-	if len(keep) == width {
-		return nil, false
+	slices.Sort(used)
+	keep := slices.Compact(used)
+	if len(keep) == s.schema.Len() {
+		return res
 	}
-	return keep, true
+	s.ops = append(s.ops, op.NewProject(s.schema, keep))
+	s.schema = s.schema.Project(keep)
+	s.part = remap(s.part, keep)
+	*keys, *out = remap(*keys, keep), remap(*out, keep)
+	if res == nil {
+		return nil
+	}
+	r := &op.Residual{Pred: res.Pred, Cols: slices.Clone(res.Cols)}
+	for k, rc := range r.Cols {
+		if rc.Build == build {
+			r.Cols[k].Col = slices.Index(keep, rc.Col)
+		}
+	}
+	return r
 }
 
 func (c *compiler) decideJoin(n *Node, bs, ps *stream) JoinStrategy {
@@ -618,7 +609,7 @@ func (c *compiler) buildGroupJoin(n *Node) (*stream, error) {
 		Ops:    bs.ops,
 		Sink:   gjb,
 	}, bs.deps)
-	gjp := &op.GroupJoinProbe{Build: gjb, ProbeKeys: n.ProbeKeys, Residual: n.Residual}
+	gjp := &op.GroupJoinProbe{Build: gjb, ProbeKeys: n.ProbeKeys}
 	probe := c.add(&engine.Pipeline{
 		Name:   joinName(n, "gj-probe"),
 		Source: ps.source,

@@ -86,7 +86,7 @@ type Node struct {
 	JoinType  op.JoinType
 	BuildKeys []int
 	ProbeKeys []int
-	Residual  op.ResidualPred
+	Residual  *op.Residual
 	Strategy  JoinStrategy
 	// ProbeOut/BuildOut select output columns (nil = all).
 	ProbeOut []int
@@ -138,15 +138,43 @@ func (n *Node) ProjectCols(cols []int) *Node {
 	return &Node{Kind: KProject, In: n, Cols: cols, schema: n.schema.Project(cols)}
 }
 
-// JoinSpec carries the optional knobs of a join.
+// JoinSpec carries the optional knobs of a join. Residual is a
+// non-equality condition over the key-matching pairs, e.g. Q20's
+//
+//	on := plan.On(ps, qtyPerPS)
+//	on.Where(op.LT(op.Col(on.Build("sum_qty")), op.MulDec(op.Col(on.Probe("ps_availqty")), op.ConstI(20000))))
 type JoinSpec struct {
 	Type     op.JoinType
 	Strategy JoinStrategy
-	Residual op.ResidualPred
+	Residual *op.Residual
 	// ProbeOut/BuildOut are output column names (nil = all columns).
 	ProbeOut []string
 	BuildOut []string
 }
+
+// JoinOn names the columns of a join residual by side.
+type JoinOn struct {
+	probe, build *Node
+	cols         []op.ResidualCol
+}
+
+// On starts a residual for probe.Join(build, …).
+func On(probe, build *Node) *JoinOn { return &JoinOn{probe: probe, build: build} }
+
+// Probe adds a probe column to the residual's candidate batch and returns
+// its index there, the one an op.Pred reads.
+func (o *JoinOn) Probe(name string) int { return o.add(false, o.probe.Col(name)) }
+
+// Build is Probe for a build column.
+func (o *JoinOn) Build(name string) int { return o.add(true, o.build.Col(name)) }
+
+func (o *JoinOn) add(build bool, c int) int {
+	o.cols = append(o.cols, op.ResidualCol{Build: build, Col: c})
+	return len(o.cols) - 1
+}
+
+// Where returns the residual pred over the columns added so far.
+func (o *JoinOn) Where(pred op.Pred) *op.Residual { return &op.Residual{Pred: pred, Cols: o.cols} }
 
 // Join hash-joins probe (receiver) with build on name-resolved keys.
 // The receiver is the probe (streaming) side.
@@ -219,7 +247,7 @@ func (n *Node) GroupByCols(keys []int, aggs ...op.AggSpec) *Node {
 // GroupJoin combines a join and a group-by on the same key: the receiver
 // is the probe (aggregated) side, build the group side. Output: build
 // columns then aggregate values, one row per matched build row.
-func (n *Node) GroupJoin(build *Node, probeKeys, buildKeys []string, residual op.ResidualPred, aggs ...op.AggSpec) *Node {
+func (n *Node) GroupJoin(build *Node, probeKeys, buildKeys []string, aggs ...op.AggSpec) *Node {
 	pk := make([]int, len(probeKeys))
 	for i, k := range probeKeys {
 		pk[i] = n.Col(k)
@@ -238,7 +266,6 @@ func (n *Node) GroupJoin(build *Node, probeKeys, buildKeys []string, residual op
 		Probe:     n,
 		BuildKeys: bk,
 		ProbeKeys: pk,
-		Residual:  residual,
 		Aggs:      aggs,
 		schema:    out,
 	}

@@ -61,7 +61,7 @@ func TestBuilderSchemas(t *testing.T) {
 		gs.Fields[2].Type != storage.TInt64 || gs.Fields[3].Type != storage.TDecimal {
 		t.Fatalf("groupby schema %v", gs)
 	}
-	gj := l.GroupJoin(r, []string{"l_k"}, []string{"r_k"}, nil,
+	gj := l.GroupJoin(r, []string{"l_k"}, []string{"r_k"},
 		op.AggSpec{Kind: op.Count, Name: "n"})
 	if gj.Schema().Len() != 3 || gj.Col("n") != 2 {
 		t.Fatalf("groupjoin schema %v", gj.Schema())

@@ -99,11 +99,10 @@ func q11(p Params) *plan.Query {
 	grouped := base.GroupBy([]string{"ps_partkey"}, sumDec("value", col(base, "value")))
 	total := base.GroupByCols(nil, sumDec("total", col(base, "value")))
 
+	on := plan.On(grouped, total)
 	f := grouped.Join(total, nil, nil, plan.JoinSpec{
-		Type: op.Semi,
-		Residual: func(probe *storage.Batch, pi int, build *storage.Batch, bi int) bool {
-			return float64(probe.Cols[1].I64[pi]) > float64(build.Cols[0].I64[bi])*frac
-		},
+		Type:     op.Semi,
+		Residual: on.Where(op.GTFrac(op.Col(on.Probe("value")), op.Col(on.Build("total")), frac)),
 	})
 	f = f.OrderBy([]op.SortKey{desc(f, "value")}, 0)
 	return plan.NewQuery("q11", f)

@@ -19,25 +19,22 @@ func q17(Params) *plan.Query {
 
 	l := scan("lineitem")
 	l = l.Project("l_partkey", "l_quantity")
-	gj := l.GroupJoin(part, []string{"l_partkey"}, []string{"p_partkey"}, nil,
+	gj := l.GroupJoin(part, []string{"l_partkey"}, []string{"p_partkey"},
 		avgDec("avg_qty", col(l, "l_quantity")))
 	// gj: (p_partkey, avg_qty), one row per matched part.
 
 	l2 := scan("lineitem")
 	l2 = l2.Project("l_partkey", "l_quantity", "l_extendedprice")
+	// l_quantity < 0.2 × avg(qty)  ⇔  l_quantity × 5.00 < avg
+	on := plan.On(l2, gj)
 	j := l2.Join(gj, []string{"l_partkey"}, []string{"p_partkey"},
 		plan.JoinSpec{
 			Type:     op.Inner,
 			Strategy: plan.BroadcastBuild,
 			ProbeOut: []string{"l_extendedprice"},
 			BuildOut: []string{},
-			Residual: func() op.ResidualPred {
-				qty := l2.Col("l_quantity")
-				return func(probe *storage.Batch, pi int, build *storage.Batch, bi int) bool {
-					// l_quantity < 0.2 × avg(qty)  ⇔  5×qty < avg
-					return 5*probe.Cols[qty].I64[pi] < build.Cols[1].I64[bi]
-				}
-			}(),
+			Residual: on.Where(op.LT(op.MulDec(op.Col(on.Probe("l_quantity")), op.ConstI(500)),
+				op.Col(on.Build("avg_qty")))),
 		})
 	g := j.GroupByCols(nil, sumDec("sum_price", col(j, "l_extendedprice")))
 	g = g.Map(op.NamedExpr{Name: "avg_yearly", Type: storage.TDecimal,
@@ -55,7 +52,7 @@ func q18(Params) *plan.Query {
 	})
 	l := scan("lineitem")
 	l = l.Project("l_orderkey", "l_quantity")
-	gj := l.GroupJoin(o, []string{"l_orderkey"}, []string{"o_orderkey"}, nil,
+	gj := l.GroupJoin(o, []string{"l_orderkey"}, []string{"o_orderkey"},
 		sumDec("sum_qty", col(l, "l_quantity")))
 	big := gj.Select(op.I64GT(gj.Col("sum_qty"), 300*100))
 
@@ -80,43 +77,28 @@ func q19(Params) *plan.Query {
 	l = l.Project("l_partkey", "l_quantity", "l_extendedprice", "l_discount")
 	part := scan("part")
 
-	qty := l.Col("l_quantity")
-	brand := part.Col("p_brand")
-	container := part.Col("p_container")
-	size := part.Col("p_size")
-	branch := func(wantBrand string, containers []string, qlo, qhi, smax int64) op.ResidualPred {
-		cset := map[string]struct{}{}
-		for _, c := range containers {
-			cset[c] = struct{}{}
-		}
-		return func(probe *storage.Batch, pi int, build *storage.Batch, bi int) bool {
-			if build.Cols[brand].Str[bi] != wantBrand {
-				return false
-			}
-			if _, ok := cset[build.Cols[container].Str[bi]]; !ok {
-				return false
-			}
-			q := probe.Cols[qty].I64[pi]
-			if q < qlo*100 || q > qhi*100 {
-				return false
-			}
-			s := build.Cols[size].I64[bi]
-			return s >= 1 && s <= smax
-		}
+	on := plan.On(l, part)
+	qty, brand := on.Probe("l_quantity"), on.Build("p_brand")
+	container, size := on.Build("p_container"), on.Build("p_size")
+	branch := func(wantBrand string, containers []string, qlo, qhi, smax int64) op.Pred {
+		return op.And(
+			op.StrEQ(brand, wantBrand),
+			op.StrIn(container, containers...),
+			op.I64Between(qty, qlo*100, qhi*100),
+			op.I64Between(size, 1, smax),
+		)
 	}
-	b1 := branch("Brand#12", []string{"SM CASE", "SM BOX", "SM PACK", "SM PKG"}, 1, 11, 5)
-	b2 := branch("Brand#23", []string{"MED BAG", "MED BOX", "MED PKG", "MED PACK"}, 10, 20, 10)
-	b3 := branch("Brand#34", []string{"LG CASE", "LG BOX", "LG PACK", "LG PKG"}, 20, 30, 15)
-
 	j := l.Join(part, []string{"l_partkey"}, []string{"p_partkey"},
 		plan.JoinSpec{
 			Type:     op.Inner,
 			Strategy: plan.BroadcastBuild,
 			ProbeOut: []string{"l_extendedprice", "l_discount"},
 			BuildOut: []string{},
-			Residual: func(probe *storage.Batch, pi int, build *storage.Batch, bi int) bool {
-				return b1(probe, pi, build, bi) || b2(probe, pi, build, bi) || b3(probe, pi, build, bi)
-			},
+			Residual: on.Where(op.Or(
+				branch("Brand#12", []string{"SM CASE", "SM BOX", "SM PACK", "SM PKG"}, 1, 11, 5),
+				branch("Brand#23", []string{"MED BAG", "MED BOX", "MED PKG", "MED PACK"}, 10, 20, 10),
+				branch("Brand#34", []string{"LG CASE", "LG BOX", "LG PACK", "LG PKG"}, 20, 30, 15),
+			)),
 		})
 	j = j.Map(op.NamedExpr{Name: "rev", Type: storage.TDecimal, Expr: revenue(j)})
 	g := j.GroupByCols(nil, sumDec("revenue", col(j, "rev")))
@@ -143,16 +125,15 @@ func q20(Params) *plan.Query {
 	ps = ps.Join(part, []string{"ps_partkey"}, []string{"p_partkey"},
 		plan.JoinSpec{Type: op.Semi, Strategy: plan.BroadcastBuild,
 			ProbeOut: []string{"ps_partkey", "ps_suppkey", "ps_availqty"}})
-	availIdx := ps.Col("ps_availqty")
+	// ps_availqty > 0.5 × sum(l_quantity); availqty is a plain integer,
+	// sum_qty decimal hundredths: sum_qty < availqty × 200.00.
+	on := plan.On(ps, qtyPerPS)
 	candidates := ps.Join(qtyPerPS,
 		[]string{"ps_partkey", "ps_suppkey"}, []string{"l_partkey", "l_suppkey"},
 		plan.JoinSpec{
 			Type: op.Semi,
-			Residual: func(probe *storage.Batch, pi int, build *storage.Batch, bi int) bool {
-				// ps_availqty > 0.5 × sum(l_quantity); availqty is a plain
-				// integer, sum_qty decimal hundredths.
-				return probe.Cols[availIdx].I64[pi]*200 > build.Cols[2].I64[bi]
-			},
+			Residual: on.Where(op.LT(op.Col(on.Build("sum_qty")),
+				op.MulDec(op.Col(on.Probe("ps_availqty")), op.ConstI(20000)))),
 		})
 	candidates = candidates.Project("ps_suppkey")
 
@@ -194,25 +175,22 @@ func q21(Params) *plan.Query {
 	// exists l2: same order, different supplier.
 	l2 := scan("lineitem")
 	l2 = l2.Project("l_orderkey", "l_suppkey")
-	suppIdx := j.Col("l_suppkey")
+	on2 := plan.On(j, l2)
 	j = j.Join(l2, []string{"l_orderkey"}, []string{"l_orderkey"},
 		plan.JoinSpec{
-			Type: op.Semi,
-			Residual: func(probe *storage.Batch, pi int, build *storage.Batch, bi int) bool {
-				return build.Cols[1].I64[bi] != probe.Cols[suppIdx].I64[pi]
-			},
+			Type:     op.Semi,
+			Residual: on2.Where(op.NE(op.Col(on2.Build("l_suppkey")), op.Col(on2.Probe("l_suppkey")))),
 		})
 
 	// not exists l3: same order, different supplier, also late.
 	l3 := scan("lineitem")
 	l3 = l3.Select(op.ColLT(l3.Col("l_commitdate"), l3.Col("l_receiptdate")))
 	l3 = l3.Project("l_orderkey", "l_suppkey")
+	on3 := plan.On(j, l3)
 	j = j.Join(l3, []string{"l_orderkey"}, []string{"l_orderkey"},
 		plan.JoinSpec{
-			Type: op.Anti,
-			Residual: func(probe *storage.Batch, pi int, build *storage.Batch, bi int) bool {
-				return build.Cols[1].I64[bi] != probe.Cols[suppIdx].I64[pi]
-			},
+			Type:     op.Anti,
+			Residual: on3.Where(op.NE(op.Col(on3.Build("l_suppkey")), op.Col(on3.Probe("l_suppkey")))),
 		})
 
 	g := j.GroupBy([]string{"s_name"}, count("numwait"))
@@ -231,12 +209,10 @@ func q22(Params) *plan.Query {
 	withBal := cf.Select(op.I64GT(cf.Col("c_acctbal"), 0))
 	avgBal := withBal.GroupByCols(nil, avgDec("avg_bal", col(withBal, "c_acctbal")))
 
-	balIdx := cf.Col("c_acctbal")
+	on := plan.On(cf, avgBal)
 	rich := cf.Join(avgBal, nil, nil, plan.JoinSpec{
-		Type: op.Semi,
-		Residual: func(probe *storage.Batch, pi int, build *storage.Batch, bi int) bool {
-			return probe.Cols[balIdx].I64[pi] > build.Cols[0].I64[bi]
-		},
+		Type:     op.Semi,
+		Residual: on.Where(op.LT(op.Col(on.Build("avg_bal")), op.Col(on.Probe("c_acctbal")))),
 	})
 	o := scan("orders")
 	o = o.Project("o_custkey")
