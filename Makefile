@@ -17,13 +17,13 @@ race:
 # routing, decode, group-by, join, reused operator output, the engine's
 # column pool and worker scratch): an allocation creeping back fails here
 # by name. The files are //go:build !race — the race detector allocates —
-# so no -race. One pass of the decode, fused-stage and group-by
+# so no -race. One pass of the decode, fused-stage, group-by and join-probe
 # micro-benchmarks keeps them compiling and prints their rates and
 # allocs/op.
 allocs:
 	$(GO) test -run 'Allocs' ./internal/storage ./internal/ser ./internal/op ./internal/exchange ./internal/engine
 	$(GO) test -run '^$$' -bench DecodeAll -benchtime 1x ./internal/ser
-	$(GO) test -run '^$$' -bench '^Benchmark(Fused|GroupBy)$$' -benchtime 1x ./internal/op
+	$(GO) test -run '^$$' -bench '^Benchmark(Fused|GroupBy|JoinProbe)$$' -benchtime 1x ./internal/op
 
 # The repo's invariant linter (see docs/invariants.md) plus the vet
 # checks CI enforces. nilness is not in `go vet`; hsqplint ships its own.

@@ -46,13 +46,14 @@ type Worker struct {
 	// It lives here, not on an operator, so one vector per pool worker
 	// serves every morsel of every query; so do the scratch stacks.
 	hashes []uint32
-	// i64 and i32 are stacks of scratch vectors for batch kernels: a
-	// selection, an expression's intermediate operands, an aggregation's
-	// group ids, a group-join's match list. n64 and n32 are their depths.
-	i64 []*storage.Column
-	i32 [][]int32
-	n64 int
-	n32 int
+	// cols and i32 are stacks of scratch vectors for batch kernels: an
+	// expression's intermediate operands, an aggregate's arguments, a
+	// selection, an aggregation's group ids, a group-join's match list.
+	// nCol and n32 are their depths.
+	cols []*storage.Column
+	i32  [][]int32
+	nCol int
+	n32  int
 	// pool is the engine's column pool (nil for a bare &Worker{}).
 	pool *colPool
 }
@@ -69,32 +70,32 @@ func (w *Worker) HashRows(b *storage.Batch, keys []int) []uint32 {
 	return w.hashes
 }
 
-// PushI64 returns an int64 column with n values on top of the worker's
-// scratch stack: an expression kernel's intermediate operand, an
-// aggregate's argument vector. Its values are stale. It is the caller's
-// until the matching PopI64, and a kernel pops what it pushed before it
+// PushCol returns a non-nullable column of type t with n values on top of
+// the worker's scratch stack: an expression kernel's intermediate operand,
+// an aggregate's argument vector. Its values are stale. It is the caller's
+// until the matching PopCol, and a kernel pops what it pushed before it
 // returns, so the stack is only as deep as the deepest expression. A nil
 // worker gets a fresh column.
-func (w *Worker) PushI64(n int) *storage.Column {
+func (w *Worker) PushCol(t storage.Type, n int) *storage.Column {
 	if w == nil {
-		return &storage.Column{Type: storage.TInt64, I64: make([]int64, n)}
+		c := &storage.Column{Type: t}
+		c.SetLen(n)
+		return c
 	}
-	if w.n64 == len(w.i64) {
-		w.i64 = append(w.i64, &storage.Column{Type: storage.TInt64})
+	if w.nCol == len(w.cols) {
+		w.cols = append(w.cols, &storage.Column{})
 	}
-	c := w.i64[w.n64]
-	w.n64++
-	if cap(c.I64) < n {
-		c.I64 = make([]int64, n, n+n/4)
-	}
-	c.I64 = c.I64[:n]
+	c := w.cols[w.nCol]
+	w.nCol++
+	c.Type, c.Nullable = t, false
+	c.SetLen(n)
 	return c
 }
 
-// PopI64 pops the top of the int64 scratch stack.
-func (w *Worker) PopI64() {
+// PopCol pops the top of the column scratch stack.
+func (w *Worker) PopCol() {
 	if w != nil {
-		w.n64--
+		w.nCol--
 	}
 }
 

@@ -23,9 +23,9 @@ func TestColumnPoolAllocs(t *testing.T) {
 		t.Errorf("take + give on a warm pool allocates %v times, want 0", got)
 	}
 	scratch := func() {
-		a, b := w.PushI64(1024), w.PushI32(1024)
+		a, b := w.PushCol(storage.TInt64, 1024), w.PushI32(1024)
 		w.PopI32(b)
-		w.PopI64()
+		w.PopCol()
 		_ = a
 	}
 	scratch()

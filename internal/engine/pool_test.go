@@ -86,30 +86,32 @@ func TestColumnPoolFallback(t *testing.T) {
 }
 
 // TestScratchStack: pushes hand out distinct vectors of the asked size, a
-// pop hands the top one to the next push, a vector an append outgrew stays
+// pop hands the top one to the next push (as a non-nullable column of the
+// type that push asks for), a vector an append outgrew stays
 // grown, and a nil worker gets fresh vectors.
 func TestScratchStack(t *testing.T) {
 	w := &Worker{}
-	a, b := w.PushI64(4), w.PushI64(8)
+	a, b := w.PushCol(storage.TInt64, 4), w.PushCol(storage.TInt64, 8)
 	if a == b || len(a.I64) != 4 || len(b.I64) != 8 {
 		t.Fatalf("two pushes gave %p (len %d) and %p (len %d)", a, len(a.I64), b, len(b.I64))
 	}
-	w.PopI64()
-	if c := w.PushI64(2); c != b || len(c.I64) != 2 {
-		t.Fatalf("the push after a pop did not reuse the popped column")
+	b.Nullable = true
+	w.PopCol()
+	if c := w.PushCol(storage.TString, 2); c != b || len(c.Str) != 2 || c.Type != storage.TString || c.Nullable {
+		t.Fatalf("the push after a pop did not reuse the popped column as a non-nullable string column: %+v", c)
 	}
-	w.PopI64()
-	w.PopI64()
+	w.PopCol()
+	w.PopCol()
 	v := append(w.PushI32(2), 1, 2, 3, 4, 5)
 	w.PopI32(v)
 	if u := w.PushI32(0); cap(u) < 5 {
 		t.Fatalf("the stack dropped a vector grown to %d: next push has room for %d", cap(v), cap(u))
 	}
 	var nilWorker *Worker
-	if c := nilWorker.PushI64(3); len(c.I64) != 3 || c.Type != storage.TInt64 {
-		t.Fatalf("nil worker: PushI64(3) = %+v", c)
+	if c := nilWorker.PushCol(storage.TFloat64, 3); len(c.F64) != 3 || c.Type != storage.TFloat64 {
+		t.Fatalf("nil worker: PushCol(TFloat64, 3) = %+v", c)
 	}
-	nilWorker.PopI64()
+	nilWorker.PopCol()
 	if v := nilWorker.PushI32(3); len(v) != 0 || cap(v) < 3 {
 		t.Fatalf("nil worker: PushI32(3) = len %d cap %d", len(v), cap(v))
 	}

@@ -248,7 +248,7 @@ func (s *scheduler) process(w *Worker, node int, b *storage.Batch) (err error) {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("pipeline %q worker panicked: %v", p.Name, r)
 			// The operator never popped what it pushed.
-			w.n64, w.n32 = 0, 0
+			w.nCol, w.n32 = 0, 0
 		}
 	}()
 	for oi, op := range p.Ops {

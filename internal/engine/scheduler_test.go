@@ -163,7 +163,7 @@ func TestCrossPipelineWorkStealing(t *testing.T) {
 func TestWorkerPanicReturnsError(t *testing.T) {
 	e := newTestEngine(t, 4)
 	boom := opFunc(func(w *Worker, b *storage.Batch) *storage.Batch {
-		w.PushI64(8)
+		w.PushCol(storage.TInt64, 8)
 		w.PushI32(8)
 		panic("kaboom")
 	})
@@ -184,7 +184,7 @@ func TestWorkerPanicReturnsError(t *testing.T) {
 	sink := &countSink{}
 	var leftover atomic.Int64
 	depth := opFunc(func(w *Worker, b *storage.Batch) *storage.Batch {
-		leftover.Add(int64(w.n64 + w.n32))
+		leftover.Add(int64(w.nCol + w.n32))
 		return b
 	})
 	if err := e.RunPipeline(&Pipeline{Name: "after", Source: &countSource{left: 10, b: smallBatch()}, Ops: []Op{depth}, Sink: sink}); err != nil {

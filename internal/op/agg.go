@@ -1,6 +1,7 @@
 package op
 
 import (
+	"cmp"
 	"fmt"
 
 	"hsqp/internal/engine"
@@ -52,7 +53,7 @@ type AggSpec struct {
 	Name    string
 	Arg     Expr         // nil only for Count(*)
 	Arg2    Expr         // AvgMerge: the partial count column
-	ArgType storage.Type // type of Arg (drives arithmetic and output type)
+	ArgType storage.Type // type Arg is evaluated to, Count's too (drives arithmetic and output type)
 }
 
 // ResultField returns the output schema field of the aggregate.
@@ -264,150 +265,97 @@ func (g *GroupBy) Consume(w *engine.Worker, b *storage.Batch) {
 	}
 	for a := range g.Aggs {
 		spec := &g.Aggs[a]
-		fold(t.states, len(g.Aggs), a, spec, b, rows, groups, aggArgs(w, b, rows, spec))
-		w.PopI64()
-		w.PopI64()
+		fold(w, t.states, len(g.Aggs), a, spec, rows, groups, aggArgs(w, b, rows, spec))
+		w.PopCol()
+		w.PopCol()
 	}
 	w.PopI32(rows)
 	w.PopI32(groups)
 }
 
 // aggArg is one aggregate's arguments over a batch, as aggArgs evaluated
-// them: x and x2 hold the values of Arg and Arg2 at each row's own index.
-// ok is false when fold must take update's row form instead.
-type aggArg struct {
-	x, x2 []int64
-	ok    bool
-}
+// them: x and x2 hold the values of Arg and Arg2 at each row's own index,
+// with their validity; x is nil for Count(*), x2 unless AvgMerge.
+type aggArg struct{ x, x2 *storage.Column }
 
 // aggArgs evaluates spec's arguments at sel (distinct rows of b in
-// increasing order) into two scratch vectors it pushes on w; the caller
-// pops both once it has folded them. ok is false for a float or string
-// argument or one that may be NULL over b.
+// increasing order) into two scratch columns it pushes on w, x of the
+// argument's type; the caller pops both once it has folded them.
 func aggArgs(w *engine.Worker, b *storage.Batch, sel []int32, spec *AggSpec) aggArg {
-	s1, s2 := w.PushI64(b.Rows()), w.PushI64(b.Rows())
-	if spec.Arg == nil {
-		return aggArg{ok: true} // Count(*)
+	s1, s2 := w.PushCol(spec.ArgType, b.Rows()), w.PushCol(storage.TInt64, b.Rows())
+	var arg aggArg
+	if spec.Arg != nil {
+		arg.x = spec.Arg.Vec(w, b, sel, s1)
 	}
-	if !isI64(spec.ArgType) {
-		return aggArg{}
+	if spec.Arg2 != nil {
+		arg.x2 = spec.Arg2.Vec(w, b, sel, s2)
 	}
-	r, ok := spec.Arg.Vec(w, b, sel, s1)
-	if !ok {
-		return aggArg{}
-	}
-	if spec.Arg2 == nil {
-		return aggArg{x: r.I64, ok: true}
-	}
-	r2, ok := spec.Arg2.Vec(w, b, sel, s2)
-	if !ok {
-		return aggArg{}
-	}
-	return aggArg{x: r.I64, x2: r2.I64, ok: true}
+	return arg
 }
 
 // fold folds aggregate a over a batch's matches: match k folds row rows[k]
-// of b into group groups[k], whose states start at
-// states[groups[k]*stride]. With arg.ok, one typed loop per kind folds the
-// argument vectors, indexed by row; without, update folds a row at a time.
-func fold(states []aggState, stride, a int, spec *AggSpec, b *storage.Batch, rows, groups []int32, arg aggArg) {
+// of the batch into group groups[k], whose states start at
+// states[groups[k]*stride]. The matches whose argument is NULL are dropped
+// first, into two vectors pushed on w; then one typed loop per kind and
+// argument type folds the argument columns, indexed by row. Sum counts
+// its rows like Avg does, which appendFinal ignores.
+func fold(w *engine.Worker, states []aggState, stride, a int, spec *AggSpec, rows, groups []int32, arg aggArg) {
 	x, x2 := arg.x, arg.x2
-	if !arg.ok {
-		for k, g := range groups {
-			update(&states[int(g)*stride+a], spec, b, int(rows[k]))
+	if x != nil && x.Nullable || x2 != nil && x2.Nullable {
+		rs, gs := w.PushI32(len(rows)), w.PushI32(len(groups))
+		for k, r := range rows {
+			if !x.IsNull(int(r)) && (x2 == nil || !x2.IsNull(int(r))) {
+				rs, gs = append(rs, r), append(gs, groups[k])
+			}
 		}
-		return
+		defer w.PopI32(rs)
+		defer w.PopI32(gs)
+		rows, groups = rs, gs
 	}
-	switch spec.Kind {
-	case Count:
+	float := x != nil && x.Type == storage.TFloat64
+	switch k := spec.Kind; {
+	case k == Count:
 		for _, g := range groups {
 			states[int(g)*stride+a].cnt++
 		}
-	case Sum, Avg:
-		for k, g := range groups {
+	case (k == Sum || k == Avg) && !float:
+		for j, g := range groups {
 			st := &states[int(g)*stride+a]
-			st.i += x[rows[k]]
+			st.i += x.I64[rows[j]]
 			st.cnt++
 			st.set = true
 		}
-	case AvgMerge:
-		for k, g := range groups {
-			st := &states[int(g)*stride+a]
-			st.i += x[rows[k]]
-			st.cnt += x2[rows[k]]
+	case k == Sum || k == Avg || k == AvgMerge:
+		for j, g := range groups {
+			st, r := &states[int(g)*stride+a], rows[j]
+			if float {
+				st.f += x.F64[r]
+			} else {
+				st.i += x.I64[r]
+			}
+			if k == AvgMerge {
+				st.cnt += x2.I64[r]
+			} else {
+				st.cnt++
+			}
 			st.set = true
 		}
-	case Min:
-		for k, g := range groups {
-			if st, v := &states[int(g)*stride+a], x[rows[k]]; !st.set || v < st.i {
-				st.i, st.set = v, true
-			}
-		}
-	case Max:
-		for k, g := range groups {
-			if st, v := &states[int(g)*stride+a], x[rows[k]]; !st.set || v > st.i {
-				st.i, st.set = v, true
-			}
-		}
+	case x.Type == storage.TFloat64:
+		foldBest(states, stride, a, k == Max, x.F64, rows, groups, func(st *aggState) *float64 { return &st.f })
+	case x.Type == storage.TString:
+		foldBest(states, stride, a, k == Max, x.Str, rows, groups, func(st *aggState) *string { return &st.s })
+	default:
+		foldBest(states, stride, a, k == Max, x.I64, rows, groups, func(st *aggState) *int64 { return &st.i })
 	}
 }
 
-// update folds row i of b into one aggregate state: fold's row form, for
-// NULL, float and string arguments. Sum counts its rows like Avg does,
-// which appendFinal ignores.
-func update(st *aggState, spec *AggSpec, b *storage.Batch, i int) {
-	switch spec.Kind {
-	case Count:
-		if spec.Arg != nil {
-			if v := spec.Arg.Eval(b, i); v.Null {
-				return
-			}
-		}
-		st.cnt++
-	case Sum, Avg:
-		v := spec.Arg.Eval(b, i)
-		if v.Null {
-			return
-		}
-		if spec.ArgType == storage.TFloat64 {
-			st.f += v.F
-		} else {
-			st.i += v.I
-		}
-		st.cnt++
-		st.set = true
-	case AvgMerge:
-		v, c := spec.Arg.Eval(b, i), spec.Arg2.Eval(b, i)
-		if v.Null {
-			return
-		}
-		if spec.ArgType == storage.TFloat64 {
-			st.f += v.F
-		} else {
-			st.i += v.I
-		}
-		st.cnt += c.I
-		st.set = true
-	case Min, Max:
-		v := spec.Arg.Eval(b, i)
-		if v.Null {
-			return
-		}
-		if !st.set {
-			st.i, st.f, st.s, st.set = v.I, v.F, v.S, true
-			return
-		}
-		less := false
-		switch spec.ArgType {
-		case storage.TFloat64:
-			less = v.F < st.f
-		case storage.TString:
-			less = v.S < st.s
-		default:
-			less = v.I < st.i
-		}
-		if (spec.Kind == Min) == less {
-			st.i, st.f, st.s = v.I, v.F, v.S
+// foldBest keeps per group the least (Min) or the greatest (Max) value of
+// vs at the matched rows in the state field best picks.
+func foldBest[T cmp.Ordered](states []aggState, stride, a int, isMax bool, vs []T, rows, groups []int32, best func(*aggState) *T) {
+	for j, g := range groups {
+		st, v := &states[int(g)*stride+a], vs[rows[j]]
+		if cur := best(st); !st.set || isMax && v > *cur || !isMax && v < *cur {
+			*cur, st.set = v, true
 		}
 	}
 }

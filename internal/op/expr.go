@@ -8,21 +8,22 @@
 // to the paper's compiled pipelines (MonetDB/X100's primitives): a Pred
 // narrows a selection vector with one typed loop per batch, an Expr
 // evaluates at the selected rows with one typed loop per batch, and an
-// aggregation folds each argument by group id with one loop per batch. A
-// selection vector lists distinct rows of its batch in increasing order,
-// and an Expr stores each value at its row's own index, so one selection
-// stays valid across every step of a pipeline. Intermediate vectors are
-// the worker's (engine.Worker.PushI64, PushI32), taken and returned like a
-// stack within one call. A join residual is a Pred over its candidate
-// pairs. The row form, Eval, serves a batch in which a column a kernel
-// reads is nullable, and a comparison of computed operands.
+// aggregation folds each argument by group id with one loop per batch.
+// There is no row form. A selection vector lists distinct rows of its
+// batch in increasing order, and an Expr stores each value at its row's
+// own index, so one selection stays valid across every step of a
+// pipeline. Intermediate vectors are the worker's (engine.Worker.PushCol,
+// PushI32), taken and returned like a stack within one call. A join
+// residual is a Pred over its candidate pairs.
 //
-// NULL compares false: every comparison and string predicate rejects a
-// row whose column is NULL, in both forms. An expression over a NULL is
-// NULL; a computed column stores it as zero and an aggregate skips it.
+// NULL compares false: every comparison and string predicate drops a row
+// whose operand is NULL. An expression over a NULL is NULL: its result's
+// validity is the AND of its operands'. A computed column stores a NULL as
+// zero, and an aggregate skips it.
 package op
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -31,40 +32,29 @@ import (
 	"hsqp/internal/storage"
 )
 
-// Val is a scalar expression value. Exactly one of I/F/S is meaningful,
-// according to the expression's declared type; Null marks SQL NULL.
-type Val struct {
-	I    int64
-	F    float64
-	S    string
-	Null bool
-}
-
 // Expr is a scalar expression over the rows of a batch.
 type Expr interface {
-	// Eval evaluates the expression at row i of b.
-	Eval(b *storage.Batch, i int) Val
-	// Vec is the batch form. It evaluates the expression at the rows of
-	// sel and returns a column that holds each value at its row's own
-	// index: one of b's columns (Col is a zero-copy operand) or dst, whose
-	// slice for dst.Type has room for every row of b. ok is false when the
-	// expression may be NULL over b, or has no kernel for dst.Type; the
-	// caller then evaluates Eval at each row of sel. Intermediate vectors
-	// come from w's scratch stack and are popped before Vec returns.
-	Vec(w *engine.Worker, b *storage.Batch, sel []int32, dst *storage.Column) (res *storage.Column, ok bool)
+	// Vec evaluates the expression at the rows of sel and returns a column
+	// that holds each value at its row's own index: one of b's columns (Col
+	// is a zero-copy operand) or dst, whose slice for dst.Type has room for
+	// every row of b. When the column is Nullable, its Valid marks the
+	// NULLs among the rows of sel, whose values are unspecified. Vec
+	// panics when the expression has no values of dst.Type. Intermediate
+	// vectors come from w's scratch stack and are popped before Vec
+	// returns.
+	Vec(w *engine.Worker, b *storage.Batch, sel []int32, dst *storage.Column) *storage.Column
 }
 
 // Pred is a boolean over the rows of a batch. NULL compares false: a
-// comparison or string predicate rejects a row whose column is NULL. Not
+// comparison or string predicate drops a row whose operand is NULL. Not
 // and Or negate and combine that collapsed boolean, so Not(I64LT(c, 5))
 // holds on a row where c is NULL.
 type Pred interface {
-	// Eval reports whether row i of b satisfies the predicate.
-	Eval(b *storage.Batch, i int) bool
-	// Select is the batch form: it writes the rows of sel that satisfy the
-	// predicate to out, in order, and returns them. out needs capacity for
-	// len(sel) rows and may alias sel.
-	Select(b *storage.Batch, sel, out []int32) []int32
+	// Select writes the rows of sel that satisfy the predicate to out, in
+	// order, and returns them. out needs capacity for len(sel) rows and
+	// may alias sel. Intermediate vectors come from w's scratch stack and
+	// are popped before Select returns.
+	Select(w *engine.Worker, b *storage.Batch, sel, out []int32) []int32
 }
 
 // isI64 reports whether values of type t live in Column.I64 (int64,
@@ -77,59 +67,79 @@ func sameRep(a, b storage.Type) bool { return a == b || isI64(a) && isI64(b) }
 
 // --- expressions ---
 
+// mustFill panics unless an expression of e's kind can fill a column of
+// type t (ok): a planner bug, such as a decimal declared as a float. Every
+// Expr is a pointer, so passing one here does not allocate.
+func mustFill(e Expr, t storage.Type, ok bool) {
+	if !ok {
+		panic(fmt.Sprintf("op: expression %T %+v has no %v values", e, e, t))
+	}
+}
+
+// validity returns dst's validity vector with a slot for every row dst
+// has room for, keeping what it held, and marks dst nullable.
+func validity(dst *storage.Column) []bool {
+	n := dst.Len()
+	if cap(dst.Valid) < n {
+		dst.Valid = append(dst.Valid[:cap(dst.Valid)], make([]bool, n-cap(dst.Valid))...)
+	}
+	dst.Valid = dst.Valid[:n]
+	dst.Nullable = true
+	return dst.Valid
+}
+
+// validAnd makes dst's validity at sel the AND of x's and y's (y may be
+// nil): dst is nullable exactly when an operand is.
+func validAnd(dst *storage.Column, sel []int32, x, y *storage.Column) {
+	switch {
+	case y == nil || !y.Nullable:
+		y = x
+	case !x.Nullable:
+		x = y
+	}
+	if !x.Nullable {
+		dst.Nullable = false
+		return
+	}
+	v, xv, yv := validity(dst), x.Valid, y.Valid
+	for _, i := range sel {
+		v[i] = xv[i] && yv[i]
+	}
+}
+
 type colExpr struct{ c int }
 
 // Col returns the value of column c (any type). Its batch form is the
 // column itself.
 func Col(c int) Expr { return &colExpr{c} }
 
-func (e *colExpr) Eval(b *storage.Batch, i int) Val {
-	col := b.Cols[e.c]
-	if col.IsNull(i) {
-		return Val{Null: true}
-	}
-	switch col.Type {
-	case storage.TFloat64:
-		return Val{F: col.F64[i]}
-	case storage.TString:
-		return Val{S: col.Str[i]}
-	default:
-		return Val{I: col.I64[i]}
-	}
-}
-
-func (e *colExpr) Vec(_ *engine.Worker, b *storage.Batch, _ []int32, dst *storage.Column) (*storage.Column, bool) {
+func (e *colExpr) Vec(_ *engine.Worker, b *storage.Batch, _ []int32, dst *storage.Column) *storage.Column {
 	src := b.Cols[e.c]
-	return src, !src.Nullable && sameRep(src.Type, dst.Type)
+	mustFill(e, dst.Type, sameRep(src.Type, dst.Type))
+	return src
 }
 
-type constI int64
+type constI struct{ v int64 }
 
 // ConstI returns a constant integer-backed value.
-func ConstI(v int64) Expr { return constI(v) }
+func ConstI(v int64) Expr { return &constI{v} }
 
-func (c constI) Eval(*storage.Batch, int) Val { return Val{I: int64(c)} }
-
-func (c constI) Vec(_ *engine.Worker, _ *storage.Batch, sel []int32, dst *storage.Column) (*storage.Column, bool) {
-	if !isI64(dst.Type) {
-		return nil, false
-	}
-	d := dst.I64
+func (c *constI) Vec(_ *engine.Worker, _ *storage.Batch, sel []int32, dst *storage.Column) *storage.Column {
+	mustFill(c, dst.Type, isI64(dst.Type))
+	d, v := dst.I64, c.v
 	for _, i := range sel {
-		d[i] = int64(c)
+		d[i] = v
 	}
-	return dst, true
+	dst.Nullable = false
+	return dst
 }
 
 // operand evaluates an integer-backed operand of a kernel at sel into a
-// scratch vector of n values pushed on w's stack. The caller pops it
-// (w.PopI64) once it has used the values, whatever ok says.
-func operand(w *engine.Worker, b *storage.Batch, sel []int32, e Expr, n int) ([]int64, bool) {
-	res, ok := e.Vec(w, b, sel, w.PushI64(n))
-	if !ok {
-		return nil, false
-	}
-	return res.I64, true
+// scratch column of n values pushed on w's stack, or returns the input
+// column a Col names. The caller pops the scratch column (w.PopCol) once
+// it has used the values.
+func operand(w *engine.Worker, b *storage.Batch, sel []int32, e Expr, n int) *storage.Column {
+	return e.Vec(w, b, sel, w.PushCol(storage.TInt64, n))
 }
 
 type decConstOp uint8
@@ -157,45 +167,27 @@ func AddDecConst(c int64, e Expr) Expr { return &decConst{addConst, c, e} }
 // (truncating), e.g. sum(l_extendedprice) / 7.
 func DivDecConst(e Expr, c int64) Expr { return &decConst{divByConst, c, e} }
 
-func (e *decConst) Eval(b *storage.Batch, i int) Val {
-	v := e.e.Eval(b, i)
-	if v.Null {
-		return v
-	}
+func (e *decConst) Vec(w *engine.Worker, b *storage.Batch, sel []int32, dst *storage.Column) *storage.Column {
+	mustFill(e, dst.Type, isI64(dst.Type))
+	xc := operand(w, b, sel, e.e, len(dst.I64))
+	x, d, c := xc.I64, dst.I64, e.c
 	switch e.op {
 	case subFromConst:
-		return Val{I: e.c - v.I}
+		for _, i := range sel {
+			d[i] = c - x[i]
+		}
 	case addConst:
-		return Val{I: e.c + v.I}
+		for _, i := range sel {
+			d[i] = c + x[i]
+		}
 	default:
-		return Val{I: v.I / e.c}
-	}
-}
-
-func (e *decConst) Vec(w *engine.Worker, b *storage.Batch, sel []int32, dst *storage.Column) (*storage.Column, bool) {
-	if !isI64(dst.Type) {
-		return nil, false
-	}
-	x, ok := operand(w, b, sel, e.e, len(dst.I64))
-	if ok {
-		d, c := dst.I64, e.c
-		switch e.op {
-		case subFromConst:
-			for _, i := range sel {
-				d[i] = c - x[i]
-			}
-		case addConst:
-			for _, i := range sel {
-				d[i] = c + x[i]
-			}
-		default:
-			for _, i := range sel {
-				d[i] = x[i] / c
-			}
+		for _, i := range sel {
+			d[i] = x[i] / c
 		}
 	}
-	w.PopI64()
-	return dst, ok
+	validAnd(dst, sel, xc, nil)
+	w.PopCol()
+	return dst
 }
 
 type decPairOp uint8
@@ -226,53 +218,33 @@ func SubDec(a, e Expr) Expr { return &decPair{op: subDecOp, a: a, b: e} }
 // plain two-decimal ratio (Q8).
 func Ratio(a, b Expr, scale int64) Expr { return &decPair{op: ratioOp, a: a, b: b, scale: scale} }
 
-func (e *decPair) Eval(b *storage.Batch, i int) Val {
-	x, y := e.a.Eval(b, i), e.b.Eval(b, i)
-	if x.Null || y.Null || e.op == ratioOp && y.I == 0 {
-		return Val{Null: true}
-	}
+func (e *decPair) Vec(w *engine.Worker, b *storage.Batch, sel []int32, dst *storage.Column) *storage.Column {
+	mustFill(e, dst.Type, isI64(dst.Type))
+	d := dst.I64
+	xc, yc := operand(w, b, sel, e.a, len(d)), operand(w, b, sel, e.b, len(d))
+	x, y := xc.I64, yc.I64
 	switch e.op {
 	case mulDecOp:
-		return Val{I: x.I * y.I / 100}
+		for _, i := range sel {
+			d[i] = x[i] * y[i] / 100
+		}
+		validAnd(dst, sel, xc, yc)
 	case subDecOp:
-		return Val{I: x.I - y.I}
+		for _, i := range sel {
+			d[i] = x[i] - y[i]
+		}
+		validAnd(dst, sel, xc, yc)
 	default:
-		return Val{I: x.I * e.scale / y.I}
-	}
-}
-
-func (e *decPair) Vec(w *engine.Worker, b *storage.Batch, sel []int32, dst *storage.Column) (*storage.Column, bool) {
-	if !isI64(dst.Type) {
-		return nil, false
-	}
-	d := dst.I64
-	x, okx := operand(w, b, sel, e.a, len(d))
-	y, oky := operand(w, b, sel, e.b, len(d))
-	ok := okx && oky
-	if ok {
-		switch e.op {
-		case mulDecOp:
-			for _, i := range sel {
-				d[i] = x[i] * y[i] / 100
-			}
-		case subDecOp:
-			for _, i := range sel {
-				d[i] = x[i] - y[i]
-			}
-		default:
-			s := e.scale
-			for _, i := range sel {
-				if y[i] == 0 {
-					ok = false // a NULL: the caller takes the row form
-					break
-				}
+		v, s := validity(dst), e.scale
+		for _, i := range sel {
+			if v[i] = y[i] != 0 && !xc.IsNull(int(i)) && !yc.IsNull(int(i)); v[i] {
 				d[i] = x[i] * s / y[i]
 			}
 		}
 	}
-	w.PopI64()
-	w.PopI64()
-	return dst, ok
+	w.PopCol()
+	w.PopCol()
+	return dst
 }
 
 type yearExpr struct{ c int }
@@ -280,24 +252,15 @@ type yearExpr struct{ c int }
 // Year extracts the year of a date column.
 func Year(c int) Expr { return &yearExpr{c} }
 
-func (e *yearExpr) Eval(b *storage.Batch, i int) Val {
-	col := b.Cols[e.c]
-	if col.IsNull(i) {
-		return Val{Null: true}
-	}
-	return Val{I: int64(storage.DateYear(col.I64[i]))}
-}
-
-func (e *yearExpr) Vec(_ *engine.Worker, b *storage.Batch, sel []int32, dst *storage.Column) (*storage.Column, bool) {
+func (e *yearExpr) Vec(_ *engine.Worker, b *storage.Batch, sel []int32, dst *storage.Column) *storage.Column {
+	mustFill(e, dst.Type, isI64(dst.Type))
 	src := b.Cols[e.c]
-	if src.Nullable || !isI64(dst.Type) {
-		return nil, false
-	}
 	days, d := src.I64, dst.I64
 	for _, i := range sel {
 		d[i] = int64(storage.DateYear(days[i]))
 	}
-	return dst, true
+	validAnd(dst, sel, src, nil)
+	return dst
 }
 
 type caseWhen struct {
@@ -306,41 +269,57 @@ type caseWhen struct {
 }
 
 // CaseWhen returns thenE when pred holds, elseE otherwise. Its batch form
-// splits the selection by pred and evaluates each branch at its part.
+// splits the selection by pred and evaluates each branch at its part, each
+// with its own validity.
 func CaseWhen(pred Pred, thenE, elseE Expr) Expr { return &caseWhen{pred, thenE, elseE} }
 
-func (e *caseWhen) Eval(b *storage.Batch, i int) Val {
-	if e.pred.Eval(b, i) {
-		return e.then.Eval(b, i)
-	}
-	return e.els.Eval(b, i)
-}
-
-func (e *caseWhen) Vec(w *engine.Worker, b *storage.Batch, sel []int32, dst *storage.Column) (*storage.Column, bool) {
-	yes := e.pred.Select(b, sel, w.PushI32(len(sel)))
-	no := w.PushI32(len(sel))
-	j := 0
-	for _, i := range sel {
-		if j < len(yes) && yes[j] == i {
-			j++
-		} else {
-			no = append(no, i)
+func (e *caseWhen) Vec(w *engine.Worker, b *storage.Batch, sel []int32, dst *storage.Column) *storage.Column {
+	yes := e.pred.Select(w, b, sel, w.PushI32(len(sel)))
+	no := except(sel, yes, w.PushI32(len(sel)))
+	yesNull := evalInto(w, b, yes, e.then, dst)
+	noNull := evalInto(w, b, no, e.els, dst)
+	dst.Nullable = yesNull || noNull
+	if yesNull != noNull {
+		valid := yes // the rows of the branch without NULLs
+		if yesNull {
+			valid = no
+		}
+		v := validity(dst)
+		for _, i := range valid {
+			v[i] = true
 		}
 	}
-	ok := evalInto(w, b, yes, e.then, dst) && evalInto(w, b, no, e.els, dst)
 	w.PopI32(no)
 	w.PopI32(yes)
-	return dst, ok
+	return dst
 }
 
-// evalInto evaluates e at sel into dst itself: a zero-copy result is copied
-// over at the selected rows.
+// evalInto evaluates e at sel into dst itself, values and validity: a
+// zero-copy result is copied over at the selected rows. It reports whether
+// the result is nullable.
 func evalInto(w *engine.Worker, b *storage.Batch, sel []int32, e Expr, dst *storage.Column) bool {
-	res, ok := e.Vec(w, b, sel, dst)
-	if ok && res != dst {
+	res := e.Vec(w, b, sel, dst)
+	if res != dst {
 		copyAt(dst, res, sel)
 	}
-	return ok
+	return res.Nullable
+}
+
+// except writes the rows of sel that are not in sub, a subsequence of
+// sel, to out, in order, and returns them. out needs capacity for len(sel)
+// rows and may alias sel.
+func except(sel, sub, out []int32) []int32 {
+	out = out[:len(sel)]
+	j, k := 0, 0
+	for _, i := range sel {
+		if j < len(sub) && sub[j] == i {
+			j++
+			continue
+		}
+		out[k] = i
+		k++
+	}
+	return out[:k]
 }
 
 type substrExpr struct{ c, from, n int }
@@ -356,40 +335,33 @@ func (e *substrExpr) cut(s string) string {
 	return s[e.from:min(e.from+e.n, len(s))]
 }
 
-func (e *substrExpr) Eval(b *storage.Batch, i int) Val {
-	col := b.Cols[e.c]
-	if col.IsNull(i) {
-		return Val{Null: true}
-	}
-	return Val{S: e.cut(col.Str[i])}
-}
-
-func (e *substrExpr) Vec(_ *engine.Worker, b *storage.Batch, sel []int32, dst *storage.Column) (*storage.Column, bool) {
+func (e *substrExpr) Vec(_ *engine.Worker, b *storage.Batch, sel []int32, dst *storage.Column) *storage.Column {
+	mustFill(e, dst.Type, dst.Type == storage.TString)
 	src := b.Cols[e.c]
-	if src.Nullable || dst.Type != storage.TString {
-		return nil, false
-	}
 	strs, d := src.Str, dst.Str
 	for _, i := range sel {
 		d[i] = e.cut(strs[i])
 	}
-	return dst, true
+	validAnd(dst, sel, src, nil)
+	return dst
 }
 
 // --- predicates ---
 
-// selectRows is Select's row form: predicates without a kernel (Or, Not)
-// use it, and so does a kernel over a nullable column.
-func selectRows(p Pred, b *storage.Batch, sel, out []int32) []int32 {
-	out = out[:len(sel)]
+// dropNulls removes from rows, in place, the rows at which c is NULL: the
+// last step of every comparison and string predicate.
+func dropNulls(c *storage.Column, rows []int32) []int32 {
+	if !c.Nullable {
+		return rows
+	}
 	k := 0
-	for _, i := range sel {
-		if p.Eval(b, int(i)) {
-			out[k] = i
+	for _, i := range rows {
+		if c.Valid[i] {
+			rows[k] = i
 			k++
 		}
 	}
-	return out[:k]
+	return rows[:k]
 }
 
 type andPred []Pred
@@ -398,21 +370,12 @@ type andPred []Pred
 // predicate's Select over the survivors of the one before.
 func And(ps ...Pred) Pred { return andPred(ps) }
 
-func (a andPred) Eval(b *storage.Batch, i int) bool {
-	for _, p := range a {
-		if !p.Eval(b, i) {
-			return false
-		}
-	}
-	return true
-}
-
-func (a andPred) Select(b *storage.Batch, sel, out []int32) []int32 {
+func (a andPred) Select(w *engine.Worker, b *storage.Batch, sel, out []int32) []int32 {
 	if len(a) == 0 {
 		return append(out[:0], sel...)
 	}
 	for _, p := range a {
-		if sel = p.Select(b, sel, out); len(sel) == 0 {
+		if sel = p.Select(w, b, sel, out); len(sel) == 0 {
 			break
 		}
 	}
@@ -421,31 +384,38 @@ func (a andPred) Select(b *storage.Batch, sel, out []int32) []int32 {
 
 type orPred []Pred
 
-// Or combines predicates disjunctively (a row at a time in both forms).
+// Or combines predicates disjunctively. Its batch form runs each
+// predicate's Select over the rows no predicate before it accepted and
+// selects the rows of sel that are not left over at the end.
 func Or(ps ...Pred) Pred { return orPred(ps) }
 
-func (o orPred) Eval(b *storage.Batch, i int) bool {
+func (o orPred) Select(w *engine.Worker, b *storage.Batch, sel, out []int32) []int32 {
+	rest := append(w.PushI32(len(sel)), sel...)
+	hit := w.PushI32(len(sel))
 	for _, p := range o {
-		if p.Eval(b, i) {
-			return true
+		if len(rest) == 0 {
+			break
 		}
+		hit = p.Select(w, b, rest, hit)
+		rest = except(rest, hit, rest)
 	}
-	return false
-}
-
-func (o orPred) Select(b *storage.Batch, sel, out []int32) []int32 {
-	return selectRows(o, b, sel, out)
+	out = except(sel, rest, out)
+	w.PopI32(hit)
+	w.PopI32(rest)
+	return out
 }
 
 type notPred struct{ p Pred }
 
-// Not negates a predicate (a row at a time in both forms).
+// Not negates a predicate. Its batch form takes the rows the predicate
+// selects out of sel.
 func Not(p Pred) Pred { return &notPred{p} }
 
-func (n *notPred) Eval(b *storage.Batch, i int) bool { return !n.p.Eval(b, i) }
-
-func (n *notPred) Select(b *storage.Batch, sel, out []int32) []int32 {
-	return selectRows(n, b, sel, out)
+func (n *notPred) Select(w *engine.Worker, b *storage.Batch, sel, out []int32) []int32 {
+	yes := n.p.Select(w, b, sel, w.PushI32(len(sel)))
+	out = except(sel, yes, out)
+	w.PopI32(yes)
+	return out
 }
 
 // i64Range holds when lo ≤ col ≤ hi: every comparison of an int64-backed
@@ -483,18 +453,13 @@ func I64GE(c int, v int64) Pred { return &i64Range{c, v, math.MaxInt64} }
 // I64EQ holds when col = v.
 func I64EQ(c int, v int64) Pred { return &i64Range{c, v, v} }
 
-func (p *i64Range) Eval(b *storage.Batch, i int) bool {
-	col := b.Cols[p.c]
-	return !col.IsNull(i) && col.I64[i] >= p.lo && col.I64[i] <= p.hi
-}
-
-func (p *i64Range) Select(b *storage.Batch, sel, out []int32) []int32 {
-	col := b.Cols[p.c]
-	if col.Nullable || p.hi < p.lo {
-		return selectRows(p, b, sel, out)
+func (p *i64Range) Select(_ *engine.Worker, b *storage.Batch, sel, out []int32) []int32 {
+	if p.hi < p.lo {
+		return out[:0]
 	}
 	// lo ≤ v ≤ hi as one unsigned comparison: v − lo wraps past hi − lo
 	// for every v below lo.
+	col := b.Cols[p.c]
 	vs, lo, span := col.I64, p.lo, uint64(p.hi-p.lo)
 	out = out[:len(sel)]
 	k := 0
@@ -504,7 +469,7 @@ func (p *i64Range) Select(b *storage.Batch, sel, out []int32) []int32 {
 			k++
 		}
 	}
-	return out[:k]
+	return dropNulls(col, out[:k])
 }
 
 type cmpOp uint8
@@ -547,21 +512,11 @@ func (p *exprCmp) holds(x, y int64) bool {
 	}
 }
 
-func (p *exprCmp) Eval(b *storage.Batch, i int) bool {
-	x, y := p.a.Eval(b, i), p.b.Eval(b, i)
-	return !x.Null && !y.Null && p.holds(x.I, y.I)
-}
-
-// Select runs one typed loop when both operands are non-nullable columns;
-// a computed operand needs scratch that Select has no worker for, so it
-// takes the row form, as a nullable column does.
-func (p *exprCmp) Select(b *storage.Batch, sel, out []int32) []int32 {
-	x, okx := p.a.(*colExpr)
-	y, oky := p.b.(*colExpr)
-	if !okx || !oky || b.Cols[x.c].Nullable || b.Cols[y.c].Nullable {
-		return selectRows(p, b, sel, out)
-	}
-	xs, ys := b.Cols[x.c].I64, b.Cols[y.c].I64
+// Select evaluates both operands at sel, a column zero-copy and a computed
+// operand into worker scratch, and compares them in one loop.
+func (p *exprCmp) Select(w *engine.Worker, b *storage.Batch, sel, out []int32) []int32 {
+	xc, yc := operand(w, b, sel, p.a, b.Rows()), operand(w, b, sel, p.b, b.Rows())
+	xs, ys := xc.I64, yc.I64
 	out = out[:len(sel)]
 	k := 0
 	for _, i := range sel {
@@ -570,7 +525,10 @@ func (p *exprCmp) Select(b *storage.Batch, sel, out []int32) []int32 {
 			k++
 		}
 	}
-	return out[:k]
+	out = dropNulls(yc, dropNulls(xc, out[:k]))
+	w.PopCol()
+	w.PopCol()
+	return out
 }
 
 type i64In struct {
@@ -583,16 +541,8 @@ type i64In struct {
 // most eight values.
 func I64In(c int, vs ...int64) Pred { return &i64In{c, slices.Clone(vs)} }
 
-func (p *i64In) Eval(b *storage.Batch, i int) bool {
+func (p *i64In) Select(_ *engine.Worker, b *storage.Batch, sel, out []int32) []int32 {
 	col := b.Cols[p.c]
-	return !col.IsNull(i) && slices.Contains(p.vs, col.I64[i])
-}
-
-func (p *i64In) Select(b *storage.Batch, sel, out []int32) []int32 {
-	col := b.Cols[p.c]
-	if col.Nullable {
-		return selectRows(p, b, sel, out)
-	}
 	vs, list := col.I64, p.vs
 	out = out[:len(sel)]
 	k := 0
@@ -602,11 +552,11 @@ func (p *i64In) Select(b *storage.Batch, sel, out []int32) []int32 {
 			k++
 		}
 	}
-	return out[:k]
+	return dropNulls(col, out[:k])
 }
 
-// strPred is a predicate over a string column; match decides one non-NULL
-// value. Its batch form is one loop over the column's strings.
+// strPred is a predicate over a string column; match decides one value.
+// Its batch form is one loop over the column's strings.
 type strPred struct {
 	c     int
 	match func(string) bool
@@ -645,16 +595,8 @@ func StrPrefixIn(c int, n int, vs ...string) Pred {
 	return &strPred{c, func(s string) bool { return len(s) >= n && slices.Contains(vs, s[:n]) }}
 }
 
-func (p *strPred) Eval(b *storage.Batch, i int) bool {
+func (p *strPred) Select(_ *engine.Worker, b *storage.Batch, sel, out []int32) []int32 {
 	col := b.Cols[p.c]
-	return !col.IsNull(i) && p.match(col.Str[i])
-}
-
-func (p *strPred) Select(b *storage.Batch, sel, out []int32) []int32 {
-	col := b.Cols[p.c]
-	if col.Nullable {
-		return selectRows(p, b, sel, out)
-	}
 	strs, match := col.Str, p.match
 	out = out[:len(sel)]
 	k := 0
@@ -664,5 +606,5 @@ func (p *strPred) Select(b *storage.Batch, sel, out []int32) []int32 {
 			k++
 		}
 	}
-	return out[:k]
+	return dropNulls(col, out[:k])
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hsqp/internal/engine"
@@ -18,9 +19,9 @@ var strVocab = []string{"", "a", "ab", "abc", "PROMO ANODIZED", "MEDIUM POLISHED
 var firstDay = storage.MustDate("1992-01-01")
 
 // exprBatch returns n random rows over every column shape the kernels
-// read: non-nullable int, decimal, date, string and float columns, where
-// the typed loops run, and nullable int, decimal and string columns, about
-// one value in five NULL, where they fall back to the row form.
+// read: non-nullable int, decimal, date, string and float columns, and
+// nullable int, decimal, string and float columns, about one value in five
+// NULL.
 func exprBatch(rng *rand.Rand, n int) *storage.Batch {
 	b := storage.NewBatch(storage.NewSchema(
 		storage.Field{Name: "i", Type: storage.TInt64},
@@ -31,12 +32,13 @@ func exprBatch(rng *rand.Rand, n int) *storage.Batch {
 		storage.Field{Name: "ni", Type: storage.TInt64, Nullable: true},
 		storage.Field{Name: "nd", Type: storage.TDecimal, Nullable: true},
 		storage.Field{Name: "ns", Type: storage.TString, Nullable: true},
+		storage.Field{Name: "nf", Type: storage.TFloat64, Nullable: true},
 	), n)
 	for r := 0; r < n; r++ {
 		row := []any{
 			rng.Int63n(100) - 20, rng.Int63n(1000), firstDay + rng.Int63n(2600),
 			strVocab[rng.Intn(len(strVocab))], rng.Float64() * 100,
-			rng.Int63n(100) - 20, rng.Int63n(1000), strVocab[rng.Intn(len(strVocab))],
+			rng.Int63n(100) - 20, rng.Int63n(1000), strVocab[rng.Intn(len(strVocab))], rng.Float64() * 100,
 		}
 		for c := 5; c < len(row); c++ {
 			if rng.Intn(5) == 0 {
@@ -144,14 +146,16 @@ func (g gen) leaf(c int) Pred {
 }
 
 // cmp returns a random two-operand comparison whose first operand reads
-// column c: over two columns, where the kernel runs, or over a computed
-// operand, which takes the row form.
+// column c: over two columns, or with either operand computed over them.
 func (g gen) cmp(c int) Pred {
 	r := g.rng
 	other, _ := g.col(isI64)
 	a, b := Col(c), Col(other)
 	if r.Intn(3) == 0 {
 		b = MulDec(b, g.intExpr(0))
+	}
+	if r.Intn(4) == 0 {
+		a = SubDecConst(100, a)
 	}
 	switch r.Intn(4) {
 	case 0:
@@ -250,15 +254,16 @@ func selections(rng *rand.Rand, n int) [][]int32 {
 	return [][]int32{{}, full, sparse(2), sparse(9)}
 }
 
-// valAt reads row i of c into the Val field c's type selects.
-func valAt(c *storage.Column, i int) Val {
+// valAt reads the value stored at row i of c, NULL or not, into the field
+// c's type selects.
+func valAt(c *storage.Column, i int) rowVal {
 	switch c.Type {
 	case storage.TFloat64:
-		return Val{F: c.F64[i]}
+		return rowVal{F: c.F64[i]}
 	case storage.TString:
-		return Val{S: c.Str[i]}
+		return rowVal{S: c.Str[i]}
 	default:
-		return Val{I: c.I64[i]}
+		return rowVal{I: c.I64[i]}
 	}
 }
 
@@ -266,17 +271,17 @@ func valAt(c *storage.Column, i int) Val {
 // get: the same before and after a kernel over n rows that pops everything
 // it pushes (its own pushes, of at most n, never regrow them).
 func stackTop(w *engine.Worker, n int) [2]any {
-	c := w.PushI64(max(n, 1))
-	w.PopI64()
+	c := w.PushCol(storage.TInt64, max(n, 1))
+	w.PopCol()
 	v := w.PushI32(max(n, 1))[:1]
 	w.PopI32(v)
 	return [2]any{c, &v[0]}
 }
 
 // checkBatchMatchesRow draws a predicate and an expression per selection
-// of b and checks their batch forms against their row forms. kernels, when
-// not nil, counts the expression types whose Vec succeeded.
-func checkBatchMatchesRow(t *testing.T, rng *rand.Rand, w *engine.Worker, b *storage.Batch, kernels map[string]int) {
+// of b and checks their batch forms against the row oracle. nulls, when
+// not nil, counts per expression type the results that held a NULL.
+func checkBatchMatchesRow(t *testing.T, rng *rand.Rand, w *engine.Worker, b *storage.Batch, nulls map[string]int) {
 	t.Helper()
 	g := gen{rng, b.Schema}
 	n := b.Rows()
@@ -284,45 +289,52 @@ func checkBatchMatchesRow(t *testing.T, rng *rand.Rand, w *engine.Worker, b *sto
 		p := g.pred(2)
 		want := []int32{}
 		for _, i := range sel {
-			if p.Eval(b, int(i)) {
+			if evalPred(p, b, int(i)) {
 				want = append(want, i)
 			}
 		}
 		aliased := append([]int32(nil), sel...)
+		top := stackTop(w, n)
 		for mode, got := range map[string][]int32{
-			"fresh out":       p.Select(b, sel, make([]int32, 0, len(sel))),
-			"out aliases sel": p.Select(b, aliased, aliased),
+			"fresh out":       p.Select(w, b, sel, make([]int32, 0, len(sel))),
+			"out aliases sel": p.Select(w, b, aliased, aliased),
 		} {
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%T (%s) over %d of %d rows selects %v, Eval %v", p, mode, len(sel), n, got, want)
+				t.Fatalf("%T (%s) over %d of %d rows selects %v, the row oracle %v", p, mode, len(sel), n, got, want)
 			}
+		}
+		if stackTop(w, n) != top {
+			t.Fatalf("%T.Select leaves the worker's scratch stack unbalanced", p)
 		}
 
 		e, typ := g.expr(2)
 		dst := storage.NewColumn(typ, false, n)
-		growCol(dst, n)
-		prior := make([]Val, n)
+		dst.SetLen(n)
+		prior := make([]rowVal, n)
 		for i := range prior {
-			setComputed(dst, i, typ, Val{I: -7777777, F: -7777777, S: "untouched"})
+			switch typ {
+			case storage.TFloat64:
+				dst.F64[i] = -7777777
+			case storage.TString:
+				dst.Str[i] = "untouched"
+			default:
+				dst.I64[i] = -7777777
+			}
 			prior[i] = valAt(dst, i)
 		}
-		top := stackTop(w, n)
-		res, ok := e.Vec(w, b, sel, dst)
+		res := e.Vec(w, b, sel, dst)
 		if stackTop(w, n) != top {
 			t.Fatalf("%T.Vec leaves the worker's scratch stack unbalanced", e)
-		}
-		if !ok {
-			continue
-		}
-		if kernels != nil {
-			kernels[fmt.Sprintf("%T", e)]++
 		}
 		in := make([]bool, n)
 		for _, i := range sel {
 			in[i] = true
-			want := e.Eval(b, int(i))
-			if got := valAt(res, int(i)); want.Null || got != want {
-				t.Fatalf("%T over %d of %d rows: Vec has %+v at row %d, Eval %+v", e, len(sel), n, got, i, want)
+			want, got := evalExpr(e, b, int(i)), colVal(res, int(i))
+			if want.Null != got.Null || !want.Null && got != want {
+				t.Fatalf("%T over %d of %d rows: Vec has %+v at row %d, the row oracle %+v", e, len(sel), n, got, i, want)
+			}
+			if got.Null && nulls != nil {
+				nulls[fmt.Sprintf("%T", e)]++
 			}
 		}
 		if res != dst {
@@ -336,23 +348,23 @@ func checkBatchMatchesRow(t *testing.T, rng *rand.Rand, w *engine.Worker, b *sto
 	}
 }
 
-// TestBatchMatchesRow is the differential test of the two forms of every
-// predicate and expression constructor: over random batches with NULLs and
-// random selections (empty, full, sparse), a predicate's Select keeps
-// exactly the rows its Eval accepts, with a fresh out and with out
-// aliasing sel; wherever an expression's Vec succeeds it holds Eval's
-// value, never a NULL, at every selected row and leaves the rest of dst
-// alone; and every kernel pops what it pushes.
+// TestBatchMatchesRow is the differential test of every predicate and
+// expression constructor against the row oracle: over random batches with
+// NULLs and random selections (empty, full, sparse), a predicate's Select
+// keeps exactly the rows the oracle accepts, with a fresh out and with out
+// aliasing sel; an expression's Vec holds the oracle's value and validity
+// at every selected row and leaves the rest of dst alone; and every kernel
+// pops what it pushes.
 func TestBatchMatchesRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	w := testEngine(t, 1).NewWorker(0)
-	kernels := map[string]int{}
+	nulls := map[string]int{}
 	for round := 0; round < 400; round++ {
-		checkBatchMatchesRow(t, rng, w, exprBatch(rng, rng.Intn(150)), kernels)
+		checkBatchMatchesRow(t, rng, w, exprBatch(rng, rng.Intn(150)), nulls)
 	}
-	for _, k := range []string{"*op.colExpr", "op.constI", "*op.decConst", "*op.decPair", "*op.yearExpr", "*op.caseWhen", "*op.substrExpr"} {
-		if kernels[k] == 0 {
-			t.Errorf("no %s kernel succeeded: the test never compared it", k)
+	for _, k := range []string{"*op.colExpr", "*op.decConst", "*op.decPair", "*op.yearExpr", "*op.caseWhen", "*op.substrExpr"} {
+		if nulls[k] == 0 {
+			t.Errorf("no %s result held a NULL: the test never compared its validity", k)
 		}
 	}
 }
@@ -374,8 +386,8 @@ func FuzzBatchMatchesRow(f *testing.F) {
 }
 
 // TestComparisonsRejectNull: a NULL compares false in every comparison and
-// string predicate, in the row and the batch form, and Not negates that
-// collapsed boolean.
+// string predicate, over a column and over a computed operand, and Not
+// negates that collapsed boolean.
 func TestComparisonsRejectNull(t *testing.T) {
 	b := storage.NewBatch(storage.NewSchema(
 		storage.Field{Name: "i", Type: storage.TInt64, Nullable: true},
@@ -383,6 +395,7 @@ func TestComparisonsRejectNull(t *testing.T) {
 		storage.Field{Name: "j", Type: storage.TInt64, Nullable: true},
 	), 1)
 	b.AppendRow(nil, nil, int64(1))
+	w := &engine.Worker{}
 	for name, p := range map[string]Pred{
 		"I64LT":       I64LT(0, 5),
 		"I64LE":       I64LE(0, 5),
@@ -394,7 +407,7 @@ func TestComparisonsRejectNull(t *testing.T) {
 		"ColLT":       ColLT(0, 2),
 		"LT":          LT(MulDec(Col(0), ConstI(100)), Col(2)),
 		"NE":          NE(Col(2), Col(0)),
-		"GTFrac":      GTFrac(Col(2), Col(0), 0.5),
+		"GTFrac":      GTFrac(Col(2), SubDecConst(0, Col(0)), 0.5),
 		"StrEQ":       StrEQ(1, ""),
 		"StrIn":       StrIn(1, "", "a"),
 		"StrPrefix":   StrPrefix(1, ""),
@@ -402,29 +415,61 @@ func TestComparisonsRejectNull(t *testing.T) {
 		"Like":        Like(1, "%"),
 		"StrPrefixIn": StrPrefixIn(1, 0, ""),
 	} {
-		if p.Eval(b, 0) {
-			t.Errorf("%s holds on a NULL row (row form)", name)
+		if got := p.Select(w, b, []int32{0}, make([]int32, 0, 1)); len(got) != 0 {
+			t.Errorf("%s selects a NULL row", name)
 		}
-		if got := p.Select(b, []int32{0}, make([]int32, 0, 1)); len(got) != 0 {
-			t.Errorf("%s selects a NULL row (batch form)", name)
-		}
-		if !Not(p).Eval(b, 0) {
+		if got := Not(p).Select(w, b, []int32{0}, make([]int32, 0, 1)); len(got) != 1 {
 			t.Errorf("NOT %s does not hold on a NULL row", name)
 		}
 	}
 }
 
-// TestFoldMatchesUpdate: the per-batch fold of GroupBy (keyed and scalar)
-// and GroupJoinProbe leaves the aggregate state that update, row by row,
-// leaves — for every AggKind over integer-backed arguments (columns,
-// MulDec, CaseWhen, a Ratio that is sometimes NULL) and over the float and
-// string arguments only the row form folds, skipping NULLs. GroupJoin's
-// build repeats two keys, so a probe row folds into two groups.
-func TestFoldMatchesUpdate(t *testing.T) {
+// TestKernelsRejectForeignType: an expression asked for values of a type
+// it has none of panics, naming the expression and the type, instead of
+// storing zeros.
+func TestKernelsRejectForeignType(t *testing.T) {
+	b := exprBatch(rand.New(rand.NewSource(32)), 4)
+	for name, c := range map[string]struct {
+		e   Expr
+		typ storage.Type
+	}{
+		"ConstI into float":  {ConstI(5), storage.TFloat64},
+		"MulDec into string": {MulDec(Col(1), ConstI(100)), storage.TString},
+		"Ratio into float":   {Ratio(Col(1), Col(0), 100), storage.TFloat64},
+		"Year into string":   {Year(2), storage.TString},
+		"Substr into int":    {Substr(3, 0, 1), storage.TInt64},
+		"Col int into float": {Col(0), storage.TFloat64},
+		"Col float into dec": {Col(4), storage.TDecimal},
+		"CaseWhen mixed":     {CaseWhen(I64GE(0, 0), Col(1), Col(4)), storage.TDecimal},
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "op: expression") || !strings.Contains(msg, c.typ.String()) {
+					t.Errorf("%s: panic %q, want one naming the expression and %v", name, msg, c.typ)
+				}
+			}()
+			dst := storage.NewColumn(c.typ, false, b.Rows())
+			dst.SetLen(b.Rows())
+			c.e.Vec(&engine.Worker{}, b, []int32{0, 1, 2, 3}, dst)
+		}()
+	}
+}
+
+// TestFoldMatchesRowOracle: the per-batch fold of GroupBy (keyed and
+// scalar) and GroupJoinProbe leaves the aggregate state the row oracle,
+// row by row, leaves — for every AggKind over integer-backed arguments
+// (columns, MulDec, CaseWhen, a Ratio that is sometimes NULL) and over
+// float and string arguments, nullable ones among them, skipping NULLs.
+// GroupJoin's build repeats two keys, so a probe row folds into two groups.
+func TestFoldMatchesRowOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	w := testEngine(t, 1).NewWorker(0)
 	dec := func(k AggKind, name string, arg Expr) AggSpec {
 		return AggSpec{Kind: k, Name: name, Arg: arg, ArgType: storage.TDecimal}
+	}
+	typed := func(k AggKind, name string, arg Expr, typ storage.Type) AggSpec {
+		return AggSpec{Kind: k, Name: name, Arg: arg, ArgType: typ}
 	}
 	aggs := []AggSpec{
 		{Kind: Count, Name: "n"},
@@ -433,20 +478,30 @@ func TestFoldMatchesUpdate(t *testing.T) {
 		dec(Sum, "sum_d", Col(1)),
 		dec(Sum, "sum_nd", Col(6)),
 		dec(Sum, "sum_rev", MulDec(Col(1), SubDecConst(100, Col(0)))),
+		dec(Sum, "sum_nrev", MulDec(Col(6), SubDecConst(100, Col(5)))),
 		dec(Sum, "sum_case", CaseWhen(StrPrefix(3, "a"), Col(1), ConstI(0))),
+		dec(Sum, "sum_ncase", CaseWhen(StrPrefix(7, "a"), Col(6), ConstI(0))),
 		dec(Sum, "sum_ratio", Ratio(Col(1), Col(0), 100)),
-		{Kind: Sum, Name: "sum_f", Arg: Col(4), ArgType: storage.TFloat64},
+		typed(Sum, "sum_f", Col(4), storage.TFloat64),
+		typed(Sum, "sum_nf", Col(8), storage.TFloat64),
 		dec(Avg, "avg_d", Col(1)),
 		dec(Avg, "avg_nd", Col(6)),
+		typed(Avg, "avg_nf", Col(8), storage.TFloat64),
 		dec(Min, "min_i", Col(0)),
 		dec(Min, "min_ni", Col(5)),
 		dec(Max, "max_d", Col(1)),
 		dec(Max, "max_nd", Col(6)),
-		{Kind: Min, Name: "min_s", Arg: Col(3), ArgType: storage.TString},
-		{Kind: Max, Name: "max_ns", Arg: Col(7), ArgType: storage.TString},
-		{Kind: Max, Name: "max_f", Arg: Col(4), ArgType: storage.TFloat64},
+		typed(Min, "min_s", Col(3), storage.TString),
+		typed(Min, "min_ns", Col(7), storage.TString),
+		typed(Max, "max_ns", Col(7), storage.TString),
+		typed(Min, "min_sub", Substr(7, 1, 2), storage.TString),
+		typed(Max, "max_f", Col(4), storage.TFloat64),
+		typed(Min, "min_nf", Col(8), storage.TFloat64),
+		typed(Max, "max_nf", Col(8), storage.TFloat64),
 		{Kind: AvgMerge, Name: "am", Arg: Col(1), Arg2: Col(0), ArgType: storage.TDecimal},
 		{Kind: AvgMerge, Name: "am_n", Arg: Col(6), Arg2: Col(0), ArgType: storage.TDecimal},
+		{Kind: AvgMerge, Name: "am_nc", Arg: Col(1), Arg2: Col(5), ArgType: storage.TDecimal},
+		{Kind: AvgMerge, Name: "am_nf", Arg: Col(8), Arg2: Col(0), ArgType: storage.TFloat64},
 	}
 	batches := make([]*storage.Batch, 6)
 	for i := range batches {
@@ -454,17 +509,17 @@ func TestFoldMatchesUpdate(t *testing.T) {
 	}
 	foldRow := func(st []aggState, b *storage.Batch, i int) {
 		for a := range aggs {
-			update(&st[a], &aggs[a], b, i)
+			updateRow(&st[a], &aggs[a], b, i)
 		}
 	}
 	check := func(what string, got, want []aggState) {
 		t.Helper()
 		if len(got) != len(want) {
-			t.Fatalf("%s: %d states, update gives %d", what, len(got), len(want))
+			t.Fatalf("%s: %d states, the row oracle gives %d", what, len(got), len(want))
 		}
 		for s := range want {
 			if got[s] != want[s] {
-				t.Fatalf("%s: group %d, %s: %+v, update gives %+v", what, s/len(aggs), aggs[s%len(aggs)].Name, got[s], want[s])
+				t.Fatalf("%s: group %d, %s: %+v, the row oracle gives %+v", what, s/len(aggs), aggs[s%len(aggs)].Name, got[s], want[s])
 			}
 		}
 	}

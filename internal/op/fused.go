@@ -133,7 +133,7 @@ func (f *FusedStage) Process(w *engine.Worker, b *storage.Batch) *storage.Batch 
 		switch st.kind {
 		case stepFilter:
 			sc.view.Cols = cols
-			if sel = st.pred.Select(&sc.view, sel, sel); len(sel) == 0 {
+			if sel = st.pred.Select(w, &sc.view, sel, sel); len(sel) == 0 {
 				sc.work = cols[:0]
 				return nil
 			}
@@ -210,14 +210,13 @@ func (f *FusedStage) Release(w *engine.Worker) {
 }
 
 // compute evaluates expression ei of map step si at sel and returns the
-// column the step appends. When the batch form returns an input column of
-// the declared type (a Col), that column is appended itself. Otherwise
-// each selected row's value lands at the row's own index of a computed
-// column, so the selection stays valid: in batch form where the expression
-// has a kernel for the batch, a row at a time otherwise.
+// column the step appends. When the batch form returns a non-nullable input
+// column of the declared type (a Col), that column is appended itself.
+// Otherwise each selected row's value lands at the row's own index of a
+// computed column, so the selection stays valid. A computed column is
+// non-nullable, as the map's schema says: a NULL stores its type's zero.
 func (f *FusedStage) compute(w *engine.Worker, sc *fusedScratch, si, ei, n int, sel []int32) *storage.Column {
 	e := &f.steps[si].exprs[ei]
-	v := &sc.view
 	col := sc.computed[si][ei]
 	switch {
 	case !f.reuse:
@@ -228,60 +227,22 @@ func (f *FusedStage) compute(w *engine.Worker, sc *fusedScratch, si, ei, n int, 
 		sc.computed[si][ei] = col
 		f.allocs.Add(1)
 	}
-	growCol(col, n)
-	res, ok := e.Expr.Vec(w, v, sel, col)
-	switch {
-	case !ok:
-		for _, i := range sel {
-			setComputed(col, int(i), e.Type, e.Expr.Eval(v, int(i)))
-		}
-	case res.Type == e.Type:
+	col.SetLen(n)
+	res := e.Expr.Vec(w, &sc.view, sel, col)
+	if res.Type == e.Type && !res.Nullable {
 		return res // col itself, or an input column shared zero-copy
-	default:
+	}
+	if res != col {
 		copyAt(col, res, sel)
+	}
+	if col.Nullable {
+		zeroNulls(col, sel)
 	}
 	return col
 }
 
-// growCol resizes a scratch column to exactly n indexable slots, reusing
-// the backing arrays when the capacity suffices.
-func growCol(c *storage.Column, n int) {
-	switch c.Type {
-	case storage.TFloat64:
-		if cap(c.F64) >= n {
-			c.F64 = c.F64[:n]
-		} else {
-			c.F64 = make([]float64, n)
-		}
-	case storage.TString:
-		if cap(c.Str) >= n {
-			c.Str = c.Str[:n]
-		} else {
-			c.Str = make([]string, n)
-		}
-	default:
-		if cap(c.I64) >= n {
-			c.I64 = c.I64[:n]
-		} else {
-			c.I64 = make([]int64, n)
-		}
-	}
-}
-
-// setComputed stores an expression value at row i. Computed columns are
-// non-nullable: an expression that yields NULL stores its type's zero value.
-func setComputed(c *storage.Column, i int, t storage.Type, v Val) {
-	switch t {
-	case storage.TFloat64:
-		c.F64[i] = v.F
-	case storage.TString:
-		c.Str[i] = v.S
-	default:
-		c.I64[i] = v.I
-	}
-}
-
-// copyAt copies the selected rows of src into dst, each to its own index.
+// copyAt copies the selected rows of src into dst, each to its own index,
+// values and validity.
 func copyAt(dst, src *storage.Column, sel []int32) {
 	switch dst.Type {
 	case storage.TFloat64:
@@ -297,6 +258,32 @@ func copyAt(dst, src *storage.Column, sel []int32) {
 			dst.I64[i] = src.I64[i]
 		}
 	}
+	dst.Nullable = false
+	if src.Nullable {
+		v := validity(dst)
+		for _, i := range sel {
+			v[i] = src.Valid[i]
+		}
+	}
+}
+
+// zeroNulls stores its type's zero at the NULL rows of sel in c and makes
+// c non-nullable.
+func zeroNulls(c *storage.Column, sel []int32) {
+	for _, i := range sel {
+		if c.Valid[i] {
+			continue
+		}
+		switch c.Type {
+		case storage.TFloat64:
+			c.F64[i] = 0
+		case storage.TString:
+			c.Str[i] = ""
+		default:
+			c.I64[i] = 0
+		}
+	}
+	c.Nullable = false
 }
 
 // gatherCol appends the selected rows of src to dst with typed loops

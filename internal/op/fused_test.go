@@ -44,7 +44,7 @@ func randomChain(rng *rand.Rand, in *storage.Schema, kinds string) ([]engine.Op,
 }
 
 // interpret is the oracle: it runs the chain one row at a time through the
-// row forms. Each input row becomes a one-row batch of Go values that every
+// row oracle. Each input row becomes a one-row batch of Go values that every
 // step rewrites — a filter drops it, a map appends its computed values, a
 // projection picks values — and the survivors are appended to the result
 // (nil when none).
@@ -61,15 +61,15 @@ rows:
 		for _, o := range chain {
 			switch s := o.(type) {
 			case *Filter:
-				if !s.Pred.Eval(row, 0) {
+				if !evalPred(s.Pred, row, 0) {
 					continue rows
 				}
 			case *MapOp:
 				vals := row.Row(0)
 				for _, e := range s.Exprs {
-					v := e.Expr.Eval(row, 0)
+					v := evalExpr(e.Expr, row, 0)
 					if v.Null {
-						v = Val{} // computed columns are non-nullable: NULL stores zero
+						v = rowVal{} // computed columns are non-nullable: NULL stores zero
 					}
 					switch e.Type {
 					case storage.TFloat64:
@@ -99,8 +99,7 @@ rows:
 
 // TestFusedMatchesRowOracle is the differential test of the one evaluator
 // of filters, maps and projections: random chains of one to four steps over
-// random batches with nullable and non-nullable columns (so both the
-// kernels and their row-form fallback run), by a fresh-output stage, a
+// random batches with nullable and non-nullable columns, by a fresh-output stage, a
 // reuse-mode stage on a bare worker and a reuse-mode stage on two pooled
 // workers across a Release → take cycle, must each return the oracle's
 // rows, with the chain's schema, and nil when no row survives.

@@ -104,14 +104,14 @@ func (p *GroupJoinProbe) Consume(w *engine.Worker, b *storage.Batch) {
 			g.hit[d] = true
 		}
 		for a, arg := range args {
-			fold(g.state, len(g.Aggs), a, &g.Aggs[a], b, rows[k:e], groups[k:e], arg)
+			fold(w, g.state, len(g.Aggs), a, &g.Aggs[a], rows[k:e], groups[k:e], arg)
 		}
 		lock.Unlock()
 		k = e
 	}
 	for range args {
-		w.PopI64()
-		w.PopI64()
+		w.PopCol()
+		w.PopCol()
 	}
 	w.PopI32(sel)
 	w.PopI32(groups)

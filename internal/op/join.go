@@ -526,7 +526,7 @@ func (jp *JoinProbe) residual(w *engine.Worker, b *storage.Batch, rows, ids []in
 	for k := range sel {
 		sel[k] = int32(k)
 	}
-	sel = jp.Residual.Pred.Select(cand, sel, sel)
+	sel = jp.Residual.Pred.Select(w, cand, sel, sel)
 	for j, k := range sel {
 		rows[j], ids[j] = rows[k], ids[k]
 	}

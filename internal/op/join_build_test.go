@@ -206,7 +206,7 @@ func TestPackShiftRejectsOverflow(t *testing.T) {
 // residuals over a random choice of probe and build columns, nullable ones
 // included, in fresh and in reuse mode. The oracle walks the build rows in
 // table order (one worker consumed them, so one shard holds them), matches
-// keys by value and evaluates the residual's row form on a one-row batch
+// keys by value and evaluates the residual with the row oracle on a one-row batch
 // of the pair's own values.
 func TestResidualJoinMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -241,7 +241,7 @@ func TestResidualJoinMatchesOracle(t *testing.T) {
 					pair.Cols[k].AppendFrom(probe.Cols[rc.Col], pi)
 				}
 			}
-			return res.Pred.Eval(pair, 0)
+			return evalPred(res.Pred, pair, 0)
 		}
 		probeCols, buildCols := []int{0, 3, 6}, []int{1, 5, 7}
 		for _, typ := range []JoinType{Inner, LeftOuter, Semi, Anti} {

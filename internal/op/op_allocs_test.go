@@ -11,15 +11,21 @@ import (
 	"hsqp/internal/storage"
 )
 
-// keyedBatch has an int and a string key (n distinct pairs) and a value.
+// keyedBatch has an int and a string key (n distinct pairs), a value and
+// a nullable value, NULL in every fifth row.
 func keyedBatch(n int) *storage.Batch {
 	b := storage.NewBatch(storage.NewSchema(
 		storage.Field{Name: "k", Type: storage.TInt64},
 		storage.Field{Name: "s", Type: storage.TString},
 		storage.Field{Name: "v", Type: storage.TDecimal},
+		storage.Field{Name: "nv", Type: storage.TDecimal, Nullable: true},
 	), n)
 	for i := 0; i < n; i++ {
-		b.AppendRow(int64(i), fmt.Sprint("key", i%13), int64(i))
+		var nv any = int64(i % 1000)
+		if i%5 == 0 {
+			nv = nil
+		}
+		b.AppendRow(int64(i), fmt.Sprint("key", i%13), int64(i), nv)
 	}
 	return b
 }
@@ -31,17 +37,28 @@ var sumCount = []AggSpec{
 	{Kind: Sum, Name: "rev", Arg: MulDec(Col(2), SubDecConst(100, Col(0))), ArgType: storage.TDecimal},
 }
 
+// nullableAggs fold a nullable argument: its NULL rows are dropped into
+// worker vectors first.
+var nullableAggs = []AggSpec{
+	{Kind: Count, Name: "n", Arg: Col(3)},
+	{Kind: Sum, Name: "sum", Arg: Col(3), ArgType: storage.TDecimal},
+	{Kind: Min, Name: "min", Arg: Col(3), ArgType: storage.TDecimal},
+}
+
 // TestGroupByAllocs: rows that fall into existing groups allocate nothing
-// (no per-row hash or key copy), and new groups cost the amortized growth
-// of the table's flat arrays, not a slice each.
+// (no per-row hash or key copy), with non-nullable and with nullable
+// arguments, and new groups cost the amortized growth of the table's flat
+// arrays, not a slice each.
 func TestGroupByAllocs(t *testing.T) {
 	const n = 4096
 	b := keyedBatch(n)
 	w := &engine.Worker{}
-	warm := NewGroupBy(b.Schema, []int{0, 1}, sumCount, 1)
-	warm.Consume(w, b)
-	if got := testing.AllocsPerRun(10, func() { warm.Consume(w, b) }); got != 0 {
-		t.Errorf("GroupBy.Consume of %d rows into existing groups allocates %v times, want 0", n, got)
+	for name, aggs := range map[string][]AggSpec{"non-nullable": sumCount, "nullable": nullableAggs} {
+		warm := NewGroupBy(b.Schema, []int{0, 1}, aggs, 1)
+		warm.Consume(w, b)
+		if got := testing.AllocsPerRun(10, func() { warm.Consume(w, b) }); got != 0 {
+			t.Errorf("GroupBy.Consume of %d rows into existing groups (%s arguments) allocates %v times, want 0", n, name, got)
+		}
 	}
 	if got := testing.AllocsPerRun(5, func() {
 		NewGroupBy(b.Schema, []int{0, 1}, sumCount, 1).Consume(w, b)
@@ -139,21 +156,27 @@ func TestJoinProbeReuseAllocs(t *testing.T) {
 		Pred: And(I64GE(0, 100), StrPrefix(1, "key1")),
 		Cols: []ResidualCol{{Col: 2}, {Build: true, Col: 1}},
 	}
-	for _, res := range []*Residual{nil, residual} {
+	// Q17's shape: probe nv × 5.00 < build v, a computed operand over a
+	// nullable column.
+	computed := &Residual{
+		Pred: LT(MulDec(Col(0), ConstI(500)), Col(1)),
+		Cols: []ResidualCol{{Col: 3}, {Build: true, Col: 2}},
+	}
+	for name, res := range map[string]*Residual{"none": nil, "and": residual, "computed": computed} {
 		jp := NewJoinProbe(jb, Inner, b.Schema, []int{0}, []int{0, 2}, []int{1}, res)
 		jp.ReuseOutput(1)
 		if out := jp.Process(w, b); res != nil && (out == nil || out.Rows() == n) {
-			t.Fatal("the residual selects no row or every row: the pin checks no narrowing")
+			t.Fatalf("the %s residual selects no row or every row: the pin checks no narrowing", name)
 		}
 		if got := testing.AllocsPerRun(10, func() { jp.Process(w, b) }); got != 0 {
-			t.Errorf("reused JoinProbe.Process (residual=%v) of %d rows allocates %v times, want 0", res != nil, n, got)
+			t.Errorf("reused JoinProbe.Process (residual %s) of %d rows allocates %v times, want 0", name, n, got)
 		}
 		jp.Release(w)
 		if got := testing.AllocsPerRun(10, func() { jp.Process(w, b) }); got != 0 {
-			t.Errorf("JoinProbe.Process (residual=%v) after Release allocates %v times, want 0", res != nil, got)
+			t.Errorf("JoinProbe.Process (residual %s) after Release allocates %v times, want 0", name, got)
 		}
 		if got := jp.BatchAllocs(); got != 1 {
-			t.Errorf("reused probe (residual=%v) reports %d batch allocations, want 1 (its slot)", res != nil, got)
+			t.Errorf("reused probe (residual %s) reports %d batch allocations, want 1 (its slot)", name, got)
 		}
 	}
 }
@@ -161,7 +184,10 @@ func TestJoinProbeReuseAllocs(t *testing.T) {
 // TestFusedReuseAllocs: after one Release → take cycle a reuse-mode fused
 // stage allocates nothing, on the compacting path (an And filter drops
 // rows) and on the zero-copy one (every row survives), also where a nested
-// expression (revenue's 100 − v) takes worker scratch.
+// expression (revenue's 100 − v) takes worker scratch, where Or and Not
+// filters over a nullable column and a comparison with a computed operand
+// split the selection in worker vectors, and where a map over a nullable
+// column stores its NULLs as zero.
 func TestFusedReuseAllocs(t *testing.T) {
 	const n = 4096
 	b := keyedBatch(n)
@@ -171,8 +197,14 @@ func TestFusedReuseAllocs(t *testing.T) {
 		{Name: "rev", Type: storage.TDecimal, Expr: MulDec(Col(2), SubDecConst(100, Col(0)))},
 	})
 	stages := map[string]*FusedStage{
-		"compacting": NewFused([]engine.Op{&Filter{Pred: And(I64GE(0, 1), I64LT(0, n/3))}, revenue, NewProject(revenue.Schema, []int{1, 3, 4})}, 1, true),
-		"zero-copy":  NewFused([]engine.Op{revenue}, 1, true),
+		"compacting":  NewFused([]engine.Op{&Filter{Pred: And(I64GE(0, 1), I64LT(0, n/3))}, revenue, NewProject(revenue.Schema, []int{1, 3, 4})}, 1, true),
+		"zero-copy":   NewFused([]engine.Op{revenue}, 1, true),
+		"or":          NewFused([]engine.Op{&Filter{Pred: Or(I64LT(3, 100), StrPrefix(1, "key1"))}}, 1, true),
+		"not":         NewFused([]engine.Op{&Filter{Pred: Not(I64GE(3, 500))}}, 1, true),
+		"computed lt": NewFused([]engine.Op{&Filter{Pred: LT(Col(3), MulDec(Col(2), ConstI(1000)))}}, 1, true),
+		"nullable map": NewFused([]engine.Op{NewMap(b.Schema, []NamedExpr{
+			{Name: "nrev", Type: storage.TDecimal, Expr: MulDec(Col(3), SubDecConst(100, Col(0)))},
+		})}, 1, true),
 	}
 	for name, f := range stages {
 		f.Process(w, b)

@@ -90,26 +90,12 @@ func TestProjectSharesColumns(t *testing.T) {
 	}
 }
 
-// rowExpr is an Expr without a kernel: a map evaluates it a row at a time.
-type rowExpr func(b *storage.Batch, i int) Val
-
-func (f rowExpr) Eval(b *storage.Batch, i int) Val { return f(b, i) }
-
-func (rowExpr) Vec(*engine.Worker, *storage.Batch, []int32, *storage.Column) (*storage.Column, bool) {
-	return nil, false
-}
-
 func TestMapComputes(t *testing.T) {
 	b := intBatch(5)
-	m := NewMap(b.Schema, []NamedExpr{{
-		Name: "sum", Type: storage.TInt64,
-		Expr: rowExpr(func(b *storage.Batch, i int) Val {
-			return Val{I: b.Cols[0].I64[i] + b.Cols[1].I64[i]}
-		}),
-	}})
+	m := NewMap(b.Schema, []NamedExpr{{Name: "diff", Type: storage.TInt64, Expr: SubDec(Col(0), Col(1))}})
 	out := m.Process(nil, b)
 	for i := 0; i < 5; i++ {
-		if out.Cols[2].I64[i] != b.Cols[0].I64[i]+b.Cols[1].I64[i] {
+		if out.Cols[2].I64[i] != b.Cols[0].I64[i]-b.Cols[1].I64[i] {
 			t.Fatalf("row %d wrong", i)
 		}
 	}
@@ -380,6 +366,19 @@ func TestGroupJoinMatchesAggThenJoin(t *testing.T) {
 	}
 }
 
+// vecAt evaluates e's batch form at row 0 of b into a fresh column of
+// type typ, and returns row 0 of the result.
+func vecAt(e Expr, b *storage.Batch, typ storage.Type) rowVal {
+	dst := storage.NewColumn(typ, false, b.Rows())
+	dst.SetLen(b.Rows())
+	return colVal(e.Vec(nil, b, []int32{0}, dst), 0)
+}
+
+// holdsAt reports whether p's batch form selects row 0 of b.
+func holdsAt(p Pred, b *storage.Batch) bool {
+	return len(p.Select(nil, b, []int32{0}, make([]int32, 0, 1))) == 1
+}
+
 func TestExprHelpers(t *testing.T) {
 	s := storage.NewSchema(
 		storage.Field{Name: "d", Type: storage.TDecimal},
@@ -388,38 +387,42 @@ func TestExprHelpers(t *testing.T) {
 	)
 	b := storage.NewBatch(s, 1)
 	b.AppendRow(int64(250), storage.MustDate("1997-03-15"), "49-123-456-7890")
+	dec := func(e Expr) int64 { return vecAt(e, b, storage.TDecimal).I }
 
-	if MulDec(Col(0), ConstI(200)).Eval(b, 0).I != 500 { // 2.50 × 2.00
+	if dec(MulDec(Col(0), ConstI(200))) != 500 { // 2.50 × 2.00
 		t.Fatal("MulDec")
 	}
-	if SubDec(Col(0), ConstI(50)).Eval(b, 0).I != 200 {
+	if dec(SubDec(Col(0), ConstI(50))) != 200 {
 		t.Fatal("SubDec")
 	}
-	if SubDecConst(100, Col(0)).Eval(b, 0).I != -150 {
+	if dec(SubDecConst(100, Col(0))) != -150 {
 		t.Fatal("SubDecConst")
 	}
-	if AddDecConst(100, Col(0)).Eval(b, 0).I != 350 {
+	if dec(AddDecConst(100, Col(0))) != 350 {
 		t.Fatal("AddDecConst")
 	}
-	if Year(1).Eval(b, 0).I != 1997 {
+	if vecAt(Year(1), b, storage.TInt64).I != 1997 {
 		t.Fatal("Year")
 	}
-	if DivDecConst(Col(0), 7).Eval(b, 0).I != 35 {
+	if dec(DivDecConst(Col(0), 7)) != 35 {
 		t.Fatal("DivDecConst")
 	}
-	if Ratio(Col(0), ConstI(1000), 100).Eval(b, 0).I != 25 {
+	if dec(Ratio(Col(0), ConstI(1000), 100)) != 25 {
 		t.Fatal("Ratio")
 	}
-	if Substr(2, 0, 2).Eval(b, 0).S != "49" {
+	if !vecAt(Ratio(Col(0), ConstI(0), 100), b, storage.TDecimal).Null {
+		t.Fatal("Ratio by zero is not NULL")
+	}
+	if vecAt(Substr(2, 0, 2), b, storage.TString).S != "49" {
 		t.Fatal("Substr")
 	}
-	if !StrPrefixIn(2, 2, "49", "13").Eval(b, 0) {
+	if !holdsAt(StrPrefixIn(2, 2, "49", "13"), b) {
 		t.Fatal("StrPrefixIn")
 	}
-	if !I64In(0, 7, 250).Eval(b, 0) || I64In(0, 7).Eval(b, 0) {
+	if !holdsAt(I64In(0, 7, 250), b) || holdsAt(I64In(0, 7), b) {
 		t.Fatal("I64In")
 	}
-	if CaseWhen(I64GT(0, 0), ConstI(1), ConstI(2)).Eval(b, 0).I != 1 {
+	if dec(CaseWhen(I64GT(0, 0), ConstI(1), ConstI(2))) != 1 {
 		t.Fatal("CaseWhen")
 	}
 }
@@ -427,13 +430,13 @@ func TestExprHelpers(t *testing.T) {
 func TestPredicateCombinators(t *testing.T) {
 	b := intBatch(1) // k = 0
 	tr, fa := I64GE(0, 0), I64LT(0, 0)
-	if !And(tr, tr).Eval(b, 0) || And(tr, fa).Eval(b, 0) || !And().Eval(b, 0) {
+	if !holdsAt(And(tr, tr), b) || holdsAt(And(tr, fa), b) || !holdsAt(And(), b) {
 		t.Fatal("And")
 	}
-	if !Or(fa, tr).Eval(b, 0) || Or(fa, fa).Eval(b, 0) {
+	if !holdsAt(Or(fa, tr), b) || holdsAt(Or(fa, fa), b) || holdsAt(Or(), b) {
 		t.Fatal("Or")
 	}
-	if Not(tr).Eval(b, 0) || !Not(fa).Eval(b, 0) {
+	if holdsAt(Not(tr), b) || !holdsAt(Not(fa), b) {
 		t.Fatal("Not")
 	}
 }

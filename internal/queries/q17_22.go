@@ -67,7 +67,8 @@ func q18(Params) *plan.Query {
 }
 
 // q19: discounted revenue — disjunctive join predicate spanning both
-// sides, evaluated as a residual of the partkey join.
+// sides, evaluated as a residual of the partkey join. The OR of each
+// branch's part-only conjuncts selects part before its broadcast.
 func q19(Params) *plan.Query {
 	l := scan("lineitem")
 	l = l.Select(op.And(
@@ -75,18 +76,40 @@ func q19(Params) *plan.Query {
 		op.StrEQ(l.Col("l_shipinstruct"), "DELIVER IN PERSON"),
 	))
 	l = l.Project("l_partkey", "l_quantity", "l_extendedprice", "l_discount")
+
+	type branch struct {
+		brand          string
+		containers     []string
+		qlo, qhi, smax int64
+	}
+	branches := []branch{
+		{"Brand#12", []string{"SM CASE", "SM BOX", "SM PACK", "SM PKG"}, 1, 11, 5},
+		{"Brand#23", []string{"MED BAG", "MED BOX", "MED PKG", "MED PACK"}, 10, 20, 10},
+		{"Brand#34", []string{"LG CASE", "LG BOX", "LG PACK", "LG PKG"}, 20, 30, 15},
+	}
+	// partOnly is a branch's conjuncts over part's brand, container and
+	// size columns.
+	partOnly := func(br branch, brand, container, size int) op.Pred {
+		return op.And(
+			op.StrEQ(brand, br.brand),
+			op.StrIn(container, br.containers...),
+			op.I64Between(size, 1, br.smax),
+		)
+	}
 	part := scan("part")
+	var anyBranch []op.Pred
+	for _, br := range branches {
+		anyBranch = append(anyBranch, partOnly(br, part.Col("p_brand"), part.Col("p_container"), part.Col("p_size")))
+	}
+	part = part.Select(op.Or(anyBranch...))
 
 	on := plan.On(l, part)
-	qty, brand := on.Probe("l_quantity"), on.Build("p_brand")
-	container, size := on.Build("p_container"), on.Build("p_size")
-	branch := func(wantBrand string, containers []string, qlo, qhi, smax int64) op.Pred {
-		return op.And(
-			op.StrEQ(brand, wantBrand),
-			op.StrIn(container, containers...),
-			op.I64Between(qty, qlo*100, qhi*100),
-			op.I64Between(size, 1, smax),
-		)
+	var residual []op.Pred
+	for _, br := range branches {
+		residual = append(residual, op.And(
+			partOnly(br, on.Build("p_brand"), on.Build("p_container"), on.Build("p_size")),
+			op.I64Between(on.Probe("l_quantity"), br.qlo*100, br.qhi*100),
+		))
 	}
 	j := l.Join(part, []string{"l_partkey"}, []string{"p_partkey"},
 		plan.JoinSpec{
@@ -94,11 +117,7 @@ func q19(Params) *plan.Query {
 			Strategy: plan.BroadcastBuild,
 			ProbeOut: []string{"l_extendedprice", "l_discount"},
 			BuildOut: []string{},
-			Residual: on.Where(op.Or(
-				branch("Brand#12", []string{"SM CASE", "SM BOX", "SM PACK", "SM PKG"}, 1, 11, 5),
-				branch("Brand#23", []string{"MED BAG", "MED BOX", "MED PKG", "MED PACK"}, 10, 20, 10),
-				branch("Brand#34", []string{"LG CASE", "LG BOX", "LG PACK", "LG PKG"}, 20, 30, 15),
-			)),
+			Residual: on.Where(op.Or(residual...)),
 		})
 	j = j.Map(op.NamedExpr{Name: "rev", Type: storage.TDecimal, Expr: revenue(j)})
 	g := j.GroupByCols(nil, sumDec("revenue", col(j, "rev")))

@@ -172,6 +172,27 @@ func (c *Column) Grow(n int) {
 	}
 }
 
+// SetLen gives c exactly n values of its type, keeping the backing array
+// when it has room: a scratch column whose user writes its values by
+// index. The values are stale, and the validity vector is left as it is.
+func (c *Column) SetLen(n int) {
+	switch c.Type {
+	case TFloat64:
+		c.F64 = setLen(c.F64, n)
+	case TString:
+		c.Str = setLen(c.Str, n)
+	default:
+		c.I64 = setLen(c.I64, n)
+	}
+}
+
+func setLen[T any](v []T, n int) []T {
+	if cap(v) < n {
+		return make([]T, n, n+n/4)
+	}
+	return v[:n]
+}
+
 // Value returns row i as a Go value (nil for NULL).
 func (c *Column) Value(i int) any {
 	if c.IsNull(i) {
