@@ -15,13 +15,13 @@ race:
 
 # The AllocsPerRun pins on the key path (hash kernels, batch headers,
 # routing, decode, group-by, join, reused operator output, the engine's
-# column pool and worker scratch): an allocation creeping back fails here
-# by name. The files are //go:build !race — the race detector allocates —
-# so no -race. One pass of the decode, fused-stage, group-by and join-probe
-# micro-benchmarks keeps them compiling and prints their rates and
-# allocs/op.
+# column pool and worker scratch, the network frame): an allocation
+# creeping back fails here by name. The files are //go:build !race — the
+# race detector allocates — so no -race. One pass of the decode,
+# fused-stage, group-by and join-probe micro-benchmarks keeps them
+# compiling and prints their rates and allocs/op.
 allocs:
-	$(GO) test -run 'Allocs' ./internal/storage ./internal/ser ./internal/op ./internal/exchange ./internal/engine
+	$(GO) test -run 'Allocs' ./internal/storage ./internal/ser ./internal/op ./internal/exchange ./internal/engine ./internal/nic
 	$(GO) test -run '^$$' -bench DecodeAll -benchtime 1x ./internal/ser
 	$(GO) test -run '^$$' -bench '^Benchmark(Fused|GroupBy|JoinProbe)$$' -benchtime 1x ./internal/op
 

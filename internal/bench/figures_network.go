@@ -9,10 +9,9 @@ import (
 	"hsqp/internal/fabric"
 	"hsqp/internal/memory"
 	"hsqp/internal/mux"
+	"hsqp/internal/nic"
 	"hsqp/internal/numa"
-	"hsqp/internal/rdma"
 	"hsqp/internal/report"
-	"hsqp/internal/tcp"
 )
 
 // figure4 prints the memory-bus trips of the classic I/O model vs data
@@ -53,20 +52,20 @@ func figure5(w io.Writer, _ Args) error {
 		Header: []string{"variant", "unidirectional GB/s", "bidirectional GB/s"},
 	}
 	for _, v := range []struct {
-		name string
-		tcp  *tcp.Config // nil for RDMA
+		name  string
+		sheet nic.Sheet
 	}{
-		{"TCP w/o offload", &tcp.Config{Mode: tcp.ModeDatagram, Offload: false, NICLocal: true}},
-		{"default TCP", &tcp.Config{Mode: tcp.ModeDatagram, Offload: true, NICLocal: true}},
-		{"TCP 64k MTU", &tcp.Config{Mode: tcp.ModeConnected, NICLocal: true}},
-		{"TCP interrupts", &tcp.Config{Mode: tcp.ModeConnected, NICLocal: true, TunedInterrupts: true}},
-		{"default RDMA", nil},
+		{"TCP w/o offload", nic.TCP(nic.TCPConfig{Mode: nic.ModeDatagram})},
+		{"default TCP", nic.TCP(nic.TCPConfig{Mode: nic.ModeDatagram, Offload: true})},
+		{"TCP 64k MTU", nic.TCP(nic.TCPConfig{Mode: nic.ModeConnected})},
+		{"TCP interrupts", nic.TCP(nic.TCPConfig{Mode: nic.ModeConnected, TunedInterrupts: true})},
+		{"default RDMA", nic.RDMA()},
 	} {
-		uni, err := oneStream(v.tcp, false)
+		uni, err := oneStream(v.sheet, false)
 		if err != nil {
 			return err
 		}
-		bidi, err := oneStream(v.tcp, true)
+		bidi, err := oneStream(v.sheet, true)
 		if err != nil {
 			return err
 		}
@@ -76,10 +75,9 @@ func figure5(w io.Writer, _ Args) error {
 	return nil
 }
 
-// oneStream runs one stream (or two opposing streams) over TCP in the
-// given configuration, or over RDMA when tcpCfg is nil, and returns the
-// per-stream payload throughput in simulated GB/s.
-func oneStream(tcpCfg *tcp.Config, bidi bool) (float64, error) {
+// oneStream runs one stream (or two opposing streams) under the given
+// sheet and returns the per-stream payload throughput in simulated GB/s.
+func oneStream(sheet nic.Sheet, bidi bool) (float64, error) {
 	const messages, messageSize = figure5Messages, memory.DefaultMessageSize
 	fab, err := fabric.New(fabric.Config{
 		Ports:     2,
@@ -97,7 +95,7 @@ func oneStream(tcpCfg *tcp.Config, bidi bool) (float64, error) {
 	done := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
 	var counts [2]int
 	var mu sync.Mutex
-	endpoints := make([]mux.Transport, 2)
+	endpoints := make([]*nic.Endpoint, 2)
 	for i := 0; i < 2; i++ {
 		i := i
 		onRecv := func(m *memory.Message) {
@@ -110,12 +108,7 @@ func oneStream(tcpCfg *tcp.Config, bidi bool) (float64, error) {
 				done[i] <- struct{}{}
 			}
 		}
-		onInline := func(int, uint32) {}
-		if tcpCfg != nil {
-			endpoints[i] = tcp.NewEndpoint(fab, i, *tcpCfg, pools[i].Get0, onRecv, onInline)
-		} else {
-			endpoints[i] = rdma.NewEndpoint(fab, i, pools[i].Get0, onRecv, onInline)
-		}
+		endpoints[i] = nic.New(fab, i, sheet, pools[i].Get0, onRecv, func(int, uint32) {})
 	}
 	fab.Start()
 	for _, ep := range endpoints {
@@ -214,7 +207,7 @@ func allToAll(servers, msgsPer, msgSize int, timeScale float64, scheduling bool)
 	}
 	topo := numa.TwoSocket()
 	muxes := make([]*mux.Mux, servers)
-	endpoints := make([]*rdma.Endpoint, servers)
+	endpoints := make([]*nic.Endpoint, servers)
 	recvs := make([]*mux.ExchangeRecv, servers)
 	const exID = int32(7)
 	for i := 0; i < servers; i++ {
@@ -229,7 +222,7 @@ func allToAll(servers, msgsPer, msgSize int, timeScale float64, scheduling bool)
 		if err != nil {
 			return 0, err
 		}
-		ep := rdma.NewEndpoint(fab, i, m.RecvAlloc, m.OnRecv, m.OnInline)
+		ep := nic.New(fab, i, nic.RDMA(), m.RecvAlloc, m.OnRecv, m.OnInline)
 		m.SetTransport(ep)
 		muxes[i] = m
 		endpoints[i] = ep

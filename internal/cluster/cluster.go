@@ -17,14 +17,13 @@ import (
 	"hsqp/internal/fabric"
 	"hsqp/internal/memory"
 	"hsqp/internal/mux"
+	"hsqp/internal/nic"
 	"hsqp/internal/numa"
 	"hsqp/internal/obs"
 	"hsqp/internal/plan"
-	"hsqp/internal/rdma"
 	"hsqp/internal/sim"
 	"hsqp/internal/spin"
 	"hsqp/internal/storage"
-	"hsqp/internal/tcp"
 	"hsqp/internal/tpch"
 )
 
@@ -283,20 +282,18 @@ func (c *Cluster) wireMesh(nodes []*Node) error {
 		if err != nil {
 			return err
 		}
-		var tr mux.Transport
+		var sheet nic.Sheet
 		switch c.cfg.Transport {
 		case RDMA:
-			tr = rdma.NewEndpoint(fab, id, m.RecvAlloc, m.OnRecv, m.OnInline)
+			sheet = nic.RDMA()
 		case TCPoIB:
-			tr = tcp.NewEndpoint(fab, id,
-				tcp.Config{Mode: tcp.ModeConnected, NICLocal: true, TunedInterrupts: true},
-				m.RecvAlloc, m.OnRecv, m.OnInline)
+			sheet = nic.TCP(nic.TCPConfig{Mode: nic.ModeConnected, TunedInterrupts: true})
 		case TCPGbE:
-			tr = tcp.NewEndpoint(fab, id, tcp.Config{Mode: tcp.ModeEthernet, Offload: true, NICLocal: true},
-				m.RecvAlloc, m.OnRecv, m.OnInline)
+			sheet = nic.TCP(nic.TCPConfig{Mode: nic.ModeEthernet, Offload: true})
 		default:
 			return fmt.Errorf("cluster: unknown transport %v", c.cfg.Transport)
 		}
+		tr := nic.New(fab, id, sheet, m.RecvAlloc, m.OnRecv, m.OnInline)
 		m.SetTransport(tr)
 		node.Mux = m
 		node.transport = tr

@@ -11,9 +11,9 @@ import (
 	"hsqp/internal/fabric"
 	"hsqp/internal/memory"
 	"hsqp/internal/mux"
+	"hsqp/internal/nic"
 	"hsqp/internal/numa"
 	"hsqp/internal/op"
-	"hsqp/internal/rdma"
 	"hsqp/internal/ser"
 	"hsqp/internal/storage"
 )
@@ -34,14 +34,14 @@ func newHarness(t *testing.T, servers int) *harness {
 	}
 	topo := numa.TwoSocket()
 	h := &harness{topo: topo}
-	eps := make([]*rdma.Endpoint, servers)
+	eps := make([]*nic.Endpoint, servers)
 	for i := 0; i < servers; i++ {
 		pool := memory.NewPool(topo, numa.AllocLocal, 4096, nil)
 		m, err := mux.New(mux.Config{Server: i, Servers: servers, Topology: topo, Pool: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep := rdma.NewEndpoint(fab, i, m.RecvAlloc, m.OnRecv, m.OnInline)
+		ep := nic.New(fab, i, nic.RDMA(), m.RecvAlloc, m.OnRecv, m.OnInline)
 		m.SetTransport(ep)
 		eng, err := engine.New(engine.Config{Topology: topo, Workers: 3, MorselSize: 32})
 		if err != nil {

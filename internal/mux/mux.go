@@ -33,7 +33,8 @@ import (
 // phase before synchronizing (the paper uses 8 × 512 KB).
 const BatchPerPhase = 8
 
-// Transport abstracts the wire (RDMA or TCP endpoints satisfy it).
+// Transport abstracts the wire: a nic.Endpoint under its RDMA or TCP
+// cost sheet.
 type Transport interface {
 	Start()
 	Close()
@@ -460,8 +461,10 @@ func (m *Mux) networkLoop() {
 func (m *Mux) eagerLoop() {
 	n := m.cfg.Servers
 	rng := uint64(m.cfg.Server)*0x9e3779b97f4a7c15 + 1
+	idle := time.NewTimer(idleSleep)
+	defer idle.Stop()
 	for {
-		if m.parkWhileFrozen() {
+		if m.parkWhileFrozen(idle) {
 			return
 		}
 		moved := false
@@ -482,11 +485,12 @@ func (m *Mux) eagerLoop() {
 			}
 		}
 		if !moved {
+			idle.Reset(idleSleep)
 			select {
 			case <-m.stopCh:
 				return
 			case <-m.wakeCh:
-			case <-time.After(idleSleep):
+			case <-idle.C:
 			}
 		} else {
 			select {
@@ -504,8 +508,10 @@ func (m *Mux) eagerLoop() {
 func (m *Mux) scheduledLoop() {
 	phases := m.schedule.Phases()
 	var seq uint32
+	idle := time.NewTimer(idleSleep)
+	defer idle.Stop()
 	for {
-		if m.parkWhileFrozen() {
+		if m.parkWhileFrozen(idle) {
 			return
 		}
 		roundMoved := false
@@ -538,24 +544,27 @@ func (m *Mux) scheduledLoop() {
 			seq++
 		}
 		if !roundMoved {
+			idle.Reset(idleSleep)
 			select {
 			case <-m.stopCh:
 				return
 			case <-m.wakeCh:
-			case <-time.After(idleSleep):
+			case <-idle.C:
 			}
 		}
 	}
 }
 
-// parkWhileFrozen holds the network loop while the mux is frozen; it
-// reports true when the mux shut down during the freeze.
-func (m *Mux) parkWhileFrozen() bool {
+// parkWhileFrozen holds the network loop while the mux is frozen, waiting
+// on the loop's own timer; it reports true when the mux shut down during
+// the freeze.
+func (m *Mux) parkWhileFrozen(idle *time.Timer) bool {
 	for m.frozen.Load() {
+		idle.Reset(time.Millisecond)
 		select {
 		case <-m.stopCh:
 			return true
-		case <-time.After(time.Millisecond):
+		case <-idle.C:
 		}
 	}
 	return false

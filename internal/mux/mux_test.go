@@ -8,8 +8,8 @@ import (
 
 	"hsqp/internal/fabric"
 	"hsqp/internal/memory"
+	"hsqp/internal/nic"
 	"hsqp/internal/numa"
-	"hsqp/internal/rdma"
 )
 
 // testCluster wires n muxes over a fast fabric with RDMA endpoints.
@@ -21,14 +21,14 @@ func testCluster(t *testing.T, n int, scheduling bool) ([]*Mux, func()) {
 	}
 	topo := numa.TwoSocket()
 	muxes := make([]*Mux, n)
-	eps := make([]*rdma.Endpoint, n)
+	eps := make([]*nic.Endpoint, n)
 	for i := 0; i < n; i++ {
 		pool := memory.NewPool(topo, numa.AllocLocal, 4096, nil)
 		m, err := New(Config{Server: i, Servers: n, Topology: topo, Pool: pool, Scheduling: scheduling})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep := rdma.NewEndpoint(fab, i, m.RecvAlloc, m.OnRecv, m.OnInline)
+		ep := nic.New(fab, i, nic.RDMA(), m.RecvAlloc, m.OnRecv, m.OnInline)
 		m.SetTransport(ep)
 		muxes[i] = m
 		eps[i] = ep

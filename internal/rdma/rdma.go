@@ -1,211 +1,20 @@
-// Package rdma implements a verbs-like RDMA endpoint over the simulated
-// fabric (§2.2 of the paper).
-//
-// The model follows the paper's design decisions:
-//
-//   - channel semantics (two-sided send/receive, §2.2.3): the receiver
-//     posts receive buffers; an incoming message lands in the next posted
-//     buffer and a completion is signalled — no memory-key exchange;
-//   - zero copy (§2.2.2): the sender's buffer is read by the simulated HCA
-//     (the fabric) directly; the only data movement on the receive side is
-//     the HCA's DMA into the posted buffer, performed by the fabric's
-//     ingress goroutine, *not* by an application core;
-//   - event-based completion notification (§2.2.4): receive completions
-//     are delivered through a channel the multiplexer blocks on, costing
-//     ~nothing in CPU, matching the paper's 4% CPU observation;
-//   - buffer reuse: the sender's message is released (returned to its
-//     pool) once the send work request completes, i.e. after the HCA has
-//     read the buffer onto the wire.
-//
-// Memory-region registration cost is modeled in the message pool
-// (memory.NewPool's registerCost), not here: regions are registered when a
-// buffer is first allocated and reused afterwards.
+// Package rdma keeps the names the benchmark's probe mesh compiles
+// against. The endpoint itself is nic.Endpoint under the nic.RDMA sheet.
 package rdma
 
 import (
-	"sync/atomic"
-	"time"
-
 	"hsqp/internal/fabric"
 	"hsqp/internal/memory"
-	"hsqp/internal/spin"
+	"hsqp/internal/nic"
 )
 
-// CompletionCost is the CPU charged per handled completion notification.
-// Event-based completions are cheap but not free.
-const CompletionCost = 300 * time.Nanosecond
-
-// Stats reports endpoint activity.
-type Stats struct {
-	BytesSent     uint64
-	BytesReceived uint64
-	MsgsSent      uint64
-	MsgsReceived  uint64
-	InlineSent    uint64
-	CPUSeconds    float64 // modeled CPU spent by the endpoint owner
-}
-
-// inlinePayload is the wire representation of a low-latency inline send.
-type inlinePayload struct {
-	src int
-	tag uint32
-}
-
 // Endpoint is one server's RDMA port.
-type Endpoint struct {
-	fab  *fabric.Fabric
-	port int
+type Endpoint = nic.Endpoint
 
-	recvAlloc func() *memory.Message    // posts receive buffers
-	onRecv    func(*memory.Message)     // completion handler (data)
-	onInline  func(src int, tag uint32) // completion handler (inline)
-
-	scale      float64
-	deliveries chan *fabric.Message
-	stopCh     chan struct{}
-	stopped    atomic.Bool
-
-	bytesSent atomic.Uint64
-	bytesRecv atomic.Uint64
-	msgsSent  atomic.Uint64
-	msgsRecv  atomic.Uint64
-	inlines   atomic.Uint64
-	cpuNanos  atomic.Int64
-}
-
-// NewEndpoint wires an RDMA endpoint to fabric port `port`.
-//
-// recvAlloc supplies posted receive buffers (the multiplexer draws them
-// from its NUMA-aware pool, rotating sockets). onRecv and onInline are the
-// completion handlers; they run on the fabric's delivery goroutine and
-// should hand off quickly.
+// NewEndpoint wires an RDMA endpoint to fabric port `port`; see nic.New.
 func NewEndpoint(fab *fabric.Fabric, port int,
 	recvAlloc func() *memory.Message,
 	onRecv func(*memory.Message),
 	onInline func(src int, tag uint32)) *Endpoint {
-
-	ep := &Endpoint{
-		fab:        fab,
-		port:       port,
-		recvAlloc:  recvAlloc,
-		onRecv:     onRecv,
-		onInline:   onInline,
-		scale:      fab.Config().TimeScale,
-		deliveries: make(chan *fabric.Message, 32),
-		stopCh:     make(chan struct{}),
-	}
-	fab.RegisterSink(port, ep.sink)
-	return ep
-}
-
-// Send posts a send work request for m to server dst and returns once the
-// request is queued (the verbs interface is asynchronous, §2.2.1). The
-// message is released when the simulated HCA has finished reading it;
-// callers must not touch m after Send.
-func (ep *Endpoint) Send(dst int, m *memory.Message) {
-	size := m.WireSize()
-	ep.bytesSent.Add(uint64(size))
-	ep.msgsSent.Add(1)
-	ep.fab.Send(&fabric.Message{
-		Src:     ep.port,
-		Dst:     dst,
-		Size:    size,
-		Payload: m,
-	})
-}
-
-// SendInline sends a small latency-critical message (used for the network
-// scheduler's synchronization barriers, §3.2.3). Inline data travels inside
-// the work request itself, so no buffer is consumed on either side.
-func (ep *Endpoint) SendInline(dst int, tag uint32) {
-	ep.inlines.Add(1)
-	ep.fab.Send(&fabric.Message{
-		Src:     ep.port,
-		Dst:     dst,
-		Size:    16, // a minimal work request
-		Payload: inlinePayload{src: ep.port, tag: tag},
-		Inline:  true,
-	})
-}
-
-// sink is the fabric delivery callback. Inline completions are handled
-// immediately (they are latency-critical barriers); data completions are
-// handed to the endpoint's own goroutine so the DMA copy never runs on the
-// paced link goroutine.
-func (ep *Endpoint) sink(fm *fabric.Message) {
-	if pl, ok := fm.Payload.(inlinePayload); ok {
-		ep.chargeCPU(CompletionCost)
-		ep.onInline(pl.src, pl.tag)
-		return
-	}
-	select {
-	case ep.deliveries <- fm:
-	case <-ep.stopCh:
-	}
-}
-
-// deliverLoop models the HCA's DMA engine completing receive work
-// requests.
-func (ep *Endpoint) deliverLoop() {
-	for {
-		select {
-		case fm := <-ep.deliveries:
-			ep.complete(fm)
-		case <-ep.stopCh:
-			return
-		}
-	}
-}
-
-func (ep *Endpoint) complete(fm *fabric.Message) {
-	switch pl := fm.Payload.(type) {
-	case *memory.Message:
-		// DMA the wire content into the next posted receive buffer. The
-		// copy is done here, on the fabric goroutine, which stands in for
-		// the HCA's DMA engine: application cores are not involved.
-		dst := ep.recvAlloc()
-		dst.QueryID = pl.QueryID
-		dst.ExchangeID = pl.ExchangeID
-		dst.Last = pl.Last
-		dst.Sender = pl.Sender
-		dst.Seq = pl.Seq
-		dst.Part = pl.Part
-		dst.Content = append(dst.Content[:0], pl.Content...)
-		pl.Release() // send completion on the sender side
-		ep.bytesRecv.Add(uint64(fm.Size))
-		ep.msgsRecv.Add(1)
-		ep.chargeCPU(CompletionCost)
-		ep.onRecv(dst)
-	default:
-		panic("rdma: unexpected payload type on fabric")
-	}
-}
-
-func (ep *Endpoint) chargeCPU(d time.Duration) {
-	ep.cpuNanos.Add(int64(d))
-	spin.Burn(time.Duration(float64(d) * ep.scale))
-}
-
-// Start launches the simulated DMA-completion goroutine.
-func (ep *Endpoint) Start() {
-	go ep.deliverLoop()
-}
-
-// Close stops the completion goroutine.
-func (ep *Endpoint) Close() {
-	if ep.stopped.CompareAndSwap(false, true) {
-		close(ep.stopCh)
-	}
-}
-
-// Stats returns a snapshot of endpoint counters.
-func (ep *Endpoint) Stats() Stats {
-	return Stats{
-		BytesSent:     ep.bytesSent.Load(),
-		BytesReceived: ep.bytesRecv.Load(),
-		MsgsSent:      ep.msgsSent.Load(),
-		MsgsReceived:  ep.msgsRecv.Load(),
-		InlineSent:    ep.inlines.Load(),
-		CPUSeconds:    float64(ep.cpuNanos.Load()) / 1e9,
-	}
+	return nic.New(fab, port, nic.RDMA(), recvAlloc, onRecv, onInline)
 }

@@ -6,6 +6,7 @@ import (
 
 	"hsqp/internal/fabric"
 	"hsqp/internal/memory"
+	"hsqp/internal/nic"
 	"hsqp/internal/numa"
 )
 
@@ -83,7 +84,7 @@ func TestChannelSemantics(t *testing.T) {
 func TestRDMACPUFarBelowTCP(t *testing.T) {
 	// §2 discussion: RDMA frees the CPU (4% vs 100–190%). Per 512 KB
 	// message the RDMA endpoint charges only completion costs.
-	perMsg := CompletionCost.Seconds()
+	perMsg := nic.CompletionCost.Seconds()
 	tcpPerByte := 0.66e-9 // connected-mode receive path
 	tcpPerMsg := 512 * 1024 * tcpPerByte
 	if perMsg > tcpPerMsg/50 {
