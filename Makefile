@@ -35,12 +35,13 @@ lint:
 fmt:
 	gofmt -l -w .
 
-# Replay the wire-format, serving-protocol and batch-kernel fuzz seed
-# corpora under the race detector, mirroring the CI race matrix.
+# Replay the wire-format, serving-protocol, batch-kernel and control-message
+# fuzz seed corpora under the race detector, mirroring the CI race matrix.
 fuzz-seed:
 	$(GO) test -race ./internal/ser -run '^FuzzCodecRoundTrip$$'
 	$(GO) test -race ./internal/serve -run '^FuzzServeFrames$$'
 	$(GO) test -race ./internal/op -run '^FuzzBatchMatchesRow$$'
+	$(GO) test -race ./internal/exchange -run '^FuzzControlMessages$$'
 
 # Every experiment of internal/bench.Experiments at a small scale factor
 # (about a minute): the CI smoke that keeps `hsqp experiment` from rotting.

@@ -3,9 +3,12 @@ package bench
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"hsqp/internal/cluster"
+	"hsqp/internal/engine"
+	"hsqp/internal/memory"
 	"hsqp/internal/op"
 	"hsqp/internal/plan"
 	"hsqp/internal/queries"
@@ -94,6 +97,93 @@ func TestPushdownPrunesResidualJoin(t *testing.T) {
 	if wireOn > 10_000 {
 		t.Fatalf("pushdown ships %d bytes: the part pre-filter should leave a few hundred bytes per server", wireOn)
 	}
+}
+
+// TestSemiJoinFilterPrunesProbe: a partitioned inner join or group-join
+// whose build is reduced by a predicate ships only the probe rows that
+// pass the cluster-wide Bloom filter of its build keys. Q3, Q5 and Q17
+// return the rows of internal/ref, and each server's probe send stays
+// under a ceiling that the unfiltered shuffle exceeds many times over
+// (SF 0.01, 3 servers: Q3 ≈ 260 KB, Q5 ≈ 640 KB, Q17 ≈ 320 KB per server
+// without the filter). In explain analyze, a probe send's rows= counts
+// the rows it routed, below the out= of the operator before it, and Q17's
+// build send's wire bytes include its filter. Which joins get a filter is
+// pinned by TestSemiJoinFilterEligibility (internal/cluster).
+func TestSemiJoinFilterPrunesProbe(t *testing.T) {
+	const sf = 0.01
+	db := DB(sf, 42)
+	setup := Setup{TimeScale: 0.005}
+	c, err := cluster.New(setup.config(cluster.TCPGbE, true))
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	defer c.Close()
+	c.LoadTPCH(db, false)
+	servers := len(c.Nodes)
+	for _, q := range []struct {
+		n       int
+		probe   string
+		ceiling uint64 // wire bytes per server
+	}{
+		{3, "join(inner)/shuffle-probe", 20_000},
+		{5, "join(inner)/shuffle-probe", 200_000},
+		{17, "join(inner)/gj-shuffle-probe", 5_000},
+	} {
+		want, err := ref.Run(q.n, db, sf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qp := queries.MustBuild(q.n, queries.Params{SF: sf})
+		res, stats, err := c.RunContext(context.Background(), qp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Compare(q.n, res, want); err != nil {
+			t.Fatalf("q%d: %v", q.n, err)
+		}
+		ea := plan.ExplainAnalyze(qp, stats.PipelineStats)
+		for sid, ps := range stats.PipelineStats {
+			probe := pipelineStat(t, ps, q.probe)
+			before := probe.Ops[len(probe.Ops)-1]
+			t.Logf("q%d server %d: %s routed %d of %d rows, %d wire bytes",
+				q.n, sid, q.probe, probe.SinkRows, before.RowsOut, probe.SinkBytes)
+			if probe.SinkBytes > q.ceiling {
+				t.Errorf("q%d server %d: %s ships %d bytes, want at most %d", q.n, sid, q.probe, probe.SinkBytes, q.ceiling)
+			}
+			if int64(probe.SinkRows) >= before.RowsOut {
+				t.Errorf("q%d server %d: %s routed %d of %d rows, want fewer", q.n, sid, q.probe, probe.SinkRows, before.RowsOut)
+			}
+			line := fmt.Sprintf("    sink send(partition): rows=%d, wire bytes=%d\n", probe.SinkRows, probe.SinkBytes)
+			if !strings.Contains(ea, line) {
+				t.Errorf("q%d server %d: explain analyze lacks %q", q.n, sid, line)
+			}
+			if q.n != 17 {
+				continue
+			}
+			// Q17's build is a handful of 8-byte part keys. Its send's
+			// bytes are the rows, their messages' headers, one Last marker
+			// per server and the filter: one message of at least 512 bits
+			// to each server, which dwarfs the rest.
+			build := pipelineStat(t, ps, "join(inner)/gj-shuffle-build")
+			filter := uint64(servers * (memory.HeaderSize + 1 + 512/8))
+			if build.SinkBytes < 8*build.SinkRows+uint64(servers*memory.HeaderSize)+filter {
+				t.Errorf("q17 server %d: build send reports %d wire bytes for %d rows, want its filter's %d included",
+					sid, build.SinkBytes, build.SinkRows, filter)
+			}
+		}
+	}
+}
+
+// pipelineStat returns the stats of the pipeline named name.
+func pipelineStat(t *testing.T, ps []engine.PipelineStat, name string) engine.PipelineStat {
+	t.Helper()
+	for _, p := range ps {
+		if p.Name == name {
+			return p
+		}
+	}
+	t.Fatalf("no pipeline %q", name)
+	return engine.PipelineStat{}
 }
 
 // TestResidualRemapsUnderPushdown: pruning a shuffled probe side moves the

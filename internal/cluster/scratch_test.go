@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -88,7 +89,7 @@ func TestNoReusedScratchUpstreamOfRetainingSink(t *testing.T) {
 			compiled, release := compileTPCH(t, c, qn, sf, po)
 			for sid, cp := range compiled {
 				for _, p := range cp.Pipelines {
-					if src, ok := p.Source.(*exchange.Source); ok && src.Reuses() {
+					if src, ok := exchange.Receive(p.Source); ok && src.Reuses() {
 						sources++
 						if retained(p.Ops, p.Sink) {
 							t.Errorf("%s q%d server %d: reuse-mode receive of %q feeds a retaining %T",
@@ -197,5 +198,65 @@ func TestPooledScratchOutlivesNoResult(t *testing.T) {
 	}
 	if scribbled == 0 {
 		t.Fatal("no column was ever pooled: the scribble checked nothing")
+	}
+}
+
+// TestSemiJoinFilterEligibility pins which compiled TPC-H joins get a
+// semi-join filter, from the plan alone: an inner join or group-join with
+// both inputs shuffled and a predicate below its build. Each such join
+// opens one control exchange beyond its data exchanges and gates its
+// probe shuffle, on every server alike. Semi joins (Q4), builds over a
+// whole relation (Q18) and the classic baseline open none and gate
+// nothing.
+func TestSemiJoinFilterEligibility(t *testing.T) {
+	const sf = 0.01
+	c := newTPCHCluster(t)
+	c.LoadTPCH(tpch.Generate(sf, 42), false)
+	c.memMu.RLock()
+	defer c.memMu.RUnlock()
+	for _, row := range []struct {
+		name string
+		po   plan.Options
+		want []int
+	}{
+		{"default", plan.Options{}, []int{3, 5, 8, 10, 17}},
+		{"serial", plan.Options{Serial: true}, []int{3, 5, 8, 10, 17}},
+		{"classic", plan.Options{Classic: true}, nil},
+	} {
+		var filtered []int
+		for _, qn := range queries.All() {
+			before := make([]int, len(c.Nodes))
+			for sid, n := range c.Nodes {
+				before[sid], _ = n.Mux.TableSizes()
+			}
+			compiled, release := compileTPCH(t, c, qn, sf, row.po)
+			gates := -1
+			for sid, cp := range compiled {
+				gated, receives := 0, 0
+				for _, p := range cp.Pipelines {
+					if _, ok := p.Source.(*exchange.GatedSource); ok {
+						gated++
+					}
+					if s, ok := p.Sink.(*exchange.Send); ok && (s.Mode() != exchange.ModeGather || sid == 0) {
+						receives++
+					}
+				}
+				opened, _ := c.Nodes[sid].Mux.TableSizes()
+				if control := opened - before[sid] - receives; control != gated {
+					t.Errorf("%s q%d server %d: %d control exchanges for %d gated pipelines", row.name, qn, sid, control, gated)
+				}
+				if gates >= 0 && gated != gates {
+					t.Errorf("%s q%d: server %d gates %d pipelines, server 0 %d", row.name, qn, sid, gated, gates)
+				}
+				gates = gated
+			}
+			release()
+			if gates > 0 {
+				filtered = append(filtered, qn)
+			}
+		}
+		if !slices.Equal(filtered, row.want) {
+			t.Errorf("%s: semi-join filters on %v, want %v", row.name, filtered, row.want)
+		}
 	}
 }

@@ -114,6 +114,14 @@ type SendConfig struct {
 	// and build sides of one skew-adaptive join (ModeSkewProbe /
 	// ModeSkewBuild).
 	Skew *SkewCoord
+	// BuildFilter (ModePartition) keeps the key hash of every row this
+	// send routes and, at finalize, publishes the filter over them: the
+	// build side of a semi-join-reduced join.
+	BuildFilter *SemiFilter
+	// ProbeFilter (ModePartition) drops every row whose key hash misses
+	// the merged filter: the probe side of the same join. The pipeline
+	// feeding this sink is gated on the filter (GatedSource).
+	ProbeFilter *SemiFilter
 }
 
 // Send is the send-side pipeline breaker.
@@ -143,6 +151,9 @@ type workerSendState struct {
 	// held buffers batches during the skew sampling phase (ModeSkewProbe):
 	// nothing is routed until the cluster-wide heavy-hitter set is known.
 	held []*storage.Batch
+	// kept holds the key hashes of the rows this worker routed, for the
+	// BuildFilter; its column comes from the engine's pool.
+	kept *storage.Column
 	_pad [8]uint64 // avoid false sharing between workers
 }
 
@@ -164,6 +175,9 @@ func NewSend(cfg SendConfig) *Send {
 	}
 	if (cfg.Mode == ModeSkewProbe || cfg.Mode == ModeSkewBuild) && cfg.Skew == nil {
 		invariant.Failf("exchange: skew modes need a SkewCoord")
+	}
+	if (cfg.BuildFilter != nil || cfg.ProbeFilter != nil) && cfg.Mode != ModePartition {
+		invariant.Failf("exchange: a semi-join filter needs ModePartition, not %v", cfg.Mode)
 	}
 	s := &Send{cfg: cfg, units: units,
 		destMu: make([]sync.Mutex, cfg.Servers), destSeq: make([]uint32, cfg.Servers)}
@@ -199,7 +213,13 @@ func (s *Send) Mode() Mode { return s.cfg.Mode }
 func (s *Send) Consume(w *engine.Worker, b *storage.Batch) {
 	st := &s.workers[w.ID]
 	s.lastNode.Store(int32(w.Node))
-	s.tuplesSent.Add(uint64(b.Rows()))
+	if f := s.cfg.ProbeFilter; f != nil && !f.Ready() {
+		// Plans gate the probe pipeline on the filter (GatedSource); a
+		// direct caller may not, so block defensively.
+		if err := f.WaitReady(); err != nil {
+			return // the query is failing or being cancelled; drop
+		}
+	}
 	switch s.cfg.Mode {
 	case ModeSkewProbe:
 		sk := s.cfg.Skew
@@ -242,16 +262,27 @@ func (s *Send) flushHeld(st *workerSendState, w *engine.Worker) {
 // destination stream, dispatching messages as they fill up. What can be
 // done once per batch is: the key hashes are one vector (w's), and the
 // bytes written into socket-local messages are accounted with one Charge.
+// A probe send under a semi-join filter skips the rows whose hash misses
+// it; the rows it routes are what SinkStats counts.
 func (s *Send) routeBatch(st *workerSendState, w *engine.Worker, b *storage.Batch) {
 	var hashes []uint32
 	switch s.cfg.Mode {
 	case ModePartition, ModeClassicPartition, ModeSkewProbe, ModeSkewBuild:
 		hashes = w.HashRows(b, s.cfg.Keys)
 	}
+	if s.cfg.BuildFilter != nil {
+		st.kept = keepHashes(w, st.kept, hashes)
+	}
+	probe := s.cfg.ProbeFilter
 	node := w.Node
 	localBytes := 0
 	n := b.Rows()
+	routed := n
 	for i := 0; i < n; i++ {
+		if probe != nil && !probe.may(hashes[i]) {
+			routed--
+			continue
+		}
 		unit := 0
 		switch s.cfg.Mode {
 		case ModePartition:
@@ -304,6 +335,7 @@ func (s *Send) routeBatch(st *workerSendState, w *engine.Worker, b *storage.Batc
 	if s.cfg.Topo != nil {
 		s.cfg.Topo.Charge(node, node, localBytes, s.cfg.Scale)
 	}
+	s.tuplesSent.Add(uint64(routed))
 }
 
 func (s *Send) newMessage(node numa.Node) *memory.Message {
@@ -419,6 +451,14 @@ func (s *Send) finalizeOn(w *engine.Worker) error {
 		for wi := range s.workers {
 			s.flushHeld(&s.workers[wi], w)
 		}
+	}
+	if f := s.cfg.BuildFilter; f != nil {
+		// Every row is routed: the filter is final. It goes out ahead of
+		// the partial messages, so the probe sides it gates start sooner.
+		wire := f.publish(w, s.workers)
+		s.bytesSent.Add(wire)
+		mWireBytes.Add(wire)
+		mMessages.Add(uint64(s.cfg.Servers))
 	}
 	for wi := range s.workers {
 		st := &s.workers[wi]

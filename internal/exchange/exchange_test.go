@@ -349,7 +349,7 @@ func TestSkewAdaptiveExchange(t *testing.T) {
 	buildRecvs := make([]*mux.ExchangeRecv, servers)
 	for i, m := range h.muxes {
 		coords[i] = NewSkewCoord(SkewCoordConfig{
-			Mux: m, Pool: h.pools[i], ExID: 7, Servers: servers, Config: skCfg,
+			ControlConfig: ControlConfig{Mux: m, Pool: h.pools[i], ExID: 7, Servers: servers}, Config: skCfg,
 		})
 		probeRecvs[i] = m.OpenExchange(0, 8, servers)
 		buildRecvs[i] = m.OpenExchange(0, 9, servers)
@@ -488,8 +488,8 @@ func TestSkewCoordCancelUnblocks(t *testing.T) {
 	cancel := make(chan struct{})
 	mk := func(i int) *SkewCoord {
 		return NewSkewCoord(SkewCoordConfig{
-			Mux: h.muxes[i], Pool: h.pools[i], ExID: 3, Servers: 2,
-			Config: SkewConfig{SampleBudget: 4}, Cancel: cancel,
+			ControlConfig: ControlConfig{Mux: h.muxes[i], Pool: h.pools[i], ExID: 3, Servers: 2, Cancel: cancel},
+			Config:        SkewConfig{SampleBudget: 4},
 		})
 	}
 	c0, _ := mk(0), mk(1)

@@ -7,6 +7,7 @@ import (
 
 	"hsqp/internal/engine"
 	"hsqp/internal/memory"
+	"hsqp/internal/mux"
 	"hsqp/internal/numa"
 	"hsqp/internal/ser"
 	"hsqp/internal/storage"
@@ -92,5 +93,75 @@ func TestSourceReuseAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(20, decode); got != c.want {
 			t.Errorf("%s: a warm reuse-mode decode allocates %v times per message, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestSemiFilterAllocs: a semi-join-reduced shuffle allocates a constant
+// number of times per join and server, whatever its row count. One
+// iteration routes a filtered build (keeping its key hashes in pooled
+// columns), publishes and merges the filter, routes a probe through it
+// and drains both exchanges, on warm pools; the count is the same at 1×
+// and 10× the rows.
+func TestSemiFilterAllocs(t *testing.T) {
+	h := newHarness(t, 1)
+	topo := numa.TwoSocket()
+	e, err := engine.New(engine.Config{Topology: topo, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	w := e.NewWorker(0)
+	pool := memory.NewPool(topo, numa.AllocLocal, 0, nil) // one message holds every row
+	m := h.muxes[0]
+	codec := ser.NewCodec(rows(1, 0).Schema)
+	qid := int32(100)
+	run := func(build, probe *storage.Batch) func() {
+		return func() {
+			qid++
+			f := NewSemiFilter(ControlConfig{Mux: m, Pool: pool, QueryID: qid, ExID: 0, Servers: 1})
+			recvs := [2]*mux.ExchangeRecv{m.OpenExchange(qid, 1, 1), m.OpenExchange(qid, 2, 1)}
+			for i, b := range [2]*storage.Batch{build, probe} {
+				cfg := SendConfig{Mux: m, Pool: pool, QueryID: qid, ExID: int32(i + 1), Mode: ModePartition,
+					Servers: 1, Keys: []int{0}, Codec: codec, NumWorkers: 1}
+				if i == 0 {
+					cfg.BuildFilter = f
+				} else {
+					cfg.ProbeFilter = f
+				}
+				send := NewSend(cfg)
+				send.Consume(w, b)
+				if err := send.FinalizeOn(w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, r := range recvs {
+				for {
+					msg, done := r.TryRecv(0)
+					if msg == nil {
+						if done {
+							break
+						}
+						continue
+					}
+					msg.Release()
+				}
+			}
+			m.CloseQuery(qid)
+		}
+	}
+	var counts []float64
+	for _, n := range []int{500, 5000} {
+		probe := rows(n, 0)
+		build := storage.NewBatch(probe.Schema, n/10)
+		for i := 0; i < n; i += 10 {
+			build.AppendRow(int64(i), "b")
+		}
+		iter := run(build, probe)
+		iter()
+		counts = append(counts, testing.AllocsPerRun(50, iter))
+	}
+	t.Logf("allocations per filtered join: %v at 1× and 10× the rows", counts)
+	if counts[0] != counts[1] {
+		t.Errorf("a filtered join allocates %v times at 1× the rows and %v at 10×, want a constant", counts[0], counts[1])
 	}
 }

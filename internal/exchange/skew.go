@@ -22,12 +22,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"hsqp/internal/engine"
-	"hsqp/internal/invariant"
 	"hsqp/internal/memory"
-	"hsqp/internal/mux"
 	"hsqp/internal/numa"
 	"hsqp/internal/sketch"
 	"hsqp/internal/storage"
@@ -81,16 +78,12 @@ type SkewStats struct {
 
 // SkewCoordConfig wires a SkewCoord.
 type SkewCoordConfig struct {
-	Mux     *mux.Mux
-	Pool    *memory.Pool
-	QueryID int32 // query the control exchange belongs to
-	ExID    int32 // dedicated control exchange carrying the sketches
-	Servers int
-	Config  SkewConfig
-	// Cancel, when closed, aborts WaitReady so a failing query cannot
+	// ControlConfig names the dedicated control exchange that carries the
+	// sketches; its Cancel aborts WaitReady so a failing query cannot
 	// deadlock a server inside a send finalize waiting for sketches that
 	// will never arrive.
-	Cancel <-chan struct{}
+	ControlConfig
+	Config SkewConfig
 }
 
 // SkewCoord is the per-server heavy-hitter coordinator shared by the
@@ -99,40 +92,29 @@ type SkewCoordConfig struct {
 // hot set is globally consistent — the invariant that makes local probing
 // of broadcast build rows correct.
 type SkewCoord struct {
-	cfg  SkewCoordConfig
-	recv *mux.ExchangeRecv
+	controlRound
+	cfg SkewConfig
 
 	mu       sync.Mutex
 	sk       *sketch.SpaceSaving
 	sampling bool
 	sampled  int
-	wakes    []func()
 
 	completeOnce sync.Once
-	ready        chan struct{}
-	readyFlag    atomic.Bool
-	hot          map[uint32]struct{}
+	hot          map[uint32]struct{} // written by the merge, read after Ready
 	stats        SkewStats
 }
 
 // NewSkewCoord creates the coordinator and opens its control exchange
 // (every server sends exactly one Last-flagged sketch message).
 func NewSkewCoord(cfg SkewCoordConfig) *SkewCoord {
-	if cfg.Mux == nil || cfg.Pool == nil {
-		invariant.Failf("exchange: SkewCoord needs a mux and a pool")
-	}
-	if cfg.Servers < 1 {
-		invariant.Failf("exchange: SkewCoord needs at least one server")
-	}
-	cfg.Config = cfg.Config.withDefaults()
 	c := &SkewCoord{
-		cfg:      cfg,
-		recv:     cfg.Mux.OpenExchange(cfg.QueryID, cfg.ExID, cfg.Servers),
+		cfg:      cfg.Config.withDefaults(),
 		sampling: true,
-		// Oversize the sketch relative to the hot-set cap for accuracy.
-		sk:    sketch.New(4 * cfg.Config.MaxHot),
-		ready: make(chan struct{}),
 	}
+	// Oversize the sketch relative to the hot-set cap for accuracy.
+	c.sk = sketch.New(4 * c.cfg.MaxHot)
+	c.init(cfg.ControlConfig, c)
 	return c
 }
 
@@ -149,7 +131,7 @@ func (c *SkewCoord) ObserveBatch(w *engine.Worker, b *storage.Batch, keys []int)
 		c.sk.Observe(h)
 	}
 	c.sampled += b.Rows()
-	if c.sampled >= c.cfg.Config.SampleBudget {
+	if c.sampled >= c.cfg.SampleBudget {
 		c.sampling = false
 		return true
 	}
@@ -157,9 +139,9 @@ func (c *SkewCoord) ObserveBatch(w *engine.Worker, b *storage.Batch, keys []int)
 }
 
 // CompleteSampling ends the sampling phase (idempotent): the local sketch
-// is broadcast to every server through the control exchange — one shared
-// buffer, Retain-counted — and the cluster-wide merge starts in the
-// background. It never blocks on the network.
+// is broadcast to every server through the control exchange and the
+// cluster-wide merge starts in the background. It never blocks on the
+// network.
 func (c *SkewCoord) CompleteSampling(node numa.Node) {
 	c.completeOnce.Do(func() {
 		c.mu.Lock()
@@ -169,62 +151,31 @@ func (c *SkewCoord) CompleteSampling(node numa.Node) {
 		total := c.sk.Total()
 		c.mu.Unlock()
 
-		msg := c.cfg.Pool.Get(node)
-		msg.QueryID = c.cfg.QueryID
-		msg.ExchangeID = c.cfg.ExID
-		msg.Sender = c.cfg.Mux.ServerID()
-		msg.Last = true // one sketch per sender closes the exchange
-		msg.Seq = 0     // first and only message on this sender's streams
+		msg := c.message(node)
 		msg.Content = encodeSketch(msg.Content, total, ents, msg.Remaining())
-		if c.cfg.Servers > 1 {
-			msg.Retain(c.cfg.Servers - 1)
-		}
-		for d := 0; d < c.cfg.Servers; d++ {
-			c.cfg.Mux.Send(d, msg)
-		}
-		go c.gather()
+		c.send(msg)
 	})
 }
 
-// gather collects all n sketches, merges them deterministically and
-// publishes the global hot set. A cancelled query aborts the wait (a
-// crashed server never sends its sketch; without the cancel path this
-// goroutine and the retained sketch buffers would leak until the mux
-// closes) — WaitReady callers then fail through their own Cancel select.
-func (c *SkewCoord) gather() {
-	wake := make(chan struct{}, 1)
-	c.recv.SetWake(func() {
-		select {
-		case wake <- struct{}{}:
-		default:
-		}
-	})
+// merge sums the n sketches and picks the global hot set: every key hash
+// whose summed count reaches HotFraction of all sampled tuples, the
+// MaxHot heaviest of them, ties broken by hash.
+func (c *SkewCoord) merge(msgs []*memory.Message) error {
 	merged := map[uint32]uint64{}
 	var grand uint64
-	for {
-		msg, done := c.recv.TryRecv(0)
-		if msg == nil {
-			if done {
-				break // all sketches in (or the mux is shutting down)
-			}
-			select {
-			case <-wake:
-			case <-c.cfg.Cancel:
-				c.drainAborted()
-				return
-			}
-			continue
+	for _, msg := range msgs {
+		total, ents, err := decodeSketch(msg.Content)
+		if err != nil {
+			return fmt.Errorf("exchange %d: malformed sketch from server %d: %w", c.controlRound.cfg.ExID, msg.Sender, err)
 		}
-		total, ents := decodeSketch(msg.Content)
 		grand += total
 		for _, e := range ents {
 			merged[e.Item] += e.Count
 		}
-		msg.Release()
 	}
 	hot := make(map[uint32]struct{})
 	if grand > 0 {
-		thresh := uint64(float64(grand) * c.cfg.Config.HotFraction)
+		thresh := uint64(float64(grand) * c.cfg.HotFraction)
 		if thresh < 2 {
 			thresh = 2
 		}
@@ -245,8 +196,8 @@ func (c *SkewCoord) gather() {
 			}
 			return cands[i].h < cands[j].h
 		})
-		if len(cands) > c.cfg.Config.MaxHot {
-			cands = cands[:c.cfg.Config.MaxHot]
+		if len(cands) > c.cfg.MaxHot {
+			cands = cands[:c.cfg.MaxHot]
 		}
 		for _, cd := range cands {
 			hot[cd.h] = struct{}{}
@@ -256,52 +207,14 @@ func (c *SkewCoord) gather() {
 	c.hot = hot
 	c.stats.GlobalSampled = grand
 	c.stats.HotKeys = len(hot)
-	wakes := append([]func(){}, c.wakes...)
 	c.mu.Unlock()
-	c.readyFlag.Store(true)
-	close(c.ready)
-	for _, f := range wakes {
-		f()
-	}
-}
-
-// drainAborted releases whatever sketch messages already arrived when the
-// query was cancelled mid-gather.
-func (c *SkewCoord) drainAborted() {
-	for {
-		msg, _ := c.recv.TryRecv(0)
-		if msg == nil {
-			return
-		}
-		msg.Release()
-	}
-}
-
-// Ready reports whether the cluster-wide hot set has been published.
-func (c *SkewCoord) Ready() bool { return c.readyFlag.Load() }
-
-// WaitReady blocks until the hot set is published or the query is
-// cancelled.
-func (c *SkewCoord) WaitReady() error {
-	if c.readyFlag.Load() {
-		return nil
-	}
-	if c.cfg.Cancel == nil {
-		<-c.ready
-		return nil
-	}
-	select {
-	case <-c.ready:
-		return nil
-	case <-c.cfg.Cancel:
-		return fmt.Errorf("exchange: skew decision abandoned: query cancelled")
-	}
+	return nil
 }
 
 // Hot reports whether a key hash is in the global hot set. Only
 // meaningful after Ready; during sampling it reports false.
 func (c *SkewCoord) Hot(h uint32) bool {
-	if !c.readyFlag.Load() {
+	if !c.Ready() {
 		return false
 	}
 	_, ok := c.hot[h]
@@ -313,19 +226,6 @@ func (c *SkewCoord) Stats() SkewStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// AddWake registers a callback fired when the hot set is published (used
-// by GatedSource to re-wake the scheduler). Fires immediately if already
-// published.
-func (c *SkewCoord) AddWake(f func()) {
-	c.mu.Lock()
-	c.wakes = append(c.wakes, f)
-	ready := c.readyFlag.Load()
-	c.mu.Unlock()
-	if ready {
-		f()
-	}
 }
 
 // --- sketch wire format: [uint64 total][uint32 n][n × (uint32 hash, uint64 count)] ---
@@ -344,71 +244,22 @@ func encodeSketch(out []byte, total uint64, ents []sketch.Entry, capacity int) [
 	return out
 }
 
-func decodeSketch(in []byte) (total uint64, ents []sketch.Entry) {
+func decodeSketch(in []byte) (total uint64, ents []sketch.Entry, err error) {
 	if len(in) < 12 {
-		return 0, nil
+		return 0, nil, fmt.Errorf("%d bytes, want at least 12", len(in))
 	}
 	total = binary.LittleEndian.Uint64(in)
 	n := int(binary.LittleEndian.Uint32(in[8:]))
 	in = in[12:]
-	for i := 0; i < n && len(in) >= 12; i++ {
-		ents = append(ents, sketch.Entry{
-			Item:  binary.LittleEndian.Uint32(in),
-			Count: binary.LittleEndian.Uint64(in[4:]),
-		})
-		in = in[12:]
+	if len(in) != 12*n {
+		return 0, nil, fmt.Errorf("%d entries in %d bytes", n, len(in))
 	}
-	return total, ents
-}
-
-// GatedSource wraps the build-side input of a skew-adaptive join: it
-// reports "no input yet" (without blocking a worker) until the hot-key
-// decision is published, then delegates to the inner source. The build
-// tuples must not be routed before the decision because hot and cold keys
-// take different routes on every server.
-type GatedSource struct {
-	inner engine.Source
-	coord *SkewCoord
-}
-
-// NewGatedSource wraps inner, gating it on coord's decision.
-func NewGatedSource(inner engine.Source, coord *SkewCoord) *GatedSource {
-	return &GatedSource{inner: inner, coord: coord}
-}
-
-// Poll implements engine.Source: (nil, false) parks the pipeline until
-// the decision wake fires.
-func (g *GatedSource) Poll(w *engine.Worker) (*storage.Batch, bool) {
-	if !g.coord.Ready() {
-		return nil, false
+	ents = make([]sketch.Entry, n)
+	for i := range ents {
+		ents[i] = sketch.Entry{
+			Item:  binary.LittleEndian.Uint32(in[12*i:]),
+			Count: binary.LittleEndian.Uint64(in[12*i+4:]),
+		}
 	}
-	return g.inner.Poll(w)
-}
-
-// SetWake implements engine.WakeSource: the scheduler is woken both by
-// the decision and by the inner source's own deliveries.
-func (g *GatedSource) SetWake(f func()) {
-	g.coord.AddWake(f)
-	if ws, ok := g.inner.(engine.WakeSource); ok {
-		ws.SetWake(f)
-	}
-}
-
-// HasLocal implements engine.LocalityHinter.
-func (g *GatedSource) HasLocal(node numa.Node) bool {
-	if !g.coord.Ready() {
-		return false
-	}
-	if h, ok := g.inner.(engine.LocalityHinter); ok {
-		return h.HasLocal(node)
-	}
-	return true
-}
-
-// Err implements engine.FallibleSource (forwarded from the inner source).
-func (g *GatedSource) Err() error {
-	if fs, ok := g.inner.(engine.FallibleSource); ok {
-		return fs.Err()
-	}
-	return nil
+	return total, ents, nil
 }

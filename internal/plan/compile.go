@@ -171,10 +171,10 @@ func Compile(q *Query, env *Env) (*Compiled, error) {
 // add appends a pipeline with its dependency edges and returns its index.
 // Every pipeline passes through the fusion pass here, so fused execution
 // applies uniformly — scans, exchange receives and materialized
-// intermediates alike. An exchange receive decodes into per-worker slots
-// when nothing downstream retains its batches.
+// intermediates alike. An exchange receive, gated or not, decodes into
+// per-worker slots when nothing downstream retains its batches.
 func (c *compiler) add(p *engine.Pipeline, deps []int) int {
-	if src, ok := p.Source.(*exchange.Source); ok && scratchSafe(p.Ops, p.Sink) {
+	if src, ok := exchange.Receive(p.Source); ok && scratchSafe(p.Ops, p.Sink) {
 		src.ReuseBatches(c.env.Engine.Workers())
 	}
 	p.Ops = fuseOps(p.Ops, p.Sink, c.env.Engine.Workers())
@@ -323,16 +323,19 @@ func (c *compiler) buildScan(n *Node) (*stream, error) {
 // exchangeStream cuts the stream with a send-side exchange and returns the
 // receive-side stream.
 func (c *compiler) exchangeStream(name string, in *stream, mode exchange.Mode, keys []int) *stream {
-	return c.exchangeStreamSkew(name, in, mode, keys, nil)
+	return c.exchangeStreamVia(name, in, exchange.SendConfig{Mode: mode, Keys: keys}, nil)
 }
 
-// exchangeStreamSkew is exchangeStream with an optional skew coordinator:
-// the probe and build sides of a skew-adaptive join share one coordinator,
-// and the build side is gated on its decision (hot and cold keys take
-// different routes, so no build tuple may be routed before the
-// cluster-wide hot set is agreed).
-func (c *compiler) exchangeStreamSkew(name string, in *stream, mode exchange.Mode, keys []int, skew *exchange.SkewCoord) *stream {
+// exchangeStreamVia is exchangeStream for a send that takes part in a
+// cluster-wide coordinator: sc carries the mode, the keys and the
+// coordinator (Skew, BuildFilter, ProbeFilter), and a non-nil gate holds
+// the send pipeline until the coordinator's decision is published. A
+// skew-adaptive build waits for the hot set (hot and cold keys take
+// different routes, so no build tuple may be routed before the hot set is
+// agreed); a semi-join probe waits for the merged filter.
+func (c *compiler) exchangeStreamVia(name string, in *stream, sc exchange.SendConfig, gate exchange.Gate) *stream {
 	env := c.env
+	mode := sc.Mode
 	if env.Classic && mode == exchange.ModePartition {
 		mode = exchange.ModeClassicPartition
 	}
@@ -342,24 +345,13 @@ func (c *compiler) exchangeStreamSkew(name string, in *stream, mode exchange.Mod
 	if in.coordOnly {
 		senders = 1
 	}
-	send := exchange.NewSend(exchange.SendConfig{
-		Mux:              env.Mux,
-		Pool:             env.Pool,
-		QueryID:          env.QueryID,
-		ExID:             exID,
-		Mode:             mode,
-		Servers:          env.Servers,
-		WorkersPerServer: env.WorkersPerServer,
-		Keys:             keys,
-		Codec:            codec,
-		NumWorkers:       env.Engine.Workers(),
-		Topo:             env.Topo,
-		Scale:            env.Scale,
-		Skew:             skew,
-	})
+	sc.Mux, sc.Pool, sc.QueryID, sc.ExID, sc.Mode = env.Mux, env.Pool, env.QueryID, exID, mode
+	sc.Servers, sc.WorkersPerServer, sc.NumWorkers = env.Servers, env.WorkersPerServer, env.Engine.Workers()
+	sc.Codec, sc.Topo, sc.Scale = codec, env.Topo, env.Scale
+	send := exchange.NewSend(sc)
 	source := in.source
-	if mode == exchange.ModeSkewBuild {
-		source = exchange.NewGatedSource(source, skew)
+	if gate != nil {
+		source = exchange.NewGatedSource(source, gate)
 	}
 	c.add(&engine.Pipeline{
 		Name:            name,
@@ -406,7 +398,7 @@ func (c *compiler) exchangeStreamSkew(name string, in *stream, mode exchange.Mod
 	}
 	switch mode {
 	case exchange.ModePartition, exchange.ModeClassicPartition:
-		out.part = append([]int{}, keys...)
+		out.part = append([]int{}, sc.Keys...)
 	case exchange.ModeBroadcast:
 		out.replicated = true
 	case exchange.ModeGather:
@@ -460,27 +452,26 @@ func (c *compiler) buildJoin(n *Node) (*stream, error) {
 			bs = c.exchangeStream(joinName(n, "broadcast"), bs, exchange.ModeBroadcast, nil)
 		}
 	case PartitionBoth:
-		if !aligned(bs.part, buildKeys) {
+		shuffleBuild, shuffleProbe := !aligned(bs.part, buildKeys), !aligned(ps.part, probeKeys)
+		if shuffleBuild && shuffleProbe && n.JoinType == op.Inner {
+			bs, ps = c.semiJoinShuffles(n, bs, ps, buildKeys, probeKeys)
+			break
+		}
+		if shuffleBuild {
 			bs = c.exchangeStream(joinName(n, "shuffle-build"), bs, exchange.ModePartition, buildKeys)
 		}
-		if !aligned(ps.part, probeKeys) {
+		if shuffleProbe {
 			ps = c.exchangeStream(joinName(n, "shuffle-probe"), ps, exchange.ModePartition, probeKeys)
 		}
 	case SkewAdaptive:
 		// One coordinator per join per server; its control exchange id is
 		// allocated first so every server produces the identical id
 		// sequence (sketch, probe shuffle, build shuffle).
-		coord := exchange.NewSkewCoord(exchange.SkewCoordConfig{
-			Mux:     c.env.Mux,
-			Pool:    c.env.Pool,
-			QueryID: c.env.QueryID,
-			ExID:    c.env.NextExID(),
-			Servers: c.env.Servers,
-			Config:  c.env.Skew,
-			Cancel:  c.env.Cancel,
-		})
-		ps = c.exchangeStreamSkew(joinName(n, "skew-shuffle-probe"), ps, exchange.ModeSkewProbe, probeKeys, coord)
-		bs = c.exchangeStreamSkew(joinName(n, "skew-shuffle-build"), bs, exchange.ModeSkewBuild, buildKeys, coord)
+		coord := exchange.NewSkewCoord(exchange.SkewCoordConfig{ControlConfig: c.control(), Config: c.env.Skew})
+		ps = c.exchangeStreamVia(joinName(n, "skew-shuffle-probe"), ps,
+			exchange.SendConfig{Mode: exchange.ModeSkewProbe, Keys: probeKeys, Skew: coord}, nil)
+		bs = c.exchangeStreamVia(joinName(n, "skew-shuffle-build"), bs,
+			exchange.SendConfig{Mode: exchange.ModeSkewBuild, Keys: buildKeys, Skew: coord}, coord)
 	case LocalJoin:
 		// Nothing to move.
 	}
@@ -521,6 +512,54 @@ func (c *compiler) buildJoin(n *Node) (*stream, error) {
 	}
 	ps.replicated = ps.replicated && bs.replicated
 	return ps, nil
+}
+
+// control allocates the next exchange id as a coordinator's control
+// exchange.
+func (c *compiler) control() exchange.ControlConfig {
+	env := c.env
+	return exchange.ControlConfig{
+		Mux: env.Mux, Pool: env.Pool, QueryID: env.QueryID, ExID: env.NextExID(),
+		Servers: env.Servers, Cancel: env.Cancel,
+	}
+}
+
+// semiJoinShuffles shuffles both inputs of an inner join or group-join
+// (n) on their keys and, when the join qualifies, reduces the probe
+// shuffle by a cluster-wide Bloom filter of the build keys: the build
+// send publishes the filter when it finishes, and the probe send waits
+// for the merged filter and drops every row that misses it.
+//
+// The rule reads only the plan, never local row counts, so every server
+// opens the same exchanges and gates the same pipelines: the build input
+// is reduced by a predicate (a build over a whole relation has a partner
+// for nearly every probe row, so the filter would only cost), both
+// inputs are on every server, and the exchange is not the classic
+// baseline. The control exchange id comes first, then the build shuffle,
+// then the gated probe shuffle: Options.Serial chains pipelines in
+// compile order, so the build send finishes before the probe send waits.
+func (c *compiler) semiJoinShuffles(n *Node, bs, ps *stream, buildKeys, probeKeys []int) (*stream, *stream) {
+	build, probe := "shuffle-build", "shuffle-probe"
+	if n.Kind == KGroupJoin {
+		build, probe = "gj-shuffle-build", "gj-shuffle-probe"
+	}
+	build, probe = joinName(n, build), joinName(n, probe)
+	if c.env.Classic || bs.coordOnly || ps.coordOnly || !hasSelect(n.Build) {
+		return c.exchangeStream(build, bs, exchange.ModePartition, buildKeys),
+			c.exchangeStream(probe, ps, exchange.ModePartition, probeKeys)
+	}
+	f := exchange.NewSemiFilter(c.control())
+	bs = c.exchangeStreamVia(build, bs, exchange.SendConfig{Mode: exchange.ModePartition, Keys: buildKeys, BuildFilter: f}, nil)
+	ps = c.exchangeStreamVia(probe, ps, exchange.SendConfig{Mode: exchange.ModePartition, Keys: probeKeys, ProbeFilter: f}, f)
+	return bs, ps
+}
+
+// hasSelect reports whether a predicate reduces the subtree rooted at n.
+func hasSelect(n *Node) bool {
+	if n == nil {
+		return false
+	}
+	return n.Kind == KSelect || hasSelect(n.In) || hasSelect(n.Build) || hasSelect(n.Probe)
 }
 
 // prune narrows a join side's stream to the columns the join consumes of
@@ -594,11 +633,16 @@ func (c *compiler) buildGroupJoin(n *Node) (*stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.env.Servers > 1 && !(bs.coordOnly && ps.coordOnly) {
-		if !bs.replicated && !aligned(bs.part, n.BuildKeys) {
+	if c.env.Servers > 1 && !(bs.coordOnly && ps.coordOnly) && !bs.replicated {
+		shuffleBuild, shuffleProbe := !aligned(bs.part, n.BuildKeys), !aligned(ps.part, n.ProbeKeys)
+		switch {
+		case shuffleBuild && shuffleProbe:
+			// Every group-join is inner on its probe side: a probe row
+			// without a build group contributes nothing.
+			bs, ps = c.semiJoinShuffles(n, bs, ps, n.BuildKeys, n.ProbeKeys)
+		case shuffleBuild:
 			bs = c.exchangeStream(joinName(n, "gj-shuffle-build"), bs, exchange.ModePartition, n.BuildKeys)
-		}
-		if !aligned(ps.part, n.ProbeKeys) && !bs.replicated {
+		case shuffleProbe:
 			ps = c.exchangeStream(joinName(n, "gj-shuffle-probe"), ps, exchange.ModePartition, n.ProbeKeys)
 		}
 	}
