@@ -35,13 +35,15 @@ lint:
 fmt:
 	gofmt -l -w .
 
-# Replay the wire-format, serving-protocol, batch-kernel and control-message
-# fuzz seed corpora under the race detector, mirroring the CI race matrix.
+# Replay the wire-format, serving-protocol, batch-kernel, control-message
+# and multiplexer-inbound fuzz seed corpora under the race detector,
+# mirroring the CI race matrix.
 fuzz-seed:
 	$(GO) test -race ./internal/ser -run '^FuzzCodecRoundTrip$$'
 	$(GO) test -race ./internal/serve -run '^FuzzServeFrames$$'
 	$(GO) test -race ./internal/op -run '^FuzzBatchMatchesRow$$'
 	$(GO) test -race ./internal/exchange -run '^FuzzControlMessages$$'
+	$(GO) test -race ./internal/mux -run '^FuzzMuxInbound$$'
 
 # Every experiment of internal/bench.Experiments at a small scale factor
 # (about a minute): the CI smoke that keeps `hsqp experiment` from rotting.

@@ -9,6 +9,7 @@
 //	hsqp explain -q 17
 //	hsqp experiment -id fig3
 //	hsqp experiment -id all -full
+//	hsqp experiment -id profile -workload shuffle_gbe -rounds 10
 package main
 
 import (
@@ -70,6 +71,7 @@ func usage() {
                   [-bypass] [-rows N] [-stats] [-verify] [-shutdown]
   hsqp top        -addr host:port [-interval 2s] [-n N]
   hsqp experiment -id <id>|all [-sf S] [-servers N] [-concurrency N] [-full]
+                  [-workload W] [-rounds N] [-cpuprofile FILE]  (profile)
                   (no -id lists the experiments)`)
 }
 
@@ -361,14 +363,20 @@ func cmdExperiment(args []string) error {
 	servers := fs.Int("servers", 3, "cluster size (engine experiments)")
 	concurrency := fs.Int("concurrency", 8, "concurrent query streams (throughput experiment)")
 	full := fs.Bool("full", false, "run all 22 queries / full parameter grids")
+	workload := fs.String("workload", "power_rdma", "benchmark workload whose shape the profile experiment runs")
+	rounds := fs.Int("rounds", 10, "measured rounds of the profile experiment")
+	cpuprofile := fs.String("cpuprofile", "", "profile experiment's output (default hsqp-<workload>.pprof)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	a := bench.Args{
-		Workload: bench.Workload{SF: *sf},
-		Setup:    bench.Setup{Servers: *servers},
-		Streams:  *concurrency,
-		Full:     *full,
+		Workload:   bench.Workload{SF: *sf},
+		Setup:      bench.Setup{Servers: *servers},
+		Streams:    *concurrency,
+		Full:       *full,
+		Shape:      *workload,
+		Rounds:     *rounds,
+		CPUProfile: *cpuprofile,
 	}
 	if *full {
 		a.Workload.Queries = queries.All()

@@ -20,6 +20,12 @@ type Args struct {
 	Setup    Setup    // -servers
 	Streams  int      // -concurrency
 	Full     bool     // -full: the experiment's larger parameter grid
+	// The profile experiment's: a BENCHMARK.json workload name
+	// (-workload), measured rounds (-rounds) and the CPU profile's path
+	// (-cpuprofile).
+	Shape      string
+	Rounds     int
+	CPUProfile string
 }
 
 // Experiment is one regenerable table or figure.
@@ -55,6 +61,7 @@ var Experiments = []Experiment{
 	{"throughput", "multi-query throughput: concurrent streams vs back-to-back", throughput},
 	{"serving", "serving tier: executed vs result-cache-hit latency, weighted-fair admission", serving},
 	{"chaos", "per-query fault tolerance and online membership change", chaos},
+	{"profile", "CPU profile, wall time and CPU seconds of a benchmark workload's shape", profile},
 }
 
 // Lookup returns the experiment registered under id. The error for an

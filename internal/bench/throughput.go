@@ -48,10 +48,15 @@ func (f *Throughput) defaults() {
 	if f.SF == 0 {
 		// Small per-query working set: per-query wall time is dominated by
 		// network waits rather than by a saturated resource, which is the
-		// regime where multi-query execution reclaims idle time. (At much
-		// larger SF the single simulated GbE-rate link — or, on a 1-core
-		// host, the CPU — is already saturated serially and concurrency
-		// cannot multiply throughput.)
+		// regime where multi-query execution reclaims idle time. Those
+		// waits are link latency: every frame is delivered one latency
+		// after its pacing (4.08 ms of wall time at GbE and the default
+		// time scale), and each round-robin phase waits for its barrier
+		// frame. The latency occupies no link, so a query alone leaves the
+		// links mostly idle (LinkUtil) and concurrent streams fill them.
+		// (At much larger SF the single simulated GbE-rate link — or, on a
+		// 1-core host, the CPU — is already saturated serially and
+		// concurrency cannot multiply throughput.)
 		f.SF = 0.005
 	}
 }
@@ -73,6 +78,11 @@ type ThroughputResult struct {
 	// accounting stays exact even while queries share the cluster.
 	SerialWireBytes     uint64
 	ConcurrentWireBytes uint64
+	// SerialLinkUtil/ConcurrentLinkUtil are the share of the cluster's
+	// link time each mode kept busy: fabric bytes at the link rate, over
+	// wall time × servers.
+	SerialLinkUtil     float64
+	ConcurrentLinkUtil float64
 	// Results holds one canonical per-query result encoding per batch
 	// entry, serial mode first — the conformance hook for tests.
 	SerialResults     [][]byte
@@ -148,6 +158,7 @@ func (f Throughput) Run(w io.Writer) (ThroughputResult, error) {
 
 	// Serial baseline: the same queries, back to back on the same cluster.
 	serialLat := make([]time.Duration, total)
+	fabricBytes := c.Fabric().BytesDelivered()
 	serialStart := time.Now()
 	for i := 0; i < total; i++ {
 		q, err := queries.Build(qn(i), queries.Params{SF: f.SF})
@@ -164,6 +175,7 @@ func (f Throughput) Run(w io.Writer) (ThroughputResult, error) {
 		res.SerialResults[i] = ser.CanonicalRows(out)
 	}
 	res.SerialWall = time.Since(serialStart)
+	res.SerialLinkUtil = linkUtil(c, c.Fabric().BytesDelivered()-fabricBytes, res.SerialWall)
 
 	// Concurrent mode: Streams client goroutines, each issuing Rounds
 	// queries through one admission-controlled session.
@@ -179,6 +191,7 @@ func (f Throughput) Run(w io.Writer) (ThroughputResult, error) {
 	// the same field is a race (atomicmix).
 	var concWire atomic.Uint64
 	var wg sync.WaitGroup
+	fabricBytes = c.Fabric().BytesDelivered()
 	concStart := time.Now()
 	for s := 0; s < f.Streams; s++ {
 		wg.Add(1)
@@ -206,6 +219,7 @@ func (f Throughput) Run(w io.Writer) (ThroughputResult, error) {
 	wg.Wait()
 	res.ConcurrentWireBytes = concWire.Load()
 	res.ConcurrentWall = time.Since(concStart)
+	res.ConcurrentLinkUtil = linkUtil(c, c.Fabric().BytesDelivered()-fabricBytes, res.ConcurrentWall)
 	for _, err := range errs {
 		if err != nil {
 			return res, err
@@ -225,15 +239,25 @@ func (f Throughput) Run(w io.Writer) (ThroughputResult, error) {
 	tab := &report.Table{
 		Title: fmt.Sprintf("Multi-query throughput — %d×q%v streams, %d servers, %v, SF %g",
 			f.Streams, f.Queries, f.Servers, cfg.Transport, f.SF),
-		Header: []string{"mode", "queries", "wall", "qps", "p50", "p99", "wire"},
+		Header: []string{"mode", "queries", "wall", "qps", "p50", "p99", "wire", "link util"},
 	}
 	tab.Add("serial", fmt.Sprintf("%d", total), report.Dur(res.SerialWall),
-		report.F2(res.SerialQPS), report.Dur(res.SerialP50), report.Dur(res.SerialP99), report.MB(res.SerialWireBytes))
+		report.F2(res.SerialQPS), report.Dur(res.SerialP50), report.Dur(res.SerialP99), report.MB(res.SerialWireBytes),
+		report.F2(res.SerialLinkUtil))
 	tab.Add("concurrent", fmt.Sprintf("%d", total), report.Dur(res.ConcurrentWall),
-		report.F2(res.ConcurrentQPS), report.Dur(res.ConcurrentP50), report.Dur(res.ConcurrentP99), report.MB(res.ConcurrentWireBytes))
+		report.F2(res.ConcurrentQPS), report.Dur(res.ConcurrentP50), report.Dur(res.ConcurrentP99), report.MB(res.ConcurrentWireBytes),
+		report.F2(res.ConcurrentLinkUtil))
 	tab.Fprint(w)
 	fmt.Fprintf(w, "throughput speedup: %.2fx\n", res.Speedup)
 	return res, nil
+}
+
+// linkUtil is the share of the cluster's link time that bytes delivered
+// by the fabric over wall kept busy.
+func linkUtil(c *cluster.Cluster, bytes uint64, wall time.Duration) float64 {
+	cfg := c.Config()
+	busy := float64(bytes) / float64(cfg.Rate) * cfg.TimeScale
+	return busy / (wall.Seconds() * float64(cfg.Servers))
 }
 
 // throughput runs -concurrency streams of Q12 (two rounds of a Q1/Q12 mix

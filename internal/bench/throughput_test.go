@@ -47,8 +47,9 @@ func TestThroughputConcurrentSpeedup(t *testing.T) {
 	// Timing acceptance with one retry: the figure is stable (~1.9x) but
 	// CI machines stall.
 	for attempt := 0; ; attempt++ {
-		t.Logf("attempt %d: serial %v (%.1f qps), concurrent %v (%.1f qps), speedup %.2fx",
-			attempt, res.SerialWall, res.SerialQPS, res.ConcurrentWall, res.ConcurrentQPS, res.Speedup)
+		t.Logf("attempt %d: serial %v (%.1f qps, link util %.3f), concurrent %v (%.1f qps, link util %.3f), speedup %.2fx",
+			attempt, res.SerialWall, res.SerialQPS, res.SerialLinkUtil,
+			res.ConcurrentWall, res.ConcurrentQPS, res.ConcurrentLinkUtil, res.Speedup)
 		if res.Speedup >= 1.5 {
 			return
 		}

@@ -2,18 +2,29 @@
 // interconnect (Figure 1, Table 1 of the paper).
 //
 // The fabric connects N endpoints through a single switch, like the
-// paper's 8-port InfiniScale IV. The model is an input-queued switch:
+// paper's 8-port InfiniScale IV. The wire model is LogP's (Culler et al.,
+// PPoPP 1993): only the gap occupies a link, latency overlaps.
 //
-//   - every endpoint has an egress link (host → switch) and an ingress
-//     link (switch → host), each paced at the configured data rate;
-//   - each ingress port grants a fixed number of credits (buffer slots);
-//     a sender that targets a port whose credits are exhausted blocks,
-//     and because its egress queue is FIFO, the messages *behind* the
-//     blocked head also stall — head-of-line blocking / credit
-//     starvation, exactly the switch-contention mechanism of §3.2.3;
-//   - pacing happens in wall-clock time scaled by TimeScale, so the
-//     bandwidth *ratios* between data rates (Table 1) are preserved while
-//     experiments stay fast.
+//   - Pacers hold the link. Every endpoint has an egress link (host →
+//     switch) and an ingress link (switch → host), each paced at the
+//     configured data rate: a frame occupies a link for size ÷ rate, one
+//     frame at a time, FIFO.
+//   - Latency delays without holding. Once a frame's ingress pacing ends
+//     it enters the port's delay line and is delivered one link latency
+//     (LatencyOf) later. Data and inline frames pay it alike, and a frame
+//     waiting out its latency does not keep the next one off the link, so
+//     k frames sent back to back arrive about one latency after their
+//     pacing, not k latencies.
+//   - Credits. Each ingress port grants a fixed number of credits (buffer
+//     slots); a sender that targets a port whose credits are exhausted
+//     blocks, and because its egress queue is FIFO, the messages *behind*
+//     the blocked head also stall — head-of-line blocking / credit
+//     starvation, exactly the switch-contention mechanism of §3.2.3.
+//
+// Time is wall-clock time scaled by TimeScale, so the bandwidth *ratios*
+// between data rates (Table 1) are preserved while experiments stay fast.
+// No wait spins a core: short waits yield it (runtime.Gosched), long ones
+// sleep.
 //
 // Uncoordinated all-to-all traffic collides on ingress ports and loses
 // throughput; the round-robin schedule of package sched avoids collisions
@@ -23,6 +34,7 @@ package fabric
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,7 +102,9 @@ type Message struct {
 	// itself. Transports add their own copy semantics on top (RDMA: none;
 	// TCP: application↔socket buffer copies).
 	Payload any
-	// Inline marks a low-latency inline message (scheduling barriers).
+	// Inline marks an inline message (scheduling barriers, probes). The
+	// fabric paces and delays it like any frame; endpoints complete it
+	// without a receive buffer.
 	Inline bool
 }
 
@@ -110,7 +124,19 @@ const (
 	credits = 4
 	// egressQueue is the per-sender FIFO depth.
 	egressQueue = 64
+	// inFlight bounds the frames a port's delay line holds at once; a full
+	// line holds the ingress link like a closed receive window. A full-size
+	// message paces longer than a latency at every modelled rate, so only a
+	// burst of small frames (barriers, probes, Last markers) can fill it,
+	// and a full line only delays the next frame; it drops nothing.
+	inFlight = 64
 )
+
+// timed is a frame on a delay line with the instant it is delivered.
+type timed struct {
+	m   *Message
+	due time.Time
+}
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -126,6 +152,8 @@ type Fabric struct {
 	cfg     Config
 	egress  []chan *Message // per-sender FIFO
 	ingress []chan *Message // per-receiver credit-bounded buffer
+	line    []chan timed    // per-receiver delay line: paced frames waiting out the latency
+	lat     time.Duration   // one link latency in wall time
 	sinks   []func(*Message)
 	epace   []*pacer // egress link pacers
 	ipace   []*pacer // ingress link pacers
@@ -159,6 +187,8 @@ func New(cfg Config) (*Fabric, error) {
 		cfg:         c,
 		egress:      make([]chan *Message, c.Ports),
 		ingress:     make([]chan *Message, c.Ports),
+		line:        make([]chan timed, c.Ports),
+		lat:         time.Duration(float64(LatencyOf(c.Rate)) * c.TimeScale),
 		sinks:       make([]func(*Message), c.Ports),
 		epace:       make([]*pacer, c.Ports),
 		ipace:       make([]*pacer, c.Ports),
@@ -168,6 +198,7 @@ func New(cfg Config) (*Fabric, error) {
 	for i := 0; i < c.Ports; i++ {
 		f.egress[i] = make(chan *Message, egressQueue)
 		f.ingress[i] = make(chan *Message, credits)
+		f.line[i] = make(chan timed, inFlight)
 		f.epace[i] = newPacer(float64(c.Rate), c.TimeScale)
 		f.ipace[i] = newPacer(float64(c.Rate), c.TimeScale)
 	}
@@ -177,10 +208,18 @@ func New(cfg Config) (*Fabric, error) {
 // Config returns the effective configuration.
 func (f *Fabric) Config() Config { return f.cfg }
 
+// BDP returns the bandwidth-delay product of the fabric's links in bytes:
+// how much a link carries during one latency (42.5 KB at GbE, 5.2 KB at
+// 4xQDR). A message no larger than that is latency-bound, not
+// bandwidth-bound.
+func (f *Fabric) BDP() int {
+	return int(LatencyOf(f.cfg.Rate).Seconds() * float64(f.cfg.Rate))
+}
+
 // RegisterSink installs the delivery callback for a port. The callback runs
-// on the port's ingress goroutine; it must not block for long or it stalls
-// the simulated link (which is realistic: an unread receive queue exerts
-// backpressure).
+// on the port's delivery goroutine; it must not block for long or it
+// stalls the delay line and then the simulated link (which is realistic:
+// an unread receive queue exerts backpressure).
 func (f *Fabric) RegisterSink(port int, sink func(*Message)) {
 	if f.started.Load() {
 		panic("fabric: RegisterSink after Start")
@@ -196,9 +235,10 @@ func (f *Fabric) Start() {
 			if f.sinks[i] == nil {
 				panic(fmt.Sprintf("fabric: port %d has no sink", i))
 			}
-			f.wg.Add(2)
+			f.wg.Add(3)
 			go f.egressPump(i)
 			go f.ingressPump(i)
+			go f.deliveryPump(i)
 		}
 	})
 }
@@ -282,20 +322,36 @@ func (f *Fabric) egressPump(port int) {
 }
 
 // ingressPump serializes a host's incoming messages on its downlink and
-// delivers them to the sink.
+// puts each on the port's delay line, due one latency after its pacing
+// ended. The latency runs on the line, not here, so it never holds the
+// link.
 func (f *Fabric) ingressPump(port int) {
 	defer f.wg.Done()
-	lat := time.Duration(float64(LatencyOf(f.cfg.Rate)) * f.cfg.TimeScale)
 	for {
 		select {
 		case m := <-f.ingress[port]:
 			f.ipace[port].wait(m.Size)
-			if lat > 0 && m.Inline {
-				// Inline messages are latency-bound, not bandwidth-bound;
-				// model their fixed cost explicitly.
-				sleepFor(lat)
+			select {
+			case f.line[port] <- timed{m: m, due: time.Now().Add(f.lat)}:
+			case <-f.stopCh:
+				return
 			}
-			f.deliver(m)
+		case <-f.stopCh:
+			return
+		}
+	}
+}
+
+// deliveryPump hands each frame on a port's delay line to the sink once it
+// is due. Due instants are pacing ends plus a constant, so the line is
+// FIFO and in due order: one goroutine waiting on the head serves it.
+func (f *Fabric) deliveryPump(port int) {
+	defer f.wg.Done()
+	for {
+		select {
+		case t := <-f.line[port]:
+			sleepUntil(t.due)
+			f.deliver(t.m)
 		case <-f.stopCh:
 			return
 		}
@@ -309,8 +365,8 @@ func (f *Fabric) deliver(m *Message) {
 }
 
 // pacer enforces a byte rate in wall-clock time. It tracks the time the
-// link becomes free; waiters sleep (or briefly spin, for sub-scheduler
-// durations) until their transmission completes. The mutex serializes the
+// link becomes free; waiters sleep (or yield, for sub-scheduler durations)
+// until their transmission completes. The mutex serializes the
 // link — one transmission at a time, FIFO by arrival.
 //
 // The bucket allows bounded *catch-up*: when the pump goroutine wakes late
@@ -347,10 +403,11 @@ func (p *pacer) wait(size int) {
 	sleepUntil(done)
 }
 
-// sleepUntil waits for a pacing deadline. The host kernel's sleep
-// granularity is coarse (time.Sleep can overshoot by 1–2 ms), so short
-// waits spin; long waits sleep and let the pacer's burst catch-up absorb
-// the overshoot, keeping the modeled rate exact for sustained streams.
+// sleepUntil waits for a deadline. The host kernel's sleep granularity is
+// coarse (time.Sleep can overshoot by 1–2 ms), so short waits poll the
+// clock, yielding the core between polls so query workers run meanwhile;
+// long waits sleep and let the pacer's burst catch-up absorb the
+// overshoot, keeping the modeled rate exact for sustained streams.
 func sleepUntil(t time.Time) {
 	d := time.Until(t)
 	switch {
@@ -358,10 +415,9 @@ func sleepUntil(t time.Time) {
 		return
 	case d <= 300*time.Microsecond:
 		for time.Now().Before(t) {
+			runtime.Gosched()
 		}
 	default:
 		time.Sleep(d)
 	}
 }
-
-func sleepFor(d time.Duration) { sleepUntil(time.Now().Add(d)) }

@@ -131,3 +131,71 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal("zero rate accepted")
 	}
 }
+
+// TestLatencyPipelines pins the wire model: latency delays a frame
+// without holding the link. k small frames sent back to back to one port
+// all arrive about one latency after their pacing ends, not k latencies
+// after, and a data frame pays the same latency as an inline frame. No
+// frame may arrive before one latency; the upper bounds take the best of
+// five tries, so a host that deschedules the delivery goroutine once does
+// not fail them.
+func TestLatencyPipelines(t *testing.T) {
+	const scale = 10 // GbE latency 340 µs → 3.4 ms of wall time
+	fab, _ := New(Config{Ports: 2, Rate: GbE, TimeScale: scale})
+	lat := time.Duration(float64(LatencyOf(GbE)) * scale)
+	if bdp := fab.BDP(); bdp != 42500 { // 340 µs × 0.125 GB/s, whatever the time scale
+		t.Fatalf("GbE bandwidth-delay product %d bytes, want 42500", bdp)
+	}
+	arrived := make(chan time.Time, 64)
+	fab.RegisterSink(0, func(*Message) {})
+	fab.RegisterSink(1, func(*Message) { arrived <- time.Now() })
+	fab.Start()
+	defer fab.Stop()
+
+	// send puts k frames on the wire back to back and returns the time
+	// from the first Send to the first and to the last delivery. Pacing
+	// 16 bytes takes 1.3 µs per link here: the frames' whole cost is the
+	// latency.
+	send := func(k int, inline bool) (first, last time.Duration) {
+		t0 := time.Now()
+		for i := 0; i < k; i++ {
+			fab.Send(&Message{Src: 0, Dst: 1, Size: 16, Inline: inline})
+		}
+		for i := 0; i < k; i++ {
+			last = (<-arrived).Sub(t0)
+			if i == 0 {
+				first = last
+			}
+		}
+		if first < lat*9/10 {
+			t.Fatalf("a frame arrived %v after Send, before one latency (%v)", first, lat)
+		}
+		return first, last
+	}
+	const k, tries = 10, 5
+	burst, data, inline := time.Hour, time.Hour, time.Hour
+	for i := 0; i < tries; i++ {
+		_, last := send(k, true)
+		d, _ := send(1, false)
+		in, _ := send(1, true)
+		burst, data, inline = min(burst, last), min(data, d), min(inline, in)
+	}
+	if got := fab.MessagesDelivered(); got != tries*(k+2) {
+		t.Fatalf("delivered %d frames, want %d", got, tries*(k+2))
+	}
+
+	if raceEnabled {
+		t.Log("race detector enabled: skipping the latency upper bounds")
+		return
+	}
+	if burst > 3*lat {
+		t.Fatalf("%d back-to-back frames took %v; latency must overlap (one latency %v, serial %v)",
+			k, burst, lat, k*lat)
+	}
+	if data > 3*lat || inline > 3*lat {
+		t.Fatalf("one-way time data %v / inline %v, want about one latency (%v)", data, inline, lat)
+	}
+	if diff := data - inline; diff > lat/2 || diff < -lat/2 {
+		t.Fatalf("data frame %v and inline frame %v pay different latencies", data, inline)
+	}
+}

@@ -15,6 +15,16 @@
 // phase's single source before moving on (§3.2.3). Without scheduling it
 // drains all destination queues eagerly — the uncoordinated all-to-all
 // baseline that suffers switch contention.
+//
+// The express rule: a message no larger than the link's bandwidth-delay
+// product (Fabric.BDP: 42.5 KB at GbE, 5.2 KB at 4xQDR) skips the send
+// loop and goes straight to the transport, provided its own (query,
+// exchange) stream has nothing queued or in flight to that destination
+// and the multiplexer is not frozen. Such a message is latency-bound: a
+// round of the schedule would cost it far more than it could collide, and
+// it is what Last markers, final flushes and control messages are.
+// Everything else queues, so per-stream FIFO order holds: a message never
+// overtakes an earlier one of its stream.
 package mux
 
 import (
@@ -43,6 +53,8 @@ type Transport interface {
 	Send(dst int, m *memory.Message)
 	// SendInline sends a small latency-critical message.
 	SendInline(dst int, tag uint32)
+	// BDP is the link's bandwidth-delay product in bytes.
+	BDP() int
 }
 
 // Config configures a multiplexer.
@@ -70,6 +82,7 @@ type Stats struct {
 	StolenMsgs   uint64 // messages consumed from a non-local NUMA queue
 	SyncBarriers uint64
 	DroppedMsgs  uint64 // late arrivals for already-closed queries
+	ExpressMsgs  uint64 // of MsgsSent, those that skipped the send loop
 }
 
 // ExchangeKey addresses one logical exchange operator cluster-wide:
@@ -89,7 +102,11 @@ const closedQueryMemory = 1024
 // and the failure detector's probes. The two high bits discriminate:
 // barriers use plain sequence numbers (the barrier counter would need 2^30
 // phases to collide, far beyond any run), a probe request is probeReqBit
-// and its echo probeAckBit.
+// and its echo probeAckBit. Every multiplexer advances the same barrier
+// counter phase by phase, so the barriers one source sends here carry
+// increasing numbers over a FIFO link: the highest one heard completes
+// every phase up to it, and one number per source is all there is to
+// remember.
 const (
 	probeReqBit uint32 = 1 << 31
 	probeAckBit uint32 = 1 << 30
@@ -102,6 +119,14 @@ type Mux struct {
 	schedule  *sched.Schedule
 
 	sendQ []chan *memory.Message // per destination server
+	bdp   int                    // express size limit: the link's bandwidth-delay product
+
+	// outstanding[dst][stream] counts the messages of a (query, exchange)
+	// stream to dst that sit in sendQ[dst] or in the network loop's hands,
+	// not yet given to the transport. A stream goes express only at zero;
+	// an entry is deleted when it gets there, so the maps stay small.
+	streamMu    sync.Mutex
+	outstanding []map[ExchangeKey]int
 
 	mu         sync.Mutex
 	exchanges  map[ExchangeKey]*ExchangeRecv
@@ -113,8 +138,8 @@ type Mux struct {
 
 	inlineMu   sync.Mutex
 	inlineCond *sync.Cond
-	inlineSeen map[uint64]struct{} // key: src<<32 | tag
-	deadPeers  map[int]struct{}    // failed servers: barriers with them are no-ops
+	barrierHi  []uint32         // barrierHi[src]: 1 + the highest barrier tag heard from src, 0 for none
+	deadPeers  map[int]struct{} // failed servers: barriers with them are no-ops
 
 	// heard[src] counts every frame received from server src — data,
 	// barriers and probe echoes alike. Any frame proves its sender was
@@ -130,6 +155,7 @@ type Mux struct {
 	stolenMsgs  atomic.Uint64
 	barriers    atomic.Uint64
 	droppedMsgs atomic.Uint64
+	expressMsgs atomic.Uint64
 
 	wakeCh  chan struct{} // pokes the network loop when work arrives
 	stopCh  chan struct{}
@@ -153,27 +179,32 @@ func New(cfg Config) (*Mux, error) {
 		return nil, err
 	}
 	m := &Mux{
-		cfg:        cfg,
-		schedule:   sc,
-		sendQ:      make([]chan *memory.Message, cfg.Servers),
-		exchanges:  make(map[ExchangeKey]*ExchangeRecv),
-		pending:    make(map[ExchangeKey][]*memory.Message),
-		closed:     make(map[int32]struct{}),
-		inlineSeen: make(map[uint64]struct{}),
-		deadPeers:  make(map[int]struct{}),
-		heard:      make([]atomic.Uint64, cfg.Servers),
-		wakeCh:     make(chan struct{}, 1),
-		stopCh:     make(chan struct{}),
+		cfg:         cfg,
+		schedule:    sc,
+		sendQ:       make([]chan *memory.Message, cfg.Servers),
+		outstanding: make([]map[ExchangeKey]int, cfg.Servers),
+		exchanges:   make(map[ExchangeKey]*ExchangeRecv),
+		pending:     make(map[ExchangeKey][]*memory.Message),
+		closed:      make(map[int32]struct{}),
+		barrierHi:   make([]uint32, cfg.Servers),
+		deadPeers:   make(map[int]struct{}),
+		heard:       make([]atomic.Uint64, cfg.Servers),
+		wakeCh:      make(chan struct{}, 1),
+		stopCh:      make(chan struct{}),
 	}
 	m.inlineCond = sync.NewCond(&m.inlineMu)
 	for i := range m.sendQ {
 		m.sendQ[i] = make(chan *memory.Message, sendQueue)
+		m.outstanding[i] = make(map[ExchangeKey]int)
 	}
 	return m, nil
 }
 
 // SetTransport installs the wire. Must be called before Start.
-func (m *Mux) SetTransport(t Transport) { m.transport = t }
+func (m *Mux) SetTransport(t Transport) {
+	m.transport = t
+	m.bdp = t.BDP()
+}
 
 // RecvAlloc returns the next posted receive buffer; the multiplexer
 // receives messages for every NUMA region in turn (§3.2.2).
@@ -206,10 +237,14 @@ func (m *Mux) OnInline(src int, tag uint32) {
 	case tag&probeAckBit != 0:
 		// An echo's whole job was to be heard.
 	default:
-		key := uint64(src)<<32 | uint64(tag)
+		if src < 0 || src >= len(m.barrierHi) {
+			return // not a server of this cluster
+		}
 		m.inlineMu.Lock()
-		m.inlineSeen[key] = struct{}{}
-		m.inlineCond.Broadcast()
+		if tag >= m.barrierHi[src] {
+			m.barrierHi[src] = tag + 1
+			m.inlineCond.Broadcast()
+		}
 		m.inlineMu.Unlock()
 	}
 }
@@ -330,6 +365,7 @@ func (m *Mux) Stats() Stats {
 		StolenMsgs:   m.stolenMsgs.Load(),
 		SyncBarriers: m.barriers.Load(),
 		DroppedMsgs:  m.droppedMsgs.Load(),
+		ExpressMsgs:  m.expressMsgs.Load(),
 	}
 }
 
@@ -345,18 +381,35 @@ func (m *Mux) TableSizes() (exchanges, pending int) {
 // message headers).
 func (m *Mux) ServerID() int { return m.cfg.Server }
 
-// Send queues msg for delivery to server dst. The caller must have set
-// msg.ExchangeID and msg.Sender before the first Send — a broadcast hands
-// the *same* buffer to several destinations concurrently, so the header
-// must not be written here. Messages to the local server bypass the
-// network entirely: the buffer is routed (zero-copy, NUMA home preserved)
-// to the local receive queues.
+// Send queues msg for delivery to server dst, or sends it express (see
+// the package doc). The caller must have set msg.ExchangeID and msg.Sender
+// before the first Send — a broadcast hands the *same* buffer to several
+// destinations concurrently, so the header must not be written here — and
+// must not send two messages of one stream to one destination
+// concurrently: the stream's order is the order of its Send calls.
+// Messages to the local server bypass the network entirely: the buffer is
+// routed (zero-copy, NUMA home preserved) to the local receive queues. A
+// stopped multiplexer releases msg.
 func (m *Mux) Send(dst int, msg *memory.Message) {
 	if dst == m.cfg.Server {
 		m.localMsgs.Add(1)
 		m.route(msg, true)
 		return
 	}
+	if m.stopped.Load() {
+		msg.Release()
+		return
+	}
+	key := streamOf(msg)
+	m.streamMu.Lock()
+	if m.outstanding[dst][key] == 0 && msg.WireSize() <= m.bdp && !m.frozen.Load() {
+		m.streamMu.Unlock()
+		m.expressMsgs.Add(1)
+		m.transportSend(dst, msg)
+		return
+	}
+	m.outstanding[dst][key]++
+	m.streamMu.Unlock()
 	// Fast path: queue has room. Otherwise time the blocking wait — that
 	// stall is backpressure from the simulated link and one of the
 	// quantities the paper says dominates distributed runtime.
@@ -369,6 +422,7 @@ func (m *Mux) Send(dst int, msg *memory.Message) {
 			mSendStallNanos.AddDuration(time.Since(t0))
 		case <-m.stopCh:
 			mSendStallNanos.AddDuration(time.Since(t0))
+			m.handed(dst, key)
 			msg.Release()
 			return
 		}
@@ -479,7 +533,7 @@ func (m *Mux) eagerLoop() {
 			}
 			select {
 			case msg := <-m.sendQ[d]:
-				m.transportSend(d, msg)
+				m.sendQueued(d, msg)
 				moved = true
 			default:
 			}
@@ -523,7 +577,7 @@ func (m *Mux) scheduledLoop() {
 			for sent < BatchPerPhase {
 				select {
 				case msg := <-m.sendQ[target]:
-					m.transportSend(target, msg)
+					m.sendQueued(target, msg)
 					sent++
 				case <-m.stopCh:
 					return
@@ -576,15 +630,46 @@ func (m *Mux) transportSend(dst int, msg *memory.Message) {
 	m.transport.Send(dst, msg)
 }
 
+// streamOf is the (query, exchange) stream a message belongs to.
+func streamOf(msg *memory.Message) ExchangeKey {
+	return ExchangeKey{Query: msg.QueryID, Exchange: msg.ExchangeID}
+}
+
+// sendQueued gives a message the network loop took off sendQ[dst] to the
+// transport. Only then does its stream count drop, so a later message of
+// the stream cannot go express ahead of it. The key is read first: once
+// sent, the receiver may recycle the buffer.
+func (m *Mux) sendQueued(dst int, msg *memory.Message) {
+	key := streamOf(msg)
+	m.transportSend(dst, msg)
+	m.handed(dst, key)
+}
+
+// handed retires one queued message of stream key to dst.
+func (m *Mux) handed(dst int, key ExchangeKey) {
+	m.streamMu.Lock()
+	if n := m.outstanding[dst][key] - 1; n > 0 {
+		m.outstanding[dst][key] = n
+	} else {
+		delete(m.outstanding[dst], key)
+	}
+	m.streamMu.Unlock()
+}
+
+// barrierHeard reports whether the barrier (src, tag) has arrived: src has
+// sent tag or a later one. A tag older than the highest heard completes
+// nothing new. The caller holds inlineMu.
+func (m *Mux) barrierHeard(src int, tag uint32) bool {
+	return m.barrierHi[src] > tag
+}
+
 // waitInline blocks until the inline sync (src, tag) has been observed.
 // Returns false if the mux is shutting down.
 func (m *Mux) waitInline(src int, tag uint32) bool {
-	key := uint64(src)<<32 | uint64(tag)
 	m.inlineMu.Lock()
 	defer m.inlineMu.Unlock()
 	for {
-		if _, ok := m.inlineSeen[key]; ok {
-			delete(m.inlineSeen, key)
+		if m.barrierHeard(src, tag) {
 			return true
 		}
 		if _, down := m.deadPeers[src]; down {

@@ -290,14 +290,18 @@ func (ep *Endpoint) SendInline(dst int, tag uint32) {
 	ep.post(f, dst, ep.sheet.inlineSize, true)
 }
 
+// BDP returns the bandwidth-delay product of the endpoint's link.
+func (ep *Endpoint) BDP() int { return ep.fab.BDP() }
+
 func (ep *Endpoint) post(f *frame, dst, size int, inline bool) {
 	f.fm = fabric.Message{Src: ep.port, Dst: dst, Size: size, Payload: f, Inline: inline}
 	ep.fab.Send(&f.fm)
 }
 
-// sink runs on the fabric's ingress goroutine. A verbs inline frame
-// completes right here; everything else queues for the completion
-// goroutine, so neither a copy nor a stack charge runs on the paced link.
+// sink runs on the fabric's delivery goroutine for this port. A verbs
+// inline frame completes right here; everything else queues for the
+// completion goroutine, so neither a copy nor a stack charge holds up the
+// frames behind it.
 func (ep *Endpoint) sink(fm *fabric.Message) {
 	f := fm.Payload.(*frame)
 	if fm.Inline && !ep.sheet.socket {
