@@ -96,15 +96,21 @@ type chaosCase struct {
 	// idle injects the fault between queries instead of mid-query; the
 	// next query must absorb it all the same.
 	idle bool
+	// q is the TPC-H query to run; Q12 when zero.
+	q int
 }
 
-// runChaosQ12 executes Q12 against a cluster that loses one server
+// runChaos executes a query against a cluster that loses one server
 // (mid-query unless tc.idle) and asserts the failover was transparent: one
 // restart, a 2-server surviving membership, and a result byte-identical to
 // the reference interpreter's.
-func runChaosQ12(t *testing.T, tc chaosCase) {
+func runChaos(t *testing.T, tc chaosCase) {
 	db := getChaosDB()
 	kind := tc.kind
+	qn := tc.q
+	if qn == 0 {
+		qn = 12
+	}
 	var inj *sim.FaultInjector
 	c := newChaosCluster(t, !tc.eager, func(p sim.QueryPhase) {
 		if !tc.idle {
@@ -130,10 +136,10 @@ func runChaosQ12(t *testing.T, tc chaosCase) {
 		inj.OnPhase(sim.PhaseExecuting)
 	}
 
-	q12 := queries.MustBuild(12, queries.Params{SF: chaosSF})
+	q := queries.MustBuild(qn, queries.Params{SF: chaosSF})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	got, stats, err := c.RunContext(ctx, q12)
+	got, stats, err := c.RunContext(ctx, q)
 	if err != nil {
 		t.Fatalf("RunContext under %v fault: %v", kind, err)
 	}
@@ -151,14 +157,14 @@ func runChaosQ12(t *testing.T, tc chaosCase) {
 	}
 
 	gotS := renderRows(batchRowsChaos(got))
-	wantS := refRows(t, 12)
+	wantS := refRows(t, qn)
 	if gotS != wantS {
-		t.Fatalf("q12 after %v failover differs from reference\ngot:\n%s\nwant:\n%s", kind, gotS, wantS)
+		t.Fatalf("q%d after %v failover differs from reference\ngot:\n%s\nwant:\n%s", qn, kind, gotS, wantS)
 	}
 
 	// The shrunk cluster keeps serving: a fresh run (no fault left to
 	// inject) must agree byte-for-byte too.
-	got2, stats2, err := c.RunContext(ctx, q12)
+	got2, stats2, err := c.RunContext(ctx, q)
 	if err != nil {
 		t.Fatalf("post-failover run: %v", err)
 	}
@@ -166,7 +172,7 @@ func runChaosQ12(t *testing.T, tc chaosCase) {
 		t.Fatalf("post-failover Restarts = %d, want 0", stats2.Restarts)
 	}
 	if got2S := renderRows(batchRowsChaos(got2)); got2S != wantS {
-		t.Fatalf("q12 on the shrunk cluster differs from reference\ngot:\n%s\nwant:\n%s", got2S, wantS)
+		t.Fatalf("q%d on the shrunk cluster differs from reference\ngot:\n%s\nwant:\n%s", qn, got2S, wantS)
 	}
 }
 
@@ -178,22 +184,31 @@ func batchRowsChaos(b *storage.Batch) [][]any {
 	return out
 }
 
-func TestChaosKillMidQuery(t *testing.T)      { runChaosQ12(t, chaosCase{kind: sim.FaultKill}) }
-func TestChaosHangMidQuery(t *testing.T)      { runChaosQ12(t, chaosCase{kind: sim.FaultHang}) }
-func TestChaosPartitionMidQuery(t *testing.T) { runChaosQ12(t, chaosCase{kind: sim.FaultPartition}) }
+func TestChaosKillMidQuery(t *testing.T)      { runChaos(t, chaosCase{kind: sim.FaultKill}) }
+func TestChaosHangMidQuery(t *testing.T)      { runChaos(t, chaosCase{kind: sim.FaultHang}) }
+func TestChaosPartitionMidQuery(t *testing.T) { runChaos(t, chaosCase{kind: sim.FaultPartition}) }
+
+// TestChaosKillAwaitingSemiJoinFilter kills a server as Q5 starts
+// executing, before its build sends can publish their semi-join filters:
+// the survivors' schedulers hold their probe sends on filters that will
+// never merge. The failure must release them (the attempt is cancelled),
+// and the restarted query must return the reference bytes.
+func TestChaosKillAwaitingSemiJoinFilter(t *testing.T) {
+	runChaos(t, chaosCase{kind: sim.FaultKill, q: 5})
+}
 
 // TestChaosEager and TestChaosIdle run the same table off the detector's
 // free ride: without a schedule there are no barriers to hear, and between
 // queries there is no attempt whose own error could reveal the loss.
 func TestChaosEager(t *testing.T) {
 	for _, kind := range []sim.FaultKind{sim.FaultHang, sim.FaultPartition} {
-		t.Run(kind.String(), func(t *testing.T) { runChaosQ12(t, chaosCase{kind: kind, eager: true}) })
+		t.Run(kind.String(), func(t *testing.T) { runChaos(t, chaosCase{kind: kind, eager: true}) })
 	}
 }
 
 func TestChaosIdle(t *testing.T) {
 	for _, kind := range []sim.FaultKind{sim.FaultKill, sim.FaultHang, sim.FaultPartition} {
-		t.Run(kind.String(), func(t *testing.T) { runChaosQ12(t, chaosCase{kind: kind, idle: true}) })
+		t.Run(kind.String(), func(t *testing.T) { runChaos(t, chaosCase{kind: kind, idle: true}) })
 	}
 }
 

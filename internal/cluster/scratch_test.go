@@ -89,7 +89,7 @@ func TestNoReusedScratchUpstreamOfRetainingSink(t *testing.T) {
 			compiled, release := compileTPCH(t, c, qn, sf, po)
 			for sid, cp := range compiled {
 				for _, p := range cp.Pipelines {
-					if src, ok := exchange.Receive(p.Source); ok && src.Reuses() {
+					if src, ok := p.Source.(*exchange.Source); ok && src.Reuses() {
 						sources++
 						if retained(p.Ops, p.Sink) {
 							t.Errorf("%s q%d server %d: reuse-mode receive of %q feeds a retaining %T",
@@ -234,7 +234,7 @@ func TestSemiJoinFilterEligibility(t *testing.T) {
 			for sid, cp := range compiled {
 				gated, receives := 0, 0
 				for _, p := range cp.Pipelines {
-					if _, ok := p.Source.(*exchange.GatedSource); ok {
+					if p.Gate != nil {
 						gated++
 					}
 					if s, ok := p.Sink.(*exchange.Send); ok && (s.Mode() != exchange.ModeGather || sid == 0) {

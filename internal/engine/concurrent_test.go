@@ -126,7 +126,7 @@ func TestErrorIsolationBetweenRuns(t *testing.T) {
 type blockedSource struct{}
 
 func (blockedSource) Poll(*Worker) (*storage.Batch, bool) { return nil, false }
-func (blockedSource) SetWake(func())                      {}
+func (blockedSource) SetWake(func(bool))                  {}
 
 // TestCloseAbortsActiveRuns: closing the engine while a graph is still
 // waiting for input must abort the run (ErrCancelled) instead of leaving

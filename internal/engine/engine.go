@@ -8,13 +8,13 @@
 // intermediate data hot.
 //
 // Pipelines are organized into a Graph: explicit dependency edges
-// (build-before-probe, materialize-before-consume) gate when a pipeline
-// becomes runnable, and a Scheduler dispatches morsels from *all* runnable
-// pipelines to idle workers. Every Source only polls: a source that
-// streams from the network answers "nothing yet" instead of blocking, so a
-// pipeline with no input parks without holding a worker, which is what
-// lets exchange-receive pipelines overlap with upstream compute (hybrid
-// parallelism, §3).
+// (build-before-probe, materialize-before-consume) and a pipeline's Gate
+// (a cluster-wide decision) decide when a pipeline becomes runnable, and a
+// Scheduler dispatches morsels from *all* runnable pipelines to idle
+// workers. Every Source only polls: a source that streams from the network
+// answers "nothing yet" instead of blocking, so a pipeline with no input
+// parks without holding a worker, which is what lets exchange-receive
+// pipelines overlap with upstream compute (hybrid parallelism, §3).
 package engine
 
 import (
@@ -138,18 +138,23 @@ type Source interface {
 }
 
 // WakeSource is implemented by sources whose input arrives asynchronously
-// (exchange receives). SetWake registers a callback fired whenever new
-// input may be available, so the scheduler can sleep instead of spinning.
+// (exchange receives). The source calls the f that SetWake registers
+// whenever new input may be available, so workers sleep instead of
+// spinning: f(false) rouses one worker, f(true) all of them, which a
+// delivery only one specific worker can consume needs (classic exchanges).
 type WakeSource interface {
-	SetWake(f func())
+	SetWake(f func(all bool))
 }
 
-// TargetedWakeSource is implemented by streaming sources whose deliveries
-// are addressed to one specific worker (the classic exchange model's fixed
-// parallel units). Their wake callbacks broadcast to the whole pool — a
-// single-worker wake could rouse a worker that cannot consume the message.
-type TargetedWakeSource interface {
-	WakeTargetsWorker() bool
+// Gate is a cluster-wide decision a pipeline waits on (Pipeline.Gate): the
+// skew coordinator's hot-key set, the semi-join filter.
+type Gate interface {
+	// Ready reports whether the decision is published (or failed).
+	Ready() bool
+	// AddWake registers a callback fired once it is (at once if it is).
+	AddWake(func())
+	// Err reports why the decision failed.
+	Err() error
 }
 
 // LocalityHinter lets a source advertise whether it still holds
@@ -223,6 +228,10 @@ type Pipeline struct {
 	// CoordinatorOnly pipelines run only on the coordinating server
 	// (final merges of distributed plans).
 	CoordinatorOnly bool
+	// Gate, when set, is one more dependency: the scheduler holds the
+	// pipeline, without a worker, until the decision is published, and a
+	// failed decision aborts the run. A skipped pipeline ignores it.
+	Gate Gate
 }
 
 // Graph is a set of pipelines plus explicit dependency edges: Deps[i]

@@ -24,7 +24,7 @@ const (
 type pipeNode struct {
 	p       *Pipeline
 	hint    LocalityHinter // non-nil when the source advertises locality
-	deps    int            // unmet dependency count
+	deps    int            // unmet dependency count, an unopened Gate included
 	depOn   []int          // pipelines waiting on this one
 	state   pstate
 	active  int  // workers currently processing a morsel
@@ -70,9 +70,10 @@ type scheduler struct {
 	// notify rouses the engine's pool workers: notify(false) wakes one
 	// (one delivery = one unit of work), notify(true) wakes all (pipeline
 	// completions can unlock many dependents; worker-targeted sources need
-	// the one worker that can consume the delivery to look). It may be
-	// called with s.mu held — the engine never holds its own mutex while
-	// calling into a scheduler.
+	// the one worker that can consume the delivery to look). Streaming
+	// sources get it as their wake (WakeSource). It may be called with
+	// s.mu held — the engine never holds its own mutex while calling into
+	// a scheduler.
 	notify func(all bool)
 
 	err      error
@@ -95,6 +96,9 @@ func newScheduler(g *Graph, isCoordinator bool, notify func(all bool)) *schedule
 		n.ops = make([]opCounter, len(p.Ops))
 		n.deps = len(g.deps(i))
 		n.skipped = p.CoordinatorOnly && !isCoordinator
+		if p.Gate != nil && !n.skipped {
+			n.deps++ // openGate meets it
+		}
 		n.hint, _ = p.Source.(LocalityHinter)
 		for _, d := range g.deps(i) {
 			s.nodes[d].depOn = append(s.nodes[d].depOn, i)
@@ -113,34 +117,38 @@ func newScheduler(g *Graph, isCoordinator bool, notify func(all bool)) *schedule
 	}
 	s.mu.Unlock()
 
-	// Register wake callbacks so message arrival restarts idle workers.
-	// Sources whose input is addressed to one specific worker (classic
-	// exchanges) must wake everyone: a Signal could rouse a worker that
-	// cannot consume the delivery, which would strand it forever.
+	// Register wake callbacks so message arrival restarts idle workers and
+	// a published decision releases its gated pipeline. Either may fire
+	// from another goroutine (or at once) before this returns.
 	for i := range s.nodes {
-		if ws, ok := s.nodes[i].p.Source.(WakeSource); ok && !s.nodes[i].skipped {
-			if tw, ok := s.nodes[i].p.Source.(TargetedWakeSource); ok && tw.WakeTargetsWorker() {
-				ws.SetWake(s.wakeAll)
-			} else {
-				ws.SetWake(s.wake)
-			}
+		n := &s.nodes[i]
+		if n.skipped {
+			continue
+		}
+		if ws, ok := n.p.Source.(WakeSource); ok {
+			ws.SetWake(notify)
+		}
+		if n.p.Gate != nil {
+			n.p.Gate.AddWake(func() { s.openGate(i) })
 		}
 	}
 	return s
 }
 
-// wake is called by streaming sources when new input may be available.
-// One delivery is one unit of work, so one pool worker is woken (a worker
-// that consumes it re-polls and drains any burst itself); completions
-// still broadcast because they can unlock many dependents at once.
-func (s *scheduler) wake() {
-	s.notify(false)
-}
-
-// wakeAll is the wake for worker-targeted sources: every parked worker
-// must look, because only one specific worker can consume the delivery.
-func (s *scheduler) wakeAll() {
-	s.notify(true)
+// openGate releases pipeline i's gate dependency once its decision is
+// published; a failed decision aborts the run, naming the pipeline.
+func (s *scheduler) openGate(i int) {
+	n := &s.nodes[i]
+	if err := n.p.Gate.Err(); err != nil {
+		s.cancel(fmt.Errorf("pipeline %q: %w", n.p.Name, err))
+		return
+	}
+	s.mu.Lock()
+	if n.deps--; n.deps == 0 && !s.aborted && !s.finished {
+		s.readyLocked(i)
+		s.notify(true)
+	}
+	s.mu.Unlock()
 }
 
 // cancel aborts the run; in-flight morsels complete, nothing new starts.

@@ -222,7 +222,7 @@ type pollGate struct {
 	released bool
 	left     int
 	b        *storage.Batch
-	wake     func()
+	wake     func(all bool)
 }
 
 func (s *pollGate) Poll(*Worker) (*storage.Batch, bool) {
@@ -238,7 +238,7 @@ func (s *pollGate) Poll(*Worker) (*storage.Batch, bool) {
 	return s.b, false
 }
 
-func (s *pollGate) SetWake(f func()) {
+func (s *pollGate) SetWake(f func(all bool)) {
 	s.mu.Lock()
 	s.wake = f
 	s.mu.Unlock()
@@ -250,7 +250,7 @@ func (s *pollGate) release() {
 	f := s.wake
 	s.mu.Unlock()
 	if f != nil {
-		f()
+		f(false)
 	}
 }
 

@@ -6,12 +6,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hsqp/internal/engine"
 	"hsqp/internal/invariant"
 	"hsqp/internal/memory"
 	"hsqp/internal/mux"
 	"hsqp/internal/numa"
-	"hsqp/internal/storage"
 )
 
 // ControlConfig wires a coordinator's control exchange: a dedicated
@@ -43,7 +41,7 @@ type controlRound struct {
 	sent    atomic.Bool
 	mu      sync.Mutex
 	wakes   []func()
-	wakeBuf [1]func() // wakes' first slot: one gated source per round
+	wakeBuf [1]func() // wakes' first slot: one gated pipeline per round
 	done    atomic.Bool
 	err     error // set before done; read after it
 }
@@ -105,7 +103,7 @@ func (r *controlRound) send(msg *memory.Message) {
 // close so no message is left unreleased.
 func (r *controlRound) gather() {
 	wake := make(chan struct{}, 1)
-	r.recv.SetWake(func() {
+	r.recv.SetWake(func(bool) {
 		select {
 		case wake <- struct{}{}:
 		default:
@@ -225,8 +223,8 @@ func (r *controlRound) WaitReady() error {
 	}
 }
 
-// AddWake registers a callback fired when the round ends (GatedSource
-// re-wakes the scheduler with it). Fires at once if it already has.
+// AddWake registers a callback fired when the round ends (the scheduler
+// releases the gated pipeline with it). Fires at once if it already has.
 func (r *controlRound) AddWake(f func()) {
 	r.mu.Lock()
 	if !r.done.Load() {
@@ -236,92 +234,4 @@ func (r *controlRound) AddWake(f func()) {
 	}
 	r.mu.Unlock()
 	f()
-}
-
-// Gate is a cluster-wide decision a pipeline waits on without holding a
-// worker: the skew coordinator's hot-key set, the semi-join filter.
-type Gate interface {
-	// Ready reports whether the decision is published (or failed).
-	Ready() bool
-	// AddWake registers a callback fired when it is.
-	AddWake(func())
-	// Err reports why the decision failed.
-	Err() error
-}
-
-// GatedSource holds a pipeline's input until a Gate opens: it reports "no
-// input yet" (without blocking a worker) until the decision is published,
-// then delegates to the inner source. A skew-adaptive build send may not
-// route before the hot set is agreed (hot and cold keys take different
-// routes on every server); a semi-join probe send waits for the merged
-// filter so that no probe row without a build partner reaches the wire.
-type GatedSource struct {
-	inner engine.Source
-	gate  Gate
-}
-
-// NewGatedSource wraps inner, gating it on gate's decision.
-func NewGatedSource(inner engine.Source, gate Gate) *GatedSource {
-	return &GatedSource{inner: inner, gate: gate}
-}
-
-// Receive returns the exchange receive a pipeline polls, directly or
-// through a GatedSource.
-func Receive(src engine.Source) (*Source, bool) {
-	if g, ok := src.(*GatedSource); ok {
-		src = g.inner
-	}
-	rs, ok := src.(*Source)
-	return rs, ok
-}
-
-// Poll implements engine.Source: (nil, false) parks the pipeline until
-// the decision wake fires; a failed decision drains it, and Err says why.
-func (g *GatedSource) Poll(w *engine.Worker) (*storage.Batch, bool) {
-	if !g.gate.Ready() {
-		return nil, false
-	}
-	if g.gate.Err() != nil {
-		return nil, true
-	}
-	return g.inner.Poll(w)
-}
-
-// SetWake implements engine.WakeSource: the scheduler is woken both by
-// the decision and by the inner source's own deliveries.
-func (g *GatedSource) SetWake(f func()) {
-	g.gate.AddWake(f)
-	if ws, ok := g.inner.(engine.WakeSource); ok {
-		ws.SetWake(f)
-	}
-}
-
-// HasLocal implements engine.LocalityHinter.
-func (g *GatedSource) HasLocal(node numa.Node) bool {
-	if !g.gate.Ready() {
-		return false
-	}
-	if h, ok := g.inner.(engine.LocalityHinter); ok {
-		return h.HasLocal(node)
-	}
-	return true
-}
-
-// Err implements engine.FallibleSource: the decision's failure, else the
-// inner source's.
-func (g *GatedSource) Err() error {
-	if err := g.gate.Err(); err != nil {
-		return err
-	}
-	if fs, ok := g.inner.(engine.FallibleSource); ok {
-		return fs.Err()
-	}
-	return nil
-}
-
-// Release implements engine.Releaser for the inner source's scratch.
-func (g *GatedSource) Release(w *engine.Worker) {
-	if r, ok := g.inner.(engine.Releaser); ok {
-		r.Release(w)
-	}
 }

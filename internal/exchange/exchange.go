@@ -63,8 +63,7 @@ const (
 	// ModeSkewBuild is the build side of a skew-adaptive join: tuples of
 	// hot keys are replicated to every server through a Retain-based
 	// selective-broadcast stream, cold keys hash-partition. The pipeline
-	// feeding this sink must be gated on the SkewCoord decision
-	// (GatedSource).
+	// feeding this sink waits for the SkewCoord decision (Send.Gate).
 	ModeSkewBuild
 )
 
@@ -120,7 +119,7 @@ type SendConfig struct {
 	BuildFilter *SemiFilter
 	// ProbeFilter (ModePartition) drops every row whose key hash misses
 	// the merged filter: the probe side of the same join. The pipeline
-	// feeding this sink is gated on the filter (GatedSource).
+	// feeding this sink waits for the filter (Send.Gate).
 	ProbeFilter *SemiFilter
 }
 
@@ -140,7 +139,8 @@ type Send struct {
 	destMu  []sync.Mutex
 	destSeq []uint32
 
-	lastNode   atomic.Int32 // node of the most recent consuming worker
+	gate engine.Gate // the decision Consume needs published; see Gate
+
 	tuplesSent atomic.Uint64
 	bytesSent  atomic.Uint64 // wire bytes (header + payload) handed to the mux
 }
@@ -181,6 +181,12 @@ func NewSend(cfg SendConfig) *Send {
 	}
 	s := &Send{cfg: cfg, units: units,
 		destMu: make([]sync.Mutex, cfg.Servers), destSeq: make([]uint32, cfg.Servers)}
+	switch {
+	case cfg.ProbeFilter != nil:
+		s.gate = cfg.ProbeFilter
+	case cfg.Mode == ModeSkewBuild:
+		s.gate = cfg.Skew
+	}
 	s.workers = make([]workerSendState, cfg.NumWorkers)
 	for i := range s.workers {
 		s.workers[i].open = make([]*memory.Message, units)
@@ -200,6 +206,11 @@ func (s *Send) SinkStats() (rows, bytes uint64) {
 	return s.tuplesSent.Load(), s.bytesSent.Load()
 }
 
+// Gate is the cluster-wide decision the pipeline feeding this send must
+// wait on (engine.Pipeline.Gate): the merged filter of a semi-join probe,
+// the hot-key set of a skew-adaptive build; nil for every other send.
+func (s *Send) Gate() engine.Gate { return s.gate }
+
 // OpName implements engine.NamedOp.
 func (s *Send) OpName() string { return "send(" + s.cfg.Mode.String() + ")" }
 
@@ -212,37 +223,20 @@ func (s *Send) Mode() Mode { return s.cfg.Mode }
 // Figure 7) and pass full messages to the multiplexer (step 3).
 func (s *Send) Consume(w *engine.Worker, b *storage.Batch) {
 	st := &s.workers[w.ID]
-	s.lastNode.Store(int32(w.Node))
-	if f := s.cfg.ProbeFilter; f != nil && !f.Ready() {
-		// Plans gate the probe pipeline on the filter (GatedSource); a
-		// direct caller may not, so block defensively.
-		if err := f.WaitReady(); err != nil {
-			return // the query is failing or being cancelled; drop
-		}
+	if s.gate != nil && !s.gate.Ready() {
+		invariant.Failf("exchange %d: %v send consumed rows before its gate opened; its pipeline must wait on Send.Gate", s.cfg.ExID, s.cfg.Mode)
 	}
-	switch s.cfg.Mode {
-	case ModeSkewProbe:
-		sk := s.cfg.Skew
-		if !sk.Ready() {
-			// Sampling phase: hold the batch and feed the sketch; the
-			// worker that exhausts the budget publishes the local sketch
-			// (non-blocking — the cluster-wide merge runs asynchronously).
-			st.held = append(st.held, b)
-			if sk.ObserveBatch(w, b, s.cfg.Keys) {
-				sk.CompleteSampling(w.Node)
-			}
-			return
+	if sk := s.cfg.Skew; s.cfg.Mode == ModeSkewProbe && !sk.Ready() {
+		// Sampling phase: hold the batch and feed the sketch; the worker
+		// that exhausts the budget publishes the local sketch (non-blocking
+		// — the cluster-wide merge runs asynchronously).
+		st.held = append(st.held, b)
+		if sk.ObserveBatch(w, b, s.cfg.Keys) {
+			sk.CompleteSampling(w.Node)
 		}
-		s.flushHeld(st, w)
-	case ModeSkewBuild:
-		// Plans gate the build pipeline on the decision (GatedSource); a
-		// direct caller may not, so block defensively.
-		if !s.cfg.Skew.Ready() {
-			if err := s.cfg.Skew.WaitReady(); err != nil {
-				return // query is being cancelled; drop
-			}
-		}
+		return
 	}
+	s.flushHeld(st, w) // what this worker held while sampling, if anything
 	s.routeBatch(st, w, b)
 }
 
@@ -309,7 +303,7 @@ func (s *Send) routeBatch(st *workerSendState, w *engine.Worker, b *storage.Batc
 		msg := st.open[unit]
 		if msg == nil {
 			msg = s.newMessage(node)
-			//lint:allow poolsafe open per-destination buffers are owned by this thread state and flushed (dispatched or released) in finalizeOn
+			//lint:allow poolsafe open per-destination buffers are owned by this thread state and flushed (dispatched or released) in FinalizeOn
 			st.open[unit] = msg
 		}
 		need := s.cfg.Codec.RowSize(b, i)
@@ -319,7 +313,7 @@ func (s *Send) routeBatch(st *workerSendState, w *engine.Worker, b *storage.Batc
 			}
 			s.dispatch(unit, msg, false)
 			msg = s.newMessage(node)
-			//lint:allow poolsafe open per-destination buffers are owned by this thread state and flushed (dispatched or released) in finalizeOn
+			//lint:allow poolsafe open per-destination buffers are owned by this thread state and flushed (dispatched or released) in FinalizeOn
 			st.open[unit] = msg
 		}
 		before := len(msg.Content)
@@ -422,22 +416,16 @@ func (s *Send) dispatch(unit int, msg *memory.Message, last bool) {
 	}
 }
 
-// Finalize flushes all partially filled messages and emits the Last
-// markers that close this server's contribution to the exchange. Without
-// scheduler support the flush buffers are allocated on the node of the
-// last consuming worker (FinalizeOn is preferred).
-func (s *Send) Finalize() error {
-	return s.finalizeOn(&engine.Worker{Node: numa.Node(s.lastNode.Load())})
-}
+// Finalize is FinalizeOn with a worker of its own, on socket 0 (callers
+// outside the scheduler: tests, probes).
+func (s *Send) Finalize() error { return s.FinalizeOn(&engine.Worker{}) }
 
-// FinalizeOn implements engine.WorkerFinalizer: flush and Last-marker
-// buffers are allocated NUMA-local to the finalizing worker, honoring the
-// pool's AllocLocal policy instead of defaulting to socket 0.
+// FinalizeOn implements engine.WorkerFinalizer: it flushes all partially
+// filled messages and emits the Last markers that close this server's
+// contribution to the exchange. Flush and Last-marker buffers are
+// allocated NUMA-local to the finalizing worker, honoring the pool's
+// AllocLocal policy instead of defaulting to socket 0.
 func (s *Send) FinalizeOn(w *engine.Worker) error {
-	return s.finalizeOn(w)
-}
-
-func (s *Send) finalizeOn(w *engine.Worker) error {
 	node := w.Node
 	if s.cfg.Mode == ModeSkewProbe {
 		// A probe input smaller than the sample budget completes sampling
@@ -564,13 +552,9 @@ func (src *Source) Poll(w *engine.Worker) (*storage.Batch, bool) {
 	}
 }
 
-// SetWake implements engine.WakeSource.
-func (src *Source) SetWake(f func()) { src.Recv.SetWake(f) }
-
-// WakeTargetsWorker implements engine.TargetedWakeSource: classic-mode
-// deliveries land in one fixed worker's lane, so wakes must reach
-// the whole pool.
-func (src *Source) WakeTargetsWorker() bool { return src.Classic }
+// SetWake implements engine.WakeSource; a classic receive wakes the whole
+// pool (mux.ExchangeRecv.SetWake).
+func (src *Source) SetWake(f func(all bool)) { src.Recv.SetWake(f) }
 
 // Err implements engine.FallibleSource: a corrupt message records the
 // failure here and reports the source as drained; the scheduler aborts

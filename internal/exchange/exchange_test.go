@@ -384,8 +384,9 @@ func TestSkewAdaptiveExchange(t *testing.T) {
 					Source: op.NewBatchSource(op.SplitIntoMorsels([]*storage.Batch{skewRows(rowsPer, i, hotKey, coldKeys)}, 64)),
 					Sink:   probeSend},
 				{Name: "build-send",
-					Source: NewGatedSource(op.NewBatchSource([]*storage.Batch{build}), coords[i]),
-					Sink:   buildSend},
+					Source: op.NewBatchSource([]*storage.Batch{build}),
+					Sink:   buildSend,
+					Gate:   coords[i]},
 			}}
 			if _, err := h.engs[i].RunGraph(g, engine.RunOptions{Coordinator: i == 0}); err != nil {
 				t.Error(err)

@@ -127,6 +127,11 @@ func TestSemiFilterAllocs(t *testing.T) {
 					cfg.BuildFilter = f
 				} else {
 					cfg.ProbeFilter = f
+					// The scheduler holds a probe pipeline until the filter
+					// is merged; a direct Consume must wait for it here.
+					if err := f.WaitReady(); err != nil {
+						t.Fatal(err)
+					}
 				}
 				send := NewSend(cfg)
 				send.Consume(w, b)

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -183,8 +184,9 @@ func TestSemiJoinExchange(t *testing.T) {
 		g := &engine.Graph{Pipelines: []*engine.Pipeline{
 			{Name: "build-send", Source: op.NewBatchSource(op.SplitIntoMorsels([]*storage.Batch{builds[i]}, 8)), Sink: build},
 			{Name: "probe-send",
-				Source: NewGatedSource(op.NewBatchSource(op.SplitIntoMorsels([]*storage.Batch{rows(probePer, i)}, 64)), filters[i]),
-				Sink:   probe},
+				Source: op.NewBatchSource(op.SplitIntoMorsels([]*storage.Batch{rows(probePer, i)}, 64)),
+				Sink:   probe,
+				Gate:   filters[i]},
 		}}
 		wg.Add(1)
 		go func() {
@@ -245,33 +247,41 @@ func TestSemiJoinExchange(t *testing.T) {
 }
 
 // TestSemiFilterCancelUnblocks: a query cancelled while a peer's filter is
-// missing releases the gated source and the gather goroutine (the
-// package's leak check sees it exit), and every message of the round goes
-// back to its pool.
+// missing releases the gated pipeline, which never took a morsel, and the
+// gather goroutine (the package's leak check sees it exit); the run
+// reports the cancelled round, and every message of the round goes back
+// to its pool.
 func TestSemiFilterCancelUnblocks(t *testing.T) {
 	h := newHarness(t, 2)
 	cancel := make(chan struct{})
 	f := NewSemiFilter(ControlConfig{Mux: h.muxes[0], Pool: h.pools[0], ExID: 3, Servers: 2, Cancel: cancel})
 	// Server 1 "crashed": it never opens the exchange or sends its filter.
-	g := NewGatedSource(op.NewBatchSource([]*storage.Batch{rows(10, 0)}), f)
-	w := &engine.Worker{}
-	woken := make(chan struct{}, 1)
-	g.SetWake(func() { woken <- struct{}{} })
-	f.publish(w, []workerSendState{{kept: hashCol([]int64{1, 2, 3})}})
+	src := &polledSource{Source: op.NewBatchSource([]*storage.Batch{rows(10, 0)})}
+	done := make(chan error, 1)
+	go func() {
+		done <- h.engs[0].RunPipeline(&engine.Pipeline{Name: "probe-send", Source: src, Sink: &op.Collector{}, Gate: f})
+	}()
+	f.publish(&engine.Worker{}, []workerSendState{{kept: hashCol([]int64{1, 2, 3})}})
 	time.Sleep(20 * time.Millisecond)
-	if b, done := g.Poll(w); b != nil || done {
-		t.Fatalf("gated source yielded (%v, %v) before the filter was merged", b, done)
+	select {
+	case err := <-done:
+		t.Fatalf("the gated run ended before the filter was merged: %v", err)
+	default:
 	}
 	close(cancel)
+	var err error
 	select {
-	case <-woken:
+	case err = <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("cancel did not wake the gated source")
+		t.Fatal("cancel did not release the gated pipeline")
 	}
-	if b, done := g.Poll(w); b != nil || !done {
-		t.Fatalf("gated source yielded (%v, %v) after cancel, want drained", b, done)
+	if n := src.polls.Load(); n != 0 {
+		t.Fatalf("the gated source was polled %d times, want none: the filter was never merged", n)
 	}
-	if g.Err() == nil || f.WaitReady() == nil {
+	if err == nil || !strings.Contains(err.Error(), `pipeline "probe-send"`) || !strings.Contains(err.Error(), "cancelled") {
+		t.Fatalf("run error = %v, want the gated pipeline and its cancelled round", err)
+	}
+	if f.WaitReady() == nil {
 		t.Fatal("a cancelled round must report an error")
 	}
 	// Server 1 never opened the exchange: closing the query releases the
@@ -293,6 +303,17 @@ func TestSemiFilterCancelUnblocks(t *testing.T) {
 	}
 }
 
+// polledSource counts the polls its source receives.
+type polledSource struct {
+	engine.Source
+	polls atomic.Int64
+}
+
+func (s *polledSource) Poll(w *engine.Worker) (*storage.Batch, bool) {
+	s.polls.Add(1)
+	return s.Source.Poll(w)
+}
+
 // TestMalformedFilterFailsQuery: a filter message that breaks the format
 // fails the round with an error naming the exchange and the sender, and
 // the gated pipeline reports it.
@@ -306,8 +327,9 @@ func TestMalformedFilterFailsQuery(t *testing.T) {
 	f.publish(&engine.Worker{}, nil)
 	err := h.engs[0].RunPipeline(&engine.Pipeline{
 		Name:   "probe-send",
-		Source: NewGatedSource(op.NewBatchSource([]*storage.Batch{rows(10, 0)}), f),
+		Source: op.NewBatchSource([]*storage.Batch{rows(10, 0)}),
 		Sink:   &op.Collector{},
+		Gate:   f,
 	})
 	if err == nil {
 		t.Fatal("a malformed filter did not fail the run")

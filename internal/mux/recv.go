@@ -43,7 +43,7 @@ type ExchangeRecv struct {
 	received uint64
 	stolen   uint64
 
-	wake func() // engine-scheduler callback fired on every delivery
+	wake func(all bool) // engine-scheduler callback fired on every delivery
 }
 
 // OpenExchange registers a hybrid exchange of one query that will receive
@@ -118,7 +118,8 @@ func (ex *ExchangeRecv) checkSeqLocked(msg *memory.Message) string {
 // SetWake registers a callback invoked after every message delivery, so a
 // polling scheduler learns that the exchange may have input without a
 // worker blocking in Recv. The callback runs outside the exchange lock.
-func (ex *ExchangeRecv) SetWake(f func()) {
+// A classic exchange sets all: only its lane's worker can take the message.
+func (ex *ExchangeRecv) SetWake(f func(all bool)) {
 	ex.mu.Lock()
 	ex.wake = f
 	ex.mu.Unlock()
@@ -154,7 +155,7 @@ func (ex *ExchangeRecv) push(msg *memory.Message) {
 	wake := ex.wake
 	ex.mu.Unlock()
 	if wake != nil {
-		wake()
+		wake(!ex.steal)
 	}
 }
 

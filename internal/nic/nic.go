@@ -251,10 +251,12 @@ func New(fab *fabric.Fabric, port int, sheet Sheet,
 // thread (§2.1.2), or the adapter's DMA engine under verbs.
 func (ep *Endpoint) Start() { go ep.loop() }
 
-// Close stops the completion goroutine.
+// Close stops the completion goroutine. Frames still queued, and any that
+// arrive later, are dropped: their buffers go back to the sender's pool.
 func (ep *Endpoint) Close() {
 	if ep.stopped.CompareAndSwap(false, true) {
 		close(ep.stopCh)
+		ep.drain()
 	}
 }
 
@@ -310,8 +312,34 @@ func (ep *Endpoint) sink(fm *fabric.Message) {
 	}
 	select {
 	case ep.queue <- f:
+		if ep.stopped.Load() {
+			ep.drain() // Close may have drained before f was queued
+		}
 	case <-ep.stopCh:
+		ep.drop(f)
 	}
+}
+
+// drain drops every frame queued on a stopped endpoint.
+func (ep *Endpoint) drain() {
+	for {
+		select {
+		case f := <-ep.queue:
+			ep.drop(f)
+		default:
+			return
+		}
+	}
+}
+
+// drop discards a frame that will never complete: under verbs the
+// sender's buffer is released, as its completion would have.
+func (ep *Endpoint) drop(f *frame) {
+	if f.msg != nil && f.msg != &f.sock {
+		f.msg.Release()
+	}
+	f.msg = nil
+	frames.Put(f)
 }
 
 func (ep *Endpoint) loop() {

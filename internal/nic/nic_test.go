@@ -250,6 +250,43 @@ func TestEndpointContract(t *testing.T) {
 	}
 }
 
+// returned waits until the sender's pool has had want buffers back.
+func (ms *mesh) returned(t *testing.T, want uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ms.send.Stats().Returned != want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("sender's pool got %d buffers back, want %d", ms.send.Stats().Returned, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestClosedEndpointReleasesFrames: a verbs frame that reaches a closed
+// endpoint, or still sits in its queue when it closes, will never
+// complete; the sender's buffer goes back to its pool all the same.
+func TestClosedEndpointReleasesFrames(t *testing.T) {
+	ms := newMesh(t, RDMA())
+	ms.ep1.Close()
+	ms.ep0.Send(1, ms.message(7))
+	ms.returned(t, 1)
+
+	ms = newMesh(t, RDMA())
+	ms.gate.Lock() // port 1's completion goroutine stalls on the first frame
+	for i := 0; i < 4; i++ {
+		ms.ep0.Send(1, ms.message(7))
+	}
+	for deadline := time.Now().Add(5 * time.Second); ms.fab.MessagesDelivered() < 4; {
+		if time.Now().After(deadline) {
+			t.Fatal("frames stuck on the fabric")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ms.ep1.Close()
+	ms.gate.Unlock()
+	within(t, ms.got, "the frame in completion").Release()
+	ms.returned(t, 4)
+}
+
 func TestDeliveryAndContent(t *testing.T) {
 	ms := newMesh(t, TCP(TCPConfig{Mode: ModeConnected}))
 	for i := 0; i < 5; i++ {

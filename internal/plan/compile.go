@@ -171,10 +171,10 @@ func Compile(q *Query, env *Env) (*Compiled, error) {
 // add appends a pipeline with its dependency edges and returns its index.
 // Every pipeline passes through the fusion pass here, so fused execution
 // applies uniformly — scans, exchange receives and materialized
-// intermediates alike. An exchange receive, gated or not, decodes into
-// per-worker slots when nothing downstream retains its batches.
+// intermediates alike. An exchange receive decodes into per-worker slots
+// when nothing downstream retains its batches.
 func (c *compiler) add(p *engine.Pipeline, deps []int) int {
-	if src, ok := exchange.Receive(p.Source); ok && scratchSafe(p.Ops, p.Sink) {
+	if src, ok := p.Source.(*exchange.Source); ok && scratchSafe(p.Ops, p.Sink) {
 		src.ReuseBatches(c.env.Engine.Workers())
 	}
 	p.Ops = fuseOps(p.Ops, p.Sink, c.env.Engine.Workers())
@@ -323,17 +323,17 @@ func (c *compiler) buildScan(n *Node) (*stream, error) {
 // exchangeStream cuts the stream with a send-side exchange and returns the
 // receive-side stream.
 func (c *compiler) exchangeStream(name string, in *stream, mode exchange.Mode, keys []int) *stream {
-	return c.exchangeStreamVia(name, in, exchange.SendConfig{Mode: mode, Keys: keys}, nil)
+	return c.exchangeStreamVia(name, in, exchange.SendConfig{Mode: mode, Keys: keys})
 }
 
 // exchangeStreamVia is exchangeStream for a send that takes part in a
 // cluster-wide coordinator: sc carries the mode, the keys and the
-// coordinator (Skew, BuildFilter, ProbeFilter), and a non-nil gate holds
-// the send pipeline until the coordinator's decision is published. A
-// skew-adaptive build waits for the hot set (hot and cold keys take
-// different routes, so no build tuple may be routed before the hot set is
-// agreed); a semi-join probe waits for the merged filter.
-func (c *compiler) exchangeStreamVia(name string, in *stream, sc exchange.SendConfig, gate exchange.Gate) *stream {
+// coordinator (Skew, BuildFilter, ProbeFilter). The send pipeline waits
+// for the decision its send names (Send.Gate): a skew-adaptive build for
+// the hot set (hot and cold keys take different routes, so no build tuple
+// may be routed before the hot set is agreed), a semi-join probe for the
+// merged filter.
+func (c *compiler) exchangeStreamVia(name string, in *stream, sc exchange.SendConfig) *stream {
 	env := c.env
 	mode := sc.Mode
 	if env.Classic && mode == exchange.ModePartition {
@@ -349,16 +349,13 @@ func (c *compiler) exchangeStreamVia(name string, in *stream, sc exchange.SendCo
 	sc.Servers, sc.WorkersPerServer, sc.NumWorkers = env.Servers, env.WorkersPerServer, env.Engine.Workers()
 	sc.Codec, sc.Topo, sc.Scale = codec, env.Topo, env.Scale
 	send := exchange.NewSend(sc)
-	source := in.source
-	if gate != nil {
-		source = exchange.NewGatedSource(source, gate)
-	}
 	c.add(&engine.Pipeline{
 		Name:            name,
-		Source:          source,
+		Source:          in.source,
 		Ops:             in.ops,
 		Sink:            send,
 		CoordinatorOnly: in.coordOnly,
+		Gate:            send.Gate(),
 	}, in.deps)
 	// Receivers wait for one Last marker per sender: every server, or only
 	// the coordinator when it alone runs the send pipeline.
@@ -469,9 +466,9 @@ func (c *compiler) buildJoin(n *Node) (*stream, error) {
 		// sequence (sketch, probe shuffle, build shuffle).
 		coord := exchange.NewSkewCoord(exchange.SkewCoordConfig{ControlConfig: c.control(), Config: c.env.Skew})
 		ps = c.exchangeStreamVia(joinName(n, "skew-shuffle-probe"), ps,
-			exchange.SendConfig{Mode: exchange.ModeSkewProbe, Keys: probeKeys, Skew: coord}, nil)
+			exchange.SendConfig{Mode: exchange.ModeSkewProbe, Keys: probeKeys, Skew: coord})
 		bs = c.exchangeStreamVia(joinName(n, "skew-shuffle-build"), bs,
-			exchange.SendConfig{Mode: exchange.ModeSkewBuild, Keys: buildKeys, Skew: coord}, coord)
+			exchange.SendConfig{Mode: exchange.ModeSkewBuild, Keys: buildKeys, Skew: coord})
 	case LocalJoin:
 		// Nothing to move.
 	}
@@ -549,8 +546,8 @@ func (c *compiler) semiJoinShuffles(n *Node, bs, ps *stream, buildKeys, probeKey
 			c.exchangeStream(probe, ps, exchange.ModePartition, probeKeys)
 	}
 	f := exchange.NewSemiFilter(c.control())
-	bs = c.exchangeStreamVia(build, bs, exchange.SendConfig{Mode: exchange.ModePartition, Keys: buildKeys, BuildFilter: f}, nil)
-	ps = c.exchangeStreamVia(probe, ps, exchange.SendConfig{Mode: exchange.ModePartition, Keys: probeKeys, ProbeFilter: f}, f)
+	bs = c.exchangeStreamVia(build, bs, exchange.SendConfig{Mode: exchange.ModePartition, Keys: buildKeys, BuildFilter: f})
+	ps = c.exchangeStreamVia(probe, ps, exchange.SendConfig{Mode: exchange.ModePartition, Keys: probeKeys, ProbeFilter: f})
 	return bs, ps
 }
 
