@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race allocs lint fmt fuzz-seed experiments loc allow-count
+.PHONY: all build test race allocs lint fmt fuzz-seed experiments plan-golden loc allow-count
 
 all: build test lint
 
@@ -49,6 +49,13 @@ fuzz-seed:
 # (about a minute): the CI smoke that keeps `hsqp experiment` from rotting.
 experiments:
 	$(GO) run ./cmd/hsqp experiment -id all -sf 0.005
+
+# Regenerate internal/cluster/testdata/plan_golden.txt, the digest of every
+# compiled TPC-H pipeline DAG. Only for plan changes made on purpose: the
+# regenerated file is the diff a reviewer reads; a refactor of the compiler
+# must leave it unchanged.
+plan-golden:
+	$(GO) test ./internal/cluster -run '^TestCompiledPlanGolden$$' -count=1 -update
 
 # Non-test Go lines outside benchmark/ and the linter's testdata: the
 # number CHANGES.md reports before and after a simplification.

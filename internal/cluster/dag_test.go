@@ -44,8 +44,15 @@ func rowSet(b *storage.Batch) []string {
 
 func newTPCHCluster(t *testing.T) *Cluster {
 	t.Helper()
+	return newTPCHClusterN(t, 3)
+}
+
+// newTPCHClusterN is the TPC-H test deployment on the given number of
+// servers, closed at the end of the test.
+func newTPCHClusterN(t *testing.T, servers int) *Cluster {
+	t.Helper()
 	c, err := New(Config{
-		Servers:          3,
+		Servers:          servers,
 		WorkersPerServer: 4,
 		Transport:        RDMA,
 		Scheduling:       true,
