@@ -179,9 +179,9 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query, po plan.Options
 	// sequence can start at zero — concurrent queries (and a restarted
 	// attempt racing its predecessor's stragglers) never collide.
 	qid := c.nextQueryID.Add(1)
-	// The cancel channel exists before compilation: skew-adaptive plans
-	// capture it so an aborted query unblocks send finalizes waiting for
-	// remote sketches.
+	// The cancel channel exists before compilation: every control round
+	// the plan opens (a skew decision, a semi-join filter) captures it, so
+	// an aborted query fails the round and releases what waits on it.
 	cancel := make(chan struct{})
 	var cancelOnce sync.Once
 	abort := func() { cancelOnce.Do(func() { close(cancel) }) }

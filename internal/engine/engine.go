@@ -548,11 +548,3 @@ func (e *Engine) RunPipeline(p *Pipeline) error {
 	_, err := e.RunGraph(&Graph{Pipelines: []*Pipeline{p}}, RunOptions{Coordinator: true})
 	return err
 }
-
-// RunPlan executes pipelines strictly in slice order (the pre-DAG
-// execution model, kept for ablation); isCoordinator gates
-// coordinator-only pipelines.
-func (e *Engine) RunPlan(pipelines []*Pipeline, isCoordinator bool) error {
-	_, err := e.RunGraph(ChainGraph(pipelines), RunOptions{Coordinator: isCoordinator})
-	return err
-}

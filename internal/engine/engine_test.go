@@ -96,13 +96,13 @@ func TestCoordinatorOnlySkipped(t *testing.T) {
 		Sink:            sink,
 		CoordinatorOnly: true,
 	}}
-	if err := e.RunPlan(p, false); err != nil {
+	if _, err := e.RunGraph(ChainGraph(p), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if sink.batches.Load() != 0 {
 		t.Fatal("coordinator-only pipeline ran on a non-coordinator")
 	}
-	if err := e.RunPlan(p, true); err != nil {
+	if _, err := e.RunGraph(ChainGraph(p), RunOptions{Coordinator: true}); err != nil {
 		t.Fatal(err)
 	}
 	if sink.batches.Load() != 5 {

@@ -70,8 +70,9 @@ type Env struct {
 	Pool             *memory.Pool
 	Topo             *numa.Topology
 	Scale            float64
-	// Cancel, when closed, aborts in-flight skew decisions so a failing
-	// query cannot deadlock a send finalize waiting for remote sketches.
+	// Cancel, when closed, aborts every in-flight control round — a skew
+	// decision, a semi-join filter — so a failing query cannot leave a
+	// gated pipeline or a send finalize waiting for remote messages.
 	Cancel <-chan struct{}
 	// Lookup resolves a table name.
 	Lookup func(name string) (TableInfo, error)
@@ -144,27 +145,13 @@ func Compile(q *Query, env *Env) (*Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("plan: compile %s: %w", q.Name, err)
 	}
-	// Bring the final stream to the coordinator (merges last: the output
-	// pipeline depends on everything the final stream materializes).
-	res := &op.Collector{}
-	if out.coordOnly || env.Servers == 1 {
-		c.add(&engine.Pipeline{
-			Name:            q.Name + "/output",
-			Source:          out.source,
-			Ops:             out.ops,
-			Sink:            res,
-			CoordinatorOnly: out.coordOnly,
-		}, out.deps)
-	} else {
-		gathered := c.gather(q.Name+"/gather", out)
-		c.add(&engine.Pipeline{
-			Name:            q.Name + "/output",
-			Source:          gathered.source,
-			Ops:             gathered.ops,
-			Sink:            res,
-			CoordinatorOnly: true,
-		}, gathered.deps)
+	// The output pipeline runs on the coordinator, last: the stream is
+	// gathered there unless it already is there.
+	if env.Servers > 1 {
+		out = c.gather(q.Name+"/gather", out)
 	}
+	res := &op.Collector{}
+	c.end(out, q.Name+"/output", res)
 	return &Compiled{Pipelines: c.pipe, Deps: c.deps, Result: res, Schema: q.Root.Schema(), serial: env.Serial}, nil
 }
 
@@ -336,6 +323,9 @@ func (c *compiler) exchangeStream(name string, in *stream, mode exchange.Mode, k
 func (c *compiler) exchangeStreamVia(name string, in *stream, sc exchange.SendConfig) *stream {
 	env := c.env
 	mode := sc.Mode
+	if mode != exchange.ModeBroadcast {
+		c.single(in)
+	}
 	if env.Classic && mode == exchange.ModePartition {
 		mode = exchange.ModeClassicPartition
 	}
@@ -406,10 +396,73 @@ func (c *compiler) exchangeStreamVia(name string, in *stream, sc exchange.SendCo
 
 // gather routes a stream to the coordinator.
 func (c *compiler) gather(name string, in *stream) *stream {
-	if in.coordOnly {
+	if c.single(in).coordOnly {
 		return in
 	}
 	return c.exchangeStream(name, in, exchange.ModeGather, nil)
+}
+
+// single cuts a replicated stream down to the coordinator's copy. Every
+// server holds all of it, so a pipeline breaker or an exchange other than
+// a broadcast would otherwise see each row once per server. The rule
+// reads only the plan: every server cuts the same streams.
+func (c *compiler) single(s *stream) *stream {
+	if s.replicated && c.env.Servers > 1 {
+		s.replicated, s.coordOnly = false, true
+	}
+	return s
+}
+
+// phase is one materializing step of a lowering: a pipeline named name
+// ends at sink, and rows reads back what sink holds, in schema, once it
+// has finalized.
+type phase struct {
+	name   string
+	sink   engine.Sink
+	rows   func() []*storage.Batch
+	schema *storage.Schema
+}
+
+// end ends the stream at sink in a pipeline named name, run where the
+// stream lives, and returns the pipeline's index.
+func (c *compiler) end(in *stream, name string, sink engine.Sink) int {
+	c.single(in)
+	return c.add(&engine.Pipeline{
+		Name:            name,
+		Source:          in.source,
+		Ops:             in.ops,
+		Sink:            sink,
+		CoordinatorOnly: in.coordOnly,
+	}, in.deps)
+}
+
+// breaker ends the stream at p's sink, a pipeline breaker, and returns
+// the stream that lazily reads p's rows after the breaker's pipeline
+// finalized. The result carries no partitioning; the caller sets what
+// survives.
+func (c *compiler) breaker(in *stream, p phase) *stream {
+	i := c.end(in, p.name, p.sink)
+	return &stream{
+		source:    &op.LazySource{Fn: p.rows, Morsel: c.env.MorselSize},
+		schema:    p.schema,
+		coordOnly: in.coordOnly,
+		deps:      []int{i},
+	}
+}
+
+// twoPhase lowers a distributed breaker in two steps: a local breaker on
+// every server bounds what moves (pre-aggregation, Figure 6(c); a local
+// top-k), the move brings its rows together — a gather to the coordinator
+// when keys is nil, else a shuffle on keys — and the final breaker
+// combines them.
+func (c *compiler) twoPhase(in *stream, local phase, move string, keys []int, final phase) *stream {
+	mid := c.breaker(in, local)
+	if keys == nil {
+		mid = c.gather(move, mid)
+	} else {
+		mid = c.exchangeStream(move, mid, exchange.ModePartition, keys)
+	}
+	return c.breaker(mid, final)
 }
 
 func (c *compiler) buildJoin(n *Node) (*stream, error) {
@@ -449,17 +502,7 @@ func (c *compiler) buildJoin(n *Node) (*stream, error) {
 			bs = c.exchangeStream(joinName(n, "broadcast"), bs, exchange.ModeBroadcast, nil)
 		}
 	case PartitionBoth:
-		shuffleBuild, shuffleProbe := !aligned(bs.part, buildKeys), !aligned(ps.part, probeKeys)
-		if shuffleBuild && shuffleProbe && n.JoinType == op.Inner {
-			bs, ps = c.semiJoinShuffles(n, bs, ps, buildKeys, probeKeys)
-			break
-		}
-		if shuffleBuild {
-			bs = c.exchangeStream(joinName(n, "shuffle-build"), bs, exchange.ModePartition, buildKeys)
-		}
-		if shuffleProbe {
-			ps = c.exchangeStream(joinName(n, "shuffle-probe"), ps, exchange.ModePartition, probeKeys)
-		}
+		bs, ps = c.coPartition(n, bs, ps, buildKeys, probeKeys)
 	case SkewAdaptive:
 		// One coordinator per join per server; its control exchange id is
 		// allocated first so every server produces the identical id
@@ -521,33 +564,43 @@ func (c *compiler) control() exchange.ControlConfig {
 	}
 }
 
-// semiJoinShuffles shuffles both inputs of an inner join or group-join
-// (n) on their keys and, when the join qualifies, reduces the probe
-// shuffle by a cluster-wide Bloom filter of the build keys: the build
+// coPartition brings the inputs of a join or group-join (n) compiled
+// PartitionBoth together: each side not already partitioned on its keys
+// is shuffled on them. When both sides shuffle, the probe shuffle may be
+// reduced by a cluster-wide Bloom filter of the build keys: the build
 // send publishes the filter when it finishes, and the probe send waits
 // for the merged filter and drops every row that misses it.
 //
-// The rule reads only the plan, never local row counts, so every server
-// opens the same exchanges and gates the same pipelines: the build input
-// is reduced by a predicate (a build over a whole relation has a partner
-// for nearly every probe row, so the filter would only cost), both
-// inputs are on every server, and the exchange is not the classic
-// baseline. The control exchange id comes first, then the build shuffle,
-// then the gated probe shuffle: Options.Serial chains pipelines in
-// compile order, so the build send finishes before the probe send waits.
-func (c *compiler) semiJoinShuffles(n *Node, bs, ps *stream, buildKeys, probeKeys []int) (*stream, *stream) {
-	build, probe := "shuffle-build", "shuffle-probe"
+// The filter rule reads only the plan, never local row counts, so every
+// server opens the same exchanges and gates the same pipelines: an inner
+// join or a group-join (every group-join is inner on its probe side: a
+// probe row without a build group contributes nothing), the build input
+// reduced by a predicate (a build over a whole relation has a partner for
+// nearly every probe row, so the filter would only cost), both inputs
+// spread over every server (neither coordinator-only nor replicated), and
+// not the classic baseline. The control exchange id comes first, then the
+// build shuffle, then the gated probe shuffle: Options.Serial chains
+// pipelines in compile order, so the build send finishes before the probe
+// send waits.
+func (c *compiler) coPartition(n *Node, bs, ps *stream, buildKeys, probeKeys []int) (*stream, *stream) {
+	buildName, probeName := "shuffle-build", "shuffle-probe"
 	if n.Kind == KGroupJoin {
-		build, probe = "gj-shuffle-build", "gj-shuffle-probe"
+		buildName, probeName = "gj-shuffle-build", "gj-shuffle-probe"
 	}
-	build, probe = joinName(n, build), joinName(n, probe)
-	if c.env.Classic || bs.coordOnly || ps.coordOnly || !hasSelect(n.Build) {
-		return c.exchangeStream(build, bs, exchange.ModePartition, buildKeys),
-			c.exchangeStream(probe, ps, exchange.ModePartition, probeKeys)
+	shuffleBuild, shuffleProbe := !aligned(bs.part, buildKeys), !aligned(ps.part, probeKeys)
+	build := exchange.SendConfig{Mode: exchange.ModePartition, Keys: buildKeys}
+	probe := exchange.SendConfig{Mode: exchange.ModePartition, Keys: probeKeys}
+	if shuffleBuild && shuffleProbe && (n.Kind == KGroupJoin || n.JoinType == op.Inner) && !c.env.Classic &&
+		!bs.coordOnly && !ps.coordOnly && !bs.replicated && !ps.replicated && hasSelect(n.Build) {
+		f := exchange.NewSemiFilter(c.control())
+		build.BuildFilter, probe.ProbeFilter = f, f
 	}
-	f := exchange.NewSemiFilter(c.control())
-	bs = c.exchangeStreamVia(build, bs, exchange.SendConfig{Mode: exchange.ModePartition, Keys: buildKeys, BuildFilter: f})
-	ps = c.exchangeStreamVia(probe, ps, exchange.SendConfig{Mode: exchange.ModePartition, Keys: probeKeys, ProbeFilter: f})
+	if shuffleBuild {
+		bs = c.exchangeStreamVia(joinName(n, buildName), bs, build)
+	}
+	if shuffleProbe {
+		ps = c.exchangeStreamVia(joinName(n, probeName), ps, probe)
+	}
 	return bs, ps
 }
 
@@ -600,8 +653,10 @@ func (c *compiler) decideJoin(n *Node, bs, ps *stream) JoinStrategy {
 	if n.Strategy == LocalJoin {
 		return LocalJoin
 	}
-	if bs.replicated {
-		// The build side is already everywhere.
+	if bs.replicated && (n.Kind == KJoin || ps.replicated) {
+		// The build side is already everywhere. A group-join's groups
+		// would be split over the servers' probe rows unless the probe is
+		// everywhere too.
 		return LocalJoin
 	}
 	if n.Strategy == BroadcastBuild {
@@ -611,9 +666,10 @@ func (c *compiler) decideJoin(n *Node, bs, ps *stream) JoinStrategy {
 		return LocalJoin
 	}
 	if n.Strategy == SkewAdaptive {
-		if c.env.Classic {
+		if c.env.Classic || ps.coordOnly || ps.replicated {
 			// The classic exchange-operator baseline has no adaptive
-			// machinery; keep it an honest static comparison point.
+			// machinery; keep it an honest static comparison point. The
+			// hot-key round needs a sketch from every server's probe.
 			return PartitionBoth
 		}
 		return SkewAdaptive
@@ -630,18 +686,8 @@ func (c *compiler) buildGroupJoin(n *Node) (*stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.env.Servers > 1 && !(bs.coordOnly && ps.coordOnly) && !bs.replicated {
-		shuffleBuild, shuffleProbe := !aligned(bs.part, n.BuildKeys), !aligned(ps.part, n.ProbeKeys)
-		switch {
-		case shuffleBuild && shuffleProbe:
-			// Every group-join is inner on its probe side: a probe row
-			// without a build group contributes nothing.
-			bs, ps = c.semiJoinShuffles(n, bs, ps, n.BuildKeys, n.ProbeKeys)
-		case shuffleBuild:
-			bs = c.exchangeStream(joinName(n, "gj-shuffle-build"), bs, exchange.ModePartition, n.BuildKeys)
-		case shuffleProbe:
-			ps = c.exchangeStream(joinName(n, "gj-shuffle-probe"), ps, exchange.ModePartition, n.ProbeKeys)
-		}
+	if c.decideJoin(n, bs, ps) == PartitionBoth {
+		bs, ps = c.coPartition(n, bs, ps, n.BuildKeys, n.ProbeKeys)
 	}
 	gjb := op.NewGroupJoinBuild(n.Build.Schema(), n.BuildKeys, n.Aggs)
 	build := c.add(&engine.Pipeline{
@@ -660,10 +706,11 @@ func (c *compiler) buildGroupJoin(n *Node) (*stream, error) {
 	// The output schema is the build schema plus aggregates, so the build
 	// stream's partitioning survives positionally.
 	return &stream{
-		source: &op.LazySource{Fn: gjb.ResultBatches, Morsel: c.env.MorselSize},
-		schema: n.schema,
-		part:   bs.part,
-		deps:   []int{probe},
+		source:     &op.LazySource{Fn: gjb.ResultBatches, Morsel: c.env.MorselSize},
+		schema:     n.schema,
+		part:       bs.part,
+		replicated: bs.replicated && ps.replicated,
+		deps:       []int{probe},
 	}, nil
 }
 
@@ -672,115 +719,37 @@ func (c *compiler) buildGroupBy(n *Node) (*stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := c.env
-	workers := env.Engine.Workers()
-
-	// A replicated input would multiply counts if every server aggregated
-	// its full copy: restrict it to the coordinator's copy instead.
-	if in.replicated && env.Servers > 1 && !in.coordOnly {
-		in.coordOnly = true
-		in.replicated = false
-	}
-	local := env.Servers == 1 || in.coordOnly ||
-		(len(n.Keys) > 0 && aligned(in.part, n.Keys))
-
-	if local {
-		gb := op.NewGroupBy(in.schema, n.Keys, n.Aggs, workers)
-		agg := c.add(&engine.Pipeline{
-			Name:            gbName(n, "agg"),
-			Source:          in.source,
-			Ops:             in.ops,
-			Sink:            gb,
-			CoordinatorOnly: in.coordOnly,
-		}, in.deps)
-		return &stream{
-			source:    &op.LazySource{Fn: gb.FinalBatches, Morsel: env.MorselSize},
-			schema:    n.schema,
-			part:      groupPart(n, in),
-			coordOnly: in.coordOnly,
-			deps:      []int{agg},
-		}, nil
-	}
-
-	if len(n.Keys) == 0 {
-		// Scalar aggregate: local partial → gather → merge on coordinator.
-		partial := op.NewGroupBy(in.schema, nil, n.Aggs, workers)
-		pa := c.add(&engine.Pipeline{
-			Name:   gbName(n, "partial"),
-			Source: in.source,
-			Ops:    in.ops,
-			Sink:   partial,
-		}, in.deps)
-		ps := partial.PartialSchema()
-		mid := &stream{
-			source: &op.LazySource{Fn: partial.PartialBatches, Morsel: env.MorselSize},
-			schema: ps,
-			deps:   []int{pa},
-		}
-		mid = c.gather(gbName(n, "gather"), mid)
-		merge := op.NewGroupBy(ps, nil, op.MergeSpecs(n.Aggs, 0), workers)
-		mg := c.add(&engine.Pipeline{
-			Name:            gbName(n, "merge"),
-			Source:          mid.source,
-			Ops:             mid.ops,
-			Sink:            merge,
-			CoordinatorOnly: true,
-		}, mid.deps)
-		return &stream{
-			source:    &op.LazySource{Fn: merge.FinalBatches, Morsel: env.MorselSize},
-			schema:    n.schema,
-			coordOnly: true,
-			deps:      []int{mg},
-		}, nil
-	}
-
-	if env.DisablePreAgg {
+	workers := c.env.Engine.Workers()
+	keyed := len(n.Keys) > 0
+	// Every group's rows already meet on one server (a replicated input
+	// on the coordinator's copy, which breaker cuts it to).
+	local := c.env.Servers == 1 || in.coordOnly || in.replicated || keyed && aligned(in.part, n.Keys)
+	if !local && keyed && c.env.DisablePreAgg {
 		// Ablation: shuffle raw rows, aggregate once after the exchange.
-		shuffled := c.exchangeStream(gbName(n, "shuffle-raw"), in, exchange.ModePartition, n.Keys)
-		gb := op.NewGroupBy(shuffled.schema, n.Keys, n.Aggs, workers)
-		agg := c.add(&engine.Pipeline{
-			Name:   gbName(n, "agg"),
-			Source: shuffled.source,
-			Ops:    shuffled.ops,
-			Sink:   gb,
-		}, shuffled.deps)
-		return &stream{
-			source: &op.LazySource{Fn: gb.FinalBatches, Morsel: env.MorselSize},
-			schema: n.schema,
-			part:   identity(len(n.Keys)),
-			deps:   []int{agg},
-		}, nil
+		in = c.exchangeStream(gbName(n, "shuffle-raw"), in, exchange.ModePartition, n.Keys)
+		local = true
 	}
-
-	// Pre-aggregate locally (Figure 6(c)), shuffle partials on the group
-	// keys, merge.
-	partial := op.NewGroupBy(in.schema, n.Keys, n.Aggs, workers)
-	pa := c.add(&engine.Pipeline{
-		Name:   gbName(n, "preagg"),
-		Source: in.source,
-		Ops:    in.ops,
-		Sink:   partial,
-	}, in.deps)
-	ps := partial.PartialSchema()
-	mid := &stream{
-		source: &op.LazySource{Fn: partial.PartialBatches, Morsel: env.MorselSize},
-		schema: ps,
-		deps:   []int{pa},
+	if !local {
+		// Aggregate partially where the rows are, then gather the partials
+		// (scalar) or shuffle them on the group keys, and merge.
+		partial := op.NewGroupBy(in.schema, n.Keys, n.Aggs, workers)
+		ps := partial.PartialSchema()
+		stage, move, keys := "preagg", "shuffle", identity(len(n.Keys))
+		if !keyed {
+			stage, move, keys = "partial", "gather", nil
+		}
+		merge := op.NewGroupBy(ps, keys, op.MergeSpecs(n.Aggs, len(n.Keys)), workers)
+		out := c.twoPhase(in, phase{gbName(n, stage), partial, partial.PartialBatches, ps},
+			gbName(n, move), keys, phase{gbName(n, "merge"), merge, merge.FinalBatches, n.schema})
+		out.part = keys
+		return out, nil
 	}
-	mid = c.exchangeStream(gbName(n, "shuffle"), mid, exchange.ModePartition, identity(len(n.Keys)))
-	merge := op.NewGroupBy(ps, identity(len(n.Keys)), op.MergeSpecs(n.Aggs, len(n.Keys)), workers)
-	mg := c.add(&engine.Pipeline{
-		Name:   gbName(n, "merge"),
-		Source: mid.source,
-		Ops:    mid.ops,
-		Sink:   merge,
-	}, mid.deps)
-	return &stream{
-		source: &op.LazySource{Fn: merge.FinalBatches, Morsel: env.MorselSize},
-		schema: n.schema,
-		part:   identity(len(n.Keys)),
-		deps:   []int{mg},
-	}, nil
+	gb := op.NewGroupBy(in.schema, n.Keys, n.Aggs, workers)
+	out := c.breaker(in, phase{gbName(n, "agg"), gb, gb.FinalBatches, n.schema})
+	if keyed && aligned(in.part, n.Keys) {
+		out.part = identity(len(n.Keys))
+	}
+	return out, nil
 }
 
 func (c *compiler) buildTopK(n *Node) (*stream, error) {
@@ -788,51 +757,15 @@ func (c *compiler) buildTopK(n *Node) (*stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := c.env
-	if env.Servers == 1 || in.coordOnly {
+	topk := func(name string) phase {
 		tk := op.NewTopK(in.schema, n.SortKeys, n.Limit)
-		sortP := c.add(&engine.Pipeline{
-			Name:            "topk",
-			Source:          in.source,
-			Ops:             in.ops,
-			Sink:            tk,
-			CoordinatorOnly: in.coordOnly,
-		}, in.deps)
-		return &stream{
-			source:    &op.LazySource{Fn: tk.Batches, Morsel: env.MorselSize},
-			schema:    n.schema,
-			coordOnly: in.coordOnly,
-			deps:      []int{sortP},
-		}, nil
+		return phase{name, tk, tk.Batches, n.schema}
+	}
+	if c.env.Servers == 1 || in.coordOnly || in.replicated {
+		return c.breaker(in, topk("topk")), nil
 	}
 	// Local top-k bounds what is shipped; the coordinator re-sorts.
-	local := op.NewTopK(in.schema, n.SortKeys, n.Limit)
-	lp := c.add(&engine.Pipeline{
-		Name:   "topk/local",
-		Source: in.source,
-		Ops:    in.ops,
-		Sink:   local,
-	}, in.deps)
-	mid := &stream{
-		source: &op.LazySource{Fn: local.Batches, Morsel: env.MorselSize},
-		schema: in.schema,
-		deps:   []int{lp},
-	}
-	mid = c.gather("topk/gather", mid)
-	final := op.NewTopK(in.schema, n.SortKeys, n.Limit)
-	fp := c.add(&engine.Pipeline{
-		Name:            "topk/final",
-		Source:          mid.source,
-		Ops:             mid.ops,
-		Sink:            final,
-		CoordinatorOnly: true,
-	}, mid.deps)
-	return &stream{
-		source:    &op.LazySource{Fn: final.Batches, Morsel: env.MorselSize},
-		schema:    n.schema,
-		coordOnly: true,
-		deps:      []int{fp},
-	}, nil
+	return c.twoPhase(in, topk("topk/local"), "topk/gather", nil, topk("topk/final")), nil
 }
 
 // aligned reports whether the stream partitioning matches the keys
@@ -881,16 +814,6 @@ func identity(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-func groupPart(n *Node, in *stream) []int {
-	if len(n.Keys) == 0 {
-		return nil
-	}
-	if aligned(in.part, n.Keys) {
-		return identity(len(n.Keys))
-	}
-	return nil
 }
 
 func joinName(n *Node, stage string) string {
