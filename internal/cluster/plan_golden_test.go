@@ -24,12 +24,12 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/plan_golden.txt 
 const planGoldenFile = "testdata/plan_golden.txt"
 
 // renderGraph prints one server's compiled pipeline DAG: per pipeline its
-// name, coordinator-only flag, gate, dependency edges, source (exchange
+// name, coordinator-only flag, dependency edges, source (exchange
 // id, classic lanes, reused decode targets), operators and sink.
 func renderGraph(cp *plan.Compiled) string {
 	var b strings.Builder
 	for i, p := range cp.Pipelines {
-		fmt.Fprintf(&b, "%d %q coord=%t gate=%t deps=%v\n", i, p.Name, p.CoordinatorOnly, p.Gate != nil, cp.Deps[i])
+		fmt.Fprintf(&b, "%d %q coord=%t deps=%v\n", i, p.Name, p.CoordinatorOnly, cp.Deps[i])
 		if s, ok := p.Source.(*exchange.Source); ok {
 			fmt.Fprintf(&b, "  source exchange(%d) classic=%t reuse=%t\n", s.Recv.ExID(), s.Classic, s.Reuses())
 		} else {
