@@ -529,7 +529,7 @@ func (s *QueryStats) PeakConcurrentPipelines() int {
 // compileAll lowers the query on every listed server with the shared query
 // id, the identical exchange-id sequence and the query's plan options. On
 // error the exchange state already opened by earlier servers is released.
-func (c *Cluster) compileAll(nodes []*Node, q *plan.Query, qid int32, po plan.Options, cancel <-chan struct{}) ([]*plan.Compiled, error) {
+func (c *Cluster) compileAll(nodes []*Node, q *plan.Query, qid int32, po plan.Options) ([]*plan.Compiled, error) {
 	compiled := make([]*plan.Compiled, len(nodes))
 	for id, node := range nodes {
 		var next int32
@@ -544,7 +544,6 @@ func (c *Cluster) compileAll(nodes []*Node, q *plan.Query, qid int32, po plan.Op
 			Pool:             node.Pool,
 			Topo:             node.Topo,
 			Scale:            c.cfg.TimeScale,
-			Cancel:           cancel,
 			MorselSize:       c.cfg.MorselSize,
 			Lookup:           node.lookup,
 			NextExID: func() int32 {

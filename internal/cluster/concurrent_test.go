@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hsqp/internal/op"
 	"hsqp/internal/plan"
@@ -167,6 +168,44 @@ func TestPerQueryCancellation(t *testing.T) {
 	got := runGroupByQuery(t, c)
 	if len(got) != 7 {
 		t.Fatalf("post-cancel query broken: %d groups, want 7", len(got))
+	}
+}
+
+// TestCancelledQueryReturnsBuffers: a query cancelled mid-run hands back
+// every pooled message buffer, on every server — those its exchanges and
+// control rounds still queue (Mux.CloseQuery) and those its unfinalized
+// sends were filling (the scheduler's abort release) — so later queries
+// recycle them instead of registering fresh ones.
+func TestCancelledQueryReturnsBuffers(t *testing.T) {
+	const sf = 0.01
+	c, err := New(Config{Servers: 3, WorkersPerServer: 2, Transport: TCPGbE, TimeScale: 1, MessageSize: 64 * 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	c.LoadTPCH(tpch.Generate(sf, 42), false)
+	for _, qn := range []int{3, 5, 9, 18} {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+		_, _, err := c.RunContext(ctx, queries.MustBuild(qn, queries.Params{SF: sf}))
+		cancel()
+		if err == nil {
+			t.Logf("q%d finished inside its deadline", qn)
+		}
+		// Messages still on the wire land on a closed query and are
+		// dropped; wait for them.
+		deadline := time.Now().Add(5 * time.Second)
+		for sid, n := range c.Nodes {
+			for {
+				st := n.Pool.Stats()
+				if st.Allocated+st.Recycled == st.Returned {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("q%d server %d: %d buffers taken, %d returned", qn, sid, st.Allocated+st.Recycled, st.Returned)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
 	}
 }
 

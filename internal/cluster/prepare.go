@@ -36,7 +36,7 @@ func (c *Cluster) Prepare(q *plan.Query, opts ...RunOption) (*Prepared, error) {
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
 	qid := c.nextQueryID.Add(1)
-	compiled, err := c.compileAll(c.Nodes, q, qid, resolveRunOptions(opts...).Plan, nil)
+	compiled, err := c.compileAll(c.Nodes, q, qid, resolveRunOptions(opts...).Plan)
 	if err != nil {
 		return nil, err
 	}

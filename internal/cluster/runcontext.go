@@ -179,23 +179,22 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query, po plan.Options
 	// sequence can start at zero — concurrent queries (and a restarted
 	// attempt racing its predecessor's stragglers) never collide.
 	qid := c.nextQueryID.Add(1)
-	// The cancel channel exists before compilation: every control round
-	// the plan opens (a skew decision, a semi-join filter) captures it, so
-	// an aborted query fails the round and releases what waits on it.
 	cancel := make(chan struct{})
 	var cancelOnce sync.Once
 	abort := func() { cancelOnce.Do(func() { close(cancel) }) }
 	// Thread ctx through the scheduler's cancel channel.
 	defer context.AfterFunc(ctx, abort)()
 	compileStart := time.Now()
-	compiled, err := c.compileAll(nodes, q, qid, po, cancel)
+	compiled, err := c.compileAll(nodes, q, qid, po)
 	if err != nil {
 		return nil, QueryStats{}, att, err
 	}
 	compileDur := time.Since(compileStart)
 	defer func() {
-		// Forget this query's exchanges and drop any stragglers so the
-		// multiplexer maps don't grow across queries.
+		// Forget this query's exchanges, release what they still hold
+		// (an aborted run's undrained receives and control rounds) and drop
+		// any stragglers, so neither the multiplexer maps nor the pools
+		// leak across queries.
 		for _, node := range nodes {
 			node.Mux.CloseQuery(qid)
 		}

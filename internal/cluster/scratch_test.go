@@ -33,7 +33,7 @@ var conformanceOptions = map[string]plan.Options{
 func compileTPCH(t *testing.T, c *Cluster, qn int, sf float64, po plan.Options) ([]*plan.Compiled, func()) {
 	t.Helper()
 	qid := c.nextQueryID.Add(1)
-	compiled, err := c.compileAll(c.Nodes, queries.MustBuild(qn, queries.Params{SF: sf}), qid, po, nil)
+	compiled, err := c.compileAll(c.Nodes, queries.MustBuild(qn, queries.Params{SF: sf}), qid, po)
 	if err != nil {
 		t.Fatalf("q%d: %v", qn, err)
 	}
@@ -204,10 +204,10 @@ func TestPooledScratchOutlivesNoResult(t *testing.T) {
 // TestSemiJoinFilterEligibility pins which compiled TPC-H joins get a
 // semi-join filter, from the plan alone: an inner join or group-join with
 // both inputs shuffled and a predicate below its build. Each such join
-// opens one control exchange beyond its data exchanges and gates its
-// probe shuffle, on every server alike. Semi joins (Q4), builds over a
-// whole relation (Q18) and the classic baseline open none and gate
-// nothing.
+// opens one control exchange beyond its data exchanges and adds one round
+// pipeline (its sink a SemiFilter), on every server alike. Semi joins
+// (Q4), builds over a whole relation (Q18) and the classic baseline open
+// none and add no round.
 func TestSemiJoinFilterEligibility(t *testing.T) {
 	const sf = 0.01
 	c := newTPCHCluster(t)
@@ -230,28 +230,28 @@ func TestSemiJoinFilterEligibility(t *testing.T) {
 				before[sid], _ = n.Mux.TableSizes()
 			}
 			compiled, release := compileTPCH(t, c, qn, sf, row.po)
-			gates := -1
+			rounds := -1
 			for sid, cp := range compiled {
-				gated, receives := 0, 0
+				filters, receives := 0, 0
 				for _, p := range cp.Pipelines {
-					if p.Gate != nil {
-						gated++
+					if _, ok := p.Sink.(*exchange.SemiFilter); ok {
+						filters++
 					}
 					if s, ok := p.Sink.(*exchange.Send); ok && (s.Mode() != exchange.ModeGather || sid == 0) {
 						receives++
 					}
 				}
 				opened, _ := c.Nodes[sid].Mux.TableSizes()
-				if control := opened - before[sid] - receives; control != gated {
-					t.Errorf("%s q%d server %d: %d control exchanges for %d gated pipelines", row.name, qn, sid, control, gated)
+				if control := opened - before[sid] - receives; control != filters {
+					t.Errorf("%s q%d server %d: %d control exchanges for %d filter rounds", row.name, qn, sid, control, filters)
 				}
-				if gates >= 0 && gated != gates {
-					t.Errorf("%s q%d: server %d gates %d pipelines, server 0 %d", row.name, qn, sid, gated, gates)
+				if rounds >= 0 && filters != rounds {
+					t.Errorf("%s q%d: server %d has %d filter rounds, server 0 %d", row.name, qn, sid, filters, rounds)
 				}
-				gates = gated
+				rounds = filters
 			}
 			release()
-			if gates > 0 {
+			if rounds > 0 {
 				filtered = append(filtered, qn)
 			}
 		}

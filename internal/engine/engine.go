@@ -8,13 +8,14 @@
 // intermediate data hot.
 //
 // Pipelines are organized into a Graph: explicit dependency edges
-// (build-before-probe, materialize-before-consume) and a pipeline's Gate
-// (a cluster-wide decision) decide when a pipeline becomes runnable, and a
-// Scheduler dispatches morsels from *all* runnable pipelines to idle
-// workers. Every Source only polls: a source that streams from the network
-// answers "nothing yet" instead of blocking, so a pipeline with no input
-// parks without holding a worker, which is what lets exchange-receive
-// pipelines overlap with upstream compute (hybrid parallelism, §3).
+// (build-before-probe, materialize-before-consume, and a cluster-wide
+// decision's round before whatever routes by it) decide when a pipeline
+// becomes runnable, and a Scheduler dispatches morsels from *all*
+// runnable pipelines to idle workers. Every Source only polls: a source
+// that streams from the network answers "nothing yet" instead of
+// blocking, so a pipeline with no input parks without holding a worker,
+// which is what lets exchange-receive pipelines overlap with upstream
+// compute (hybrid parallelism, §3).
 package engine
 
 import (
@@ -146,17 +147,6 @@ type WakeSource interface {
 	SetWake(f func(all bool))
 }
 
-// Gate is a cluster-wide decision a pipeline waits on (Pipeline.Gate): the
-// skew coordinator's hot-key set, the semi-join filter.
-type Gate interface {
-	// Ready reports whether the decision is published (or failed).
-	Ready() bool
-	// AddWake registers a callback fired once it is (at once if it is).
-	AddWake(func())
-	// Err reports why the decision failed.
-	Err() error
-}
-
 // LocalityHinter lets a source advertise whether it still holds
 // NUMA-local work for a socket. The scheduler prefers pipelines with local
 // morsels and falls back to remote ones (socket stealing) when dry.
@@ -228,10 +218,6 @@ type Pipeline struct {
 	// CoordinatorOnly pipelines run only on the coordinating server
 	// (final merges of distributed plans).
 	CoordinatorOnly bool
-	// Gate, when set, is one more dependency: the scheduler holds the
-	// pipeline, without a worker, until the decision is published, and a
-	// failed decision aborts the run. A skipped pipeline ignores it.
-	Gate Gate
 }
 
 // Graph is a set of pipelines plus explicit dependency edges: Deps[i]
@@ -506,7 +492,7 @@ func (e *Engine) RunGraph(g *Graph, opt RunOptions) ([]PipelineStat, error) {
 			return nil, fmt.Errorf("engine: pipeline %q needs a source and a sink", p.Name)
 		}
 	}
-	s := newScheduler(g, opt.Coordinator, e.pulse)
+	s := newScheduler(g, opt.Coordinator, e.pulse, &e.pool)
 	if opt.Cancel != nil {
 		watcherDone := make(chan struct{})
 		defer close(watcherDone)

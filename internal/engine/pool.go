@@ -10,9 +10,12 @@ import (
 
 // Releaser is implemented by operators and sources that keep per-worker
 // scratch (output batches, computed columns, decode targets) across
-// morsels. The scheduler calls Release once a pipeline has no morsel in
-// flight and its sink finalized; the holder hands its pooled columns back
-// through w.GiveColumns.
+// morsels, and by sinks that hold pooled buffers until they finalize. The
+// scheduler calls Release on a source and its operators once the pipeline
+// has no morsel in flight and its sink finalized; the holder hands its
+// pooled columns back through w.GiveColumns. An aborted run finalizes
+// nothing more: once no morsel is in flight, every pipeline it started
+// but never finalized releases its source, operators and sink, once.
 type Releaser interface {
 	Release(w *Worker)
 }

@@ -24,7 +24,7 @@ const (
 type pipeNode struct {
 	p       *Pipeline
 	hint    LocalityHinter // non-nil when the source advertises locality
-	deps    int            // unmet dependency count, an unopened Gate included
+	deps    int            // unmet dependency count
 	depOn   []int          // pipelines waiting on this one
 	state   pstate
 	active  int  // workers currently processing a morsel
@@ -75,6 +75,7 @@ type scheduler struct {
 	// s.mu held — the engine never holds its own mutex while calling into
 	// a scheduler.
 	notify func(all bool)
+	pool   *colPool // the engine's: an aborted run releases into it
 
 	err      error
 	aborted  bool
@@ -83,10 +84,11 @@ type scheduler struct {
 	doneCh   chan struct{}
 }
 
-func newScheduler(g *Graph, isCoordinator bool, notify func(all bool)) *scheduler {
+func newScheduler(g *Graph, isCoordinator bool, notify func(all bool), pool *colPool) *scheduler {
 	s := &scheduler{
 		nodes:  make([]pipeNode, len(g.Pipelines)),
 		notify: notify,
+		pool:   pool,
 		doneCh: make(chan struct{}),
 		start:  time.Now(),
 	}
@@ -96,9 +98,6 @@ func newScheduler(g *Graph, isCoordinator bool, notify func(all bool)) *schedule
 		n.ops = make([]opCounter, len(p.Ops))
 		n.deps = len(g.deps(i))
 		n.skipped = p.CoordinatorOnly && !isCoordinator
-		if p.Gate != nil && !n.skipped {
-			n.deps++ // openGate meets it
-		}
 		n.hint, _ = p.Source.(LocalityHinter)
 		for _, d := range g.deps(i) {
 			s.nodes[d].depOn = append(s.nodes[d].depOn, i)
@@ -117,38 +116,14 @@ func newScheduler(g *Graph, isCoordinator bool, notify func(all bool)) *schedule
 	}
 	s.mu.Unlock()
 
-	// Register wake callbacks so message arrival restarts idle workers and
-	// a published decision releases its gated pipeline. Either may fire
-	// from another goroutine (or at once) before this returns.
+	// Register wake callbacks so message arrival restarts idle workers.
 	for i := range s.nodes {
 		n := &s.nodes[i]
-		if n.skipped {
-			continue
-		}
-		if ws, ok := n.p.Source.(WakeSource); ok {
+		if ws, ok := n.p.Source.(WakeSource); ok && !n.skipped {
 			ws.SetWake(notify)
-		}
-		if n.p.Gate != nil {
-			n.p.Gate.AddWake(func() { s.openGate(i) })
 		}
 	}
 	return s
-}
-
-// openGate releases pipeline i's gate dependency once its decision is
-// published; a failed decision aborts the run, naming the pipeline.
-func (s *scheduler) openGate(i int) {
-	n := &s.nodes[i]
-	if err := n.p.Gate.Err(); err != nil {
-		s.cancel(fmt.Errorf("pipeline %q: %w", n.p.Name, err))
-		return
-	}
-	s.mu.Lock()
-	if n.deps--; n.deps == 0 && !s.aborted && !s.finished {
-		s.readyLocked(i)
-		s.notify(true)
-	}
-	s.mu.Unlock()
 }
 
 // cancel aborts the run; in-flight morsels complete, nothing new starts.
@@ -335,20 +310,30 @@ func (s *scheduler) finalizeLocked(i int, w *Worker) {
 	// No morsel of this pipeline is in flight and its sink has finalized:
 	// source and operator scratch goes back to the engine's pool for the
 	// next query.
-	if r, ok := n.p.Source.(Releaser); ok {
-		r.Release(w)
-	}
-	for _, op := range n.p.Ops {
-		if r, ok := op.(Releaser); ok {
-			r.Release(w)
-		}
-	}
+	release(n.p, w, false)
 	fin := time.Since(t0)
 	mFinalizeNanos.AddDuration(fin)
 	s.mu.Lock()
 	n.finalize = fin
 	s.inFlight--
 	s.completeLocked(i, err)
+}
+
+// release hands back what p's source and operators — and, for a pipeline
+// an aborted run never finalized, its sink — hold across morsels.
+func release(p *Pipeline, w *Worker, sink bool) {
+	rel := func(x any) {
+		if r, ok := x.(Releaser); ok {
+			r.Release(w)
+		}
+	}
+	rel(p.Source)
+	for _, op := range p.Ops {
+		rel(op)
+	}
+	if sink {
+		rel(p.Sink)
+	}
 }
 
 func safeFinalize(p *Pipeline, w *Worker) (err error) {
@@ -407,8 +392,19 @@ func (s *scheduler) abortLocked(err error) {
 	s.aborted = true
 }
 
+// finishLocked ends the run. An aborted one has no morsel in flight here:
+// every pipeline it started but never finalized releases what it holds,
+// through a worker of its own (the cancel watcher has none).
 func (s *scheduler) finishLocked() {
 	s.finished = true
+	if s.aborted {
+		w := &Worker{pool: s.pool}
+		for i := range s.nodes {
+			if n := &s.nodes[i]; n.state == psRunnable {
+				release(n.p, w, true)
+			}
+		}
+	}
 	close(s.doneCh)
 	s.notify(true)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -382,6 +383,72 @@ func TestCancelAbortsRun(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancel did not unblock the run")
+	}
+}
+
+// releases counts Release calls; embedded in a source, an operator or a
+// sink, it makes the holder an engine.Releaser.
+type releases struct{ n atomic.Int64 }
+
+func (r *releases) Release(*Worker) { r.n.Add(1) }
+
+type releasingSource struct {
+	Source
+	releases
+}
+
+type releasingOp struct{ releases }
+
+func (*releasingOp) Process(_ *Worker, b *storage.Batch) *storage.Batch { return b }
+
+type releasingSink struct {
+	countSink
+	releases
+}
+
+// TestAbortReleasesUnfinalizedPipelines: once a cancelled run has no
+// morsel in flight, every pipeline it started but never finalized
+// releases its source, operators and sink exactly once. A finalized
+// pipeline released its source and operators at completion and keeps its
+// sink, which finalized; a pipeline that never started releases nothing.
+func TestAbortReleasesUnfinalizedPipelines(t *testing.T) {
+	e := newTestEngine(t, 2)
+	type parts struct {
+		src  *releasingSource
+		op   *releasingOp
+		sink *releasingSink
+	}
+	mk := func(src Source) parts {
+		return parts{&releasingSource{Source: src}, &releasingOp{}, &releasingSink{}}
+	}
+	done, started, blocked := mk(&countSource{left: 2, b: smallBatch()}), mk(&pollGate{}), mk(&countSource{})
+	var ps []*Pipeline
+	for i, p := range []parts{done, started, blocked} {
+		ps = append(ps, &Pipeline{Name: fmt.Sprint(i), Source: p.src, Ops: []Op{p.op}, Sink: p.sink})
+	}
+	cancel := make(chan struct{})
+	go func() {
+		for done.sink.finalized.Load() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		close(cancel)
+	}()
+	_, err := e.RunGraph(&Graph{Pipelines: ps, Deps: [][]int{nil, nil, {1}}}, RunOptions{Coordinator: true, Cancel: cancel})
+	if !errors.Is(err, ErrCancelled) {
+		t.Fatalf("run error = %v, want ErrCancelled", err)
+	}
+	for _, c := range []struct {
+		name          string
+		p             parts
+		src, op, sink int64
+	}{
+		{"finalized", done, 1, 1, 0},
+		{"started", started, 1, 1, 1},
+		{"blocked", blocked, 0, 0, 0},
+	} {
+		if got := [3]int64{c.p.src.n.Load(), c.p.op.n.Load(), c.p.sink.n.Load()}; got != [3]int64{c.src, c.op, c.sink} {
+			t.Errorf("%s pipeline: source, op and sink released %v times, want %v", c.name, got, [3]int64{c.src, c.op, c.sink})
+		}
 	}
 }
 

@@ -63,7 +63,7 @@ const (
 	// ModeSkewBuild is the build side of a skew-adaptive join: tuples of
 	// hot keys are replicated to every server through a Retain-based
 	// selective-broadcast stream, cold keys hash-partition. The pipeline
-	// feeding this sink waits for the SkewCoord decision (Send.Gate).
+	// feeding this sink depends on the SkewCoord's round.
 	ModeSkewBuild
 )
 
@@ -119,7 +119,7 @@ type SendConfig struct {
 	BuildFilter *SemiFilter
 	// ProbeFilter (ModePartition) drops every row whose key hash misses
 	// the merged filter: the probe side of the same join. The pipeline
-	// feeding this sink waits for the filter (Send.Gate).
+	// feeding this sink depends on the filter's round.
 	ProbeFilter *SemiFilter
 }
 
@@ -139,7 +139,7 @@ type Send struct {
 	destMu  []sync.Mutex
 	destSeq []uint32
 
-	gate engine.Gate // the decision Consume needs published; see Gate
+	round *controlRound // the round Consume routes by (filter probe, skew build)
 
 	tuplesSent atomic.Uint64
 	bytesSent  atomic.Uint64 // wire bytes (header + payload) handed to the mux
@@ -183,9 +183,9 @@ func NewSend(cfg SendConfig) *Send {
 		destMu: make([]sync.Mutex, cfg.Servers), destSeq: make([]uint32, cfg.Servers)}
 	switch {
 	case cfg.ProbeFilter != nil:
-		s.gate = cfg.ProbeFilter
+		s.round = &cfg.ProbeFilter.controlRound
 	case cfg.Mode == ModeSkewBuild:
-		s.gate = cfg.Skew
+		s.round = &cfg.Skew.controlRound
 	}
 	s.workers = make([]workerSendState, cfg.NumWorkers)
 	for i := range s.workers {
@@ -206,11 +206,6 @@ func (s *Send) SinkStats() (rows, bytes uint64) {
 	return s.tuplesSent.Load(), s.bytesSent.Load()
 }
 
-// Gate is the cluster-wide decision the pipeline feeding this send must
-// wait on (engine.Pipeline.Gate): the merged filter of a semi-join probe,
-// the hot-key set of a skew-adaptive build; nil for every other send.
-func (s *Send) Gate() engine.Gate { return s.gate }
-
 // OpName implements engine.NamedOp.
 func (s *Send) OpName() string { return "send(" + s.cfg.Mode.String() + ")" }
 
@@ -223,8 +218,8 @@ func (s *Send) Mode() Mode { return s.cfg.Mode }
 // Figure 7) and pass full messages to the multiplexer (step 3).
 func (s *Send) Consume(w *engine.Worker, b *storage.Batch) {
 	st := &s.workers[w.ID]
-	if s.gate != nil && !s.gate.Ready() {
-		invariant.Failf("exchange %d: %v send consumed rows before its gate opened; its pipeline must wait on Send.Gate", s.cfg.ExID, s.cfg.Mode)
+	if s.round != nil && !s.round.Ready() {
+		invariant.Failf("exchange %d: %v send consumed rows before its control round published; its pipeline must depend on the round's", s.cfg.ExID, s.cfg.Mode)
 	}
 	if sk := s.cfg.Skew; s.cfg.Mode == ModeSkewProbe && !sk.Ready() {
 		// Sampling phase: hold the batch and feed the sketch; the worker
@@ -424,26 +419,29 @@ func (s *Send) Finalize() error { return s.FinalizeOn(&engine.Worker{}) }
 // filled messages and emits the Last markers that close this server's
 // contribution to the exchange. Flush and Last-marker buffers are
 // allocated NUMA-local to the finalizing worker, honoring the pool's
-// AllocLocal policy instead of defaulting to socket 0.
+// AllocLocal policy instead of defaulting to socket 0. A skew-adaptive
+// probe send only completes sampling here; its SkewFlush does the rest.
 func (s *Send) FinalizeOn(w *engine.Worker) error {
-	node := w.Node
 	if s.cfg.Mode == ModeSkewProbe {
-		// A probe input smaller than the sample budget completes sampling
-		// here; then wait for the cluster-wide decision and route whatever
-		// the workers buffered.
-		sk := s.cfg.Skew
-		sk.CompleteSampling(node)
-		if err := sk.WaitReady(); err != nil {
-			return err
-		}
-		for wi := range s.workers {
-			s.flushHeld(&s.workers[wi], w)
-		}
+		s.cfg.Skew.CompleteSampling(w.Node)
+		return nil
+	}
+	s.flush(w)
+	return nil
+}
+
+// flush routes what the workers held while sampling, publishes a build
+// filter, dispatches the partial messages and sends the Last markers.
+func (s *Send) flush(w *engine.Worker) {
+	node := w.Node
+	for wi := range s.workers {
+		s.flushHeld(&s.workers[wi], w)
 	}
 	if f := s.cfg.BuildFilter; f != nil {
 		// Every row is routed: the filter is final. It goes out ahead of
-		// the partial messages, so the probe sides it gates start sooner.
-		wire := f.publish(w, s.workers)
+		// the partial messages, so the probe sends that depend on its
+		// round start sooner.
+		wire := f.sendFilter(w, s.workers)
 		s.bytesSent.Add(wire)
 		mWireBytes.Add(wire)
 		mMessages.Add(uint64(s.cfg.Servers))
@@ -483,8 +481,34 @@ func (s *Send) FinalizeOn(w *engine.Worker) error {
 	case ModeGather:
 		s.sendStamped(0, stamp(s.cfg.Pool.Get(node)))
 	}
-	return nil
 }
+
+// Release implements engine.Releaser for a run aborted before this send
+// finalized: the messages it was filling go back to their pool.
+func (s *Send) Release(w *engine.Worker) {
+	for wi := range s.workers {
+		st := &s.workers[wi]
+		for _, msg := range st.open {
+			if msg != nil {
+				msg.Release()
+			}
+		}
+		clear(st.open)
+		w.GiveColumns([]*storage.Column{st.kept})
+		st.kept, st.held = nil, nil
+	}
+}
+
+// SkewFlush is the sink of the zero-row pipeline that ends a skew-adaptive
+// probe send. It depends on the send and on the skew round, so its
+// finalize routes what the workers held while sampling by the published
+// hot set and sends the Last markers; no finalize waits for the round.
+type SkewFlush struct{ Send *Send }
+
+func (f SkewFlush) Consume(*engine.Worker, *storage.Batch) {}
+func (f SkewFlush) Finalize() error                        { return f.FinalizeOn(&engine.Worker{}) }
+func (f SkewFlush) FinalizeOn(w *engine.Worker) error      { f.Send.flush(w); return nil }
+func (f SkewFlush) Release(w *engine.Worker)               { f.Send.Release(w) }
 
 // Source is the receive-side exchange: an engine.Source yielding
 // deserialized batches (steps 5–7 of Figure 7).

@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -355,7 +356,8 @@ func TestSkewAdaptiveExchange(t *testing.T) {
 		buildRecvs[i] = m.OpenExchange(0, 9, servers)
 	}
 
-	// Per server: one graph with the probe-send and the (gated) build-send.
+	// Per server: one graph with the probe send, the skew round, the build
+	// send and the probe send's flush.
 	var wg sync.WaitGroup
 	for i := 0; i < servers; i++ {
 		i := i
@@ -379,15 +381,8 @@ func TestSkewAdaptiveExchange(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g := &engine.Graph{Pipelines: []*engine.Pipeline{
-				{Name: "probe-send",
-					Source: op.NewBatchSource(op.SplitIntoMorsels([]*storage.Batch{skewRows(rowsPer, i, hotKey, coldKeys)}, 64)),
-					Sink:   probeSend},
-				{Name: "build-send",
-					Source: op.NewBatchSource([]*storage.Batch{build}),
-					Sink:   buildSend,
-					Gate:   coords[i]},
-			}}
+			g := skewGraph(op.NewBatchSource(op.SplitIntoMorsels([]*storage.Batch{skewRows(rowsPer, i, hotKey, coldKeys)}, 64)),
+				probeSend, coords[i], op.NewBatchSource([]*storage.Batch{build}), buildSend, op.EmptySource{})
 			if _, err := h.engs[i].RunGraph(g, engine.RunOptions{Coordinator: i == 0}); err != nil {
 				t.Error(err)
 			}
@@ -480,37 +475,71 @@ func TestSkewAdaptiveExchange(t *testing.T) {
 	}
 }
 
-// TestSkewCoordCancelUnblocks: a query cancelled while the heavy-hitter
-// gather is still waiting for remote sketches must unblock WaitReady with
-// an error (and terminate the gather goroutine) instead of deadlocking a
-// send finalize forever.
-func TestSkewCoordCancelUnblocks(t *testing.T) {
+// skewGraph is a compiled skew-adaptive join's send side on one server:
+// the probe send, the skew round, the build send (depending on the round)
+// and the probe send's flush (depending on the send and the round).
+func skewGraph(probeSrc engine.Source, probe *Send, coord *SkewCoord, buildSrc engine.Source, build *Send, flushSrc engine.Source) *engine.Graph {
+	return &engine.Graph{Pipelines: []*engine.Pipeline{
+		{Name: "probe-send", Source: probeSrc, Sink: probe},
+		{Name: "skew-round", Source: coord, Sink: coord},
+		{Name: "build-send", Source: buildSrc, Sink: build},
+		{Name: "skew-flush", Source: flushSrc, Sink: SkewFlush{Send: probe}},
+	}, Deps: [][]int{nil, nil, {1}, {0, 1}}}
+}
+
+// TestSkewRoundCancelReleases: a skew round that never completes — server
+// 1 never sends its sketch — holds the build send and the flush, which
+// never run, and no worker or goroutine waits on it. Cancelling the run
+// returns engine.ErrCancelled, and once both servers close the query every
+// buffer is back in its pool.
+func TestSkewRoundCancelReleases(t *testing.T) {
 	h := newHarness(t, 2)
-	cancel := make(chan struct{})
-	mk := func(i int) *SkewCoord {
-		return NewSkewCoord(SkewCoordConfig{
-			ControlConfig: ControlConfig{Mux: h.muxes[i], Pool: h.pools[i], ExID: 3, Servers: 2, Cancel: cancel},
+	schema := skewRows(1, 0, 42, 5).Schema
+	codec := ser.NewCodec(schema)
+	coords := make([]*SkewCoord, 2)
+	for i := range coords {
+		coords[i] = NewSkewCoord(SkewCoordConfig{
+			ControlConfig: ControlConfig{Mux: h.muxes[i], Pool: h.pools[i], ExID: 3, Servers: 2},
 			Config:        SkewConfig{SampleBudget: 4},
 		})
 	}
-	c0, _ := mk(0), mk(1)
-	// Server 0 publishes its sketch; server 1 never does (it "crashed"),
-	// so the cluster-wide decision can never complete.
-	c0.CompleteSampling(0)
+	send := func(exID int32, mode Mode) *Send {
+		return NewSend(SendConfig{Mux: h.muxes[0], Pool: h.pools[0], ExID: exID, Mode: mode, Servers: 2,
+			Keys: []int{0}, Codec: codec, NumWorkers: h.engs[0].Workers(), Skew: coords[0]})
+	}
+	probe := op.NewBatchSource(op.SplitIntoMorsels([]*storage.Batch{skewRows(200, 0, 42, 5)}, 16))
+	build := &polledSource{Source: op.NewBatchSource([]*storage.Batch{skewRows(10, 0, 42, 5)})}
+	flush := &polledSource{Source: op.EmptySource{}}
+	g := skewGraph(probe, send(4, ModeSkewProbe), coords[0], build, send(5, ModeSkewBuild), flush)
+	cancel := make(chan struct{})
 	done := make(chan error, 1)
-	go func() { done <- c0.WaitReady() }()
+	go func() {
+		_, err := h.engs[0].RunGraph(g, engine.RunOptions{Coordinator: true, Cancel: cancel})
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
 	select {
 	case err := <-done:
-		t.Fatalf("WaitReady returned before cancel: %v", err)
-	case <-time.After(50 * time.Millisecond):
+		t.Fatalf("the run ended before the round could complete: %v", err)
+	default:
 	}
 	close(cancel)
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("WaitReady must fail when the query is cancelled")
+		if !errors.Is(err, engine.ErrCancelled) {
+			t.Fatalf("run error = %v, want engine.ErrCancelled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("cancel did not unblock WaitReady")
+		t.Fatal("cancel did not end the run")
 	}
+	if coords[0].Ready() {
+		t.Fatal("the round published without server 1's sketch")
+	}
+	if b, f := build.polls.Load(), flush.polls.Load(); b != 0 || f != 0 {
+		t.Fatalf("the build send was polled %d times and the flush %d, want neither before the round", b, f)
+	}
+	for _, m := range h.muxes {
+		m.CloseQuery(0)
+	}
+	waitPoolsBalanced(t, h)
 }

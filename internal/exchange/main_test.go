@@ -7,8 +7,8 @@ import (
 )
 
 // TestMain gates the package's tests behind the goroutine leak check: a
-// coordinator's gather goroutine must end with its round, also when the
-// query is cancelled.
+// control round runs as a pipeline and starts no goroutine of its own, and
+// a cancelled query must leave none behind.
 func TestMain(m *testing.M) {
 	leakcheck.Main(m)
 }

@@ -127,9 +127,9 @@ func TestSemiFilterAllocs(t *testing.T) {
 					cfg.BuildFilter = f
 				} else {
 					cfg.ProbeFilter = f
-					// The scheduler holds a probe pipeline until the filter
-					// is merged; a direct Consume must wait for it here.
-					if err := f.WaitReady(); err != nil {
+					// The probe pipeline depends on the filter's round: the
+					// build send's filter is in, so the round ends here.
+					if err := f.Finalize(); err != nil {
 						t.Fatal(err)
 					}
 				}

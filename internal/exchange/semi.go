@@ -5,8 +5,8 @@
 // The build-side send keeps the key hash of every row it routes. When it
 // finishes, the server summarizes those hashes in a Bloom filter and
 // broadcasts it once on a control exchange; every server ORs the n
-// filters into the same merged filter. The probe-side send is gated on
-// that filter and drops each row whose key hash misses it before
+// filters into the same merged filter. The probe-side send depends on
+// that round's pipeline and drops each row whose key hash misses it before
 // serializing, so probe rows without a build partner never reach the
 // wire. A Bloom filter has no false negatives, so every row that can find
 // a partner is still shipped and the join's result is unchanged.
@@ -43,8 +43,9 @@ func filterProbes(h uint32, mask uint64) (uint64, uint64, uint64) {
 
 // SemiFilter is one server's side of the Bloom filter of a partitioned
 // inner join's build keys: it encodes and broadcasts this server's filter
-// (publish, from the build send's finalize), merges the n filters of the
-// round, and answers the probe send's membership test.
+// (sendFilter, from the build send's finalize), is the pipeline of the
+// round that merges the n filters (see controlRound), and answers the
+// probe send's membership test.
 type SemiFilter struct {
 	controlRound
 	maxLg int // the largest filter one pooled message holds
@@ -107,11 +108,11 @@ func decodeFilter(in []byte, maxLg int) (lg int, err error) {
 	return lg, nil
 }
 
-// publish encodes this server's filter over the build hashes each worker
+// sendFilter encodes this server's filter over the build hashes each worker
 // of the build send kept, broadcasts it, and gives the kept columns back
 // to the engine's pool. It returns the wire bytes it put on the
 // multiplexer (one message per server).
-func (f *SemiFilter) publish(w *engine.Worker, workers []workerSendState) uint64 {
+func (f *SemiFilter) sendFilter(w *engine.Worker, workers []workerSendState) uint64 {
 	rows := 0
 	for i := range workers {
 		if c := workers[i].kept; c != nil {

@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"strings"
@@ -19,7 +20,7 @@ import (
 )
 
 // hashCol returns the key hashes of keys as a kept-hash column, the form
-// the build send hands to SemiFilter.publish.
+// the build send hands to SemiFilter.sendFilter.
 func hashCol(keys []int64) *storage.Column {
 	c := storage.NewColumn(storage.TInt64, false, len(keys))
 	for _, k := range keys {
@@ -28,7 +29,8 @@ func hashCol(keys []int64) *storage.Column {
 	return c
 }
 
-// encodeFilter encodes a filter of 1<<lg bits over keys, as publish does.
+// encodeFilter encodes a filter of 1<<lg bits over keys, as sendFilter
+// does.
 func encodeFilter(lg int, keys []int64) []byte {
 	out := append([]byte{byte(lg)}, make([]byte, 1<<lg/8)...)
 	setFilter(out[1:], hashCol(keys))
@@ -144,8 +146,8 @@ func TestSemiFilterSizing(t *testing.T) {
 	}
 }
 
-// TestSemiJoinExchange drives a filtered build and a gated probe shuffle
-// on 3 servers: every probe row with a build partner arrives, on its key's
+// TestSemiJoinExchange drives a filtered build, the filter's round and a
+// probe shuffle that depends on it on 3 servers: every probe row with a build partner arrives, on its key's
 // server; most rows without one stay home; every server merged the same
 // filter; and the build send's wire bytes include its filter.
 func TestSemiJoinExchange(t *testing.T) {
@@ -183,11 +185,11 @@ func TestSemiJoinExchange(t *testing.T) {
 		})
 		g := &engine.Graph{Pipelines: []*engine.Pipeline{
 			{Name: "build-send", Source: op.NewBatchSource(op.SplitIntoMorsels([]*storage.Batch{builds[i]}, 8)), Sink: build},
+			{Name: "semi-filter", Source: filters[i], Sink: filters[i]},
 			{Name: "probe-send",
 				Source: op.NewBatchSource(op.SplitIntoMorsels([]*storage.Batch{rows(probePer, i)}, 64)),
-				Sink:   probe,
-				Gate:   filters[i]},
-		}}
+				Sink:   probe},
+		}, Deps: [][]int{nil, nil, {1}}}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -247,25 +249,26 @@ func TestSemiJoinExchange(t *testing.T) {
 }
 
 // TestSemiFilterCancelUnblocks: a query cancelled while a peer's filter is
-// missing releases the gated pipeline, which never took a morsel, and the
-// gather goroutine (the package's leak check sees it exit); the run
-// reports the cancelled round, and every message of the round goes back
-// to its pool.
+// missing ends with engine.ErrCancelled; the probe send, which depends on
+// the round, never took a morsel, and once both servers close the query
+// every message of the round is back in its pool.
 func TestSemiFilterCancelUnblocks(t *testing.T) {
 	h := newHarness(t, 2)
 	cancel := make(chan struct{})
-	f := NewSemiFilter(ControlConfig{Mux: h.muxes[0], Pool: h.pools[0], ExID: 3, Servers: 2, Cancel: cancel})
+	f := NewSemiFilter(ControlConfig{Mux: h.muxes[0], Pool: h.pools[0], ExID: 3, Servers: 2})
 	// Server 1 "crashed": it never opens the exchange or sends its filter.
 	src := &polledSource{Source: op.NewBatchSource([]*storage.Batch{rows(10, 0)})}
+	g := semiGraph(f, src)
 	done := make(chan error, 1)
 	go func() {
-		done <- h.engs[0].RunPipeline(&engine.Pipeline{Name: "probe-send", Source: src, Sink: &op.Collector{}, Gate: f})
+		_, err := h.engs[0].RunGraph(g, engine.RunOptions{Coordinator: true, Cancel: cancel})
+		done <- err
 	}()
-	f.publish(&engine.Worker{}, []workerSendState{{kept: hashCol([]int64{1, 2, 3})}})
+	f.sendFilter(&engine.Worker{}, []workerSendState{{kept: hashCol([]int64{1, 2, 3})}})
 	time.Sleep(20 * time.Millisecond)
 	select {
 	case err := <-done:
-		t.Fatalf("the gated run ended before the filter was merged: %v", err)
+		t.Fatalf("the run ended before the filter was merged: %v", err)
 	default:
 	}
 	close(cancel)
@@ -273,26 +276,44 @@ func TestSemiFilterCancelUnblocks(t *testing.T) {
 	select {
 	case err = <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("cancel did not release the gated pipeline")
+		t.Fatal("cancel did not end the run")
 	}
 	if n := src.polls.Load(); n != 0 {
-		t.Fatalf("the gated source was polled %d times, want none: the filter was never merged", n)
+		t.Fatalf("the probe source was polled %d times, want none: the filter was never merged", n)
 	}
-	if err == nil || !strings.Contains(err.Error(), `pipeline "probe-send"`) || !strings.Contains(err.Error(), "cancelled") {
-		t.Fatalf("run error = %v, want the gated pipeline and its cancelled round", err)
+	if !errors.Is(err, engine.ErrCancelled) {
+		t.Fatalf("run error = %v, want engine.ErrCancelled", err)
 	}
-	if f.WaitReady() == nil {
-		t.Fatal("a cancelled round must report an error")
+	if f.Ready() {
+		t.Fatal("a cancelled round must not publish")
 	}
-	// Server 1 never opened the exchange: closing the query releases the
-	// filter it was sent.
-	h.muxes[1].CloseQuery(0)
+	// Server 0's round still queues its own filter; server 1 never opened
+	// the exchange. Closing the query releases both copies.
+	for _, m := range h.muxes {
+		m.CloseQuery(0)
+	}
+	waitPoolsBalanced(t, h)
+}
+
+// semiGraph is a filter's round and a probe send over src that depends on
+// it (its sink collects, the filter's membership test left out).
+func semiGraph(f *SemiFilter, src engine.Source) *engine.Graph {
+	return &engine.Graph{Pipelines: []*engine.Pipeline{
+		{Name: "semi-filter", Source: f, Sink: f},
+		{Name: "probe-send", Source: src, Sink: &op.Collector{}},
+	}, Deps: [][]int{nil, {0}}}
+}
+
+// waitPoolsBalanced waits until every buffer taken from each server's
+// pool has been returned.
+func waitPoolsBalanced(t *testing.T, h *harness) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; ; {
 		st := h.pools[i].Stats()
 		if st.Allocated+st.Recycled == st.Returned {
 			if i++; i == len(h.pools) {
-				break
+				return
 			}
 			continue
 		}
@@ -315,8 +336,8 @@ func (s *polledSource) Poll(w *engine.Worker) (*storage.Batch, bool) {
 }
 
 // TestMalformedFilterFailsQuery: a filter message that breaks the format
-// fails the round with an error naming the exchange and the sender, and
-// the gated pipeline reports it.
+// fails the round with an error naming the round's pipeline, the exchange
+// and the sender; the probe send that depends on it never runs.
 func TestMalformedFilterFailsQuery(t *testing.T) {
 	h := newHarness(t, 2)
 	f := NewSemiFilter(ControlConfig{Mux: h.muxes[0], Pool: h.pools[0], ExID: 3, Servers: 2})
@@ -324,17 +345,16 @@ func TestMalformedFilterFailsQuery(t *testing.T) {
 	bad.ExchangeID, bad.Sender, bad.Last = 3, 1, true
 	bad.Content = append(bad.Content, minFilterLg, 0xff) // 2^9 bits in one byte
 	h.muxes[1].Send(0, bad)
-	f.publish(&engine.Worker{}, nil)
-	err := h.engs[0].RunPipeline(&engine.Pipeline{
-		Name:   "probe-send",
-		Source: op.NewBatchSource([]*storage.Batch{rows(10, 0)}),
-		Sink:   &op.Collector{},
-		Gate:   f,
-	})
+	f.sendFilter(&engine.Worker{}, nil)
+	src := &polledSource{Source: op.NewBatchSource([]*storage.Batch{rows(10, 0)})}
+	_, err := h.engs[0].RunGraph(semiGraph(f, src), engine.RunOptions{Coordinator: true})
 	if err == nil {
 		t.Fatal("a malformed filter did not fail the run")
 	}
-	for _, want := range []string{"probe-send", "exchange 3", "server 1", "semi-join filter"} {
+	if n := src.polls.Load(); n != 0 {
+		t.Fatalf("the probe source was polled %d times after a failed round", n)
+	}
+	for _, want := range []string{`pipeline "semi-filter"`, "exchange 3", "server 1", "semi-join filter"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %q", err, want)
 		}

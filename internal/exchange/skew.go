@@ -79,9 +79,7 @@ type SkewStats struct {
 // SkewCoordConfig wires a SkewCoord.
 type SkewCoordConfig struct {
 	// ControlConfig names the dedicated control exchange that carries the
-	// sketches; its Cancel aborts WaitReady so a failing query cannot
-	// deadlock a server inside a send finalize waiting for sketches that
-	// will never arrive.
+	// sketches.
 	ControlConfig
 	Config SkewConfig
 }
@@ -90,7 +88,9 @@ type SkewCoordConfig struct {
 // probe- and build-side sends of one skew-adaptive join. All servers run
 // the identical merge over the identical n sketches, so the published
 // hot set is globally consistent — the invariant that makes local probing
-// of broadcast build rows correct.
+// of broadcast build rows correct. The coordinator is its round's
+// pipeline (see controlRound): the build send and the probe send's
+// SkewFlush depend on it.
 type SkewCoord struct {
 	controlRound
 	cfg SkewConfig
@@ -139,9 +139,9 @@ func (c *SkewCoord) ObserveBatch(w *engine.Worker, b *storage.Batch, keys []int)
 }
 
 // CompleteSampling ends the sampling phase (idempotent): the local sketch
-// is broadcast to every server through the control exchange and the
-// cluster-wide merge starts in the background. It never blocks on the
-// network.
+// is broadcast to every server through the control exchange, and the
+// round's pipeline merges once every server's sketch is in. It never
+// blocks on the network.
 func (c *SkewCoord) CompleteSampling(node numa.Node) {
 	c.completeOnce.Do(func() {
 		c.mu.Lock()

@@ -81,7 +81,7 @@ type Stats struct {
 	LocalMsgs    uint64 // messages short-circuited to local exchanges
 	StolenMsgs   uint64 // messages consumed from a non-local NUMA queue
 	SyncBarriers uint64
-	DroppedMsgs  uint64 // late arrivals for already-closed queries
+	DroppedMsgs  uint64 // messages of closed queries, still queued or late
 	ExpressMsgs  uint64 // of MsgsSent, those that skipped the send loop
 }
 
@@ -444,9 +444,7 @@ func (m *Mux) route(msg *memory.Message, local bool) {
 	if !ok {
 		if _, dead := m.closed[msg.QueryID]; dead {
 			m.mu.Unlock()
-			m.droppedMsgs.Add(1)
-			mDroppedMsgs.Inc()
-			msg.Release()
+			m.drop(msg)
 			return
 		}
 		m.pending[key] = append(m.pending[key], msg)
@@ -457,16 +455,20 @@ func (m *Mux) route(msg *memory.Message, local bool) {
 	ex.push(msg)
 }
 
-// CloseQuery forgets every exchange of a finished query and releases any
-// pending (never-opened) buffers it still holds, so the routing maps do
-// not grow across queries. The query id is remembered (bounded FIFO of
+// CloseQuery is a query's one teardown: it forgets every exchange of the
+// query, releases what they still queue or later receive (an aborted
+// run's undrained receives and control rounds) and any pending
+// (never-opened) buffers, so neither the routing maps nor the pools leak
+// across queries. The query id is remembered (bounded FIFO of
 // closedQueryMemory entries) so in-flight stragglers are dropped on
 // arrival instead of re-populating the pending map.
 func (m *Mux) CloseQuery(queryID int32) {
 	var drop []*memory.Message
+	var open []*ExchangeRecv
 	m.mu.Lock()
-	for key := range m.exchanges {
+	for key, ex := range m.exchanges {
 		if key.Query == queryID {
+			open = append(open, ex)
 			delete(m.exchanges, key)
 		}
 	}
@@ -485,11 +487,19 @@ func (m *Mux) CloseQuery(queryID int32) {
 		}
 	}
 	m.mu.Unlock()
-	for _, msg := range drop {
-		m.droppedMsgs.Add(1)
-		mDroppedMsgs.Inc()
-		msg.Release()
+	for _, ex := range open {
+		ex.close()
 	}
+	for _, msg := range drop {
+		m.drop(msg)
+	}
+}
+
+// drop releases a message addressed to a closed query.
+func (m *Mux) drop(msg *memory.Message) {
+	m.droppedMsgs.Add(1)
+	mDroppedMsgs.Inc()
+	msg.Release()
 }
 
 // networkLoop is the dedicated network goroutine.

@@ -409,3 +409,51 @@ func TestHeardCountsEveryFrame(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestClosedExchangeReleases: CloseQuery releases what an open exchange of
+// the query still queues, a message pushed to the exchange after the close
+// (a delivery that looked it up just before) is released, and a Recv
+// blocked on the exchange returns nil instead of waiting for senders that
+// will never finish.
+func TestClosedExchangeReleases(t *testing.T) {
+	muxes, stop := testCluster(t, 1, false)
+	defer stop()
+	m := muxes[0]
+	pool := m.cfg.Pool
+	msg := func(exID int32) *memory.Message {
+		msg := pool.Get(0)
+		msg.QueryID, msg.ExchangeID = 7, exID
+		msg.Content = append(msg.Content, 1)
+		return msg
+	}
+	waiting := m.OpenExchange(7, 1, 2) // two senders, none of which finishes
+	queued := m.OpenExchange(7, 2, 2)
+	m.Send(0, msg(2))
+	got := make(chan *memory.Message, 1)
+	go func() { got <- waiting.Recv(0) }()
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case r := <-got:
+		t.Fatalf("Recv returned %v on an open exchange with nothing queued", r)
+	default:
+	}
+	m.CloseQuery(7)
+	select {
+	case r := <-got:
+		if r != nil {
+			t.Fatalf("Recv on a closed exchange returned a message")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("CloseQuery did not end a blocked Recv")
+	}
+	waiting.push(msg(1))
+	if r, done := queued.TryRecv(0); r != nil || !done {
+		t.Fatalf("TryRecv on a closed exchange = (%v, %v), want (nil, true)", r, done)
+	}
+	if st := pool.Stats(); st.Allocated+st.Recycled != st.Returned {
+		t.Fatalf("%d buffers taken, %d returned", st.Allocated+st.Recycled, st.Returned)
+	}
+	if dropped := m.Stats().DroppedMsgs; dropped != 2 {
+		t.Fatalf("%d messages dropped, want the queued one and the late one", dropped)
+	}
+}

@@ -33,6 +33,7 @@ type ExchangeRecv struct {
 	steal     bool                // hybrid: lanes keyed by Node, an empty one takes from the fullest other
 	remaining int                 // Last markers not yet received
 	queued    int
+	closed    bool // the query closed: nothing more is queued (Mux.CloseQuery)
 
 	// lastSeq[sender] is the highest wire sequence number seen from that
 	// server. Senders stamp strictly increasing per-destination sequence
@@ -126,9 +127,14 @@ func (ex *ExchangeRecv) SetWake(f func(all bool)) {
 }
 
 // push delivers a message into its lane: its home NUMA node (hybrid) or
-// its target worker (classic).
+// its target worker (classic). A closed exchange releases it instead.
 func (ex *ExchangeRecv) push(msg *memory.Message) {
 	ex.mu.Lock()
+	if ex.closed {
+		ex.mu.Unlock()
+		ex.mux.drop(msg)
+		return
+	}
 	if viol := ex.checkSeqLocked(msg); viol != "" {
 		ex.mu.Unlock()
 		invariant.Failf("%s", viol)
@@ -193,10 +199,37 @@ func (ex *ExchangeRecv) takeLocked(lane int) *memory.Message {
 	return msg
 }
 
-// doneLocked reports whether the exchange is drained (or the multiplexer
-// stopped): no lane will ever yield another message.
+// doneLocked reports whether the exchange is drained (or closed, or the
+// multiplexer stopped): no lane will ever yield another message.
 func (ex *ExchangeRecv) doneLocked() bool {
-	return (ex.remaining == 0 && ex.queued == 0) || ex.mux.stopped.Load()
+	return (ex.remaining == 0 && ex.queued == 0) || ex.closed || ex.mux.stopped.Load()
+}
+
+// Complete reports whether every Last marker has arrived, consumed or not
+// (or the exchange closed, or the multiplexer stopped): nothing more will
+// be queued.
+func (ex *ExchangeRecv) Complete() bool {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	return ex.remaining == 0 || ex.closed || ex.mux.stopped.Load()
+}
+
+// close releases what is queued, ends a waiting Recv and makes a later
+// push release its message.
+func (ex *ExchangeRecv) close() {
+	ex.mu.Lock()
+	ex.closed = true
+	var drop []*memory.Message
+	for i, q := range ex.lanes {
+		drop = append(drop, q...)
+		ex.lanes[i] = nil
+	}
+	ex.queued = 0
+	ex.cond.Broadcast()
+	ex.mu.Unlock()
+	for _, msg := range drop {
+		ex.mux.drop(msg)
+	}
 }
 
 // TryRecv is the non-blocking receive for a consumer of lane: it returns

@@ -70,10 +70,6 @@ type Env struct {
 	Pool             *memory.Pool
 	Topo             *numa.Topology
 	Scale            float64
-	// Cancel, when closed, aborts every in-flight control round — a skew
-	// decision, a semi-join filter — so a failing query cannot leave a
-	// gated pipeline or a send finalize waiting for remote messages.
-	Cancel <-chan struct{}
 	// Lookup resolves a table name.
 	Lookup func(name string) (TableInfo, error)
 	// NextExID allocates globally consistent exchange ids; every server
@@ -315,11 +311,8 @@ func (c *compiler) exchangeStream(name string, in *stream, mode exchange.Mode, k
 
 // exchangeStreamVia is exchangeStream for a send that takes part in a
 // cluster-wide coordinator: sc carries the mode, the keys and the
-// coordinator (Skew, BuildFilter, ProbeFilter). The send pipeline waits
-// for the decision its send names (Send.Gate): a skew-adaptive build for
-// the hot set (hot and cold keys take different routes, so no build tuple
-// may be routed before the hot set is agreed), a semi-join probe for the
-// merged filter.
+// coordinator (Skew, BuildFilter, ProbeFilter). A send that routes by the
+// coordinator's result carries the edge to its round in in.deps.
 func (c *compiler) exchangeStreamVia(name string, in *stream, sc exchange.SendConfig) *stream {
 	env := c.env
 	mode := sc.Mode
@@ -345,7 +338,6 @@ func (c *compiler) exchangeStreamVia(name string, in *stream, sc exchange.SendCo
 		Ops:             in.ops,
 		Sink:            send,
 		CoordinatorOnly: in.coordOnly,
-		Gate:            send.Gate(),
 	}, in.deps)
 	// Receivers wait for one Last marker per sender: every server, or only
 	// the coordinator when it alone runs the send pipeline.
@@ -506,12 +498,23 @@ func (c *compiler) buildJoin(n *Node) (*stream, error) {
 	case SkewAdaptive:
 		// One coordinator per join per server; its control exchange id is
 		// allocated first so every server produces the identical id
-		// sequence (sketch, probe shuffle, build shuffle).
+		// sequence (sketch, probe shuffle, build shuffle). Hot and cold
+		// keys route differently, so the build send and the probe send's
+		// flush depend on the round (the coordinator is its source and
+		// sink); Options.Serial chains this compile order.
 		coord := exchange.NewSkewCoord(exchange.SkewCoordConfig{ControlConfig: c.control(), Config: c.env.Skew})
 		ps = c.exchangeStreamVia(joinName(n, "skew-shuffle-probe"), ps,
 			exchange.SendConfig{Mode: exchange.ModeSkewProbe, Keys: probeKeys, Skew: coord})
+		probe := len(c.pipe) - 1
+		round := c.add(&engine.Pipeline{Name: joinName(n, "skew-round"), Source: coord, Sink: coord}, nil)
+		bs.deps = withDep(bs.deps, round)
 		bs = c.exchangeStreamVia(joinName(n, "skew-shuffle-build"), bs,
 			exchange.SendConfig{Mode: exchange.ModeSkewBuild, Keys: buildKeys, Skew: coord})
+		c.add(&engine.Pipeline{
+			Name:   joinName(n, "skew-flush"),
+			Source: op.EmptySource{},
+			Sink:   exchange.SkewFlush{Send: c.pipe[probe].Sink.(*exchange.Send)},
+		}, []int{probe, round})
 	case LocalJoin:
 		// Nothing to move.
 	}
@@ -559,8 +562,7 @@ func (c *compiler) buildJoin(n *Node) (*stream, error) {
 func (c *compiler) control() exchange.ControlConfig {
 	env := c.env
 	return exchange.ControlConfig{
-		Mux: env.Mux, Pool: env.Pool, QueryID: env.QueryID, ExID: env.NextExID(),
-		Servers: env.Servers, Cancel: env.Cancel,
+		Mux: env.Mux, Pool: env.Pool, QueryID: env.QueryID, ExID: env.NextExID(), Servers: env.Servers,
 	}
 }
 
@@ -568,20 +570,21 @@ func (c *compiler) control() exchange.ControlConfig {
 // PartitionBoth together: each side not already partitioned on its keys
 // is shuffled on them. When both sides shuffle, the probe shuffle may be
 // reduced by a cluster-wide Bloom filter of the build keys: the build
-// send publishes the filter when it finishes, and the probe send waits
-// for the merged filter and drops every row that misses it.
+// send publishes the filter when it finishes, the filter's round merges
+// the n filters, and the probe send depends on the round and drops every
+// row that misses the merged filter.
 //
 // The filter rule reads only the plan, never local row counts, so every
-// server opens the same exchanges and gates the same pipelines: an inner
+// server opens the same exchanges and adds the same rounds: an inner
 // join or a group-join (every group-join is inner on its probe side: a
 // probe row without a build group contributes nothing), the build input
 // reduced by a predicate (a build over a whole relation has a partner for
 // nearly every probe row, so the filter would only cost), both inputs
 // spread over every server (neither coordinator-only nor replicated), and
 // not the classic baseline. The control exchange id comes first, then the
-// build shuffle, then the gated probe shuffle: Options.Serial chains
-// pipelines in compile order, so the build send finishes before the probe
-// send waits.
+// build shuffle, then the round, then the probe shuffle: Options.Serial
+// chains pipelines in compile order, so the build send finishes before
+// the round waits for the filters.
 func (c *compiler) coPartition(n *Node, bs, ps *stream, buildKeys, probeKeys []int) (*stream, *stream) {
 	buildName, probeName := "shuffle-build", "shuffle-probe"
 	if n.Kind == KGroupJoin {
@@ -597,6 +600,10 @@ func (c *compiler) coPartition(n *Node, bs, ps *stream, buildKeys, probeKeys []i
 	}
 	if shuffleBuild {
 		bs = c.exchangeStreamVia(joinName(n, buildName), bs, build)
+	}
+	if f := probe.ProbeFilter; f != nil {
+		// The round's pipeline: the filter is its source and its sink.
+		ps.deps = withDep(ps.deps, c.add(&engine.Pipeline{Name: joinName(n, "semi-filter"), Source: f, Sink: f}, nil))
 	}
 	if shuffleProbe {
 		ps = c.exchangeStreamVia(joinName(n, probeName), ps, probe)
