@@ -199,3 +199,134 @@ func TestLatencyPipelines(t *testing.T) {
 		t.Fatalf("data frame %v and inline frame %v pay different latencies", data, inline)
 	}
 }
+
+// TestCreditStarvationBlocksHead pins the switch-contention mechanism of
+// §3.2.3: a port whose receiver stops reading runs out of credits, a frame
+// to it cannot enter its buffer, and every frame queued behind that one on
+// the sender's FIFO waits with it, even one bound for an idle port.
+func TestCreditStarvationBlocksHead(t *testing.T) {
+	fab, _ := New(Config{Ports: 3, Rate: IB4xSDR, TimeScale: 1})
+	release := make(chan struct{})
+	at1 := make(chan time.Time, 4)
+	fab.RegisterSink(0, func(*Message) {})
+	fab.RegisterSink(1, func(*Message) { at1 <- time.Now() })
+	fab.RegisterSink(2, func(*Message) { <-release }) // port 2's receiver stalls until released
+	fab.Start()
+
+	// A lone frame to the idle port 1, for scale.
+	t0 := time.Now()
+	fab.Send(&Message{Src: 0, Dst: 1, Size: 16})
+	lone := (<-at1).Sub(t0)
+
+	// Port 1 streams 64 KB frames at the stalled port 2 until its delay
+	// line, its credits and port 1's FIFO are full: the flood's Send
+	// blocks, and the count of Sends returned stops moving.
+	var flooded atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 400; i++ {
+			fab.Send(&Message{Src: 1, Dst: 2, Size: 64 << 10})
+			flooded.Add(1)
+		}
+	}()
+	for last, still, deadline := int64(-1), time.Now(), time.Now().Add(10*time.Second); ; time.Sleep(time.Millisecond) {
+		if n := flooded.Load(); n != last {
+			last, still = n, time.Now()
+		} else if time.Since(still) > 20*time.Millisecond {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the flood never filled port 2's credits")
+		}
+	}
+
+	// Port 0 sends one frame to the starved port 2, then one to port 1.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		fab.Send(&Message{Src: 0, Dst: 2, Size: 16})
+		fab.Send(&Message{Src: 0, Dst: 1, Size: 16})
+	}()
+	const hold = 40 * time.Millisecond
+	time.Sleep(hold)
+	resumed := time.Now()
+	close(release) // port 2 reads again: its credits come back
+	second := <-at1
+	fab.Stop()
+	wg.Wait()
+
+	if second.Before(resumed) {
+		t.Fatalf("the frame behind a credit-starved head arrived %v before port 2 resumed", resumed.Sub(second))
+	}
+	if raceEnabled {
+		t.Log("race detector enabled: skipping the upper bounds")
+		return
+	}
+	if lone > hold/4 {
+		t.Fatalf("a lone frame to an idle port took %v", lone)
+	}
+	if d := second.Sub(resumed); d > 10*time.Millisecond {
+		t.Fatalf("the blocked frame arrived %v after port 2 resumed; want about one latency", d)
+	}
+}
+
+// TestPartitionDropsAtSwitch pins a partitioned port at the fabric level:
+// frames to or from it vanish and are counted, loopback still delivers,
+// and reconnecting the port resumes delivery.
+func TestPartitionDropsAtSwitch(t *testing.T) {
+	fab, _ := New(Config{Ports: 3, Rate: IB4xQDR, TimeScale: 0.001})
+	var got [3]chan int // the source of each frame a port receives
+	for p := range got {
+		got[p] = make(chan int, 8)
+		fab.RegisterSink(p, func(m *Message) { got[p] <- m.Src })
+	}
+	fab.Start()
+	defer fab.Stop()
+	recv := func(port, want int) {
+		t.Helper()
+		select {
+		case src := <-got[port]:
+			if src != want {
+				t.Fatalf("port %d received a frame from %d, want %d", port, src, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("port %d: no frame from %d", port, want)
+		}
+	}
+
+	fab.SetPartitioned(2, true)
+	if !fab.Partitioned(2) || fab.Partitioned(0) {
+		t.Fatal("Partitioned does not report the cut port")
+	}
+	fab.Send(&Message{Src: 0, Dst: 2, Size: 100}) // to the cut port
+	fab.Send(&Message{Src: 2, Dst: 0, Size: 100}) // from it
+	fab.Send(&Message{Src: 2, Dst: 2, Size: 100}) // loopback never reaches the switch
+	fab.Send(&Message{Src: 0, Dst: 1, Size: 100}) // between connected ports
+	recv(2, 2)
+	recv(1, 0)
+	for deadline := time.Now().Add(5 * time.Second); fab.MessagesDropped() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("dropped %d frames, want 2", fab.MessagesDropped())
+		}
+	}
+	time.Sleep(10 * time.Millisecond) // many latencies: a dropped frame would have arrived
+	for p := range got {
+		if n := len(got[p]); n != 0 {
+			t.Fatalf("port %d received %d frames across the partition", p, n)
+		}
+	}
+
+	fab.SetPartitioned(2, false)
+	fab.Send(&Message{Src: 0, Dst: 2, Size: 100})
+	fab.Send(&Message{Src: 2, Dst: 0, Size: 100})
+	recv(2, 0)
+	recv(0, 2)
+	if n := fab.MessagesDropped(); n != 2 {
+		t.Fatalf("dropped %d frames after reconnecting, want 2", n)
+	}
+	if n := fab.MessagesDelivered(); n != 4 {
+		t.Fatalf("delivered %d frames, want 4", n)
+	}
+}
