@@ -5,21 +5,26 @@
 // paper's 8-port InfiniScale IV. The wire model is LogP's (Culler et al.,
 // PPoPP 1993): only the gap occupies a link, latency overlaps.
 //
-//   - Pacers hold the link. Every endpoint has an egress link (host →
-//     switch) and an ingress link (switch → host), each paced at the
-//     configured data rate: a frame occupies a link for size ÷ rate, one
-//     frame at a time, FIFO.
-//   - Latency delays without holding. Once a frame's ingress pacing ends
-//     it enters the port's delay line and is delivered one link latency
-//     (LatencyOf) later. Data and inline frames pay it alike, and a frame
-//     waiting out its latency does not keep the next one off the link, so
-//     k frames sent back to back arrive about one latency after their
+//   - Paced links. Every endpoint has an egress link (host → switch) and
+//     an ingress link (switch → host), each paced at the configured data
+//     rate: a frame occupies a link for size ÷ rate, one frame at a time,
+//     FIFO.
+//   - Latency delays without holding. A frame is delivered one link
+//     latency (LatencyOf) after its ingress link took it or finished
+//     pacing it, whichever is later. Data and inline frames pay it alike,
+//     and k frames sent back to back arrive about one latency after their
 //     pacing, not k latencies.
 //   - Credits. Each ingress port grants a fixed number of credits (buffer
-//     slots); a sender that targets a port whose credits are exhausted
-//     blocks, and because its egress queue is FIFO, the messages *behind*
-//     the blocked head also stall — head-of-line blocking / credit
-//     starvation, exactly the switch-contention mechanism of §3.2.3.
+//     slots); a frame to a port whose credits are exhausted waits at the
+//     head of its sender's FIFO, and the frames *behind* it wait too —
+//     head-of-line blocking / credit starvation, exactly the
+//     switch-contention mechanism of §3.2.3.
+//
+// The model is arithmetic: Send computes a frame's whole trip from each
+// port's link instants under one mutex and puts the frame on its
+// destination's delay line, so frames to one port cross its ingress link
+// in the order their Sends ran. One delivery goroutine per port hands
+// each frame to the port's sink once it is due.
 //
 // Time is wall-clock time scaled by TimeScale, so the bandwidth *ratios*
 // between data rates (Table 1) are preserved while experiments stay fast.
@@ -124,39 +129,53 @@ const (
 	credits = 4
 	// egressQueue is the per-sender FIFO depth.
 	egressQueue = 64
-	// inFlight bounds the frames a port's delay line holds at once; a full
-	// line holds the ingress link like a closed receive window. A full-size
-	// message paces longer than a latency at every modelled rate, so only a
-	// burst of small frames (barriers, probes, Last markers) can fill it,
-	// and a full line only delays the next frame; it drops nothing.
+	// inFlight bounds the undelivered frames to one port: a Send to a full
+	// port waits like a sender facing a closed receive window, so a
+	// receiver slower than its link throttles its senders. Nothing drops.
 	inFlight = 64
+	// burst is how far an idle link may back-date its next frame: it is
+	// not charged for time it sat idle, but gets no unbounded credit.
+	burst = 6 * time.Millisecond
 )
 
 // timed is a frame on a delay line with the instant it is delivered.
 type timed struct {
 	m   *Message
-	due time.Time
+	due time.Duration
 }
 
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.TimeScale == 0 {
-		out.TimeScale = 1.0
-	}
-	return out
+// port is one endpoint's cable. Its instants, like all of the fabric's,
+// are offsets from Fabric.epoch, guarded by Fabric.mu. Each link keeps
+// when its last pacing ends and when it takes its next frame.
+type port struct {
+	upPaced, upFree, downPaced, downFree time.Duration
+
+	left          [egressQueue]time.Duration // when the last frames left this sender's FIFO
+	taken         [credits]time.Duration     // when the last frames left this port's buffer
+	nleft, ntaken int
+
+	line chan timed    // frames on their way here, in due order
+	room chan struct{} // one token per frame on line or being delivered
 }
+
+// trip is a frame's path through the switch as Send computes it: the
+// frame egressQueue places ahead leaves the FIFO, so this one fits in it;
+// the egress link takes it; its egress pacing ends; it enters the
+// destination's buffer, holding a credit; the ingress link takes it,
+// returning the credit; its ingress pacing ends; it is due.
+type trip struct{ fits, left, egress, entered, taken, ingress, due time.Duration }
 
 // Fabric is the switch plus its links. Create with New, then RegisterSink
 // for each port, then Start.
 type Fabric struct {
-	cfg     Config
-	egress  []chan *Message // per-sender FIFO
-	ingress []chan *Message // per-receiver credit-bounded buffer
-	line    []chan timed    // per-receiver delay line: paced frames waiting out the latency
-	lat     time.Duration   // one link latency in wall time
-	sinks   []func(*Message)
-	epace   []*pacer // egress link pacers
-	ipace   []*pacer // ingress link pacers
+	cfg   Config
+	lat   time.Duration // one link latency in wall time
+	sinks []func(*Message)
+	// epoch lies one burst before New, so a new link back-dates in full.
+	epoch time.Time
+
+	mu    sync.Mutex
+	ports []port
 
 	bytesDelivered atomic.Uint64
 	msgsDelivered  atomic.Uint64
@@ -182,25 +201,22 @@ func New(cfg Config) (*Fabric, error) {
 	if cfg.Rate <= 0 {
 		return nil, fmt.Errorf("fabric: rate must be positive, got %v", cfg.Rate)
 	}
-	c := cfg.withDefaults()
+	c := cfg
+	if c.TimeScale == 0 {
+		c.TimeScale = 1.0
+	}
 	f := &Fabric{
 		cfg:         c,
-		egress:      make([]chan *Message, c.Ports),
-		ingress:     make([]chan *Message, c.Ports),
-		line:        make([]chan timed, c.Ports),
 		lat:         time.Duration(float64(LatencyOf(c.Rate)) * c.TimeScale),
 		sinks:       make([]func(*Message), c.Ports),
-		epace:       make([]*pacer, c.Ports),
-		ipace:       make([]*pacer, c.Ports),
+		epoch:       time.Now().Add(-burst),
+		ports:       make([]port, c.Ports),
 		partitioned: make([]atomic.Bool, c.Ports),
 		stopCh:      make(chan struct{}),
 	}
-	for i := 0; i < c.Ports; i++ {
-		f.egress[i] = make(chan *Message, egressQueue)
-		f.ingress[i] = make(chan *Message, credits)
-		f.line[i] = make(chan timed, inFlight)
-		f.epace[i] = newPacer(float64(c.Rate), c.TimeScale)
-		f.ipace[i] = newPacer(float64(c.Rate), c.TimeScale)
+	for i := range f.ports {
+		f.ports[i].line = make(chan timed, inFlight)
+		f.ports[i].room = make(chan struct{}, inFlight)
 	}
 	return f, nil
 }
@@ -218,7 +234,7 @@ func (f *Fabric) BDP() int {
 
 // RegisterSink installs the delivery callback for a port. The callback runs
 // on the port's delivery goroutine; it must not block for long or it
-// stalls the delay line and then the simulated link (which is realistic:
+// stalls the delay line and then the port's senders (which is realistic:
 // an unread receive queue exerts backpressure).
 func (f *Fabric) RegisterSink(port int, sink func(*Message)) {
 	if f.started.Load() {
@@ -227,7 +243,7 @@ func (f *Fabric) RegisterSink(port int, sink func(*Message)) {
 	f.sinks[port] = sink
 }
 
-// Start launches the per-port pump goroutines.
+// Start launches one delivery goroutine per port.
 func (f *Fabric) Start() {
 	f.startOnce.Do(func() {
 		f.started.Store(true)
@@ -235,9 +251,7 @@ func (f *Fabric) Start() {
 			if f.sinks[i] == nil {
 				panic(fmt.Sprintf("fabric: port %d has no sink", i))
 			}
-			f.wg.Add(3)
-			go f.egressPump(i)
-			go f.ingressPump(i)
+			f.wg.Add(1)
 			go f.deliveryPump(i)
 		}
 	})
@@ -250,10 +264,11 @@ func (f *Fabric) Stop() {
 	f.wg.Wait()
 }
 
-// Send enqueues a message on the source port's egress FIFO. It blocks when
-// the FIFO is full (backpressure into the application, like a full send
-// work queue). Send panics on malformed addresses: that is a harness bug,
-// not a runtime condition.
+// Send computes the frame's trip through the switch and queues it for
+// delivery. It blocks while the destination has inFlight frames
+// undelivered and until the frame fits in the source's egress FIFO, or
+// until the fabric stops. Send panics on malformed addresses: that is a
+// harness bug, not a runtime condition.
 func (f *Fabric) Send(m *Message) {
 	if m.Src < 0 || m.Src >= f.cfg.Ports || m.Dst < 0 || m.Dst >= f.cfg.Ports {
 		panic(fmt.Sprintf("fabric: bad address src=%d dst=%d ports=%d", m.Src, m.Dst, f.cfg.Ports))
@@ -263,10 +278,68 @@ func (f *Fabric) Send(m *Message) {
 		f.deliver(m)
 		return
 	}
-	select {
-	case f.egress[m.Src] <- m:
-	case <-f.stopCh:
+	// A frame touching a partitioned port is dropped at the switch, after
+	// the sender paid its egress: it cannot tell a drop from a delivery.
+	drop := f.partitioned[m.Src].Load() || f.partitioned[m.Dst].Load()
+	dst := &f.ports[m.Dst]
+	if !drop {
+		select {
+		case dst.room <- struct{}{}:
+		case <-f.stopCh:
+			return
+		}
 	}
+	f.mu.Lock()
+	t := f.route(m, time.Since(f.epoch), drop)
+	if drop {
+		f.msgsDropped.Add(1)
+	} else {
+		select {
+		case dst.line <- timed{m: m, due: t.due}:
+		default: // the room token holds a slot
+			panic("fabric: delay line overfull")
+		}
+	}
+	f.mu.Unlock()
+	f.sleepUntil(t.fits)
+}
+
+// route computes m's trip for a Send at now and advances the link state
+// it passes through; drop ends the trip at the switch. The caller holds
+// f.mu.
+func (f *Fabric) route(m *Message, now time.Duration, drop bool) (t trip) {
+	src, dst := &f.ports[m.Src], &f.ports[m.Dst]
+	d := time.Duration(float64(m.Size) / float64(f.cfg.Rate) * f.cfg.TimeScale * float64(time.Second))
+	// The FIFO: the egress link takes the frame once the one before it
+	// has moved on, so a head waiting for a credit holds up the rest.
+	slot := &src.left[src.nleft%egressQueue]
+	t.fits, t.left = *slot, max(now, src.upFree)
+	*slot = t.left
+	src.nleft++
+	t.egress = pace(&src.upPaced, t.left, d)
+	if drop {
+		src.upFree = max(t.left, t.egress)
+		return t
+	}
+	// The destination's buffer: one credit per frame, returned when the
+	// ingress link takes it.
+	credit := &dst.taken[dst.ntaken%credits]
+	t.entered = max(t.left, t.egress, *credit)
+	src.upFree = t.entered
+	t.taken = max(t.entered, dst.downFree)
+	*credit = t.taken
+	dst.ntaken++
+	t.ingress = pace(&dst.downPaced, t.taken, d)
+	dst.downFree = max(t.taken, t.ingress)
+	t.due = dst.downFree + f.lat
+	return t
+}
+
+// pace occupies a link for d from start, back-dated by at most burst, and
+// returns when its pacing ends.
+func pace(paced *time.Duration, start, d time.Duration) time.Duration {
+	*paced = max(*paced, start-burst) + d
+	return *paced
 }
 
 // SetPartitioned cuts port off from (or reconnects it to) the switch.
@@ -293,64 +366,18 @@ func (f *Fabric) BytesDelivered() uint64 { return f.bytesDelivered.Load() }
 // MessagesDelivered returns the number of messages delivered so far.
 func (f *Fabric) MessagesDelivered() uint64 { return f.msgsDelivered.Load() }
 
-// egressPump serializes a host's outgoing messages onto its uplink, then
-// forwards to the target ingress port. The forward blocks when the target
-// port is out of credits; because this pump is the only consumer of the
-// host's FIFO, everything behind the head message stalls too (HOL).
-func (f *Fabric) egressPump(port int) {
-	defer f.wg.Done()
-	for {
-		select {
-		case m := <-f.egress[port]:
-			f.epace[port].wait(m.Size)
-			if f.partitioned[m.Src].Load() || f.partitioned[m.Dst].Load() {
-				// The switch drops frames touching a partitioned port after
-				// the sender paid its egress serialization — the sender
-				// cannot tell a drop from a delivery.
-				f.msgsDropped.Add(1)
-				continue
-			}
-			select {
-			case f.ingress[m.Dst] <- m:
-			case <-f.stopCh:
-				return
-			}
-		case <-f.stopCh:
-			return
-		}
-	}
-}
-
-// ingressPump serializes a host's incoming messages on its downlink and
-// puts each on the port's delay line, due one latency after its pacing
-// ended. The latency runs on the line, not here, so it never holds the
-// link.
-func (f *Fabric) ingressPump(port int) {
-	defer f.wg.Done()
-	for {
-		select {
-		case m := <-f.ingress[port]:
-			f.ipace[port].wait(m.Size)
-			select {
-			case f.line[port] <- timed{m: m, due: time.Now().Add(f.lat)}:
-			case <-f.stopCh:
-				return
-			}
-		case <-f.stopCh:
-			return
-		}
-	}
-}
-
 // deliveryPump hands each frame on a port's delay line to the sink once it
-// is due. Due instants are pacing ends plus a constant, so the line is
-// FIFO and in due order: one goroutine waiting on the head serves it.
+// is due. Send appends frames in due order, so one goroutine waiting on
+// the head serves the line.
 func (f *Fabric) deliveryPump(port int) {
 	defer f.wg.Done()
 	for {
 		select {
-		case t := <-f.line[port]:
-			sleepUntil(t.due)
+		case t := <-f.ports[port].line:
+			<-f.ports[port].room
+			if !f.sleepUntil(t.due) {
+				return
+			}
 			f.deliver(t.m)
 		case <-f.stopCh:
 			return
@@ -364,60 +391,27 @@ func (f *Fabric) deliver(m *Message) {
 	f.sinks[m.Dst](m)
 }
 
-// pacer enforces a byte rate in wall-clock time. It tracks the time the
-// link becomes free; waiters sleep (or yield, for sub-scheduler durations)
-// until their transmission completes. The mutex serializes the
-// link — one transmission at a time, FIFO by arrival.
-//
-// The bucket allows bounded *catch-up*: when the pump goroutine wakes late
-// (GC, OS jitter), nextFree lies in the past and subsequent transmissions
-// may start back-dated by up to `burst`, so transient scheduling delays do
-// not permanently deflate the modeled link rate.
-type pacer struct {
-	mu       sync.Mutex
-	nextFree time.Time
-	rate     float64 // simulated bytes per second
-	scale    float64 // wall seconds per simulated second
-	burst    time.Duration
-}
+// timers are the reusable timers of long waits.
+var timers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
-func newPacer(rate, scale float64) *pacer {
-	return &pacer{rate: rate, scale: scale, burst: 6 * time.Millisecond}
-}
-
-// wait blocks until size bytes have "crossed" the link.
-func (p *pacer) wait(size int) {
-	if size <= 0 {
-		return
-	}
-	durWall := time.Duration(float64(size) / p.rate * p.scale * float64(time.Second))
-	p.mu.Lock()
-	now := time.Now()
-	start := p.nextFree
-	if floor := now.Add(-p.burst); start.Before(floor) {
-		start = floor // idle link: don't grant unbounded credit
-	}
-	done := start.Add(durWall)
-	p.nextFree = done
-	p.mu.Unlock()
-	sleepUntil(done)
-}
-
-// sleepUntil waits for a deadline. The host kernel's sleep granularity is
-// coarse (time.Sleep can overshoot by 1–2 ms), so short waits poll the
-// clock, yielding the core between polls so query workers run meanwhile;
-// long waits sleep and let the pacer's burst catch-up absorb the
-// overshoot, keeping the modeled rate exact for sustained streams.
-func sleepUntil(t time.Time) {
-	d := time.Until(t)
-	switch {
-	case d <= 0:
-		return
-	case d <= 300*time.Microsecond:
-		for time.Now().Before(t) {
-			runtime.Gosched()
+// sleepUntil waits for an instant and reports whether it came before the
+// fabric stopped. A timer can fire 1–2 ms late, so short waits poll the
+// clock, yielding the core between polls so query workers run meanwhile.
+// A frame delivered late does not delay the ones behind it.
+func (f *Fabric) sleepUntil(at time.Duration) bool {
+	t := f.epoch.Add(at)
+	if d := time.Until(t); d > 300*time.Microsecond {
+		timer := timers.Get().(*time.Timer)
+		defer timers.Put(timer)
+		timer.Reset(d)
+		select {
+		case <-timer.C:
+		case <-f.stopCh:
+			return false
 		}
-	default:
-		time.Sleep(d)
 	}
+	for time.Now().Before(t) {
+		runtime.Gosched()
+	}
+	return true
 }

@@ -69,8 +69,8 @@ func TestBadAddressPanics(t *testing.T) {
 }
 
 func TestPacingEnforcesRate(t *testing.T) {
-	// 20 × 1 MB at a simulated 1 GB/s with scale 1 must take ≈20 ms wall,
-	// give or take burst catch-up and scheduling.
+	// 40 × 1 MB at a simulated 1 GB/s with scale 1 must take ≈42 ms wall,
+	// less the links' burst back-dating, give or take scheduling.
 	fab, _ := New(Config{Ports: 2, Rate: 1e9, TimeScale: 1})
 	const n = 40
 	var wg sync.WaitGroup
@@ -328,5 +328,119 @@ func TestPartitionDropsAtSwitch(t *testing.T) {
 	}
 	if n := fab.MessagesDelivered(); n != 4 {
 		t.Fatalf("delivered %d frames, want 4", n)
+	}
+}
+
+// TestRouteArithmetic checks the link model on a fixed clock: route is
+// the whole model, so each case reads the instants it computes. At 1 GB/s
+// and time scale 1 a frame of n bytes paces for n ns. Every case also
+// checks that a port's due instants never decrease.
+func TestRouteArithmetic(t *testing.T) {
+	const ms = time.Millisecond
+	const now = time.Second // every link has been idle for longer than burst
+	type sendFunc func(src, dst int, size time.Duration, at time.Duration) trip
+	for _, tc := range []struct {
+		name  string
+		check func(t *testing.T, send sendFunc, lat time.Duration)
+	}{
+		{"back-to-back frames pace end to end", func(t *testing.T, send sendFunc, _ time.Duration) {
+			var prev trip
+			for i := 0; i < 4; i++ {
+				tr := send(0, 1, 4*ms, now)
+				if i > 0 && (tr.egress-prev.egress != 4*ms || tr.ingress-prev.ingress != 4*ms) {
+					t.Fatalf("frame %d: egress +%v, ingress +%v after the one before; want +4ms on both links",
+						i, tr.egress-prev.egress, tr.ingress-prev.ingress)
+				}
+				prev = tr
+			}
+		}},
+		{"an idle link back-dates by at most burst", func(t *testing.T, send sendFunc, _ time.Duration) {
+			for _, at := range []time.Duration{now, now + time.Second} {
+				tr := send(0, 1, ms, at)
+				if want := at - burst + ms; tr.egress != want || tr.ingress != want {
+					t.Fatalf("frame sent at %v: egress %v, ingress %v; want %v on both", at, tr.egress, tr.ingress, want)
+				}
+			}
+		}},
+		{"no frame is due before the downlink takes it plus one latency", func(t *testing.T, send sendFunc, lat time.Duration) {
+			small := send(0, 1, 16, now) // back-dated: its pacing ended before it was sent
+			if small.taken != now || small.due != now+lat {
+				t.Fatalf("small frame taken %v, due %v after Send; want 0 and one latency (%v)",
+					small.taken-now, small.due-now, lat)
+			}
+			big := send(2, 3, 10*ms, now) // its pacing ends after the downlink took it
+			if big.due != big.ingress+lat || big.ingress <= big.taken {
+				t.Fatalf("big frame taken %v, paced %v, due %v after Send; want due one latency after pacing",
+					big.taken-now, big.ingress-now, big.due-now)
+			}
+		}},
+		{"the fifth frame to one port waits for the first frame's credit", func(t *testing.T, send sendFunc, _ time.Duration) {
+			// The first frame paces its uplink for 14 ms (20 ms, back-dated
+			// by burst) before it takes a credit; the next three take theirs
+			// at once.
+			q := []trip{send(1, 0, 20*ms, now)}
+			for src := 2; src <= 5; src++ {
+				q = append(q, send(src, 0, 16, now))
+			}
+			for i, tr := range q[1:4] {
+				if tr.entered != now {
+					t.Fatalf("frame %d entered the buffer %v after Send; want at once", i+2, tr.entered-now)
+				}
+			}
+			if q[4].entered != q[0].taken || q[4].entered <= now {
+				t.Fatalf("fifth frame entered the buffer %v after Send; want when the first was taken (%v)",
+					q[4].entered-now, q[0].taken-now)
+			}
+			// Head-of-line blocking: the sender's next frame, to an idle
+			// port, leaves the FIFO only once the starved head has a credit.
+			if next := send(5, 7, 16, now); next.left != q[4].entered {
+				t.Fatalf("frame behind a starved head left the FIFO %v after Send; want %v",
+					next.left-now, q[4].entered-now)
+			}
+		}},
+		{"a Send finding 64 frames queued waits for FIFO room", func(t *testing.T, send sendFunc, _ time.Duration) {
+			send(0, 1, 100*ms, now) // occupies the uplink; 64 frames queue behind it
+			var q []trip
+			for i := 0; i <= egressQueue; i++ {
+				q = append(q, send(0, 2, 16, now))
+			}
+			for i, tr := range q[:egressQueue] {
+				if tr.fits > now {
+					t.Fatalf("queued frame %d waited %v for FIFO room", i+1, tr.fits-now)
+				}
+			}
+			if last := q[egressQueue]; last.fits != q[0].left || last.fits <= now {
+				t.Fatalf("frame %d fits %v after Send; want when the first queued frame left (%v)",
+					egressQueue+1, last.fits-now, q[0].left-now)
+			}
+		}},
+		{"a dropped frame still paces the uplink", func(t *testing.T, send sendFunc, _ time.Duration) {
+			send(0, 1, 10*ms, now) // back to back, so the drop below is not back-dated
+			dropped := send(0, -1, 10*ms, now)
+			if next := send(0, 1, 16, now); next.left != dropped.egress {
+				t.Fatalf("frame after a drop left the FIFO %v after Send; want when the drop's pacing ended (%v)",
+					next.left-now, dropped.egress-now)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fab, _ := New(Config{Ports: 8, Rate: 1e9, TimeScale: 1})
+			last := map[int]time.Duration{}
+			send := func(src, dst int, size time.Duration, at time.Duration) trip {
+				drop := dst < 0 // a frame to port 1, dropped at the switch
+				if drop {
+					dst = 1
+				}
+				tr := fab.route(&Message{Src: src, Dst: dst, Size: int(size)}, at, drop)
+				if !drop {
+					if tr.due < last[dst] {
+						t.Fatalf("port %d: due instant went back %v", dst, last[dst]-tr.due)
+					}
+					last[dst] = tr.due
+				}
+				return tr
+			}
+			tc.check(t, send, fab.lat)
+		})
 	}
 }
