@@ -155,7 +155,7 @@ type port struct {
 	nleft, ntaken int
 
 	line chan timed    // frames on their way here, in due order
-	room chan struct{} // one token per frame on line or being delivered
+	room chan struct{} // one token per frame on line, taken before Send routes it
 }
 
 // trip is a frame's path through the switch as Send computes it: the

@@ -231,16 +231,7 @@ func TestCreditStarvationBlocksHead(t *testing.T) {
 			flooded.Add(1)
 		}
 	}()
-	for last, still, deadline := int64(-1), time.Now(), time.Now().Add(10*time.Second); ; time.Sleep(time.Millisecond) {
-		if n := flooded.Load(); n != last {
-			last, still = n, time.Now()
-		} else if time.Since(still) > 20*time.Millisecond {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the flood never filled port 2's credits")
-		}
-	}
+	waitStalled(t, &flooded)
 
 	// Port 0 sends one frame to the starved port 2, then one to port 1.
 	wg.Add(1)
@@ -270,6 +261,55 @@ func TestCreditStarvationBlocksHead(t *testing.T) {
 	if d := second.Sub(resumed); d > 10*time.Millisecond {
 		t.Fatalf("the blocked frame arrived %v after port 2 resumed; want about one latency", d)
 	}
+}
+
+// waitStalled returns once the count of Sends a flood has returned has
+// stood still for 50 ms: the flood is blocked.
+func waitStalled(t *testing.T, sent *atomic.Int64) {
+	t.Helper()
+	for last, still, deadline := int64(-1), time.Now(), time.Now().Add(10*time.Second); ; time.Sleep(time.Millisecond) {
+		if n := sent.Load(); n != last {
+			last, still = n, time.Now()
+		} else if time.Since(still) > 50*time.Millisecond {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the flood never blocked")
+		}
+	}
+}
+
+// TestStopReleasesBlockedSend: a Send held up by a receiver that stopped
+// reading returns once the fabric stops, while that receiver still holds
+// its delivery goroutine.
+func TestStopReleasesBlockedSend(t *testing.T) {
+	fab, _ := New(Config{Ports: 2, Rate: IB4xQDR, TimeScale: 1})
+	release := make(chan struct{})
+	fab.RegisterSink(0, func(*Message) {})
+	fab.RegisterSink(1, func(*Message) { <-release })
+	fab.Start()
+	var sent atomic.Int64
+	flooding := make(chan struct{})
+	go func() {
+		defer close(flooding)
+		for i := 0; i < 1000; i++ {
+			fab.Send(&Message{Src: 0, Dst: 1, Size: 16})
+			sent.Add(1)
+		}
+	}()
+	waitStalled(t, &sent)
+	stopped := make(chan struct{})
+	go func() {
+		fab.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-flooding:
+	case <-time.After(5 * time.Second):
+		t.Error("a Send blocked by a stalled receiver did not return when the fabric stopped")
+	}
+	close(release)
+	<-stopped
 }
 
 // TestPartitionDropsAtSwitch pins a partitioned port at the fabric level:
