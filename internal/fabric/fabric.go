@@ -8,7 +8,8 @@
 //   - Paced links. Every endpoint has an egress link (host → switch) and
 //     an ingress link (switch → host), each paced at the configured data
 //     rate: a frame occupies a link for size ÷ rate, one frame at a time,
-//     FIFO.
+//     FIFO. An ingress link takes frames in the order they reach the
+//     switch, and never idles while one waits.
 //   - Latency delays without holding. A frame is delivered one link
 //     latency (LatencyOf) after its ingress link took it or finished
 //     pacing it, whichever is later. Data and inline frames pay it alike,
@@ -20,11 +21,15 @@
 //     head-of-line blocking / credit starvation, exactly the
 //     switch-contention mechanism of §3.2.3.
 //
-// The model is arithmetic: Send computes a frame's whole trip from each
-// port's link instants under one mutex and puts the frame on its
-// destination's delay line, so frames to one port cross its ingress link
-// in the order their Sends ran. One delivery goroutine per port hands
-// each frame to the port's sink once it is due.
+// The model is arithmetic: links are instants, not goroutines. Under one
+// mutex, Send puts a frame on its sender's FIFO and computes when it
+// leaves it and reaches the switch. Which frames reach a port first is
+// settled only once that instant has passed, so the switch books a frame
+// on its destination's buffer and ingress link when it gets there: within
+// Send for a frame on an idle uplink, on the one switch goroutine for a
+// frame queued behind a busy one. Booking fixes the frame's delivery
+// instant and puts it on the destination's delay line; one delivery
+// goroutine per port hands each frame to the port's sink once it is due.
 //
 // Time is wall-clock time scaled by TimeScale, so the bandwidth *ratios*
 // between data rates (Table 1) are preserved while experiments stay fast.
@@ -136,34 +141,34 @@ const (
 	// burst is how far an idle link may back-date its next frame: it is
 	// not charged for time it sat idle, but gets no unbounded credit.
 	burst = 6 * time.Millisecond
+	// never is an instant no wait reaches: 146 years on.
+	never = time.Duration(1 << 62)
 )
 
-// timed is a frame on a delay line with the instant it is delivered.
-type timed struct {
-	m   *Message
-	due time.Duration
+// trip is a frame's path: Send puts it on its sender's FIFO; it leaves
+// the FIFO; its egress pacing ends; it reaches the switch; it enters the
+// destination's buffer, holding a credit; the ingress link takes it,
+// returning the credit; its ingress pacing ends; it is due. Instants, like
+// all of the fabric's, are offsets from Fabric.epoch.
+type trip struct {
+	m                                                         *Message
+	sent, left, egress, reached, entered, taken, ingress, due time.Duration
 }
 
-// port is one endpoint's cable. Its instants, like all of the fabric's,
-// are offsets from Fabric.epoch, guarded by Fabric.mu. Each link keeps
+// port is one endpoint's cable, guarded by Fabric.mu. Each link keeps
 // when its last pacing ends and when it takes its next frame.
 type port struct {
 	upPaced, upFree, downPaced, downFree time.Duration
 
-	left          [egressQueue]time.Duration // when the last frames left this sender's FIFO
-	taken         [credits]time.Duration     // when the last frames left this port's buffer
-	nleft, ntaken int
+	fifo            []trip // fifo[head:]: sent, not yet in a buffer; the first has left the FIFO
+	head            int
+	nsent, nentered int
+	taken           [credits]time.Duration // when the last frames left this port's buffer
+	ntaken          int
 
-	line chan timed    // frames on their way here, in due order
-	room chan struct{} // one token per frame on line, taken before Send routes it
+	line chan trip     // frames booked here, in due order
+	room chan struct{} // one token per frame sent here and not yet delivered
 }
-
-// trip is a frame's path through the switch as Send computes it: the
-// frame egressQueue places ahead leaves the FIFO, so this one fits in it;
-// the egress link takes it; its egress pacing ends; it enters the
-// destination's buffer, holding a credit; the ingress link takes it,
-// returning the credit; its ingress pacing ends; it is due.
-type trip struct{ fits, left, egress, entered, taken, ingress, due time.Duration }
 
 // Fabric is the switch plus its links. Create with New, then RegisterSink
 // for each port, then Start.
@@ -176,6 +181,8 @@ type Fabric struct {
 
 	mu    sync.Mutex
 	ports []port
+	wake  time.Duration // when the switch goroutine looks next; kick wakes it sooner
+	kick  chan struct{}
 
 	bytesDelivered atomic.Uint64
 	msgsDelivered  atomic.Uint64
@@ -211,11 +218,12 @@ func New(cfg Config) (*Fabric, error) {
 		sinks:       make([]func(*Message), c.Ports),
 		epoch:       time.Now().Add(-burst),
 		ports:       make([]port, c.Ports),
+		kick:        make(chan struct{}, 1),
 		partitioned: make([]atomic.Bool, c.Ports),
 		stopCh:      make(chan struct{}),
 	}
 	for i := range f.ports {
-		f.ports[i].line = make(chan timed, inFlight)
+		f.ports[i].line = make(chan trip, inFlight)
 		f.ports[i].room = make(chan struct{}, inFlight)
 	}
 	return f, nil
@@ -243,7 +251,7 @@ func (f *Fabric) RegisterSink(port int, sink func(*Message)) {
 	f.sinks[port] = sink
 }
 
-// Start launches one delivery goroutine per port.
+// Start launches one delivery goroutine per port and the switch goroutine.
 func (f *Fabric) Start() {
 	f.startOnce.Do(func() {
 		f.started.Store(true)
@@ -254,6 +262,8 @@ func (f *Fabric) Start() {
 			f.wg.Add(1)
 			go f.deliveryPump(i)
 		}
+		f.wg.Add(1)
+		go f.switchPump()
 	})
 }
 
@@ -264,11 +274,10 @@ func (f *Fabric) Stop() {
 	f.wg.Wait()
 }
 
-// Send computes the frame's trip through the switch and queues it for
-// delivery. It blocks while the destination has inFlight frames
-// undelivered and until the frame fits in the source's egress FIFO, or
-// until the fabric stops. Send panics on malformed addresses: that is a
-// harness bug, not a runtime condition.
+// Send puts the frame on its source's egress FIFO. It blocks while the
+// destination has inFlight frames undelivered and until the frame fits in
+// the FIFO, or until the fabric stops. Send panics on malformed
+// addresses: that is a harness bug, not a runtime condition.
 func (f *Fabric) Send(m *Message) {
 	if m.Src < 0 || m.Src >= f.cfg.Ports || m.Dst < 0 || m.Dst >= f.cfg.Ports {
 		panic(fmt.Sprintf("fabric: bad address src=%d dst=%d ports=%d", m.Src, m.Dst, f.cfg.Ports))
@@ -278,61 +287,143 @@ func (f *Fabric) Send(m *Message) {
 		f.deliver(m)
 		return
 	}
-	// A frame touching a partitioned port is dropped at the switch, after
-	// the sender paid its egress: it cannot tell a drop from a delivery.
-	drop := f.partitioned[m.Src].Load() || f.partitioned[m.Dst].Load()
-	dst := &f.ports[m.Dst]
-	if !drop {
-		select {
-		case dst.room <- struct{}{}:
-		case <-f.stopCh:
+	select {
+	case f.ports[m.Dst].room <- struct{}{}:
+	case <-f.stopCh:
+		return
+	}
+	src := &f.ports[m.Src]
+	f.mu.Lock()
+	seq := f.enqueue(m, f.now())
+	for {
+		f.advance(f.now())
+		at, known := src.fits(seq)
+		f.mu.Unlock()
+		if !f.sleepUntil(at, nil) || known {
 			return
 		}
+		f.mu.Lock()
 	}
-	f.mu.Lock()
-	t := f.route(m, time.Since(f.epoch), drop)
-	if drop {
-		f.msgsDropped.Add(1)
-	} else {
+}
+
+// now is the fabric's clock.
+func (f *Fabric) now() time.Duration { return time.Since(f.epoch) }
+
+// wire is how long n bytes occupy a link.
+func (f *Fabric) wire(n int) time.Duration {
+	return time.Duration(float64(n) / float64(f.cfg.Rate) * f.cfg.TimeScale * float64(time.Second))
+}
+
+// enqueue puts m at the tail of its sender's FIFO at now and returns its
+// place in the sender's sequence. The caller holds f.mu.
+func (f *Fabric) enqueue(m *Message, now time.Duration) int {
+	src := &f.ports[m.Src]
+	if len(src.fifo) == cap(src.fifo) && src.head > 0 {
+		n := copy(src.fifo, src.fifo[src.head:])
+		clear(src.fifo[n:])
+		src.fifo, src.head = src.fifo[:n], 0
+	}
+	src.fifo = append(src.fifo, trip{m: m, sent: now})
+	src.nsent++
+	if len(src.fifo)-src.head == 1 {
+		f.leave(src)
+	}
+	return src.nsent - 1
+}
+
+// fits returns when frame seq of this sender fits in its FIFO: when the
+// frame egressQueue places ahead left it. Until that is known it returns
+// false and when to look again: when the FIFO's head reaches the switch.
+func (p *port) fits(seq int) (time.Duration, bool) {
+	switch ahead := seq - egressQueue; {
+	case ahead < p.nentered:
+		return 0, true // it left, and since entered a buffer
+	case ahead == p.nentered:
+		return p.fifo[p.head].left, true
+	default:
+		return p.fifo[p.head].reached, false
+	}
+}
+
+// leave lets the FIFO's head onto the egress link once the frame before it
+// has moved on, so a head waiting for a credit holds up the rest, and
+// paces it to the switch. The caller holds f.mu.
+func (f *Fabric) leave(p *port) {
+	t := &p.fifo[p.head]
+	t.left = max(t.sent, p.upFree)
+	t.egress = pace(&p.upPaced, t.left, f.wire(t.m.Size))
+	t.reached = max(t.left, t.egress)
+	if t.reached < f.wake {
+		f.wake = t.reached
 		select {
-		case dst.line <- timed{m: m, due: t.due}:
+		case f.kick <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// advance books every frame that has reached the switch by now, in the
+// order they reached it, and returns when the next one does. A frame not
+// yet there stays unbooked: one sent later may still get there first. The
+// caller holds f.mu.
+func (f *Fabric) advance(now time.Duration) time.Duration {
+	for {
+		var first *port // the one whose FIFO head reaches the switch first
+		for i := range f.ports {
+			if p := &f.ports[i]; p.head < len(p.fifo) && (first == nil || p.fifo[p.head].reached < first.fifo[first.head].reached) {
+				first = p
+			}
+		}
+		if first == nil {
+			return never
+		}
+		if next := first.fifo[first.head].reached; next > now {
+			return next
+		}
+		f.book(first)
+	}
+}
+
+// book takes the FIFO head of src off it at the switch. A frame touching a
+// partitioned port is dropped there, after its sender paid its egress: it
+// cannot tell a drop from a delivery. Otherwise the frame enters the
+// destination's buffer, holding a credit until the ingress link takes it,
+// and goes on the destination's delay line. The caller holds f.mu.
+func (f *Fabric) book(src *port) {
+	t := src.fifo[src.head]
+	src.fifo[src.head] = trip{}
+	src.head++
+	src.nentered++
+	dst := &f.ports[t.m.Dst]
+	if f.partitioned[t.m.Src].Load() || f.partitioned[t.m.Dst].Load() {
+		f.msgsDropped.Add(1)
+		select {
+		case <-dst.room: // the frame's own token
+		default:
+			panic("fabric: dropped frame held no room")
+		}
+		src.upFree = t.reached
+	} else {
+		credit := &dst.taken[dst.ntaken%credits]
+		t.entered = max(t.reached, *credit)
+		src.upFree = t.entered
+		t.taken = max(t.entered, dst.downFree)
+		*credit = t.taken
+		dst.ntaken++
+		t.ingress = pace(&dst.downPaced, t.taken, f.wire(t.m.Size))
+		dst.downFree = max(t.taken, t.ingress)
+		t.due = dst.downFree + f.lat
+		select {
+		case dst.line <- t:
 		default: // the room token holds a slot
 			panic("fabric: delay line overfull")
 		}
 	}
-	f.mu.Unlock()
-	f.sleepUntil(t.fits)
-}
-
-// route computes m's trip for a Send at now and advances the link state
-// it passes through; drop ends the trip at the switch. The caller holds
-// f.mu.
-func (f *Fabric) route(m *Message, now time.Duration, drop bool) (t trip) {
-	src, dst := &f.ports[m.Src], &f.ports[m.Dst]
-	d := time.Duration(float64(m.Size) / float64(f.cfg.Rate) * f.cfg.TimeScale * float64(time.Second))
-	// The FIFO: the egress link takes the frame once the one before it
-	// has moved on, so a head waiting for a credit holds up the rest.
-	slot := &src.left[src.nleft%egressQueue]
-	t.fits, t.left = *slot, max(now, src.upFree)
-	*slot = t.left
-	src.nleft++
-	t.egress = pace(&src.upPaced, t.left, d)
-	if drop {
-		src.upFree = max(t.left, t.egress)
-		return t
+	if src.head == len(src.fifo) {
+		src.fifo, src.head = src.fifo[:0], 0
+	} else {
+		f.leave(src)
 	}
-	// The destination's buffer: one credit per frame, returned when the
-	// ingress link takes it.
-	credit := &dst.taken[dst.ntaken%credits]
-	t.entered = max(t.left, t.egress, *credit)
-	src.upFree = t.entered
-	t.taken = max(t.entered, dst.downFree)
-	*credit = t.taken
-	dst.ntaken++
-	t.ingress = pace(&dst.downPaced, t.taken, d)
-	dst.downFree = max(t.taken, t.ingress)
-	t.due = dst.downFree + f.lat
-	return t
 }
 
 // pace occupies a link for d from start, back-dated by at most burst, and
@@ -346,9 +437,11 @@ func pace(paced *time.Duration, start, d time.Duration) time.Duration {
 // While partitioned, every non-loopback message to or from the port —
 // inline barriers and probes included — is silently dropped at the switch,
 // exactly like a pulled cable: neither side gets an error, traffic just
-// stops. Payloads of dropped messages are not released back to their
-// pools; the simulation accepts that bounded leak the same way a real NIC
-// loses in-flight frames.
+// stops. The switch looks when a frame reaches it, so a frame still queued
+// on its sender's FIFO when the partition heals gets through. Payloads of
+// dropped messages are not released back to their pools; the simulation
+// accepts that bounded leak the same way a real NIC loses in-flight
+// frames.
 func (f *Fabric) SetPartitioned(port int, on bool) {
 	f.partitioned[port].Store(on)
 }
@@ -366,16 +459,33 @@ func (f *Fabric) BytesDelivered() uint64 { return f.bytesDelivered.Load() }
 // MessagesDelivered returns the number of messages delivered so far.
 func (f *Fabric) MessagesDelivered() uint64 { return f.msgsDelivered.Load() }
 
+// switchPump books frames queued behind a busy uplink as they reach the
+// switch. A Send books what has reached it by then; this goroutine covers
+// the instants no Send happens to look at, so a sink that blocks a
+// delivery goroutine never holds up the switch.
+func (f *Fabric) switchPump() {
+	defer f.wg.Done()
+	for {
+		f.mu.Lock()
+		f.wake = f.advance(f.now())
+		wake := f.wake
+		f.mu.Unlock()
+		if !f.sleepUntil(wake, f.kick) {
+			return
+		}
+	}
+}
+
 // deliveryPump hands each frame on a port's delay line to the sink once it
-// is due. Send appends frames in due order, so one goroutine waiting on
-// the head serves the line.
+// is due. The switch books a port's frames in due order, so one goroutine
+// waiting on the head serves the line.
 func (f *Fabric) deliveryPump(port int) {
 	defer f.wg.Done()
 	for {
 		select {
 		case t := <-f.ports[port].line:
 			<-f.ports[port].room
-			if !f.sleepUntil(t.due) {
+			if !f.sleepUntil(t.due, nil) {
 				return
 			}
 			f.deliver(t.m)
@@ -394,11 +504,11 @@ func (f *Fabric) deliver(m *Message) {
 // timers are the reusable timers of long waits.
 var timers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
-// sleepUntil waits for an instant and reports whether it came before the
-// fabric stopped. A timer can fire 1–2 ms late, so short waits poll the
-// clock, yielding the core between polls so query workers run meanwhile.
-// A frame delivered late does not delay the ones behind it.
-func (f *Fabric) sleepUntil(at time.Duration) bool {
+// sleepUntil waits for an instant, or for a kick, and reports whether the
+// fabric is still running. A timer can fire 1–2 ms late, so short waits
+// poll the clock, yielding the core between polls so query workers run
+// meanwhile. A frame delivered late does not delay the ones behind it.
+func (f *Fabric) sleepUntil(at time.Duration, kick chan struct{}) bool {
 	t := f.epoch.Add(at)
 	if d := time.Until(t); d > 300*time.Microsecond {
 		timer := timers.Get().(*time.Timer)
@@ -406,11 +516,18 @@ func (f *Fabric) sleepUntil(at time.Duration) bool {
 		timer.Reset(d)
 		select {
 		case <-timer.C:
+		case <-kick:
+			return true
 		case <-f.stopCh:
 			return false
 		}
 	}
 	for time.Now().Before(t) {
+		select {
+		case <-kick:
+			return true
+		default:
+		}
 		runtime.Gosched()
 	}
 	return true

@@ -201,10 +201,74 @@ func TestLatencyPipelines(t *testing.T) {
 }
 
 // TestCreditStarvationBlocksHead pins the switch-contention mechanism of
-// §3.2.3: a port whose receiver stops reading runs out of credits, a frame
-// to it cannot enter its buffer, and every frame queued behind that one on
-// the sender's FIFO waits with it, even one bound for an idle port.
+// §3.2.3: a port whose ingress link is busy runs out of credits once its
+// buffer holds credits frames, a frame to it cannot enter the buffer, and
+// every frame queued behind that one on the sender's FIFO waits with it,
+// even one bound for an idle port. Far fewer than inFlight frames are
+// outstanding, so only the credits and the FIFO hold the frames back.
 func TestCreditStarvationBlocksHead(t *testing.T) {
+	fab, _ := New(Config{Ports: 3, Rate: IB4xSDR, TimeScale: 1})
+	const big = 40 << 20 // 42 ms on a link at 1 GB/s, 36 ms once back-dated
+	bigAt := make(chan time.Time, 1)
+	at1 := make(chan time.Time, 4)
+	fab.RegisterSink(0, func(*Message) {})
+	fab.RegisterSink(1, func(*Message) { at1 <- time.Now() })
+	fab.RegisterSink(2, func(m *Message) {
+		if m.Size == big {
+			bigAt <- time.Now()
+		}
+	})
+	fab.Start()
+	defer fab.Stop()
+
+	// A lone frame to the idle port 1, for scale.
+	t0 := time.Now()
+	fab.Send(&Message{Src: 0, Dst: 1, Size: 16})
+	lone := (<-at1).Sub(t0)
+
+	// Port 1 sends port 2 a big frame, then credits small ones. Once the
+	// big frame reaches the switch, about 36 ms on, port 2's ingress link
+	// paces it for as long again, while the small ones wait in its buffer
+	// and hold every credit.
+	for i := 0; i <= credits; i++ {
+		size := 16
+		if i == 0 {
+			size = big
+		}
+		fab.Send(&Message{Src: 1, Dst: 2, Size: size})
+	}
+	time.Sleep(45 * time.Millisecond)
+
+	// Port 0 sends one frame to the starved port 2, then one to port 1.
+	sent := time.Now()
+	fab.Send(&Message{Src: 0, Dst: 2, Size: 16})
+	fab.Send(&Message{Src: 0, Dst: 1, Size: 16})
+	second := <-at1
+	freed := <-bigAt // port 2's ingress link is free again: a credit comes back
+
+	// Port 0's first frame enters port 2's buffer once port 2's link has
+	// finished the big frame, so its second frame is due with the big one.
+	if second.Before(freed.Add(-5 * time.Millisecond)) {
+		t.Fatalf("the frame behind a credit-starved head arrived %v after Send, %v before port 2's link freed",
+			second.Sub(sent), freed.Sub(second))
+	}
+	if raceEnabled {
+		t.Log("race detector enabled: skipping the upper bounds")
+		return
+	}
+	if lone > 5*time.Millisecond {
+		t.Fatalf("a lone frame to an idle port took %v", lone)
+	}
+	if d := second.Sub(freed); d > 10*time.Millisecond {
+		t.Fatalf("the blocked frame arrived %v after port 2's link freed; want about one latency", d)
+	}
+}
+
+// TestStalledReceiverBlocksSenders pins receiver backpressure: once a
+// port's receiver stops reading, inFlight frames to it stay undelivered,
+// a Send to it waits until the receiver reads again, and so does the
+// sender's next frame, even one bound for an idle port.
+func TestStalledReceiverBlocksSenders(t *testing.T) {
 	fab, _ := New(Config{Ports: 3, Rate: IB4xSDR, TimeScale: 1})
 	release := make(chan struct{})
 	at1 := make(chan time.Time, 4)
@@ -213,14 +277,8 @@ func TestCreditStarvationBlocksHead(t *testing.T) {
 	fab.RegisterSink(2, func(*Message) { <-release }) // port 2's receiver stalls until released
 	fab.Start()
 
-	// A lone frame to the idle port 1, for scale.
-	t0 := time.Now()
-	fab.Send(&Message{Src: 0, Dst: 1, Size: 16})
-	lone := (<-at1).Sub(t0)
-
-	// Port 1 streams 64 KB frames at the stalled port 2 until its delay
-	// line, its credits and port 1's FIFO are full: the flood's Send
-	// blocks, and the count of Sends returned stops moving.
+	// Port 1 streams 64 KB frames at the stalled port 2 until its Sends
+	// block, and the count of Sends returned stops moving.
 	var flooded atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -233,7 +291,7 @@ func TestCreditStarvationBlocksHead(t *testing.T) {
 	}()
 	waitStalled(t, &flooded)
 
-	// Port 0 sends one frame to the starved port 2, then one to port 1.
+	// Port 0 sends one frame to the stalled port 2, then one to port 1.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -243,20 +301,17 @@ func TestCreditStarvationBlocksHead(t *testing.T) {
 	const hold = 40 * time.Millisecond
 	time.Sleep(hold)
 	resumed := time.Now()
-	close(release) // port 2 reads again: its credits come back
+	close(release) // port 2 reads again
 	second := <-at1
 	fab.Stop()
 	wg.Wait()
 
 	if second.Before(resumed) {
-		t.Fatalf("the frame behind a credit-starved head arrived %v before port 2 resumed", resumed.Sub(second))
+		t.Fatalf("the frame behind a Send to a stalled port arrived %v before the port resumed", resumed.Sub(second))
 	}
 	if raceEnabled {
-		t.Log("race detector enabled: skipping the upper bounds")
+		t.Log("race detector enabled: skipping the upper bound")
 		return
-	}
-	if lone > hold/4 {
-		t.Fatalf("a lone frame to an idle port took %v", lone)
 	}
 	if d := second.Sub(resumed); d > 10*time.Millisecond {
 		t.Fatalf("the blocked frame arrived %v after port 2 resumed; want about one latency", d)
@@ -371,116 +426,200 @@ func TestPartitionDropsAtSwitch(t *testing.T) {
 	}
 }
 
-// TestRouteArithmetic checks the link model on a fixed clock: route is
-// the whole model, so each case reads the instants it computes. At 1 GB/s
-// and time scale 1 a frame of n bytes paces for n ns. Every case also
-// checks that a port's due instants never decrease.
-func TestRouteArithmetic(t *testing.T) {
+// clock drives a fabric's link model on a fixed clock: Send's steps
+// without its waits, and a delivery goroutine's without the sinks.
+type clock struct {
+	t     *testing.T
+	fab   *Fabric
+	seq   map[*Message]int
+	trips map[*Message]trip
+	due   map[int]time.Duration // each port's last due instant
+}
+
+// send puts a frame of size bytes from src to dst on the wire at at.
+func (c *clock) send(src, dst int, size, at time.Duration) *Message {
+	m := &Message{Src: src, Dst: dst, Size: int(size)}
+	c.fab.ports[dst].room <- struct{}{}
+	c.seq[m] = c.fab.enqueue(m, at)
+	c.run(at)
+	return m
+}
+
+// run books what has reached the switch by at and empties the delay
+// lines, checking that no port's due instants decrease.
+func (c *clock) run(at time.Duration) {
+	c.fab.advance(at)
+	for p := range c.fab.ports {
+		for len(c.fab.ports[p].line) > 0 {
+			tr := <-c.fab.ports[p].line
+			<-c.fab.ports[p].room
+			if tr.due < c.due[p] {
+				c.t.Fatalf("port %d: due instant went back %v", p, c.due[p]-tr.due)
+			}
+			c.due[p], c.trips[tr.m] = tr.due, tr
+		}
+	}
+}
+
+// trip returns m's booked trip.
+func (c *clock) trip(m *Message) trip {
+	c.t.Helper()
+	tr, ok := c.trips[m]
+	if !ok {
+		c.t.Fatalf("frame %d→%d not booked", m.Src, m.Dst)
+	}
+	return tr
+}
+
+// fits returns when m fits in its sender's FIFO, if that is known.
+func (c *clock) fits(m *Message) (time.Duration, bool) {
+	return c.fab.ports[m.Src].fits(c.seq[m])
+}
+
+// TestLinkArithmetic checks the link model on a fixed clock: each case
+// reads the instants enqueue and advance compute. At 1 GB/s and time
+// scale 1 a frame of n bytes paces for n ns. Every case also checks that
+// a port's due instants never decrease.
+func TestLinkArithmetic(t *testing.T) {
 	const ms = time.Millisecond
 	const now = time.Second // every link has been idle for longer than burst
-	type sendFunc func(src, dst int, size time.Duration, at time.Duration) trip
 	for _, tc := range []struct {
 		name  string
-		check func(t *testing.T, send sendFunc, lat time.Duration)
+		check func(t *testing.T, c *clock, lat time.Duration)
 	}{
-		{"back-to-back frames pace end to end", func(t *testing.T, send sendFunc, _ time.Duration) {
-			var prev trip
+		{"back-to-back frames pace end to end", func(t *testing.T, c *clock, _ time.Duration) {
+			var q []*Message
 			for i := 0; i < 4; i++ {
-				tr := send(0, 1, 4*ms, now)
-				if i > 0 && (tr.egress-prev.egress != 4*ms || tr.ingress-prev.ingress != 4*ms) {
+				q = append(q, c.send(0, 1, 4*ms, now))
+			}
+			c.run(now + time.Second)
+			for i := 1; i < len(q); i++ {
+				tr, prev := c.trip(q[i]), c.trip(q[i-1])
+				if tr.egress-prev.egress != 4*ms || tr.ingress-prev.ingress != 4*ms {
 					t.Fatalf("frame %d: egress +%v, ingress +%v after the one before; want +4ms on both links",
 						i, tr.egress-prev.egress, tr.ingress-prev.ingress)
 				}
-				prev = tr
 			}
 		}},
-		{"an idle link back-dates by at most burst", func(t *testing.T, send sendFunc, _ time.Duration) {
+		{"an idle link back-dates by at most burst", func(t *testing.T, c *clock, _ time.Duration) {
 			for _, at := range []time.Duration{now, now + time.Second} {
-				tr := send(0, 1, ms, at)
+				tr := c.trip(c.send(0, 1, ms, at))
 				if want := at - burst + ms; tr.egress != want || tr.ingress != want {
 					t.Fatalf("frame sent at %v: egress %v, ingress %v; want %v on both", at, tr.egress, tr.ingress, want)
 				}
 			}
 		}},
-		{"no frame is due before the downlink takes it plus one latency", func(t *testing.T, send sendFunc, lat time.Duration) {
-			small := send(0, 1, 16, now) // back-dated: its pacing ended before it was sent
+		{"no frame is due before the downlink takes it plus one latency", func(t *testing.T, c *clock, lat time.Duration) {
+			small := c.trip(c.send(0, 1, 16, now)) // back-dated: its pacing ended before it was sent
 			if small.taken != now || small.due != now+lat {
 				t.Fatalf("small frame taken %v, due %v after Send; want 0 and one latency (%v)",
 					small.taken-now, small.due-now, lat)
 			}
-			big := send(2, 3, 10*ms, now) // its pacing ends after the downlink took it
-			if big.due != big.ingress+lat || big.ingress <= big.taken {
+			m := c.send(2, 3, 10*ms, now) // its pacing ends after the downlink took it
+			c.run(now + time.Second)
+			if big := c.trip(m); big.due != big.ingress+lat || big.ingress <= big.taken {
 				t.Fatalf("big frame taken %v, paced %v, due %v after Send; want due one latency after pacing",
 					big.taken-now, big.ingress-now, big.due-now)
 			}
 		}},
-		{"the fifth frame to one port waits for the first frame's credit", func(t *testing.T, send sendFunc, _ time.Duration) {
-			// The first frame paces its uplink for 14 ms (20 ms, back-dated
-			// by burst) before it takes a credit; the next three take theirs
-			// at once.
-			q := []trip{send(1, 0, 20*ms, now)}
-			for src := 2; src <= 5; src++ {
-				q = append(q, send(src, 0, 16, now))
+		{"the downlink takes frames in the order they reach the switch", func(t *testing.T, c *clock, lat time.Duration) {
+			// Port 0's frame to port 1 queues behind 44 ms of uplink; port
+			// 3's, sent later from an idle uplink, reaches the switch first.
+			c.send(0, 2, 50*ms, now)
+			queued := c.send(0, 1, 16, now)
+			late := c.trip(c.send(3, 1, 16, now+ms))
+			if late.taken != now+ms || late.due != now+ms+lat {
+				t.Fatalf("frame reaching an idle downlink taken %v, due %v after Send; want at once and one latency later",
+					late.taken-now-ms, late.due-now-ms)
 			}
-			for i, tr := range q[1:4] {
-				if tr.entered != now {
-					t.Fatalf("frame %d entered the buffer %v after Send; want at once", i+2, tr.entered-now)
+			if next := c.trip(c.send(3, 4, 16, now+ms)); next.left != now+ms {
+				t.Fatalf("its sender's next frame left the FIFO %v after Send; want at once", next.left-now-ms)
+			}
+			c.run(now + time.Second)
+			if tr := c.trip(queued); tr.left != now+44*ms || tr.taken != tr.reached {
+				t.Fatalf("queued frame left the FIFO %v after Send and was taken %v after it reached the switch; want 44ms and at once",
+					tr.left-now, tr.taken-tr.reached)
+			}
+		}},
+		{"a frame finding the buffer full waits for a credit and holds up its FIFO", func(t *testing.T, c *clock, _ time.Duration) {
+			// Port 1's frame reaches the switch 14 ms on (20 ms, back-dated
+			// by burst) and holds port 0's downlink until 28 ms. The four
+			// frames behind it fill port 0's buffer; the fifth waits.
+			head := c.send(1, 0, 20*ms, now)
+			c.run(now + 15*ms)
+			var q []trip
+			for src := 2; src <= 5; src++ {
+				q = append(q, c.trip(c.send(src, 0, 16, now+15*ms)))
+			}
+			for i, tr := range q {
+				if tr.entered != now+15*ms {
+					t.Fatalf("frame %d entered the buffer %v after Send; want at once", i+1, tr.entered-now-15*ms)
 				}
 			}
-			if q[4].entered != q[0].taken || q[4].entered <= now {
-				t.Fatalf("fifth frame entered the buffer %v after Send; want when the first was taken (%v)",
-					q[4].entered-now, q[0].taken-now)
+			starved := c.trip(c.send(6, 0, 16, now+15*ms))
+			if freed := c.trip(head).ingress; starved.entered != q[0].taken || starved.entered != freed {
+				t.Fatalf("fifth frame entered the buffer %v after Send; want when the first one was taken (%v)",
+					starved.entered-now-15*ms, q[0].taken-now-15*ms)
 			}
 			// Head-of-line blocking: the sender's next frame, to an idle
 			// port, leaves the FIFO only once the starved head has a credit.
-			if next := send(5, 7, 16, now); next.left != q[4].entered {
+			next := c.send(6, 7, 16, now+15*ms)
+			c.run(now + time.Second)
+			if tr := c.trip(next); tr.left != starved.entered {
 				t.Fatalf("frame behind a starved head left the FIFO %v after Send; want %v",
-					next.left-now, q[4].entered-now)
+					tr.left-now-15*ms, starved.entered-now-15*ms)
 			}
 		}},
-		{"a Send finding 64 frames queued waits for FIFO room", func(t *testing.T, send sendFunc, _ time.Duration) {
-			send(0, 1, 100*ms, now) // occupies the uplink; 64 frames queue behind it
-			var q []trip
-			for i := 0; i <= egressQueue; i++ {
-				q = append(q, send(0, 2, 16, now))
+		{"a Send finding 64 frames queued waits for FIFO room", func(t *testing.T, c *clock, _ time.Duration) {
+			head := c.send(0, 1, 100*ms, now) // occupies the uplink until 94 ms
+			q := []*Message{c.send(0, 2, 10*ms, now)}
+			for i := 1; i <= egressQueue; i++ {
+				q = append(q, c.send(0, 3+i%5, 16, now))
 			}
-			for i, tr := range q[:egressQueue] {
-				if tr.fits > now {
-					t.Fatalf("queued frame %d waited %v for FIFO room", i+1, tr.fits-now)
+			for i, m := range q[:egressQueue] {
+				if at, known := c.fits(m); !known || at > now {
+					t.Fatalf("queued frame %d fits %v after Send (known %v); want at once", i+1, at-now, known)
 				}
 			}
-			if last := q[egressQueue]; last.fits != q[0].left || last.fits <= now {
-				t.Fatalf("frame %d fits %v after Send; want when the first queued frame left (%v)",
-					egressQueue+1, last.fits-now, q[0].left-now)
+			last := q[egressQueue]
+			if at, known := c.fits(last); known || at != now+94*ms {
+				t.Fatalf("frame %d: fits known %v, look again %v after Send; want unknown until the head reaches the switch at 94ms",
+					egressQueue+2, known, at-now)
+			}
+			c.run(now + 94*ms)
+			if at, known := c.fits(last); !known || at != c.trip(head).entered {
+				t.Fatalf("frame %d fits %v after Send (known %v); want when the first queued frame left (%v)",
+					egressQueue+2, at-now, known, c.trip(head).entered-now)
 			}
 		}},
-		{"a dropped frame still paces the uplink", func(t *testing.T, send sendFunc, _ time.Duration) {
-			send(0, 1, 10*ms, now) // back to back, so the drop below is not back-dated
-			dropped := send(0, -1, 10*ms, now)
-			if next := send(0, 1, 16, now); next.left != dropped.egress {
-				t.Fatalf("frame after a drop left the FIFO %v after Send; want when the drop's pacing ended (%v)",
-					next.left-now, dropped.egress-now)
+		{"a partition is looked at when a frame reaches the switch", func(t *testing.T, c *clock, _ time.Duration) {
+			c.send(0, 1, 10*ms, now) // reaches the switch at 4 ms
+			cut := c.send(0, 1, 10*ms, now)
+			after := c.send(0, 1, 16, now)
+			c.run(now + 4*ms)
+			c.fab.SetPartitioned(1, true) // while cut waits on the uplink
+			c.run(now + 14*ms)
+			c.fab.SetPartitioned(1, false)
+			c.run(now + time.Second)
+			if _, ok := c.trips[cut]; ok || c.fab.MessagesDropped() != 1 {
+				t.Fatalf("frame reaching a cut port: booked %v, dropped %d; want dropped", ok, c.fab.MessagesDropped())
 			}
+			if tr := c.trip(after); tr.left != now+14*ms {
+				t.Fatalf("frame after a drop left the FIFO %v after Send; want when the drop's pacing ended (14ms)", tr.left-now)
+			}
+			// Sent while port 2 is cut, it reaches the switch after the
+			// partition healed, and gets through.
+			c.fab.SetPartitioned(2, true)
+			healed := c.send(3, 2, 10*ms, now)
+			c.fab.SetPartitioned(2, false)
+			c.run(now + time.Second)
+			c.trip(healed)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fab, _ := New(Config{Ports: 8, Rate: 1e9, TimeScale: 1})
-			last := map[int]time.Duration{}
-			send := func(src, dst int, size time.Duration, at time.Duration) trip {
-				drop := dst < 0 // a frame to port 1, dropped at the switch
-				if drop {
-					dst = 1
-				}
-				tr := fab.route(&Message{Src: src, Dst: dst, Size: int(size)}, at, drop)
-				if !drop {
-					if tr.due < last[dst] {
-						t.Fatalf("port %d: due instant went back %v", dst, last[dst]-tr.due)
-					}
-					last[dst] = tr.due
-				}
-				return tr
-			}
-			tc.check(t, send, fab.lat)
+			c := &clock{t: t, fab: fab, seq: map[*Message]int{}, trips: map[*Message]trip{}, due: map[int]time.Duration{}}
+			tc.check(t, c, fab.lat)
 		})
 	}
 }
