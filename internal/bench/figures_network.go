@@ -111,9 +111,6 @@ func oneStream(sheet nic.Sheet, bidi bool) (float64, error) {
 		endpoints[i] = nic.New(fab, i, sheet, pools[i].Get0, onRecv, func(int, uint32) {})
 	}
 	fab.Start()
-	for _, ep := range endpoints {
-		ep.Start()
-	}
 	defer func() {
 		for _, ep := range endpoints {
 			ep.Close()
@@ -229,8 +226,7 @@ func allToAll(servers, msgsPer, msgSize int, timeScale float64, scheduling bool)
 		recvs[i] = m.OpenExchange(0, exID, servers)
 	}
 	fab.Start()
-	for i, m := range muxes {
-		endpoints[i].Start()
+	for _, m := range muxes {
 		m.Start()
 	}
 	defer func() {

@@ -114,7 +114,7 @@ type Node struct {
 	Mux    *mux.Mux
 	Engine *engine.Engine
 
-	transport mux.Transport
+	transport *nic.Endpoint
 
 	// alive turns false when the server is killed or evicted.
 	alive    atomic.Bool
@@ -306,12 +306,11 @@ func (c *Cluster) wireMesh(nodes []*Node) error {
 	return nil
 }
 
-// startMesh starts the current fabric, transports and multiplexers, and
-// the mesh's failure detector.
+// startMesh starts the current fabric and multiplexers, and the mesh's
+// failure detector.
 func (c *Cluster) startMesh() {
 	c.fab.Start()
 	for _, n := range c.Nodes {
-		n.transport.Start()
 		n.Mux.Start()
 	}
 	var d *detector

@@ -54,8 +54,7 @@ func newHarness(t *testing.T, servers int) *harness {
 		eps[i] = ep
 	}
 	fab.Start()
-	for i, m := range h.muxes {
-		eps[i].Start()
+	for _, m := range h.muxes {
 		m.Start()
 	}
 	h.stop = func() {

@@ -240,10 +240,11 @@ func (f *Fabric) BDP() int {
 	return int(LatencyOf(f.cfg.Rate).Seconds() * float64(f.cfg.Rate))
 }
 
-// RegisterSink installs the delivery callback for a port. The callback runs
-// on the port's delivery goroutine; it must not block for long or it
-// stalls the delay line and then the port's senders (which is realistic:
-// an unread receive queue exerts backpressure).
+// RegisterSink installs the delivery callback for a port: the receiver's
+// completion path. The callback runs on the port's delivery goroutine; it
+// must not block for long or it stalls the delay line and then the port's
+// senders (which is realistic: an unread receive queue exerts
+// backpressure).
 func (f *Fabric) RegisterSink(port int, sink func(*Message)) {
 	if f.started.Load() {
 		panic("fabric: RegisterSink after Start")

@@ -28,8 +28,6 @@ func newGatedTransport(bdp int) *gatedTransport {
 	return tr
 }
 
-func (tr *gatedTransport) Start()                 {}
-func (tr *gatedTransport) Close()                 {}
 func (tr *gatedTransport) SendInline(int, uint32) {}
 func (tr *gatedTransport) BDP() int               { return tr.bdp }
 

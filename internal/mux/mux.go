@@ -46,8 +46,6 @@ const BatchPerPhase = 8
 // Transport abstracts the wire: a nic.Endpoint under its RDMA or TCP
 // cost sheet.
 type Transport interface {
-	Start()
-	Close()
 	// Send transfers ownership of m; the transport releases it once the
 	// buffer may be reused.
 	Send(dst int, m *memory.Message)

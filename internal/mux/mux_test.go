@@ -34,8 +34,7 @@ func testCluster(t *testing.T, n int, scheduling bool) ([]*Mux, func()) {
 		eps[i] = ep
 	}
 	fab.Start()
-	for i, m := range muxes {
-		eps[i].Start()
+	for _, m := range muxes {
 		m.Start()
 	}
 	return muxes, func() {

@@ -11,7 +11,7 @@
 //   - per-segment work: protocol processing and interrupts per MTU-sized
 //     segment, so IPoIB datagram mode's 2,044-byte MTU costs ~32× more per
 //     message than connected mode's 65,520 bytes;
-//   - receiver CPU: the receive charge burns on the endpoint's own
+//   - receiver CPU: the receive charge burns on the port's delivery
 //     goroutine, which competes with the query workers — "the bottleneck
 //     of TCP remains the CPU load of the receiver" (§2.1.2).
 //
@@ -21,10 +21,13 @@
 //     lands in the next one — no memory-key exchange;
 //   - zero copy (§2.2.2): the fabric reads the sender's buffer in place;
 //     the only copy is the adapter's DMA into the posted buffer, done on
-//     the endpoint's goroutine, not by an application core. The sender's
-//     buffer is released by that completion;
+//     the port's delivery goroutine, not by an application core. The
+//     sender's buffer is released by that completion;
 //   - event-based completions (§2.2.4): a completion costs CompletionCost,
 //     the paper's 4 % CPU observation.
+//
+// Either way a receive is one step: every frame completes where the fabric
+// delivers it, on its port's delivery goroutine, in the order it is due.
 //
 // Memory-region registration is charged by memory.NewPool when a buffer is
 // first allocated, not here.
@@ -101,15 +104,12 @@ const (
 // verbs. Build one with RDMA or TCP.
 type Sheet struct {
 	// socket: Send copies the payload into a socket buffer and releases the
-	// message before it returns, and inline frames queue behind data.
-	// Otherwise (verbs) the fabric reads the sender's buffer in place, the
-	// receiver's completion releases it, and an inline frame completes on
-	// arrival, on the fabric's goroutine.
+	// message before it returns. Otherwise (verbs) the fabric reads the
+	// sender's buffer in place and the receiver's completion releases it.
 	socket     bool
 	mtu        int // wire bytes per segment
 	segHeader  int // wire bytes added per segment
 	inlineSize int // wire bytes of an inline frame
-	queue      int // frames buffered ahead of the completion goroutine
 
 	sendSeg, recvSeg       time.Duration // protocol work per segment
 	sendInline, recvInline time.Duration // per inline frame
@@ -122,7 +122,6 @@ func RDMA() Sheet {
 	return Sheet{
 		mtu:        math.MaxInt,
 		inlineSize: 16, // a minimal work request
-		queue:      32,
 		recvSeg:    CompletionCost,
 		recvInline: CompletionCost,
 	}
@@ -148,7 +147,6 @@ func TCP(cfg TCPConfig) Sheet {
 		mtu:        mtu,
 		segHeader:  tcpHeader,
 		inlineSize: 64,      // a minimal segment
-		queue:      64,      // a 4 MB socket buffer of 64 KB frames
 		sendSeg:    seg / 2, // the transmit path is cheaper
 		recvSeg:    seg,
 		sendInline: seg,
@@ -213,8 +211,6 @@ type Endpoint struct {
 	onRecv    func(*memory.Message)     // completion handler (data)
 	onInline  func(src int, tag uint32) // completion handler (inline)
 
-	queue   chan *frame
-	stopCh  chan struct{}
 	stopped atomic.Bool
 
 	msgsSent, msgsRecv atomic.Uint64
@@ -226,7 +222,8 @@ type Endpoint struct {
 //
 // recvAlloc supplies posted receive buffers (the multiplexer draws them
 // from its NUMA-aware pool, rotating sockets). onRecv and onInline are the
-// completion handlers; they should hand off quickly.
+// completion handlers. They run on the port's delivery goroutine, so they
+// should hand off quickly: the frames behind wait for them.
 func New(fab *fabric.Fabric, port int, sheet Sheet,
 	recvAlloc func() *memory.Message,
 	onRecv func(*memory.Message),
@@ -240,25 +237,14 @@ func New(fab *fabric.Fabric, port int, sheet Sheet,
 		recvAlloc: recvAlloc,
 		onRecv:    onRecv,
 		onInline:  onInline,
-		queue:     make(chan *frame, sheet.queue),
-		stopCh:    make(chan struct{}),
 	}
 	fab.RegisterSink(port, ep.sink)
 	return ep
 }
 
-// Start launches the completion goroutine: the socket sheets' network
-// thread (§2.1.2), or the adapter's DMA engine under verbs.
-func (ep *Endpoint) Start() { go ep.loop() }
-
-// Close stops the completion goroutine. Frames still queued, and any that
-// arrive later, are dropped: their buffers go back to the sender's pool.
-func (ep *Endpoint) Close() {
-	if ep.stopped.CompareAndSwap(false, true) {
-		close(ep.stopCh)
-		ep.drain()
-	}
-}
+// Close stops the endpoint: every frame delivered from then on is dropped,
+// and a verbs sender's buffer goes back to its pool.
+func (ep *Endpoint) Close() { ep.stopped.Store(true) }
 
 // Send transfers m to server dst; callers must not touch m afterwards. A
 // socket sheet copies and checksums the payload on the calling goroutine
@@ -300,36 +286,16 @@ func (ep *Endpoint) post(f *frame, dst, size int, inline bool) {
 	ep.fab.Send(&f.fm)
 }
 
-// sink runs on the fabric's delivery goroutine for this port. A verbs
-// inline frame completes right here; everything else queues for the
-// completion goroutine, so neither a copy nor a stack charge holds up the
-// frames behind it.
+// sink is the endpoint's completion path, on the fabric's delivery
+// goroutine for this port: each frame completes as it lands, data and
+// inline alike, in the order it is due. A stopped endpoint drops the frame.
 func (ep *Endpoint) sink(fm *fabric.Message) {
 	f := fm.Payload.(*frame)
-	if fm.Inline && !ep.sheet.socket {
-		ep.complete(f)
+	if ep.stopped.Load() {
+		ep.drop(f)
 		return
 	}
-	select {
-	case ep.queue <- f:
-		if ep.stopped.Load() {
-			ep.drain() // Close may have drained before f was queued
-		}
-	case <-ep.stopCh:
-		ep.drop(f)
-	}
-}
-
-// drain drops every frame queued on a stopped endpoint.
-func (ep *Endpoint) drain() {
-	for {
-		select {
-		case f := <-ep.queue:
-			ep.drop(f)
-		default:
-			return
-		}
-	}
+	ep.complete(f)
 }
 
 // drop discards a frame that will never complete: under verbs the
@@ -342,20 +308,9 @@ func (ep *Endpoint) drop(f *frame) {
 	frames.Put(f)
 }
 
-func (ep *Endpoint) loop() {
-	for {
-		select {
-		case f := <-ep.queue:
-			ep.complete(f)
-		case <-ep.stopCh:
-			return
-		}
-	}
-}
-
-// complete is the one receive path: copy a data frame into the next posted
-// buffer, release the sender's buffer under verbs, charge the sheet's
-// receive cost and hand the result on.
+// complete copies a data frame into the next posted buffer, releases the
+// sender's buffer under verbs, charges the sheet's receive cost and hands
+// the result on.
 func (ep *Endpoint) complete(f *frame) {
 	s := &ep.sheet
 	if f.fm.Inline {

@@ -14,7 +14,7 @@ import (
 
 // mesh is two endpoints under one sheet on a fast two-port fabric. Port 1
 // logs every completion in order; recvAlloc blocks while the gate is held,
-// which stalls port 1's completion goroutine at its next data frame.
+// which stalls port 1's delivery goroutine at its next data frame.
 type mesh struct {
 	fab        *fabric.Fabric
 	send, recv *memory.Pool
@@ -61,8 +61,6 @@ func newMesh(t *testing.T, sheet Sheet) *mesh {
 		ms.tags <- tag
 	})
 	fab.Start()
-	ms.ep0.Start()
-	ms.ep1.Start()
 	t.Cleanup(func() {
 		ms.ep0.Close()
 		ms.ep1.Close()
@@ -116,8 +114,8 @@ type pin struct {
 }
 
 // TestEndpointContract holds every sheet to the endpoint's contract: what
-// arrives where, when the sender's buffer comes back, how inline frames
-// order against data, and what each frame costs.
+// arrives where, when the sender's buffer comes back, that frames complete
+// one at a time in arrival order, and what each frame costs.
 func TestEndpointContract(t *testing.T) {
 	const big = memory.DefaultMessageSize - memory.HeaderSize
 	gbe := TCP(TCPConfig{Mode: ModeEthernet, Offload: true})
@@ -179,8 +177,9 @@ func TestEndpointContract(t *testing.T) {
 				t.Fatalf("sender's buffer returned %d times, want 1", got)
 			}
 
-			// Inline after data: sockets deliver in order, verbs complete the
-			// inline frame while data completions are still queued.
+			// Inline after data: every sheet completes in arrival order, on
+			// the delivery goroutine. While the first completion is held,
+			// the frames behind it wait on the fabric's delay line.
 			ms.mu.Lock()
 			ms.log = ms.log[:0]
 			ms.mu.Unlock()
@@ -189,29 +188,18 @@ func TestEndpointContract(t *testing.T) {
 			ms.ep0.Send(1, ms.message(1))
 			ms.ep0.Send(1, ms.message(1))
 			ms.ep0.SendInline(1, 9)
-			if !tc.sheet.socket {
-				if tag := within(t, ms.tags, "inline frame"); tag != 9 {
-					t.Fatalf("inline tag %d, want 9", tag)
-				}
-			}
-			for deadline := time.Now().Add(5 * time.Second); ms.fab.MessagesDelivered() < delivered+3; {
-				if time.Now().After(deadline) {
-					t.Fatal("frames stuck on the fabric behind a held completion")
-				}
-				time.Sleep(50 * time.Microsecond)
+			ms.delivered(t, delivered+1)
+			time.Sleep(20 * time.Millisecond) // ample for the 2 frames behind to come due
+			if got := ms.fab.MessagesDelivered(); got != delivered+1 {
+				t.Fatalf("%d frames delivered behind a held completion, want 0", got-delivered-1)
 			}
 			ms.gate.Unlock()
 			within(t, ms.got, "data frame").Release()
 			within(t, ms.got, "data frame").Release()
-			if tc.sheet.socket {
-				if tag := within(t, ms.tags, "inline frame"); tag != 9 {
-					t.Fatalf("inline tag %d, want 9", tag)
-				}
+			if tag := within(t, ms.tags, "inline frame"); tag != 9 {
+				t.Fatalf("inline tag %d, want 9", tag)
 			}
 			want := []string{"data", "data", "inline"}
-			if !tc.sheet.socket {
-				want = []string{"inline", "data", "data"}
-			}
 			ms.mu.Lock()
 			log := append([]string(nil), ms.log...)
 			ms.mu.Unlock()
@@ -245,8 +233,16 @@ func TestEndpointContract(t *testing.T) {
 			}
 		})
 	}
-	if gbe.queue != 64 || RDMA().queue != 32 {
-		t.Fatalf("queue depths %d / %d, want 64 / 32", gbe.queue, RDMA().queue)
+}
+
+// delivered waits until the fabric has delivered want frames in all.
+func (ms *mesh) delivered(t *testing.T, want uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ms.fab.MessagesDelivered() < want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("fabric delivered %d frames, want %d", ms.fab.MessagesDelivered(), want)
+		}
+		time.Sleep(50 * time.Microsecond)
 	}
 }
 
@@ -262,8 +258,9 @@ func (ms *mesh) returned(t *testing.T, want uint64) {
 }
 
 // TestClosedEndpointReleasesFrames: a verbs frame that reaches a closed
-// endpoint, or still sits in its queue when it closes, will never
-// complete; the sender's buffer goes back to its pool all the same.
+// endpoint, or still sits on the fabric's delay line when it closes, will
+// never complete; it is dropped when it is delivered, and the sender's
+// buffer goes back to its pool all the same.
 func TestClosedEndpointReleasesFrames(t *testing.T) {
 	ms := newMesh(t, RDMA())
 	ms.ep1.Close()
@@ -271,20 +268,18 @@ func TestClosedEndpointReleasesFrames(t *testing.T) {
 	ms.returned(t, 1)
 
 	ms = newMesh(t, RDMA())
-	ms.gate.Lock() // port 1's completion goroutine stalls on the first frame
+	ms.gate.Lock() // port 1's delivery goroutine stalls on the first frame
 	for i := 0; i < 4; i++ {
 		ms.ep0.Send(1, ms.message(7))
 	}
-	for deadline := time.Now().Add(5 * time.Second); ms.fab.MessagesDelivered() < 4; {
-		if time.Now().After(deadline) {
-			t.Fatal("frames stuck on the fabric")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	ms.delivered(t, 1) // the other 3 wait on the delay line
 	ms.ep1.Close()
 	ms.gate.Unlock()
 	within(t, ms.got, "the frame in completion").Release()
 	ms.returned(t, 4)
+	if n := ms.ep1.Stats().MsgsReceived; n != 1 {
+		t.Fatalf("a closed endpoint completed %d frames, want only the 1 already in completion", n)
+	}
 }
 
 func TestDeliveryAndContent(t *testing.T) {

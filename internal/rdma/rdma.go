@@ -9,12 +9,17 @@ import (
 )
 
 // Endpoint is one server's RDMA port.
-type Endpoint = nic.Endpoint
+type Endpoint struct{ *nic.Endpoint }
 
 // NewEndpoint wires an RDMA endpoint to fabric port `port`; see nic.New.
 func NewEndpoint(fab *fabric.Fabric, port int,
 	recvAlloc func() *memory.Message,
 	onRecv func(*memory.Message),
 	onInline func(src int, tag uint32)) *Endpoint {
-	return nic.New(fab, port, nic.RDMA(), recvAlloc, onRecv, onInline)
+	return &Endpoint{nic.New(fab, port, nic.RDMA(), recvAlloc, onRecv, onInline)}
 }
+
+// Start does nothing: an endpoint completes its frames on the fabric's
+// delivery goroutine and has nothing of its own to start. It stays for
+// callers written when it did.
+func (*Endpoint) Start() {}
