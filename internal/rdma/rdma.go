@@ -20,6 +20,6 @@ func NewEndpoint(fab *fabric.Fabric, port int,
 }
 
 // Start does nothing: an endpoint completes its frames on the fabric's
-// delivery goroutine and has nothing of its own to start. It stays for
-// callers written when it did.
+// delivery goroutine and has nothing of its own to start. The benchmark's
+// probe mesh still calls it.
 func (*Endpoint) Start() {}
