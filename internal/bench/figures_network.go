@@ -150,12 +150,13 @@ func figure10b(w io.Writer, _ Args) error {
 		Header: []string{"servers", "all-to-all GB/s", "round-robin GB/s", "improvement"},
 	}
 	for _, n := range []int{2, 4, 6, 8} {
+		pools := newCellPools(n, memory.DefaultMessageSize)
 		var thr [2]float64 // unscheduled, scheduled
 		for i, sched := range []bool{false, true} {
 			// Average several trials: contention patterns vary run to run.
 			const trials = 3
 			for t := 0; t < trials; t++ {
-				one, err := allToAll(n, 240, memory.DefaultMessageSize, figure10TimeScale, sched)
+				one, err := allToAll(pools, 240, figure10TimeScale, sched)
 				if err != nil {
 					return err
 				}
@@ -179,7 +180,7 @@ func figure10c(w io.Writer, _ Args) error {
 		Header: []string{"message size", "GB/s"},
 	}
 	for _, size := range []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 512 << 10, 2 << 20} {
-		thr, err := allToAll(servers, max(totalBytes/size, 8), size, figure10TimeScale, true)
+		thr, err := allToAll(newCellPools(servers, size), max(totalBytes/size, 8), figure10TimeScale, true)
 		if err != nil {
 			return err
 		}
@@ -189,11 +190,43 @@ func figure10c(w io.Writer, _ Args) error {
 	return nil
 }
 
+// cellPools are one figure cell's message pools: per server, one its
+// multiplexer posts receive buffers from and one its producer fills. A
+// cell builds them once and every run of the cell reuses them, so a run
+// recycles buffers instead of clearing fresh ones.
+type cellPools struct {
+	recv, send []*memory.Pool
+}
+
+func newCellPools(servers, msgSize int) cellPools {
+	c := cellPools{recv: make([]*memory.Pool, servers), send: make([]*memory.Pool, servers)}
+	for i := range c.recv {
+		c.recv[i] = memory.NewPool(numa.TwoSocket(), numa.AllocLocal, msgSize, nil)
+		c.send[i] = memory.NewPool(numa.TwoSocket(), numa.AllocLocal, msgSize, nil)
+	}
+	return c
+}
+
+// check reports a buffer a run did not give back.
+func (c cellPools) check() error {
+	for _, pools := range [][]*memory.Pool{c.recv, c.send} {
+		for i, p := range pools {
+			if st := p.Stats(); st.Allocated+st.Recycled != st.Returned {
+				return fmt.Errorf("all-to-all: server %d's pool lent %d buffers and got %d back",
+					i, st.Allocated+st.Recycled, st.Returned)
+			}
+		}
+	}
+	return nil
+}
+
 // allToAll runs the raw shuffle microbenchmark through the real
-// multiplexers: every server sends msgsPer messages of msgSize bytes,
-// spread round-robin over all other servers, and consumes its inbound
-// stream. Returns the per-server payload throughput in simulated GB/s.
-func allToAll(servers, msgsPer, msgSize int, timeScale float64, scheduling bool) (float64, error) {
+// multiplexers, one server per pool of the cell: every server sends
+// msgsPer messages filling its pool's buffers, spread round-robin over all
+// other servers, and consumes its inbound stream. Returns the per-server
+// payload throughput in simulated GB/s once every buffer is back.
+func allToAll(pools cellPools, msgsPer int, timeScale float64, scheduling bool) (float64, error) {
+	servers, msgSize := len(pools.recv), pools.recv[0].MessageSize()
 	fab, err := fabric.New(fabric.Config{
 		Ports:     servers,
 		Rate:      fabric.IB4xQDR,
@@ -208,12 +241,11 @@ func allToAll(servers, msgsPer, msgSize int, timeScale float64, scheduling bool)
 	recvs := make([]*mux.ExchangeRecv, servers)
 	const exID = int32(7)
 	for i := 0; i < servers; i++ {
-		pool := memory.NewPool(topo, numa.AllocLocal, msgSize, nil)
 		m, err := mux.New(mux.Config{
 			Server:     i,
 			Servers:    servers,
 			Topology:   topo,
-			Pool:       pool,
+			Pool:       pools.recv[i],
 			Scheduling: scheduling,
 		})
 		if err != nil {
@@ -229,19 +261,12 @@ func allToAll(servers, msgsPer, msgSize int, timeScale float64, scheduling bool)
 	for _, m := range muxes {
 		m.Start()
 	}
-	defer func() {
-		for i, m := range muxes {
-			m.Close()
-			endpoints[i].Close()
-		}
-		fab.Stop()
-	}()
 
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < servers; i++ {
 		i := i
-		pool := memory.NewPool(topo, numa.AllocLocal, msgSize, nil)
+		pool := pools.send[i]
 		wg.Add(1)
 		go func() { // producer
 			defer wg.Done()
@@ -281,7 +306,12 @@ func allToAll(servers, msgsPer, msgSize int, timeScale float64, scheduling bool)
 	}
 	wg.Wait()
 	wall := time.Since(start)
+	for i, m := range muxes {
+		m.Close()
+		endpoints[i].Close()
+	}
+	fab.Stop()
 	simSeconds := wall.Seconds() / timeScale
 	perServer := float64(msgsPer) * float64(msgSize) / simSeconds / 1e9
-	return perServer, nil
+	return perServer, pools.check()
 }
