@@ -139,7 +139,6 @@ func TestExpressKeepsStreamOrder(t *testing.T) {
 	}
 
 	m.Freeze(true)
-	time.Sleep(5 * time.Millisecond) // the idle loop re-checks the flag every 200 µs and parks
 	send(3, "frozen", 16, false)
 	time.Sleep(20 * time.Millisecond)
 	if n := tr.count(); n != 5 {
@@ -163,5 +162,64 @@ func TestExpressKeepsStreamOrder(t *testing.T) {
 	st := pool.Stats()
 	if st.Allocated+st.Recycled != st.Returned {
 		t.Fatalf("buffers leaked: %+v", st)
+	}
+}
+
+// TestCloseReleasesQueued: what the FIFOs hold when Close runs is
+// released once the network loop has exited, once per reference, so a
+// broadcast's retains balance; a Send waiting for room in a full FIFO
+// returns on Close with its message released.
+func TestCloseReleasesQueued(t *testing.T) {
+	const bdp = 1024
+	tr := newGatedTransport(bdp)
+	pool := memory.NewPool(numa.TwoSocket(), numa.AllocLocal, 4096, nil)
+	m, err := New(Config{Server: 0, Servers: 3, Topology: numa.TwoSocket(), Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetTransport(tr)
+	m.Start()
+	bulk := func(exID int32) *memory.Message {
+		msg := pool.Get(0)
+		msg.QueryID, msg.ExchangeID = 1, exID
+		msg.Content = msg.Content[:2*bdp]
+		return msg
+	}
+
+	m.Send(1, bulk(1)) // parks in the transport, holding the network loop
+	tr.waitSent(t, 1)
+	b := bulk(2) // a broadcast to servers 1 and 2
+	b.Retain(1)
+	m.Send(1, b)
+	m.Send(2, b)
+	for range sendQueue - 2 {
+		m.Send(1, bulk(1))
+	}
+	stalled := make(chan struct{})
+	go func() {
+		m.Send(1, bulk(1)) // FIFO 1 is full
+		close(stalled)
+	}()
+	closed := make(chan struct{})
+	go func() {
+		m.Close()
+		close(closed)
+	}()
+	select {
+	case <-stalled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a Send waiting for room did not return on Close")
+	}
+	close(tr.gate)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	if st := pool.Stats(); st.Allocated+st.Recycled != st.Returned {
+		t.Fatalf("%d buffers taken, %d returned", st.Allocated+st.Recycled, st.Returned)
+	}
+	if n := tr.count(); n != 1 {
+		t.Fatalf("the transport saw %d messages, want the one in flight", n)
 	}
 }

@@ -130,20 +130,20 @@ func FuzzMuxInbound(f *testing.F) {
 				t.Fatalf("tables hold %d exchanges and %d pending keys, model %d and %d",
 					exs, pend, len(open), len(pending))
 			}
-			if len(m.barrierHi) != servers {
-				t.Fatalf("barrier state grew to %d entries", len(m.barrierHi))
+			if len(m.queues.barrierHi) != servers {
+				t.Fatalf("barrier state grew to %d entries", len(m.queues.barrierHi))
 			}
-			m.inlineMu.Lock()
+			m.sendMu.Lock()
 			for src, hi := range barrierHi {
-				later := m.barrierHeard(src, hi) // the first phase src has not reached
-				reached := hi == 0 || m.barrierHeard(src, hi-1)
+				later := m.queues.Synced(src, hi) // the first phase src has not reached
+				reached := hi == 0 || m.queues.Synced(src, hi-1)
 				if later || !reached {
-					m.inlineMu.Unlock()
+					m.sendMu.Unlock()
 					t.Fatalf("source %d sent barrier tags up to %d: phase %d completes %v, phase %d completes %v",
 						src, int64(hi)-1, hi, later, int64(hi)-1, reached)
 				}
 			}
-			m.inlineMu.Unlock()
+			m.sendMu.Unlock()
 		}
 
 		for q := int32(0); q < queries; q++ {

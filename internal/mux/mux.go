@@ -9,26 +9,31 @@
 // servers needs n(n−1) connections instead of the classic exchange
 // operator model's n²t²−t.
 //
-// With scheduling enabled the send loop follows the round-robin schedule
-// of package sched: up to BatchPerPhase messages to the phase's single
+// The send side has one lock and one wait: sendMu guards a FIFO per
+// destination, the barriers heard and the schedule's state, and the
+// network goroutine steps a sched.Loop under it, posts outside it and
+// blocks in one select. With scheduling enabled the step follows the
+// round-robin schedule: up to BatchPerPhase messages to the phase's single
 // target, then a low-latency inline synchronization barrier with the
 // phase's single source before moving on (§3.2.3). Without scheduling it
-// drains all destination queues eagerly — the uncoordinated all-to-all
+// drains all destination FIFOs eagerly — the uncoordinated all-to-all
 // baseline that suffers switch contention.
 //
 // The express rule: a message no larger than the link's bandwidth-delay
 // product (Fabric.BDP: 42.5 KB at GbE, 5.2 KB at 4xQDR) skips the send
 // loop and goes straight to the transport, provided its own (query,
-// exchange) stream has nothing queued or in flight to that destination
-// and the multiplexer is not frozen. Such a message is latency-bound: a
-// round of the schedule would cost it far more than it could collide, and
-// it is what Last markers, final flushes and control messages are.
-// Everything else queues, so per-stream FIFO order holds: a message never
-// overtakes an earlier one of its stream.
+// exchange) stream has no entry in that destination's FIFO (an entry
+// leaves it only once Transport.Send returned for it) and the multiplexer
+// is not frozen. Such a message is latency-bound: a round of the schedule
+// would cost it far more than it could collide, and it is what Last
+// markers, final flushes and control messages are. Everything else
+// queues, so per-stream FIFO order holds: a message never overtakes an
+// earlier one of its stream.
 package mux
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,7 +70,7 @@ type Config struct {
 }
 
 const (
-	// sendQueue is the per-destination queue depth.
+	// sendQueue is the per-destination FIFO depth.
 	sendQueue = 32
 	// idleSleep throttles the schedule loop when a whole round moved no
 	// data.
@@ -114,17 +119,17 @@ const (
 type Mux struct {
 	cfg       Config
 	transport Transport
-	schedule  *sched.Schedule
+	bdp       int // express size limit: the link's bandwidth-delay product
 
-	sendQ []chan *memory.Message // per destination server
-	bdp   int                    // express size limit: the link's bandwidth-delay product
-
-	// outstanding[dst][stream] counts the messages of a (query, exchange)
-	// stream to dst that sit in sendQ[dst] or in the network loop's hands,
-	// not yet given to the transport. A stream goes express only at zero;
-	// an entry is deleted when it gets there, so the maps stay small.
-	streamMu    sync.Mutex
-	outstanding []map[ExchangeKey]int
+	// sendMu guards the send side for workers (Send), the network
+	// goroutine and delivery goroutines (OnInline). Nothing blocks under
+	// it but a Send waiting for room in a full FIFO.
+	sendMu  sync.Mutex
+	room    *sync.Cond // a FIFO entry left, or the multiplexer stopped
+	queues  queues
+	loop    *sched.Loop
+	waitSrc int    // the source whose barrier the parked loop waits for, or −1
+	waitTag uint32 // and the tag it waits for
 
 	mu         sync.Mutex
 	exchanges  map[ExchangeKey]*ExchangeRecv
@@ -134,18 +139,13 @@ type Mux struct {
 
 	recvRotate atomic.Uint64 // rotates posted receive buffers over sockets
 
-	inlineMu   sync.Mutex
-	inlineCond *sync.Cond
-	barrierHi  []uint32         // barrierHi[src]: 1 + the highest barrier tag heard from src, 0 for none
-	deadPeers  map[int]struct{} // failed servers: barriers with them are no-ops
-
 	// heard[src] counts every frame received from server src — data,
 	// barriers and probe echoes alike. Any frame proves its sender was
 	// alive when it left, so the failure detector reads these instead of
 	// soliciting echoes from a peer the schedule already makes talk.
 	heard []atomic.Uint64
 
-	frozen atomic.Bool // SIGSTOP model: the network goroutine parks, probes go unanswered
+	frozen atomic.Bool // SIGSTOP model: the network loop posts nothing, probes go unanswered
 
 	bytesSent   atomic.Uint64
 	msgsSent    atomic.Uint64
@@ -157,9 +157,30 @@ type Mux struct {
 
 	wakeCh  chan struct{} // pokes the network loop when work arrives
 	stopCh  chan struct{}
-	stopped atomic.Bool
+	stopped atomic.Bool // set under sendMu: no Send queues after it
 	wg      sync.WaitGroup
 }
+
+// queues is the send-side state a schedule step reads, under sendMu.
+type queues struct {
+	fifo      [][]entry // per destination, at most sendQueue entries
+	barrierHi []uint32  // barrierHi[src]: 1 + the highest barrier tag heard from src, 0 for none
+	down      []bool    // failed servers: barriers with them complete at once
+}
+
+// entry is one queued message and its stream, read before the message
+// was queued: once sent, the receiver may recycle the buffer.
+type entry struct {
+	msg    *memory.Message
+	stream ExchangeKey
+}
+
+func (q *queues) Queued(dst int) int { return len(q.fifo[dst]) }
+
+// Synced reports whether the barrier (src, tag) has completed: src has
+// sent tag or a later one, or is down. A tag older than the highest heard
+// completes nothing new.
+func (q *queues) Synced(src int, tag uint32) bool { return q.barrierHi[src] > tag || q.down[src] }
 
 // New creates a multiplexer. Call SetTransport, then Start.
 func New(cfg Config) (*Mux, error) {
@@ -177,24 +198,22 @@ func New(cfg Config) (*Mux, error) {
 		return nil, err
 	}
 	m := &Mux{
-		cfg:         cfg,
-		schedule:    sc,
-		sendQ:       make([]chan *memory.Message, cfg.Servers),
-		outstanding: make([]map[ExchangeKey]int, cfg.Servers),
-		exchanges:   make(map[ExchangeKey]*ExchangeRecv),
-		pending:     make(map[ExchangeKey][]*memory.Message),
-		closed:      make(map[int32]struct{}),
-		barrierHi:   make([]uint32, cfg.Servers),
-		deadPeers:   make(map[int]struct{}),
-		heard:       make([]atomic.Uint64, cfg.Servers),
-		wakeCh:      make(chan struct{}, 1),
-		stopCh:      make(chan struct{}),
+		cfg: cfg,
+		queues: queues{
+			fifo:      make([][]entry, cfg.Servers),
+			barrierHi: make([]uint32, cfg.Servers),
+			down:      make([]bool, cfg.Servers),
+		},
+		loop:      sc.Loop(cfg.Server, BatchPerPhase, !cfg.Scheduling),
+		waitSrc:   -1,
+		exchanges: make(map[ExchangeKey]*ExchangeRecv),
+		pending:   make(map[ExchangeKey][]*memory.Message),
+		closed:    make(map[int32]struct{}),
+		heard:     make([]atomic.Uint64, cfg.Servers),
+		wakeCh:    make(chan struct{}, 1),
+		stopCh:    make(chan struct{}),
 	}
-	m.inlineCond = sync.NewCond(&m.inlineMu)
-	for i := range m.sendQ {
-		m.sendQ[i] = make(chan *memory.Message, sendQueue)
-		m.outstanding[i] = make(map[ExchangeKey]int)
-	}
+	m.room = sync.NewCond(&m.sendMu)
 	return m, nil
 }
 
@@ -235,15 +254,19 @@ func (m *Mux) OnInline(src int, tag uint32) {
 	case tag&probeAckBit != 0:
 		// An echo's whole job was to be heard.
 	default:
-		if src < 0 || src >= len(m.barrierHi) {
+		if src < 0 || src >= m.cfg.Servers {
 			return // not a server of this cluster
 		}
-		m.inlineMu.Lock()
-		if tag >= m.barrierHi[src] {
-			m.barrierHi[src] = tag + 1
-			m.inlineCond.Broadcast()
+		// Wake the loop only for the barrier it is parked on: a barrier
+		// that ended an idle wait would turn the idle pace into barrier
+		// ping-pong.
+		m.sendMu.Lock()
+		m.queues.barrierHi[src] = max(m.queues.barrierHi[src], tag+1)
+		if src == m.waitSrc && tag >= m.waitTag {
+			m.waitSrc = -1
+			m.wake()
 		}
-		m.inlineMu.Unlock()
+		m.sendMu.Unlock()
 	}
 }
 
@@ -304,23 +327,27 @@ func (m *Mux) Ping(dst int, timeout time.Duration) bool {
 // while the aborted query unwinds. The cluster's failure detector calls
 // this on every survivor after fencing the failed server.
 func (m *Mux) PeerDown(src int) {
-	m.inlineMu.Lock()
-	m.deadPeers[src] = struct{}{}
-	m.inlineCond.Broadcast()
-	m.inlineMu.Unlock()
+	m.sendMu.Lock()
+	m.queues.down[src] = true
+	m.sendMu.Unlock()
+	m.wake()
 }
 
-// Freeze models a SIGSTOPped server process: the network goroutine parks
-// (nothing is sent, barriers are never answered) and liveness probes go
-// unanswered, while the simulated NIC keeps acknowledging inbound traffic
-// — exactly what peers of a frozen process observe. Freeze(false) resumes.
+// Freeze models a SIGSTOPped server process: the network loop posts
+// nothing (no message is sent, barriers are never answered) and liveness
+// probes go unanswered, while the simulated NIC keeps acknowledging
+// inbound traffic — exactly what peers of a frozen process observe.
+// Freeze(false) resumes.
 func (m *Mux) Freeze(on bool) {
 	m.frozen.Store(on)
-	if !on {
-		select {
-		case m.wakeCh <- struct{}{}:
-		default:
-		}
+	m.wake()
+}
+
+// wake pokes the network loop.
+func (m *Mux) wake() {
+	select {
+	case m.wakeCh <- struct{}{}:
+	default:
 	}
 }
 
@@ -334,13 +361,17 @@ func (m *Mux) Start() {
 	go m.networkLoop()
 }
 
-// Close stops the network goroutine. Traffic should be quiesced first.
+// Close stops the network goroutine. Traffic should be quiesced first:
+// what the FIFOs still hold once the loop has exited is released, once per
+// reference, so a broadcast's retains stay balanced, and a Send that
+// comes later, or that waits on a full FIFO, releases its message.
 func (m *Mux) Close() {
-	if m.stopped.CompareAndSwap(false, true) {
+	m.sendMu.Lock()
+	first := !m.stopped.Swap(true)
+	m.room.Broadcast()
+	m.sendMu.Unlock()
+	if first {
 		close(m.stopCh)
-		m.inlineMu.Lock()
-		m.inlineCond.Broadcast()
-		m.inlineMu.Unlock()
 		m.mu.Lock()
 		exs := make([]*ExchangeRecv, 0, len(m.exchanges))
 		for _, ex := range m.exchanges {
@@ -352,6 +383,14 @@ func (m *Mux) Close() {
 		}
 	}
 	m.wg.Wait()
+	m.sendMu.Lock()
+	for d, q := range m.queues.fifo {
+		for _, e := range q {
+			e.msg.Release()
+		}
+		m.queues.fifo[d] = nil
+	}
+	m.sendMu.Unlock()
 }
 
 // Stats returns a snapshot of the counters.
@@ -394,41 +433,34 @@ func (m *Mux) Send(dst int, msg *memory.Message) {
 		m.route(msg, true)
 		return
 	}
-	if m.stopped.Load() {
-		msg.Release()
-		return
-	}
-	key := streamOf(msg)
-	m.streamMu.Lock()
-	if m.outstanding[dst][key] == 0 && msg.WireSize() <= m.bdp && !m.frozen.Load() {
-		m.streamMu.Unlock()
+	e := entry{msg: msg, stream: ExchangeKey{Query: msg.QueryID, Exchange: msg.ExchangeID}}
+	q := &m.queues.fifo[dst]
+	m.sendMu.Lock()
+	queued := slices.ContainsFunc(*q, func(o entry) bool { return o.stream == e.stream })
+	if !queued && msg.WireSize() <= m.bdp && !m.frozen.Load() && !m.stopped.Load() {
+		m.sendMu.Unlock()
 		m.expressMsgs.Add(1)
 		m.transportSend(dst, msg)
 		return
 	}
-	m.outstanding[dst][key]++
-	m.streamMu.Unlock()
-	// Fast path: queue has room. Otherwise time the blocking wait — that
-	// stall is backpressure from the simulated link and one of the
-	// quantities the paper says dominates distributed runtime.
-	select {
-	case m.sendQ[dst] <- msg:
-	default:
+	if len(*q) == sendQueue && !m.stopped.Load() {
+		// Time the wait for room: that stall is backpressure from the
+		// simulated link and one of the quantities the paper says
+		// dominates distributed runtime.
 		t0 := time.Now()
-		select {
-		case m.sendQ[dst] <- msg:
-			mSendStallNanos.AddDuration(time.Since(t0))
-		case <-m.stopCh:
-			mSendStallNanos.AddDuration(time.Since(t0))
-			m.handed(dst, key)
-			msg.Release()
-			return
+		for len(*q) == sendQueue && !m.stopped.Load() {
+			m.room.Wait()
 		}
+		mSendStallNanos.AddDuration(time.Since(t0))
 	}
-	select {
-	case m.wakeCh <- struct{}{}:
-	default:
+	if m.stopped.Load() {
+		m.sendMu.Unlock()
+		msg.Release()
+		return
 	}
+	*q = append(*q, e)
+	m.sendMu.Unlock()
+	m.wake()
 }
 
 // route hands a message to its exchange's receive queues, buffering it if
@@ -500,194 +532,58 @@ func (m *Mux) drop(msg *memory.Message) {
 	msg.Release()
 }
 
-// networkLoop is the dedicated network goroutine.
+// networkLoop is the dedicated network goroutine. It steps the schedule
+// under sendMu and does what the step asks outside it: posts FIFO heads
+// or a barrier to the transport, or blocks in its one select until a
+// Send, the awaited barrier, PeerDown, Freeze(false) or Close wakes it,
+// or, after a round that moved nothing, the idle pace runs out. Posted
+// messages leave their FIFO only after Transport.Send returned for them.
 func (m *Mux) networkLoop() {
 	defer m.wg.Done()
-	if m.cfg.Servers == 1 {
-		// Single server: nothing to do; local sends short-circuit.
-		<-m.stopCh
-		return
-	}
-	if m.cfg.Scheduling {
-		m.scheduledLoop()
-	} else {
-		m.eagerLoop()
-	}
-}
-
-// eagerLoop drains all destination queues as fast as possible —
-// uncoordinated all-to-all (the contention-prone baseline). The drain
-// order is randomized per round: deterministic order would make all
-// multiplexers pick the same target simultaneously, which is a stronger
-// adversary than the uncoordinated traffic the paper compares against.
-func (m *Mux) eagerLoop() {
-	n := m.cfg.Servers
-	rng := uint64(m.cfg.Server)*0x9e3779b97f4a7c15 + 1
 	idle := time.NewTimer(idleSleep)
 	defer idle.Stop()
-	for {
-		if m.parkWhileFrozen(idle) {
-			return
-		}
-		moved := false
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		off := int(rng % uint64(n))
-		for k := 0; k < n; k++ {
-			d := (k + off) % n
-			if d == m.cfg.Server {
-				continue
+	m.sendMu.Lock()
+	for !m.stopped.Load() {
+		act := m.loop.Step(&m.queues, m.frozen.Load())
+		switch act.Kind {
+		case sched.Post:
+			// Only this goroutine takes entries off a FIFO, so the posted
+			// ones stay put while Sends append behind them.
+			posted := m.queues.fifo[act.Peer][:act.N]
+			m.sendMu.Unlock()
+			for _, e := range posted {
+				m.transportSend(act.Peer, e.msg)
 			}
-			select {
-			case msg := <-m.sendQ[d]:
-				m.sendQueued(d, msg)
-				moved = true
-			default:
-			}
-		}
-		if !moved {
-			idle.Reset(idleSleep)
-			select {
-			case <-m.stopCh:
-				return
-			case <-m.wakeCh:
-			case <-idle.C:
-			}
-		} else {
-			select {
-			case <-m.stopCh:
-				return
-			default:
-			}
-		}
-	}
-}
-
-// scheduledLoop follows the round-robin schedule: per phase, send up to
-// BatchPerPhase messages to the single target, then barrier with the
-// single source via inline messages.
-func (m *Mux) scheduledLoop() {
-	phases := m.schedule.Phases()
-	var seq uint32
-	idle := time.NewTimer(idleSleep)
-	defer idle.Stop()
-	for {
-		if m.parkWhileFrozen(idle) {
-			return
-		}
-		roundMoved := false
-		for k := 0; k < phases; k++ {
-			target := m.schedule.Target(m.cfg.Server, k)
-			source := m.schedule.Source(m.cfg.Server, k)
-			sent := 0
-		drain:
-			for sent < BatchPerPhase {
-				select {
-				case msg := <-m.sendQ[target]:
-					m.sendQueued(target, msg)
-					sent++
-				case <-m.stopCh:
-					return
-				default:
-					break drain // nothing queued for this target right now
-				}
-			}
-			if sent > 0 {
-				roundMoved = true
-			}
-			// Barrier: tell the target this phase is over; wait for the
-			// matching signal from the source.
-			m.transport.SendInline(target, seq)
+			m.sendMu.Lock()
+			m.queues.fifo[act.Peer] = slices.Delete(m.queues.fifo[act.Peer], 0, act.N)
+			m.room.Broadcast()
+		case sched.Barrier:
+			m.sendMu.Unlock()
+			m.transport.SendInline(act.Peer, act.Tag)
 			m.barriers.Add(1)
-			if !m.waitInline(source, seq) {
-				return // shutting down
+			m.sendMu.Lock()
+		default: // Wait, Idle
+			m.waitSrc, m.waitTag = act.Peer, act.Tag
+			m.sendMu.Unlock()
+			var pace <-chan time.Time
+			if act.Kind == sched.Idle {
+				idle.Reset(idleSleep)
+				pace = idle.C
 			}
-			seq++
-		}
-		if !roundMoved {
-			idle.Reset(idleSleep)
 			select {
 			case <-m.stopCh:
-				return
 			case <-m.wakeCh:
-			case <-idle.C:
+			case <-pace:
 			}
+			m.sendMu.Lock()
+			m.waitSrc = -1
 		}
 	}
-}
-
-// parkWhileFrozen holds the network loop while the mux is frozen, waiting
-// on the loop's own timer; it reports true when the mux shut down during
-// the freeze.
-func (m *Mux) parkWhileFrozen(idle *time.Timer) bool {
-	for m.frozen.Load() {
-		idle.Reset(time.Millisecond)
-		select {
-		case <-m.stopCh:
-			return true
-		case <-idle.C:
-		}
-	}
-	return false
+	m.sendMu.Unlock()
 }
 
 func (m *Mux) transportSend(dst int, msg *memory.Message) {
 	m.bytesSent.Add(uint64(msg.WireSize()))
 	m.msgsSent.Add(1)
 	m.transport.Send(dst, msg)
-}
-
-// streamOf is the (query, exchange) stream a message belongs to.
-func streamOf(msg *memory.Message) ExchangeKey {
-	return ExchangeKey{Query: msg.QueryID, Exchange: msg.ExchangeID}
-}
-
-// sendQueued gives a message the network loop took off sendQ[dst] to the
-// transport. Only then does its stream count drop, so a later message of
-// the stream cannot go express ahead of it. The key is read first: once
-// sent, the receiver may recycle the buffer.
-func (m *Mux) sendQueued(dst int, msg *memory.Message) {
-	key := streamOf(msg)
-	m.transportSend(dst, msg)
-	m.handed(dst, key)
-}
-
-// handed retires one queued message of stream key to dst.
-func (m *Mux) handed(dst int, key ExchangeKey) {
-	m.streamMu.Lock()
-	if n := m.outstanding[dst][key] - 1; n > 0 {
-		m.outstanding[dst][key] = n
-	} else {
-		delete(m.outstanding[dst], key)
-	}
-	m.streamMu.Unlock()
-}
-
-// barrierHeard reports whether the barrier (src, tag) has arrived: src has
-// sent tag or a later one. A tag older than the highest heard completes
-// nothing new. The caller holds inlineMu.
-func (m *Mux) barrierHeard(src int, tag uint32) bool {
-	return m.barrierHi[src] > tag
-}
-
-// waitInline blocks until the inline sync (src, tag) has been observed.
-// Returns false if the mux is shutting down.
-func (m *Mux) waitInline(src int, tag uint32) bool {
-	m.inlineMu.Lock()
-	defer m.inlineMu.Unlock()
-	for {
-		if m.barrierHeard(src, tag) {
-			return true
-		}
-		if _, down := m.deadPeers[src]; down {
-			// The peer failed: it will never send this barrier. Complete the
-			// phase so the loop keeps serving the surviving servers.
-			return true
-		}
-		if m.stopped.Load() {
-			return false
-		}
-		m.inlineCond.Wait()
-	}
 }

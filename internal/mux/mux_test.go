@@ -456,3 +456,51 @@ func TestClosedExchangeReleases(t *testing.T) {
 		t.Fatalf("%d messages dropped, want the queued one and the late one", dropped)
 	}
 }
+
+// TestPeerDownCompletesParkedBarrier: on a scheduled mesh whose server 2
+// has stopped, servers 0 and 1 park on a barrier from 2; PeerDown(2)
+// wakes them, the phase completes without the barrier, and the schedule
+// carries a queued message to server 1.
+func TestPeerDownCompletesParkedBarrier(t *testing.T) {
+	muxes, stop := testCluster(t, 3, true)
+	defer stop()
+	muxes[2].Close()
+	parkedOn := func(m *Mux, src int) bool {
+		m.sendMu.Lock()
+		defer m.sendMu.Unlock()
+		return m.waitSrc == src
+	}
+	for deadline := time.Now().Add(5 * time.Second); !parkedOn(muxes[0], 2) || !parkedOn(muxes[1], 2); {
+		if time.Now().After(deadline) {
+			t.Fatal("the survivors did not park on a barrier from the stopped server")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	parked := muxes[0].Stats().SyncBarriers
+	for _, m := range muxes[:2] {
+		m.PeerDown(2)
+	}
+	for deadline := time.Now().Add(5 * time.Second); muxes[0].Stats().SyncBarriers == parked; {
+		if time.Now().After(deadline) {
+			t.Fatal("PeerDown did not wake the parked loop")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	recv := muxes[1].OpenExchange(0, 4, 1)
+	msg := memory.NewPool(numa.TwoSocket(), numa.AllocLocal, 8192, nil).Get(0)
+	msg.ExchangeID, msg.Sender, msg.Last = 4, 0, true
+	msg.Content = msg.Content[:muxes[0].bdp+1] // too large for express: queued
+	muxes[0].Send(1, msg)
+	got := make(chan *memory.Message, 1)
+	go func() { got <- recv.Recv(0) }()
+	select {
+	case r := <-got:
+		if r == nil || !r.Last {
+			t.Fatalf("server 1 received %v, want the queued message", r)
+		}
+		r.Release()
+	case <-time.After(5 * time.Second):
+		t.Fatal("the queued message did not arrive after PeerDown")
+	}
+}

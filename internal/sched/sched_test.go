@@ -139,3 +139,189 @@ func TestNewRejectsBadSize(t *testing.T) {
 		t.Fatal("New(-3) should fail")
 	}
 }
+
+// queues is a multiplexer's send side as a step reads it: FIFO lengths,
+// the highest barrier tag heard per source (plus one) and the failed
+// servers.
+type queues struct {
+	queued []int
+	hi     []uint32
+	down   []bool
+}
+
+func newQueues(n, each int) *queues {
+	q := &queues{queued: make([]int, n), hi: make([]uint32, n), down: make([]bool, n)}
+	for d := range q.queued {
+		q.queued[d] = each
+	}
+	return q
+}
+
+func (q *queues) Queued(dst int) int              { return q.queued[dst] }
+func (q *queues) Synced(src int, tag uint32) bool { return q.hi[src] > tag || q.down[src] }
+
+// step steps l and, as the multiplexer does, takes a Post's messages off
+// the FIFO.
+func (q *queues) step(l *Loop, frozen bool) Action {
+	a := l.Step(q, frozen)
+	if a.Kind == Post {
+		q.queued[a.Peer] -= a.N
+	}
+	return a
+}
+
+// TestLoopScheduledPhases walks the scheduled step over three rounds for
+// every server of meshes of 2 to 6 while workers keep queuing: each phase
+// posts batch messages, no more, all to the phase's target, including
+// ones queued after its first post, then one barrier tagged with the
+// phase's number; it waits
+// until the phase's source sent that tag or a later one, and neither a
+// stale tag nor another server's tag ends the wait.
+func TestLoopScheduledPhases(t *testing.T) {
+	const batch = 8
+	for n := 2; n <= 6; n++ {
+		s, _ := New(n)
+		for self := 0; self < n; self++ {
+			q := newQueues(n, 5)
+			l := s.Loop(self, batch, false)
+			for seq := uint32(0); seq < uint32(3*s.Phases()); seq++ {
+				k := int(seq) % s.Phases()
+				target, source := s.Target(self, k), s.Source(self, k)
+				posted := 0
+				a := q.step(l, false)
+				for ; a.Kind == Post; a = q.step(l, false) {
+					if a.Peer != target || a.N < 1 {
+						t.Fatalf("n=%d self=%d phase %d: %+v, want posts to %d", n, self, seq, a, target)
+					}
+					posted += a.N
+					q.queued[target] += 5 // a worker queues more meanwhile
+				}
+				if posted != batch {
+					t.Fatalf("n=%d self=%d phase %d: posted %d, want %d", n, self, seq, posted, batch)
+				}
+				if want := (Action{Kind: Barrier, Peer: target, Tag: seq}); a != want {
+					t.Fatalf("n=%d self=%d phase %d: %+v, want %+v", n, self, seq, a, want)
+				}
+				wait := Action{Kind: Wait, Peer: source, Tag: seq}
+				if a := q.step(l, false); a != wait {
+					t.Fatalf("n=%d self=%d phase %d: %+v, want %+v", n, self, seq, a, wait)
+				}
+				heard := append([]uint32(nil), q.hi...)
+				q.hi[source] = seq // tags up to seq-1: stale
+				for other := range q.hi {
+					if other != source {
+						q.hi[other] = seq + 5
+					}
+				}
+				if a := q.step(l, false); a != wait {
+					t.Fatalf("n=%d self=%d phase %d: stale or foreign tags gave %+v", n, self, seq, a)
+				}
+				q.hi = heard
+				q.hi[source] = seq + 1
+			}
+		}
+	}
+}
+
+// TestLoopPeerDown: a phase whose source is down completes without its
+// barrier, and the loop goes on posting to the next phase's target.
+func TestLoopPeerDown(t *testing.T) {
+	s, _ := New(3)
+	q := newQueues(3, 1)
+	l := s.Loop(0, 8, false)
+	q.step(l, false) // post to 1
+	q.step(l, false) // barrier 0 to 1
+	if a := q.step(l, false); a != (Action{Kind: Wait, Peer: 2, Tag: 0}) {
+		t.Fatalf("got %+v, want a wait for source 2", a)
+	}
+	q.down[2] = true
+	if a := q.step(l, false); a != (Action{Kind: Post, Peer: 2, N: 1}) {
+		t.Fatalf("after source 2 went down: %+v, want the next phase's post to 2", a)
+	}
+}
+
+// TestLoopFrozenPostsNothing: a frozen loop waits, for no barrier,
+// whatever is queued or heard, and a thawed one resumes where it was.
+func TestLoopFrozenPostsNothing(t *testing.T) {
+	s, _ := New(4)
+	for _, eager := range []bool{false, true} {
+		q := newQueues(4, 3)
+		l := s.Loop(1, 8, eager)
+		for range 5 {
+			if a := q.step(l, true); a != (Action{Kind: Wait, Peer: -1}) {
+				t.Fatalf("eager=%v: frozen loop gave %+v", eager, a)
+			}
+		}
+		if a := q.step(l, false); a.Kind != Post {
+			t.Fatalf("eager=%v: thawed loop gave %+v, want a post", eager, a)
+		}
+	}
+	one, _ := New(1)
+	if a := one.Loop(0, 8, false).Step(newQueues(1, 0), false); a != (Action{Kind: Wait, Peer: -1}) {
+		t.Fatalf("a single server's loop gave %+v, want a wait", a)
+	}
+}
+
+// TestLoopIdleRound: a round that moved nothing posts every phase's
+// barrier and ends in Idle; a round that moved data goes straight on.
+func TestLoopIdleRound(t *testing.T) {
+	s, _ := New(4)
+	q := newQueues(4, 0)
+	q.queued[2] = 1
+	l := s.Loop(0, 8, false)
+	var kinds []Kind
+	for range 3 * s.Phases() {
+		for {
+			a := q.step(l, false)
+			kinds = append(kinds, a.Kind)
+			if a.Kind == Wait {
+				q.hi[a.Peer] = a.Tag + 1
+			}
+			if a.Kind == Wait || a.Kind == Idle {
+				break
+			}
+		}
+	}
+	// Round 1 moves the message to 2 (phase 1); round 2 moves nothing.
+	want := []Kind{Barrier, Wait, Post, Barrier, Wait, Barrier, Wait,
+		Barrier, Wait, Barrier, Wait, Barrier, Wait, Idle}
+	if len(kinds) < len(want) || !equalKinds(kinds[:len(want)], want) {
+		t.Fatalf("actions %v, want %v", kinds, want)
+	}
+}
+
+func equalKinds(a, b []Kind) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// TestLoopEagerPasses: the eager branch posts one message at a time and
+// visits every other destination exactly once per pass; a pass that
+// finds nothing queued ends in Idle.
+func TestLoopEagerPasses(t *testing.T) {
+	for n := 2; n <= 6; n++ {
+		s, _ := New(n)
+		for self := 0; self < n; self++ {
+			q := newQueues(n, 3)
+			q.queued[self] = 0
+			l := s.Loop(self, 8, true)
+			for pass := 0; pass < 3; pass++ {
+				seen := make(map[int]bool)
+				for range n - 1 {
+					a := q.step(l, false)
+					if a.Kind != Post || a.N != 1 || a.Peer == self || seen[a.Peer] {
+						t.Fatalf("n=%d self=%d pass %d: %+v after %v", n, self, pass, a, seen)
+					}
+					seen[a.Peer] = true
+				}
+			}
+			if a := q.step(l, false); a != (Action{Kind: Idle, Peer: -1}) {
+				t.Fatalf("n=%d self=%d: drained loop gave %+v, want Idle", n, self, a)
+			}
+		}
+	}
+}
