@@ -149,13 +149,18 @@ func figure10b(w io.Writer, _ Args) error {
 		Title:  "Figure 10(b): all-to-all vs round-robin scheduling",
 		Header: []string{"servers", "all-to-all GB/s", "round-robin GB/s", "improvement"},
 	}
+	modes := []bool{false, true} // unscheduled, scheduled
 	for _, n := range []int{2, 4, 6, 8} {
 		pools := newCellPools(n, memory.DefaultMessageSize)
-		var thr [2]float64 // unscheduled, scheduled
-		for i, sched := range []bool{false, true} {
-			// Average several trials: contention patterns vary run to run.
-			const trials = 3
-			for t := 0; t < trials; t++ {
+		if err := pools.warm(240, modes...); err != nil {
+			return err
+		}
+		// Average several trials, alternating the modes so both see the
+		// same pool state: contention patterns vary run to run.
+		const trials = 3
+		var thr [2]float64
+		for t := 0; t < trials; t++ {
+			for i, sched := range modes {
 				one, err := allToAll(pools, 240, figure10TimeScale, sched)
 				if err != nil {
 					return err
@@ -180,7 +185,11 @@ func figure10c(w io.Writer, _ Args) error {
 		Header: []string{"message size", "GB/s"},
 	}
 	for _, size := range []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 512 << 10, 2 << 20} {
-		thr, err := allToAll(newCellPools(servers, size), max(totalBytes/size, 8), figure10TimeScale, true)
+		pools, msgs := newCellPools(servers, size), max(totalBytes/size, 8)
+		if err := pools.warm(msgs, true); err != nil {
+			return err
+		}
+		thr, err := allToAll(pools, msgs, figure10TimeScale, true)
 		if err != nil {
 			return err
 		}
@@ -192,8 +201,9 @@ func figure10c(w io.Writer, _ Args) error {
 
 // cellPools are one figure cell's message pools: per server, one its
 // multiplexer posts receive buffers from and one its producer fills. A
-// cell builds them once and every run of the cell reuses them, so a run
-// recycles buffers instead of clearing fresh ones.
+// cell builds them once, warms them, and every timed run of the cell
+// reuses them, so a timed run recycles buffers instead of clearing fresh
+// ones.
 type cellPools struct {
 	recv, send []*memory.Pool
 }
@@ -205,6 +215,17 @@ func newCellPools(servers, msgSize int) cellPools {
 		c.send[i] = memory.NewPool(numa.TwoSocket(), numa.AllocLocal, msgSize, nil)
 	}
 	return c
+}
+
+// warm runs the cell once per mode untimed, so the pools hold the buffers
+// a timed run of either mode takes.
+func (c cellPools) warm(msgsPer int, modes ...bool) error {
+	for _, sched := range modes {
+		if _, err := allToAll(c, msgsPer, figure10TimeScale, sched); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // check reports a buffer a run did not give back.
@@ -224,8 +245,9 @@ func (c cellPools) check() error {
 // multiplexers, one server per pool of the cell: every server sends
 // msgsPer messages filling its pool's buffers, spread round-robin over all
 // other servers, and consumes its inbound stream. Returns the per-server
-// payload throughput in simulated GB/s once every buffer is back.
-func allToAll(pools cellPools, msgsPer int, timeScale float64, scheduling bool) (float64, error) {
+// payload throughput in simulated GB/s, or an error if a buffer did not
+// come back.
+func allToAll(pools cellPools, msgsPer int, timeScale float64, scheduling bool) (perServer float64, err error) {
 	servers, msgSize := len(pools.recv), pools.recv[0].MessageSize()
 	fab, err := fabric.New(fabric.Config{
 		Ports:     servers,
@@ -261,6 +283,16 @@ func allToAll(pools cellPools, msgsPer int, timeScale float64, scheduling bool) 
 	for _, m := range muxes {
 		m.Start()
 	}
+	defer func() {
+		for i, m := range muxes {
+			m.Close()
+			endpoints[i].Close()
+		}
+		fab.Stop()
+		if err == nil {
+			err = pools.check()
+		}
+	}()
 
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -306,12 +338,6 @@ func allToAll(pools cellPools, msgsPer int, timeScale float64, scheduling bool) 
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	for i, m := range muxes {
-		m.Close()
-		endpoints[i].Close()
-	}
-	fab.Stop()
 	simSeconds := wall.Seconds() / timeScale
-	perServer := float64(msgsPer) * float64(msgSize) / simSeconds / 1e9
-	return perServer, pools.check()
+	return float64(msgsPer) * float64(msgSize) / simSeconds / 1e9, nil
 }
