@@ -124,12 +124,12 @@ type Mux struct {
 	// sendMu guards the send side for workers (Send), the network
 	// goroutine and delivery goroutines (OnInline). Nothing blocks under
 	// it but a Send waiting for room in a full FIFO.
-	sendMu  sync.Mutex
-	room    *sync.Cond // a FIFO entry left, or the multiplexer stopped
-	queues  queues
-	loop    *sched.Loop
-	waitSrc int    // the source whose barrier the parked loop waits for, or −1
-	waitTag uint32 // and the tag it waits for
+	sendMu sync.Mutex
+	room   *sync.Cond // a FIFO entry left, or the multiplexer stopped
+	queues queues
+	loop   *sched.Loop
+	parked bool         // the loop is blocked in its select on wait
+	wait   sched.Action // what it waits for: Idle, or Wait on source Peer's barrier (−1: on none)
 
 	mu         sync.Mutex
 	exchanges  map[ExchangeKey]*ExchangeRecv
@@ -205,7 +205,6 @@ func New(cfg Config) (*Mux, error) {
 			down:      make([]bool, cfg.Servers),
 		},
 		loop:      sc.Loop(cfg.Server, BatchPerPhase, !cfg.Scheduling),
-		waitSrc:   -1,
 		exchanges: make(map[ExchangeKey]*ExchangeRecv),
 		pending:   make(map[ExchangeKey][]*memory.Message),
 		closed:    make(map[int32]struct{}),
@@ -262,9 +261,8 @@ func (m *Mux) OnInline(src int, tag uint32) {
 		// ping-pong.
 		m.sendMu.Lock()
 		m.queues.barrierHi[src] = max(m.queues.barrierHi[src], tag+1)
-		if src == m.waitSrc && tag >= m.waitTag {
-			m.waitSrc = -1
-			m.wake()
+		if m.wait.Kind == sched.Wait && src == m.wait.Peer && tag >= m.wait.Tag {
+			m.wakeLocked()
 		}
 		m.sendMu.Unlock()
 	}
@@ -329,8 +327,8 @@ func (m *Mux) Ping(dst int, timeout time.Duration) bool {
 func (m *Mux) PeerDown(src int) {
 	m.sendMu.Lock()
 	m.queues.down[src] = true
+	m.wakeLocked()
 	m.sendMu.Unlock()
-	m.wake()
 }
 
 // Freeze models a SIGSTOPped server process: the network loop posts
@@ -339,15 +337,22 @@ func (m *Mux) PeerDown(src int) {
 // inbound traffic — exactly what peers of a frozen process observe.
 // Freeze(false) resumes.
 func (m *Mux) Freeze(on bool) {
+	m.sendMu.Lock()
 	m.frozen.Store(on)
-	m.wake()
+	m.wakeLocked()
+	m.sendMu.Unlock()
 }
 
-// wake pokes the network loop.
-func (m *Mux) wake() {
-	select {
-	case m.wakeCh <- struct{}{}:
-	default:
+// wakeLocked wakes the network loop if it is parked, under sendMu. The
+// loop empties wakeCh under sendMu each time it leaves its select, so a
+// wake is sent at most once per park and never outlives it.
+func (m *Mux) wakeLocked() {
+	if m.parked {
+		m.parked = false
+		select {
+		case m.wakeCh <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -459,8 +464,12 @@ func (m *Mux) Send(dst int, msg *memory.Message) {
 		return
 	}
 	*q = append(*q, e)
+	if m.wait.Kind == sched.Idle {
+		// Parked on a barrier or frozen, the loop would step to the same
+		// wait; running, it steps over this entry anyway.
+		m.wakeLocked()
+	}
 	m.sendMu.Unlock()
-	m.wake()
 }
 
 // route hands a message to its exchange's receive queues, buffering it if
@@ -534,10 +543,11 @@ func (m *Mux) drop(msg *memory.Message) {
 
 // networkLoop is the dedicated network goroutine. It steps the schedule
 // under sendMu and does what the step asks outside it: posts FIFO heads
-// or a barrier to the transport, or blocks in its one select until a
-// Send, the awaited barrier, PeerDown, Freeze(false) or Close wakes it,
-// or, after a round that moved nothing, the idle pace runs out. Posted
-// messages leave their FIFO only after Transport.Send returned for them.
+// or a barrier to the transport, or blocks in its one select until the
+// awaited barrier, a Send during an idle wait, PeerDown, Freeze or Close
+// wakes it, or, after a round that moved nothing, the idle pace runs out.
+// Posted messages leave their FIFO only after Transport.Send returned for
+// them.
 func (m *Mux) networkLoop() {
 	defer m.wg.Done()
 	idle := time.NewTimer(idleSleep)
@@ -563,7 +573,7 @@ func (m *Mux) networkLoop() {
 			m.barriers.Add(1)
 			m.sendMu.Lock()
 		default: // Wait, Idle
-			m.waitSrc, m.waitTag = act.Peer, act.Tag
+			m.parked, m.wait = true, act
 			m.sendMu.Unlock()
 			var pace <-chan time.Time
 			if act.Kind == sched.Idle {
@@ -576,7 +586,11 @@ func (m *Mux) networkLoop() {
 			case <-pace:
 			}
 			m.sendMu.Lock()
-			m.waitSrc = -1
+			m.parked = false
+			select { // a wake that raced the idle pace or a stop
+			case <-m.wakeCh:
+			default:
+			}
 		}
 	}
 	m.sendMu.Unlock()

@@ -10,6 +10,7 @@ import (
 	"hsqp/internal/memory"
 	"hsqp/internal/nic"
 	"hsqp/internal/numa"
+	"hsqp/internal/sched"
 )
 
 // testCluster wires n muxes over a fast fabric with RDMA endpoints.
@@ -458,9 +459,10 @@ func TestClosedExchangeReleases(t *testing.T) {
 }
 
 // TestPeerDownCompletesParkedBarrier: on a scheduled mesh whose server 2
-// has stopped, servers 0 and 1 park on a barrier from 2; PeerDown(2)
-// wakes them, the phase completes without the barrier, and the schedule
-// carries a queued message to server 1.
+// has stopped, servers 0 and 1 park on a barrier from 2. A message queued
+// for server 1 leaves server 0's loop parked (it cannot change the wait);
+// PeerDown(2) wakes it, the phase completes without the barrier, and the
+// schedule carries the message to server 1.
 func TestPeerDownCompletesParkedBarrier(t *testing.T) {
 	muxes, stop := testCluster(t, 3, true)
 	defer stop()
@@ -468,21 +470,11 @@ func TestPeerDownCompletesParkedBarrier(t *testing.T) {
 	parkedOn := func(m *Mux, src int) bool {
 		m.sendMu.Lock()
 		defer m.sendMu.Unlock()
-		return m.waitSrc == src
+		return m.parked && m.wait.Kind == sched.Wait && m.wait.Peer == src
 	}
 	for deadline := time.Now().Add(5 * time.Second); !parkedOn(muxes[0], 2) || !parkedOn(muxes[1], 2); {
 		if time.Now().After(deadline) {
 			t.Fatal("the survivors did not park on a barrier from the stopped server")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	parked := muxes[0].Stats().SyncBarriers
-	for _, m := range muxes[:2] {
-		m.PeerDown(2)
-	}
-	for deadline := time.Now().Add(5 * time.Second); muxes[0].Stats().SyncBarriers == parked; {
-		if time.Now().After(deadline) {
-			t.Fatal("PeerDown did not wake the parked loop")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -492,6 +484,13 @@ func TestPeerDownCompletesParkedBarrier(t *testing.T) {
 	msg.ExchangeID, msg.Sender, msg.Last = 4, 0, true
 	msg.Content = msg.Content[:muxes[0].bdp+1] // too large for express: queued
 	muxes[0].Send(1, msg)
+	if !parkedOn(muxes[0], 2) {
+		t.Fatal("a Send woke a loop parked on a barrier")
+	}
+
+	for _, m := range muxes[:2] {
+		m.PeerDown(2)
+	}
 	got := make(chan *memory.Message, 1)
 	go func() { got <- recv.Recv(0) }()
 	select {
