@@ -33,6 +33,7 @@ package mux
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -261,9 +262,7 @@ func (m *Mux) OnInline(src int, tag uint32) {
 		// ping-pong.
 		m.sendMu.Lock()
 		m.queues.barrierHi[src] = max(m.queues.barrierHi[src], tag+1)
-		if m.wait.Kind == sched.Wait && src == m.wait.Peer && tag >= m.wait.Tag {
-			m.wakeLocked()
-		}
+		m.wakeLocked(m.wait.Kind == sched.Wait && src == m.wait.Peer && tag >= m.wait.Tag)
 		m.sendMu.Unlock()
 	}
 }
@@ -327,7 +326,7 @@ func (m *Mux) Ping(dst int, timeout time.Duration) bool {
 func (m *Mux) PeerDown(src int) {
 	m.sendMu.Lock()
 	m.queues.down[src] = true
-	m.wakeLocked()
+	m.wakeLocked(true)
 	m.sendMu.Unlock()
 }
 
@@ -339,15 +338,16 @@ func (m *Mux) PeerDown(src int) {
 func (m *Mux) Freeze(on bool) {
 	m.sendMu.Lock()
 	m.frozen.Store(on)
-	m.wakeLocked()
+	m.wakeLocked(true)
 	m.sendMu.Unlock()
 }
 
-// wakeLocked wakes the network loop if it is parked, under sendMu. The
-// loop empties wakeCh under sendMu each time it leaves its select, so a
-// wake is sent at most once per park and never outlives it.
-func (m *Mux) wakeLocked() {
-	if m.parked {
+// wakeLocked wakes the network loop, under sendMu, if it is parked and
+// ends says the event ends its wait. The loop empties wakeCh under sendMu
+// each time it leaves its select, so a wake is sent at most once per park
+// and never outlives it.
+func (m *Mux) wakeLocked(ends bool) {
+	if m.parked && ends {
 		m.parked = false
 		select {
 		case m.wakeCh <- struct{}{}:
@@ -378,10 +378,7 @@ func (m *Mux) Close() {
 	if first {
 		close(m.stopCh)
 		m.mu.Lock()
-		exs := make([]*ExchangeRecv, 0, len(m.exchanges))
-		for _, ex := range m.exchanges {
-			exs = append(exs, ex)
-		}
+		exs := slices.Collect(maps.Values(m.exchanges))
 		m.mu.Unlock()
 		for _, ex := range exs {
 			ex.Wake()
@@ -464,11 +461,8 @@ func (m *Mux) Send(dst int, msg *memory.Message) {
 		return
 	}
 	*q = append(*q, e)
-	if m.wait.Kind == sched.Idle {
-		// Parked on a barrier or frozen, the loop would step to the same
-		// wait; running, it steps over this entry anyway.
-		m.wakeLocked()
-	}
+	// Parked on a barrier or frozen, the loop would step to the same wait.
+	m.wakeLocked(m.wait.Kind == sched.Idle)
 	m.sendMu.Unlock()
 }
 

@@ -23,9 +23,8 @@ import (
 // queued message has been consumed, the exchange is drained and Recv
 // returns nil on every lane.
 type ExchangeRecv struct {
-	mux     *Mux
-	queryID int32
-	exID    int32
+	mux  *Mux
+	exID int32
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -68,7 +67,6 @@ func (m *Mux) open(queryID, exID int32, lanes, lastMarkers int, steal bool) *Exc
 	}
 	ex := &ExchangeRecv{
 		mux:       m,
-		queryID:   queryID,
 		exID:      exID,
 		lanes:     make([][]*memory.Message, lanes),
 		steal:     steal,
@@ -91,9 +89,6 @@ func (m *Mux) open(queryID, exID int32, lanes, lastMarkers int, steal bool) *Exc
 	}
 	return ex
 }
-
-// QueryID returns the id of the query the exchange belongs to.
-func (ex *ExchangeRecv) QueryID() int32 { return ex.queryID }
 
 // ExID returns the logical exchange operator id (unique within its query).
 func (ex *ExchangeRecv) ExID() int32 { return ex.exID }
