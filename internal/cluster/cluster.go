@@ -148,7 +148,6 @@ type Cluster struct {
 	// therefore waits for in-flight attempts to drain — an aborted attempt
 	// releases quickly — and no attempt ever observes a half-rebuilt mesh.
 	memMu sync.RWMutex
-	fab   *fabric.Fabric
 	Nodes []*Node
 	// catalog retains every loaded table's source batch and placement spec.
 	// It stands in for the replicated storage layer: with replica factor
@@ -158,9 +157,10 @@ type Cluster struct {
 	// reassemble.
 	catalog map[string]*tableSpec
 
-	// fabPtr/nodesPtr mirror fab/Nodes for lock-free readers (KillServer
-	// and friends run inside a query attempt that already holds the read
-	// lock, so they must not touch memMu themselves).
+	// fabPtr is the current mesh's fabric and nodesPtr mirrors Nodes, for
+	// lock-free readers (KillServer and friends run inside a query attempt
+	// that already holds the read lock, so they must not touch memMu
+	// themselves).
 	fabPtr   atomic.Pointer[fabric.Fabric]
 	nodesPtr atomic.Pointer[[]*Node]
 	// det is the current mesh's failure detector (nil for a single server,
@@ -216,8 +216,8 @@ func New(cfg Config) (*Cluster, error) {
 			n.Engine.Close()
 		}
 	}
-	for id := 0; id < cfg.Servers; id++ {
-		node, err := c.newNodeShell(id)
+	for range cfg.Servers {
+		node, err := c.newNodeShell()
 		if err != nil {
 			closeShells()
 			return nil, err
@@ -235,9 +235,9 @@ func New(cfg Config) (*Cluster, error) {
 
 // newNodeShell builds the durable half of a server — NUMA topology,
 // registered message pool and worker-pool engine — which survives
-// membership rebuilds. The network half (mux + endpoint) is attached by
-// wireMesh.
-func (c *Cluster) newNodeShell(id int) (*Node, error) {
+// membership rebuilds. The network half (mux + endpoint) and the server id
+// are attached by wireMesh.
+func (c *Cluster) newNodeShell() (*Node, error) {
 	topo := c.cfg.Topology
 	scale := c.cfg.TimeScale
 	pool := memory.NewPool(topo, c.cfg.AllocPolicy, c.cfg.MessageSize, func() {
@@ -251,7 +251,7 @@ func (c *Cluster) newNodeShell(id int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	node := &Node{ID: id, Topo: topo, Pool: pool, Engine: eng, tables: map[string]plan.TableInfo{}}
+	node := &Node{Topo: topo, Pool: pool, Engine: eng, tables: map[string]plan.TableInfo{}}
 	node.alive.Store(true)
 	return node, nil
 }
@@ -298,7 +298,6 @@ func (c *Cluster) wireMesh(nodes []*Node) error {
 		node.Mux = m
 		node.transport = tr
 	}
-	c.fab = fab
 	c.Nodes = nodes
 	c.cfg.Servers = n
 	c.fabPtr.Store(fab)
@@ -309,7 +308,7 @@ func (c *Cluster) wireMesh(nodes []*Node) error {
 // startMesh starts the current fabric and multiplexers, and the mesh's
 // failure detector.
 func (c *Cluster) startMesh() {
-	c.fab.Start()
+	c.fabPtr.Load().Start()
 	for _, n := range c.Nodes {
 		n.Mux.Start()
 	}
@@ -336,21 +335,29 @@ func (c *Cluster) Servers() int { return len(*c.nodesPtr.Load()) }
 // the fabric; the returned handle keeps reporting the mesh it belonged to.
 func (c *Cluster) Fabric() *fabric.Fabric { return c.fabPtr.Load() }
 
-// Close shuts everything down. It must not race with membership changes
-// (it deliberately takes no membership lock, so that queries hung without
-// a cancel channel are aborted by the engine teardown instead of
-// deadlocking a lock acquisition).
-func (c *Cluster) Close() {
-	if !c.closed.CompareAndSwap(false, true) {
-		return
-	}
+// stopMesh is startMesh's mirror: it stops the detector (and waits for
+// it), then every multiplexer and endpoint, then the fabric. The engines,
+// the durable half of each node, keep running.
+func (c *Cluster) stopMesh() {
 	c.det.Swap(nil).stop()
 	for _, n := range *c.nodesPtr.Load() {
-		n.Engine.Close()
 		n.Mux.Close()
 		n.transport.Close()
 	}
 	c.fabPtr.Load().Stop()
+}
+
+// Close shuts everything down. It must not race with membership changes
+// (it deliberately takes no membership lock, so that hung queries are
+// aborted by the teardown instead of deadlocking a lock acquisition).
+func (c *Cluster) Close() {
+	if !c.closed.CompareAndSwap(false, true) {
+		return
+	}
+	c.stopMesh()
+	for _, n := range *c.nodesPtr.Load() {
+		n.Engine.Close()
+	}
 }
 
 // Epoch identifies the current table-placement generation: it advances on

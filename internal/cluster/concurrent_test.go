@@ -8,9 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"hsqp/internal/engine"
+	"hsqp/internal/fabric"
 	"hsqp/internal/op"
 	"hsqp/internal/plan"
 	"hsqp/internal/queries"
+	"hsqp/internal/sim"
 	"hsqp/internal/storage"
 	"hsqp/internal/tpch"
 )
@@ -168,6 +171,44 @@ func TestPerQueryCancellation(t *testing.T) {
 	got := runGroupByQuery(t, c)
 	if len(got) != 7 {
 		t.Fatalf("post-cancel query broken: %d groups, want 7", len(got))
+	}
+}
+
+// TestCancelledAttemptIsErrCancelled pins the cancellation contract: a
+// query whose context is cancelled, before it starts or mid-run, fails
+// with an error matching engine.ErrCancelled and evicts nobody.
+func TestCancelledAttemptIsErrCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	c, err := New(Config{
+		Servers:          2,
+		WorkersPerServer: 2,
+		TimeScale:        0.01,
+		Rate:             fabric.IB4xQDR,
+		MorselSize:       64,
+		// Cancel once every server's run is launched; the frozen
+		// coordinator below keeps the runs from finishing first.
+		PhaseHook: func(phase sim.QueryPhase) {
+			if phase == sim.PhaseExecuting {
+				cancel()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	c.LoadTable("orders", testOrders(2000), storage.PlacementChunked, 0)
+	c.Nodes[0].Mux.Freeze(true)
+	_, _, err = c.RunContext(ctx, groupByQueryPlan())
+	c.Nodes[0].Mux.Freeze(false)
+	if !errors.Is(err, engine.ErrCancelled) {
+		t.Fatalf("query cancelled mid-run returned %v, want engine.ErrCancelled", err)
+	}
+	if _, _, err := c.RunContext(ctx, groupByQueryPlan()); !errors.Is(err, engine.ErrCancelled) {
+		t.Fatalf("pre-cancelled query returned %v, want engine.ErrCancelled", err)
+	}
+	if c.Servers() != 2 {
+		t.Fatalf("cancellation must not evict servers: %d left", c.Servers())
 	}
 }
 

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -30,17 +32,20 @@ const (
 // an idle link, or an actual fault) is sent an explicit probe, whose echo
 // is just another frame, and only a peer still silent a whole timeout
 // after that probe is declared lost. Query attempts do not probe: they
-// subscribe their abort and are cancelled when the detector trips.
+// attach their abort to tripped with context.AfterFunc.
 type detector struct {
 	nodes    []*Node // the mesh's membership; nodes[0] coordinates and probes
 	interval time.Duration
 	timeout  time.Duration
 	stopCh   chan struct{}
 	done     chan struct{}
+	// tripped is cancelled, with the verdict as its cause, once the
+	// suspects are fenced and every survivor was told they are down.
+	tripped context.Context
+	cancel  context.CancelCauseFunc
 
 	mu       sync.Mutex
-	aborts   map[int32]func() // in-flight attempts by query id; nil once tripped
-	suspects []*Node          // declared lost: dead, frozen or unreachable
+	suspects []*Node // declared lost: dead, frozen or unreachable
 }
 
 func (c *Cluster) newDetector(nodes []*Node) *detector {
@@ -50,8 +55,8 @@ func (c *Cluster) newDetector(nodes []*Node) *detector {
 		timeout:  c.cfg.HeartbeatTimeout,
 		stopCh:   make(chan struct{}),
 		done:     make(chan struct{}),
-		aborts:   map[int32]func(){},
 	}
+	d.tripped, d.cancel = context.WithCancelCause(context.Background())
 	if d.interval <= 0 {
 		d.interval = DefaultHeartbeatInterval
 	}
@@ -71,29 +76,6 @@ func (d *detector) stop() {
 	}
 	close(d.stopCh)
 	<-d.done
-}
-
-// subscribe registers an attempt's abort, to be called if the detector
-// trips while the attempt runs — at once if it already has. The returned
-// func unsubscribes.
-func (d *detector) subscribe(qid int32, abort func()) func() {
-	if d == nil {
-		return func() {}
-	}
-	d.mu.Lock()
-	tripped := d.aborts == nil
-	if !tripped {
-		d.aborts[qid] = abort
-	}
-	d.mu.Unlock()
-	if tripped {
-		abort()
-	}
-	return func() {
-		d.mu.Lock()
-		delete(d.aborts, qid)
-		d.mu.Unlock()
-	}
 }
 
 // verdict returns the servers the detector declared lost and whether they
@@ -160,9 +142,10 @@ func (d *detector) run() {
 	}
 }
 
-// trip declares the given servers lost and aborts every subscribed
-// attempt. The mesh is beyond repair from here — RunContext evicts the
-// lost servers and rebuilds it, with a fresh detector — so run returns.
+// trip declares the given servers lost and, once they are fenced, cancels
+// tripped, which aborts every attempt attached to it. The mesh is beyond
+// repair from here — RunContext evicts the lost servers and rebuilds it,
+// with a fresh detector — so run returns.
 func (d *detector) trip(down []*Node) {
 	mDetectorSuspicions.Add(uint64(len(down)))
 	// Record the verdict before fencing: an attempt that fails because of
@@ -188,11 +171,5 @@ func (d *detector) trip(down []*Node) {
 			}
 		}
 	}
-	d.mu.Lock()
-	aborts := d.aborts
-	d.aborts = nil
-	d.mu.Unlock()
-	for _, abort := range aborts {
-		abort()
-	}
+	d.cancel(fmt.Errorf("cluster: failure detector declared %d server(s) lost", len(down)))
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"hsqp/internal/fabric"
+	"hsqp/internal/storage"
 )
 
 // goroutines counts this module's goroutines by the function each one runs
@@ -63,7 +65,9 @@ func stacks() map[string]int {
 // server one multiplexer network loop, one fabric delivery goroutine (which
 // also runs the endpoint's completions) and the engine's workers; per
 // cluster one switch goroutine and one failure detector. The endpoints
-// start none of their own.
+// start none of their own. A query in flight adds one goroutine per server,
+// its run: the caller, a failing server and the detector abort it through
+// context.AfterFunc, which starts none.
 func TestGoroutineBudget(t *testing.T) {
 	const servers, workers = 3, 2
 	var before map[string]int
@@ -79,18 +83,15 @@ func TestGoroutineBudget(t *testing.T) {
 		Transport:        TCPGbE,
 		TimeScale:        0.01,
 		Rate:             fabric.IB4xQDR,
+		// The frozen coordinator below must not be declared lost.
+		HeartbeatTimeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	got := goroutines()
-	for k, n := range before {
-		if got[k] -= n; got[k] == 0 {
-			delete(got, k)
-		}
-	}
+	got := since(before)
 	want := map[string]int{
 		"hsqp/internal/mux.(*Mux).networkLoop":        servers,
 		"hsqp/internal/fabric.(*Fabric).deliveryPump": servers,
@@ -101,6 +102,45 @@ func TestGoroutineBudget(t *testing.T) {
 	if !maps.Equal(got, want) {
 		t.Fatalf("goroutines started by cluster.New:\n%s\nwant:\n%s", render(got), render(want))
 	}
+
+	// A frozen coordinator sends nothing, so every server's run waits for
+	// its rows until it thaws.
+	c.LoadTable("orders", testOrders(2000), storage.PlacementChunked, 0)
+	mesh := goroutines()
+	c.Nodes[0].Mux.Freeze(true)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.RunContext(context.Background(), groupByQueryPlan())
+		done <- err
+	}()
+	want = map[string]int{
+		"hsqp/internal/cluster.TestGoroutineBudget.func1":   1, // the caller above
+		"hsqp/internal/cluster.(*Cluster).runAttempt.func3": servers,
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		if got = since(mesh); maps.Equal(got, want) || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.Nodes[0].Mux.Freeze(false)
+	if err := <-done; err != nil {
+		t.Fatalf("query after the thaw: %v", err)
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("goroutines of a query in flight:\n%s\nwant:\n%s", render(got), render(want))
+	}
+}
+
+// since returns the goroutines running now that were not in before.
+func since(before map[string]int) map[string]int {
+	got := goroutines()
+	for k, n := range before {
+		if got[k] -= n; got[k] == 0 {
+			delete(got, k)
+		}
+	}
+	return got
 }
 
 func render(counts map[string]int) string {

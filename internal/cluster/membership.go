@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hsqp/internal/storage"
@@ -29,22 +30,19 @@ import (
 // It returns the new server's id. In-flight queries drain first; queries
 // started after the change compile against the new membership.
 func (c *Cluster) AddServer() (int, error) {
-	c.memMu.Lock()
-	defer c.memMu.Unlock()
-	if c.closed.Load() {
-		return 0, fmt.Errorf("cluster: AddServer on a closed cluster")
-	}
-	id := len(c.Nodes)
-	//lint:allow lockblock memMu is the membership lock, not a mux/exchange lock: the write side holds it precisely to drain queries and block while the mesh is torn down and rebuilt; nothing reached from here waits on memMu itself
-	node, err := c.newNodeShell(id)
+	// The shell is built before the lock is taken and closed if the change
+	// fails: nobody else holds a reference to it.
+	node, err := c.newNodeShell()
 	if err != nil {
 		return 0, err
 	}
-	next := make([]*Node, 0, id+1)
-	next = append(next, c.Nodes...)
-	next = append(next, node)
-	//lint:allow lockblock memMu is the membership lock: blocking here while old muxes close is the design (in-flight queries drained first via the write acquire), and rebuildLocked never waits on memMu itself
-	if err := c.rebuildLocked(next, nil); err != nil {
+	id := 0
+	err = c.changeMembership("AddServer", func(nodes []*Node) ([]*Node, error) {
+		id = len(nodes)
+		return append(slices.Clip(nodes), node), nil
+	})
+	if err != nil {
+		node.Engine.Close()
 		return 0, err
 	}
 	return id, nil
@@ -58,23 +56,15 @@ func (c *Cluster) AddServer() (int, error) {
 // route — and the epoch advances. A graceful removal never loses data,
 // so it is legal at any replica factor; contrast KillServer.
 func (c *Cluster) RemoveServer(id int) error {
-	c.memMu.Lock()
-	defer c.memMu.Unlock()
-	if c.closed.Load() {
-		return fmt.Errorf("cluster: RemoveServer on a closed cluster")
-	}
-	if id < 0 || id >= len(c.Nodes) {
-		return fmt.Errorf("cluster: RemoveServer: no server %d (membership has %d)", id, len(c.Nodes))
-	}
-	if len(c.Nodes) == 1 {
-		return fmt.Errorf("cluster: cannot remove the last server")
-	}
-	leaving := c.Nodes[id]
-	next := make([]*Node, 0, len(c.Nodes)-1)
-	next = append(next, c.Nodes[:id]...)
-	next = append(next, c.Nodes[id+1:]...)
-	//lint:allow lockblock memMu is the membership lock: the write acquire drained every query, so closing the departing server's mux here cannot deadlock against memMu
-	return c.rebuildLocked(next, leaving)
+	return c.changeMembership("RemoveServer", func(nodes []*Node) ([]*Node, error) {
+		if id < 0 || id >= len(nodes) {
+			return nil, fmt.Errorf("cluster: RemoveServer: no server %d (membership has %d)", id, len(nodes))
+		}
+		if len(nodes) == 1 {
+			return nil, fmt.Errorf("cluster: cannot remove the last server")
+		}
+		return slices.Delete(slices.Clone(nodes), id, id+1), nil
+	})
 }
 
 // evictFailed removes a server that was lost unplanned (killed, hung or
@@ -85,51 +75,55 @@ func (c *Cluster) RemoveServer(id int) error {
 // concurrent queries — whoever gets the write lock first evicts, the
 // rest find the node gone and succeed.
 func (c *Cluster) evictFailed(node *Node) error {
-	c.memMu.Lock()
-	defer c.memMu.Unlock()
-	idx := -1
-	for i, n := range c.Nodes {
-		if n == node {
-			idx = i
-			break
+	return c.changeMembership("evict", func(nodes []*Node) ([]*Node, error) {
+		idx := slices.Index(nodes, node)
+		if idx < 0 {
+			return nil, nil // already evicted by a concurrent query's failover
 		}
-	}
-	if idx < 0 {
-		return nil // already evicted by a concurrent query's failover
-	}
-	if len(c.Nodes) == 1 {
-		return fmt.Errorf("cluster: lost the last server")
-	}
-	for _, name := range c.catalogNames() {
-		spec := c.catalog[name]
-		if spec.placement != storage.PlacementReplicated && spec.replicas < 2 {
-			return fmt.Errorf("cluster: table %q has replica factor %d: its partitions on the lost server are unrecoverable",
-				name, spec.replicas)
+		if len(nodes) == 1 {
+			return nil, fmt.Errorf("cluster: lost the last server")
 		}
-	}
-	next := make([]*Node, 0, len(c.Nodes)-1)
-	next = append(next, c.Nodes[:idx]...)
-	next = append(next, c.Nodes[idx+1:]...)
-	//lint:allow lockblock memMu is the membership lock: the failed attempt released its read side before calling evictFailed, and the detector already fenced the dead node, so the rebuild's mux closes complete without waiting on memMu
-	return c.rebuildLocked(next, node)
+		for _, name := range c.catalogNames() {
+			spec := c.catalog[name]
+			if spec.placement != storage.PlacementReplicated && spec.replicas < 2 {
+				return nil, fmt.Errorf("cluster: table %q has replica factor %d: its partitions on the lost server are unrecoverable",
+					name, spec.replicas)
+			}
+		}
+		return slices.Delete(slices.Clone(nodes), idx, idx+1), nil
+	})
 }
 
-// rebuildLocked replaces the mesh: it stops the old detector, the old
-// fabric and every old multiplexer/endpoint, wires a fresh fully-connected
-// mesh over the new node list (dense ids 0..n-1), re-partitions every
-// cataloged table from its retained source, and only then bumps the epoch.
-// A departing node's engine is shut down too. Caller holds memMu for write; with the write
-// lock held no query attempt is in flight, so the teardown closes quiet
-// components.
-func (c *Cluster) rebuildLocked(next []*Node, departing *Node) error {
-	c.det.Swap(nil).stop()
-	for _, n := range c.Nodes {
-		n.Mux.Close()
-		n.transport.Close()
+// changeMembership is the one path of a membership change. Under the
+// write side of memMu, which waits out every in-flight attempt, edit
+// computes the next node list from the current one (nil: nothing to
+// change) and the mesh is rebuilt over it.
+func (c *Cluster) changeMembership(change string, edit func(nodes []*Node) ([]*Node, error)) error {
+	c.memMu.Lock()
+	defer c.memMu.Unlock()
+	if c.closed.Load() {
+		return fmt.Errorf("cluster: %s on a closed cluster", change)
 	}
-	c.fab.Stop()
-	if departing != nil {
-		departing.kill()
+	next, err := edit(c.Nodes)
+	if next == nil {
+		return err
+	}
+	//lint:allow lockblock memMu is the membership lock: the write acquire drained every query (a failed attempt released its read side before evicting, and the detector already fenced the dead node), so the rebuild's mux closes complete, and nothing reached from here waits on memMu itself
+	return c.rebuildLocked(next)
+}
+
+// rebuildLocked replaces the mesh: it stops the old one, shuts down every
+// node that is not in next, wires a fresh fully-connected mesh over next
+// (dense ids 0..n-1), re-partitions every cataloged table from its
+// retained source, and only then bumps the epoch. Caller holds memMu for
+// write; with the write lock held no query attempt is in flight, so the
+// teardown closes quiet components.
+func (c *Cluster) rebuildLocked(next []*Node) error {
+	c.stopMesh()
+	for _, n := range c.Nodes {
+		if !slices.Contains(next, n) {
+			n.kill()
+		}
 	}
 	if err := c.wireMesh(next); err != nil {
 		return err

@@ -172,3 +172,18 @@ func TestRunContextCancel(t *testing.T) {
 		t.Fatalf("cancellation must not evict servers: %d left", c.Servers())
 	}
 }
+
+// TestAddServerOnClosedClusterLeaksNothing: AddServer builds the joiner's
+// shell, worker pool included, before it takes the membership lock, so a
+// change refused there must close it again.
+func TestAddServerOnClosedClusterLeaksNothing(t *testing.T) {
+	c := newTestCluster(t, 2, RDMA, false)
+	c.Close()
+	before := goroutines()
+	if _, err := c.AddServer(); err == nil {
+		t.Fatal("AddServer on a closed cluster succeeded")
+	}
+	if got := since(before); len(got) != 0 {
+		t.Fatalf("AddServer on a closed cluster left goroutines running:\n%s", render(got))
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hsqp/internal/engine"
@@ -78,12 +79,12 @@ func resolveRunOptions(opts ...RunOption) RunOptions {
 }
 
 // RunContext executes a query across the cluster and returns the
-// coordinator's result rows. It is the single run entry point: ctx
-// cancellation threads into the engine's per-query cancel channel (the
-// whole distributed run aborts when ctx is done), and a server lost
-// mid-query is detected, evicted from the membership, and the query
-// transparently recompiled and restarted on the survivors — up to
-// WithMaxRestarts times, reported in QueryStats.Restarts.
+// coordinator's result rows. It is the single run entry point: each
+// attempt runs under a context derived from ctx (the whole distributed run
+// aborts when ctx is done, with an error matching engine.ErrCancelled),
+// and a server lost mid-query is detected, evicted from the membership,
+// and the query transparently recompiled and restarted on the survivors —
+// up to WithMaxRestarts times, reported in QueryStats.Restarts.
 //
 // Queries submitted concurrently share the worker pools, multiplexers and
 // network schedule; the engine interleaves their morsels fairly.
@@ -179,11 +180,10 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query, po plan.Options
 	// sequence can start at zero — concurrent queries (and a restarted
 	// attempt racing its predecessor's stragglers) never collide.
 	qid := c.nextQueryID.Add(1)
-	cancel := make(chan struct{})
-	var cancelOnce sync.Once
-	abort := func() { cancelOnce.Do(func() { close(cancel) }) }
-	// Thread ctx through the scheduler's cancel channel.
-	defer context.AfterFunc(ctx, abort)()
+	// The attempt's one abort: the caller's cancel, a failing server and
+	// the detector all cancel actx, and the first cause wins.
+	actx, abort := context.WithCancelCause(ctx)
+	defer abort(nil)
 	compileStart := time.Now()
 	compiled, err := c.compileAll(nodes, q, qid, po)
 	if err != nil {
@@ -204,17 +204,19 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query, po plan.Options
 	}
 
 	// A hung or partitioned server produces no error, only silence; the
-	// mesh's detector turns that into an abort of every subscribed attempt.
-	defer att.det.subscribe(qid, abort)()
+	// mesh's detector turns that into a trip, which aborts every attached
+	// attempt.
+	if d := att.det; d != nil {
+		defer context.AfterFunc(d.tripped, func() { abort(context.Cause(d.tripped)) })()
+	}
 
 	// One DAG scheduler per server node. A failing server cancels the
 	// others so a bad operator aborts the query instead of deadlocking the
-	// cluster on never-sent Last markers — but only this query: its cancel
-	// channel is private, so concurrent queries are isolated from the
-	// failure.
+	// cluster on never-sent Last markers — but only this query: its context
+	// is private, so concurrent queries are isolated from the failure.
 	start := time.Now()
 	var wg sync.WaitGroup
-	errs := make([]error, len(nodes))
+	var failed atomic.Bool
 	pstats := make([][]engine.PipelineStat, len(nodes))
 	for id, node := range nodes {
 		wg.Add(1)
@@ -222,12 +224,12 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query, po plan.Options
 			defer wg.Done()
 			st, err := node.Engine.RunGraph(compiled[id].Graph(), engine.RunOptions{
 				Coordinator: id == 0,
-				Cancel:      cancel,
+				Context:     actx,
 			})
 			pstats[id] = st
 			if err != nil {
-				errs[id] = err
-				abort()
+				failed.Store(true)
+				abort(fmt.Errorf("cluster: server %d: %w", id, err))
 			}
 		}(id, node)
 	}
@@ -237,21 +239,14 @@ func (c *Cluster) runAttempt(ctx context.Context, q *plan.Query, po plan.Options
 	//lint:allow lockblock attempts hold only the read side of memMu (membership changes queue behind them by design), and the detector unwedges this wait by fencing dead peers (kill + PeerDown) without ever taking memMu
 	wg.Wait()
 	dur := time.Since(start)
-	var firstErr error
-	for id, err := range errs {
-		if err == nil {
-			continue
+	if failed.Load() {
+		err := context.Cause(actx)
+		if ctx.Err() != nil && !errors.Is(err, engine.ErrCancelled) {
+			// The caller cancelled: whatever came first, the query reads
+			// as cancelled.
+			err = fmt.Errorf("cluster: query %w: %w", engine.ErrCancelled, err)
 		}
-		wrapped := fmt.Errorf("cluster: server %d: %w", id, err)
-		if firstErr == nil || errors.Is(firstErr, engine.ErrCancelled) {
-			// Prefer the root cause over cascade cancellations.
-			if firstErr == nil || !errors.Is(err, engine.ErrCancelled) {
-				firstErr = wrapped
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, QueryStats{}, att, firstErr
+		return nil, QueryStats{}, att, err
 	}
 
 	mQueries.Inc()

@@ -19,6 +19,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -33,8 +34,8 @@ import (
 // DefaultMorselSize is the number of tuples per morsel.
 const DefaultMorselSize = 16384
 
-// ErrCancelled is returned by RunGraph when the run was cancelled through
-// RunOptions.Cancel before completing. (No "engine:" prefix — results()
+// ErrCancelled is returned by RunGraph when the run's RunOptions.Context
+// was cancelled before it completed. (No "engine:" prefix — results()
 // adds it when wrapping.)
 var ErrCancelled = errors.New("run cancelled")
 
@@ -472,9 +473,10 @@ type RunOptions struct {
 	// are skipped (their dependents are unblocked immediately, their sinks
 	// never finalize).
 	Coordinator bool
-	// Cancel aborts the run when closed (e.g. because another server of the
-	// cluster failed); RunGraph then returns ErrCancelled.
-	Cancel <-chan struct{}
+	// Context aborts the run when it is cancelled (e.g. because another
+	// server of the cluster failed); RunGraph then returns ErrCancelled.
+	// Nil means the run cannot be cancelled.
+	Context context.Context
 }
 
 // RunGraph executes a pipeline DAG on the worker pool and returns
@@ -493,16 +495,10 @@ func (e *Engine) RunGraph(g *Graph, opt RunOptions) ([]PipelineStat, error) {
 		}
 	}
 	s := newScheduler(g, opt.Coordinator, e.pulse, &e.pool)
-	if opt.Cancel != nil {
-		watcherDone := make(chan struct{})
-		defer close(watcherDone)
-		go func() {
-			select {
-			case <-opt.Cancel:
-				s.cancel(ErrCancelled)
-			case <-watcherDone:
-			}
-		}()
+	if opt.Context != nil {
+		// The cancel runs on whichever goroutine cancels the context: the
+		// run starts none of its own.
+		defer context.AfterFunc(opt.Context, func() { s.cancel(ErrCancelled) })()
 	}
 	e.mu.Lock()
 	if e.stop {

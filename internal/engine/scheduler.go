@@ -394,7 +394,8 @@ func (s *scheduler) abortLocked(err error) {
 
 // finishLocked ends the run. An aborted one has no morsel in flight here:
 // every pipeline it started but never finalized releases what it holds,
-// through a worker of its own (the cancel watcher has none).
+// through a worker of its own (the goroutine that cancelled the run's
+// context has none).
 func (s *scheduler) finishLocked() {
 	s.finished = true
 	if s.aborted {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -359,21 +360,21 @@ func TestPeakConcurrency(t *testing.T) {
 	}
 }
 
-// TestCancelAbortsRun: closing the cancel channel ends a run whose
+// TestCancelAbortsRun: cancelling the run's context ends a run whose
 // streaming source never delivers.
 func TestCancelAbortsRun(t *testing.T) {
 	e := newTestEngine(t, 2)
-	cancel := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	gate := &pollGate{left: 1, b: smallBatch()} // never released
 	go func() {
 		time.Sleep(2 * time.Millisecond)
-		close(cancel)
+		cancel()
 	}()
 	done := make(chan error, 1)
 	go func() {
 		_, err := e.RunGraph(&Graph{Pipelines: []*Pipeline{
 			{Name: "starved", Source: gate, Sink: &countSink{}},
-		}}, RunOptions{Coordinator: true, Cancel: cancel})
+		}}, RunOptions{Coordinator: true, Context: ctx})
 		done <- err
 	}()
 	select {
@@ -426,14 +427,14 @@ func TestAbortReleasesUnfinalizedPipelines(t *testing.T) {
 	for i, p := range []parts{done, started, blocked} {
 		ps = append(ps, &Pipeline{Name: fmt.Sprint(i), Source: p.src, Ops: []Op{p.op}, Sink: p.sink})
 	}
-	cancel := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		for done.sink.finalized.Load() == 0 {
 			time.Sleep(time.Millisecond)
 		}
-		close(cancel)
+		cancel()
 	}()
-	_, err := e.RunGraph(&Graph{Pipelines: ps, Deps: [][]int{nil, nil, {1}}}, RunOptions{Coordinator: true, Cancel: cancel})
+	_, err := e.RunGraph(&Graph{Pipelines: ps, Deps: [][]int{nil, nil, {1}}}, RunOptions{Coordinator: true, Context: ctx})
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("run error = %v, want ErrCancelled", err)
 	}

@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -510,10 +511,10 @@ func TestSkewRoundCancelReleases(t *testing.T) {
 	build := &polledSource{Source: op.NewBatchSource([]*storage.Batch{skewRows(10, 0, 42, 5)})}
 	flush := &polledSource{Source: op.EmptySource{}}
 	g := skewGraph(probe, send(4, ModeSkewProbe), coords[0], build, send(5, ModeSkewBuild), flush)
-	cancel := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := h.engs[0].RunGraph(g, engine.RunOptions{Coordinator: true, Cancel: cancel})
+		_, err := h.engs[0].RunGraph(g, engine.RunOptions{Coordinator: true, Context: ctx})
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -522,7 +523,7 @@ func TestSkewRoundCancelReleases(t *testing.T) {
 		t.Fatalf("the run ended before the round could complete: %v", err)
 	default:
 	}
-	close(cancel)
+	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, engine.ErrCancelled) {

@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"slices"
@@ -254,14 +255,14 @@ func TestSemiJoinExchange(t *testing.T) {
 // every message of the round is back in its pool.
 func TestSemiFilterCancelUnblocks(t *testing.T) {
 	h := newHarness(t, 2)
-	cancel := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	f := NewSemiFilter(ControlConfig{Mux: h.muxes[0], Pool: h.pools[0], ExID: 3, Servers: 2})
 	// Server 1 "crashed": it never opens the exchange or sends its filter.
 	src := &polledSource{Source: op.NewBatchSource([]*storage.Batch{rows(10, 0)})}
 	g := semiGraph(f, src)
 	done := make(chan error, 1)
 	go func() {
-		_, err := h.engs[0].RunGraph(g, engine.RunOptions{Coordinator: true, Cancel: cancel})
+		_, err := h.engs[0].RunGraph(g, engine.RunOptions{Coordinator: true, Context: ctx})
 		done <- err
 	}()
 	f.sendFilter(&engine.Worker{}, []workerSendState{{kept: hashCol([]int64{1, 2, 3})}})
@@ -271,7 +272,7 @@ func TestSemiFilterCancelUnblocks(t *testing.T) {
 		t.Fatalf("the run ended before the filter was merged: %v", err)
 	default:
 	}
-	close(cancel)
+	cancel()
 	var err error
 	select {
 	case err = <-done:

@@ -327,22 +327,21 @@ func TestDuplicateOpenPanics(t *testing.T) {
 	muxes[0].OpenExchange(0, 7, 1)
 }
 
+// TestStatsCounters: the counters count. Every message of the exchange is
+// small enough to go express, so nothing it sends waits for the network
+// loop's first barrier: the barrier count is waited for, not read at once.
 func TestStatsCounters(t *testing.T) {
 	muxes, stop := testCluster(t, 2, true)
 	defer stop()
 	topo := numa.TwoSocket()
-	pool := memory.NewPool(topo, numa.AllocLocal, 4096, nil)
 	recv0 := muxes[0].OpenExchange(0, 2, 2)
 	recv1 := muxes[1].OpenExchange(0, 2, 2)
 	var wg sync.WaitGroup
-	for i, m := range muxes {
-		i, m := i, m
+	for _, m := range muxes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := memory.NewPool(topo, numa.AllocLocal, 4096, nil)
-			sendAll(m, p, 2, 2, 4)
-			_ = i
+			sendAll(m, memory.NewPool(topo, numa.AllocLocal, 4096, nil), 2, 2, 4)
 		}()
 	}
 	drain := func(r *ExchangeRecv) {
@@ -358,13 +357,15 @@ func TestStatsCounters(t *testing.T) {
 	go func() { defer wg.Done(); drain(recv0) }()
 	go func() { defer wg.Done(); drain(recv1) }()
 	wg.Wait()
-	_ = pool
 	s := muxes[0].Stats()
 	if s.MsgsSent == 0 || s.LocalMsgs == 0 {
 		t.Fatalf("stats not counting: %+v", s)
 	}
-	if s.SyncBarriers == 0 {
-		t.Fatal("scheduled mux performed no barriers")
+	for deadline := time.Now().Add(5 * time.Second); muxes[0].Stats().SyncBarriers == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("scheduled mux performed no barriers")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
