@@ -165,8 +165,13 @@ func cmdRun(args []string) error {
 		return err
 	}
 	printBatch(res, *rows)
-	fmt.Printf("\n%d rows; %s; shuffled %s in %d messages (%d stolen, %d local)\n",
-		res.Rows(), stats.Duration, report.MB(stats.BytesSent), stats.MessagesSent,
+	// Remote bytes crossed a link; loopback bytes went through the codec
+	// to a server's own multiplexer. BytesSent is a cluster-wide delta, so
+	// the difference is clamped at zero.
+	remote, wire := stats.BytesSent, stats.WireBytes()
+	loopback := wire - min(remote, wire)
+	fmt.Printf("\n%d rows; %s; shuffled %.1f KB remote + %.1f KB loopback in %d messages (%d stolen, %d local)\n",
+		res.Rows(), stats.Duration, float64(remote)/1024, float64(loopback)/1024, stats.MessagesSent,
 		stats.StolenMsgs, stats.LocalMsgs)
 	fmt.Printf("pipeline DAG: overlap ratio %.2f, peak %d concurrent pipelines/server\n",
 		stats.MaxOverlap(), stats.PeakConcurrentPipelines())

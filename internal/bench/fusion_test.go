@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -101,15 +102,23 @@ func TestPushdownPrunesResidualJoin(t *testing.T) {
 
 // TestSemiJoinFilterPrunesProbe: a partitioned inner join or group-join
 // whose build is reduced by a predicate ships only the probe rows that
-// pass the cluster-wide Bloom filter of its build keys. Q3, Q5 and Q17
-// return the rows of internal/ref, and each server's probe send stays
-// under a ceiling that the unfiltered shuffle exceeds many times over
-// (SF 0.01, 3 servers: Q3 ≈ 260 KB, Q5 ≈ 640 KB, Q17 ≈ 320 KB per server
-// without the filter). In explain analyze, a probe send's rows= counts
-// the rows it routed, below the out= of the operator before it, and Q17's
-// build send's wire bytes include its filter. Which joins get a filter is
-// pinned by TestSemiJoinFilterEligibility (internal/cluster).
+// pass a Bloom filter of its build keys. Q3, Q5 and Q17 return the rows
+// of internal/ref, and each server's probe send stays under a ceiling
+// that the unfiltered shuffle exceeds many times over (SF 0.01, 3
+// servers: Q3 ≈ 260 KB, Q5 ≈ 640 KB, Q17 ≈ 320 KB per server without the
+// filter). In explain analyze, a probe send's rows= counts the rows it
+// routed, below the out= of the operator before it, and Q17's build
+// send's wire bytes include its filter. Under chunked placement Q3's and
+// Q5's orderkey joins route by range with a local filter; with lineitem's
+// rows shuffled they route by hash with the cluster-wide one, under the
+// same ceilings. Which joins get a filter is pinned by
+// TestSemiJoinFilterEligibility (internal/cluster).
 func TestSemiJoinFilterPrunesProbe(t *testing.T) {
+	t.Run("chunked", func(t *testing.T) { semiJoinFilterPrunesProbe(t, false) })
+	t.Run("shuffled-lineitem", func(t *testing.T) { semiJoinFilterPrunesProbe(t, true) })
+}
+
+func semiJoinFilterPrunesProbe(t *testing.T, shuffle bool) {
 	const sf = 0.01
 	db := DB(sf, 42)
 	setup := Setup{TimeScale: 0.005}
@@ -119,15 +128,28 @@ func TestSemiJoinFilterPrunesProbe(t *testing.T) {
 	}
 	defer c.Close()
 	c.LoadTPCH(db, false)
+	orderkey := "send(range)"
+	if shuffle {
+		// Lineitem's zones on l_orderkey then overlap: the joins fall
+		// back to hash.
+		li := db.Tables["lineitem"]
+		shuffled := storage.NewBatch(li.Schema, li.Rows())
+		for _, i := range rand.New(rand.NewSource(1)).Perm(li.Rows()) {
+			shuffled.AppendRowFrom(li, i)
+		}
+		c.LoadTable("lineitem", shuffled, storage.PlacementChunked, 0)
+		orderkey = "send(partition)"
+	}
 	servers := len(c.Nodes)
 	for _, q := range []struct {
 		n       int
 		probe   string
+		send    string
 		ceiling uint64 // wire bytes per server
 	}{
-		{3, "join(inner)/shuffle-probe", 20_000},
-		{5, "join(inner)/shuffle-probe", 200_000},
-		{17, "join(inner)/gj-shuffle-probe", 5_000},
+		{3, "join(inner)/shuffle-probe", orderkey, 20_000},
+		{5, "join(inner)/shuffle-probe", orderkey, 200_000},
+		{17, "join(inner)/gj-shuffle-probe", "send(partition)", 5_000},
 	} {
 		want, err := ref.Run(q.n, db, sf)
 		if err != nil {
@@ -153,7 +175,10 @@ func TestSemiJoinFilterPrunesProbe(t *testing.T) {
 			if int64(probe.SinkRows) >= before.RowsOut {
 				t.Errorf("q%d server %d: %s routed %d of %d rows, want fewer", q.n, sid, q.probe, probe.SinkRows, before.RowsOut)
 			}
-			line := fmt.Sprintf("    sink send(partition): rows=%d, wire bytes=%d\n", probe.SinkRows, probe.SinkBytes)
+			if probe.SinkName != q.send {
+				t.Errorf("q%d server %d: %s ends in %s, want %s", q.n, sid, q.probe, probe.SinkName, q.send)
+			}
+			line := fmt.Sprintf("    sink %s: rows=%d, wire bytes=%d\n", q.send, probe.SinkRows, probe.SinkBytes)
 			if !strings.Contains(ea, line) {
 				t.Errorf("q%d server %d: explain analyze lacks %q", q.n, sid, line)
 			}

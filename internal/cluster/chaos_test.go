@@ -188,13 +188,15 @@ func TestChaosKillMidQuery(t *testing.T)      { runChaos(t, chaosCase{kind: sim.
 func TestChaosHangMidQuery(t *testing.T)      { runChaos(t, chaosCase{kind: sim.FaultHang}) }
 func TestChaosPartitionMidQuery(t *testing.T) { runChaos(t, chaosCase{kind: sim.FaultPartition}) }
 
-// TestChaosKillAwaitingSemiJoinFilter kills a server as Q5 starts
-// executing, before its build sends can publish their semi-join filters:
-// the survivors' schedulers hold their probe sends on filters that will
+// TestChaosKillAwaitingSemiJoinFilter kills a server as Q17 starts
+// executing, before its build send can publish its semi-join filter: the
+// survivors' schedulers hold their probe sends on a filter that will
 // never merge. The failure must release them (the attempt is cancelled),
-// and the restarted query must return the reference bytes.
+// and the restarted query must return the reference bytes. Q17's partkey
+// join is the chunked TPC-H join whose filter has a round; the orderkey
+// joins route by range and their local filters wait on no peer.
 func TestChaosKillAwaitingSemiJoinFilter(t *testing.T) {
-	runChaos(t, chaosCase{kind: sim.FaultKill, q: 5})
+	runChaos(t, chaosCase{kind: sim.FaultKill, q: 17})
 }
 
 // TestChaosEager and TestChaosIdle run the same table off the detector's

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"hsqp/internal/engine"
+	"hsqp/internal/exchange"
 	"hsqp/internal/fabric"
 	"hsqp/internal/memory"
 	"hsqp/internal/mux"
@@ -393,9 +394,10 @@ func (c *Cluster) LoadTableReplicas(name string, b *storage.Batch, placement sto
 }
 
 // installLocked computes the table's placement for the given node list and
-// installs one fragment per node. Splits are pure functions of (source,
-// server count), so reinstalling after a membership change reproduces
-// byte-identical contents. Caller holds memMu for write.
+// installs one fragment per node, with a chunked table's zone maps. Splits
+// are pure functions of (source, server count), so reinstalling after a
+// membership change reproduces byte-identical contents and recomputes the
+// zone maps the range routes are read off. Caller holds memMu for write.
 func (c *Cluster) installLocked(name string, spec *tableSpec, nodes []*Node) {
 	n := len(nodes)
 	var parts []*storage.Batch
@@ -403,7 +405,8 @@ func (c *Cluster) installLocked(name string, spec *tableSpec, nodes []*Node) {
 	switch spec.placement {
 	case storage.PlacementChunked:
 		parts = storage.SplitChunked(spec.src, n)
-		info = func(int) plan.TableInfo { return plan.TableInfo{} }
+		zones := zoneMaps(parts)
+		info = func(int) plan.TableInfo { return plan.TableInfo{Zones: zones} }
 	case storage.PlacementPartitioned:
 		parts = storage.SplitPartitioned(spec.src, spec.partCol, n)
 		info = func(int) plan.TableInfo { return plan.TableInfo{PartCols: []int{spec.partCol}} }
@@ -422,6 +425,35 @@ func (c *Cluster) installLocked(name string, spec *tableSpec, nodes []*Node) {
 		node.tables[name] = ti
 		node.mu.Unlock()
 	}
+}
+
+// zoneMaps records each server's [min, max] of every non-nullable int64 or
+// date column of a table split into parts (zones[col][server], nil for
+// other columns): one slice for the whole cluster, which every server
+// compiles against. A table with an empty part gets none.
+func zoneMaps(parts []*storage.Batch) [][]exchange.Zone {
+	for _, p := range parts {
+		if p.Rows() == 0 {
+			return nil
+		}
+	}
+	schema := parts[0].Schema
+	zones := make([][]exchange.Zone, schema.Len())
+	for col, f := range schema.Fields {
+		if f.Nullable || f.Type != storage.TInt64 && f.Type != storage.TDate {
+			continue
+		}
+		zones[col] = make([]exchange.Zone, len(parts))
+		for srv, p := range parts {
+			v := p.Cols[col].I64
+			z := exchange.Zone{Min: v[0], Max: v[0]}
+			for _, x := range v[1:] {
+				z.Min, z.Max = min(z.Min, x), max(z.Max, x)
+			}
+			zones[col][srv] = z
+		}
+	}
+	return zones
 }
 
 // LoadTPCH loads a generated TPC-H database. Under partitioned placement,

@@ -203,11 +203,16 @@ func TestPooledScratchOutlivesNoResult(t *testing.T) {
 
 // TestSemiJoinFilterEligibility pins which compiled TPC-H joins get a
 // semi-join filter, from the plan alone: an inner join or group-join with
-// both inputs shuffled and a predicate below its build. Each such join
-// opens one control exchange beyond its data exchanges and adds one round
-// pipeline (its sink a SemiFilter), on every server alike. Semi joins
-// (Q4), builds over a whole relation (Q18) and the classic baseline open
-// none and add no round.
+// its probe shuffled and a predicate below its build. Under CRC32 the
+// build shuffles too, and the join opens one control exchange beyond its
+// data exchanges and adds one round pipeline (its sink a SemiFilter), on
+// every server alike. Under a range map the build stays where the map
+// puts it and the filter is local: a filtered probe send, no control
+// exchange, no round. Semi joins (Q4), builds over a whole relation (Q18)
+// and the classic baseline get none. Under chunked placement the
+// orderkey joins of Q3, Q5, Q8 and Q10 route by range (orders and
+// lineitem lie in key order) with a local filter; Q17's partkey join
+// keeps the round.
 func TestSemiJoinFilterEligibility(t *testing.T) {
 	const sf = 0.01
 	c := newTPCHCluster(t)
@@ -215,24 +220,25 @@ func TestSemiJoinFilterEligibility(t *testing.T) {
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
 	for _, row := range []struct {
-		name string
-		po   plan.Options
-		want []int
+		name  string
+		po    plan.Options
+		want  []int // a round
+		local []int // a local filter
 	}{
-		{"default", plan.Options{}, []int{3, 5, 8, 10, 17}},
-		{"serial", plan.Options{Serial: true}, []int{3, 5, 8, 10, 17}},
-		{"classic", plan.Options{Classic: true}, nil},
+		{"default", plan.Options{}, []int{17}, []int{3, 5, 8, 10}},
+		{"serial", plan.Options{Serial: true}, []int{17}, []int{3, 5, 8, 10}},
+		{"classic", plan.Options{Classic: true}, nil, nil},
 	} {
-		var filtered []int
+		var filtered, local []int
 		for _, qn := range queries.All() {
 			before := make([]int, len(c.Nodes))
 			for sid, n := range c.Nodes {
 				before[sid], _ = n.Mux.TableSizes()
 			}
 			compiled, release := compileTPCH(t, c, qn, sf, row.po)
-			rounds := -1
+			rounds, locals := -1, -1
 			for sid, cp := range compiled {
-				filters, receives := 0, 0
+				filters, probes, receives := 0, 0, 0
 				for _, p := range cp.Pipelines {
 					if _, ok := p.Sink.(*exchange.SemiFilter); ok {
 						filters++
@@ -240,7 +246,14 @@ func TestSemiJoinFilterEligibility(t *testing.T) {
 					if s, ok := p.Sink.(*exchange.Send); ok && (s.Mode() != exchange.ModeGather || sid == 0) {
 						receives++
 					}
+					if s, ok := p.Sink.(*exchange.Send); ok && s.Filtered() {
+						probes++
+					}
 				}
+				if locals >= 0 && probes-filters != locals {
+					t.Errorf("%s q%d: server %d has %d local filters, server 0 %d", row.name, qn, sid, probes-filters, locals)
+				}
+				locals = probes - filters
 				opened, _ := c.Nodes[sid].Mux.TableSizes()
 				if control := opened - before[sid] - receives; control != filters {
 					t.Errorf("%s q%d server %d: %d control exchanges for %d filter rounds", row.name, qn, sid, control, filters)
@@ -254,9 +267,15 @@ func TestSemiJoinFilterEligibility(t *testing.T) {
 			if rounds > 0 {
 				filtered = append(filtered, qn)
 			}
+			if locals > 0 {
+				local = append(local, qn)
+			}
 		}
 		if !slices.Equal(filtered, row.want) {
 			t.Errorf("%s: semi-join filters on %v, want %v", row.name, filtered, row.want)
+		}
+		if !slices.Equal(local, row.local) {
+			t.Errorf("%s: local semi-join filters on %v, want %v", row.name, local, row.local)
 		}
 	}
 }

@@ -119,8 +119,14 @@ type SendConfig struct {
 	BuildFilter *SemiFilter
 	// ProbeFilter (ModePartition) drops every row whose key hash misses
 	// the merged filter: the probe side of the same join. The pipeline
-	// feeding this sink depends on the filter's round.
+	// feeding this sink depends on the filter's round, or for a local
+	// filter (Ranges only) on the build send's pipeline, and only the
+	// rows this server keeps are tested.
 	ProbeFilter *SemiFilter
+	// Ranges (ModePartition, one integer key) routes each row to the
+	// server that owns its key value instead of by its key hash. A filter
+	// still keeps and tests key hashes.
+	Ranges *RangeMap
 }
 
 // Send is the send-side pipeline breaker.
@@ -179,6 +185,13 @@ func NewSend(cfg SendConfig) *Send {
 	if (cfg.BuildFilter != nil || cfg.ProbeFilter != nil) && cfg.Mode != ModePartition {
 		invariant.Failf("exchange: a semi-join filter needs ModePartition, not %v", cfg.Mode)
 	}
+	if f := cfg.ProbeFilter; f != nil && f.local && cfg.Ranges == nil {
+		invariant.Failf("exchange: a local semi-join filter needs a range route")
+	}
+	if r := cfg.Ranges; r != nil && (cfg.Mode != ModePartition || len(cfg.Keys) != 1 || len(r.Lo) != cfg.Servers) {
+		invariant.Failf("exchange: a range route needs ModePartition on one key over %d servers; got %v on %d keys, %d ranges",
+			cfg.Servers, cfg.Mode, len(cfg.Keys), len(r.Lo))
+	}
 	s := &Send{cfg: cfg, units: units,
 		destMu: make([]sync.Mutex, cfg.Servers), destSeq: make([]uint32, cfg.Servers)}
 	switch {
@@ -206,20 +219,34 @@ func (s *Send) SinkStats() (rows, bytes uint64) {
 	return s.tuplesSent.Load(), s.bytesSent.Load()
 }
 
-// OpName implements engine.NamedOp.
-func (s *Send) OpName() string { return "send(" + s.cfg.Mode.String() + ")" }
+// OpName implements engine.NamedOp: send(range) for a partition send that
+// routes by a RangeMap.
+func (s *Send) OpName() string {
+	if s.cfg.Ranges != nil {
+		return "send(range)"
+	}
+	return "send(" + s.cfg.Mode.String() + ")"
+}
 
 // Mode returns the routing mode. ModeSkewProbe holds the batches it
 // consumes until the skew decision, so the planner gives no reused scratch
 // to a pipeline that ends in one.
 func (s *Send) Mode() Mode { return s.cfg.Mode }
 
+// Ranges returns the range map the send routes by, nil for every other
+// route.
+func (s *Send) Ranges() *RangeMap { return s.cfg.Ranges }
+
+// Filtered reports whether the send drops probe rows that miss a
+// semi-join filter.
+func (s *Send) Filtered() bool { return s.cfg.ProbeFilter != nil }
+
 // Consume implements engine.Sink: partition/serialize (step 2 of
 // Figure 7) and pass full messages to the multiplexer (step 3).
 func (s *Send) Consume(w *engine.Worker, b *storage.Batch) {
 	st := &s.workers[w.ID]
 	if s.round != nil && !s.round.Ready() {
-		invariant.Failf("exchange %d: %v send consumed rows before its control round published; its pipeline must depend on the round's", s.cfg.ExID, s.cfg.Mode)
+		invariant.Failf("exchange %d: %v send consumed rows before its round or local filter published; its pipeline must depend on the pipeline that publishes it", s.cfg.ExID, s.cfg.Mode)
 	}
 	if sk := s.cfg.Skew; s.cfg.Mode == ModeSkewProbe && !sk.Ready() {
 		// Sampling phase: hold the batch and feed the sketch; the worker
@@ -252,30 +279,37 @@ func (s *Send) flushHeld(st *workerSendState, w *engine.Worker) {
 // done once per batch is: the key hashes are one vector (w's), and the
 // bytes written into socket-local messages are accounted with one Charge.
 // A probe send under a semi-join filter skips the rows whose hash misses
-// it; the rows it routes are what SinkStats counts.
+// it; the rows it routes are what SinkStats counts. A range route reads
+// the key values, and hashes them only for a filter.
 func (s *Send) routeBatch(st *workerSendState, w *engine.Worker, b *storage.Batch) {
 	var hashes []uint32
+	var keys []int64
+	probe := s.cfg.ProbeFilter
 	switch s.cfg.Mode {
 	case ModePartition, ModeClassicPartition, ModeSkewProbe, ModeSkewBuild:
-		hashes = w.HashRows(b, s.cfg.Keys)
+		if s.cfg.Ranges != nil {
+			keys = b.Cols[s.cfg.Keys[0]].I64
+		}
+		if s.cfg.Ranges == nil || s.cfg.BuildFilter != nil || probe != nil {
+			hashes = w.HashRows(b, s.cfg.Keys)
+		}
 	}
 	if s.cfg.BuildFilter != nil {
 		st.kept = keepHashes(w, st.kept, hashes)
 	}
-	probe := s.cfg.ProbeFilter
 	node := w.Node
 	localBytes := 0
 	n := b.Rows()
 	routed := n
 	for i := 0; i < n; i++ {
-		if probe != nil && !probe.may(hashes[i]) {
-			routed--
-			continue
-		}
 		unit := 0
 		switch s.cfg.Mode {
 		case ModePartition:
-			unit = storage.PartitionOf(hashes[i], s.cfg.Servers)
+			if r := s.cfg.Ranges; r != nil {
+				unit = r.Owner(keys[i])
+			} else {
+				unit = storage.PartitionOf(hashes[i], s.cfg.Servers)
+			}
 		case ModeClassicPartition:
 			unit = storage.PartitionOf(hashes[i], s.units)
 		case ModeSkewProbe:
@@ -294,6 +328,10 @@ func (s *Send) routeBatch(st *workerSendState, w *engine.Worker, b *storage.Batc
 			} else {
 				unit = storage.PartitionOf(hashes[i], s.cfg.Servers)
 			}
+		}
+		if probe != nil && (!probe.local || unit == s.cfg.Mux.ServerID()) && !probe.may(hashes[i]) {
+			routed--
+			continue
 		}
 		msg := st.open[unit]
 		if msg == nil {
@@ -441,10 +479,11 @@ func (s *Send) flush(w *engine.Worker) {
 		// Every row is routed: the filter is final. It goes out ahead of
 		// the partial messages, so the probe sends that depend on its
 		// round start sooner.
-		wire := f.sendFilter(w, s.workers)
-		s.bytesSent.Add(wire)
-		mWireBytes.Add(wire)
-		mMessages.Add(uint64(s.cfg.Servers))
+		if wire := f.sendFilter(w, s.workers); wire > 0 {
+			s.bytesSent.Add(wire)
+			mWireBytes.Add(wire)
+			mMessages.Add(uint64(s.cfg.Servers))
+		}
 	}
 	for wi := range s.workers {
 		st := &s.workers[wi]

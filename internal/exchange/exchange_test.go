@@ -92,9 +92,10 @@ func receive(t *testing.T, eng *engine.Engine, src *Source) []*storage.Batch {
 	return sink.Batches()
 }
 
-// runExchange pushes each server's rows through a Send sink and collects
-// what each server's Source yields.
-func runExchange(t *testing.T, servers int, mode Mode, rowsPer int) []map[string]bool {
+// runExchange pushes each server's rows through a Send sink configured
+// with route's mode and range map, and collects what each server's Source
+// yields.
+func runExchange(t *testing.T, servers int, route SendConfig, rowsPer int) []map[string]bool {
 	t.Helper()
 	h := newHarness(t, servers)
 	schema := rows(1, 0).Schema
@@ -116,7 +117,8 @@ func runExchange(t *testing.T, servers int, mode Mode, rowsPer int) []map[string
 				Mux:        h.muxes[i],
 				Pool:       h.pools[i],
 				ExID:       1,
-				Mode:       mode,
+				Mode:       route.Mode,
+				Ranges:     route.Ranges,
 				Servers:    servers,
 				Keys:       []int{0},
 				Codec:      codec,
@@ -147,7 +149,7 @@ func runExchange(t *testing.T, servers int, mode Mode, rowsPer int) []map[string
 
 func TestPartitionExchangeCompleteAndDisjoint(t *testing.T) {
 	const servers, rowsPer = 3, 200
-	got := runExchange(t, servers, ModePartition, rowsPer)
+	got := runExchange(t, servers, SendConfig{Mode: ModePartition}, rowsPer)
 	union := map[string]int{}
 	for _, g := range got {
 		for tag := range g {
@@ -179,7 +181,7 @@ func TestPartitionExchangeCompleteAndDisjoint(t *testing.T) {
 
 func TestBroadcastExchangeReachesEveryone(t *testing.T) {
 	const servers, rowsPer = 3, 50
-	got := runExchange(t, servers, ModeBroadcast, rowsPer)
+	got := runExchange(t, servers, SendConfig{Mode: ModeBroadcast}, rowsPer)
 	for srv, g := range got {
 		if len(g) != servers*rowsPer {
 			t.Fatalf("server %d saw %d rows, want all %d", srv, len(g), servers*rowsPer)
@@ -229,7 +231,7 @@ func TestGatherExchangeCoordinatorOnly(t *testing.T) {
 
 func TestMessagePoolRecycledAcrossExchange(t *testing.T) {
 	const servers = 2
-	got := runExchange(t, servers, ModePartition, 500)
+	got := runExchange(t, servers, SendConfig{Mode: ModePartition}, 500)
 	if len(got[0])+len(got[1]) != servers*500 {
 		t.Fatal("rows lost")
 	}

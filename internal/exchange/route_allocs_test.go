@@ -37,6 +37,29 @@ func TestRouteBatchAllocs(t *testing.T) {
 	}
 }
 
+// TestRangeRouteAllocs: routing by a RangeMap allocates no more per batch
+// than routing by the CRC32 of the same key, on the same warm send.
+func TestRangeRouteAllocs(t *testing.T) {
+	b := rows(64, 0)
+	topo := numa.TwoSocket()
+	allocs := func(r *RangeMap) float64 {
+		send := NewSend(SendConfig{
+			Pool: memory.NewPool(topo, numa.AllocLocal, 0, nil), ExID: 1, Mode: ModePartition,
+			Servers: 3, Keys: []int{0}, Codec: ser.NewCodec(b.Schema),
+			NumWorkers: 1, Topo: topo, Scale: 1, Ranges: r,
+		})
+		w := &engine.Worker{}
+		st := &send.workers[0]
+		send.routeBatch(st, w, b)
+		defer releaseOpen(st)
+		return testing.AllocsPerRun(20, func() { send.routeBatch(st, w, b) })
+	}
+	hash, ranged := allocs(nil), allocs(&RangeMap{Lo: []int64{0, 20, 40}})
+	if ranged > hash {
+		t.Errorf("a range-routed routeBatch allocates %v times per %d-row batch, the hash route %v", ranged, b.Rows(), hash)
+	}
+}
+
 // releaseOpen returns a worker's open messages without sending them.
 func releaseOpen(st *workerSendState) {
 	for unit, msg := range st.open {

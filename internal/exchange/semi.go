@@ -10,11 +10,18 @@
 // serializing, so probe rows without a build partner never reach the
 // wire. A Bloom filter has no false negatives, so every row that can find
 // a partner is still shipped and the join's result is unchanged.
+//
+// A range-routed join whose build rows already lie where the range map
+// puts them needs no round: every build key a server owns is on that
+// server. Its build send routes each row to its own server and sets a
+// local filter over their keys, and the probe send tests only the rows it
+// keeps on this server; the few it routes elsewhere pass untested.
 package exchange
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"hsqp/internal/engine"
@@ -45,12 +52,14 @@ func filterProbes(h uint32, mask uint64) (uint64, uint64, uint64) {
 // inner join's build keys: it encodes and broadcasts this server's filter
 // (sendFilter, from the build send's finalize), is the pipeline of the
 // round that merges the n filters (see controlRound), and answers the
-// probe send's membership test.
+// probe send's membership test. A local filter has no round.
 type SemiFilter struct {
 	controlRound
-	maxLg int // the largest filter one pooled message holds
+	maxLg int  // the largest filter one pooled message holds
+	local bool // this server's keys only, set by sendFilter
 
-	// The merged filter, written by merge and read only after Ready.
+	// The merged filter, written by merge (a local one by sendFilter) and
+	// read only after Ready.
 	words []uint64
 	mask  uint64
 }
@@ -62,6 +71,12 @@ func NewSemiFilter(cfg ControlConfig) *SemiFilter {
 	f.init(cfg, f)
 	return f
 }
+
+// NewLocalSemiFilter creates the filter of a range-routed join whose
+// build stays on its servers: the build send sets it from this server's
+// keys, and the probe send, which depends on the build send's pipeline,
+// tests only the rows it keeps on this server.
+func NewLocalSemiFilter() *SemiFilter { return &SemiFilter{local: true} }
 
 // filterLg is the sizing rule: log2 of the next power of two of bitsPerKey
 // bits for every build key in the cluster, estimated as servers × the
@@ -111,7 +126,8 @@ func decodeFilter(in []byte, maxLg int) (lg int, err error) {
 // sendFilter encodes this server's filter over the build hashes each worker
 // of the build send kept, broadcasts it, and gives the kept columns back
 // to the engine's pool. It returns the wire bytes it put on the
-// multiplexer (one message per server).
+// multiplexer (one message per server). A local filter is set in place
+// and puts nothing on the wire.
 func (f *SemiFilter) sendFilter(w *engine.Worker, workers []workerSendState) uint64 {
 	rows := 0
 	for i := range workers {
@@ -119,20 +135,43 @@ func (f *SemiFilter) sendFilter(w *engine.Worker, workers []workerSendState) uin
 			rows += len(c.I64)
 		}
 	}
+	if f.local {
+		set := make([]byte, 1<<filterLg(rows, 1, math.MaxInt)/8)
+		f.keep(w, workers, set)
+		f.words, f.mask = make([]uint64, len(set)/8), uint64(8*len(set)-1)
+		orWords(f.words, set)
+		f.done.Store(true)
+		return 0
+	}
 	msg := f.message(w.Node)
 	lg := filterLg(rows, f.cfg.Servers, msg.Capacity())
 	msg.Content = append(msg.Content, byte(lg))
 	msg.Content = append(msg.Content, make([]byte, 1<<lg/8)...)
+	f.keep(w, workers, msg.Content[1:])
+	wire := uint64(msg.WireSize()) * uint64(f.cfg.Servers)
+	f.send(msg)
+	return wire
+}
+
+// keep sets the bits of every kept hash in set and gives the kept columns
+// back to the engine's pool.
+func (f *SemiFilter) keep(w *engine.Worker, workers []workerSendState, set []byte) {
 	for i := range workers {
 		if c := workers[i].kept; c != nil {
-			setFilter(msg.Content[1:], c)
+			setFilter(set, c)
 			w.GiveColumns([]*storage.Column{c})
 			workers[i].kept = nil
 		}
 	}
-	wire := uint64(msg.WireSize()) * uint64(f.cfg.Servers)
-	f.send(msg)
-	return wire
+}
+
+// orWords ORs the filter bits set into words, folding set down to
+// len(words) words.
+func orWords(words []uint64, set []byte) {
+	wmask := len(words) - 1
+	for i := 0; i < len(set); i += 8 {
+		words[i/8&wmask] |= binary.LittleEndian.Uint64(set[i:])
+	}
 }
 
 // merge folds every server's filter down to the smallest size received
@@ -151,12 +190,8 @@ func (f *SemiFilter) merge(msgs []*memory.Message) error {
 		lg = min(lg, l)
 	}
 	words := make([]uint64, 1<<lg/64)
-	wmask := len(words) - 1
 	for _, msg := range msgs {
-		set := msg.Content[1:]
-		for i := 0; i < len(set); i += 8 {
-			words[i/8&wmask] |= binary.LittleEndian.Uint64(set[i:])
-		}
+		orWords(words, msg.Content[1:])
 	}
 	f.words, f.mask = words, uint64(1)<<lg-1
 	return nil

@@ -3,6 +3,8 @@ package exchange
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -358,6 +360,117 @@ func TestMalformedFilterFailsQuery(t *testing.T) {
 	for _, want := range []string{`pipeline "semi-filter"`, "exchange 3", "server 1", "semi-join filter"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+// TestLocalSemiJoinExchange drives a range-routed join whose build rows
+// already lie on their owners, on 3 servers: the build send keeps every
+// row home and sets each server's local filter, and the probe send, which
+// depends on the build send alone (no round), tests only the rows it
+// keeps. Every probe row with a build partner arrives at its key's owner;
+// the rows a server keeps are mostly those with a partner; the rows it
+// routes elsewhere all arrive, untested; and no filter reaches the wire.
+func TestLocalSemiJoinExchange(t *testing.T) {
+	const servers, probePer, span = 3, 3000, 1000
+	h := newHarness(t, servers)
+	schema := rows(1, 0).Schema
+	codec := ser.NewCodec(schema)
+	m := &RangeMap{Lo: []int64{math.MinInt64, span, 2 * span}}
+	buildRecvs := make([]*mux.ExchangeRecv, servers)
+	probeRecvs := make([]*mux.ExchangeRecv, servers)
+	for i, mx := range h.muxes {
+		buildRecvs[i] = mx.OpenExchange(0, 5, servers)
+		probeRecvs[i] = mx.OpenExchange(0, 6, servers)
+	}
+	sends := make([]*Send, servers)
+	var wg sync.WaitGroup
+	for i := 0; i < servers; i++ {
+		// Build keys: every 50th key of the server's own range.
+		build := storage.NewBatch(schema, 0)
+		for k := i * span; k < (i+1)*span; k += 50 {
+			build.AppendRow(int64(k), "b")
+		}
+		f := NewLocalSemiFilter()
+		cfg := SendConfig{Mux: h.muxes[i], Pool: h.pools[i], Mode: ModePartition, Servers: servers,
+			Keys: []int{0}, Codec: codec, NumWorkers: h.engs[i].Workers(), Ranges: m}
+		bc, pc := cfg, cfg
+		bc.ExID, bc.BuildFilter = 5, f
+		pc.ExID, pc.ProbeFilter = 6, f
+		sends[i] = NewSend(bc)
+		g := &engine.Graph{Pipelines: []*engine.Pipeline{
+			{Name: "build-send", Source: op.NewBatchSource(op.SplitIntoMorsels([]*storage.Batch{build}, 8)), Sink: sends[i]},
+			{Name: "probe-send",
+				Source: op.NewBatchSource(op.SplitIntoMorsels([]*storage.Batch{rows(probePer, i)}, 64)),
+				Sink:   NewSend(pc)},
+		}, Deps: [][]int{nil, {0}}}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := h.engs[i].RunGraph(g, engine.RunOptions{Coordinator: i == 0}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	builds := make([][]*storage.Batch, servers)
+	got := make([][]*storage.Batch, servers)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			builds[i] = receive(t, h.engs[i], &Source{Recv: buildRecvs[i], Codec: codec})
+			got[i] = receive(t, h.engs[i], &Source{Recv: probeRecvs[i], Codec: codec})
+		}()
+	}
+	wg.Wait()
+
+	for srv, bs := range builds {
+		for _, b := range bs {
+			for r := 0; r < b.Rows(); r++ {
+				if k := b.Cols[0].I64[r]; m.Owner(k) != srv {
+					t.Fatalf("build key %d landed on server %d, its owner is %d", k, srv, m.Owner(k))
+				}
+			}
+		}
+	}
+	kept, partners := make([]int, servers), map[int64]int{}
+	for srv, bs := range got {
+		from := make([]int, servers)
+		for _, b := range bs {
+			for r := 0; r < b.Rows(); r++ {
+				k := b.Cols[0].I64[r]
+				if m.Owner(k) != srv {
+					t.Fatalf("probe key %d landed on server %d, its owner is %d", k, srv, m.Owner(k))
+				}
+				var sender, i int
+				fmt.Sscanf(b.Cols[1].Str[r], "s%d-%d", &sender, &i)
+				from[sender]++
+				if k%50 == 0 {
+					partners[k]++
+				}
+			}
+		}
+		for sender, n := range from {
+			if sender != srv && n != span {
+				t.Errorf("server %d got %d rows from server %d, want all %d it routes there", srv, n, sender, span)
+			}
+		}
+		kept[srv] = from[srv]
+	}
+	for k := 0; k < probePer; k += 50 {
+		if partners[int64(k)] != servers {
+			t.Fatalf("probe key %d arrived %d times, want once from each of %d servers", k, partners[int64(k)], servers)
+		}
+	}
+	for srv, n := range kept {
+		if n > span/50+span/20 {
+			t.Errorf("server %d kept %d probe rows, %d have a partner: the filter passes more than 5 %% of the rest", srv, n, span/50)
+		}
+	}
+	for i, s := range sends {
+		// One data message and a Last marker per server.
+		if s.BytesSent() > (servers+1)*memory.HeaderSize+uint64(span/50*16) {
+			t.Errorf("server %d: build send reports %d wire bytes, more than its rows, their message and Last markers", i, s.BytesSent())
 		}
 	}
 }

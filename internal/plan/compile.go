@@ -23,6 +23,11 @@ type TableInfo struct {
 	PartCols []int
 	// Replicated marks relations fully present on every server.
 	Replicated bool
+	// Zones[col][server] is the [min, max] of an integer column on every
+	// server (nil for a column without a zone map). The slice is the
+	// cluster-wide catalog's, the same on every server, so a rule that
+	// reads it compiles the same plan everywhere.
+	Zones [][]exchange.Zone
 }
 
 // Options are the compile-time switches of one query: what the paper's
@@ -84,9 +89,16 @@ type stream struct {
 	source engine.Source
 	ops    []engine.Op
 	schema *storage.Schema
-	// part: the stream is hash-partitioned across servers on these
-	// columns (nil = unknown/not partitioned).
+	// part: the stream is partitioned across servers on these columns by
+	// the function by (nil = unknown/not partitioned).
 	part []int
+	// by: the partitioning function — a range map over part's one
+	// integer column, or nil for CRC32. Two streams are aligned only under
+	// the same function.
+	by *exchange.RangeMap
+	// zones[col][server] bounds an integer column's values on every server
+	// (nil or past the end = unknown).
+	zones [][]exchange.Zone
 	// replicated: every server sees the full stream.
 	replicated bool
 	// coordOnly: the stream only exists on the coordinator.
@@ -266,6 +278,7 @@ func (c *compiler) build(n *Node) (*stream, error) {
 		}
 		in.ops = append(in.ops, op.NewProject(in.schema, n.Cols))
 		in.part = remap(in.part, n.Cols)
+		in.zones = pick(in.zones, n.Cols)
 		in.schema = n.schema
 		return in, nil
 	case KJoin:
@@ -295,6 +308,7 @@ func (c *compiler) buildScan(n *Node) (*stream, error) {
 		schema:     n.schema,
 		part:       info.PartCols,
 		replicated: info.Replicated,
+		zones:      info.Zones,
 		rows:       info.Table.Rows(),
 	}
 	if c.env.AfterScan != nil {
@@ -378,6 +392,7 @@ func (c *compiler) exchangeStreamVia(name string, in *stream, sc exchange.SendCo
 	switch mode {
 	case exchange.ModePartition, exchange.ModeClassicPartition:
 		out.part = append([]int{}, sc.Keys...)
+		out.by = sc.Ranges
 	case exchange.ModeBroadcast:
 		out.replicated = true
 	case exchange.ModeGather:
@@ -467,6 +482,12 @@ func (c *compiler) buildJoin(n *Node) (*stream, error) {
 		return nil, err
 	}
 	strat := c.decideJoin(n, bs, ps)
+	var by *exchange.RangeMap
+	var shuffleBuild, shuffleProbe bool
+	if strat == PartitionBoth {
+		by = c.rangeMap(bs, ps, n.BuildKeys, n.ProbeKeys)
+		shuffleBuild, shuffleProbe, _ = c.shuffles(n, bs, ps, n.BuildKeys, n.ProbeKeys, by)
+	}
 
 	// Local copies of the join metadata: column pruning rewrites them into
 	// the pruned column space, and n is shared by every server's compile —
@@ -480,10 +501,10 @@ func (c *compiler) buildJoin(n *Node) (*stream, error) {
 	// dropped columns never reach the codec.
 	if !c.env.NoPushdown {
 		skew := strat == SkewAdaptive
-		if skew || strat == BroadcastBuild && !bs.replicated || strat == PartitionBoth && !aligned(bs.part, buildKeys) {
+		if skew || strat == BroadcastBuild && !bs.replicated || shuffleBuild {
 			residual = prune(bs, true, &buildKeys, &buildOut, residual)
 		}
-		if skew || strat == PartitionBoth && !aligned(ps.part, probeKeys) {
+		if skew || shuffleProbe {
 			residual = prune(ps, false, &probeKeys, &probeOut, residual)
 		}
 	}
@@ -494,7 +515,7 @@ func (c *compiler) buildJoin(n *Node) (*stream, error) {
 			bs = c.exchangeStream(joinName(n, "broadcast"), bs, exchange.ModeBroadcast, nil)
 		}
 	case PartitionBoth:
-		bs, ps = c.coPartition(n, bs, ps, buildKeys, probeKeys)
+		bs, ps = c.coPartition(n, bs, ps, buildKeys, probeKeys, by)
 	case SkewAdaptive:
 		// One coordinator per join per server; its control exchange id is
 		// allocated first so every server produces the identical id
@@ -540,10 +561,11 @@ func (c *compiler) buildJoin(n *Node) (*stream, error) {
 	ps.deps = withDep(ps.deps, build)
 	ps.schema = n.schema
 	// Resulting partitioning: the probe keys survive if they are among the
-	// emitted probe columns.
+	// emitted probe columns. Probe rows are never null-extended, so their
+	// zones survive too.
 	switch strat {
 	case PartitionBoth:
-		ps.part = remap(probeKeys, probeOut)
+		ps.part, ps.by = remap(probeKeys, probeOut), by
 	case SkewAdaptive:
 		// Hot probe tuples stayed on their origin server, so the output is
 		// NOT partitioned on the join keys: a downstream group-by must
@@ -553,6 +575,7 @@ func (c *compiler) buildJoin(n *Node) (*stream, error) {
 	default:
 		ps.part = remap(ps.part, probeOut)
 	}
+	ps.zones = pick(ps.zones, probeOut)
 	ps.replicated = ps.replicated && bs.replicated
 	return ps, nil
 }
@@ -567,12 +590,58 @@ func (c *compiler) control() exchange.ControlConfig {
 }
 
 // coPartition brings the inputs of a join or group-join (n) compiled
-// PartitionBoth together: each side not already partitioned on its keys
-// is shuffled on them. When both sides shuffle, the probe shuffle may be
-// reduced by a cluster-wide Bloom filter of the build keys: the build
-// send publishes the filter when it finishes, the filter's round merges
-// the n filters, and the probe send depends on the round and drops every
-// row that misses the merged filter.
+// PartitionBoth together under one partitioning function, by (rangeMap
+// picks it; nil is CRC32), exchanging the sides shuffles picks. The probe
+// shuffle may be reduced by a Bloom filter of the build keys, which the
+// build send publishes when it finishes. Under CRC32 the filter is
+// cluster-wide: the filter's round merges the n filters, and the probe
+// send depends on the round and drops every row that misses the merged
+// filter. The control exchange id comes first, then the build shuffle,
+// then the round, then the probe shuffle: Options.Serial chains pipelines
+// in compile order, so the build send finishes before the round waits for
+// the filters. Under a range map the filter is local (no round): the
+// probe send depends on the build send and tests the rows it keeps.
+func (c *compiler) coPartition(n *Node, bs, ps *stream, buildKeys, probeKeys []int, by *exchange.RangeMap) (*stream, *stream) {
+	buildName, probeName := "shuffle-build", "shuffle-probe"
+	if n.Kind == KGroupJoin {
+		buildName, probeName = "gj-shuffle-build", "gj-shuffle-probe"
+	}
+	shuffleBuild, shuffleProbe, filter := c.shuffles(n, bs, ps, buildKeys, probeKeys, by)
+	build := exchange.SendConfig{Mode: exchange.ModePartition, Keys: buildKeys, Ranges: by}
+	probe := exchange.SendConfig{Mode: exchange.ModePartition, Keys: probeKeys, Ranges: by}
+	var f *exchange.SemiFilter
+	switch {
+	case filter && by == nil:
+		f = exchange.NewSemiFilter(c.control())
+	case filter:
+		f = exchange.NewLocalSemiFilter()
+	}
+	build.BuildFilter, probe.ProbeFilter = f, f
+	if shuffleBuild {
+		bs = c.exchangeStreamVia(joinName(n, buildName), bs, build)
+	} else {
+		bs.part, bs.by = slices.Clone(buildKeys), by
+	}
+	switch {
+	case f != nil && by == nil:
+		// The round's pipeline: the filter is its source and its sink.
+		ps.deps = withDep(ps.deps, c.add(&engine.Pipeline{Name: joinName(n, "semi-filter"), Source: f, Sink: f}, nil))
+	case f != nil:
+		// The build send, just added, sets the local filter.
+		ps.deps = withDep(ps.deps, len(c.pipe)-1)
+	}
+	if shuffleProbe {
+		ps = c.exchangeStreamVia(joinName(n, probeName), ps, probe)
+	} else {
+		ps.part, ps.by = slices.Clone(probeKeys), by
+	}
+	return bs, ps
+}
+
+// shuffles is coPartition's exchange rule: a side not already
+// partitioned on its keys by by is shuffled on them, unless its zones on
+// the key already fit the range map. filter reports whether the probe
+// shuffle takes the semi-join filter.
 //
 // The filter rule reads only the plan, never local row counts, so every
 // server opens the same exchanges and adds the same rounds: an inner
@@ -580,35 +649,96 @@ func (c *compiler) control() exchange.ControlConfig {
 // probe row without a build group contributes nothing), the build input
 // reduced by a predicate (a build over a whole relation has a partner for
 // nearly every probe row, so the filter would only cost), both inputs
-// spread over every server (neither coordinator-only nor replicated), and
-// not the classic baseline. The control exchange id comes first, then the
-// build shuffle, then the round, then the probe shuffle: Options.Serial
-// chains pipelines in compile order, so the build send finishes before
-// the round waits for the filters.
-func (c *compiler) coPartition(n *Node, bs, ps *stream, buildKeys, probeKeys []int) (*stream, *stream) {
-	buildName, probeName := "shuffle-build", "shuffle-probe"
-	if n.Kind == KGroupJoin {
-		buildName, probeName = "gj-shuffle-build", "gj-shuffle-probe"
+// spread over every server (neither coordinator-only nor replicated), not
+// the classic baseline, and the probe shuffled. Under CRC32 the build
+// shuffles too. Under a range map the build must already lie where the
+// map puts it, so each server holds every build key it owns; its send
+// then runs only to set the local filter, and keeps every row on its
+// server. When both sides move by range there is no filter: a merged one
+// would cost a round of remote bytes to spare mostly loopback ones.
+func (c *compiler) shuffles(n *Node, bs, ps *stream, buildKeys, probeKeys []int, by *exchange.RangeMap) (build, probe, filter bool) {
+	build, probe = moves(bs, buildKeys, by), moves(ps, probeKeys, by)
+	filter = probe && build == (by == nil) && (n.Kind == KGroupJoin || n.JoinType == op.Inner) && !c.env.Classic &&
+		!bs.coordOnly && !ps.coordOnly && !bs.replicated && !ps.replicated && hasSelect(n.Build)
+	return build || filter, probe, filter
+}
+
+// rangeMap is coPartition's route rule: the range map a single-integer-key
+// join routes both inputs by, or nil for CRC32. It reads only the plan and
+// the cluster-wide zone maps, so every server derives the same map. Both
+// inputs must be spread over every server (neither coordinator-only nor
+// replicated), neither already hash-partitioned on its key, and both must
+// lie in key order across the servers: range-partitioned on the key
+// already, or with per-server zones on it that ascend
+// (z[s-1].Max ≤ z[s].Min). The classic baseline keeps CRC32 (Fig. 12(a),
+// Table 2). The map is the probe's, else the build's, else read off the
+// build's zones.
+func (c *compiler) rangeMap(bs, ps *stream, buildKeys, probeKeys []int) *exchange.RangeMap {
+	if c.env.Classic || len(buildKeys) != 1 || bs.coordOnly || ps.coordOnly || bs.replicated || ps.replicated ||
+		!inKeyOrder(bs, buildKeys) || !inKeyOrder(ps, probeKeys) {
+		return nil
 	}
-	shuffleBuild, shuffleProbe := !aligned(bs.part, buildKeys), !aligned(ps.part, probeKeys)
-	build := exchange.SendConfig{Mode: exchange.ModePartition, Keys: buildKeys}
-	probe := exchange.SendConfig{Mode: exchange.ModePartition, Keys: probeKeys}
-	if shuffleBuild && shuffleProbe && (n.Kind == KGroupJoin || n.JoinType == op.Inner) && !c.env.Classic &&
-		!bs.coordOnly && !ps.coordOnly && !bs.replicated && !ps.replicated && hasSelect(n.Build) {
-		f := exchange.NewSemiFilter(c.control())
-		build.BuildFilter, probe.ProbeFilter = f, f
+	switch {
+	case aligned(ps.part, probeKeys):
+		return ps.by
+	case aligned(bs.part, buildKeys):
+		return bs.by
 	}
-	if shuffleBuild {
-		bs = c.exchangeStreamVia(joinName(n, buildName), bs, build)
+	return exchange.RangeMapOf(bs.zone(buildKeys[0]))
+}
+
+// inKeyOrder reports whether a stream lies in the order of its one key
+// across the servers: range-partitioned on it, or its zones on it ascend.
+// A stream hash-partitioned on the key does not.
+func inKeyOrder(s *stream, keys []int) bool {
+	if aligned(s.part, keys) {
+		return s.by != nil
 	}
-	if f := probe.ProbeFilter; f != nil {
-		// The round's pipeline: the filter is its source and its sink.
-		ps.deps = withDep(ps.deps, c.add(&engine.Pipeline{Name: joinName(n, "semi-filter"), Source: f, Sink: f}, nil))
+	return ascending(s.zone(keys[0]))
+}
+
+// ascending reports whether per-server zones lie in key order: each ends
+// where the next begins or before.
+func ascending(z []exchange.Zone) bool {
+	if z == nil {
+		return false
 	}
-	if shuffleProbe {
-		ps = c.exchangeStreamVia(joinName(n, probeName), ps, probe)
+	for i := 1; i < len(z); i++ {
+		if z[i-1].Max > z[i].Min {
+			return false
+		}
 	}
-	return bs, ps
+	return true
+}
+
+// moves reports whether a stream must be exchanged to be partitioned on
+// keys by by: it is not already, and (under a range map) its zones on the
+// key do not fit the map either.
+func moves(s *stream, keys []int, by *exchange.RangeMap) bool {
+	if aligned(s.part, keys) && s.by.Equal(by) {
+		return false
+	}
+	if by == nil {
+		return true
+	}
+	z := s.zone(keys[0])
+	if len(z) != len(by.Lo) {
+		return true
+	}
+	for srv, zs := range z {
+		if !by.Holds(srv, zs.Min, zs.Max) {
+			return true
+		}
+	}
+	return false
+}
+
+// zone returns the per-server zones of column col, nil if unknown.
+func (s *stream) zone(col int) []exchange.Zone {
+	if col < len(s.zones) {
+		return s.zones[col]
+	}
+	return nil
 }
 
 // hasSelect reports whether a predicate reduces the subtree rooted at n.
@@ -640,6 +770,7 @@ func prune(s *stream, build bool, keys, out *[]int, res *op.Residual) *op.Residu
 	s.ops = append(s.ops, op.NewProject(s.schema, keep))
 	s.schema = s.schema.Project(keep)
 	s.part = remap(s.part, keep)
+	s.zones = pick(s.zones, keep)
 	*keys, *out = remap(*keys, keep), remap(*out, keep)
 	if res == nil {
 		return nil
@@ -669,7 +800,7 @@ func (c *compiler) decideJoin(n *Node, bs, ps *stream) JoinStrategy {
 	if n.Strategy == BroadcastBuild {
 		return BroadcastBuild
 	}
-	if aligned(bs.part, n.BuildKeys) && aligned(ps.part, n.ProbeKeys) {
+	if aligned(bs.part, n.BuildKeys) && aligned(ps.part, n.ProbeKeys) && bs.by.Equal(ps.by) {
 		return LocalJoin
 	}
 	if n.Strategy == SkewAdaptive {
@@ -694,7 +825,7 @@ func (c *compiler) buildGroupJoin(n *Node) (*stream, error) {
 		return nil, err
 	}
 	if c.decideJoin(n, bs, ps) == PartitionBoth {
-		bs, ps = c.coPartition(n, bs, ps, n.BuildKeys, n.ProbeKeys)
+		bs, ps = c.coPartition(n, bs, ps, n.BuildKeys, n.ProbeKeys, c.rangeMap(bs, ps, n.BuildKeys, n.ProbeKeys))
 	}
 	gjb := op.NewGroupJoinBuild(n.Build.Schema(), n.BuildKeys, n.Aggs)
 	build := c.add(&engine.Pipeline{
@@ -716,6 +847,7 @@ func (c *compiler) buildGroupJoin(n *Node) (*stream, error) {
 		source:     &op.LazySource{Fn: gjb.ResultBatches, Morsel: c.env.MorselSize},
 		schema:     n.schema,
 		part:       bs.part,
+		by:         bs.by,
 		replicated: bs.replicated && ps.replicated,
 		deps:       []int{probe},
 	}, nil
@@ -729,7 +861,8 @@ func (c *compiler) buildGroupBy(n *Node) (*stream, error) {
 	workers := c.env.Engine.Workers()
 	keyed := len(n.Keys) > 0
 	// Every group's rows already meet on one server (a replicated input
-	// on the coordinator's copy, which breaker cuts it to).
+	// on the coordinator's copy, which breaker cuts it to), under either
+	// partitioning function.
 	local := c.env.Servers == 1 || in.coordOnly || in.replicated || keyed && aligned(in.part, n.Keys)
 	if !local && keyed && c.env.DisablePreAgg {
 		// Ablation: shuffle raw rows, aggregate once after the exchange.
@@ -754,7 +887,7 @@ func (c *compiler) buildGroupBy(n *Node) (*stream, error) {
 	gb := op.NewGroupBy(in.schema, n.Keys, n.Aggs, workers)
 	out := c.breaker(in, phase{gbName(n, "agg"), gb, gb.FinalBatches, n.schema})
 	if keyed && aligned(in.part, n.Keys) {
-		out.part = identity(len(n.Keys))
+		out.part, out.by = identity(len(n.Keys)), in.by
 	}
 	return out, nil
 }
@@ -811,6 +944,20 @@ func remap(cols, proj []int) []int {
 			return nil
 		}
 		out[i] = found
+	}
+	return out
+}
+
+// pick carries per-column zones through a projection (nil = every column).
+func pick(zones [][]exchange.Zone, cols []int) [][]exchange.Zone {
+	if zones == nil || cols == nil {
+		return zones
+	}
+	out := make([][]exchange.Zone, len(cols))
+	for i, c := range cols {
+		if c < len(zones) {
+			out[i] = zones[c]
+		}
 	}
 	return out
 }
