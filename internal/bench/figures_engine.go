@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"hsqp/internal/cluster"
@@ -59,7 +60,9 @@ var figure3Engines = []struct {
 // figure3 scales the cluster from 1 to 4 servers (6 under -full) of 3
 // workers at a fixed data set size for the three engines. The paper: RDMA
 // reaches 3.5× at 6 servers, IPoIB-TCP hovers near 1×, GbE drops to ~1/6×.
-// The sweep sets the cluster size itself, so -servers does not apply.
+// The sweep sets the cluster size itself, so -servers does not apply. Every
+// simulated server runs in this one process, so the note under the table
+// names GOMAXPROCS: a row with more workers than that shares cores.
 func figure3(w io.Writer, a Args) error {
 	maxServers := 4
 	if a.Full {
@@ -88,6 +91,8 @@ func figure3(w io.Writer, a Args) error {
 		tab.Add(row...)
 	}
 	tab.Fprint(w)
+	fmt.Fprintf(w, "GOMAXPROCS=%d: a row whose servers × %d workers exceed it measures core sharing, not the paper's scale-out\n",
+		runtime.GOMAXPROCS(0), s.Workers)
 	return nil
 }
 

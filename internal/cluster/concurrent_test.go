@@ -19,9 +19,8 @@ import (
 )
 
 // TestMuxStateFreedAcrossQueries is the regression test for the routing
-// leak: the multiplexer used to keep registered-exchange and pending
-// entries forever. 100 sequential queries must leave every node's routing
-// tables empty.
+// leak: the multiplexer used to keep registered exchanges forever. 100
+// sequential queries must leave no exchange open on any node.
 func TestMuxStateFreedAcrossQueries(t *testing.T) {
 	orders := testOrders(500)
 	c := newTestCluster(t, 3, RDMA, true)
@@ -33,10 +32,8 @@ func TestMuxStateFreedAcrossQueries(t *testing.T) {
 			t.Fatalf("query %d: %d groups, want 7", i, len(got))
 		}
 		for _, n := range c.Nodes {
-			ex, pend := n.Mux.TableSizes()
-			if ex != 0 || pend != 0 {
-				t.Fatalf("after query %d: server %d holds %d exchanges, %d pending entries; want 0/0",
-					i, n.ID, ex, pend)
+			if ex := n.Mux.OpenExchanges(); ex != 0 {
+				t.Fatalf("after query %d: server %d holds %d exchanges; want 0", i, n.ID, ex)
 			}
 		}
 	}

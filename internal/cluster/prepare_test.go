@@ -50,9 +50,8 @@ func TestPreparedStatement(t *testing.T) {
 	// A prepare must not leak per-query routing state (it compiles then
 	// immediately closes the query id on every server).
 	for _, n := range c.Nodes {
-		ex, pend := n.Mux.TableSizes()
-		if ex != 0 || pend != 0 {
-			t.Fatalf("server %d holds %d exchanges, %d pending after prepared runs; want 0/0", n.ID, ex, pend)
+		if ex := n.Mux.OpenExchanges(); ex != 0 {
+			t.Fatalf("server %d holds %d exchanges after prepared runs; want 0", n.ID, ex)
 		}
 	}
 
@@ -69,9 +68,8 @@ func TestPrepareUnknownTable(t *testing.T) {
 		t.Fatal("prepare against missing table succeeded, want error")
 	}
 	for _, n := range c.Nodes {
-		ex, pend := n.Mux.TableSizes()
-		if ex != 0 || pend != 0 {
-			t.Fatalf("server %d holds %d exchanges, %d pending after failed prepare; want 0/0", n.ID, ex, pend)
+		if ex := n.Mux.OpenExchanges(); ex != 0 {
+			t.Fatalf("server %d holds %d exchanges after failed prepare; want 0", n.ID, ex)
 		}
 	}
 }

@@ -233,7 +233,7 @@ func TestSemiJoinFilterEligibility(t *testing.T) {
 		for _, qn := range queries.All() {
 			before := make([]int, len(c.Nodes))
 			for sid, n := range c.Nodes {
-				before[sid], _ = n.Mux.TableSizes()
+				before[sid] = n.Mux.OpenExchanges()
 			}
 			compiled, release := compileTPCH(t, c, qn, sf, row.po)
 			rounds, locals := -1, -1
@@ -254,7 +254,7 @@ func TestSemiJoinFilterEligibility(t *testing.T) {
 					t.Errorf("%s q%d: server %d has %d local filters, server 0 %d", row.name, qn, sid, probes-filters, locals)
 				}
 				locals = probes - filters
-				opened, _ := c.Nodes[sid].Mux.TableSizes()
+				opened := c.Nodes[sid].Mux.OpenExchanges()
 				if control := opened - before[sid] - receives; control != filters {
 					t.Errorf("%s q%d server %d: %d control exchanges for %d filter rounds", row.name, qn, sid, control, filters)
 				}

@@ -6,14 +6,14 @@ import (
 
 	"hsqp/internal/engine"
 	"hsqp/internal/memory"
+	"hsqp/internal/mux"
 	"hsqp/internal/numa"
 	"hsqp/internal/ser"
 )
 
 // drainLoopback releases everything a one-server exchange delivered.
-func drainLoopback(t *testing.T, h *harness, ex int32) {
+func drainLoopback(t *testing.T, recv *mux.ExchangeRecv) {
 	t.Helper()
-	recv := h.muxes[0].OpenExchange(0, ex, 1)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		msg, done := recv.TryRecv(0)
@@ -60,6 +60,7 @@ func TestRouteBatchNUMAAccounting(t *testing.T) {
 		{"socket-0 worker, interleaved buffers", numa.AllocInterleaved, engine.Worker{Node: 0}, 0, wantBytes, n * latency},
 	} {
 		h := newHarness(t, 1)
+		recv := h.muxes[0].OpenExchange(0, 1, 1)
 		topo := numa.TwoSocket()
 		topo.QPILatency = latency
 		send := NewSend(SendConfig{
@@ -80,7 +81,7 @@ func TestRouteBatchNUMAAccounting(t *testing.T) {
 		if err := send.FinalizeOn(&w); err != nil {
 			t.Fatal(err)
 		}
-		drainLoopback(t, h, 1)
+		drainLoopback(t, recv)
 	}
 }
 

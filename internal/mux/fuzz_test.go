@@ -13,9 +13,10 @@ import (
 // and echoes, from any source id) and data frames with any query,
 // exchange, sender and Last flag, interleaved with opening, draining and
 // closing exchanges. Each 8-byte record of the input is one step. The
-// multiplexer must not panic; its routing tables must match a model of
-// what is open and pending after every step and be empty once every query
-// closed; every buffer must come back to the pool; a barrier completes
+// multiplexer must not panic; its open exchanges must match a model after
+// every step and be none once every query closed; a data frame whose
+// exchange is not open (never opened yet, or its query closed) is dropped
+// and counted; every buffer must come back to the pool; a barrier completes
 // exactly the phases up to the highest tag its source sent, so a stale tag
 // completes no later phase; and the barrier state stays one number per
 // server however many tags arrive. Sequence numbers are stamped
@@ -34,6 +35,8 @@ func FuzzMuxInbound(f *testing.F) {
 	f.Add(cat(rec(0, 2, 5), rec(0, 2, 3), rec(0, 1, 0xff, 0xff, 0xff, 0x7f)))
 	f.Add(cat(rec(1, 0, 1, 1, 1), rec(1, 0, 1, 2, 0), rec(2, 0, 1), rec(3), rec(4, 0)))
 	f.Add(cat(rec(2, 1, 2), rec(1, 1, 2, 0, 1), rec(1, 1, 2, 1, 1), rec(1, 1, 2, 2, 1), rec(3), rec(4, 1)))
+	// A data frame before its exchange opens is dropped, not held for it.
+	f.Add(cat(rec(1, 0, 1, 0, 1, 0, 1, 9), rec(2, 0, 1), rec(3), rec(4, 0)))
 	f.Add([]byte{})
 
 	const servers = 3
@@ -50,10 +53,10 @@ func FuzzMuxInbound(f *testing.F) {
 		type stream struct{ q, ex int32 }
 		open := map[stream]*ExchangeRecv{}
 		opened := map[stream]bool{}   // ever opened: a second open is a harness bug
-		pending := map[stream]bool{}  // early arrivals held for a never-opened exchange
 		lasts := map[stream]int{}     // Last markers delivered per exchange
 		seqs := map[[3]int32]uint32{} // next sequence number per (query, exchange, sender)
 		closed := map[int32]bool{}
+		var dropped uint64            // data frames that found no open exchange
 		var barrierHi [servers]uint32 // model: 1 + highest barrier tag per source
 
 		drain := func(s stream) {
@@ -71,11 +74,6 @@ func FuzzMuxInbound(f *testing.F) {
 				if s.q == q {
 					drain(s)
 					delete(open, s)
-				}
-			}
-			for s := range pending {
-				if s.q == q {
-					delete(pending, s)
 				}
 			}
 			m.CloseQuery(q)
@@ -107,8 +105,8 @@ func FuzzMuxInbound(f *testing.F) {
 				msg.Node = numa.Node(r[5] % 3)
 				msg.Content = append(msg.Content, r[6:6+r[6]%3]...)
 				m.OnRecv(msg)
-				if !closed[s.q] && open[s] == nil {
-					pending[s] = true
+				if open[s] == nil {
+					dropped++
 				}
 			case 2: // open an exchange
 				s := stream{q: int32(r[1] % queries), ex: int32(r[2] % exchanges)}
@@ -117,7 +115,6 @@ func FuzzMuxInbound(f *testing.F) {
 				}
 				opened[s] = true
 				open[s] = m.OpenExchange(s.q, s.ex, servers)
-				delete(pending, s)
 			case 3: // consume everything the open exchanges hold
 				for s := range open {
 					drain(s)
@@ -126,9 +123,11 @@ func FuzzMuxInbound(f *testing.F) {
 				closeQuery(int32(r[1] % queries))
 			}
 
-			if exs, pend := m.TableSizes(); exs != len(open) || pend != len(pending) {
-				t.Fatalf("tables hold %d exchanges and %d pending keys, model %d and %d",
-					exs, pend, len(open), len(pending))
+			if exs := m.OpenExchanges(); exs != len(open) {
+				t.Fatalf("%d exchanges open, model %d", exs, len(open))
+			}
+			if got := m.Stats().DroppedMsgs; got != dropped {
+				t.Fatalf("%d messages dropped, model %d", got, dropped)
 			}
 			if len(m.queues.barrierHi) != servers {
 				t.Fatalf("barrier state grew to %d entries", len(m.queues.barrierHi))
@@ -149,8 +148,8 @@ func FuzzMuxInbound(f *testing.F) {
 		for q := int32(0); q < queries; q++ {
 			closeQuery(q)
 		}
-		if exs, pend := m.TableSizes(); exs != 0 || pend != 0 {
-			t.Fatalf("after closing every query: %d exchanges, %d pending keys", exs, pend)
+		if exs := m.OpenExchanges(); exs != 0 {
+			t.Fatalf("after closing every query: %d exchanges open", exs)
 		}
 		if st := pool.Stats(); st.Allocated+st.Recycled != st.Returned {
 			t.Fatalf("buffers not released: %+v", st)

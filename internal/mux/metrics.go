@@ -12,5 +12,5 @@ var (
 	mRecvStallNanos = obs.Default().Counter("hsqp_mux_recv_stall_nanoseconds_total",
 		"Time blocking receives spent parked waiting for messages, in nanoseconds.")
 	mDroppedMsgs = obs.Default().Counter("hsqp_mux_dropped_messages_total",
-		"Late messages dropped because their query already closed.")
+		"Messages released because their query already closed on this server.")
 )

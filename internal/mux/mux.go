@@ -85,7 +85,7 @@ type Stats struct {
 	LocalMsgs    uint64 // messages short-circuited to local exchanges
 	StolenMsgs   uint64 // messages consumed from a non-local NUMA queue
 	SyncBarriers uint64
-	DroppedMsgs  uint64 // messages of closed queries, still queued or late
+	DroppedMsgs  uint64 // messages of closed queries, still queued or arriving after CloseQuery
 	ExpressMsgs  uint64 // of MsgsSent, those that skipped the send loop
 }
 
@@ -96,11 +96,6 @@ type ExchangeKey struct {
 	Query    int32
 	Exchange int32
 }
-
-// closedQueryMemory bounds how many finished query ids the multiplexer
-// remembers so straggler messages (e.g. from an aborted query's in-flight
-// sends) are dropped instead of accumulating in the pending map forever.
-const closedQueryMemory = 1024
 
 // Inline tags are shared between the scheduler's synchronization barriers
 // and the failure detector's probes. The two high bits discriminate:
@@ -132,11 +127,8 @@ type Mux struct {
 	parked bool         // the loop is blocked in its select on wait
 	wait   sched.Action // what it waits for: Idle, or Wait on source Peer's barrier (−1: on none)
 
-	mu         sync.Mutex
-	exchanges  map[ExchangeKey]*ExchangeRecv
-	pending    map[ExchangeKey][]*memory.Message // early arrivals before Open
-	closed     map[int32]struct{}                // finished queries (late arrivals dropped)
-	closedFifo []int32                           // eviction order for closed
+	mu        sync.Mutex
+	exchanges map[ExchangeKey]*ExchangeRecv // open from compile to CloseQuery
 
 	recvRotate atomic.Uint64 // rotates posted receive buffers over sockets
 
@@ -207,8 +199,6 @@ func New(cfg Config) (*Mux, error) {
 		},
 		loop:      sc.Loop(cfg.Server, BatchPerPhase, !cfg.Scheduling),
 		exchanges: make(map[ExchangeKey]*ExchangeRecv),
-		pending:   make(map[ExchangeKey][]*memory.Message),
-		closed:    make(map[int32]struct{}),
 		heard:     make([]atomic.Uint64, cfg.Servers),
 		wakeCh:    make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
@@ -234,7 +224,7 @@ func (m *Mux) RecvAlloc() *memory.Message {
 // OnRecv is the transport's data-delivery callback.
 func (m *Mux) OnRecv(msg *memory.Message) {
 	m.hear(msg.Sender)
-	m.route(msg, false)
+	m.route(msg)
 }
 
 // OnInline is the transport's inline-delivery callback: scheduler sync
@@ -408,12 +398,12 @@ func (m *Mux) Stats() Stats {
 	}
 }
 
-// TableSizes reports the current size of the routing maps (leak tests:
-// both must return to zero once every query has been closed).
-func (m *Mux) TableSizes() (exchanges, pending int) {
+// OpenExchanges reports how many exchanges are open (leak tests: zero once
+// every query has been closed).
+func (m *Mux) OpenExchanges() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.exchanges), len(m.pending)
+	return len(m.exchanges)
 }
 
 // ServerID returns this multiplexer's server id (senders stamp it into
@@ -432,7 +422,7 @@ func (m *Mux) ServerID() int { return m.cfg.Server }
 func (m *Mux) Send(dst int, msg *memory.Message) {
 	if dst == m.cfg.Server {
 		m.localMsgs.Add(1)
-		m.route(msg, true)
+		m.route(msg)
 		return
 	}
 	e := entry{msg: msg, stream: ExchangeKey{Query: msg.QueryID, Exchange: msg.ExchangeID}}
@@ -466,37 +456,28 @@ func (m *Mux) Send(dst int, msg *memory.Message) {
 	m.sendMu.Unlock()
 }
 
-// route hands a message to its exchange's receive queues, buffering it if
-// the exchange has not been opened yet. Messages addressed to a query that
-// already finished (late stragglers of an aborted run) are released
-// immediately instead of leaking into the pending map.
-func (m *Mux) route(msg *memory.Message, local bool) {
-	key := ExchangeKey{Query: msg.QueryID, Exchange: msg.ExchangeID}
+// route hands a message to its exchange's receive queues. A query's
+// exchanges are open on every server from its compile to its CloseQuery
+// (docs/invariants.md), so a message whose exchange is not open is a
+// straggler of a query that already closed here: it is released and
+// counted.
+func (m *Mux) route(msg *memory.Message) {
 	m.mu.Lock()
-	ex, ok := m.exchanges[key]
-	if !ok {
-		if _, dead := m.closed[msg.QueryID]; dead {
-			m.mu.Unlock()
-			m.drop(msg)
-			return
-		}
-		m.pending[key] = append(m.pending[key], msg)
-		m.mu.Unlock()
+	ex := m.exchanges[ExchangeKey{Query: msg.QueryID, Exchange: msg.ExchangeID}]
+	m.mu.Unlock()
+	if ex == nil {
+		m.drop(msg)
 		return
 	}
-	m.mu.Unlock()
 	ex.push(msg)
 }
 
 // CloseQuery is a query's one teardown: it forgets every exchange of the
-// query, releases what they still queue or later receive (an aborted
-// run's undrained receives and control rounds) and any pending
-// (never-opened) buffers, so neither the routing maps nor the pools leak
-// across queries. The query id is remembered (bounded FIFO of
-// closedQueryMemory entries) so in-flight stragglers are dropped on
-// arrival instead of re-populating the pending map.
+// query and releases what they still queue or later receive (an aborted
+// run's undrained receives and control rounds), so neither the routing
+// map nor the pools leak across queries. A message of the query that
+// arrives afterwards finds no exchange and is dropped by route.
 func (m *Mux) CloseQuery(queryID int32) {
-	var drop []*memory.Message
 	var open []*ExchangeRecv
 	m.mu.Lock()
 	for key, ex := range m.exchanges {
@@ -505,30 +486,13 @@ func (m *Mux) CloseQuery(queryID int32) {
 			delete(m.exchanges, key)
 		}
 	}
-	for key, msgs := range m.pending {
-		if key.Query == queryID {
-			drop = append(drop, msgs...)
-			delete(m.pending, key)
-		}
-	}
-	if _, seen := m.closed[queryID]; !seen {
-		m.closed[queryID] = struct{}{}
-		m.closedFifo = append(m.closedFifo, queryID)
-		if len(m.closedFifo) > closedQueryMemory {
-			delete(m.closed, m.closedFifo[0])
-			m.closedFifo = m.closedFifo[1:]
-		}
-	}
 	m.mu.Unlock()
 	for _, ex := range open {
 		ex.close()
 	}
-	for _, msg := range drop {
-		m.drop(msg)
-	}
 }
 
-// drop releases a message addressed to a closed query.
+// drop releases a message whose query has closed on this server.
 func (m *Mux) drop(msg *memory.Message) {
 	m.droppedMsgs.Add(1)
 	mDroppedMsgs.Inc()

@@ -116,43 +116,6 @@ func TestAllToAllDelivery(t *testing.T) {
 	}
 }
 
-func TestEarlyArrivalsBuffered(t *testing.T) {
-	muxes, stop := testCluster(t, 2, false)
-	defer stop()
-	topo := numa.TwoSocket()
-	pool := memory.NewPool(topo, numa.AllocLocal, 4096, nil)
-
-	// Server 0 sends before server 1 opens the exchange.
-	msg := pool.Get(0)
-	msg.ExchangeID = 9
-	msg.Sender = 0
-	msg.Content = append(msg.Content, 42)
-	muxes[0].Send(1, msg)
-	last := pool.Get(0)
-	last.ExchangeID = 9
-	last.Sender = 0
-	last.Seq = 1
-	last.Last = true
-	muxes[0].Send(1, last)
-	// Our own contribution for exchange 9 on server 0 is irrelevant; open
-	// with senders=1 on server 1 only.
-	recv := muxes[1].OpenExchange(0, 9, 1)
-	var payloads [][]byte
-	for {
-		m := recv.Recv(0)
-		if m == nil {
-			break
-		}
-		if len(m.Content) > 0 {
-			payloads = append(payloads, append([]byte{}, m.Content...))
-		}
-		m.Release()
-	}
-	if len(payloads) != 1 || payloads[0][0] != 42 {
-		t.Fatalf("early message lost: %v", payloads)
-	}
-}
-
 func TestWorkStealingAcrossSockets(t *testing.T) {
 	muxes, stop := testCluster(t, 1, false)
 	defer stop()
@@ -415,7 +378,9 @@ func TestHeardCountsEveryFrame(t *testing.T) {
 // the query still queues, a message pushed to the exchange after the close
 // (a delivery that looked it up just before) is released, and a Recv
 // blocked on the exchange returns nil instead of waiting for senders that
-// will never finish.
+// will never finish. A message routed after the close, from the wire or
+// from this server, and one for a query that never opened an exchange here
+// find no exchange and are released and counted too.
 func TestClosedExchangeReleases(t *testing.T) {
 	muxes, stop := testCluster(t, 1, false)
 	defer stop()
@@ -451,11 +416,18 @@ func TestClosedExchangeReleases(t *testing.T) {
 	if r, done := queued.TryRecv(0); r != nil || !done {
 		t.Fatalf("TryRecv on a closed exchange = (%v, %v), want (nil, true)", r, done)
 	}
+	m.OnRecv(msg(2)) // a straggler of query 7 off the wire
+	stranger := msg(0)
+	stranger.QueryID = 8 // no exchange of query 8 was ever opened here
+	m.Send(0, stranger)
 	if st := pool.Stats(); st.Allocated+st.Recycled != st.Returned {
 		t.Fatalf("%d buffers taken, %d returned", st.Allocated+st.Recycled, st.Returned)
 	}
-	if dropped := m.Stats().DroppedMsgs; dropped != 2 {
-		t.Fatalf("%d messages dropped, want the queued one and the late one", dropped)
+	if dropped := m.Stats().DroppedMsgs; dropped != 4 {
+		t.Fatalf("%d messages dropped, want the queued one, the late push, the routed straggler and the never-opened query's", dropped)
+	}
+	if n := m.OpenExchanges(); n != 0 {
+		t.Fatalf("%d exchanges open after CloseQuery", n)
 	}
 }
 

@@ -48,8 +48,9 @@ type ExchangeRecv struct {
 
 // OpenExchange registers a hybrid exchange of one query that will receive
 // from `senders` servers (each sends exactly one Last-flagged message):
-// one lane per NUMA socket, with stealing. Early arrivals buffered under
-// this (query, exchange) key are replayed.
+// one lane per NUMA socket, with stealing. Every server opens a query's
+// exchanges before any of them runs it, so no message can arrive first;
+// the exchange stays open until CloseQuery.
 func (m *Mux) OpenExchange(queryID, exID int32, senders int) *ExchangeRecv {
 	return m.open(queryID, exID, m.cfg.Topology.Sockets, senders, true)
 }
@@ -81,12 +82,7 @@ func (m *Mux) open(queryID, exID int32, lanes, lastMarkers int, steal bool) *Exc
 		invariant.Failf("mux: exchange %d/%d opened twice", queryID, exID)
 	}
 	m.exchanges[key] = ex
-	early := m.pending[key]
-	delete(m.pending, key)
 	m.mu.Unlock()
-	for _, msg := range early {
-		ex.push(msg)
-	}
 	return ex
 }
 

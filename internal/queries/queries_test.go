@@ -177,7 +177,10 @@ func TestTPCHDistributedPartitioned(t *testing.T) { runConformance(t, 3, true, a
 // TestMixedOptionsConcurrently is what per-query options newly allow: a
 // classic and a hybrid compilation of the same statements run at the same
 // time on one cluster. Both must return the reference rows and leave no
-// routing state behind on any multiplexer.
+// routing state behind on any multiplexer. No message may find its
+// exchange closed: every server opens a query's exchanges before any runs
+// it, and a healthy run drains them before CloseQuery, so a drop here
+// means something was sent before its exchange opened or was never read.
 func TestMixedOptionsConcurrently(t *testing.T) {
 	c := newCluster(t, 3)
 	c.LoadTPCH(getDB(), false)
@@ -214,8 +217,11 @@ func TestMixedOptionsConcurrently(t *testing.T) {
 		}
 	}
 	for _, n := range c.Nodes {
-		if ex, pend := n.Mux.TableSizes(); ex != 0 || pend != 0 {
-			t.Fatalf("server %d holds %d exchanges, %d pending entries after mixed runs; want 0/0", n.ID, ex, pend)
+		if ex := n.Mux.OpenExchanges(); ex != 0 {
+			t.Fatalf("server %d holds %d exchanges after mixed runs; want 0", n.ID, ex)
+		}
+		if dropped := n.Mux.Stats().DroppedMsgs; dropped != 0 {
+			t.Fatalf("server %d dropped %d messages in healthy runs; want 0", n.ID, dropped)
 		}
 	}
 }
