@@ -18,12 +18,13 @@ race:
 # column pool and worker scratch, the network frame): an allocation
 # creeping back fails here by name. The files are //go:build !race — the
 # race detector allocates — so no -race. One pass of the decode,
-# fused-stage, group-by and join-probe micro-benchmarks keeps them
-# compiling and prints their rates and allocs/op.
+# fused-stage, group-by (Q1-shaped and string-keyed) and join-probe
+# micro-benchmarks keeps them compiling and prints their rates and
+# allocs/op.
 allocs:
 	$(GO) test -run 'Allocs' ./internal/storage ./internal/ser ./internal/op ./internal/exchange ./internal/engine ./internal/nic
 	$(GO) test -run '^$$' -bench DecodeAll -benchtime 1x ./internal/ser
-	$(GO) test -run '^$$' -bench '^Benchmark(Fused|GroupBy|JoinProbe)$$' -benchtime 1x ./internal/op
+	$(GO) test -run '^$$' -bench '^Benchmark(Fused|GroupBy|GroupByStringKey|JoinProbe)$$' -benchtime 1x ./internal/op
 
 # The repo's invariant linter (see docs/invariants.md) plus the vet
 # checks CI enforces. nilness is not in `go vet`; hsqplint ships its own.

@@ -100,19 +100,6 @@ func cmdDbgen(args []string) error {
 	return nil
 }
 
-func parseTransport(s string) (cluster.TransportKind, error) {
-	switch s {
-	case "rdma":
-		return cluster.RDMA, nil
-	case "tcp":
-		return cluster.TCPoIB, nil
-	case "gbe":
-		return cluster.TCPGbE, nil
-	default:
-		return 0, fmt.Errorf("unknown transport %q (rdma|tcp|gbe)", s)
-	}
-}
-
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	q := fs.Int("q", 1, "TPC-H query number")
@@ -131,7 +118,7 @@ func cmdRun(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tk, err := parseTransport(*transport)
+	tk, err := cluster.ParseTransport(*transport)
 	if err != nil {
 		return err
 	}

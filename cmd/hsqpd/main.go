@@ -41,19 +41,6 @@ func main() {
 	}
 }
 
-func parseTransport(s string) (cluster.TransportKind, error) {
-	switch s {
-	case "rdma":
-		return cluster.RDMA, nil
-	case "tcp":
-		return cluster.TCPoIB, nil
-	case "gbe":
-		return cluster.TCPGbE, nil
-	default:
-		return 0, fmt.Errorf("unknown transport %q (rdma|tcp|gbe)", s)
-	}
-}
-
 // parseTenants parses "name:weight,name:weight" (weight optional, default 1).
 func parseTenants(s string) (map[string]int, error) {
 	if s == "" {
@@ -121,7 +108,7 @@ func run(args []string) error {
 	if *noObs {
 		obs.SetEnabled(false)
 	}
-	tk, err := parseTransport(*transport)
+	tk, err := cluster.ParseTransport(*transport)
 	if err != nil {
 		return err
 	}

@@ -53,6 +53,21 @@ func (t TransportKind) String() string {
 	}
 }
 
+// ParseTransport parses the command-line name of a transport: rdma, tcp
+// (TCP over IP-over-InfiniBand) or gbe (TCP over Gigabit Ethernet).
+func ParseTransport(s string) (TransportKind, error) {
+	switch s {
+	case "rdma":
+		return RDMA, nil
+	case "tcp":
+		return TCPoIB, nil
+	case "gbe":
+		return TCPGbE, nil
+	default:
+		return 0, fmt.Errorf("unknown transport %q (rdma|tcp|gbe)", s)
+	}
+}
+
 // RegistrationCost is the modeled cost of registering (pinning) a fresh
 // memory region with the HCA (§2.2.2); amortized away by pool reuse.
 const RegistrationCost = 40 * time.Microsecond

@@ -3,6 +3,7 @@ package op
 import (
 	"cmp"
 	"fmt"
+	"math"
 
 	"hsqp/internal/engine"
 	"hsqp/internal/storage"
@@ -81,66 +82,15 @@ type aggState struct {
 	set bool
 }
 
-// aggChain is a chained hash index over group ids: heads is a power-of-two
-// bucket array, next/hashes are indexed by group id. It replaces the old
-// map[uint32][]int32, which allocated one slice per distinct hash; a
-// worker's chain grows from small by doubling, the merged table's is sized
+// aggTable is one worker's (or the merged) grouping hash table: a
+// HashTable over its own key rows, one chunk, so a group's id is its row.
+// A worker's table grows from small by doubling; the merged one is sized
 // exactly and never rehashes.
-type aggChain struct {
-	mask   uint32
-	heads  []int32
-	next   []int32
-	hashes []uint32 // full hash per group: cheap equality pre-check + rehash
-}
-
-func newAggChain(groups int) aggChain {
-	buckets := nextPow2(groups)
-	c := aggChain{
-		heads:  make([]int32, buckets),
-		mask:   uint32(buckets - 1),
-		next:   make([]int32, 0, groups),
-		hashes: make([]uint32, 0, groups),
-	}
-	for i := range c.heads {
-		c.heads[i] = -1
-	}
-	return c
-}
-
-// add registers the next group id under hash h, doubling the bucket array
-// when the load factor reaches 1.
-func (c *aggChain) add(h uint32) int32 {
-	if len(c.next) >= len(c.heads) {
-		c.grow()
-	}
-	id := int32(len(c.next))
-	b := h & c.mask
-	c.next = append(c.next, c.heads[b])
-	c.hashes = append(c.hashes, h)
-	c.heads[b] = id
-	return id
-}
-
-func (c *aggChain) grow() {
-	buckets := len(c.heads) * 2
-	c.heads = make([]int32, buckets)
-	c.mask = uint32(buckets - 1)
-	for i := range c.heads {
-		c.heads[i] = -1
-	}
-	for id, h := range c.hashes {
-		b := h & c.mask
-		c.next[id] = c.heads[b]
-		c.heads[b] = int32(id)
-	}
-}
-
-// aggTable is one worker's (or the merged) grouping hash table.
 type aggTable struct {
-	keys   *storage.Batch // one row per group: the key columns
-	idx    aggChain
+	HashTable
+	chunk  [1]buildChunk // chunks' backing: the key rows and their chain
+	hashes []uint32      // full hash per group: cheap equality pre-check, rehash and merge
 	nAggs  int
-	groups int
 	states []aggState // group g's states are states[g*nAggs : (g+1)*nAggs]
 }
 
@@ -149,19 +99,23 @@ type aggTable struct {
 const minAggHint = 64
 
 // newAggTable creates a table with room for groups groups in its keys,
-// chain and flat states.
-func newAggTable(keySchema *storage.Schema, nAggs, groups int) *aggTable {
-	return &aggTable{
-		keys:   storage.NewBatch(keySchema, groups),
-		idx:    newAggChain(groups),
-		nAggs:  nAggs,
-		states: make([]aggState, 0, groups*nAggs),
+// chain and flat states; keyCols is the identity over keySchema's columns.
+func newAggTable(keySchema *storage.Schema, keyCols []int, nAggs, groups int) *aggTable {
+	t := &aggTable{
+		HashTable: HashTable{Keys: keyCols, shift: 31, off: math.MaxInt32},
+		hashes:    make([]uint32, 0, groups),
+		nAggs:     nAggs,
+		states:    make([]aggState, 0, groups*nAggs),
 	}
+	t.chunk[0] = buildChunk{b: storage.NewBatch(keySchema, groups), next: make([]int32, 0, groups)}
+	t.chunks = t.chunk[:]
+	t.resize(nextPow2(groups))
+	return t
 }
 
 // newGroup appends one group's zeroed aggregate states.
 func (t *aggTable) newGroup() {
-	t.groups++
+	t.rows++
 	t.states = append(t.states, make([]aggState, t.nAggs)...)
 }
 
@@ -171,54 +125,37 @@ func (t *aggTable) statesOf(g int) []aggState {
 }
 
 // groupFor finds or creates the group of row i (keyed by keyCols of b);
-// h is the row's key hash (storage.HashRow).
+// h is the row's key hash (storage.HashRow). Before a new group is
+// linked, a table whose load factor has reached 1 doubles its bucket
+// array and links every stored hash again.
 func (t *aggTable) groupFor(b *storage.Batch, keyCols []int, i int, h uint32) int32 {
 	if len(keyCols) == 0 {
-		if t.groups == 0 {
+		if t.rows == 0 {
 			t.newGroup()
 		}
 		return 0
 	}
-	for g := t.idx.heads[h&t.idx.mask]; g >= 0; g = t.idx.next[g] {
-		if t.idx.hashes[g] == h && keysEqual(t.keys, int(g), b, keyCols, i) {
+	ch := &t.chunk[0]
+	for g := t.first(h); g >= 0; g = ch.next[g] {
+		if t.hashes[g] == h && keyEq(ch.b, int(g), t.Keys, b, i, keyCols) {
 			return g
 		}
 	}
-	g := t.idx.add(h)
-	for k, kc := range keyCols {
-		t.keys.Cols[k].AppendFrom(b.Cols[kc], i)
+	if t.rows >= len(t.heads) {
+		t.resize(2 * len(t.heads))
+		for g, gh := range t.hashes {
+			t.link(ch, g, int32(g), gh)
+		}
 	}
+	g := int32(t.rows)
+	for k, kc := range keyCols {
+		ch.b.Cols[k].AppendFrom(b.Cols[kc], i)
+	}
+	ch.next = append(ch.next, -1)
+	t.hashes = append(t.hashes, h)
+	t.link(ch, int(g), g, h)
 	t.newGroup()
 	return g
-}
-
-func keysEqual(keys *storage.Batch, g int, b *storage.Batch, keyCols []int, i int) bool {
-	for k := range keys.Cols {
-		kc := keys.Cols[k]
-		bc := b.Cols[keyCols[k]]
-		kn, bn := kc.IsNull(g), bc.IsNull(i)
-		if kn || bn {
-			if kn && bn {
-				continue // grouping treats NULLs as equal
-			}
-			return false
-		}
-		switch kc.Type {
-		case storage.TString:
-			if kc.Str[g] != bc.Str[i] {
-				return false
-			}
-		case storage.TFloat64:
-			if kc.F64[g] != bc.F64[i] {
-				return false
-			}
-		default:
-			if kc.I64[g] != bc.I64[i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // GroupBy is the hash-aggregation pipeline breaker. Workers aggregate into
@@ -231,6 +168,7 @@ type GroupBy struct {
 	InSchema *storage.Schema
 
 	keySchema *storage.Schema
+	keyCols   []int       // identity over keySchema: every table's HashTable.Keys
 	tables    []*aggTable // per worker
 	merged    *aggTable
 }
@@ -240,11 +178,13 @@ type GroupBy struct {
 // groups and doubles (Q1 has 4 groups in 6M rows), and Finalize sizes the
 // merged table exactly.
 func NewGroupBy(in *storage.Schema, keys []int, aggs []AggSpec, numWorkers int) *GroupBy {
-	ks := in.Project(keys)
-	g := &GroupBy{Keys: keys, Aggs: aggs, InSchema: in, keySchema: ks}
+	g := &GroupBy{Keys: keys, Aggs: aggs, InSchema: in, keySchema: in.Project(keys), keyCols: make([]int, len(keys))}
+	for i := range g.keyCols {
+		g.keyCols[i] = i
+	}
 	g.tables = make([]*aggTable, numWorkers)
 	for i := range g.tables {
-		g.tables[i] = newAggTable(ks, len(aggs), minAggHint)
+		g.tables[i] = newAggTable(g.keySchema, g.keyCols, len(aggs), minAggHint)
 	}
 	return g
 }
@@ -367,19 +307,18 @@ func foldBest[T cmp.Ordered](states []aggState, stride, a int, isMax bool, vs []
 func (g *GroupBy) Finalize() error {
 	total := 0
 	for _, t := range g.tables {
-		total += t.groups
+		total += t.rows
 	}
-	merged := newAggTable(g.keySchema, len(g.Aggs), max(total, 1))
-	keyCols := identityCols(len(g.Keys))
+	merged := newAggTable(g.keySchema, g.keyCols, len(g.Aggs), max(total, 1))
 	for _, t := range g.tables {
-		for grp := 0; grp < t.groups; grp++ {
+		for grp := 0; grp < t.rows; grp++ {
 			// A group's key columns hold the values it was hashed from, so
 			// the hash the worker stored is the merged table's hash too.
 			var h uint32
-			if len(keyCols) > 0 {
-				h = t.idx.hashes[grp]
+			if len(g.keyCols) > 0 {
+				h = t.hashes[grp]
 			}
-			dst := merged.statesOf(int(merged.groupFor(t.keys, keyCols, grp, h)))
+			dst := merged.statesOf(int(merged.groupFor(t.chunk[0].b, g.keyCols, grp, h)))
 			src := t.statesOf(grp)
 			for a := range g.Aggs {
 				mergeState(&dst[a], &src[a], &g.Aggs[a])
@@ -387,21 +326,12 @@ func (g *GroupBy) Finalize() error {
 		}
 	}
 	// Scalar aggregation always has its single group, even on empty input.
-	if len(g.Keys) == 0 && merged.groups == 0 {
+	if len(g.Keys) == 0 && merged.rows == 0 {
 		merged.newGroup()
 	}
 	g.merged = merged
 	g.tables = nil
 	return nil
-}
-
-// identityCols returns [0,1,…,n).
-func identityCols(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 func mergeState(dst, src *aggState, spec *AggSpec) {
@@ -490,10 +420,10 @@ func (g *GroupBy) emit(final bool) []*storage.Batch {
 		schema = g.FinalSchema()
 	}
 	t := g.merged
-	out := storage.NewBatch(schema, t.groups)
-	for grp := 0; grp < t.groups; grp++ {
+	out := storage.NewBatch(schema, t.rows)
+	for grp := 0; grp < t.rows; grp++ {
 		for k := range g.Keys {
-			out.Cols[k].AppendFrom(t.keys.Cols[k], grp)
+			out.Cols[k].AppendFrom(t.chunk[0].b.Cols[k], grp)
 		}
 		c := len(g.Keys)
 		for a := range g.Aggs {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -461,10 +462,15 @@ func TestKernelsRejectForeignType(t *testing.T) {
 // row by row, leaves — for every AggKind over integer-backed arguments
 // (columns, MulDec, CaseWhen, a Ratio that is sometimes NULL) and over
 // float and string arguments, nullable ones among them, skipping NULLs.
-// GroupJoin's build repeats two keys, so a probe row folds into two groups.
+// The keyed GroupBy also runs on two workers, and the merged FinalBatches
+// must hold the oracle's groups, NULL keys grouped together. GroupJoin's
+// build repeats two keys, so a probe row folds into two groups, and holds
+// a NULL key, which no probe row hits, NULL or not.
 func TestFoldMatchesRowOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	w := testEngine(t, 1).NewWorker(0)
+	e := testEngine(t, 2)
+	ws := []*engine.Worker{e.NewWorker(0), e.NewWorker(1)}
+	w := ws[0]
 	dec := func(k AggKind, name string, arg Expr) AggSpec {
 		return AggSpec{Kind: k, Name: name, Arg: arg, ArgType: storage.TDecimal}
 	}
@@ -524,55 +530,101 @@ func TestFoldMatchesRowOracle(t *testing.T) {
 		}
 	}
 
-	for _, keys := range [][]int{{3, 7}, nil} {
-		g := NewGroupBy(batches[0].Schema, keys, aggs, 1)
-		var want []aggState
+	// With two workers the oracle folds each worker's batches apart and
+	// combines their states in worker order, as Finalize does, so float
+	// sums add up in the same order.
+	for _, c := range []struct {
+		keys    []int
+		workers int
+	}{{[]int{3, 7}, 1}, {nil, 1}, {[]int{3, 7}, 2}} {
+		what := fmt.Sprintf("GroupBy keys=%v workers=%d", c.keys, c.workers)
+		g := NewGroupBy(batches[0].Schema, c.keys, aggs, c.workers)
+		want := make([][]aggState, c.workers) // per worker, by oracle group
+		var firstRow [][2]int                 // per oracle group: its first batch and row
 		groupOf := map[string]int{}
-		for _, b := range batches {
-			g.Consume(w, b)
+		for bi, b := range batches {
+			wk := bi % c.workers
+			g.Consume(ws[wk], b)
 			for i := 0; i < b.Rows(); i++ {
 				key := ""
-				if keys != nil {
+				if c.keys != nil {
 					key = fmt.Sprintf("%q", []any{b.Cols[3].Value(i), b.Cols[7].Value(i)})
 				}
 				gid, ok := groupOf[key]
 				if !ok {
 					gid = len(groupOf)
 					groupOf[key] = gid
-					want = append(want, make([]aggState, len(aggs))...)
+					firstRow = append(firstRow, [2]int{bi, i})
 				}
-				foldRow(want[gid*len(aggs):(gid+1)*len(aggs)], b, i)
+				for len(want[wk]) <= gid*len(aggs) {
+					want[wk] = append(want[wk], make([]aggState, len(aggs))...)
+				}
+				foldRow(want[wk][gid*len(aggs):(gid+1)*len(aggs)], b, i)
 			}
 		}
-		check(fmt.Sprintf("GroupBy keys=%v", keys), g.tables[0].states, want)
+		if c.workers == 1 {
+			check(what, g.tables[0].states, want[0])
+		}
+		if err := g.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		wantOut := storage.NewBatch(g.FinalSchema(), len(firstRow))
+		for gid, at := range firstRow {
+			merged := make([]aggState, len(aggs))
+			for _, st := range want {
+				for a := range aggs {
+					if s := gid*len(aggs) + a; s < len(st) {
+						mergeState(&merged[a], &st[s], &aggs[a])
+					}
+				}
+			}
+			for k, kc := range c.keys {
+				wantOut.Cols[k].AppendFrom(batches[at[0]].Cols[kc], at[1])
+			}
+			for a := range aggs {
+				appendFinal(wantOut.Cols[len(c.keys)+a], &merged[a], &aggs[a])
+			}
+		}
+		out := g.FinalBatches()
+		got, wantRows := rowStrings(out[0]), rowStrings(wantOut)
+		slices.Sort(got)
+		slices.Sort(wantRows)
+		if !slices.Equal(got, wantRows) {
+			t.Fatalf("%s: FinalBatches holds %d groups %v, the row oracle gives %d: %v", what, len(got), got, len(wantRows), wantRows)
+		}
 	}
 
-	buildKeys := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 3, 5}
-	build := storage.NewBatch(storage.NewSchema(storage.Field{Name: "k", Type: storage.TInt64}), len(buildKeys))
+	// NULL is the last build key; the probe runs on a non-nullable key
+	// column and on a nullable one.
+	buildKeys := []any{int64(0), int64(1), int64(2), int64(3), int64(4), int64(5), int64(6), int64(7), int64(8), int64(9), int64(3), int64(5), nil}
+	build := storage.NewBatch(storage.NewSchema(storage.Field{Name: "k", Type: storage.TInt64, Nullable: true}), len(buildKeys))
 	for _, k := range buildKeys {
 		build.AppendRow(k)
 	}
-	gjb := NewGroupJoinBuild(build.Schema, []int{0}, aggs)
-	gjb.Consume(w, build)
-	if err := gjb.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	probe := &GroupJoinProbe{Build: gjb, ProbeKeys: []int{0}}
-	want := make([]aggState, len(buildKeys)*len(aggs))
-	wantHit := make([]bool, len(buildKeys))
-	for _, b := range batches {
-		probe.Consume(w, b)
-		for i := 0; i < b.Rows(); i++ {
-			for d, k := range buildKeys {
-				if b.Cols[0].I64[i] == k {
-					wantHit[d] = true
-					foldRow(want[d*len(aggs):(d+1)*len(aggs)], b, i)
+	for _, pk := range []int{0, 5} {
+		what := fmt.Sprintf("GroupJoinProbe on column %d", pk)
+		gjb := NewGroupJoinBuild(build.Schema, []int{0}, aggs)
+		gjb.Consume(w, build)
+		if err := gjb.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		probe := &GroupJoinProbe{Build: gjb, ProbeKeys: []int{pk}}
+		want := make([]aggState, len(buildKeys)*len(aggs))
+		wantHit := make([]bool, len(buildKeys))
+		for _, b := range batches {
+			probe.Consume(w, b)
+			for i := 0; i < b.Rows(); i++ {
+				for d, k := range buildKeys {
+					if k != nil && !b.Cols[pk].IsNull(i) && b.Cols[pk].I64[i] == k {
+						wantHit[d] = true
+						foldRow(want[d*len(aggs):(d+1)*len(aggs)], b, i)
+					}
 				}
 			}
 		}
-	}
-	check("GroupJoinProbe", gjb.state, want)
-	if !reflect.DeepEqual(gjb.hit, wantHit) {
-		t.Fatalf("GroupJoinProbe hits %v, want %v", gjb.hit, wantHit)
+		check(what, gjb.state, want)
+		if !reflect.DeepEqual(gjb.hit, wantHit) {
+			t.Fatalf("%s: hits %v, want %v", what, gjb.hit, wantHit)
+		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 // the left row followed by the aggregate values.
 //
 // Compared to aggregate-then-join it saves one hash table and one
-// materialization — the ablation benchmark BenchmarkGroupJoinAblation
-// quantifies this.
+// materialization — the ablation `hsqp experiment -id groupjoin`
+// (internal/bench/ablation.go) quantifies this.
 
 // GroupJoinBuild is the left-side pipeline breaker.
 type GroupJoinBuild struct {

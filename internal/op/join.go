@@ -56,14 +56,15 @@ type ResidualCol struct {
 	Col   int
 }
 
-// HashTable is the shared build-side state of a hash join: a chained
-// index over the collected build batches, which it references in place
-// (its chunks, in shard order) instead of copying them into one. A row id
-// packs chunk<<shift | offset, shift sized for the largest chunk, so ids
-// ascend in the order a consolidated copy would number the rows. heads is
-// a power-of-two bucket array sized once from the exact build cardinality
-// (no rehash, no per-bucket slice allocations); next chains build rows
-// within a bucket in ascending id order.
+// HashTable is the chained index of every join, groupjoin and group-by:
+// a chained index over batches it references in place (its chunks, in
+// shard order) instead of copying them into one. A row id packs
+// chunk<<shift | offset, shift sized for the largest chunk, so ids ascend
+// in the order a consolidated copy would number the rows. heads is a
+// power-of-two bucket array (no per-bucket slice allocations); next chains
+// rows within a bucket. A join's table is built once from the exact build
+// cardinality and never rehashes; a group-by's (aggTable) is one chunk of
+// key rows that grows as groups arrive.
 type HashTable struct {
 	Keys   []int
 	chunks []buildChunk
@@ -81,14 +82,31 @@ type buildChunk struct {
 	start int     // index of the batch's first row in a consolidated copy
 }
 
-// First returns the first candidate row id for a hash (-1 if none).
-// Buckets may mix different key hashes; KeyEq filters false candidates.
-func (h *HashTable) First(hash uint32) int32 { return h.heads[hash&h.mask] }
+// first returns the first candidate row id for a hash (-1 if none).
+// Buckets may mix different key hashes; keyEq filters false candidates.
+func (h *HashTable) first(hash uint32) int32 { return h.heads[hash&h.mask] }
 
-// Row resolves a row id to the build batch holding it and the row's
+// row resolves a row id to the build batch holding it and the row's
 // offset in that batch.
-func (h *HashTable) Row(i int32) (*storage.Batch, int) {
+func (h *HashTable) row(i int32) (*storage.Batch, int) {
 	return h.chunks[i>>h.shift].b, int(i & h.off)
+}
+
+// resize replaces the bucket array with an empty one of buckets (a power
+// of two) buckets.
+func (h *HashTable) resize(buckets int) {
+	h.heads = make([]int32, buckets)
+	h.mask = uint32(buckets - 1)
+	for i := range h.heads {
+		h.heads[i] = -1
+	}
+}
+
+// link pushes row id, at offset o of ch, onto the front of hash's chain.
+func (h *HashTable) link(ch *buildChunk, o int, id int32, hash uint32) {
+	b := hash & h.mask
+	ch.next[o] = h.heads[b]
+	h.heads[b] = id
 }
 
 // chain walks row ids for a probe. Consecutive candidates often lie in
@@ -122,9 +140,9 @@ func (h *HashTable) matches(w *engine.Worker, probe *storage.Batch, keys []int, 
 	rows, ids = w.PushI32(probe.Rows()), w.PushI32(probe.Rows())
 	walk := h.chain()
 	for i, hash := range w.HashRows(probe, keys) {
-		for id := h.First(hash); id >= 0; {
+		for id := h.first(hash); id >= 0; {
 			ch, bi, next := walk.step(id)
-			if h.KeyEq(ch.b, bi, probe, keys, i) {
+			if keyEq(ch.b, bi, h.Keys, probe, i, keys) {
 				rows = append(rows, int32(i))
 				ids = append(ids, id)
 				if first {
@@ -144,35 +162,50 @@ func (h *HashTable) gather(dst *storage.Column, c int, ids []int32) {
 			dst.AppendNull()
 			continue
 		}
-		build, bi := h.Row(id)
+		build, bi := h.row(id)
 		dst.AppendFrom(build.Cols[c], bi)
 	}
 }
 
-// KeyEq checks key equality between row bi of build and row pi of probe.
-func (h *HashTable) KeyEq(build *storage.Batch, bi int, probe *storage.Batch, probeKeys []int, pi int) bool {
-	for k, bk := range h.Keys {
-		bc := build.Cols[bk]
-		pc := probe.Cols[probeKeys[k]]
-		if bc.IsNull(bi) || pc.IsNull(pi) {
+// keyEq reports whether row i of a, keyed on aKeys, and row j of b, keyed
+// on bKeys, have equal keys. NULL equals NULL, as grouping needs; a join
+// never sees that case, because newHashTable chains no row with a NULL key.
+func keyEq(a *storage.Batch, i int, aKeys []int, b *storage.Batch, j int, bKeys []int) bool {
+	for k, ak := range aKeys {
+		ac, bc := a.Cols[ak], b.Cols[bKeys[k]]
+		an, bn := ac.IsNull(i), bc.IsNull(j)
+		if an || bn {
+			if an && bn {
+				continue
+			}
 			return false
 		}
-		switch bc.Type {
+		switch ac.Type {
 		case storage.TString:
-			if bc.Str[bi] != pc.Str[pi] {
+			if ac.Str[i] != bc.Str[j] {
 				return false
 			}
 		case storage.TFloat64:
-			if bc.F64[bi] != pc.F64[pi] {
+			if ac.F64[i] != bc.F64[j] {
 				return false
 			}
 		default:
-			if bc.I64[bi] != pc.I64[pi] {
+			if ac.I64[i] != bc.I64[j] {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// nullKey reports whether row i of b has a NULL in one of the key columns.
+func nullKey(b *storage.Batch, keys []int, i int) bool {
+	for _, k := range keys {
+		if b.Cols[k].IsNull(i) {
+			return true
+		}
+	}
+	return false
 }
 
 // Size returns the number of build rows.
@@ -192,7 +225,8 @@ func packShift(n, largest int) (uint, error) {
 
 // newHashTable indexes chunks (non-empty, in id order) on keys. Rows are
 // inserted in descending id order (push-front), so chains iterate
-// ascending. The key hashes are w's vector, one chunk at a time.
+// ascending. A row with a NULL key can match nothing and is left out of
+// every chain. The key hashes are w's vector, one chunk at a time.
 func newHashTable(chunks []*storage.Batch, keys []int, w *engine.Worker) (*HashTable, error) {
 	rows, largest := 0, 0
 	for _, b := range chunks {
@@ -203,15 +237,8 @@ func newHashTable(chunks []*storage.Batch, keys []int, w *engine.Worker) (*HashT
 	if err != nil {
 		return nil, err
 	}
-	buckets := nextPow2(rows)
-	h := &HashTable{
-		Keys: keys, chunks: make([]buildChunk, len(chunks)),
-		shift: shift, off: int32(1)<<shift - 1, mask: uint32(buckets - 1),
-		heads: make([]int32, buckets), rows: rows,
-	}
-	for i := range h.heads {
-		h.heads[i] = -1
-	}
+	h := &HashTable{Keys: keys, chunks: make([]buildChunk, len(chunks)), shift: shift, off: int32(1)<<shift - 1, rows: rows}
+	h.resize(nextPow2(rows))
 	next := make([]int32, rows)
 	start := 0
 	for c, b := range chunks {
@@ -223,9 +250,11 @@ func newHashTable(chunks []*storage.Batch, keys []int, w *engine.Worker) (*HashT
 		ch, base := &h.chunks[c], int32(c)<<shift
 		hashes := w.HashRows(ch.b, keys)
 		for o := len(hashes) - 1; o >= 0; o-- {
-			b := hashes[o] & h.mask
-			ch.next[o] = h.heads[b]
-			h.heads[b] = base | int32(o)
+			if nullKey(ch.b, keys, o) {
+				ch.next[o] = -1
+				continue
+			}
+			h.link(ch, o, base|int32(o), hashes[o])
 		}
 	}
 	return h, nil
@@ -248,9 +277,10 @@ func newHashTable(chunks []*storage.Batch, keys []int, w *engine.Worker) (*HashT
 // tuple either to its owner or to the broadcast stream, never both) and
 // (b) each probe tuple is processed on exactly one server (hot probe
 // tuples stay on their origin server, cold ones go to the key's owner).
-// The hash table itself chains every received row; it must NOT
-// deduplicate keys — two build tuples with equal keys are distinct match
-// partners, replicated copies of one tuple never share a server.
+// The hash table itself chains every received row with a non-NULL key; it
+// must NOT deduplicate keys — two build tuples with equal keys are
+// distinct match partners, replicated copies of one tuple never share a
+// server.
 type JoinBuild struct {
 	Keys   []int
 	Schema *storage.Schema
@@ -274,19 +304,6 @@ type joinBuildShard struct {
 // NewJoinBuild creates a build sink keyed on the given columns of schema.
 func NewJoinBuild(schema *storage.Schema, keys []int) *JoinBuild {
 	return &JoinBuild{Keys: keys, Schema: schema}
-}
-
-// ExpectRows pre-sizes the per-shard batch lists from the planner's input
-// cardinality estimate (exact for local builds, an upper bound across an
-// exchange). morsel is the engine's morsel size. Call before Consume.
-func (jb *JoinBuild) ExpectRows(rows, morsel int) {
-	if rows <= 0 || morsel <= 0 {
-		return
-	}
-	perShard := rows/morsel/joinBuildShards + 1
-	for i := range jb.shards {
-		jb.shards[i].batches = make([]*storage.Batch, 0, perShard)
-	}
 }
 
 // Consume implements engine.Sink.

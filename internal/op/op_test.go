@@ -522,20 +522,20 @@ func TestJoinBuildLayoutIsShardOrder(t *testing.T) {
 		t.Fatalf("chunks hold %d rows, want %d", r, want.Rows())
 	}
 	// The probes' walker visits row ids in ascending order, resolves each to
-	// the row Row names and the copy holds at that position, and reaches
+	// the row ht.row names and the copy holds at that position, and reaches
 	// every row once.
 	seen := 0
 	walk := ht.chain()
 	for k := int64(0); k < 7; k++ {
 		last := int32(-1)
-		for id := ht.First(storage.HashI64(k)); id >= 0; {
+		for id := ht.first(storage.HashI64(k)); id >= 0; {
 			if id <= last {
 				t.Fatalf("key %d: chain visits id %d after id %d", k, id, last)
 			}
 			last = id
 			ch, bi, next := walk.step(id)
-			if build, o := ht.Row(id); build != ch.b || o != bi {
-				t.Fatalf("the walker resolves id %d to row %d of another batch than Row's row %d", id, bi, o)
+			if build, o := ht.row(id); build != ch.b || o != bi {
+				t.Fatalf("the walker resolves id %d to row %d of another batch than ht.row's row %d", id, bi, o)
 			}
 			if r := ch.start + bi; fmt.Sprint(ch.b.Row(bi)) != fmt.Sprint(want.Row(r)) {
 				t.Fatalf("id %d resolves to %v, row %d of the copy is %v", id, ch.b.Row(bi), r, want.Row(r))

@@ -109,10 +109,6 @@ type stream struct {
 	// carry no deps — they poll the multiplexer and become runnable as
 	// soon as the first message lands.
 	deps []int
-	// rows is a rough upper-bound cardinality estimate (exact at the scan,
-	// carried through filters unreduced, multiplied by sender count across
-	// exchanges). Pre-sizes join builds' batch lists; 0 = unknown.
-	rows int
 }
 
 // Compiled is the result of compiling a query for one server: a pipeline
@@ -309,7 +305,6 @@ func (c *compiler) buildScan(n *Node) (*stream, error) {
 		part:       info.PartCols,
 		replicated: info.Replicated,
 		zones:      info.Zones,
-		rows:       info.Table.Rows(),
 	}
 	if c.env.AfterScan != nil {
 		out.ops = append(out.ops, c.env.AfterScan(n.schema)...)
@@ -368,13 +363,7 @@ func (c *compiler) exchangeStreamVia(name string, in *stream, sc exchange.SendCo
 			recv = env.Mux.OpenExchange(env.QueryID, exID, senders)
 		}
 	}
-	out := &stream{
-		schema: in.schema,
-		// Receive-side estimate: every sender contributes up to its local
-		// cardinality (exact for broadcast/gather, an upper bound for hash
-		// partitioning, where rows spread over the receivers).
-		rows: in.rows * senders,
-	}
+	out := &stream{schema: in.schema}
 	if recv != nil {
 		out.source = &exchange.Source{
 			Recv:    recv,
@@ -546,7 +535,6 @@ func (c *compiler) buildJoin(n *Node) (*stream, error) {
 	}
 
 	jb := op.NewJoinBuild(bs.schema, buildKeys)
-	jb.ExpectRows(bs.rows, c.env.MorselSize)
 	build := c.add(&engine.Pipeline{
 		Name:            joinName(n, "build"),
 		Source:          bs.source,
