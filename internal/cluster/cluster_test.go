@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"testing"
-	"time"
 
 	"hsqp/internal/fabric"
 	"hsqp/internal/leakcheck"
@@ -212,10 +211,11 @@ func TestTopKDistributed(t *testing.T) {
 // (here: an unknown transport, rejected after every node's engine already
 // started) must not leave the worker pools running.
 func TestNewFailureStopsWorkerPools(t *testing.T) {
+	before := leakcheck.Snapshot()
 	if _, err := New(Config{Servers: 3, WorkersPerServer: 4, Transport: TransportKind(99)}); err == nil {
 		t.Fatal("New accepted an unknown transport")
 	}
-	if err := leakcheck.Check(2 * time.Second); err != nil {
-		t.Fatalf("failed New leaked: %v", err)
+	if got := leakcheck.Grown(before, nil); len(got) != 0 {
+		t.Fatalf("failed New left goroutines running:\n%s", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hsqp/internal/leakcheck"
 	"hsqp/internal/plan"
 	"hsqp/internal/storage"
 )
@@ -179,11 +180,11 @@ func TestRunContextCancel(t *testing.T) {
 func TestAddServerOnClosedClusterLeaksNothing(t *testing.T) {
 	c := newTestCluster(t, 2, RDMA, false)
 	c.Close()
-	before := goroutines()
+	before := leakcheck.Snapshot()
 	if _, err := c.AddServer(); err == nil {
 		t.Fatal("AddServer on a closed cluster succeeded")
 	}
-	if got := since(before); len(got) != 0 {
-		t.Fatalf("AddServer on a closed cluster left goroutines running:\n%s", render(got))
+	if got := leakcheck.Grown(before, nil); len(got) != 0 {
+		t.Fatalf("AddServer on a closed cluster left goroutines running:\n%s", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hsqp/internal/engine"
+	"hsqp/internal/leakcheck"
 	"hsqp/internal/storage"
 )
 
@@ -35,7 +36,7 @@ func TestSessionCloseDrain(t *testing.T) {
 	if _, _, err := c.RunContext(context.Background(), groupByQueryPlan()); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
-	baseline := runtime.NumGoroutine()
+	before := leakcheck.Snapshot()
 
 	s := c.NewSession(SessionConfig{MaxConcurrent: 1, Tenants: map[string]int{"t": 2}})
 
@@ -95,7 +96,9 @@ func TestSessionCloseDrain(t *testing.T) {
 	}
 
 	// No goroutine leak: everything the session spawned must be gone.
-	waitFor(t, "goroutines to drain", func() bool { return runtime.NumGoroutine() <= baseline })
+	if got := leakcheck.Grown(before, nil); len(got) != 0 {
+		t.Fatalf("the drained session left goroutines running:\n%s", got)
+	}
 }
 
 // TestSessionCloseFailsFIFOQueue covers the untenanted FIFO case: queries

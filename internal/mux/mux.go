@@ -15,9 +15,11 @@
 // blocks in one select. With scheduling enabled the step follows the
 // round-robin schedule: up to BatchPerPhase messages to the phase's single
 // target, then a low-latency inline synchronization barrier with the
-// phase's single source before moving on (§3.2.3). Without scheduling it
-// drains all destination FIFOs eagerly — the uncoordinated all-to-all
-// baseline that suffers switch contention.
+// phase's single source before moving on (§3.2.3), and a round that moved
+// nothing waits out a short idle pace before the next. Without scheduling
+// it drains all destination FIFOs eagerly — the uncoordinated all-to-all
+// baseline that suffers switch contention — and a pass that moved nothing
+// parks the loop until a Send, PeerDown, Freeze or Close wakes it.
 //
 // The express rule: a message no larger than the link's bandwidth-delay
 // product (Fabric.BDP: 42.5 KB at GbE, 5.2 KB at 4xQDR) skips the send
@@ -73,7 +75,7 @@ type Config struct {
 const (
 	// sendQueue is the per-destination FIFO depth.
 	sendQueue = 32
-	// idleSleep throttles the schedule loop when a whole round moved no
+	// idleSleep throttles the scheduled loop when a whole round moved no
 	// data.
 	idleSleep = 200 * time.Microsecond
 )
@@ -503,9 +505,10 @@ func (m *Mux) drop(msg *memory.Message) {
 // under sendMu and does what the step asks outside it: posts FIFO heads
 // or a barrier to the transport, or blocks in its one select until the
 // awaited barrier, a Send during an idle wait, PeerDown, Freeze or Close
-// wakes it, or, after a round that moved nothing, the idle pace runs out.
-// Posted messages leave their FIFO only after Transport.Send returned for
-// them.
+// wakes it, or, after a scheduled round that moved nothing, the idle pace
+// runs out. An eager loop has no pace: every event that can give it work
+// wakes it. Posted messages leave their FIFO only after Transport.Send
+// returned for them.
 func (m *Mux) networkLoop() {
 	defer m.wg.Done()
 	idle := time.NewTimer(idleSleep)
@@ -534,7 +537,7 @@ func (m *Mux) networkLoop() {
 			m.parked, m.wait = true, act
 			m.sendMu.Unlock()
 			var pace <-chan time.Time
-			if act.Kind == sched.Idle {
+			if act.Kind == sched.Idle && m.cfg.Scheduling {
 				idle.Reset(idleSleep)
 				pace = idle.C
 			}

@@ -440,39 +440,78 @@ func TestPeerDownCompletesParkedBarrier(t *testing.T) {
 	muxes, stop := testCluster(t, 3, true)
 	defer stop()
 	muxes[2].Close()
-	parkedOn := func(m *Mux, src int) bool {
-		m.sendMu.Lock()
-		defer m.sendMu.Unlock()
-		return m.parked && m.wait.Kind == sched.Wait && m.wait.Peer == src
-	}
-	for deadline := time.Now().Add(5 * time.Second); !parkedOn(muxes[0], 2) || !parkedOn(muxes[1], 2); {
-		if time.Now().After(deadline) {
-			t.Fatal("the survivors did not park on a barrier from the stopped server")
-		}
-		time.Sleep(time.Millisecond)
+	if !awaitParked(muxes[0], sched.Wait, 2) || !awaitParked(muxes[1], sched.Wait, 2) {
+		t.Fatal("the survivors did not park on a barrier from the stopped server")
 	}
 
-	recv := muxes[1].OpenExchange(0, 4, 1)
-	msg := memory.NewPool(numa.TwoSocket(), numa.AllocLocal, 8192, nil).Get(0)
-	msg.ExchangeID, msg.Sender, msg.Last = 4, 0, true
-	msg.Content = msg.Content[:muxes[0].bdp+1] // too large for express: queued
-	muxes[0].Send(1, msg)
-	if !parkedOn(muxes[0], 2) {
+	arrived := queueBulk(t, muxes[0], muxes[1])
+	if !parkedOn(muxes[0], sched.Wait, 2) {
 		t.Fatal("a Send woke a loop parked on a barrier")
 	}
 
 	for _, m := range muxes[:2] {
 		m.PeerDown(2)
 	}
-	got := make(chan *memory.Message, 1)
-	go func() { got <- recv.Recv(0) }()
-	select {
-	case r := <-got:
-		if r == nil || !r.Last {
-			t.Fatalf("server 1 received %v, want the queued message", r)
-		}
-		r.Release()
-	case <-time.After(5 * time.Second):
+	if !arrived() {
 		t.Fatal("the queued message did not arrive after PeerDown")
+	}
+}
+
+// parkedOn reports whether m's network loop is parked on a wait of kind
+// for source src (−1: for no barrier).
+func parkedOn(m *Mux, kind sched.Kind, src int) bool {
+	m.sendMu.Lock()
+	defer m.sendMu.Unlock()
+	return m.parked && m.wait.Kind == kind && m.wait.Peer == src
+}
+
+// queueBulk sends a Last message too large for express from src to dst,
+// so it queues for src's network loop, and returns a function that waits
+// up to 5 s for dst to receive it.
+func queueBulk(t *testing.T, src, dst *Mux) (arrived func() bool) {
+	recv := dst.OpenExchange(0, 4, 1)
+	msg := memory.NewPool(numa.TwoSocket(), numa.AllocLocal, 8192, nil).Get(0)
+	msg.ExchangeID, msg.Sender, msg.Last = 4, src.ServerID(), true
+	msg.Content = msg.Content[:src.bdp+1]
+	src.Send(dst.ServerID(), msg)
+	return func() bool {
+		got := make(chan *memory.Message, 1)
+		go func() { got <- recv.Recv(0) }()
+		select {
+		case r := <-got:
+			if r == nil || !r.Last {
+				t.Fatalf("server %d received %v, want the queued message", dst.ServerID(), r)
+			}
+			r.Release()
+			return true
+		case <-time.After(5 * time.Second):
+			return false
+		}
+	}
+}
+
+// awaitParked polls parkedOn for up to 5 s.
+func awaitParked(m *Mux, kind sched.Kind, src int) bool {
+	for deadline := time.Now().Add(5 * time.Second); !parkedOn(m, kind, src); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEagerIdleLoopWakesOnSend: an eager loop whose pass moved nothing
+// parks on Idle with no pace to end it, so only a Send can give it work.
+// A message too large for express queues behind that park and must still
+// arrive.
+func TestEagerIdleLoopWakesOnSend(t *testing.T) {
+	muxes, stop := testCluster(t, 2, false)
+	defer stop()
+	if !awaitParked(muxes[0], sched.Idle, -1) {
+		t.Fatal("an idle eager loop did not park on Idle")
+	}
+
+	if !queueBulk(t, muxes[0], muxes[1])() {
+		t.Fatal("a Send did not wake the idle eager loop")
 	}
 }

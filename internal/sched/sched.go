@@ -70,7 +70,7 @@ type Kind uint8
 
 const (
 	Wait    Kind = iota // block until woken: a barrier is due, or frozen or alone
-	Idle                // a round moved nothing: block until woken or the idle pace ends
+	Idle                // a round or pass moved nothing: block until woken or, scheduled, the idle pace ends
 	Post                // hand the first N messages of Peer's FIFO to the transport
 	Barrier             // send barrier Tag to Peer
 )
